@@ -5,7 +5,6 @@ from .lattice import (
     CylinderGeometry,
     LatticeHamiltonian,
     assemble_fiber,
-    builtin_models,
     chain_cylinder,
     haldane_cylinder,
     hofstadter_cylinder,
@@ -22,7 +21,6 @@ __all__ = [
     "CylinderGeometry",
     "LatticeHamiltonian",
     "assemble_fiber",
-    "builtin_models",
     "chain_cylinder",
     "haldane_cylinder",
     "hofstadter_cylinder",

@@ -3,7 +3,8 @@
 Subcommands dispatch to the computational modules and write CSV data
 files plus one machine-readable JSON report per run.  Exit codes:
 0 all checks passed, 1 usage/configuration error, 2 a numerical
-acceptance check failed.
+acceptance check failed or a numerical stage raised; the report is
+written in both exit-2 cases.
 """
 
 from __future__ import annotations
@@ -17,9 +18,22 @@ import time
 
 import numpy as np
 
-from . import lattice, reference, response, rgflow, spectrum
+from . import lattice, quadrature, reference, response, rgflow, spectrum
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2
+
+# numerical failures a subcommand can raise, by the check its report fails
+FAILED_STAGE = {
+    spectrum.BulkStateError: "edge_branches",
+    spectrum.FermiPointError: "fermi_point",
+    response.DegenerateCrossingError: "pair_weights",
+    response.ConjugationSymmetryError: "conjugation_symmetry",
+    quadrature.QuadratureError: "quadrature",
+    rgflow.FlowDivergenceError: "flow_containment",
+}
+
+# model flags, named as the build_model keys they set
+MODEL_FLAGS = ("t2", "m_stag", "p", "q", "shifts", "flips")
 
 
 def _json_default(obj):
@@ -49,9 +63,9 @@ def write_csv(outdir, name, header, rows):
     return path
 
 
-def _base_report(args, command):
+def _base_report(args):
     return {
-        "command": command,
+        "command": args.command,
         "seed": getattr(args, "seed", None),
         "inputs": {
             k: v
@@ -69,30 +83,13 @@ def _load_config(path):
     return cfg
 
 
-def _build_model(args):
-    if getattr(args, "config", None):
+def _model(args):
+    if args.config:
         return lattice.model_from_config(_load_config(args.config))
     if args.model is None:
         raise ValueError("missing --model (or --config with a model definition file)")
-    g_kwargs = dict(L1=args.L1, L2=args.L2)
-    if args.model == "haldane":
-        g = lattice.CylinderGeometry(M=2, **g_kwargs)
-        phi = -np.pi / 2 if getattr(args, "antichiral", False) else np.pi / 2
-        m_stag = args.m_stag if args.m_stag is not None else (1.5 if getattr(args, "trivial", False) else 0.0)
-        return lattice.haldane_cylinder(g, t2=args.t2, phi=phi, m_stag=m_stag)
-    if args.model == "hofstadter":
-        g = lattice.CylinderGeometry(M=1, **g_kwargs)
-        return lattice.hofstadter_cylinder(g, p=args.p, q=args.q)
-    if args.model == "stacked-haldane":
-        g = lattice.CylinderGeometry(M=2, **g_kwargs)
-        shifts = [float(s) for s in args.shifts.split(",")]
-        flips = [s == "1" for s in (args.flips.split(",") if args.flips else ["0"] * len(shifts))]
-        bases = [
-            lattice.haldane_cylinder(g, t2=args.t2, phi=(-np.pi / 2 if f else np.pi / 2))
-            for f in flips
-        ]
-        return lattice.stacked_shifted(bases, shifts)
-    raise ValueError(f"unknown model {args.model!r}")
+    flags = {k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}
+    return lattice.build_model(args.model, args.L1, args.L2, **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +97,8 @@ def _build_model(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(args, outdir):
-    ham = _build_model(args)
-    report = _base_report(args, "spectrum")
+def cmd_spectrum(args, report):
+    ham = _model(args)
     scan = spectrum.scan_spectrum(
         ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window),
         threads=args.threads,
@@ -111,15 +107,13 @@ def cmd_spectrum(args, outdir):
     for k1, es in zip(scan.k_grid, scan.energies):
         for e in es:
             rows.append((float(k1), float(e)))
-    write_csv(outdir, "spectrum.csv", ["k1", "energy"], rows)
+    write_csv(args.out, "spectrum.csv", ["k1", "energy"], rows)
     report["n_states"] = scan.state_count()
     report["checks"]["scan_nonempty"] = scan.state_count() > 0
-    return report
 
 
-def cmd_edges(args, outdir):
-    ham = _build_model(args)
-    report = _base_report(args, "edges")
+def cmd_edges(args, report):
+    ham = _model(args)
     scan = spectrum.scan_spectrum(
         ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window),
         threads=args.threads,
@@ -129,7 +123,7 @@ def cmd_edges(args, outdir):
     for b in branches:
         for k1, e in zip(b.k_samples, b.energies):
             rows.append((b.label, float(k1), float(e), b.side))
-    write_csv(outdir, "branches.csv", ["branch", "k1", "energy", "side"], rows)
+    write_csv(args.out, "branches.csv", ["branch", "k1", "energy", "side"], rows)
     rep = spectrum.check_assumptions(branches, gamma_min=args.gamma_min)
     report["branches"] = [
         {
@@ -148,12 +142,10 @@ def cmd_edges(args, outdir):
         "diagnostics": {k: v for k, v in rep.diagnostics.items()},
     }
     report["checks"]["assumptions"] = rep.all_pass
-    return report
 
 
-def cmd_conductance(args, outdir):
-    ham = _build_model(args)
-    report = _base_report(args, "conductance")
+def cmd_conductance(args, report):
+    ham = _model(args)
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
@@ -171,7 +163,7 @@ def cmd_conductance(args, outdir):
         ham, args.mu, n_k, a=a, a_prime=a_prime, p1_count=args.p1_count,
         chirality_sum=chi, fibers=fibers,
     )
-    write_csv(outdir, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
+    write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
     target = est.target
     rel = abs(est.g - target) / abs(target) if target != 0 else abs(est.g) * 2 * np.pi
     report["G_extrapolated"] = est.g
@@ -181,12 +173,10 @@ def cmd_conductance(args, outdir):
     report["relative_error"] = rel
     report["chirality_sum_lower"] = chi
     report["checks"]["conductance_matches_chirality"] = bool(rel <= args.tolerance)
-    return report
 
 
-def cmd_wick(args, outdir):
-    ham = _build_model(args)
-    report = _base_report(args, "wick")
+def cmd_wick(args, report):
+    ham = _model(args)
     n_k = ham.geometry.L1
     fibers = response.fiber_cache(ham, n_k)
     a = ham.geometry.L2 // 2 - 2
@@ -199,17 +189,15 @@ def cmd_wick(args, outdir):
         )
         rows.append((beta, args.T, res))
         residuals[beta] = res
-    write_csv(outdir, "wick.csv", ["beta", "T", "residual"], rows)
+    write_csv(args.out, "wick.csv", ["beta", "T", "residual"], rows)
     betas = sorted(residuals)
     ratios = [residuals[b1] / residuals[b2] for b1, b2 in zip(betas, betas[1:])]
     report["residuals"] = {str(b): residuals[b] for b in betas}
     report["beta_doubling_ratios"] = ratios
     report["checks"]["beta_scaling"] = bool(all(r >= 1.8 for r in ratios))
-    return report
 
 
-def cmd_ref_check(args, outdir):
-    report = _base_report(args, "ref-check")
+def cmd_ref_check(args, report):
     rng = np.random.default_rng(args.seed)
     errs = []
     worst = None
@@ -232,11 +220,9 @@ def cmd_ref_check(args, outdir):
         "lam": worst[1].lam,
     }
     report["checks"]["universality"] = bool(errs.max() <= args.tolerance)
-    return report
 
 
-def cmd_bubble(args, outdir):
-    report = _base_report(args, "bubble")
+def cmd_bubble(args, report):
     if args.N_min > args.N:
         raise ValueError("--N-min must not exceed --N")
     exact = reference.bubble_closed(args.p0, args.p1, args.v)
@@ -244,17 +230,15 @@ def cmd_bubble(args, outdir):
     for n in range(args.N_min, args.N + 1, 2):
         est = reference.bubble_regularized(args.p0, args.p1, args.v, args.h, n, tol=args.tol)
         rows.append((n, args.h, est.real, est.imag, abs(est - exact)))
-    write_csv(outdir, "bubble.csv", ["N", "h", "re", "im", "error"], rows)
+    write_csv(args.out, "bubble.csv", ["N", "h", "re", "im", "error"], rows)
     final_err = rows[-1][-1]
     report["estimate"] = {"re": rows[-1][2], "im": rows[-1][3]}
     report["closed_form"] = {"re": exact.real, "im": exact.imag}
     report["error"] = final_err
     report["checks"]["bubble_converged"] = bool(final_err <= 1e-3)
-    return report
 
 
-def cmd_rg(args, outdir):
-    report = _base_report(args, "rg")
+def cmd_rg(args, report):
     vs = [float(x) for x in args.velocities.split(",")]
     n = len(vs)
     lam = np.full((n, n), args.lam)
@@ -279,7 +263,7 @@ def cmd_rg(args, outdir):
         + [f"lambda_{a}{b}" for a, b in pairs]
         + ["beta_lambda_max"]
     )
-    write_csv(outdir, "rg_trajectory.csv", header, rows)
+    write_csv(args.out, "rg_trajectory.csv", header, rows)
     rep = rgflow.vanishing_beta_report(traj)
     lam_scale = max(abs(args.lam), 1e-300)
     contained = bool(
@@ -294,7 +278,6 @@ def cmd_rg(args, outdir):
     report["checks"]["eta_in_range"] = bool(
         np.all(rep["eta"] > 0) and np.all(rep["eta"] <= 10 * lam_scale**2)
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +294,18 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_model_args(p):
-        p.add_argument("--model", choices=["haldane", "hofstadter", "stacked-haldane"])
+        p.add_argument("--model", choices=list(lattice.MODEL_PARAMS))
         p.add_argument("--config", help="model definition file (INI sections)")
         p.add_argument("--L1", type=int, default=24)
         p.add_argument("--L2", type=int, default=16)
         p.add_argument("--mu", type=float, default=0.15)
-        p.add_argument("--t2", type=float, default=0.2)
-        p.add_argument("--m-stag", dest="m_stag", type=float, default=None)
-        p.add_argument("--trivial", action="store_true")
-        p.add_argument("--antichiral", action="store_true")
-        p.add_argument("--p", type=int, default=1)
-        p.add_argument("--q", type=int, default=3)
-        p.add_argument("--shifts", default="0.0,0.1,0.26")
-        p.add_argument("--flips", default="")
+        # model parameters: unset ones take the model's defaults in lattice
+        p.add_argument("--t2", type=float)
+        p.add_argument("--m-stag", dest="m_stag", type=float)
+        p.add_argument("--p", type=int)
+        p.add_argument("--q", type=int)
+        p.add_argument("--shifts")
+        p.add_argument("--flips")
         p.add_argument("--window", type=float, default=0.3)
 
     p = sub.add_parser("spectrum", parents=[common], help="band scan near the chemical potential")
@@ -370,7 +352,6 @@ def build_parser():
     p.set_defaults(func=cmd_bubble)
 
     p = sub.add_parser("rg", parents=[common], help="truncated flow over dyadic scales")
-    p.add_argument("--channels", type=int, default=2)
     p.add_argument("--velocities", default="1.0,-1.0")
     p.add_argument("--lambda", dest="lam", type=float, default=0.05)
     p.add_argument("--scales", type=int, default=30)
@@ -386,11 +367,15 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     os.makedirs(args.out, exist_ok=True)
     t0 = time.time()
+    report = _base_report(args)
     try:
-        report = args.func(args, args.out)
+        args.func(args, report)
     except (ValueError, FileNotFoundError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except tuple(FAILED_STAGE) as exc:
+        report["checks"][FAILED_STAGE[type(exc)]] = False
+        report["error"] = f"{type(exc).__name__}: {exc}"
     report["wall_time_s"] = time.time() - t0
     path = write_report(args.out, f"report_{report['command'].replace('-', '_')}.json", report)
     ok = all(report["checks"].values()) if report["checks"] else True

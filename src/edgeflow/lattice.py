@@ -25,7 +25,8 @@ __all__ = [
     "hofstadter_cylinder",
     "stacked_shifted",
     "chain_cylinder",
-    "builtin_models",
+    "MODEL_PARAMS",
+    "build_model",
     "assemble_fiber",
     "boundary_weight",
     "dump_blocks",
@@ -54,10 +55,6 @@ class CylinderGeometry:
     @property
     def fiber_dim(self):
         return self.L2 * self.M
-
-    def ring_distance(self, x1, y1):
-        d = abs(x1 - y1) % self.L1
-        return min(d, self.L1 - d)
 
 
 class LatticeHamiltonian:
@@ -294,14 +291,59 @@ def stacked_shifted(base, shifts):
     return ham
 
 
-def builtin_models():
-    """Registry of the built-in model constructors."""
-    return {
-        "haldane": haldane_cylinder,
-        "hofstadter": hofstadter_cylinder,
-        "stacked": stacked_shifted,
-        "chain": chain_cylinder,
-    }
+# The model kinds that build_model knows, with their constructors' keyword
+# parameters; a stack of Haldane copies also takes STACK_KEYS.
+MODEL_PARAMS = {
+    "haldane": ("t1", "t2", "phi", "m_stag"),
+    "hofstadter": ("p", "q", "t"),
+    "stacked-haldane": ("t1", "t2", "phi", "m_stag"),
+}
+STACK_KEYS = ("shifts", "flips")
+
+
+def _flags(text):
+    words = [w.strip() for w in text.split(",") if w.strip()]
+    if set(words) - {"0", "1"}:
+        raise ValueError(f"flips must be 0 or 1 per copy, got {text!r}")
+    return [w == "1" for w in words]
+
+
+def _floats(text):
+    return [float(s) for s in text.split(",")]
+
+
+_CONVERT = {"p": int, "q": int, "shifts": _floats, "flips": _flags}
+
+
+def _reject_unknown(what, keys, known):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what}: {', '.join(unknown)} (known: {', '.join(known)})")
+
+
+def build_model(kind, L1, L2, **params):
+    """Build the model kind ``kind`` on an ``L1 x L2`` cylinder.
+
+    ``params`` are the kind's keys in :data:`MODEL_PARAMS`, as numbers or as
+    config-file strings; a key left out takes the constructor's default.
+    ``stacked-haldane`` stacks Haldane copies at the energy ``shifts``
+    ("0.0,0.1,0.26" by default); ``flips`` ("0,1", ...) reverses a copy's
+    chirality by ``phi -> -phi``.  Unknown kinds and keys raise ``ValueError``.
+    """
+    if kind not in MODEL_PARAMS:
+        raise ValueError(f"unknown model type {kind!r}")
+    known = MODEL_PARAMS[kind] + (STACK_KEYS if kind == "stacked-haldane" else ())
+    _reject_unknown(f"{kind} parameters", params, known)
+    kw = {k: _CONVERT.get(k, float)(v) for k, v in params.items()}
+    if kind == "haldane":
+        return haldane_cylinder(L1=L1, L2=L2, **kw)
+    if kind == "hofstadter":
+        return hofstadter_cylinder(L1=L1, L2=L2, **kw)
+    shifts = kw.pop("shifts", [0.0, 0.1, 0.26])
+    flips = kw.pop("flips", None) or [False] * len(shifts)
+    phi = kw.pop("phi", np.pi / 2)
+    bases = [haldane_cylinder(L1=L1, L2=L2, phi=-phi if flip else phi, **kw) for flip in flips]
+    return stacked_shifted(bases, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +368,25 @@ def dump_blocks(ham, path):
 
 
 def load_blocks(path):
-    """Inverse of :func:`dump_blocks`."""
+    """Inverse of :func:`dump_blocks`.
+
+    Raises ``ValueError`` naming the file when the header is not exactly
+    ``# cylinder L1=.. L2=.. M=.. range=..``.
+    """
     with open(path) as f:
-        header = f.readline().strip()
-        meta = dict(kv.split("=") for kv in header.lstrip("# cylinder ").split())
-        geometry = CylinderGeometry(int(meta["L1"]), int(meta["L2"]), int(meta["M"]))
-        ham = LatticeHamiltonian(geometry, hop_range=float(meta["range"]))
+        header = f.readline().rstrip("\n")
+        fields = [w.partition("=") for w in header.removeprefix("# cylinder ").split()]
+        try:
+            if not header.startswith("# cylinder ") or [k + eq for k, eq, _ in fields] != [
+                "L1=", "L2=", "M=", "range="
+            ]:
+                raise ValueError("wrong fields")
+            l1, l2, m = (int(v) for _, _, v in fields[:3])
+            hop_range = float(fields[3][2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed header {header!r} ({exc})") from None
+        geometry = CylinderGeometry(l1, l2, m)
+        ham = LatticeHamiltonian(geometry, hop_range=hop_range)
         for line in f:
             z1, x2, y2, r, c, re, im = line.split()
             blk = np.zeros((geometry.M, geometry.M), dtype=complex)
@@ -344,36 +399,17 @@ def model_from_config(cfg):
     """Build a model from a parsed config mapping with [geometry]/[model]/[params].
 
     ``cfg`` is any mapping of section name to key-value mapping, e.g. a
-    ``configparser.ConfigParser``.
+    ``configparser.ConfigParser``.  [geometry] holds ``l1`` and ``l2``,
+    [model] the ``type`` and, for a stack, :data:`STACK_KEYS`, and [params]
+    the type's keys in :data:`MODEL_PARAMS`; everything goes to
+    :func:`build_model`.  Unknown sections and keys raise ``ValueError``.
     """
-    geo = cfg["geometry"]
-    L1, L2 = int(geo["l1"]), int(geo["l2"])
-    kind = cfg["model"]["type"].strip().lower()
-    params = {k: float(v) for k, v in cfg["params"].items()} if "params" in cfg else {}
-    if kind == "haldane":
-        g = CylinderGeometry(L1, L2, 2)
-        return haldane_cylinder(g, **{k: params[k] for k in ("t1", "t2", "phi", "m_stag") if k in params})
-    if kind == "hofstadter":
-        g = CylinderGeometry(L1, L2, 1)
-        kw = {}
-        if "p" in params:
-            kw["p"] = int(params["p"])
-        if "q" in params:
-            kw["q"] = int(params["q"])
-        if "t" in params:
-            kw["t"] = params["t"]
-        return hofstadter_cylinder(g, **kw)
-    if kind == "stacked-haldane":
-        g = CylinderGeometry(L1, L2, 2)
-        base_kw = {k: params[k] for k in ("t1", "t2", "phi", "m_stag") if k in params}
-        shifts = [float(s) for s in cfg["model"].get("shifts", "0").split(",")]
-        flips = cfg["model"].get("flips", "")
-        flips = [s.strip() == "1" for s in flips.split(",")] if flips else [False] * len(shifts)
-        bases = []
-        for flip in flips:
-            kw = dict(base_kw)
-            if flip:
-                kw["phi"] = -kw.get("phi", np.pi / 2)
-            bases.append(haldane_cylinder(g, **kw))
-        return stacked_shifted(bases, shifts)
-    raise ValueError(f"unknown model type {kind!r}")
+    sections = {name: dict(cfg[name]) for name in cfg if name != "DEFAULT"}
+    _reject_unknown("config sections", sections, ("geometry", "model", "params"))
+    geo, model, params = sections["geometry"], sections["model"], sections.get("params", {})
+    _reject_unknown("[geometry] keys", geo, ("l1", "l2"))
+    _reject_unknown("[model] keys", model, ("type",) + STACK_KEYS)
+    kind = model.pop("type").strip().lower()
+    # an unknown type is reported by build_model
+    _reject_unknown("[params] keys", params, MODEL_PARAMS.get(kind, tuple(params)))
+    return build_model(kind, int(geo["l1"]), int(geo["l2"]), **model, **params)

@@ -252,10 +252,9 @@ class RegulatorConfig:
         return int(round(self.box / self.spacing))
 
 
-def antiperiodic_grid(reg: RegulatorConfig):
+def antiperiodic_grid(cells, box):
     """1D antiperiodic momenta (2 pi / box)(m + 1/2), m = 0..cells-1."""
-    m = np.arange(reg.cells)
-    return 2.0 * np.pi / reg.box * (m + 0.5)
+    return 2.0 * np.pi / box * (np.arange(cells) + 0.5)
 
 
 def _fold(k, spacing):
@@ -330,6 +329,16 @@ def _richardson(ts, values):
     return tab[0]
 
 
+def _directional_limit(fn, params, order, ts, curvature):
+    if order == "p1_first":
+        paths = [(t, curvature * t * t) for t in ts]
+    elif order == "p0_first":
+        paths = [(curvature * t * t, t) for t in ts]
+    else:
+        raise ValueError("order must be 'p1_first' or 'p0_first'")
+    return _richardson(ts, [fn(p0, p1, params) for p0, p1 in paths])
+
+
 def t_matrix_directional_numeric(params, order, ts=(1e-2, 1e-3, 1e-4), curvature=1.0):
     """Directional limit of T along a parabolic path, Richardson extrapolated.
 
@@ -337,13 +346,7 @@ def t_matrix_directional_numeric(params, order, ts=(1e-2, 1e-3, 1e-4), curvature
     vanishes faster (matches :func:`t_limit_dynamic`); ``order='p0_first'``
     uses p(t) = (c t^2, t) (matches :func:`t_limit_static`).
     """
-    if order == "p1_first":
-        paths = [(t, curvature * t * t) for t in ts]
-    elif order == "p0_first":
-        paths = [(curvature * t * t, t) for t in ts]
-    else:
-        raise ValueError("order must be 'p1_first' or 'p0_first'")
-    return _richardson(ts, [t_matrix(p0, p1, params) for p0, p1 in paths])
+    return _directional_limit(t_matrix, params, order, ts, curvature)
 
 
 def density_density(p0, p1, params: LuttingerParams):
@@ -353,13 +356,9 @@ def density_density(p0, p1, params: LuttingerParams):
 
 
 def density_density_directional_numeric(params, order, ts=(1e-2, 1e-3, 1e-4), curvature=1.0):
-    if order == "p1_first":
-        paths = [(t, curvature * t * t) for t in ts]
-    elif order == "p0_first":
-        paths = [(curvature * t * t, t) for t in ts]
-    else:
-        raise ValueError("order must be 'p1_first' or 'p0_first'")
-    return _richardson(ts, [density_density(p0, p1, params) for p0, p1 in paths])
+    """Directional limit of the density-density correlation, as for
+    :func:`t_matrix_directional_numeric`."""
+    return _directional_limit(density_density, params, order, ts, curvature)
 
 
 def discontinuity_matrix(params: LuttingerParams, cross_validate=False, tol=1e-8):
@@ -432,13 +431,16 @@ def anomaly_residual(p0, p1, v, z, h, n, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def random_params(rng, n_channels=None, lambda_scale=0.1, radius_cap=0.8, p_c=4.0):
+RADIUS_CAP = 0.8  # admissibility radius of the random couplings
+
+
+def random_params(rng, n_channels=None, lambda_scale=0.1):
     """Draw an admissible random parameter set.
 
     Velocities have random signs and magnitudes in [0.5, 2], field
     strengths in [0.5, 2]; couplings are Gaussian of width lambda_scale,
     rescaled when needed so the admissibility radius stays below
-    ``radius_cap``.
+    :data:`RADIUS_CAP`.
     """
     if n_channels is None:
         n_channels = int(rng.integers(1, 5))
@@ -447,15 +449,14 @@ def random_params(rng, n_channels=None, lambda_scale=0.1, radius_cap=0.8, p_c=4.
     lam = rng.normal(0.0, lambda_scale, (n_channels, n_channels))
     lam = 0.5 * (lam + lam.T)
     np.fill_diagonal(lam, 0.0)
-    params = LuttingerParams(v=v, z=z, lam=np.zeros_like(lam), p_c=p_c)
+    params = LuttingerParams(v=v, z=z, lam=np.zeros_like(lam))
     if n_channels > 1 and np.any(lam != 0.0):
         trial = LuttingerParams.__new__(LuttingerParams)
         object.__setattr__(trial, "v", v)
         object.__setattr__(trial, "z", z)
         object.__setattr__(trial, "lam", lam)
-        object.__setattr__(trial, "p_c", p_c)
         rho = trial.coupling_radius()
-        if rho >= radius_cap:
-            lam = lam * (radius_cap / rho) * 0.99
-        params = LuttingerParams(v=v, z=z, lam=lam, p_c=p_c)
+        if rho >= RADIUS_CAP:
+            lam = lam * (RADIUS_CAP / rho) * 0.99
+        params = LuttingerParams(v=v, z=z, lam=lam)
     return params

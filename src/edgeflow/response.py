@@ -30,6 +30,7 @@ __all__ = [
     "ResponseResult",
     "ConductanceEstimate",
     "DegenerateCrossingError",
+    "ConjugationSymmetryError",
     "diagonalize_fiber",
     "fiber_cache",
     "build_vertices",
@@ -46,6 +47,10 @@ __all__ = [
 
 class DegenerateCrossingError(RuntimeError):
     """A zero-frequency spectral weight hit an exact degeneracy across mu."""
+
+
+class ConjugationSymmetryError(RuntimeError):
+    """The strip response at -p1 is not the complex conjugate of that at p1."""
 
 
 @dataclass
@@ -370,11 +375,13 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, p1_count=3, temperature=0.0,
         return res.tables[(0, 1)].sum()
 
     # the response at opposite ring momenta are complex conjugates, so the
-    # even-in-p1 part (the part that survives p1 -> 0) is the real part
+    # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
+    # check is relative to one conductance quantum 1/(2 pi) at least: a
+    # counter-propagating stack cancels G down to rounding.
     g_plus, g_minus = strip_sum(1), strip_sum(n_k - 1)
     sym_err = abs(g_minus - np.conj(g_plus))
-    if sym_err > 1e-9 * max(abs(g_plus), 1e-300):
-        raise AssertionError(f"conjugation symmetry violated: {sym_err:.2e}")
+    if sym_err > 1e-9 * max(abs(g_plus), 1.0 / (2.0 * np.pi)):
+        raise ConjugationSymmetryError(f"conjugation symmetry violated: {sym_err:.2e}")
     p1s, gs = [], []
     for m in range(1, p1_count + 1):
         p1s.append(2.0 * np.pi * m / n_k)

@@ -25,22 +25,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import band_cutoff, shell
+from .cutoffs import shell
 from .quadrature import polar_nodes
-from .reference import LuttingerParams, bubble_closed, chiral_denominator, form_factor
+from .reference import (
+    LuttingerParams, antiperiodic_grid, bubble_closed, chiral_denominator, form_factor,
+)
 
 __all__ = [
-    "ScaleShell",
     "FlowState",
     "BetaEvaluation",
     "FlowTrajectory",
     "FlowDivergenceError",
     "single_scale_propagator",
-    "shell_partition_residual",
     "beta_second_order",
     "flow_run",
     "vanishing_beta_report",
-    "grid_momenta",
     "grid_propagator_table",
     "sunset_grid",
     "chain_bubble_grid",
@@ -55,27 +54,6 @@ class FlowDivergenceError(RuntimeError):
     def __init__(self, message, scale):
         super().__init__(message)
         self.scale = scale
-
-
-@dataclass(frozen=True)
-class ScaleShell:
-    """Dyadic momentum shell f_h = window[h_min, h] - window[h_min, h-1]."""
-
-    h: int
-    h_min: int
-
-    def __call__(self, r):
-        return shell(r, self.h, self.h_min)
-
-    @property
-    def support(self):
-        return 2.0 ** (self.h - 1), 2.0 ** (self.h + 1)
-
-
-def shell_partition_residual(h_min, r):
-    """Max deviation of sum_j f_j from the full window at radii ``r``."""
-    total = sum(shell(r, j, h_min) for j in range(h_min, 1))
-    return float(np.max(np.abs(total - band_cutoff(r, h_min, 0))))
 
 
 def single_scale_propagator(k0, k1, h, v_bare, v_run, z_run, h_min=-40):
@@ -99,27 +77,18 @@ def single_scale_propagator(k0, k1, h, v_bare, v_run, z_run, h_min=-40):
 class FlowState:
     """Running parameters at one scale.
 
-    ``nu`` (the relevant local quadratic coupling) is carried for
-    completeness but stays at zero: with exactly linear dispersion the
-    tadpole vanishes by parity at every order computed here.
+    No local quadratic coupling is carried: with exactly linear dispersion
+    the tadpole vanishes by parity at every order computed here.
     """
 
     h: int
     z: np.ndarray
     v: np.ndarray
     lam: np.ndarray
-    nu: np.ndarray
 
     @classmethod
     def initial(cls, params: LuttingerParams):
-        n = params.n_channels
-        return cls(
-            h=0,
-            z=params.z.copy(),
-            v=params.v.copy(),
-            lam=params.lam.copy(),
-            nu=np.zeros(n),
-        )
+        return cls(h=0, z=params.z.copy(), v=params.v.copy(), lam=params.lam.copy())
 
 
 @dataclass
@@ -271,11 +240,14 @@ def _quartic_bubbles(state, params, level=4):
     return same, mixed
 
 
-def flow_run(params: LuttingerParams, h_min, level=4, c_bound=1.0, big_c=2.0):
+BIG_C = 2.0  # containment constant of the running velocities and couplings
+
+
+def flow_run(params: LuttingerParams, h_min, c_bound=1.0):
     """Iterate the truncated flow from scale 0 down to ``h_min``.
 
     Containment bounds per step: |Z_h/Z_{h-1}| <= exp(c_bound |lam|),
-    |v_h - v_0| <= big_c |lam|, |lam_h| <= big_c |lam|; a breach raises
+    |v_h - v_0| <= BIG_C |lam|, |lam_h| <= BIG_C |lam|; a breach raises
     :class:`FlowDivergenceError` naming the scale.
     """
     lam_scale = max(float(np.max(np.abs(params.lam))), 1e-300)
@@ -284,18 +256,18 @@ def flow_run(params: LuttingerParams, h_min, level=4, c_bound=1.0, big_c=2.0):
     betas = []
     for h in range(0, h_min, -1):
         state = states[-1]
-        ev = beta_second_order(state, params, level=level)
+        ev = beta_second_order(state, params)
         z_new = state.z * (1.0 + ev.z0)
         v_new = (state.v + ev.z1) / (1.0 + ev.z0)
         lam_new = state.lam + ev.beta_lambda
-        nxt = FlowState(h=h - 1, z=z_new, v=v_new, lam=lam_new, nu=state.nu.copy())
+        nxt = FlowState(h=h - 1, z=z_new, v=v_new, lam=lam_new)
         ratio = np.abs(state.z / nxt.z)
         ratio = np.max(np.maximum(ratio, 1.0 / ratio))
         if ratio > np.exp(c_bound * lam_scale):
             raise FlowDivergenceError(f"field-strength ratio breached at h={h-1}", h - 1)
-        if np.max(np.abs(nxt.v - params.v)) > big_c * lam_scale:
+        if np.max(np.abs(nxt.v - params.v)) > BIG_C * lam_scale:
             raise FlowDivergenceError(f"velocity drift breached at h={h-1}", h - 1)
-        if np.max(np.abs(nxt.lam)) > big_c * max(lam_scale, 1e-300):
+        if np.max(np.abs(nxt.lam)) > BIG_C * max(lam_scale, 1e-300):
             raise FlowDivergenceError(f"coupling growth breached at h={h-1}", h - 1)
         states.append(nxt)
         betas.append(ev)
@@ -341,15 +313,10 @@ def vanishing_beta_report(traj: FlowTrajectory, noise_floor=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def grid_momenta(cells, box):
-    """Antiperiodic momenta (2 pi / box)(m + 1/2), m = 0..cells-1."""
-    return 2.0 * np.pi / box * (np.arange(cells) + 0.5)
-
-
 def grid_propagator_table(cells, box, v, z):
     """Odd lattice propagator table g[i, j] = 1 / (z D_lat(k_i, k_j))."""
     a = box / cells
-    ks = grid_momenta(cells, box)
+    ks = antiperiodic_grid(cells, box)
     s0 = np.sin(a * ks)[:, None] / a
     s1 = np.sin(a * ks)[None, :] / a
     return 1.0 / (z * (-1j * s0 + v * s1))

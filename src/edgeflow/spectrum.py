@@ -21,6 +21,7 @@ __all__ = [
     "EdgeBranch",
     "AssumptionReport",
     "BulkStateError",
+    "FermiPointError",
     "scan_spectrum",
     "extract_edge_branches",
     "fermi_point",
@@ -28,13 +29,21 @@ __all__ = [
     "check_assumptions",
 ]
 
-OVERLAP_THRESHOLD = 0.7
-SIDE_THRESHOLD = 0.9
-V_MIN = 1e-3
+OVERLAP_THRESHOLD = 0.7  # least |<v(k), v(k+dk)>| that continues a branch
+SIDE_THRESHOLD = 0.9  # least half-cylinder weight of an edge state
+V_MIN = 1e-3  # least |velocity| of a Fermi point
+DEGENERACY_TOL = 1e-5  # energy gap below which scan states are side-purified
+FERMI_TOL = 1e-10  # |E(k_F) - mu| at which the bisection stops
+MAX_BISECTIONS = 200
 
 
 class BulkStateError(RuntimeError):
     """An in-window state is localized at neither edge."""
+
+
+class FermiPointError(RuntimeError):
+    """The Fermi-point bisection did not converge, or the branch is tangent
+    to the chemical potential."""
 
 
 @dataclass
@@ -65,15 +74,9 @@ class EdgeBranch:
     loc_rate: float = np.nan
     loc_r2: float = np.nan
 
-    def crosses(self, mu):
-        s = np.sign(self.energies - mu)
-        return np.any(s[:-1] * s[1:] < 0)
-
 
 @dataclass
 class AssumptionReport:
-    delta: float
-    delta_tilde: float
     gamma: float
     flags: dict
     diagnostics: dict = field(default_factory=dict)
@@ -99,13 +102,14 @@ def _side_projector_weights(geometry):
     return w
 
 
-def _purify_degenerate(geometry, e, vecs, tol=1e-5):
+def _purify_degenerate(geometry, e, vecs):
     """Rotate quasi-degenerate clusters into side-pure combinations.
 
     Edge states on opposite edges split only by exponentially small
     tunneling; the eigensolver returns arbitrary mixtures inside such a
     cluster.  Diagonalizing the lower-half projector within the cluster
-    restores one-sided states without changing energies beyond ``tol``.
+    restores one-sided states without changing energies beyond
+    :data:`DEGENERACY_TOL`.
     """
     if len(e) < 2:
         return vecs
@@ -114,7 +118,7 @@ def _purify_degenerate(geometry, e, vecs, tol=1e-5):
     out = vecs.copy()
     while i < len(e):
         j = i + 1
-        while j < len(e) and e[j] - e[j - 1] < tol:
+        while j < len(e) and e[j] - e[j - 1] < DEGENERACY_TOL:
             j += 1
         if j - i > 1:
             block = out[i:j]
@@ -125,7 +129,7 @@ def _purify_degenerate(geometry, e, vecs, tol=1e-5):
     return out
 
 
-def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, degeneracy_tol=1e-5):
+def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1):
     """Diagonalize the fiber on ``n_k`` grid momenta, keep in-window
     eigenpairs (Dirichlet-row modes dropped, degenerate clusters
     side-purified)."""
@@ -144,7 +148,7 @@ def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, degeneracy_tol=1e-
         keep = (e > lo) & (e < hi)
         idx = np.where(keep)[0]
         idx = [i for i in idx if boundary_weight(g, v[:, i]) < 0.5]
-        vecs = _purify_degenerate(g, e[idx], v[:, idx].T.copy(), tol=degeneracy_tol)
+        vecs = _purify_degenerate(g, e[idx], v[:, idx].T.copy())
         energies.append(e[idx])
         vectors.append(vecs)
     return BandScan(ham=ham, k_grid=ks, window=window, energies=energies, vectors=vectors)
@@ -183,14 +187,14 @@ def _fit_loc_rate(geometry, vec, side):
     return float(-slope / 2.0), float(r2)
 
 
-def extract_edge_branches(scan, mu, loc_threshold=SIDE_THRESHOLD, overlap=OVERLAP_THRESHOLD):
+def extract_edge_branches(scan, mu):
     """Continue in-window states across the k grid and classify by edge.
 
-    Continuation accepts the best |<v(k), v(k+dk)>| >= ``overlap`` match;
+    Continuation accepts the best |<v(k), v(k+dk)>| >= :data:`OVERLAP_THRESHOLD` match;
     the grid wraps at 2 pi.  Each maximal chain becomes one branch per
     Fermi crossing (chains crossing ``mu`` several times are split so a
     branch carries a single Fermi point).  States with less than
-    ``loc_threshold`` weight on either half of the cylinder raise
+    :data:`SIDE_THRESHOLD` weight on either half of the cylinder raise
     :class:`BulkStateError`.
     """
     g = scan.geometry
@@ -212,7 +216,7 @@ def extract_edge_branches(scan, mu, loc_threshold=SIDE_THRESHOLD, overlap=OVERLA
                     for jn, vn in enumerate(scan.vectors[i_next])
                     if not used[i_next][jn]
                 ]
-                cand = [c for c in cand if c[0] >= overlap]
+                cand = [c for c in cand if c[0] >= OVERLAP_THRESHOLD]
                 if not cand:
                     break
                 _, j_next = max(cand)
@@ -229,9 +233,9 @@ def extract_edge_branches(scan, mu, loc_threshold=SIDE_THRESHOLD, overlap=OVERLA
         sides = []
         for v in vs:
             lw = _lower_weight(g, v)
-            if lw >= loc_threshold:
+            if lw >= SIDE_THRESHOLD:
                 sides.append("lower")
-            elif 1.0 - lw >= loc_threshold:
+            elif 1.0 - lw >= SIDE_THRESHOLD:
                 sides.append("upper")
             else:
                 raise BulkStateError(
@@ -240,8 +244,7 @@ def extract_edge_branches(scan, mu, loc_threshold=SIDE_THRESHOLD, overlap=OVERLA
                 )
         side = sides[0] if len(set(sides)) == 1 else "mixed"
         # split the chain at Fermi crossings so each branch holds one
-        sign = np.sign(es - mu)
-        cross_at = [t for t in range(len(es) - 1) if sign[t] * sign[t + 1] < 0]
+        cross_at = _crossings(es, mu)
         segments = [slice(None)]
         if len(cross_at) > 1:
             cuts = [(cross_at[t] + 1 + cross_at[t + 1]) // 2 + 1 for t in range(len(cross_at) - 1)]
@@ -259,11 +262,17 @@ def extract_edge_branches(scan, mu, loc_threshold=SIDE_THRESHOLD, overlap=OVERLA
 
     branches = [b for b in branches if len(b.k_samples) >= 3]
     for b in branches:
-        if b.crosses(mu):
+        if _crossings(b.energies, mu):
             kf, vel, vec = fermi_point(b, scan.ham, mu)
             b.k_fermi, b.velocity = kf, vel
             b.loc_rate, b.loc_r2 = _fit_loc_rate(g, vec, b.side)
     return branches
+
+
+def _crossings(energies, mu):
+    """Indices i at which the sampled energies cross mu between i and i + 1."""
+    sign = np.sign(energies - mu)
+    return [i for i in range(len(sign) - 1) if sign[i] * sign[i + 1] < 0]
 
 
 def _track_eig(ham, k1, ref_vec):
@@ -273,58 +282,52 @@ def _track_eig(ham, k1, ref_vec):
     return e[j], v[:, j]
 
 
-def fermi_points(branch, ham, mu, tol=1e-10, v_min=V_MIN):
+def fermi_points(branch, ham, mu):
     """All Fermi points of a branch, one per sign change of the energy.
 
     Branches produced by :func:`extract_edge_branches` carry a single
     crossing (chains are split); this entry point covers hand-built
     branches that cross several times.
     """
-    es = branch.energies - mu
-    sign = np.sign(es)
-    crossings = [i for i in range(len(es) - 1) if sign[i] * sign[i + 1] < 0]
-    return [
-        _refine_crossing(branch, ham, mu, i, tol=tol, v_min=v_min) for i in crossings
-    ]
+    return [_refine_crossing(branch, ham, mu, i) for i in _crossings(branch.energies, mu)]
 
 
-def fermi_point(branch, ham, mu, tol=1e-10, v_min=V_MIN, max_iter=200):
+def fermi_point(branch, ham, mu):
     """Locate the branch's Fermi momentum by bisection with
     re-diagonalization, and the velocity by Richardson-extrapolated
     central differences.
 
     Returns ``(k_fermi, velocity, eigenvector_at_k_fermi)`` for the first
-    crossing.  Raises when the branch does not cross ``mu`` or is tangent
-    (|velocity| < v_min).
+    crossing.  Raises ``ValueError`` when the branch does not cross ``mu``,
+    and :class:`FermiPointError` when the bisection does not converge or the
+    branch is tangent (|velocity| < :data:`V_MIN`).
     """
-    es = branch.energies - mu
-    sign = np.sign(es)
-    crossings = [i for i in range(len(es) - 1) if sign[i] * sign[i + 1] < 0]
+    crossings = _crossings(branch.energies, mu)
     if not crossings:
         raise ValueError("branch does not cross the chemical potential")
-    return _refine_crossing(branch, ham, mu, crossings[0], tol=tol, v_min=v_min, max_iter=max_iter)
+    return _refine_crossing(branch, ham, mu, crossings[0])
 
 
-def _refine_crossing(branch, ham, mu, i, tol=1e-10, v_min=V_MIN, max_iter=200):
+def _refine_crossing(branch, ham, mu, i):
     es = branch.energies - mu
     ka, kb = branch.k_samples[i], branch.k_samples[i + 1]
     if kb < ka:
         kb += 2.0 * np.pi
     ea, eb = es[i], es[i + 1]
     vec = branch.vectors[i]
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         km = 0.5 * (ka + kb)
         em, vm = _track_eig(ham, km, vec)
         em -= mu
         vec = vm
-        if abs(em) <= tol:
+        if abs(em) <= FERMI_TOL:
             break
         if em * ea > 0:
             ka, ea = km, em
         else:
             kb, eb = km, em
     else:
-        raise RuntimeError("Fermi-point bisection did not converge")
+        raise FermiPointError(f"Fermi-point bisection did not converge near k1 = {km:.5f}")
 
     step = 1e-4
 
@@ -335,10 +338,10 @@ def _refine_crossing(branch, ham, mu, i, tol=1e-10, v_min=V_MIN, max_iter=200):
 
     d1, d2 = deriv(step), deriv(step / 2.0)
     velocity = (4.0 * d2 - d1) / 3.0
-    if abs(velocity) < v_min:
-        raise ValueError(
+    if abs(velocity) < V_MIN:
+        raise FermiPointError(
             f"branch tangent to mu at k1 = {km:.5f}: |velocity| = "
-            f"{abs(velocity):.2e} < {v_min}"
+            f"{abs(velocity):.2e} < {V_MIN}"
         )
     return km % (2.0 * np.pi), float(velocity), vec
 
@@ -348,11 +351,11 @@ def _circle_dist(a, b):
     return min(d, 2.0 * np.pi - d)
 
 
-def check_assumptions(branches, gamma_min=0.05, delta=0.1, delta_tilde=0.3, v_min=V_MIN):
+def check_assumptions(branches, gamma_min=0.05):
     """Separation and regularity checks on the extracted edge modes.
 
     Flags: ``a`` in-window spectrum is all edge branches (extraction did
-    not abort) with bounded dispersion curvature; ``b`` exponential
+    not abort); ``b`` exponential
     localization fits; ``c`` nonzero velocities; ``d`` Fermi-momentum
     separations per edge, pairwise and in differences, modulo 2 pi.
     """
@@ -374,7 +377,7 @@ def check_assumptions(branches, gamma_min=0.05, delta=0.1, delta_tilde=0.3, v_mi
     if bad_loc:
         flags["b"] = False
         diag["localization_failures"] = bad_loc
-    bad_v = [b.label for b in with_kf if not abs(b.velocity) > v_min]
+    bad_v = [b.label for b in with_kf if not abs(b.velocity) > V_MIN]
     if bad_v:
         flags["c"] = False
         diag["velocity_failures"] = bad_v
@@ -404,8 +407,6 @@ def check_assumptions(branches, gamma_min=0.05, delta=0.1, delta_tilde=0.3, v_mi
     diag["n_lower"] = sum(1 for b in with_kf if b.side == "lower")
     diag["n_upper"] = sum(1 for b in with_kf if b.side == "upper")
     return AssumptionReport(
-        delta=delta,
-        delta_tilde=delta_tilde,
         gamma=float(gamma if np.isfinite(gamma) else np.inf),
         flags=flags,
         diagnostics=diag,

@@ -255,3 +255,50 @@ def test_model_from_config(tmp_path):
     parsed.read(cfg)
     ham = lattice.model_from_config(parsed)
     assert ham.geometry.L1 == 16 and ham.geometry.M == 2
+
+
+def test_model_from_config_rejects_unknown_sections_and_keys():
+    base = {"geometry": {"l1": "16", "l2": "12"}, "model": {"type": "haldane"}, "params": {}}
+    lattice.model_from_config(base)
+    bad = [
+        ({"rg": {"scales": "30"}}, "config sections: rg"),
+        ({"geometry": {"l1": "16", "l2": "12", "m": "2"}}, r"\[geometry\] keys: m"),
+        ({"model": {"type": "haldane", "colour": "red"}}, r"\[model\] keys: colour"),
+        ({"params": {"p": "1"}}, r"\[params\] keys: p"),
+        ({"model": {"type": "haldane", "shifts": "0,0.1"}}, "haldane parameters: shifts"),
+        ({"model": {"type": "kagome"}}, "unknown model type 'kagome'"),
+    ]
+    for change, message in bad:
+        with pytest.raises(ValueError, match=message):
+            lattice.model_from_config({**base, **change})
+
+
+def test_build_model_flip_rule_and_stack_defaults():
+    stack = lattice.build_model("stacked-haldane", 8, 8, shifts="0,0.1", flips="0,1", t2=0.3)
+    copies = [lattice.haldane_cylinder(L1=8, L2=8, t2=0.3, phi=f * np.pi / 2) for f in (1, -1)]
+    want = lattice.stacked_shifted(copies, [0.0, 0.1])
+    assert dict(stack.items()).keys() == dict(want.items()).keys()
+    assert all(np.array_equal(blk, want.block(*key)) for key, blk in stack.items())
+    assert lattice.build_model("stacked-haldane", 8, 8).geometry.M == 2 * 3  # shifts 0.0,0.1,0.26
+    with pytest.raises(ValueError, match="flips must be 0 or 1"):
+        lattice.build_model("stacked-haldane", 8, 8, shifts="0,0.1", flips="0,2")
+    with pytest.raises(ValueError, match="hofstadter parameters: t2"):
+        lattice.build_model("hofstadter", 9, 8, t2=0.1)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# cylinder L1=8 L2=8 M=2",
+        "# cylinders L1=8 L2=8 M=2 range=1.4",
+        "# cylinder L1=8 L2=8 range=1.4 M=2",
+        "# cylinder L1=8 L2=eight M=2 range=1.4",
+        "cylinder L1=8 L2=8 M=2 range=1.4",
+        "",
+    ],
+)
+def test_load_blocks_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "model.dat"
+    path.write_text(header + "\n0 1 1 0 0 1.0 0.0\n")
+    with pytest.raises(ValueError, match="model.dat: malformed header"):
+        lattice.load_blocks(str(path))

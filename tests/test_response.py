@@ -285,6 +285,33 @@ def test_wrong_order_diagnostic_vanishes(haldane_setup):
     assert abs(val) < 1e-14
 
 
+@pytest.fixture(scope="module")
+def counter_stack():
+    g = lattice.CylinderGeometry(24, 16, 2)
+    copies = [lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, phi=-np.pi / 2)]
+    stack = lattice.stacked_shifted(copies, [0.0, 0.1])
+    return stack, response.fiber_cache(stack, 24)
+
+
+def test_conjugation_check_passes_a_cancelling_stack(counter_stack):
+    # the counter-propagating stack cancels G down to rounding; the check is
+    # relative to one conductance quantum, so rounding does not trip it
+    stack, fibers = counter_stack
+    est = response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+    assert abs(2.0 * np.pi * est.g) < 1e-9
+
+
+def test_conjugation_check_trips_on_a_broken_vertex(counter_stack):
+    # the symmetry holds term by term for any fiber list, so a defect shows
+    # in the vertices: one hopping block without its Hermitian partner (the
+    # precomputed fibers bypass the Hermiticity check)
+    stack, fibers = counter_stack
+    broken = stack.shifted(0.0)  # a copy
+    broken.add_block(1, 3, 3, 0.1 * np.eye(4))
+    with pytest.raises(response.ConjugationSymmetryError):
+        response.edge_conductance_free(broken, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+
+
 def test_conductance_trivial_gap_vanishes():
     g = lattice.CylinderGeometry(32, 20, 2)
     ham = lattice.haldane_cylinder(g, m_stag=1.5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgeflow import rgflow
-from edgeflow.cutoffs import band_cutoff
+from edgeflow.cutoffs import band_cutoff, shell
 from edgeflow.reference import LuttingerParams
 from wick_oracle import GridModel, four_point_order, two_point_order
 
@@ -21,7 +21,7 @@ def test_shell_partition_at_random_momenta(rng):
     k0 = rng.uniform(-2.0, 2.0, 1000)
     k1 = rng.uniform(-2.0, 2.0, 1000)
     r = np.hypot(k0, 1.3 * k1)
-    total = sum(rgflow.ScaleShell(j, h_min)(r) for j in range(h_min, 1))
+    total = sum(shell(r, j, h_min) for j in range(h_min, 1))
     assert np.max(np.abs(total - band_cutoff(r, h_min, 0))) < 1e-12
 
 
