@@ -25,6 +25,7 @@ EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2
 # numerical failures a subcommand can raise, by the check its report fails
 FAILED_STAGE = {
     spectrum.BulkStateError: "edge_branches",
+    spectrum.NoEdgeBranchError: "assumptions",
     spectrum.FermiPointError: "fermi_point",
     response.DegenerateCrossingError: "pair_weights",
     response.ConjugationSymmetryError: "conjugation_symmetry",
@@ -124,7 +125,7 @@ def cmd_edges(args, report):
         for k1, e in zip(b.k_samples, b.energies):
             rows.append((b.label, float(k1), float(e), b.side))
     write_csv(args.out, "branches.csv", ["branch", "k1", "energy", "side"], rows)
-    rep = spectrum.check_assumptions(branches, gamma_min=args.gamma_min)
+    rep = spectrum.check_assumptions(branches)
     report["branches"] = [
         {
             "label": b.label,
@@ -160,8 +161,7 @@ def cmd_conductance(args, report):
         if b.side == "lower" and np.isfinite(b.k_fermi)
     )
     est = response.edge_conductance_free(
-        ham, args.mu, n_k, a=a, a_prime=a_prime, p1_count=args.p1_count,
-        chirality_sum=chi, fibers=fibers,
+        ham, args.mu, n_k, a=a, a_prime=a_prime, chirality_sum=chi, fibers=fibers,
     )
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
     target = est.target
@@ -316,14 +316,12 @@ def build_parser():
     p = sub.add_parser("edges", parents=[common], help="edge branches, Fermi data, assumption report")
     add_model_args(p)
     p.add_argument("--n-k", dest="n_k", type=int, default=96)
-    p.add_argument("--gamma-min", dest="gamma_min", type=float, default=0.05)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("conductance", parents=[common], help="free edge conductance with extrapolation")
     add_model_args(p)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--aprime", type=int, default=None)
-    p.add_argument("--p1-count", dest="p1_count", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.set_defaults(func=cmd_conductance)
 

@@ -11,6 +11,11 @@ The full fiber basis (including the decoupled Dirichlet-row modes) is kept
 in all spectral sums; completeness of the basis is what makes the
 conservation identities exact at finite size.
 
+Each fiber pair's vertices are built once.  The backward leg of a loop,
+from ``k1 + p1`` back to ``k1``, is the conjugate transpose of the forward
+one, ``bwd[y2, b, a] = conj(fwd[y2, a, b])``: the density and the bond
+currents are Hermitian operators.
+
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
 (matching the wavefunction convention of the fiber) and imaginary time
 with ``exp(+i p0 x0)``.
@@ -27,7 +32,6 @@ from .lattice import assemble_fiber
 __all__ = [
     "FiberBasis",
     "VertexSet",
-    "ResponseResult",
     "ConductanceEstimate",
     "DegenerateCrossingError",
     "ConjugationSymmetryError",
@@ -137,8 +141,6 @@ class VertexSet:
     basis at k1 to band b of the basis at k1 + p1.
     """
 
-    k1: float
-    p1: float
     density: np.ndarray
     current1: np.ndarray
     current2: np.ndarray
@@ -148,13 +150,13 @@ def _band_states(geometry, basis):
     return basis.states.reshape(geometry.L2, geometry.M, basis.dim)
 
 
-def build_vertices(ham, basis_k, basis_kp, drop_diagonal_bonds=False):
+def build_vertices(ham, basis_k, basis_kp):
     """Assemble density and bond-current vertices for the pair
     ``(k1, k1 + p1)`` implied by the two bases.
 
-    ``drop_diagonal_bonds`` removes the half-weighted diagonal bond
-    currents; it exists purely as a sensitivity control for the
-    conservation-identity tests.
+    The vertices of the reversed pair need no build of their own:
+    ``build_vertices(ham, basis_kp, basis_k)`` is the per-row conjugate
+    transpose of this one.
     """
     g = ham.geometry
     if basis_k.dim != basis_kp.dim:
@@ -170,8 +172,6 @@ def build_vertices(ham, basis_k, basis_kp, drop_diagonal_bonds=False):
     for terms in (_J1_TERMS, _J2_TERMS):
         out = np.zeros((g.L2, basis_k.dim, basis_k.dim), dtype=complex)
         for (u1, u2, v1, v2, z1, du, dv, wgt) in terms:
-            if drop_diagonal_bonds and (u2 != 0 or v2 != 0) and terms is _J1_TERMS:
-                continue
             phase = 1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
             for x2 in range(g.L2):
                 xu, xv = x2 + du, x2 + dv
@@ -182,7 +182,7 @@ def build_vertices(ham, basis_k, basis_kp, drop_diagonal_bonds=False):
                     continue
                 out[x2] += phase * (a[xu].conj().T @ blk @ b[xv])
         currents.append(out)
-    return VertexSet(k1=k1, p1=kp1 - k1, density=density, current1=currents[0], current2=currents[1])
+    return VertexSet(density=density, current1=currents[0], current2=currents[1])
 
 
 def _fermi(e, mu, temperature):
@@ -219,15 +219,6 @@ def _pair_weight(e_a, e_b, mu, temperature, p0, degeneracy_tol=1e-12):
     return out
 
 
-@dataclass
-class ResponseResult:
-    p0: float
-    p1: float
-    strip_a: int
-    strip_b: int
-    tables: dict  # (mu_index, nu_index) -> (strip_a+1, strip_b+1) array
-
-
 def _vertex_component(vs, index):
     return (vs.density, vs.current1, vs.current2)[index]
 
@@ -235,8 +226,9 @@ def _vertex_component(vs, index):
 def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, components=((0, 0), (0, 1)), fibers=None):
     """Connected current-current correlation on strips near the lower edge.
 
-    ``p1_index`` selects the ring momentum 2 pi p1_index / n_k.  The
-    result tables are indexed by rows x2 <= strip_a and y2 <= strip_b.
+    ``p1_index`` selects the ring momentum 2 pi p1_index / n_k.  Returns
+    a dict from each component pair (mu, nu) to its table, indexed by rows
+    x2 <= strips[0] and y2 <= strips[1].
     """
     g = ham.geometry
     if strips is None:
@@ -248,23 +240,23 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
     for m in range(n_k):
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
-        vs_fwd = build_vertices(ham, f_k, f_kp)
-        vs_bwd = build_vertices(ham, f_kp, f_k)
+        vs = build_vertices(ham, f_k, f_kp)
         w = _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
         for (mu_i, nu_i) in components:
-            va = _vertex_component(vs_fwd, mu_i)[: sa + 1]
-            vb = _vertex_component(vs_bwd, nu_i)[: sb + 1]
-            tables[(mu_i, nu_i)] += np.einsum("xab,yba,ab->xy", va, vb, w)
+            va = _vertex_component(vs, mu_i)[: sa + 1]
+            vf = _vertex_component(vs, nu_i)[: sb + 1]
+            # the backward leg is vf conjugate-transposed per row
+            tables[(mu_i, nu_i)] += np.einsum("xab,yab,ab->xy", va, vf.conj(), w)
     for c in components:
         tables[c] /= n_k
-    return ResponseResult(p0=p0, p1=2.0 * np.pi * p1_index / n_k, strip_a=sa, strip_b=sb, tables=tables)
+    return tables
 
 
 def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     """Charge-conservation residual: |sum_x2 S_{0,i}((p0, 0); x2, y2)| for
     the two current components, normalized by the largest summand."""
     g = ham.geometry
-    res = current_current(
+    tables = current_current(
         ham,
         mu,
         p0,
@@ -277,7 +269,7 @@ def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     )
     out = {}
     for i, comp in ((1, (0, 1)), (2, (0, 2))):
-        col = res.tables[comp][:, y2]
+        col = tables[comp][:, y2]
         scale = max(np.max(np.abs(col)), 1e-300)
         out[i] = float(np.abs(np.sum(col)) / scale)
     return out
@@ -294,21 +286,21 @@ def free_two_point(basis, k0, mu):
     return (basis.states * gvals[None, :]) @ basis.states.conj().T
 
 
-def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu, summed=True, drop_diagonal_bonds=False):
+def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu):
     """Row-summed free three-point functions for the density and the ring
     current: matrices over (x2 rho, y2 rho')."""
-    vs = build_vertices(ham, basis_k, basis_kp, drop_diagonal_bonds=drop_diagonal_bonds)
+    vs = build_vertices(ham, basis_k, basis_kp)
     g_k = 1.0 / (-1j * k0 + basis_k.energies - mu)
     g_kp = 1.0 / (-1j * (k0 + p0) + basis_kp.energies - mu)
     out = []
     for comp in (vs.density, vs.current1):
-        vbar = comp.sum(axis=0) if summed else comp
+        vbar = comp.sum(axis=0)
         mid = (g_k[:, None] * vbar) * g_kp[None, :]
         out.append(basis_k.states @ mid @ basis_kp.states.conj().T)
     return out
 
 
-def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None, drop_diagonal_bonds=False):
+def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
     """Residual of the free vertex conservation identity.
 
     ``p0 * S3_density + (1 - e^{-i p1}) * S3_current = i S2(k) - i S2(k+p)``
@@ -322,9 +314,7 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None, 
         f_k = fibers[k1_index % n_k]
         f_kp = fibers[(k1_index + p1_index) % n_k]
     p1 = 2.0 * np.pi * p1_index / n_k
-    s3_n, s3_j = vertex_three_point(
-        ham, f_k, f_kp, k0, p0, mu, drop_diagonal_bonds=drop_diagonal_bonds
-    )
+    s3_n, s3_j = vertex_three_point(ham, f_k, f_kp, k0, p0, mu)
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)
     lhs = p0 * s3_n + (1.0 - np.exp(-1j * p1)) * s3_j
@@ -351,28 +341,24 @@ class ConductanceEstimate:
         return self.chirality_sum / (2.0 * np.pi)
 
 
-def edge_conductance_free(ham, mu, n_k, a, a_prime, p1_count=3, temperature=0.0, chirality_sum=np.nan, fibers=None):
+def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers=None):
     """Static edge response summed over strips, extrapolated to zero ring
     momentum.
 
-    For each of the ``p1_count`` smallest nonzero grid momenta the
-    frequency is set to zero inside the spectral form (the slow-time limit
-    taken first); the returned ``g`` is the linear-in-p1 intercept over the
-    three smallest momenta.
+    For each of the three smallest nonzero grid momenta the frequency is
+    set to zero inside the spectral form (the slow-time limit taken
+    first); the returned ``g`` is the linear-in-p1 intercept over them.
     """
     if a_prime >= a:
         raise ValueError("need a_prime < a")
-    if p1_count < 3:
-        raise ValueError("need at least 3 ring momenta for the extrapolation")
     if fibers is None:
         fibers = fiber_cache(ham, n_k)
 
     def strip_sum(p1_index):
-        res = current_current(
-            ham, mu, 0.0, p1_index, n_k, temperature=temperature,
-            strips=(a, a_prime), components=((0, 1),), fibers=fibers,
+        tables = current_current(
+            ham, mu, 0.0, p1_index, n_k, strips=(a, a_prime), components=((0, 1),), fibers=fibers,
         )
-        return res.tables[(0, 1)].sum()
+        return tables[(0, 1)].sum()
 
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
@@ -382,14 +368,9 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, p1_count=3, temperature=0.0,
     sym_err = abs(g_minus - np.conj(g_plus))
     if sym_err > 1e-9 * max(abs(g_plus), 1.0 / (2.0 * np.pi)):
         raise ConjugationSymmetryError(f"conjugation symmetry violated: {sym_err:.2e}")
-    p1s, gs = [], []
-    for m in range(1, p1_count + 1):
-        p1s.append(2.0 * np.pi * m / n_k)
-        gs.append(strip_sum(m) if m > 1 else g_plus)
-    p1s = np.array(p1s)
-    gs = np.array(gs)
-    fit_n = min(3, len(p1s))
-    coef, cov = np.polyfit(p1s[:fit_n], gs[:fit_n].real, 1, cov=True)
+    p1s = 2.0 * np.pi * np.arange(1, 4) / n_k
+    gs = np.array([g_plus, strip_sum(2), strip_sum(3)])
+    coef, cov = np.polyfit(p1s, gs.real, 1, cov=True)
     return ConductanceEstimate(
         p1_values=p1s,
         g_values=gs.real,
@@ -407,24 +388,16 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     before the frequency limit gives 0 instead of the conductance.
     """
     g = ham.geometry
-    res = current_current(
+    tables = current_current(
         ham, mu, p0, 0, n_k, strips=(g.L2 - 1, a_prime), components=((0, 1),),
         fibers=fibers,
     )
-    return complex(res.tables[(0, 1)].sum())
+    return complex(tables[(0, 1)].sum())
 
 
 # ---------------------------------------------------------------------------
 # Real-time vs imaginary-time comparison
 # ---------------------------------------------------------------------------
-
-
-def _strip_vertices(ham, f_k, f_kp, a, a_prime):
-    vs_fwd = build_vertices(ham, f_k, f_kp)
-    vs_bwd = build_vertices(ham, f_kp, f_k)
-    n_strip = vs_fwd.density[: a + 1].sum(axis=0)
-    j_strip = vs_bwd.current1[: a_prime + 1].sum(axis=0)
-    return n_strip, j_strip
 
 
 def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime, fibers=None):
@@ -446,18 +419,20 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     for m in range(n_k):
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
-        n_strip, j_strip = _strip_vertices(ham, f_k, f_kp, a, a_prime)
+        vs = build_vertices(ham, f_k, f_kp)
+        n_strip = vs.density[: a + 1].sum(axis=0)
+        j_strip = vs.current1[: a_prime + 1].sum(axis=0)
+        weight_nj = n_strip * j_strip.conj()  # A_ab B_ba, B the backward current leg
         na = _fermi(f_k.energies, mu, 1.0 / beta)
         nb = _fermi(f_kp.energies, mu, 1.0 / beta)
         de = f_k.energies[:, None] - f_kp.energies[None, :]
-        dn = na[:, None] - nb[None, :]
-        weight_nj = n_strip * j_strip.T  # A_ab B_ba
         # real time: int_{-T}^0 e^{(eta + i de) t} dt
         zz = eta + 1j * de
         time_int = (1.0 - np.exp(-zz * t_horizon)) / zz
-        lhs += np.sum(weight_nj * dn * time_int)
+        lhs += np.sum(weight_nj * (na[:, None] - nb[None, :]) * time_int)
         # imaginary time at the nearest periodic frequency
-        rhs += 1j * np.sum(weight_nj * (nb[None, :] - na[:, None]) / (-1j * eta_beta + de))
+        w = _pair_weight(f_k.energies, f_kp.energies, mu, 1.0 / beta, -eta_beta)
+        rhs += 1j * np.sum(weight_nj * w)
     lhs /= n_k
     rhs /= n_k
     return lhs, rhs, abs(lhs - rhs)

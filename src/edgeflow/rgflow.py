@@ -213,30 +213,24 @@ def _quartic_bubbles(state, params, level=4):
     n = params.n_channels
     h = state.h
     knots = [2.0 ** (h - 1), 2.0**h, 2.0 ** (h + 1)]
-    same = np.zeros(n, dtype=complex)
+    # one grid per scale; channel c integrates over q = (u0, u1 / v_c)
+    u0, u1, w = polar_nodes(knots, level, 4 * level, gl=4)
+    f_h = shell(np.hypot(u0, u1), h, h - 60)
+    q1 = [u1 / vb for vb in params.v]
+    d = [chiral_denominator(u0, q1[c], state.v[c]) for c in range(n)]
+    vhat2 = [form_factor(u0, q1[c], params.p_c) ** 2 for c in range(n)]
+    norm = [4.0 * np.pi**2 * abs(vb) for vb in params.v]
+    same = np.array([np.dot(w, f_h / d[c] ** 2) / norm[c] for c in range(n)], dtype=complex)
     mixed = np.zeros((n, n), dtype=complex)
-    for c in range(n):
-        vb = params.v[c]
-        u0, u1, w = polar_nodes(knots, level, 4 * level, gl=4)
-        q0, q1 = u0, u1 / vb
-        f_h = shell(np.hypot(u0, u1), h, h - 60)
-        d = chiral_denominator(q0, q1, state.v[c])
-        same[c] = np.dot(w, f_h / d**2) / (4.0 * np.pi**2 * abs(vb))
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
-            vb = params.v[a]
-            u0, u1, w = polar_nodes(knots, level, 4 * level, gl=4)
-            q0, q1 = u0, u1 / vb
-            f_h = shell(np.hypot(u0, u1), h, h - 60)
-            da = chiral_denominator(q0, q1, state.v[a])
-            db = chiral_denominator(q0, q1, state.v[b])
-            db_neg = chiral_denominator(-q0, -q1, state.v[b])
-            vhat2 = form_factor(q0, q1, params.p_c) ** 2
-            ph = vhat2 * f_h / (da * db)
-            pp = vhat2 * f_h / (da * db_neg)
-            mixed[a, b] = np.dot(w, ph + pp) / (4.0 * np.pi**2 * abs(vb))
+            db = chiral_denominator(u0, q1[a], state.v[b])
+            db_neg = chiral_denominator(-u0, -q1[a], state.v[b])
+            ph = vhat2[a] * f_h / (d[a] * db)
+            pp = vhat2[a] * f_h / (d[a] * db_neg)
+            mixed[a, b] = np.dot(w, ph + pp) / norm[a]
     return same, mixed
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "AssumptionReport",
     "BulkStateError",
     "FermiPointError",
+    "NoEdgeBranchError",
     "scan_spectrum",
     "extract_edge_branches",
     "fermi_point",
@@ -35,6 +36,7 @@ V_MIN = 1e-3  # least |velocity| of a Fermi point
 DEGENERACY_TOL = 1e-5  # energy gap below which scan states are side-purified
 FERMI_TOL = 1e-10  # |E(k_F) - mu| at which the bisection stops
 MAX_BISECTIONS = 200
+GAMMA_MIN = 0.05  # least Fermi-momentum separation, pairwise and in differences
 
 
 class BulkStateError(RuntimeError):
@@ -44,6 +46,10 @@ class BulkStateError(RuntimeError):
 class FermiPointError(RuntimeError):
     """The Fermi-point bisection did not converge, or the branch is tangent
     to the chemical potential."""
+
+
+class NoEdgeBranchError(RuntimeError):
+    """The energy window holds no edge branch to check."""
 
 
 @dataclass
@@ -351,16 +357,18 @@ def _circle_dist(a, b):
     return min(d, 2.0 * np.pi - d)
 
 
-def check_assumptions(branches, gamma_min=0.05):
+def check_assumptions(branches):
     """Separation and regularity checks on the extracted edge modes.
 
     Flags: ``a`` in-window spectrum is all edge branches (extraction did
     not abort); ``b`` exponential
     localization fits; ``c`` nonzero velocities; ``d`` Fermi-momentum
-    separations per edge, pairwise and in differences, modulo 2 pi.
+    separations per edge, pairwise and in differences, modulo 2 pi, of at
+    least ``GAMMA_MIN``.  An empty branch list raises
+    :class:`NoEdgeBranchError`.
     """
     if not branches:
-        raise ValueError("need at least one branch")
+        raise NoEdgeBranchError("need at least one branch in the energy window")
     flags = {"a": True, "b": True, "c": True, "d": True}
     diag = {}
 
@@ -402,7 +410,7 @@ def check_assumptions(branches, gamma_min=0.05):
                             continue  # reduces to the pair condition
                         d = _circle_dist(kfs[i1] - kfs[i2], kfs[i3] - kfs[i4])
                         gamma = min(gamma, d)
-    if gamma < gamma_min:
+    if gamma < GAMMA_MIN:
         flags["d"] = False
     diag["n_lower"] = sum(1 for b in with_kf if b.side == "lower")
     diag["n_upper"] = sum(1 for b in with_kf if b.side == "upper")

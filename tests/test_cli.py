@@ -132,6 +132,8 @@ def test_edges_command(tmp_path):
             "FlowDivergenceError",
             ["rg", "--velocities", "0.05,-0.05", "--lambda", "0.5", "--scales", "12"],
         ),
+        # mu above every band: the window holds no edge branch
+        ("assumptions", "NoEdgeBranchError", ["edges", "--model", "haldane", "--mu", "5.0", "--window", "0.1"]),
     ],
 )
 def test_numerical_failure_writes_report_and_exits_2(tmp_path, stage, error, argv):

@@ -4,7 +4,7 @@ over random Hermitian hopping models (range <= sqrt 2).
 Examples are derandomized, so every run draws the same models."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeflow import response
@@ -44,3 +44,22 @@ def test_charge_sum_rule(seed, size, mu, p0, temperature, row):
     y2 = 1 + row % (L2 - 2)
     res = response.ward_sum_rule(ham, mu, p0, y2, L1, temperature=temperature)
     assert max(res.values()) < 1e-10
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    mu=st.floats(-2.0, 2.0),
+    k0=st.floats(0.05, 2.0) | st.floats(-2.0, -0.05),
+    p0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    k1_index=st.integers(0, 7),
+    p1_index=st.integers(0, 7),
+)
+def test_vertex_ward_identity(seed, size, mu, k0, p0, k1_index, p1_index):
+    # both propagators need a nonzero frequency: the decoupled Dirichlet rows
+    # sit at energy 0, which mu may hit exactly
+    assume(abs(k0 + p0) >= 0.05)
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    L1 = size[0]
+    assert response.vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, L1) < 1e-10

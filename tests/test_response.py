@@ -59,6 +59,33 @@ def test_vertices_require_short_range(rng):
         response.build_vertices(ham, f, f)
 
 
+def test_one_vertex_build_per_fiber_pair(haldane_setup, monkeypatch):
+    # the backward leg of each loop is the conjugate of the forward vertices,
+    # so each (k, k + p) pair is built once
+    ham, mu, fibers = haldane_setup
+    n_k = 16
+    calls = []
+    build = response.build_vertices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(response, "build_vertices", counted)
+
+    def builds(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    eta = 2.0 * np.pi / 20.0 * (4.0 / 3.0)
+    assert builds(lambda: response.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers)) == n_k
+    assert builds(lambda: response.wick_rotation_check(
+        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers)) == n_k
+    assert builds(lambda: response.edge_conductance_free(
+        ham, mu, n_k, a=6, a_prime=4, fibers=fibers)) == 4 * n_k
+
+
 # ---------------------------------------------------------------------------
 # charge conservation
 # ---------------------------------------------------------------------------
@@ -95,7 +122,13 @@ def test_ward_sum_rule_every_builtin(rng):
             assert res[1] <= 1e-10 and res[2] <= 1e-10
 
 
-def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup):
+def _drop_diagonal_bonds(monkeypatch):
+    # keep only the straight bonds of the ring current
+    straight = [t for t in response._J1_TERMS if t[1] == 0 and t[3] == 0]
+    monkeypatch.setattr(response, "_J1_TERMS", straight)
+
+
+def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup, monkeypatch):
     # the sum rule is charge conservation on the density leg: corrupting
     # the current operator cannot break it, corrupting the density does
     ham, mu, fibers = haldane_setup
@@ -106,7 +139,9 @@ def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup):
     for m in range(n_k):
         f_k = fibers[m]
         vs_fwd = response.build_vertices(ham, f_k, f_k)
-        vs_bwd = response.build_vertices(ham, f_k, f_k, drop_diagonal_bonds=True)
+        with monkeypatch.context() as mp:
+            _drop_diagonal_bonds(mp)
+            vs_bwd = response.build_vertices(ham, f_k, f_k)
         w = response._pair_weight(f_k.energies, f_k.energies, mu, 0.0, 0.3)
         total += np.einsum("xab,yba,ab->xy", vs_fwd.density, vs_bwd.current1, w)
         bad_density = vs_fwd.density.copy()
@@ -146,12 +181,11 @@ def test_vertex_ward_at_fermi_point(haldane_setup):
     assert r <= 1e-10
 
 
-def test_vertex_ward_mutation_sensitivity(haldane_setup):
+def test_vertex_ward_mutation_sensitivity(haldane_setup, monkeypatch):
     # dropping the half-weighted diagonal bond currents breaks the identity
     ham, mu, fibers = haldane_setup
-    r = response.vertex_ward_residual(
-        ham, mu, 0.9, 3, -0.4, 2, 16, fibers=fibers, drop_diagonal_bonds=True
-    )
+    _drop_diagonal_bonds(monkeypatch)
+    r = response.vertex_ward_residual(ham, mu, 0.9, 3, -0.4, 2, 16, fibers=fibers)
     assert r > 1e-3
 
 
@@ -180,7 +214,7 @@ def test_lindhard_matsubara_oracle():
         ham, mu, p0, p1_index, n_k, temperature=temp, strips=(3, 3),
         components=((0, 0),), fibers=fibers,
     )
-    got = res.tables[(0, 0)][2, 2]
+    got = res[(0, 0)][2, 2]
 
     # oracle: the fermion loop -(1/beta) sum_n g_a(i w_n) g_b(i w_n + i p0)
     # with the equal-energy summand subtracted (its own sum vanishes at
@@ -215,7 +249,7 @@ def test_response_vanishes_below_band():
     g = lattice.CylinderGeometry(12, 8, 1)
     ham = lattice.chain_cylinder(g)
     res = response.current_current(ham, -5.0, 0.0, 0, 12, strips=(5, 5))
-    assert np.max(np.abs(res.tables[(0, 1)])) == 0.0
+    assert np.max(np.abs(res[(0, 1)])) == 0.0
 
 
 def test_response_transpose_symmetry(haldane_setup):
@@ -225,8 +259,8 @@ def test_response_transpose_symmetry(haldane_setup):
     kw = dict(n_k=16, strips=(g.L2 - 1, g.L2 - 1), fibers=fibers)
     a = response.current_current(ham, mu, 0.37, 3, components=((0, 1),), **kw)
     b = response.current_current(ham, mu, -0.37, 16 - 3, components=((1, 0),), **kw)
-    t1 = a.tables[(0, 1)]
-    t2 = b.tables[(1, 0)]
+    t1 = a[(0, 1)]
+    t2 = b[(1, 0)]
     assert np.max(np.abs(t1 - t2.T)) < 1e-10 * np.max(np.abs(t1))
 
 
@@ -236,7 +270,7 @@ def test_response_reality_symmetry(haldane_setup):
     kw = dict(n_k=16, strips=(5, 5), components=((0, 0),), fibers=fibers)
     a = response.current_current(ham, mu, 0.0, 2, **kw)
     b = response.current_current(ham, mu, 0.0, 14, **kw)
-    assert np.max(np.abs(np.conj(a.tables[(0, 0)]) - b.tables[(0, 0)])) < 1e-12
+    assert np.max(np.abs(np.conj(a[(0, 0)]) - b[(0, 0)])) < 1e-12
 
 
 def test_degenerate_crossing_error():

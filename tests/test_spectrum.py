@@ -84,7 +84,7 @@ def test_three_copy_stack_has_three_lower_branches(haldane_scan):
     branches = spectrum.extract_edge_branches(scan, mu)
     lower = [b for b in branches if b.side == "lower" and np.isfinite(b.k_fermi)]
     assert len(lower) == 3
-    report = spectrum.check_assumptions(branches, gamma_min=0.05)
+    report = spectrum.check_assumptions(branches)
     assert report.all_pass
     assert report.gamma > 0.05
 
@@ -247,12 +247,12 @@ def test_quadruple_separation_detected():
         _stub_branch(1, "lower", 1.2, 0.5),
         _stub_branch(2, "lower", 1.4, 0.5),
     ]
-    rep = spectrum.check_assumptions(branches, gamma_min=0.05)
+    rep = spectrum.check_assumptions(branches)
     assert not rep.flags["d"]
 
 
 def test_check_assumptions_needs_branches():
-    with pytest.raises(ValueError):
+    with pytest.raises(spectrum.NoEdgeBranchError):
         spectrum.check_assumptions([])
 
 
