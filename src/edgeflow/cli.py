@@ -30,6 +30,10 @@ FAILED_STAGE = {
     response.DegenerateCrossingError: "pair_weights",
     response.ConjugationSymmetryError: "conjugation_symmetry",
     quadrature.QuadratureError: "quadrature",
+    reference.SingularTMatrixError: "t_matrix",
+    reference.LatticeSingularPointError: "lattice_propagator",
+    reference.DiscontinuityCrossCheckError: "discontinuity_cross_check",
+    reference.VertexFormsError: "vertex_renormalizations",
     rgflow.FlowDivergenceError: "flow_containment",
 }
 
@@ -178,7 +182,7 @@ def cmd_conductance(args, report):
 def cmd_wick(args, report):
     ham = _model(args)
     n_k = ham.geometry.L1
-    fibers = response.fiber_cache(ham, n_k)
+    fibers = response.fiber_cache(ham, n_k, threads=args.threads)
     a = ham.geometry.L2 // 2 - 2
     a_prime = ham.geometry.L2 // 4
     rows = []

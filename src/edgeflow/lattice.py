@@ -75,6 +75,7 @@ class LatticeHamiltonian:
         self.geometry = geometry
         self.hop_range = float(hop_range)
         self._blocks = {}
+        self._table = None
         if blocks:
             for key, blk in blocks.items():
                 self.add_block(*key, blk)
@@ -95,6 +96,7 @@ class LatticeHamiltonian:
                 raise ValueError("Dirichlet rows must carry zero blocks")
             return
         key = (int(z1), int(x2), int(y2))
+        self._table = None
         if accumulate and key in self._blocks:
             self._blocks[key] = self._blocks[key] + block
         else:
@@ -111,6 +113,24 @@ class LatticeHamiltonian:
 
     def items(self):
         return self._blocks.items()
+
+    def _row_table(self):
+        """All blocks as one array, ``table[z1 + 1, x2 - y2 + 1, x2] = H(z1; x2, y2)``,
+        of shape ``(3, 3, L2, M, M)`` with zeros where no block is stored.
+
+        Built on first use and cached; :meth:`add_block` drops the cache.
+        Needs ``hop_range <= sqrt(2)``, which keeps ``z1`` and ``x2 - y2``
+        in ``{-1, 0, 1}``.
+        """
+        if self._table is None:
+            if self.hop_range > np.sqrt(2.0) + 1e-12:
+                raise ValueError("the row table (and the bond currents) need hop range <= sqrt(2)")
+            g = self.geometry
+            table = np.zeros((3, 3, g.L2, g.M, g.M), dtype=complex)
+            for (z1, x2, y2), blk in self._blocks.items():
+                table[z1 + 1, x2 - y2 + 1, x2] = blk
+            self._table = table
+        return self._table
 
     def check_hermitian(self, rtol=1e-12):
         scale = max((np.max(np.abs(b)) for b in self._blocks.values()), default=1.0)

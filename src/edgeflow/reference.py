@@ -24,6 +24,9 @@ __all__ = [
     "LuttingerParams",
     "RegulatorConfig",
     "SingularTMatrixError",
+    "LatticeSingularPointError",
+    "DiscontinuityCrossCheckError",
+    "VertexFormsError",
     "chiral_denominator",
     "chiral_denominator_reflected",
     "bubble_closed",
@@ -46,8 +49,20 @@ __all__ = [
 ]
 
 
-class SingularTMatrixError(ValueError):
+class SingularTMatrixError(RuntimeError):
     """Channel-mixing inversion is ill conditioned at the given momentum."""
+
+
+class LatticeSingularPointError(RuntimeError):
+    """A lattice propagator was evaluated at a zero of its denominator."""
+
+
+class DiscontinuityCrossCheckError(RuntimeError):
+    """The closed-form discontinuity matrix disagrees with the directional limits."""
+
+
+class VertexFormsError(RuntimeError):
+    """The expanded and the solved forms of the vertex renormalizations disagree."""
 
 
 @dataclass(frozen=True)
@@ -273,7 +288,7 @@ def lattice_propagator(k0, k1, v, z, reg: RegulatorConfig):
     a = reg.spacing
     d = (-1j * np.sin(a * np.asarray(k0)) + v * np.sin(a * np.asarray(k1))) / a
     if np.any(np.abs(d) < 1e-12 / a):
-        raise AssertionError("momentum hit a lattice singular point")
+        raise LatticeSingularPointError("momentum hit a lattice singular point")
     r = channel_norm(_fold(k0, a), _fold(k1, a), v)
     return band_cutoff(r, reg.h, reg.n, eps=reg.eps) / (z * d)
 
@@ -378,7 +393,7 @@ def discontinuity_matrix(params: LuttingerParams, cross_validate=False, tol=1e-8
         numeric = s_static - s_dynamic
         gap = np.max(np.abs(numeric - a))
         if gap > tol:
-            raise AssertionError(f"discontinuity cross-check failed: {gap:.2e}")
+            raise DiscontinuityCrossCheckError(f"discontinuity cross-check failed: {gap:.2e}")
     return a
 
 
@@ -399,9 +414,9 @@ def vertex_renormalizations(params: LuttingerParams, check=True):
         z0_alt = np.linalg.solve(t_limit_dynamic(params).T, params.z)
         z1_alt = np.linalg.solve(t_limit_static(params).T, params.v * params.z)
         if np.max(np.abs(z0 - z0_alt)) > 1e-12 * max(1.0, np.max(np.abs(z0))):
-            raise AssertionError("Z0 forms disagree")
+            raise VertexFormsError("Z0 forms disagree")
         if np.max(np.abs(z1 - z1_alt)) > 1e-12 * max(1.0, np.max(np.abs(z1))):
-            raise AssertionError("Z1 forms disagree")
+            raise VertexFormsError("Z1 forms disagree")
     return z0, z1
 
 

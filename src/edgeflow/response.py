@@ -16,6 +16,14 @@ from ``k1 + p1`` back to ``k1``, is the conjugate transpose of the forward
 one, ``bwd[y2, b, a] = conj(fwd[y2, a, b])``: the density and the bond
 currents are Hermitian operators.
 
+The vertex build is batched over rows.  The bond terms of a current
+component are grouped by their row offsets ``(du, dv)`` (five groups for
+the ring current, two for the transverse one).  Per fiber pair, each
+group's terms are summed into one effective block per row, read from the
+model's cached row table ``H(z1; x2, y2)``, and the group adds
+``a[x2 + du]^+ Heff[x2] b[x2 + dv]`` for all its rows in one batched
+matmul.  Only the leading rows a caller reads are built.
+
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
 (matching the wavefunction convention of the fiber) and imaginary time
 with ``exp(+i p0 x0)``.
@@ -35,6 +43,7 @@ __all__ = [
     "ConductanceEstimate",
     "DegenerateCrossingError",
     "ConjugationSymmetryError",
+    "SingularPropagatorError",
     "diagonalize_fiber",
     "fiber_cache",
     "build_vertices",
@@ -55,6 +64,10 @@ class DegenerateCrossingError(RuntimeError):
 
 class ConjugationSymmetryError(RuntimeError):
     """The strip response at -p1 is not the complex conjugate of that at p1."""
+
+
+class SingularPropagatorError(RuntimeError):
+    """A free propagator was asked for at its pole, -i k0 + e - mu = 0."""
 
 
 @dataclass
@@ -150,9 +163,25 @@ def _band_states(geometry, basis):
     return basis.states.reshape(geometry.L2, geometry.M, basis.dim)
 
 
-def build_vertices(ham, basis_k, basis_kp):
+def _row_groups(terms):
+    """Bond terms keyed by their row offsets ``(du, dv)``."""
+    groups = {}
+    for (u1, _, v1, _, z1, du, dv, wgt) in terms:
+        groups.setdefault((du, dv), []).append((u1, v1, z1, wgt))
+    return groups
+
+
+def build_vertices(ham, basis_k, basis_kp, rows=None):
     """Assemble density and bond-current vertices for the pair
     ``(k1, k1 + p1)`` implied by the two bases.
+
+    ``rows`` gives how many leading rows ``x2 = 0, 1, ...`` to build of
+    the density, ``current1`` and ``current2`` (all ``L2`` rows each by
+    default); a component given 0 rows is an empty array.  The bond terms
+    of each current are grouped by their row offsets ``(du, dv)``: per
+    group, the terms' hoppings ``H(z1; x2 + du, x2 + dv)`` from the
+    model's row table are summed with their phases into one block per row,
+    and ``a[x2 + du]^+ Heff b[x2 + dv]`` is one batched matmul over rows.
 
     The vertices of the reversed pair need no build of their own:
     ``build_vertices(ham, basis_kp, basis_k)`` is the per-row conjugate
@@ -161,26 +190,28 @@ def build_vertices(ham, basis_k, basis_kp):
     g = ham.geometry
     if basis_k.dim != basis_kp.dim:
         raise ValueError("fiber dimensions differ")
-    if ham.hop_range > np.sqrt(2.0) + 1e-12:
-        raise ValueError("bond currents are defined for hop range <= sqrt(2)")
+    rows = (g.L2,) * 3 if rows is None else tuple(int(r) for r in rows)
+    if len(rows) != 3 or not all(0 <= r <= g.L2 for r in rows):
+        raise ValueError(f"rows must be three counts in [0, {g.L2}], got {rows}")
+    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
     k1, kp1 = basis_k.k1, basis_kp.k1
-    a = _band_states(g, basis_k)
-    b = _band_states(g, basis_kp)
-    density = np.einsum("xra,xrb->xab", a.conj(), b)
+    ah = _band_states(g, basis_k).conj().transpose(0, 2, 1)  # (L2, n, M)
+    b = _band_states(g, basis_kp)  # (L2, M, n)
+    density = ah[: rows[0]] @ b[: rows[0]]
 
     currents = []
-    for terms in (_J1_TERMS, _J2_TERMS):
-        out = np.zeros((g.L2, basis_k.dim, basis_k.dim), dtype=complex)
-        for (u1, u2, v1, v2, z1, du, dv, wgt) in terms:
-            phase = 1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
-            for x2 in range(g.L2):
-                xu, xv = x2 + du, x2 + dv
-                if not (0 <= xu < g.L2 and 0 <= xv < g.L2):
-                    continue
-                blk = ham.block(z1, xu, xv)
-                if not np.any(blk):
-                    continue
-                out[x2] += phase * (a[xu].conj().T @ blk @ b[xv])
+    for terms, n_rows in zip((_J1_TERMS, _J2_TERMS), rows[1:]):
+        out = np.zeros((n_rows, basis_k.dim, basis_k.dim), dtype=complex)
+        for (du, dv), group in _row_groups(terms).items():
+            lo, hi = max(0, -du, -dv), min(n_rows, g.L2 - max(du, dv))
+            if lo >= hi:
+                continue
+            heff = sum(
+                1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
+                * table[z1 + 1, du - dv + 1, lo + du : hi + du]
+                for (u1, v1, z1, wgt) in group
+            )
+            out[lo:hi] += (ah[lo + du : hi + du] @ heff) @ b[lo + dv : hi + dv]
         currents.append(out)
     return VertexSet(density=density, current1=currents[0], current2=currents[1])
 
@@ -237,16 +268,22 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
     if fibers is None:
         fibers = fiber_cache(ham, n_k)
     tables = {c: np.zeros((sa + 1, sb + 1), dtype=complex) for c in components}
+    rows = [0, 0, 0]
+    for (mu_i, nu_i) in components:
+        rows[mu_i] = max(rows[mu_i], sa + 1)
+        rows[nu_i] = max(rows[nu_i], sb + 1)
     for m in range(n_k):
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
-        vs = build_vertices(ham, f_k, f_kp)
+        vs = build_vertices(ham, f_k, f_kp, rows=rows)
         w = _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
         for (mu_i, nu_i) in components:
             va = _vertex_component(vs, mu_i)[: sa + 1]
             vf = _vertex_component(vs, nu_i)[: sb + 1]
             # the backward leg is vf conjugate-transposed per row
-            tables[(mu_i, nu_i)] += np.einsum("xab,yab,ab->xy", va, vf.conj(), w)
+            tables[(mu_i, nu_i)] += (
+                va.reshape(sa + 1, -1) @ (vf.conj() * w).reshape(sb + 1, -1).T
+            )
     for c in components:
         tables[c] /= n_k
     return tables
@@ -280,18 +317,31 @@ def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
 # ---------------------------------------------------------------------------
 
 
+def _propagator(energies, k0, mu):
+    """Eigenvalues 1 / (-i k0 + e - mu) of the free propagator; raises
+    :class:`SingularPropagatorError` at a pole."""
+    den = -1j * k0 + energies - mu
+    poles = np.flatnonzero(den == 0.0)
+    if poles.size:
+        raise SingularPropagatorError(
+            f"propagator pole at k0 = {k0!r}, mu = {mu!r}: fiber energy {energies[poles[0]]!r} equals mu"
+        )
+    return 1.0 / den
+
+
 def free_two_point(basis, k0, mu):
     """Free fiber-resolved two-point function (-i k0 + H(k1) - mu)^-1."""
-    gvals = 1.0 / (-1j * k0 + basis.energies - mu)
+    gvals = _propagator(basis.energies, k0, mu)
     return (basis.states * gvals[None, :]) @ basis.states.conj().T
 
 
 def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu):
     """Row-summed free three-point functions for the density and the ring
     current: matrices over (x2 rho, y2 rho')."""
-    vs = build_vertices(ham, basis_k, basis_kp)
-    g_k = 1.0 / (-1j * k0 + basis_k.energies - mu)
-    g_kp = 1.0 / (-1j * (k0 + p0) + basis_kp.energies - mu)
+    L2 = ham.geometry.L2
+    vs = build_vertices(ham, basis_k, basis_kp, rows=(L2, L2, 0))
+    g_k = _propagator(basis_k.energies, k0, mu)
+    g_kp = _propagator(basis_kp.energies, k0 + p0, mu)
     out = []
     for comp in (vs.density, vs.current1):
         vbar = comp.sum(axis=0)
@@ -419,9 +469,9 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     for m in range(n_k):
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
-        vs = build_vertices(ham, f_k, f_kp)
-        n_strip = vs.density[: a + 1].sum(axis=0)
-        j_strip = vs.current1[: a_prime + 1].sum(axis=0)
+        vs = build_vertices(ham, f_k, f_kp, rows=(a + 1, a_prime + 1, 0))
+        n_strip = vs.density.sum(axis=0)
+        j_strip = vs.current1.sum(axis=0)
         weight_nj = n_strip * j_strip.conj()  # A_ab B_ba, B the backward current leg
         na = _fermi(f_k.energies, mu, 1.0 / beta)
         nb = _fermi(f_kp.energies, mu, 1.0 / beta)

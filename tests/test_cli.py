@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeflow import cli, lattice
+from edgeflow import cli, lattice, reference, response
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 
@@ -142,6 +142,34 @@ def test_numerical_failure_writes_report_and_exits_2(tmp_path, stage, error, arg
     rep = load_report(out, f"report_{argv[0].replace('-', '_')}.json")
     assert rep["checks"][stage] is False
     assert rep["error"].startswith(error + ": ")
+
+
+def test_reference_failures_are_numerical_stages():
+    # main reads a ValueError as a usage error; these are numerical outcomes
+    for cls in (
+        reference.SingularTMatrixError,
+        reference.LatticeSingularPointError,
+        reference.DiscontinuityCrossCheckError,
+        reference.VertexFormsError,
+    ):
+        assert issubclass(cls, RuntimeError) and not issubclass(cls, ValueError)
+        assert cls in cli.FAILED_STAGE
+
+
+def test_wick_passes_threads_to_the_fiber_cache(tmp_path, monkeypatch):
+    seen = []
+    cache = response.fiber_cache
+
+    def recorded(ham, n_k, threads=1):
+        seen.append(threads)
+        return cache(ham, n_k, threads=threads)
+
+    monkeypatch.setattr(response, "fiber_cache", recorded)
+    code, _ = run_cli(
+        tmp_path, "wick", "--model", "haldane", "--L1", "12", "--L2", "12", "--threads", "2"
+    )
+    assert code == 0
+    assert seen == [2]
 
 
 def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):

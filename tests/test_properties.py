@@ -7,12 +7,41 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgeflow import response
+from edgeflow import lattice, response
 from conftest import random_hermitian_model
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.tuples(st.integers(4, 8), st.integers(4, 8), st.integers(1, 2))  # L1, L2, M
+ROWS = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))  # clipped to L2
+
+
+def loop_vertices(ham, basis_k, basis_kp):
+    """Reference vertex build: every bond term, row by row, from ``ham.block``."""
+    g = ham.geometry
+    k1, kp1 = basis_k.k1, basis_kp.k1
+    a = basis_k.states.reshape(g.L2, g.M, basis_k.dim)
+    b = basis_kp.states.reshape(g.L2, g.M, basis_kp.dim)
+    density = np.einsum("xra,xrb->xab", a.conj(), b)
+    currents = []
+    for terms in (response._J1_TERMS, response._J2_TERMS):
+        out = np.zeros((g.L2, basis_k.dim, basis_k.dim), dtype=complex)
+        for (u1, u2, v1, v2, z1, du, dv, wgt) in terms:
+            phase = 1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
+            for x2 in range(g.L2):
+                xu, xv = x2 + du, x2 + dv
+                if 0 <= xu < g.L2 and 0 <= xv < g.L2:
+                    out[x2] += phase * (a[xu].conj().T @ ham.block(z1, xu, xv) @ b[xv])
+        currents.append(out)
+    return density, *currents
+
+
+def assert_matches_loop(ham, f_k, f_kp, rows):
+    rows = tuple(min(r, ham.geometry.L2) for r in rows)
+    vs = response.build_vertices(ham, f_k, f_kp, rows=rows)
+    for want, got, n in zip(loop_vertices(ham, f_k, f_kp), (vs.density, vs.current1, vs.current2), rows):
+        assert got.shape == (n, f_k.dim, f_k.dim)
+        assert np.max(np.abs(got - want[:n]), initial=0.0) <= 1e-13
 
 
 @PROPERTY
@@ -63,3 +92,37 @@ def test_vertex_ward_identity(seed, size, mu, k0, p0, k1_index, p1_index):
     ham = random_hermitian_model(np.random.default_rng(seed), *size)
     L1 = size[0]
     assert response.vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, L1) < 1e-10
+
+
+@PROPERTY
+@given(seed=SEEDS, size=SIZES, k1=st.floats(0.0, 2.0 * np.pi), p1=st.floats(-np.pi, np.pi), rows=ROWS)
+def test_batched_vertices_match_the_row_loop(seed, size, k1, p1, rows):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
+    assert_matches_loop(ham, f_k, f_kp, rows)
+
+
+@PROPERTY
+@given(k1=st.floats(0.0, 2.0 * np.pi), p1=st.floats(-np.pi, np.pi), rows=ROWS)
+def test_batched_vertices_match_the_row_loop_on_a_counter_stack(k1, p1, rows):
+    geo = lattice.CylinderGeometry(8, 8, 2)
+    stack = lattice.stacked_shifted(
+        [lattice.haldane_cylinder(geo), lattice.haldane_cylinder(geo, phi=-np.pi / 2)], [0.0, 0.1]
+    )
+    f_k, f_kp = response.diagonalize_fiber(stack, k1), response.diagonalize_fiber(stack, k1 + p1)
+    assert_matches_loop(stack, f_k, f_kp, rows)
+
+
+@PROPERTY
+@given(seed=SEEDS, size=SIZES, k1=st.floats(0.0, 2.0 * np.pi), p1=st.floats(-np.pi, np.pi))
+def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
+    rng = np.random.default_rng(seed)
+    ham = random_hermitian_model(rng, *size)
+    L2, M = size[1], size[2]
+    f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
+    before = response.build_vertices(ham, f_k, f_kp)
+    x2 = int(rng.integers(1, L2 - 1))
+    ham.add_block(1, x2, x2, rng.normal(size=(M, M)) + 1.0)
+    after = response.build_vertices(ham, f_k, f_kp)
+    assert np.max(np.abs(after.current1 - before.current1)) > 1e-6
+    assert_matches_loop(ham, f_k, f_kp, (L2, L2, L2))

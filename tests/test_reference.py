@@ -221,6 +221,18 @@ def test_t_matrix_singular_guard():
         ref.t_matrix(0.1, 0.1, params, cond_limit=0.5)
 
 
+def test_reference_cross_checks_raise_named_errors(monkeypatch):
+    reg = ref.RegulatorConfig(h=-4, n=4, spacing=0.5, box=8.0)
+    with pytest.raises(ref.LatticeSingularPointError):
+        ref.lattice_propagator(0.0, 0.0, 1.0, 1.0, reg)
+    params = ref.random_params(np.random.default_rng(3), n_channels=3, lambda_scale=0.3)
+    with pytest.raises(ref.DiscontinuityCrossCheckError):
+        ref.discontinuity_matrix(params, cross_validate=True, tol=1e-30)
+    monkeypatch.setattr(ref, "t_limit_static", lambda p: 2.0 * np.eye(p.n_channels))
+    with pytest.raises(ref.VertexFormsError):
+        ref.vertex_renormalizations(params, check=True)
+
+
 # ---------------------------------------------------------------------------
 # density-density
 # ---------------------------------------------------------------------------

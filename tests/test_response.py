@@ -189,6 +189,13 @@ def test_vertex_ward_mutation_sensitivity(haldane_setup, monkeypatch):
     assert r > 1e-3
 
 
+def test_vertex_ward_at_a_propagator_pole_is_named():
+    # the decoupled Dirichlet rows sit at energy 0 = mu, and k0 = 0
+    ham = random_hermitian_model(np.random.default_rng(0), 4, 4, 1)
+    with pytest.raises(response.SingularPropagatorError, match="k0 = 0.0, mu = 0.0"):
+        response.vertex_ward_residual(ham, 0.0, 0.0, 0, 1.0, 1, 4)
+
+
 def test_vertex_ward_hofstadter(hofstadter16):
     fibers = response.fiber_cache(hofstadter16, 24)
     r = response.vertex_ward_residual(hofstadter16, -1.0, 0.7, 5, 0.3, 3, 24, fibers=fibers)
@@ -295,6 +302,36 @@ def test_conductance_config_error(haldane_setup):
     ham, mu, fibers = haldane_setup
     with pytest.raises(ValueError):
         response.edge_conductance_free(ham, mu, 16, a=4, a_prime=6, fibers=fibers)
+
+
+def test_hopping_lookups_do_not_grow_with_the_ring(monkeypatch):
+    # the vertex build reads the model's row table, built once per model
+    calls = []
+    block = lattice.LatticeHamiltonian.block
+
+    def counted(self, *key):
+        calls.append(key)
+        return block(self, *key)
+
+    monkeypatch.setattr(lattice.LatticeHamiltonian, "block", counted)
+    counts = []
+    for n_k in (16, 32):
+        ham = lattice.haldane_cylinder(L1=n_k, L2=16)
+        calls.clear()
+        response.edge_conductance_free(ham, 0.15, n_k, a=6, a_prime=4)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+
+
+def test_conductance_converges_in_the_ring_length():
+    # |2 pi G - 1| falls like 1 / L1^2 (L1^2 |2 pi G - 1| is about 40 here)
+    gaps = []
+    for L1 in (48, 96, 192):
+        ham = lattice.haldane_cylinder(L1=L1, L2=24)
+        est = response.edge_conductance_free(ham, 0.15, L1, a=12, a_prime=6)
+        gaps.append(abs(2.0 * np.pi * est.g - 1.0))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 2e-3
 
 
 def test_strip_decay(haldane_setup):
