@@ -156,7 +156,10 @@ def cmd_conductance(args, report):
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
     fibers = response.fiber_cache(ham, n_k, threads=args.threads)
     scan = spectrum.scan_spectrum(
-        ham, n_k=max(64, 2 * n_k), window=(args.mu - args.window, args.mu + args.window)
+        ham,
+        n_k=max(64, 2 * n_k),
+        window=(args.mu - args.window, args.mu + args.window),
+        threads=args.threads,
     )
     branches = spectrum.extract_edge_branches(scan, args.mu)
     chi = sum(

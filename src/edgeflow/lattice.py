@@ -5,14 +5,21 @@ with Dirichlet rows at ``x2 = 0`` and ``x2 = L2 - 1`` kept in place as
 exact zero rows of every operator.  A Hamiltonian is stored as a sparse
 collection of ``M x M`` hopping blocks ``H(z1; x2, y2)`` (amplitude for a
 hop from column ``y2`` to column ``x2`` with ring displacement ``z1``),
-and its Bloch fibers ``H(k1) = sum_z1 exp(i k1 z1) H(z1)`` are assembled
+and its Bloch fibers ``H(k1) = sum_z1 exp(-i k1 z1) H(z1)`` are assembled
 densely for any real ``k1``.
+
+A fiber is one contraction of the phases with the model's cached stack of
+dense ``H(z1)`` slabs, one per stored ring displacement.  The stack is
+built on first use and dropped by every edit, and the blocks are checked
+for Hermiticity when it is built: once per model and once after each
+edit, not once per momentum.
 
 Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +83,8 @@ class LatticeHamiltonian:
         self.hop_range = float(hop_range)
         self._blocks = {}
         self._table = None
+        self._slabs = None
+        self._slabs_lock = threading.Lock()
         if blocks:
             for key, blk in blocks.items():
                 self.add_block(*key, blk)
@@ -97,6 +106,7 @@ class LatticeHamiltonian:
             return
         key = (int(z1), int(x2), int(y2))
         self._table = None
+        self._slabs = None
         if accumulate and key in self._blocks:
             self._blocks[key] = self._blocks[key] + block
         else:
@@ -132,6 +142,36 @@ class LatticeHamiltonian:
             self._table = table
         return self._table
 
+    def _slab_stack(self):
+        """Ring displacements ``z1s`` and dense slabs ``slabs[i] = H(z1s[i])``
+        of shape ``(len(z1s), L2 M, L2 M)``, one per stored ``z1``.
+
+        The ``z1s`` are in the order they first appear among the blocks.  The
+        built-in models and loaded files add each fiber entry's blocks in
+        that order, so summing the phased slabs in turn, as
+        :func:`assemble_fiber` does, rounds exactly as summing the phased
+        blocks in turn; Fermi velocities, finite differences of fiber
+        energies, show any change in the last bit.
+
+        Built on first use, after :meth:`check_hermitian` passes, and cached;
+        :meth:`add_block` drops the cache.  A lock makes the first build
+        happen once when fibers are assembled on a thread pool.
+        """
+        stack = self._slabs
+        if stack is not None:
+            return stack
+        with self._slabs_lock:
+            if self._slabs is None:
+                self.check_hermitian()
+                g = self.geometry
+                z1s = list(dict.fromkeys(z1 for z1, _, _ in self._blocks))
+                slabs = np.zeros((len(z1s), g.L2, g.M, g.L2, g.M), dtype=complex)
+                for (z1, x2, y2), blk in self._blocks.items():
+                    slabs[z1s.index(z1), x2, :, y2, :] = blk
+                n = g.fiber_dim
+                self._slabs = (np.array(z1s, dtype=float), slabs.reshape(-1, n, n))
+            return self._slabs
+
     def check_hermitian(self, rtol=1e-12):
         scale = max((np.max(np.abs(b)) for b in self._blocks.values()), default=1.0)
         for (z1, x2, y2), blk in self._blocks.items():
@@ -163,17 +203,17 @@ def assemble_fiber(ham: LatticeHamiltonian, k1: float) -> np.ndarray:
     The phase convention is the wavefunction one: ``exp(+i k1 x1) xi(x2)``
     is an eigenfunction of the full Hamiltonian iff ``xi`` is an
     eigenvector of the fiber, so the dispersion slope is the physical
-    propagation velocity.  Raises :class:`HermiticityError` when the input
-    blocks are not Hermitian partners (checked pairwise, naming the
-    violating pair).
+    propagation velocity.
+
+    The fiber is one contraction of the phases with the model's cached
+    stack of ``H(z1)`` slabs.  Raises :class:`HermiticityError`, naming the
+    violating pair, when the blocks are not Hermitian partners; the check
+    runs when the stack is built, so once per model and after each edit.
     """
-    ham.check_hermitian()
-    g = ham.geometry
-    n = g.fiber_dim
-    out = np.zeros((n, n), dtype=complex)
-    for (z1, x2, y2), blk in ham.items():
-        phase = np.exp(-1j * k1 * z1)
-        out[x2 * g.M : (x2 + 1) * g.M, y2 * g.M : (y2 + 1) * g.M] += phase * blk
+    z1s, slabs = ham._slab_stack()
+    out = np.zeros(slabs.shape[1:], dtype=complex)
+    for phase, slab in zip(np.exp(-1j * k1 * z1s), slabs):
+        out += phase * slab
     return out
 
 

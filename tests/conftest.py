@@ -17,6 +17,20 @@ def hofstadter16():
 
 
 @pytest.fixture
+def hermitian_checks(monkeypatch):
+    """Record every ``LatticeHamiltonian.check_hermitian`` call, by model."""
+    calls = []
+    check = lattice.LatticeHamiltonian.check_hermitian
+
+    def counted(ham, *args, **kwargs):
+        calls.append(ham)
+        return check(ham, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.LatticeHamiltonian, "check_hermitian", counted)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeflow import cli, lattice, reference, response
+from edgeflow import cli, lattice, reference, response, spectrum
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 
@@ -170,6 +170,27 @@ def test_wick_passes_threads_to_the_fiber_cache(tmp_path, monkeypatch):
     )
     assert code == 0
     assert seen == [2]
+
+
+def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
+    seen = []
+    cache, scan = response.fiber_cache, spectrum.scan_spectrum
+
+    def recorded_cache(ham, n_k, threads=1):
+        seen.append(("fiber_cache", threads))
+        return cache(ham, n_k, threads=threads)
+
+    def recorded_scan(ham, n_k=64, window=(-0.5, 0.5), threads=1):
+        seen.append(("scan_spectrum", threads))
+        return scan(ham, n_k=n_k, window=window, threads=threads)
+
+    monkeypatch.setattr(response, "fiber_cache", recorded_cache)
+    monkeypatch.setattr(spectrum, "scan_spectrum", recorded_scan)
+    code, _ = run_cli(
+        tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
+    )
+    assert code == 0
+    assert seen == [("fiber_cache", 2), ("scan_spectrum", 2)]
 
 
 def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):

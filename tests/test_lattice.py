@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from edgeflow import lattice
+from edgeflow import lattice, response, spectrum
 from conftest import random_hermitian_model
 
 
@@ -118,6 +118,26 @@ def test_hermiticity_error_names_blocks():
     ham.add_block(1, 3, 3, [[1.0 + 0.5j]])
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 3, 3\)"):
         lattice.assemble_fiber(ham, 0.2)
+
+
+def test_a_model_is_checked_once_and_never_read_stale(hermitian_checks):
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
+    response.fiber_cache(ham, 16)
+    scan = spectrum.scan_spectrum(ham, 64, window=(-0.15, 0.45))
+    branch = next(b for b in spectrum.extract_edge_branches(scan, 0.15) if np.isfinite(b.k_fermi))
+    spectrum.fermi_point(branch, ham, 0.15)
+    assert hermitian_checks == [ham]
+
+    before = lattice.assemble_fiber(ham, 0.4)
+    ham.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
+    with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
+        lattice.assemble_fiber(ham, 0.4)
+    ham.add_block(-1, 6, 5, np.eye(2))
+    want = before.copy()
+    want[10:12, 12:14] += np.exp(-0.4j) * np.eye(2)
+    want[12:14, 10:12] += np.exp(0.4j) * np.eye(2)
+    assert np.max(np.abs(lattice.assemble_fiber(ham, 0.4) - want)) <= 1e-15
+    assert len(hermitian_checks) == 3
 
 
 def test_zero_hamiltonian_zero_fiber():

@@ -4,6 +4,7 @@ over random Hermitian hopping models (range <= sqrt 2).
 Examples are derandomized, so every run draws the same models."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,17 @@ def loop_vertices(ham, basis_k, basis_kp):
                     out[x2] += phase * (a[xu].conj().T @ ham.block(z1, xu, xv) @ b[xv])
         currents.append(out)
     return density, *currents
+
+
+def loop_fiber(ham, k1):
+    """Reference fiber: every stored block, phased and placed one by one."""
+    g = ham.geometry
+    n = g.fiber_dim
+    out = np.zeros((n, n), dtype=complex)
+    for (z1, x2, y2), blk in ham.items():
+        phase = np.exp(-1j * k1 * z1)
+        out[x2 * g.M : (x2 + 1) * g.M, y2 * g.M : (y2 + 1) * g.M] += phase * blk
+    return out
 
 
 def assert_matches_loop(ham, f_k, f_kp, rows):
@@ -126,3 +138,63 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     after = response.build_vertices(ham, f_k, f_kp)
     assert np.max(np.abs(after.current1 - before.current1)) > 1e-6
     assert_matches_loop(ham, f_k, f_kp, (L2, L2, L2))
+
+
+@PROPERTY
+@given(seed=SEEDS, size=SIZES, k1=st.floats(-4.0 * np.pi, 4.0 * np.pi))
+def test_fiber_matches_the_block_loop(seed, size, k1):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    assert np.max(np.abs(lattice.assemble_fiber(ham, k1) - loop_fiber(ham, k1))) <= 1e-14
+
+
+def random_model_in_z1_order(z1_order):
+    """A random model whose blocks are added one ring displacement at a time."""
+    model = random_hermitian_model(np.random.default_rng(7), 8, 8, 2)
+    ham = lattice.LatticeHamiltonian(model.geometry)
+    for z1 in z1_order:
+        for (z, x2, y2), blk in model.items():
+            if z == z1:
+                ham.add_block(z, x2, y2, blk)
+    return ham
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice.build_model("haldane", 16, 12),
+        lambda: lattice.build_model("hofstadter", 20, 12, p=2, q=5),
+        lambda: lattice.build_model("stacked-haldane", 16, 12, flips="0,1", shifts="0,0.1"),
+        lambda: random_model_in_z1_order((0, 1, -1)),
+    ],
+    ids=["haldane", "hofstadter", "counter-stack", "random-added-as-0,1,-1"],
+)
+def test_fibers_are_bitwise_the_block_loop(make, tmp_path):
+    # Fermi velocities are finite differences of fiber energies, so a last-bit
+    # change in the fiber shows in their digits
+    ham = make()
+    lattice.dump_blocks(ham, tmp_path / "model.txt")
+    for model in (ham, lattice.load_blocks(tmp_path / "model.txt")):
+        for k1 in np.linspace(-7.0, 7.0, 15):
+            assert np.array_equal(lattice.assemble_fiber(model, k1), loop_fiber(model, k1))
+
+
+@PROPERTY
+@given(seed=SEEDS, k1=st.floats(-4.0 * np.pi, 4.0 * np.pi))
+def test_fiber_matches_the_block_loop_at_hop_range_2(seed, k1):
+    rng = np.random.default_rng(seed)
+    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(8, 8, 2), hop_range=2.0)
+    for x2 in range(1, 7):
+        blk = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        ham.add_block(2, x2, x2, blk)
+        ham.add_block(-2, x2, x2, blk.conj().T)
+        ham.add_block(0, x2, x2, blk + blk.conj().T)
+    assert np.max(np.abs(lattice.assemble_fiber(ham, k1) - loop_fiber(ham, k1))) <= 1e-14
+
+
+@PROPERTY
+@given(size=SIZES, k1=st.floats(-4.0 * np.pi, 4.0 * np.pi))
+def test_empty_model_has_an_exactly_zero_fiber(size, k1):
+    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(*size))
+    fiber = lattice.assemble_fiber(ham, k1)
+    assert fiber.shape == (size[1] * size[2],) * 2
+    assert np.all(fiber == 0.0)

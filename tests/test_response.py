@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,25 @@ def test_fiber_cache_threaded_matches_serial(haldane_setup):
     ham, _, serial = haldane_setup
     threaded = response.fiber_cache(ham, 16, threads=4)
     for a, b in zip(serial, threaded):
+        assert a.k1 == b.k1
+        assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.states, b.states)
+
+
+def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkeypatch):
+    # a slow check holds the first build of the slab stack open while the
+    # pool's other threads start and ask for it
+    check = lattice.LatticeHamiltonian.check_hermitian
+
+    def slow(ham, *args, **kwargs):
+        time.sleep(0.05)
+        return check(ham, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.LatticeHamiltonian, "check_hermitian", slow)
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
+    threaded = response.fiber_cache(ham, 16, threads=4)
+    assert hermitian_checks == [ham]
+    for a, b in zip(response.fiber_cache(ham, 16), threaded, strict=True):
         assert a.k1 == b.k1
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.states, b.states)
