@@ -205,6 +205,10 @@ def cmd_wick(args, report):
 
 
 def cmd_ref_check(args, report):
+    if args.ensemble_size < 1:
+        raise ValueError(f"--ensemble-size must be at least 1, got {args.ensemble_size}")
+    if args.channels is not None and args.channels < 1:
+        raise ValueError(f"--channels must be at least 1, got {args.channels}")
     rng = np.random.default_rng(args.seed)
     errs = []
     worst = None
@@ -248,6 +252,14 @@ def cmd_bubble(args, report):
 def cmd_rg(args, report):
     vs = [float(x) for x in args.velocities.split(",")]
     n = len(vs)
+    # eta is fitted over the scales and checked against 0 < eta <= 10 lam^2,
+    # which an uncoupled flow (eta = 0 exactly) can never meet
+    if args.scales < 10:
+        raise ValueError(f"--scales must be at least 10 for the exponent fit, got {args.scales}")
+    if n < 2:
+        raise ValueError(f"--velocities needs at least two channels to couple, got {args.velocities!r}")
+    if args.lam == 0.0:
+        raise ValueError("--lambda must be nonzero: an uncoupled flow has eta = 0")
     lam = np.full((n, n), args.lam)
     np.fill_diagonal(lam, 0.0)
     params = reference.LuttingerParams(v=vs, z=np.ones(n), lam=lam)

@@ -12,7 +12,9 @@ A fiber is one contraction of the phases with the model's cached stack of
 dense ``H(z1)`` slabs, one per stored ring displacement.  The stack is
 built on first use and dropped by every edit, and the blocks are checked
 for Hermiticity when it is built: once per model and once after each
-edit, not once per momentum.
+edit, not once per momentum.  The row table of the bond currents is
+built after the stack, so vertices built from fibers computed elsewhere
+are checked by the same cached check.
 
 Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 """
@@ -128,13 +130,15 @@ class LatticeHamiltonian:
         """All blocks as one array, ``table[z1 + 1, x2 - y2 + 1, x2] = H(z1; x2, y2)``,
         of shape ``(3, 3, L2, M, M)`` with zeros where no block is stored.
 
-        Built on first use and cached; :meth:`add_block` drops the cache.
-        Needs ``hop_range <= sqrt(2)``, which keeps ``z1`` and ``x2 - y2``
-        in ``{-1, 0, 1}``.
+        Built on first use, after :meth:`_slab_stack` (and with it
+        :meth:`check_hermitian`), and cached; :meth:`add_block` drops the
+        cache.  Needs ``hop_range <= sqrt(2)``, which keeps ``z1`` and
+        ``x2 - y2`` in ``{-1, 0, 1}``.
         """
         if self._table is None:
             if self.hop_range > np.sqrt(2.0) + 1e-12:
                 raise ValueError("the row table (and the bond currents) need hop range <= sqrt(2)")
+            self._slab_stack()
             g = self.geometry
             table = np.zeros((3, 3, g.L2, g.M, g.M), dtype=complex)
             for (z1, x2, y2), blk in self._blocks.items():

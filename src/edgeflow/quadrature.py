@@ -4,9 +4,14 @@ The integrands in this package are smooth except across known circles
 (cutoff knots), so grids take explicit radial break points and refine by
 cell halving.  All returned node/weight arrays are flat; integration is a
 dot product, which keeps reductions order-fixed and runs reproducible.
+
+The Gauss-Legendre rule on the unit interval is computed once per order
+``gl`` and shared, read-only, by every grid.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -22,12 +27,21 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _gl_cells(edges, per_cell, gl):
-    """GL nodes/weights on [edges[0], edges[-1]] split at edges, per_cell
-    subcells between consecutive edges."""
+@functools.lru_cache(maxsize=None)
+def _unit_rule(gl):
+    """``gl``-point GL nodes and weights on [0, 1], cached and read-only."""
     x, w = np.polynomial.legendre.leggauss(gl)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl_cells(edges, per_cell, gl):
+    """GL nodes/weights on [edges[0], edges[-1]] split at edges, per_cell
+    subcells between consecutive edges."""
+    x, w = _unit_rule(gl)
     bounds = []
     for a, b in zip(edges[:-1], edges[1:]):
         sub = np.linspace(a, b, per_cell + 1)

@@ -100,7 +100,8 @@ class LuttingerParams:
             raise ValueError("zero channel velocity")
         if np.any(z <= 0.0):
             raise ValueError("field strengths must be positive")
-        if not np.allclose(lam, lam.T, atol=1e-14):
+        # np.allclose(lam, lam.T, atol=1e-14) spelled out; NaN fails it
+        if not np.all(np.abs(lam - lam.T) <= 1e-14 + 1e-5 * np.abs(lam.T)):
             raise ValueError("coupling matrix must be symmetric")
         if np.any(np.abs(np.diag(lam)) > 1e-14):
             raise ValueError("coupling matrix must have zero diagonal")
@@ -127,10 +128,17 @@ class LuttingerParams:
 
     def coupling_radius(self):
         """Spectral radius of kappa @ Lambda_Z (real spectrum)."""
-        if self.n_channels == 1:
-            return 0.0
-        m = self.kappa() @ self.coupling_weighted()
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
+        return _coupling_radius(self.v, self.z, self.lam)
+
+
+def _coupling_radius(v, z, lam):
+    """Spectral radius of kappa @ Lambda_Z from the raw arrays.  kappa is
+    diagonal, so the product is a row scaling, bitwise the matmul."""
+    if v.size == 1:
+        return 0.0
+    kappa = 1.0 / (4.0 * np.pi * np.abs(v))
+    m = kappa[:, None] * (lam * z[None, :] / z[:, None])
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def chiral_denominator(p0, p1, v):
@@ -455,7 +463,8 @@ def random_params(rng, n_channels=None, lambda_scale=0.1):
     Velocities have random signs and magnitudes in [0.5, 2], field
     strengths in [0.5, 2]; couplings are Gaussian of width lambda_scale,
     rescaled when needed so the admissibility radius stays below
-    :data:`RADIUS_CAP`.
+    :data:`RADIUS_CAP`.  The radius is taken from the raw arrays, so each
+    draw builds and validates one :class:`LuttingerParams`.
     """
     if n_channels is None:
         n_channels = int(rng.integers(1, 5))
@@ -464,14 +473,7 @@ def random_params(rng, n_channels=None, lambda_scale=0.1):
     lam = rng.normal(0.0, lambda_scale, (n_channels, n_channels))
     lam = 0.5 * (lam + lam.T)
     np.fill_diagonal(lam, 0.0)
-    params = LuttingerParams(v=v, z=z, lam=np.zeros_like(lam))
-    if n_channels > 1 and np.any(lam != 0.0):
-        trial = LuttingerParams.__new__(LuttingerParams)
-        object.__setattr__(trial, "v", v)
-        object.__setattr__(trial, "z", z)
-        object.__setattr__(trial, "lam", lam)
-        rho = trial.coupling_radius()
-        if rho >= RADIUS_CAP:
-            lam = lam * (RADIUS_CAP / rho) * 0.99
-        params = LuttingerParams(v=v, z=z, lam=lam)
-    return params
+    rho = _coupling_radius(v, z, lam)
+    if rho >= RADIUS_CAP:
+        lam = lam * (RADIUS_CAP / rho) * 0.99
+    return LuttingerParams(v=v, z=z, lam=lam)

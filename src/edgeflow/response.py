@@ -186,6 +186,10 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     The vertices of the reversed pair need no build of their own:
     ``build_vertices(ham, basis_kp, basis_k)`` is the per-row conjugate
     transpose of this one.
+
+    Raises :class:`~edgeflow.lattice.HermiticityError` for a model whose
+    blocks are not Hermitian partners, also when the bases were computed
+    elsewhere (``fibers=``); the check is the model's cached one.
     """
     g = ham.geometry
     if basis_k.dim != basis_kp.dim:

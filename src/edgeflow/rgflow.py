@@ -124,21 +124,21 @@ def _inner_bubble(p0, p1, v_channel):
     return bubble_closed(p0, p1, v_channel) / chiral_denominator(p0, p1, v_channel)
 
 
-def _sunset_kernel(k0, k1, state, params, channel, level=4, gl=4):
+def _sunset_kernel(k0, k1, state, params, channel, grid):
     """W(k) = sum_{w'} lam^2 v^2(p) [B/D]_{w'}(p) f_h(k+p) / D_run(k+p) dp.
 
-    The quadrature grid is polar around ``-k`` in the bare-norm rescaled
-    coordinates, aligned with the shell knots.
+    ``grid`` is the scale's polar grid ``(du0, du1, w)`` around the origin
+    in the bare-norm rescaled coordinates, aligned with the shell knots.
+    It is shifted to ``-k`` as ``center + offset``, the sum
+    :func:`polar_nodes` forms, so the nodes are bitwise those of a grid
+    built around ``-k``.
     """
     h = state.h
     vb = params.v[channel]
     vr = state.v[channel]
-    s_outer = 0.0 + 0.0j
-    knots = [2.0 ** (h - 1), 2.0**h, 2.0 ** (h + 1)]
-    center = (-k0, -vb * k1)
-    u0, u1, w = polar_nodes(knots, level, 8 * level, gl=gl, center=center)
-    p0 = u0
-    p1 = u1 / vb
+    du0, du1, w = grid
+    p0 = -k0 + du0
+    p1 = (-vb * k1 + du1) / vb
     r_shell = np.hypot(p0 + k0, vb * (p1 + k1))
     f_h = shell(r_shell, h, h - 60)
     d_run = chiral_denominator(p0 + k0, p1 + k1, vr)
@@ -159,7 +159,9 @@ def beta_second_order(state: FlowState, params: LuttingerParams, level=4):
 
     z0, z1 come from symmetric differences (step 2^(h-3)) of the sunset
     kernel; the dressed covariance gives Z_eff = Z - i dSigma/dk0, so
-    z0 = -i dW/dk0 and z1 = -dW/dk1 with W the kernel per unit Z.
+    z0 = -i dW/dk0 and z1 = -dW/dk1 with W the kernel per unit Z.  The
+    kernel's polar grid depends on the scale alone, so it is built once
+    per scale and shifted to each stencil point of each channel.
     The quartic beta function is assembled from the three one-loop bubble
     structures; the same-chirality ones vanish by angular symmetry and
     the two mixed-chirality routings cancel pointwise, which the
@@ -168,15 +170,17 @@ def beta_second_order(state: FlowState, params: LuttingerParams, level=4):
     n = params.n_channels
     h = state.h
     delta = 2.0 ** (h - 3)
+    knots = [2.0 ** (h - 1), 2.0**h, 2.0 ** (h + 1)]
+    grid = polar_nodes(knots, level, 8 * level, gl=4)
     z0 = np.zeros(n)
     z1 = np.zeros(n)
     for c in range(n):
         if np.all(state.lam[c] == 0.0):
             continue
-        w_p0 = _sunset_kernel(+delta, 0.0, state, params, c, level=level)
-        w_m0 = _sunset_kernel(-delta, 0.0, state, params, c, level=level)
-        w_p1 = _sunset_kernel(0.0, +delta, state, params, c, level=level)
-        w_m1 = _sunset_kernel(0.0, -delta, state, params, c, level=level)
+        w_p0 = _sunset_kernel(+delta, 0.0, state, params, c, grid)
+        w_m0 = _sunset_kernel(-delta, 0.0, state, params, c, grid)
+        w_p1 = _sunset_kernel(0.0, +delta, state, params, c, grid)
+        w_m1 = _sunset_kernel(0.0, -delta, state, params, c, grid)
         z0[c] = float(np.real(-1j * (w_p0 - w_m0) / (2.0 * delta)))
         z1[c] = float(np.real(-(w_p1 - w_m1) / (2.0 * delta)))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeflow import cli, lattice, reference, response, spectrum
+from edgeflow import cli, lattice, reference, response, rgflow, spectrum
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 
@@ -37,6 +37,28 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         tmp_path, "ref-check", "--ensemble-size", "10", "--tolerance", "1e-30"
     )
     assert code == cli.EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ref-check", "--ensemble-size", "0"], "--ensemble-size"),
+        (["ref-check", "--ensemble-size", "-3"], "--ensemble-size"),
+        (["ref-check", "--channels", "0"], "--channels"),
+        (["rg", "--scales", "9"], "--scales"),
+        (["rg", "--velocities", "1.0"], "--velocities"),
+        (["rg", "--lambda", "0"], "--lambda"),
+    ],
+)
+def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow ran before its inputs were validated")
+
+    monkeypatch.setattr(rgflow, "flow_run", no_flow)
+    code, out = run_cli(tmp_path, *argv)
+    assert code == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_missing_model_is_usage_error(tmp_path):

@@ -1,5 +1,6 @@
 """Identities that hold for every admissible model, checked with hypothesis
-over random Hermitian hopping models (range <= sqrt 2).
+over random Hermitian hopping models (range <= sqrt 2), and the fast
+paths checked bitwise against the plain implementations they replaced.
 
 Examples are derandomized, so every run draws the same models."""
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgeflow import lattice, response
+from edgeflow import lattice, reference, response, rgflow
+from edgeflow.cutoffs import shell
+from edgeflow.quadrature import polar_nodes
 from conftest import random_hermitian_model
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -134,7 +137,11 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
     before = response.build_vertices(ham, f_k, f_kp)
     x2 = int(rng.integers(1, L2 - 1))
-    ham.add_block(1, x2, x2, rng.normal(size=(M, M)) + 1.0)
+    # a complex block and its partner: the vertex build checks Hermiticity,
+    # and a real pair would cancel in current1 at k1 + p1 = -k1
+    blk = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)) + 1.0
+    ham.add_block(1, x2, x2, blk)
+    ham.add_block(-1, x2, x2, blk.conj().T)
     after = response.build_vertices(ham, f_k, f_kp)
     assert np.max(np.abs(after.current1 - before.current1)) > 1e-6
     assert_matches_loop(ham, f_k, f_kp, (L2, L2, L2))
@@ -198,3 +205,116 @@ def test_empty_model_has_an_exactly_zero_fiber(size, k1):
     fiber = lattice.assemble_fiber(ham, k1)
     assert fiber.shape == (size[1] * size[2],) * 2
     assert np.all(fiber == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reference side: the sunset kernel and the random ensemble
+# ---------------------------------------------------------------------------
+
+
+def sunset_kernel_per_call_grid(k0, k1, state, params, channel, level=4, gl=4):
+    """Reference sunset kernel: a polar grid of its own, built around ``-k``."""
+    h = state.h
+    vb = params.v[channel]
+    vr = state.v[channel]
+    knots = [2.0 ** (h - 1), 2.0**h, 2.0 ** (h + 1)]
+    u0, u1, w = polar_nodes(knots, level, 8 * level, gl=gl, center=(-k0, -vb * k1))
+    p0 = u0
+    p1 = u1 / vb
+    f_h = shell(np.hypot(p0 + k0, vb * (p1 + k1)), h, h - 60)
+    d_run = reference.chiral_denominator(p0 + k0, p1 + k1, vr)
+    outer = f_h / d_run * reference.form_factor(p0, p1, params.p_c) ** 2
+    total = np.zeros((), dtype=complex)
+    for other in range(params.n_channels):
+        lam = state.lam[channel, other]
+        if lam == 0.0:
+            continue
+        inner = rgflow._inner_bubble(p0, p1, state.v[other])
+        total = total + lam**2 * np.dot(w, inner * outer)
+    return total / (4.0 * np.pi**2 * abs(vb))
+
+
+def sunset_increments(state, params, level):
+    """Reference (z0, z1): four kernel calls per channel, four grids."""
+    delta = 2.0 ** (state.h - 3)
+    z0, z1 = np.zeros(params.n_channels), np.zeros(params.n_channels)
+    for c in range(params.n_channels):
+        if np.all(state.lam[c] == 0.0):
+            continue
+        w = [
+            sunset_kernel_per_call_grid(k0, k1, state, params, c, level=level)
+            for k0, k1 in ((+delta, 0.0), (-delta, 0.0), (0.0, +delta), (0.0, -delta))
+        ]
+        z0[c] = float(np.real(-1j * (w[0] - w[1]) / (2.0 * delta)))
+        z1[c] = float(np.real(-(w[2] - w[3]) / (2.0 * delta)))
+    return z0, z1
+
+
+@pytest.mark.parametrize("level", [4, 6])
+@pytest.mark.parametrize("h", [0, -3, -8, -17])
+@pytest.mark.parametrize("v", [(1.0, -0.7), (1.3, -0.45, 0.8)], ids=["2ch", "3ch"])
+def test_one_sunset_grid_per_scale_is_bitwise_the_per_call_grids(v, h, level):
+    n = len(v)
+    lam = 0.04 * (np.ones((n, n)) - np.eye(n)) + 0.01 * np.triu(np.ones((n, n)), 1)
+    params = reference.LuttingerParams(v=v, z=np.ones(n), lam=lam + lam.T)
+    # running values off the bare ones, so shell (bare) and D_run differ
+    state = rgflow.FlowState(
+        h=h, z=np.linspace(1.0, 1.2, n), v=params.v * 1.03, lam=0.9 * params.lam
+    )
+    ev = rgflow.beta_second_order(state, params, level=level)
+    z0, z1 = sunset_increments(state, params, level)
+    assert np.any(z0 != 0.0)
+    assert ev.z0.tobytes() == z0.tobytes() and ev.z1.tobytes() == z1.tobytes()
+
+
+def random_params_three_builds(rng, n_channels=None, lambda_scale=0.1):
+    """Reference draw: validate zero couplings, size a trial, validate again."""
+    if n_channels is None:
+        n_channels = int(rng.integers(1, 5))
+    v = rng.uniform(0.5, 2.0, n_channels) * rng.choice([-1.0, 1.0], n_channels)
+    z = rng.uniform(0.5, 2.0, n_channels)
+    lam = rng.normal(0.0, lambda_scale, (n_channels, n_channels))
+    lam = 0.5 * (lam + lam.T)
+    np.fill_diagonal(lam, 0.0)
+    params = reference.LuttingerParams(v=v, z=z, lam=np.zeros_like(lam))
+    rescaled = False
+    if n_channels > 1 and np.any(lam != 0.0):
+        trial = reference.LuttingerParams.__new__(reference.LuttingerParams)
+        object.__setattr__(trial, "v", v)
+        object.__setattr__(trial, "z", z)
+        object.__setattr__(trial, "lam", lam)
+        rho = float(np.max(np.abs(np.linalg.eigvals(trial.kappa() @ trial.coupling_weighted()))))
+        if rho >= reference.RADIUS_CAP:
+            lam = lam * (reference.RADIUS_CAP / rho) * 0.99
+            rescaled = True
+        params = reference.LuttingerParams(v=v, z=z, lam=lam)
+    return params, rescaled
+
+
+# the cap is hit only for couplings of order 4 pi |v| RADIUS_CAP / (n - 1),
+# so the widest scale is the one that makes the rescaling run
+@pytest.mark.parametrize("lambda_scale", [0.0, 0.1, 0.3, 10.0])
+@pytest.mark.parametrize("n_channels", [None, 1, 2, 3, 4])
+def test_one_build_per_draw_is_bitwise_the_three_build_draw(n_channels, lambda_scale):
+    rescaled = 0
+    for seed in range(40):
+        got = reference.random_params(np.random.default_rng(seed), n_channels, lambda_scale)
+        want, fired = random_params_three_builds(
+            np.random.default_rng(seed), n_channels, lambda_scale
+        )
+        rescaled += fired
+        for name in ("v", "z", "lam"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
+    if lambda_scale == 10.0 and n_channels != 1:
+        assert rescaled > 0
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    n_channels=st.none() | st.integers(1, 4),
+    lambda_scale=st.floats(0.0, 20.0),
+)
+def test_every_draw_is_inside_the_radius_cap(seed, n_channels, lambda_scale):
+    params = reference.random_params(np.random.default_rng(seed), n_channels, lambda_scale)
+    assert params.coupling_radius() < reference.RADIUS_CAP

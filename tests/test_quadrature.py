@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeflow.quadrature import QuadratureError, polar_integrate, polar_nodes, refine_until
+from edgeflow.quadrature import QuadratureError, _unit_rule, polar_integrate, polar_nodes, refine_until
 
 
 def test_area_of_annulus():
@@ -39,3 +39,18 @@ def test_refine_until_converges_and_raises():
 def test_bad_edges_rejected():
     with pytest.raises(ValueError):
         polar_nodes([2.0, 1.0], 2, 4)
+
+
+def test_the_cached_rule_is_read_only_and_grids_are_independent():
+    x, w = _unit_rule(4)
+    assert _unit_rule(4)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    first = polar_nodes([1.0, 2.0], 2, 8, center=(0.3, -0.2))
+    again = polar_nodes([1.0, 2.0], 2, 8, center=(0.3, -0.2))
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        a[:] = 7.0
+    third = polar_nodes([1.0, 2.0], 2, 8, center=(0.3, -0.2))
+    assert all(np.array_equal(a, b) for a, b in zip(again, third))

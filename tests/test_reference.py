@@ -378,3 +378,16 @@ def test_params_validation():
     with pytest.raises(ValueError):
         # coupling too large: spectral radius of kappa Lambda_Z exceeds 1
         ref.LuttingerParams(v=[0.1, -0.1], z=[1.0, 1.0], lam=[[0.0, 5.0], [5.0, 0.0]])
+    ok = dict(v=[1.0, -1.0], z=[1.0, 1.0], lam=[[0.0, 0.1], [0.1, 0.0]])
+    for change, match in [
+        (dict(z=[1.0, 0.0]), "field strengths"),
+        (dict(z=[1.0, -0.5]), "field strengths"),
+        (dict(z=[1.0]), "channel counts"),
+        (dict(lam=[[0.0]]), "channel counts"),
+        (dict(p_c=0.0), "form-factor scale"),
+        (dict(p_c=-1.0), "form-factor scale"),
+        (dict(lam=[[0.0, np.nan], [np.nan, 0.0]]), "symmetric"),
+        (dict(lam=[[0.0, np.nan], [0.1, 0.0]]), "symmetric"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            ref.LuttingerParams(**{**ok, **change})

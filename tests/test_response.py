@@ -393,15 +393,32 @@ def test_conjugation_check_passes_a_cancelling_stack(counter_stack):
     assert abs(2.0 * np.pi * est.g) < 1e-9
 
 
-def test_conjugation_check_trips_on_a_broken_vertex(counter_stack):
+def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
     # the symmetry holds term by term for any fiber list, so a defect shows
-    # in the vertices: one hopping block without its Hermitian partner (the
-    # precomputed fibers bypass the Hermiticity check)
+    # in the vertices: one density row of every p1 = -1 build is shifted
+    stack, fibers = counter_stack
+    build = response.build_vertices
+    back = 2.0 * np.pi * 23 / 24  # p1 = -1 on the ring of 24
+
+    def broken(ham, basis_k, basis_kp, rows=None):
+        vs = build(ham, basis_k, basis_kp, rows=rows)
+        if np.isclose((basis_kp.k1 - basis_k.k1) % (2.0 * np.pi), back):
+            vs.density[2] += 0.1
+        return vs
+
+    monkeypatch.setattr(response, "build_vertices", broken)
+    with pytest.raises(response.ConjugationSymmetryError):
+        response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+
+
+def test_precomputed_fibers_do_not_skip_the_hermiticity_check(counter_stack, hermitian_checks):
+    # a block without its Hermitian partner is named before any strip sum runs
     stack, fibers = counter_stack
     broken = stack.shifted(0.0)  # a copy
     broken.add_block(1, 3, 3, 0.1 * np.eye(4))
-    with pytest.raises(response.ConjugationSymmetryError):
+    with pytest.raises(lattice.HermiticityError, match=r"\(1, 3, 3\)"):
         response.edge_conductance_free(broken, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+    assert hermitian_checks == [broken]
 
 
 def test_conductance_trivial_gap_vanishes():
