@@ -154,12 +154,17 @@ def cmd_conductance(args, report):
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    fibers = response.fiber_cache(ham, n_k, threads=args.threads)
+    # one grid for both: the chirality scan needs at least 64 momenta, and a
+    # power-of-two step keeps every step-th fiber bitwise the L1-grid one
+    step = 2
+    while step * n_k < 64:
+        step *= 2
+    grid = response.fiber_cache(ham, step * n_k, threads=args.threads)
     scan = spectrum.scan_spectrum(
         ham,
-        n_k=max(64, 2 * n_k),
+        n_k=step * n_k,
         window=(args.mu - args.window, args.mu + args.window),
-        threads=args.threads,
+        fibers=grid,
     )
     branches = spectrum.extract_edge_branches(scan, args.mu)
     chi = sum(
@@ -168,7 +173,7 @@ def cmd_conductance(args, report):
         if b.side == "lower" and np.isfinite(b.k_fermi)
     )
     est = response.edge_conductance_free(
-        ham, args.mu, n_k, a=a, a_prime=a_prime, chirality_sum=chi, fibers=fibers,
+        ham, args.mu, n_k, a=a, a_prime=a_prime, chirality_sum=chi, fibers=grid[::step],
     )
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
     target = est.target

@@ -24,6 +24,14 @@ model's cached row table ``H(z1; x2, y2)``, and the group adds
 ``a[x2 + du]^+ Heff[x2] b[x2 + dv]`` for all its rows in one batched
 matmul.  Only the leading rows a caller reads are built.
 
+Callers that read only sums over a strip of rows (the edge conductance,
+the real-time check, the row-summed three-point function) take the sums
+before the band contraction, since ``sum_xy sum_ab D[x,a,b] conj(J[y,a,b])
+w[a,b] = sum_ab Dbar[a,b] conj(Jbar[a,b]) w[a,b]``: the strip density
+``Dbar`` is one product of the strip's band states, and the strip current
+``Jbar`` is one ``(n, K) @ (K, n)`` product of the same group terms laid
+side by side.
+
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
 (matching the wavefunction convention of the fiber) and imaginary time
 with ``exp(+i p0 x0)``.
@@ -171,6 +179,47 @@ def _row_groups(terms):
     return groups
 
 
+def _band_legs(ham, basis_k, basis_kp):
+    """Row-resolved band states: ``ah[x2] = a[x2]^+`` of shape ``(L2, n, M)``
+    at ``k1`` and ``b[x2]`` of shape ``(L2, M, n)`` at ``k1 + p1``."""
+    g = ham.geometry
+    if basis_k.dim != basis_kp.dim:
+        raise ValueError("fiber dimensions differ")
+    ah = _band_states(g, basis_k).conj().transpose(0, 2, 1)
+    return ah, _band_states(g, basis_kp)
+
+
+def _check_rows(geometry, rows, count):
+    rows = tuple(int(r) for r in rows)
+    if len(rows) != count or not all(0 <= r <= geometry.L2 for r in rows):
+        raise ValueError(f"rows must be {count} counts in [0, {geometry.L2}], got {rows}")
+    return rows
+
+
+def _current_groups(ham, terms, n_rows, ah, b, k1, kp1):
+    """One current component's bond terms on rows ``x2 < n_rows``, one item
+    per row-offset group ``(du, dv)``.
+
+    Each item is ``(lo, hi, left, right)`` with ``left[i] = a[x2 + du]^+ Heff[x2]``
+    and ``right[i] = b[x2 + dv]`` for ``x2 = lo + i < hi``, where ``Heff`` sums
+    the group's phased hoppings ``H(z1; x2 + du, x2 + dv)`` from the model's
+    row table: the vertex on row ``x2`` is the sum over groups of
+    ``left @ right`` at that row.
+    """
+    L2 = ham.geometry.L2
+    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
+    for (du, dv), group in _row_groups(terms).items():
+        lo, hi = max(0, -du, -dv), min(n_rows, L2 - max(du, dv))
+        if lo >= hi:
+            continue
+        heff = sum(
+            1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
+            * table[z1 + 1, du - dv + 1, lo + du : hi + du]
+            for (u1, v1, z1, wgt) in group
+        )
+        yield lo, hi, ah[lo + du : hi + du] @ heff, b[lo + dv : hi + dv]
+
+
 def build_vertices(ham, basis_k, basis_kp, rows=None):
     """Assemble density and bond-current vertices for the pair
     ``(k1, k1 + p1)`` implied by the two bases.
@@ -178,10 +227,10 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     ``rows`` gives how many leading rows ``x2 = 0, 1, ...`` to build of
     the density, ``current1`` and ``current2`` (all ``L2`` rows each by
     default); a component given 0 rows is an empty array.  The bond terms
-    of each current are grouped by their row offsets ``(du, dv)``: per
-    group, the terms' hoppings ``H(z1; x2 + du, x2 + dv)`` from the
-    model's row table are summed with their phases into one block per row,
-    and ``a[x2 + du]^+ Heff b[x2 + dv]`` is one batched matmul over rows.
+    of each current come from :func:`_current_groups`, one item per row
+    offset ``(du, dv)``, and each item adds ``a[x2 + du]^+ Heff b[x2 + dv]``
+    to its rows in one batched matmul.  Callers that only read row sums
+    use :func:`_strip_vertices`, which takes the same items.
 
     The vertices of the reversed pair need no build of their own:
     ``build_vertices(ham, basis_kp, basis_k)`` is the per-row conjugate
@@ -192,32 +241,40 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     elsewhere (``fibers=``); the check is the model's cached one.
     """
     g = ham.geometry
-    if basis_k.dim != basis_kp.dim:
-        raise ValueError("fiber dimensions differ")
-    rows = (g.L2,) * 3 if rows is None else tuple(int(r) for r in rows)
-    if len(rows) != 3 or not all(0 <= r <= g.L2 for r in rows):
-        raise ValueError(f"rows must be three counts in [0, {g.L2}], got {rows}")
-    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
-    k1, kp1 = basis_k.k1, basis_kp.k1
-    ah = _band_states(g, basis_k).conj().transpose(0, 2, 1)  # (L2, n, M)
-    b = _band_states(g, basis_kp)  # (L2, M, n)
+    rows = (g.L2,) * 3 if rows is None else _check_rows(g, rows, 3)
+    ah, b = _band_legs(ham, basis_k, basis_kp)
     density = ah[: rows[0]] @ b[: rows[0]]
 
     currents = []
     for terms, n_rows in zip((_J1_TERMS, _J2_TERMS), rows[1:]):
         out = np.zeros((n_rows, basis_k.dim, basis_k.dim), dtype=complex)
-        for (du, dv), group in _row_groups(terms).items():
-            lo, hi = max(0, -du, -dv), min(n_rows, g.L2 - max(du, dv))
-            if lo >= hi:
-                continue
-            heff = sum(
-                1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
-                * table[z1 + 1, du - dv + 1, lo + du : hi + du]
-                for (u1, v1, z1, wgt) in group
-            )
-            out[lo:hi] += (ah[lo + du : hi + du] @ heff) @ b[lo + dv : hi + dv]
+        for lo, hi, left, right in _current_groups(ham, terms, n_rows, ah, b, basis_k.k1, basis_kp.k1):
+            out[lo:hi] += left @ right
         currents.append(out)
     return VertexSet(density=density, current1=currents[0], current2=currents[1])
+
+
+def _strip_vertices(ham, basis_k, basis_kp, rows):
+    """Density and ring-current vertices summed over strips at the lower
+    edge: ``(Dbar, Jbar)``, each ``(n, n)``, with ``Dbar`` summed over rows
+    ``x2 < rows[0]`` and ``Jbar`` over rows ``x2 < rows[1]``.
+
+    Equal to the row sums of :func:`build_vertices` to rounding, but each
+    is one GEMM: ``Dbar`` contracts the strip's band states, and ``Jbar``
+    lays the ``left`` blocks of every :func:`_current_groups` item side by
+    side into an ``(n, K)`` matrix and stacks the ``right`` blocks into a
+    ``(K, n)`` one.
+    """
+    g = ham.geometry
+    rows = _check_rows(g, rows, 2)
+    ah, b = _band_legs(ham, basis_k, basis_kp)
+    n, strip = basis_k.dim, rows[0] * g.M
+    dbar = basis_k.states[:strip].conj().T @ basis_kp.states[:strip]
+    lefts, rights = [np.empty((n, 0))], [np.empty((0, n))]
+    for _, _, left, right in _current_groups(ham, _J1_TERMS, rows[1], ah, b, basis_k.k1, basis_kp.k1):
+        lefts.append(left.transpose(1, 0, 2).reshape(n, -1))
+        rights.append(right.reshape(-1, n))
+    return dbar, np.concatenate(lefts, axis=1) @ np.concatenate(rights)
 
 
 def _fermi(e, mu, temperature):
@@ -343,12 +400,10 @@ def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu):
     """Row-summed free three-point functions for the density and the ring
     current: matrices over (x2 rho, y2 rho')."""
     L2 = ham.geometry.L2
-    vs = build_vertices(ham, basis_k, basis_kp, rows=(L2, L2, 0))
     g_k = _propagator(basis_k.energies, k0, mu)
     g_kp = _propagator(basis_kp.energies, k0 + p0, mu)
     out = []
-    for comp in (vs.density, vs.current1):
-        vbar = comp.sum(axis=0)
+    for vbar in _strip_vertices(ham, basis_k, basis_kp, (L2, L2)):
         mid = (g_k[:, None] * vbar) * g_kp[None, :]
         out.append(basis_k.states @ mid @ basis_kp.states.conj().T)
     return out
@@ -402,17 +457,24 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers
     For each of the three smallest nonzero grid momenta the frequency is
     set to zero inside the spectral form (the slow-time limit taken
     first); the returned ``g`` is the linear-in-p1 intercept over them.
+    The density is summed over rows ``x2 <= a`` and the ring current over
+    rows ``y2 <= a_prime``, with ``0 <= a_prime < a <= L2 - 1``.
     """
-    if a_prime >= a:
-        raise ValueError("need a_prime < a")
+    L2 = ham.geometry.L2
+    if not 0 <= a_prime < a <= L2 - 1:
+        raise ValueError(f"need 0 <= a_prime < a <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
     if fibers is None:
         fibers = fiber_cache(ham, n_k)
 
     def strip_sum(p1_index):
-        tables = current_current(
-            ham, mu, 0.0, p1_index, n_k, strips=(a, a_prime), components=((0, 1),), fibers=fibers,
-        )
-        return tables[(0, 1)].sum()
+        # the strip sums are taken on the vertices, before the band contraction
+        total = 0.0 + 0.0j
+        for m in range(n_k):
+            f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
+            dbar, jbar = _strip_vertices(ham, f_k, f_kp, (a + 1, a_prime + 1))
+            w = _pair_weight(f_k.energies, f_kp.energies, mu, 0.0, 0.0)
+            total += np.sum(dbar * jbar.conj() * w)
+        return total / n_k
 
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
@@ -473,9 +535,7 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     for m in range(n_k):
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
-        vs = build_vertices(ham, f_k, f_kp, rows=(a + 1, a_prime + 1, 0))
-        n_strip = vs.density.sum(axis=0)
-        j_strip = vs.current1.sum(axis=0)
+        n_strip, j_strip = _strip_vertices(ham, f_k, f_kp, (a + 1, a_prime + 1))
         weight_nj = n_strip * j_strip.conj()  # A_ab B_ba, B the backward current leg
         na = _fermi(f_k.energies, mu, 1.0 / beta)
         nb = _fermi(f_kp.energies, mu, 1.0 / beta)

@@ -9,11 +9,11 @@ carry one Fermi point with velocity and localization-rate fits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import response
 from .lattice import assemble_fiber, boundary_weight
 
 __all__ = [
@@ -135,22 +135,27 @@ def _purify_degenerate(geometry, e, vecs):
     return out
 
 
-def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1):
-    """Diagonalize the fiber on ``n_k`` grid momenta, keep in-window
-    eigenpairs (Dirichlet-row modes dropped, degenerate clusters
-    side-purified)."""
+def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, fibers=None):
+    """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
+    momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
+    clusters side-purified).
+
+    The fibers are diagonalized by :func:`~edgeflow.response.fiber_cache`
+    on ``threads`` threads, unless the caller passes that grid's fibers as
+    ``fibers``.
+    """
     if n_k < 64:
         raise ValueError("need at least 64 grid momenta")
+    if fibers is None:
+        fibers = response.fiber_cache(ham, n_k, threads=threads)
+    elif len(fibers) != n_k:
+        raise ValueError(f"need {n_k} fibers, got {len(fibers)}")
     g = ham.geometry
     ks = 2.0 * np.pi * np.arange(n_k) / n_k
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: _diag(ham, k), ks))
-    else:
-        results = [_diag(ham, k) for k in ks]
     energies, vectors = [], []
     lo, hi = window
-    for e, v in results:
+    for f in fibers:
+        e, v = f.energies, f.states
         keep = (e > lo) & (e < hi)
         idx = np.where(keep)[0]
         idx = [i for i in idx if boundary_weight(g, v[:, i]) < 0.5]

@@ -61,6 +61,22 @@ def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys,
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize(
+    "strips, message",
+    [
+        (["--a", "6", "--aprime", "-1"], "got a = 6, a_prime = -1"),
+        (["--a", "6", "--aprime", "-3"], "got a = 6, a_prime = -3"),
+        (["--a", "16"], "got a = 16, a_prime = 4"),
+    ],
+)
+def test_bad_strip_widths_are_usage_errors(tmp_path, capsys, strips, message):
+    code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "16", "--L2", "16", *strips)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "0 <= a_prime < a <= L2 - 1 = 15" in err and message in err
+    assert os.listdir(out) == []
+
+
 def test_missing_model_is_usage_error(tmp_path):
     code, _ = run_cli(tmp_path, "conductance")
     assert code == cli.EXIT_USAGE
@@ -195,24 +211,34 @@ def test_wick_passes_threads_to_the_fiber_cache(tmp_path, monkeypatch):
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
-    seen = []
+    # the response and the chirality scan share one grid of 2 L1 fibers,
+    # diagonalized once on the requested threads; the scan diagonalizes none
+    seen, scanned, assembled = [], [], []
     cache, scan = response.fiber_cache, spectrum.scan_spectrum
 
     def recorded_cache(ham, n_k, threads=1):
-        seen.append(("fiber_cache", threads))
+        seen.append((n_k, threads))
         return cache(ham, n_k, threads=threads)
 
-    def recorded_scan(ham, n_k=64, window=(-0.5, 0.5), threads=1):
-        seen.append(("scan_spectrum", threads))
-        return scan(ham, n_k=n_k, window=window, threads=threads)
+    def recorded_scan(*args, **kwargs):
+        before = len(assembled)
+        out = scan(*args, **kwargs)
+        scanned.append(len(assembled) - before)
+        return out
 
+    for mod in (response, spectrum):
+        assemble = mod.assemble_fiber
+        monkeypatch.setattr(
+            mod, "assemble_fiber", lambda ham, k1, f=assemble: assembled.append(k1) or f(ham, k1)
+        )
     monkeypatch.setattr(response, "fiber_cache", recorded_cache)
     monkeypatch.setattr(spectrum, "scan_spectrum", recorded_scan)
     code, _ = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
     )
     assert code == 0
-    assert seen == [("fiber_cache", 2), ("scan_spectrum", 2)]
+    assert seen == [(64, 2)]
+    assert scanned == [0]
 
 
 def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):

@@ -40,6 +40,18 @@ def loop_vertices(ham, basis_k, basis_kp):
     return density, *currents
 
 
+def table_sum_conductance(ham, mu, n_k, a, a_prime, fibers):
+    """Reference strip responses at p1 = 1, 2, 3: the full (a+1, a'+1) row
+    table of ``current_current``, summed."""
+    tables = (
+        response.current_current(
+            ham, mu, 0.0, p1_index, n_k, strips=(a, a_prime), components=((0, 1),), fibers=fibers
+        )[(0, 1)]
+        for p1_index in (1, 2, 3)
+    )
+    return np.array([t.sum().real for t in tables])
+
+
 def loop_fiber(ham, k1):
     """Reference fiber: every stored block, phased and placed one by one."""
     g = ham.geometry
@@ -126,6 +138,45 @@ def test_batched_vertices_match_the_row_loop_on_a_counter_stack(k1, p1, rows):
     )
     f_k, f_kp = response.diagonalize_fiber(stack, k1), response.diagonalize_fiber(stack, k1 + p1)
     assert_matches_loop(stack, f_k, f_kp, rows)
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    k1=st.floats(0.0, 2.0 * np.pi),
+    p1=st.floats(-np.pi, np.pi),
+    rows=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+)
+def test_strip_vertices_are_the_row_sums(seed, size, k1, p1, rows):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    rows = tuple(min(r, ham.geometry.L2) for r in rows)
+    f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
+    vs = response.build_vertices(ham, f_k, f_kp, rows=(*rows, 0))
+    dbar, jbar = response._strip_vertices(ham, f_k, f_kp, rows)
+    for got, want in ((dbar, vs.density.sum(axis=0)), (jbar, vs.current1.sum(axis=0))):
+        assert got.shape == (f_k.dim, f_k.dim)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "make, mu",
+    [
+        (lambda: lattice.build_model("haldane", 24, 16), 0.15),
+        (lambda: lattice.build_model("stacked-haldane", 24, 16, flips="0,1", shifts="0,0.1"), 0.15),
+        (lambda: random_hermitian_model(np.random.default_rng(11), 12, 12, 2), 0.1),
+    ],
+    ids=["haldane", "counter-stack", "random"],
+)
+def test_strip_sums_match_the_summed_row_table(make, mu):
+    # absolute: the counter-propagating stack cancels G down to rounding
+    ham = make()
+    n_k = ham.geometry.L1
+    fibers = response.fiber_cache(ham, n_k)
+    for a, a_prime in ((6, 4), (9, 1), (ham.geometry.L2 - 1, 2)):
+        est = response.edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=fibers)
+        want = table_sum_conductance(ham, mu, n_k, a, a_prime, fibers)
+        assert np.max(np.abs(est.g_values - want)) <= 1e-13, (a, a_prime)
 
 
 @PROPERTY
@@ -318,3 +369,27 @@ def test_one_build_per_draw_is_bitwise_the_three_build_draw(n_channels, lambda_s
 def test_every_draw_is_inside_the_radius_cap(seed, n_channels, lambda_scale):
     params = reference.random_params(np.random.default_rng(seed), n_channels, lambda_scale)
     assert params.coupling_radius() < reference.RADIUS_CAP
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    n_channels=st.none() | st.integers(1, 4),
+    lambda_scale=st.floats(0.0, 20.0),
+)
+def test_universality_holds_up_to_the_radius_cap(seed, n_channels, lambda_scale):
+    params = reference.random_params(np.random.default_rng(seed), n_channels, lambda_scale)
+    target = float(np.sum(np.sign(params.v))) / (2.0 * np.pi)
+    assert abs(reference.edge_conductance(params) - target) <= 1e-9
+
+
+def test_universality_is_checked_at_the_radius_cap():
+    # wide couplings are rescaled onto the cap, 0.99 RADIUS_CAP
+    radii, errors = [], []
+    for seed in range(20):
+        params = reference.random_params(np.random.default_rng(seed), 2 + seed % 3, 20.0)
+        target = float(np.sum(np.sign(params.v))) / (2.0 * np.pi)
+        radii.append(params.coupling_radius())
+        errors.append(abs(reference.edge_conductance(params) - target))
+    assert max(radii) >= 0.99 * reference.RADIUS_CAP * (1.0 - 1e-9)
+    assert max(errors) <= 1e-9

@@ -82,29 +82,33 @@ def test_vertices_require_short_range(rng):
 
 def test_one_vertex_build_per_fiber_pair(haldane_setup, monkeypatch):
     # the backward leg of each loop is the conjugate of the forward vertices,
-    # so each (k, k + p) pair is built once
+    # so each (k, k + p) pair is built once: row-resolved by build_vertices,
+    # or summed over the strips by _strip_vertices
     ham, mu, fibers = haldane_setup
     n_k = 16
-    calls = []
-    build = response.build_vertices
+    calls = {"build_vertices": [], "_strip_vertices": []}
+    for name in calls:
+        build = getattr(response, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+        def counted(*args, build=build, seen=calls[name], **kwargs):
+            seen.append(args)
+            return build(*args, **kwargs)
 
-    monkeypatch.setattr(response, "build_vertices", counted)
+        monkeypatch.setattr(response, name, counted)
 
-    def builds(run):
-        calls.clear()
+    def builds(run, name):
+        for seen in calls.values():
+            seen.clear()
         run()
-        return len(calls)
+        assert all(not seen for other, seen in calls.items() if other != name)
+        return len(calls[name])
 
     eta = 2.0 * np.pi / 20.0 * (4.0 / 3.0)
-    assert builds(lambda: response.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers)) == n_k
+    assert builds(lambda: response.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers), "build_vertices") == n_k
     assert builds(lambda: response.wick_rotation_check(
-        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers)) == n_k
+        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers), "_strip_vertices") == n_k
     assert builds(lambda: response.edge_conductance_free(
-        ham, mu, n_k, a=6, a_prime=4, fibers=fibers)) == 4 * n_k
+        ham, mu, n_k, a=6, a_prime=4, fibers=fibers), "_strip_vertices") == 4 * n_k
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +399,18 @@ def test_conjugation_check_passes_a_cancelling_stack(counter_stack):
 
 def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
     # the symmetry holds term by term for any fiber list, so a defect shows
-    # in the vertices: one density row of every p1 = -1 build is shifted
+    # in the vertices: the strip-summed density of every p1 = -1 pair is shifted
     stack, fibers = counter_stack
-    build = response.build_vertices
+    build = response._strip_vertices
     back = 2.0 * np.pi * 23 / 24  # p1 = -1 on the ring of 24
 
-    def broken(ham, basis_k, basis_kp, rows=None):
-        vs = build(ham, basis_k, basis_kp, rows=rows)
+    def broken(ham, basis_k, basis_kp, rows):
+        dbar, jbar = build(ham, basis_k, basis_kp, rows)
         if np.isclose((basis_kp.k1 - basis_k.k1) % (2.0 * np.pi), back):
-            vs.density[2] += 0.1
-        return vs
+            dbar = dbar + 0.1
+        return dbar, jbar
 
-    monkeypatch.setattr(response, "build_vertices", broken)
+    monkeypatch.setattr(response, "_strip_vertices", broken)
     with pytest.raises(response.ConjugationSymmetryError):
         response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4, fibers=fibers)
 
