@@ -9,6 +9,14 @@ the infrared/ultraviolet cutoffs are removed.
 The headline identity: the edge conductance assembled from the vertex
 renormalizations and the discontinuity matrix equals
 ``sum_w sgn(velocity_w) / (2 pi)`` for every admissible parameter set.
+
+The momentum-independent closed forms (validation, admissibility radius,
+``(1 +- kappa Lambda_Z)^-1``, discontinuity matrix, vertex
+renormalizations, conductance) are written once over leading stack axes:
+a :class:`LuttingerParams` may hold a stack of parameter sets with the same
+channel count, and each set of the stack comes out bitwise as it would
+alone.  Random ensembles are drawn in blocks (:func:`random_block`) and
+evaluated one stack per channel count.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
     "vertex_renormalizations",
     "edge_conductance",
     "anomaly_residual",
+    "random_block",
     "random_params",
 ]
 
@@ -71,14 +80,20 @@ class LuttingerParams:
 
     Parameters
     ----------
-    v : array, shape (n,)
+    v : array, shape (..., n)
         Channel velocities, all nonzero; sgn(v) is the chirality.
-    z : array, shape (n,)
+    z : array, shape (..., n)
         Positive field strengths.
-    lam : array, shape (n, n)
+    lam : array, shape (..., n, n)
         Real symmetric coupling matrix with zero diagonal.
     p_c : float
         Form-factor plateau scale; the two-body potential is 1 below it.
+
+    Leading axes make a stack of parameter sets: validation, the
+    admissibility radius, :func:`t_limit_static`, :func:`t_limit_dynamic`,
+    :func:`discontinuity_matrix`, :func:`vertex_renormalizations` and
+    :func:`edge_conductance` act on every set at once.  The
+    momentum-dependent objects and the flow take one set.
     """
 
     v: np.ndarray
@@ -93,52 +108,67 @@ class LuttingerParams:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "lam", lam)
-        n = v.size
-        if z.size != n or lam.shape != (n, n):
+        n = v.shape[-1]
+        if z.shape != v.shape or lam.shape != v.shape + (n,):
             raise ValueError("inconsistent channel counts")
         if np.any(v == 0.0):
             raise ValueError("zero channel velocity")
         if np.any(z <= 0.0):
             raise ValueError("field strengths must be positive")
         # np.allclose(lam, lam.T, atol=1e-14) spelled out; NaN fails it
-        if not np.all(np.abs(lam - lam.T) <= 1e-14 + 1e-5 * np.abs(lam.T)):
+        lam_t = np.swapaxes(lam, -1, -2)
+        if not np.all(np.abs(lam - lam_t) <= 1e-14 + 1e-5 * np.abs(lam_t)):
             raise ValueError("coupling matrix must be symmetric")
-        if np.any(np.abs(np.diag(lam)) > 1e-14):
+        if np.any(np.abs(np.diagonal(lam, axis1=-2, axis2=-1)) > 1e-14):
             raise ValueError("coupling matrix must have zero diagonal")
         if self.p_c <= 0.0:
             raise ValueError("form-factor scale must be positive")
-        rho = self.coupling_radius()
-        if rho >= 1.0:
+        rho = np.ravel(self.coupling_radius())
+        if np.any(rho >= 1.0):
             raise ValueError(
-                f"inadmissible couplings: spectral radius {rho:.3f} of "
+                f"inadmissible couplings: spectral radius {rho[rho >= 1.0][0]:.3f} of "
                 "(4 pi |v|)^-1 Lambda_Z must be < 1"
             )
 
     @property
     def n_channels(self):
-        return self.v.size
+        return self.v.shape[-1]
 
     def coupling_weighted(self):
         """(Lambda_Z)_{ab} = lam_{ab} z_b / z_a."""
-        return self.lam * self.z[None, :] / self.z[:, None]
+        return _coupling_weighted(self.z, self.lam)
 
     def kappa(self):
         """Diagonal matrix 1 / (4 pi |v|)."""
-        return np.diag(1.0 / (4.0 * np.pi * np.abs(self.v)))
+        return np.eye(self.n_channels) * (1.0 / (4.0 * np.pi * np.abs(self.v)))[..., None, :]
 
     def coupling_radius(self):
         """Spectral radius of kappa @ Lambda_Z (real spectrum)."""
         return _coupling_radius(self.v, self.z, self.lam)
 
 
-def _coupling_radius(v, z, lam):
-    """Spectral radius of kappa @ Lambda_Z from the raw arrays.  kappa is
-    diagonal, so the product is a row scaling, bitwise the matmul."""
-    if v.size == 1:
-        return 0.0
+def _coupling_weighted(z, lam):
+    return lam * z[..., None, :] / z[..., :, None]
+
+
+def _kappa_coupling(v, z, lam):
+    """kappa @ Lambda_Z from the raw arrays.  kappa is diagonal, so the
+    product is a row scaling, bitwise the matmul."""
     kappa = 1.0 / (4.0 * np.pi * np.abs(v))
-    m = kappa[:, None] * (lam * z[None, :] / z[:, None])
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return kappa[..., :, None] * _coupling_weighted(z, lam)
+
+
+def _coupling_radius(v, z, lam):
+    """Spectral radius of kappa @ Lambda_Z from the raw arrays, one per
+    stacked set."""
+    if v.shape[-1] == 1:
+        return np.zeros(v.shape[:-1])[()]
+    return np.max(np.abs(np.linalg.eigvals(_kappa_coupling(v, z, lam))), axis=-1)
+
+
+def _matvec(m, x):
+    # matrix times vector over leading stack axes
+    return (m @ x[..., None])[..., 0]
 
 
 def chiral_denominator(p0, p1, v):
@@ -329,13 +359,13 @@ def t_matrix(p0, p1, params: LuttingerParams, cond_limit=1e12):
 def t_limit_dynamic(params: LuttingerParams):
     """lim_{p0->0} lim_{p1->0} T(p) = (1 - kappa Lambda_Z)^-1."""
     n = params.n_channels
-    return np.linalg.inv(np.eye(n) - params.kappa() @ params.coupling_weighted())
+    return np.linalg.inv(np.eye(n) - _kappa_coupling(params.v, params.z, params.lam))
 
 
 def t_limit_static(params: LuttingerParams):
     """lim_{p1->0} lim_{p0->0} T(p) = (1 + kappa Lambda_Z)^-1."""
     n = params.n_channels
-    return np.linalg.inv(np.eye(n) + params.kappa() @ params.coupling_weighted())
+    return np.linalg.inv(np.eye(n) + _kappa_coupling(params.v, params.z, params.lam))
 
 
 def _richardson(ts, values):
@@ -389,12 +419,12 @@ def discontinuity_matrix(params: LuttingerParams, cross_validate=False, tol=1e-8
 
     Closed form (1 + k Lz)^-1 (1 - k Lz)^-1 (2 pi |v|)^-1 Z^-2 with
     k = (4 pi |v|)^-1.  With ``cross_validate=True`` the closed form is
-    checked against Richardson-extrapolated directional limits.
+    checked against Richardson-extrapolated directional limits (one
+    parameter set only).
     """
-    n = params.n_channels
-    klz = params.kappa() @ params.coupling_weighted()
-    right = np.diag(1.0 / (2.0 * np.pi * np.abs(params.v) * params.z**2))
-    a = np.linalg.inv(np.eye(n) + klz) @ np.linalg.inv(np.eye(n) - klz) @ right
+    right = 1.0 / (2.0 * np.pi * np.abs(params.v) * params.z**2)
+    # the diagonal right factor is a column scaling, bitwise the matmul
+    a = (t_limit_static(params) @ t_limit_dynamic(params)) * right[..., None, :]
     if cross_validate:
         s_static = density_density_directional_numeric(params, "p0_first")
         s_dynamic = density_density_directional_numeric(params, "p1_first")
@@ -412,26 +442,31 @@ def vertex_renormalizations(params: LuttingerParams, check=True):
     Expanded form: Z0 = (1 - Lambda_Z^T kappa) Z and
     Z1 = (1 + Lambda_Z^T kappa) (v * Z).  Equivalently Z0 solves
     T_dynamic^T Z0 = Z and Z1 solves T_static^T Z1 = v * Z; with
-    ``check=True`` both routes are computed and compared.
+    ``check=True`` both routes are computed and compared, set by set.
     """
-    lzk = params.coupling_weighted().T @ params.kappa()
+    lzk = np.swapaxes(_kappa_coupling(params.v, params.z, params.lam), -1, -2)
     n = params.n_channels
-    z0 = (np.eye(n) - lzk) @ params.z
-    z1 = (np.eye(n) + lzk) @ (params.v * params.z)
+    z0 = _matvec(np.eye(n) - lzk, params.z)
+    z1 = _matvec(np.eye(n) + lzk, params.v * params.z)
     if check:
-        z0_alt = np.linalg.solve(t_limit_dynamic(params).T, params.z)
-        z1_alt = np.linalg.solve(t_limit_static(params).T, params.v * params.z)
-        if np.max(np.abs(z0 - z0_alt)) > 1e-12 * max(1.0, np.max(np.abs(z0))):
-            raise VertexFormsError("Z0 forms disagree")
-        if np.max(np.abs(z1 - z1_alt)) > 1e-12 * max(1.0, np.max(np.abs(z1))):
-            raise VertexFormsError("Z1 forms disagree")
+        for name, z, t_limit, rhs in (
+            ("Z0", z0, t_limit_dynamic, params.z),
+            ("Z1", z1, t_limit_static, params.v * params.z),
+        ):
+            alt = np.linalg.solve(np.swapaxes(t_limit(params), -1, -2), rhs[..., None])[..., 0]
+            scale = np.maximum(1.0, np.max(np.abs(z), axis=-1))
+            if np.any(np.max(np.abs(z - alt), axis=-1) > 1e-12 * scale):
+                raise VertexFormsError(f"{name} forms disagree")
     return z0, z1
 
 
 def edge_conductance(params: LuttingerParams):
-    """Conductance Z0 . (A Z1); equals sum_w sgn(v_w) / (2 pi) identically."""
+    """Conductance Z0 . (A Z1); equals sum_w sgn(v_w) / (2 pi) identically.
+
+    One value per stacked parameter set (a float for one set)."""
     z0, z1 = vertex_renormalizations(params, check=False)
-    return float(np.real(z0 @ (discontinuity_matrix(params) @ z1)))
+    az1 = _matvec(discontinuity_matrix(params), z1)
+    return (z0[..., None, :] @ az1[..., None])[..., 0, 0]
 
 
 def anomaly_residual(p0, p1, v, z, h, n, tol=1e-6):
@@ -455,25 +490,57 @@ def anomaly_residual(p0, p1, v, z, h, n, tol=1e-6):
 
 
 RADIUS_CAP = 0.8  # admissibility radius of the random couplings
+ENSEMBLE_BLOCK = 256  # draws per block of an ensemble (ref-check)
+_SIGNS = np.array([-1.0, 1.0])
 
 
-def random_params(rng, n_channels=None, lambda_scale=0.1):
-    """Draw an admissible random parameter set.
+def _draw_groups(rng, size, n_channels, lambda_scale):
+    """The draw code of :func:`random_block`: ``(index, v, z, lam, rescaled)``
+    per channel count, the arrays admissible but not yet validated."""
+    raw = []
+    for _ in range(size):
+        n = n_channels if n_channels is not None else int(rng.integers(1, 5))
+        v = rng.uniform(0.5, 2.0, n) * _SIGNS[rng.integers(0, 2, n)]
+        z = rng.uniform(0.5, 2.0, n)
+        raw.append((v, z, rng.normal(0.0, lambda_scale, (n, n))))
+    groups = []
+    for n in sorted({v.size for v, _, _ in raw}):
+        index = np.array([i for i, (v, _, _) in enumerate(raw) if v.size == n])
+        v, z, lam = (np.stack([raw[i][k] for i in index]) for k in range(3))
+        lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))
+        diag = np.arange(n)
+        lam[:, diag, diag] = 0.0
+        rho = _coupling_radius(v, z, lam)
+        rescaled = rho >= RADIUS_CAP
+        lam[rescaled] = lam[rescaled] * (RADIUS_CAP / rho[rescaled])[:, None, None] * 0.99
+        groups.append((index, v, z, lam, rescaled))
+    return groups
+
+
+def random_block(rng, size, n_channels=None, lambda_scale=0.1):
+    """Draw ``size`` admissible random parameter sets, grouped by channel
+    count.
 
     Velocities have random signs and magnitudes in [0.5, 2], field
     strengths in [0.5, 2]; couplings are Gaussian of width lambda_scale,
     rescaled when needed so the admissibility radius stays below
-    :data:`RADIUS_CAP`.  The radius is taken from the raw arrays, so each
-    draw builds and validates one :class:`LuttingerParams`.
+    :data:`RADIUS_CAP`.  The generator is read draw by draw, in the order
+    of ``size`` calls of :func:`random_params`; the symmetrization, the
+    radius, the rescaling and the validation then run once per channel
+    count on the stack of its draws, bitwise as they would per draw.
+
+    Returns ``(index, params, rescaled)`` per channel count, ascending:
+    the draws' positions in the block, their stacked
+    :class:`LuttingerParams`, and which of them were rescaled onto the cap.
     """
-    if n_channels is None:
-        n_channels = int(rng.integers(1, 5))
-    v = rng.uniform(0.5, 2.0, n_channels) * rng.choice([-1.0, 1.0], n_channels)
-    z = rng.uniform(0.5, 2.0, n_channels)
-    lam = rng.normal(0.0, lambda_scale, (n_channels, n_channels))
-    lam = 0.5 * (lam + lam.T)
-    np.fill_diagonal(lam, 0.0)
-    rho = _coupling_radius(v, z, lam)
-    if rho >= RADIUS_CAP:
-        lam = lam * (RADIUS_CAP / rho) * 0.99
-    return LuttingerParams(v=v, z=z, lam=lam)
+    return [
+        (index, LuttingerParams(v=v, z=z, lam=lam), rescaled)
+        for index, v, z, lam, rescaled in _draw_groups(rng, size, n_channels, lambda_scale)
+    ]
+
+
+def random_params(rng, n_channels=None, lambda_scale=0.1):
+    """Draw one admissible random parameter set: a block of one of the
+    draw code of :func:`random_block`, validated as one set."""
+    [(_, v, z, lam, _)] = _draw_groups(rng, 1, n_channels, lambda_scale)
+    return LuttingerParams(v=v[0], z=z[0], lam=lam[0])

@@ -437,6 +437,25 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
 # ---------------------------------------------------------------------------
 
 
+def _strip_response(ham, fibers, mu, temperature, p0, p1_index, rows):
+    """Density-current response summed over the strips ``x2 < rows[0]``
+    (density) and ``y2 < rows[1]`` (ring current) at frequency ``p0`` and
+    ring momentum ``2 pi p1_index / n_k``, ``n_k = len(fibers)``.
+
+    The strip sums are taken on the vertices, before the band contraction
+    (:func:`_strip_vertices`); this is the sum of the
+    :func:`current_current` table ``(0, 1)`` over those rows.
+    """
+    n_k = len(fibers)
+    total = 0.0 + 0.0j
+    for m in range(n_k):
+        f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
+        dbar, jbar = _strip_vertices(ham, f_k, f_kp, rows)
+        w = _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
+        total += np.sum(dbar * jbar.conj() * w)
+    return total / n_k
+
+
 @dataclass
 class ConductanceEstimate:
     p1_values: np.ndarray
@@ -467,14 +486,7 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers
         fibers = fiber_cache(ham, n_k)
 
     def strip_sum(p1_index):
-        # the strip sums are taken on the vertices, before the band contraction
-        total = 0.0 + 0.0j
-        for m in range(n_k):
-            f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
-            dbar, jbar = _strip_vertices(ham, f_k, f_kp, (a + 1, a_prime + 1))
-            w = _pair_weight(f_k.energies, f_kp.energies, mu, 0.0, 0.0)
-            total += np.sum(dbar * jbar.conj() * w)
-        return total / n_k
+        return _strip_response(ham, fibers, mu, 0.0, 0.0, p1_index, (a + 1, a_prime + 1))
 
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
@@ -501,14 +513,13 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
 
     The full transverse sum of the density leg at p1 = 0 is the conserved
     charge, so this vanishes for every p0 != 0: taking the momentum limit
-    before the frequency limit gives 0 instead of the conductance.
+    before the frequency limit gives 0 instead of the conductance.  The
+    density is summed over all rows and the ring current over rows
+    ``y2 <= a_prime``, on the vertices (:func:`_strip_response`).
     """
-    g = ham.geometry
-    tables = current_current(
-        ham, mu, p0, 0, n_k, strips=(g.L2 - 1, a_prime), components=((0, 1),),
-        fibers=fibers,
-    )
-    return complex(tables[(0, 1)].sum())
+    if fibers is None:
+        fibers = fiber_cache(ham, n_k)
+    return complex(_strip_response(ham, fibers, mu, 0.0, p0, 0, (ham.geometry.L2, a_prime + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,20 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["rg", "--scales", "9"], "--scales"),
         (["rg", "--velocities", "1.0"], "--velocities"),
         (["rg", "--lambda", "0"], "--lambda"),
+        (["ref-check", "--lambda-scale", "-0.5"], "--lambda-scale"),
+        (["ref-check", "--lambda-scale", "nan"], "--lambda-scale"),
+        (["ref-check", "--lambda-scale", "inf"], "--lambda-scale"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
     def no_flow(*args, **kwargs):
         raise AssertionError("the flow ran before its inputs were validated")
 
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the ensemble was drawn before its inputs were validated")
+
     monkeypatch.setattr(rgflow, "flow_run", no_flow)
+    monkeypatch.setattr(reference, "random_block", no_draw)
     code, out = run_cli(tmp_path, *argv)
     assert code == cli.EXIT_USAGE
     assert flag in capsys.readouterr().err
@@ -74,6 +81,84 @@ def test_bad_strip_widths_are_usage_errors(tmp_path, capsys, strips, message):
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "0 <= a_prime < a <= L2 - 1 = 15" in err and message in err
+    assert os.listdir(out) == []
+
+
+def ref_check_draws(monkeypatch, tmp_path, *argv):
+    """Run ref-check, and return its report and its draws in draw order as
+    ``(v, z, lam, G, rescaled)``, from the blocks it drew."""
+    blocks = []
+    draw_block = reference.random_block
+
+    def recorded(*args, **kwargs):
+        blocks.append(draw_block(*args, **kwargs))
+        return blocks[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(reference, "random_block", recorded)
+        code, out = run_cli(tmp_path, "ref-check", *argv)
+    assert code == cli.EXIT_OK
+    draws = []
+    for groups in blocks:
+        block = [None] * sum(index.size for index, _, _ in groups)
+        for index, params, rescaled in groups:
+            g = reference.edge_conductance(params)
+            for j, i in enumerate(index):
+                block[i] = (params.v[j], params.z[j], params.lam[j], g[j], bool(rescaled[j]))
+        draws.extend(block)
+    return load_report(out, "report_ref_check.json"), draws
+
+
+@pytest.mark.parametrize(
+    "size",
+    [1, reference.ENSEMBLE_BLOCK - 1, reference.ENSEMBLE_BLOCK, reference.ENSEMBLE_BLOCK + 1, 1000],
+)
+@pytest.mark.parametrize("channels", [None, 1, 2, 3, 4])
+def test_ref_check_draws_are_bitwise_the_per_draw_loop(tmp_path, monkeypatch, size, channels):
+    for lambda_scale in (0.1, 10.0, 20.0):
+        argv = ["--ensemble-size", str(size), "--lambda-scale", str(lambda_scale), "--seed", "31"]
+        if channels is not None:
+            argv += ["--channels", str(channels)]
+        out = tmp_path / str(lambda_scale)
+        out.mkdir()
+        rep, draws = ref_check_draws(monkeypatch, out, *argv)
+        assert len(draws) == size
+        rng = np.random.default_rng(31)
+        errs = []
+        for v, z, lam, g, _ in draws:
+            want = reference.random_params(rng, channels, lambda_scale)
+            assert (v.tobytes(), z.tobytes(), lam.tobytes()) == (
+                want.v.tobytes(), want.z.tobytes(), want.lam.tobytes()
+            )
+            # the stacked conductance is bitwise the one-set conductance
+            assert g == reference.edge_conductance(reference.LuttingerParams(v=v, z=z, lam=lam))
+            errs.append(abs(g - float(np.sum(np.sign(v))) / (2.0 * np.pi)))
+        # worst_params is the first draw with the largest error
+        worst = draws[int(np.argmax(errs))]
+        assert rep["worst_params"] == {"v": worst[0].tolist(), "z": worst[1].tolist(), "lam": worst[2].tolist()}
+        assert rep["max_abs_error"] == max(errs)
+        assert rep["mean_abs_error"] == float(np.mean(errs))
+        assert rep["rescaled_draws"] == sum(d[4] for d in draws)
+
+
+def test_ref_check_counts_the_rescaled_draws(tmp_path):
+    # the cap fires only for couplings of order 4 pi |v| RADIUS_CAP / (n - 1)
+    counts = {}
+    for argv in (["--lambda-scale", "0.1"], ["--lambda-scale", "20", "--channels", "3"]):
+        out = tmp_path / argv[1]
+        out.mkdir()
+        code, _ = run_cli(out, "ref-check", "--ensemble-size", "300", *argv)
+        assert code == cli.EXIT_OK
+        counts[argv[1]] = load_report(str(out), "report_ref_check.json")["rescaled_draws"]
+    assert counts["0.1"] == 0 and counts["20"] > 0
+
+
+def test_ref_check_rejects_draws_rescaled_onto_an_inadmissible_cap(tmp_path, capsys, monkeypatch):
+    # 0.99 x 1.2 > 1: every rescaled draw fails the admissibility check
+    monkeypatch.setattr(reference, "RADIUS_CAP", 1.2)
+    code, out = run_cli(tmp_path, "ref-check", "--lambda-scale", "20", "--channels", "3", "--ensemble-size", "50")
+    assert code == cli.EXIT_USAGE
+    assert "inadmissible couplings" in capsys.readouterr().err
     assert os.listdir(out) == []
 
 

@@ -180,6 +180,55 @@ def test_strip_sums_match_the_summed_row_table(make, mu):
 
 
 @PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    mu=st.floats(-2.0, 2.0),
+    p0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    row=st.integers(0, 8),
+)
+def test_wrong_order_diagnostic_is_the_summed_row_table(seed, size, mu, p0, row):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    L1, L2, _ = size
+    a_prime = row % L2
+    fibers = response.fiber_cache(ham, L1)
+    got = response.wrong_order_diagnostic(ham, mu, p0, L1, a_prime, fibers=fibers)
+    # reference: the full (L2, a' + 1) row table of current_current, summed
+    table = response.current_current(
+        ham, mu, p0, 0, L1, strips=(L2 - 1, a_prime), components=((0, 1),), fibers=fibers
+    )[(0, 1)]
+    assert abs(got - complex(table.sum())) <= 1e-14
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    mu=st.floats(-2.0, 2.0),
+    p0=st.floats(-3.0, 3.0),
+    temperature=st.sampled_from([0.0, 0.05]),
+    p1_index=st.integers(1, 3),
+    rows=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+)
+def test_strip_response_is_the_summed_row_table(seed, size, mu, p0, temperature, p1_index, rows):
+    # the loop the conductance and the wrong-order diagnostic share, where
+    # nothing cancels: p1 != 0, partial density strips, finite temperature
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    L1, L2, _ = size
+    a, a_prime = (min(r, L2) - 1 for r in rows)
+    fibers = response.fiber_cache(ham, L1)
+    try:
+        got = response._strip_response(ham, fibers, mu, temperature, p0, p1_index, (a + 1, a_prime + 1))
+    except response.DegenerateCrossingError:
+        assume(False)
+    table = response.current_current(
+        ham, mu, p0, p1_index, L1, temperature=temperature, strips=(a, a_prime),
+        components=((0, 1),), fibers=fibers,
+    )[(0, 1)]
+    assert abs(got - table.sum()) <= 1e-13
+
+
+@PROPERTY
 @given(seed=SEEDS, size=SIZES, k1=st.floats(0.0, 2.0 * np.pi), p1=st.floats(-np.pi, np.pi))
 def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     rng = np.random.default_rng(seed)
