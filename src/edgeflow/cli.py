@@ -214,8 +214,8 @@ def cmd_ref_check(args, report):
         raise ValueError(f"--ensemble-size must be at least 1, got {args.ensemble_size}")
     if args.channels is not None and args.channels < 1:
         raise ValueError(f"--channels must be at least 1, got {args.channels}")
-    if not 0.0 <= args.lambda_scale < np.inf:
-        raise ValueError(f"--lambda-scale must be finite and nonnegative, got {args.lambda_scale}")
+    if args.lambda_scale < 0.0:
+        raise ValueError(f"--lambda-scale must be nonnegative, got {args.lambda_scale}")
     rng = np.random.default_rng(args.seed)
     errs = np.empty(args.ensemble_size)
     worst = None
@@ -314,9 +314,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--threads", type=int, default=int(os.environ.get("EDGEFLOW_THREADS", "1"))
-    )
+    common.add_argument("--threads", type=int, default=1)
     ap = argparse.ArgumentParser(prog="edgeflow", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
@@ -325,15 +323,15 @@ def build_parser():
         p.add_argument("--config", help="model definition file (INI sections)")
         p.add_argument("--L1", type=int, default=24)
         p.add_argument("--L2", type=int, default=16)
-        p.add_argument("--mu", type=float, default=0.15)
+        p.add_argument("--mu", type=lattice.finite_float, default=0.15)
         # model parameters: unset ones take the model's defaults in lattice
-        p.add_argument("--t2", type=float)
-        p.add_argument("--m-stag", dest="m_stag", type=float)
+        p.add_argument("--t2", type=lattice.finite_float)
+        p.add_argument("--m-stag", dest="m_stag", type=lattice.finite_float)
         p.add_argument("--p", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--shifts")
         p.add_argument("--flips")
-        p.add_argument("--window", type=float, default=0.3)
+        p.add_argument("--window", type=lattice.finite_float, default=0.3)
 
     p = sub.add_parser("spectrum", parents=[common], help="band scan near the chemical potential")
     add_model_args(p)
@@ -349,36 +347,36 @@ def build_parser():
     add_model_args(p)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--aprime", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=lattice.finite_float, default=0.05)
     p.set_defaults(func=cmd_conductance)
 
     p = sub.add_parser("wick", parents=[common], help="real- vs imaginary-time response comparison")
     add_model_args(p)
-    p.add_argument("--betas", type=float, nargs="+", default=[20.0, 40.0, 80.0])
-    p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--eta", type=float, default=2.0 * np.pi / 20.0 * (4.0 / 3.0))
+    p.add_argument("--betas", type=lattice.finite_float, nargs="+", default=[20.0, 40.0, 80.0])
+    p.add_argument("--T", type=lattice.finite_float, default=200.0)
+    p.add_argument("--eta", type=lattice.finite_float, default=2.0 * np.pi / 20.0 * (4.0 / 3.0))
     p.set_defaults(func=cmd_wick)
 
     p = sub.add_parser("ref-check", parents=[common], help="universality identity over a random ensemble")
     p.add_argument("--channels", type=int, default=None)
     p.add_argument("--ensemble-size", dest="ensemble_size", type=int, default=500)
-    p.add_argument("--lambda-scale", dest="lambda_scale", type=float, default=0.1)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--lambda-scale", dest="lambda_scale", type=lattice.finite_float, default=0.1)
+    p.add_argument("--tolerance", type=lattice.finite_float, default=1e-9)
     p.set_defaults(func=cmd_ref_check)
 
     p = sub.add_parser("bubble", parents=[common], help="regularized anomalous bubble convergence")
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--p1", type=float, default=1.0)
+    p.add_argument("--v", type=lattice.finite_float, default=1.0)
+    p.add_argument("--p0", type=lattice.finite_float, default=0.0)
+    p.add_argument("--p1", type=lattice.finite_float, default=1.0)
     p.add_argument("--h", type=int, default=-12)
     p.add_argument("--N", type=int, default=12)
     p.add_argument("--N-min", dest="N_min", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=lattice.finite_float, default=1e-6)
     p.set_defaults(func=cmd_bubble)
 
     p = sub.add_parser("rg", parents=[common], help="truncated flow over dyadic scales")
     p.add_argument("--velocities", default="1.0,-1.0")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
+    p.add_argument("--lambda", dest="lam", type=lattice.finite_float, default=0.05)
     p.add_argument("--scales", type=int, default=30)
     p.set_defaults(func=cmd_rg)
     return ap

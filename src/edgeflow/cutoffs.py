@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "smoothstep",
     "chi",
-    "chi_mollified",
     "channel_norm",
     "band_cutoff",
     "shell",
@@ -30,41 +29,17 @@ def chi(s):
     return 1.0 - smoothstep(np.abs(s) - 1.0)
 
 
-def chi_mollified(s, eps, nodes=32):
-    """Gaussian mollification of :func:`chi` over the half line.
-
-    Averages chi against exp(-|s-u|^2/eps) restricted to u >= 0, with the
-    weight renormalized on the same half line, so the result is smooth in s
-    and tends to chi(s) as eps -> 0.  Strict positivity holds up to the
-    Gaussian quadrature floor.
-    """
-    if eps <= 0.0:
-        return chi(s)
-    s = np.asarray(s, dtype=float)
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    u = s[..., None] + np.sqrt(eps / 2.0) * x
-    mask = u >= 0.0
-    wm = w * mask
-    norm = wm.sum(axis=-1)
-    out = (wm * chi(u)).sum(axis=-1)
-    return np.where(norm > 0.0, out / np.where(norm > 0.0, norm, 1.0), chi(s))
-
-
 def channel_norm(k0, k1, v):
     """Velocity-weighted Euclidean norm sqrt(k0^2 + v^2 k1^2)."""
     return np.hypot(k0, v * k1)
 
 
-def band_cutoff(r, h, n, eps=0.0):
+def band_cutoff(r, h, n):
     """Infrared/ultraviolet window in the radial variable.
 
     ``(1 - chi(2^-h r)) * chi(2^-n r)``: supported on 2^(h-1) <= r <= 2^(n+1),
     identically 1 on 2^(h+1) <= r <= 2^n.
     """
-    if eps > 0.0:
-        return (1.0 - chi_mollified(np.ldexp(np.asarray(r, float), -h), eps)) * chi_mollified(
-            np.ldexp(np.asarray(r, float), -n), eps
-        )
     r = np.asarray(r, dtype=float)
     return (1.0 - chi(r * 2.0 ** (-h))) * chi(r * 2.0 ** (-n))
 

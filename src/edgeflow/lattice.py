@@ -36,6 +36,7 @@ __all__ = [
     "chain_cylinder",
     "MODEL_PARAMS",
     "build_model",
+    "finite_float",
     "assemble_fiber",
     "boundary_weight",
     "dump_blocks",
@@ -176,14 +177,14 @@ class LatticeHamiltonian:
                 self._slabs = (np.array(z1s, dtype=float), slabs.reshape(-1, n, n))
             return self._slabs
 
-    def check_hermitian(self, rtol=1e-12):
+    def check_hermitian(self):
         scale = max((np.max(np.abs(b)) for b in self._blocks.values()), default=1.0)
         for (z1, x2, y2), blk in self._blocks.items():
             partner = self._blocks.get((-z1, y2, x2))
             partner = (
                 np.zeros_like(blk) if partner is None else partner
             )
-            if np.max(np.abs(blk - partner.conj().T)) > rtol * scale:
+            if np.max(np.abs(blk - partner.conj().T)) > 1e-12 * scale:
                 raise HermiticityError(
                     f"blocks at (z1,x2,y2)={(z1, x2, y2)} and {(-z1, y2, x2)} "
                     "are not Hermitian partners"
@@ -372,8 +373,17 @@ def _flags(text):
     return [w == "1" for w in words]
 
 
+def finite_float(text):
+    """``float(text)``, refusing NaN and infinities; the parser of every
+    float flag and model-file number."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _floats(text):
-    return [float(s) for s in text.split(",")]
+    return [finite_float(s) for s in text.split(",")]
 
 
 _CONVERT = {"p": int, "q": int, "shifts": _floats, "flips": _flags}
@@ -392,13 +402,19 @@ def build_model(kind, L1, L2, **params):
     config-file strings; a key left out takes the constructor's default.
     ``stacked-haldane`` stacks Haldane copies at the energy ``shifts``
     ("0.0,0.1,0.26" by default); ``flips`` ("0,1", ...) reverses a copy's
-    chirality by ``phi -> -phi``.  Unknown kinds and keys raise ``ValueError``.
+    chirality by ``phi -> -phi``.  Unknown kinds and keys, and values that
+    do not convert (NaN and infinities too), raise ``ValueError``.
     """
     if kind not in MODEL_PARAMS:
         raise ValueError(f"unknown model type {kind!r}")
     known = MODEL_PARAMS[kind] + (STACK_KEYS if kind == "stacked-haldane" else ())
     _reject_unknown(f"{kind} parameters", params, known)
-    kw = {k: _CONVERT.get(k, float)(v) for k, v in params.items()}
+    kw = {}
+    for k, v in params.items():
+        try:
+            kw[k] = _CONVERT.get(k, finite_float)(v)
+        except ValueError as exc:
+            raise ValueError(f"{k}: {exc}") from None
     if kind == "haldane":
         return haldane_cylinder(L1=L1, L2=L2, **kw)
     if kind == "hofstadter":

@@ -21,7 +21,7 @@ evaluated one stack per channel count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "same_chirality_bubble",
     "lattice_propagator",
     "antiperiodic_grid",
+    "P_C",
     "form_factor",
     "t_matrix",
     "t_limit_static",
@@ -86,8 +87,8 @@ class LuttingerParams:
         Positive field strengths.
     lam : array, shape (..., n, n)
         Real symmetric coupling matrix with zero diagonal.
-    p_c : float
-        Form-factor plateau scale; the two-body potential is 1 below it.
+
+    Every set has the same two-body potential, :func:`form_factor`.
 
     Leading axes make a stack of parameter sets: validation, the
     admissibility radius, :func:`t_limit_static`, :func:`t_limit_dynamic`,
@@ -99,7 +100,6 @@ class LuttingerParams:
     v: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    p_c: float = 4.0
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
@@ -121,8 +121,6 @@ class LuttingerParams:
             raise ValueError("coupling matrix must be symmetric")
         if np.any(np.abs(np.diagonal(lam, axis1=-2, axis2=-1)) > 1e-14):
             raise ValueError("coupling matrix must have zero diagonal")
-        if self.p_c <= 0.0:
-            raise ValueError("form-factor scale must be positive")
         rho = np.ravel(self.coupling_radius())
         if np.any(rho >= 1.0):
             raise ValueError(
@@ -186,9 +184,12 @@ def bubble_closed(p0, p1, v):
     return -chiral_denominator_reflected(p0, p1, v) / (4.0 * np.pi * np.abs(v))
 
 
-def form_factor(p0, p1, p_c=4.0):
-    """Smooth even two-body form factor, exactly 1 for |p| <= p_c."""
-    return chi(np.hypot(p0, p1) / p_c)
+P_C = 4.0  # plateau scale of the two-body form factor
+
+
+def form_factor(p0, p1):
+    """Smooth even two-body form factor, exactly 1 for |p| <= P_C."""
+    return chi(np.hypot(p0, p1) / P_C)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def _rescaled(p0, p1, v):
     return float(p0), float(v) * float(p1)
 
 
-def bubble_regularized(p0, p1, v, h, n, tol=1e-6, gl=4, max_doublings=5):
+def bubble_regularized(p0, p1, v, h, n, tol=1e-6, max_doublings=5):
     """Anomalous bubble at finite infrared scale 2^h and ultraviolet 2^n.
 
     Evaluates  int d^2k/(2pi)^2 (1/D(k)) W(k) (W(k-p) - W(k+p))  with
@@ -233,11 +234,11 @@ def bubble_regularized(p0, p1, v, h, n, tol=1e-6, gl=4, max_doublings=5):
 
     def estimate(level):
         total = 0.0 + 0.0j
-        k0_, k1_, w_ = polar_nodes(uv_edges, level, 8 * level, gl=gl)
+        k0_, k1_, w_ = polar_nodes(uv_edges, level, 8 * level)
         total += np.dot(w_, integrand(k0_, k1_))
         for sign in (+1.0, -1.0):
             k0_, k1_, w_ = polar_nodes(
-                disk_edges, level, 4 * level, gl=gl, center=(sign * q0, sign * q1)
+                disk_edges, level, 4 * level, center=(sign * q0, sign * q1)
             )
             total += np.dot(w_, integrand(k0_, k1_))
         return total / (4.0 * np.pi**2 * abs(v))
@@ -246,7 +247,7 @@ def bubble_regularized(p0, p1, v, h, n, tol=1e-6, gl=4, max_doublings=5):
     return value
 
 
-def same_chirality_bubble(h1, h2, v, tol=1e-9, gl=4, mutated=False):
+def same_chirality_bubble(h1, h2, v, mutated=False):
     """Two-shell coincident bubble  int f_h1 f_h2 / D^2  (vanishes).
 
     The angular symmetry of the rescaled integrand kills the integral
@@ -272,22 +273,22 @@ def same_chirality_bubble(h1, h2, v, tol=1e-9, gl=4, mutated=False):
     )
 
     def estimate(level):
-        k0_, k1_, w_ = polar_nodes(knots, level, 4 * level, gl=gl)
+        k0_, k1_, w_ = polar_nodes(knots, level, 4 * level)
         return np.dot(w_, integrand(k0_, k1_)) / (4.0 * np.pi**2 * abs(v))
 
-    value, _ = refine_until(estimate, tol, start=2, max_doublings=5)
+    value, _ = refine_until(estimate, 1e-9, start=2, max_doublings=5)
     return value
 
 
 @dataclass(frozen=True)
 class RegulatorConfig:
-    """Finite-lattice regularization of the reference model."""
+    """Finite-lattice regularization of the reference model: the band cutoff
+    ``[2^h, 2^n]`` and an antiperiodic box of an even number of cells."""
 
     h: int
     n: int
     spacing: float = 0.1
     box: float = 51.2
-    eps: float = 0.0
 
     def __post_init__(self):
         if self.h >= 0 or self.n <= 0:
@@ -297,8 +298,6 @@ class RegulatorConfig:
         cells = self.box / self.spacing
         if abs(cells - round(cells)) > 1e-9 or round(cells) % 2:
             raise ValueError("box/spacing must be an even integer")
-        if self.eps < 0.0:
-            raise ValueError("mollification width must be nonnegative")
 
     @property
     def cells(self):
@@ -316,7 +315,7 @@ def _fold(k, spacing):
 
 
 def lattice_propagator(k0, k1, v, z, reg: RegulatorConfig):
-    """Cutoff lattice propagator  chi^eps_[h,n](k) / (z * D_lat(k)).
+    """Cutoff lattice propagator  chi_[h,n](k) / (z * D_lat(k)).
 
     ``D_lat`` replaces each momentum component by sin(a k)/a, periodic
     under reciprocal shifts; the cutoff uses the folded channel norm, so
@@ -328,7 +327,7 @@ def lattice_propagator(k0, k1, v, z, reg: RegulatorConfig):
     if np.any(np.abs(d) < 1e-12 / a):
         raise LatticeSingularPointError("momentum hit a lattice singular point")
     r = channel_norm(_fold(k0, a), _fold(k1, a), v)
-    return band_cutoff(r, reg.h, reg.n, eps=reg.eps) / (z * d)
+    return band_cutoff(r, reg.h, reg.n) / (z * d)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ def t_matrix(p0, p1, params: LuttingerParams, cond_limit=1e12):
     m = np.eye(n, dtype=complex) + (
         _bubble_over_d(p0, p1, params)[:, None]
         * params.coupling_weighted()
-        * form_factor(p0, p1, params.p_c)
+        * form_factor(p0, p1)
     )
     if np.linalg.cond(m) > cond_limit:
         raise SingularTMatrixError(f"T(p) singular at p = ({p0}, {p1})")
@@ -382,24 +381,26 @@ def _richardson(ts, values):
     return tab[0]
 
 
-def _directional_limit(fn, params, order, ts, curvature):
+def _directional_limit(fn, params, order):
+    ts = (1e-2, 1e-3, 1e-4)
     if order == "p1_first":
-        paths = [(t, curvature * t * t) for t in ts]
+        paths = [(t, t * t) for t in ts]
     elif order == "p0_first":
-        paths = [(curvature * t * t, t) for t in ts]
+        paths = [(t * t, t) for t in ts]
     else:
         raise ValueError("order must be 'p1_first' or 'p0_first'")
     return _richardson(ts, [fn(p0, p1, params) for p0, p1 in paths])
 
 
-def t_matrix_directional_numeric(params, order, ts=(1e-2, 1e-3, 1e-4), curvature=1.0):
-    """Directional limit of T along a parabolic path, Richardson extrapolated.
+def t_matrix_directional_numeric(params, order):
+    """Directional limit of T along a parabolic path, Richardson extrapolated
+    from t = 1e-2, 1e-3, 1e-4.
 
-    ``order='p1_first'`` uses p(t) = (t, c t^2) so the spatial momentum
+    ``order='p1_first'`` uses p(t) = (t, t^2) so the spatial momentum
     vanishes faster (matches :func:`t_limit_dynamic`); ``order='p0_first'``
-    uses p(t) = (c t^2, t) (matches :func:`t_limit_static`).
+    uses p(t) = (t^2, t) (matches :func:`t_limit_static`).
     """
-    return _directional_limit(t_matrix, params, order, ts, curvature)
+    return _directional_limit(t_matrix, params, order)
 
 
 def density_density(p0, p1, params: LuttingerParams):
@@ -408,10 +409,10 @@ def density_density(p0, p1, params: LuttingerParams):
     return t_matrix(p0, p1, params) * right[None, :]
 
 
-def density_density_directional_numeric(params, order, ts=(1e-2, 1e-3, 1e-4), curvature=1.0):
+def density_density_directional_numeric(params, order):
     """Directional limit of the density-density correlation, as for
     :func:`t_matrix_directional_numeric`."""
-    return _directional_limit(density_density, params, order, ts, curvature)
+    return _directional_limit(density_density, params, order)
 
 
 def discontinuity_matrix(params: LuttingerParams, cross_validate=False, tol=1e-8):

@@ -54,6 +54,7 @@ __all__ = [
     "SingularPropagatorError",
     "diagonalize_fiber",
     "fiber_cache",
+    "fiber_grid",
     "build_vertices",
     "current_current",
     "ward_sum_rule",
@@ -107,6 +108,17 @@ def fiber_cache(ham, n_k, threads=1):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda k: diagonalize_fiber(ham, k), ks))
     return [diagonalize_fiber(ham, k) for k in ks]
+
+
+def fiber_grid(ham, n_k, fibers, threads=1):
+    """The ``n_k``-point grid: the caller's ``fibers``, which must be ``n_k``
+    of them (``ValueError`` naming both counts), or for ``None`` a new
+    :func:`fiber_cache` on ``threads`` threads."""
+    if fibers is None:
+        return fiber_cache(ham, n_k, threads=threads)
+    if len(fibers) != n_k:
+        raise ValueError(f"need {n_k} fibers, got {len(fibers)}")
+    return fibers
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +296,16 @@ def _fermi(e, mu, temperature):
     return 1.0 / (1.0 + np.exp(x))
 
 
-def _pair_weight(e_a, e_b, mu, temperature, p0, degeneracy_tol=1e-12):
+def _pair_weight(e_a, e_b, mu, temperature, p0):
     """Spectral weight (n_F(e_b) - n_F(e_a)) / (i p0 + e_a - e_b) with the
-    zero-frequency degenerate limits resolved."""
+    zero-frequency limits of pairs closer than 1e-12 in energy resolved."""
     na = _fermi(e_a, mu, temperature)
     nb = _fermi(e_b, mu, temperature)
     de = e_a[:, None] - e_b[None, :]
     dn = nb[None, :] - na[:, None]
     if p0 != 0.0:
         return dn / (1j * p0 + de)
-    deg = np.abs(de) < degeneracy_tol
+    deg = np.abs(de) < 1e-12
     if temperature <= 0.0:
         if np.any(deg & (np.abs(dn) > 0.5)):
             raise DegenerateCrossingError(
@@ -326,8 +338,7 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
     if strips is None:
         strips = (g.L2 // 2 - 2, g.L2 // 4)
     sa, sb = strips
-    if fibers is None:
-        fibers = fiber_cache(ham, n_k)
+    fibers = fiber_grid(ham, n_k, fibers)
     tables = {c: np.zeros((sa + 1, sb + 1), dtype=complex) for c in components}
     rows = [0, 0, 0]
     for (mu_i, nu_i) in components:
@@ -352,22 +363,19 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
 
 def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     """Charge-conservation residual: |sum_x2 S_{0,i}((p0, 0); x2, y2)| for
-    the two current components, normalized by the largest summand."""
-    g = ham.geometry
-    tables = current_current(
-        ham,
-        mu,
-        p0,
-        0,
-        n_k,
-        temperature=temperature,
-        strips=(g.L2 - 1, g.L2 - 1),
-        components=((0, 1), (0, 2)),
-        fibers=fibers,
-    )
+    the two current components, normalized by the largest summand: the
+    density on every row contracted with row ``y2`` of each current."""
+    L2 = ham.geometry.L2
+    cols = np.zeros((2, L2), dtype=complex)
+    for f in fiber_grid(ham, n_k, fibers):
+        vs = build_vertices(ham, f, f, rows=(L2, y2 + 1, y2 + 1))
+        w = _pair_weight(f.energies, f.energies, mu, temperature, p0)
+        # the backward leg is row y2 of each current, conjugate-transposed
+        legs = np.stack([vs.current1[y2], vs.current2[y2]]).conj() * w
+        cols += legs.reshape(2, -1) @ vs.density.reshape(L2, -1).T
+    cols /= n_k
     out = {}
-    for i, comp in ((1, (0, 1)), (2, (0, 2))):
-        col = tables[comp][:, y2]
+    for i, col in zip((1, 2), cols):
         scale = max(np.max(np.abs(col)), 1e-300)
         out[i] = float(np.abs(np.sum(col)) / scale)
     return out
@@ -420,6 +428,7 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
         f_k = diagonalize_fiber(ham, 2.0 * np.pi * k1_index / n_k)
         f_kp = diagonalize_fiber(ham, 2.0 * np.pi * (k1_index + p1_index) / n_k)
     else:
+        fibers = fiber_grid(ham, n_k, fibers)
         f_k = fibers[k1_index % n_k]
         f_kp = fibers[(k1_index + p1_index) % n_k]
     p1 = 2.0 * np.pi * p1_index / n_k
@@ -482,8 +491,7 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers
     L2 = ham.geometry.L2
     if not 0 <= a_prime < a <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime < a <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
-    if fibers is None:
-        fibers = fiber_cache(ham, n_k)
+    fibers = fiber_grid(ham, n_k, fibers)
 
     def strip_sum(p1_index):
         return _strip_response(ham, fibers, mu, 0.0, 0.0, p1_index, (a + 1, a_prime + 1))
@@ -517,8 +525,7 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     density is summed over all rows and the ring current over rows
     ``y2 <= a_prime``, on the vertices (:func:`_strip_response`).
     """
-    if fibers is None:
-        fibers = fiber_cache(ham, n_k)
+    fibers = fiber_grid(ham, n_k, fibers)
     return complex(_strip_response(ham, fibers, mu, 0.0, p0, 0, (ham.geometry.L2, a_prime + 1)))
 
 
@@ -539,8 +546,7 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     eta_beta = 2.0 * np.pi / beta * round(eta * beta / (2.0 * np.pi))
     if eta_beta == 0.0:
         raise ValueError("beta too small: nearest periodic frequency to eta is 0")
-    if fibers is None:
-        fibers = fiber_cache(ham, n_k)
+    fibers = fiber_grid(ham, n_k, fibers)
     lhs = 0.0 + 0.0j
     rhs = 0.0 + 0.0j
     for m in range(n_k):

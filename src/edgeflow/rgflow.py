@@ -56,15 +56,16 @@ class FlowDivergenceError(RuntimeError):
         self.scale = scale
 
 
-def single_scale_propagator(k0, k1, h, v_bare, v_run, z_run, h_min=-40):
+def single_scale_propagator(k0, k1, h, v_bare, v_run, z_run):
     """Shell-restricted propagator f_h(|k|_v) / (z (-i k0 + v_run k1)).
 
-    The shell is cut in the bare-velocity norm; the denominator carries the
-    running velocity, matching the dressed covariance of the flow.  Exactly
-    zero outside the shell (the origin included, where D vanishes).
+    The shell (window from scale -40) is cut in the bare-velocity norm; the
+    denominator carries the running velocity, matching the dressed
+    covariance of the flow.  Exactly zero outside the shell (the origin
+    included, where D vanishes).
     """
     r = np.hypot(k0, v_bare * k1)
-    f = shell(r, h, h_min)
+    f = shell(r, h, -40)
     d = z_run * chiral_denominator(k0, k1, v_run)
     out = np.zeros(np.broadcast(f, d).shape, dtype=complex)
     np.divide(f, d, out=out, where=f != 0.0)
@@ -142,7 +143,7 @@ def _sunset_kernel(k0, k1, state, params, channel, grid):
     r_shell = np.hypot(p0 + k0, vb * (p1 + k1))
     f_h = shell(r_shell, h, h - 60)
     d_run = chiral_denominator(p0 + k0, p1 + k1, vr)
-    vhat2 = form_factor(p0, p1, params.p_c) ** 2
+    vhat2 = form_factor(p0, p1) ** 2
     outer = f_h / d_run * vhat2
     total = np.zeros((), dtype=complex)
     for other in range(params.n_channels):
@@ -222,7 +223,7 @@ def _quartic_bubbles(state, params, level=4):
     f_h = shell(np.hypot(u0, u1), h, h - 60)
     q1 = [u1 / vb for vb in params.v]
     d = [chiral_denominator(u0, q1[c], state.v[c]) for c in range(n)]
-    vhat2 = [form_factor(u0, q1[c], params.p_c) ** 2 for c in range(n)]
+    vhat2 = [form_factor(u0, q1[c]) ** 2 for c in range(n)]
     norm = [4.0 * np.pi**2 * abs(vb) for vb in params.v]
     same = np.array([np.dot(w, f_h / d[c] ** 2) / norm[c] for c in range(n)], dtype=complex)
     mixed = np.zeros((n, n), dtype=complex)
@@ -272,13 +273,14 @@ def flow_run(params: LuttingerParams, h_min, c_bound=1.0):
     return FlowTrajectory(params=params, states=states, betas=betas)
 
 
-def vanishing_beta_report(traj: FlowTrajectory, noise_floor=1e-9):
+def vanishing_beta_report(traj: FlowTrajectory):
     """Fit the scale decay of the quartic and velocity beta functions.
 
     Returns a dict with the fitted anomalous exponent per channel
     (eta = log2 of the per-step field-strength ratio), the fitted decay
-    exponent theta of |beta_lambda| (or the flag that it sits below the
-    quadrature noise floor at every scale), and max |beta_v| per scale.
+    exponent theta of |beta_lambda| over the scales where it exceeds the
+    quadrature noise floor 1e-9 (or the flag that it sits at or below the
+    floor at every scale), and max |beta_v| per scale.
     """
     if len(traj.betas) < 10:
         raise ValueError("need at least 10 scales")
@@ -294,11 +296,11 @@ def vanishing_beta_report(traj: FlowTrajectory, noise_floor=1e-9):
         "beta_lambda_max_per_scale": bl,
         "beta_v_max_per_scale": np.array([np.max(np.abs(b.beta_v)) for b in traj.betas]),
     }
-    if np.all(bl <= noise_floor):
+    if np.all(bl <= 1e-9):
         report["theta"] = None
         report["vanishing"] = "below quadrature tolerance at all scales"
     else:
-        mask = bl > noise_floor
+        mask = bl > 1e-9
         h_mid = np.array([b.h for b in traj.betas])
         slope = np.polyfit(h_mid[mask], np.log2(bl[mask]), 1)[0]
         report["theta"] = float(slope)

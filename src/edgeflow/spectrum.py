@@ -140,16 +140,13 @@ def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, fibers=None):
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).
 
-    The fibers are diagonalized by :func:`~edgeflow.response.fiber_cache`
-    on ``threads`` threads, unless the caller passes that grid's fibers as
-    ``fibers``.
+    The fibers come from :func:`~edgeflow.response.fiber_grid`: the
+    caller's ``fibers`` of that grid, or a new grid diagonalized on
+    ``threads`` threads.
     """
     if n_k < 64:
         raise ValueError("need at least 64 grid momenta")
-    if fibers is None:
-        fibers = response.fiber_cache(ham, n_k, threads=threads)
-    elif len(fibers) != n_k:
-        raise ValueError(f"need {n_k} fibers, got {len(fibers)}")
+    fibers = response.fiber_grid(ham, n_k, fibers, threads)
     g = ham.geometry
     ks = 2.0 * np.pi * np.arange(n_k) / n_k
     energies, vectors = [], []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -82,6 +83,40 @@ def test_bad_strip_widths_are_usage_errors(tmp_path, capsys, strips, message):
     err = capsys.readouterr().err
     assert "0 <= a_prime < a <= L2 - 1 = 15" in err and message in err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["edges", "--model", "haldane", "--mu", "nan"], "--mu"),
+        (["edges", "--model", "haldane", "--t2", "inf"], "--t2"),
+        (["conductance", "--model", "stacked-haldane", "--shifts", "0,nan"], "shifts"),
+        (["wick", "--model", "haldane", "--betas", "20", "nan"], "--betas"),
+        (["conductance", "--config", "t2 = nan"], "t2"),
+    ],
+)
+def test_non_finite_floats_are_usage_errors(tmp_path, capsys, monkeypatch, argv, name):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("fibers were diagonalized before the inputs were validated")
+
+    monkeypatch.setattr(response, "fiber_cache", no_grid)
+    if argv[1] == "--config":
+        cfg = tmp_path / "model.ini"
+        cfg.write_text(f"[geometry]\nl1 = 16\nl2 = 12\n\n[model]\ntype = haldane\n\n[params]\n{argv[2]}\n")
+        argv = [argv[0], "--config", str(cfg)]
+    out = tmp_path / "out"
+    code, _ = run_cli(out, *argv)
+    assert code == cli.EXIT_USAGE
+    assert name in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    ap = cli.build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for p in (ap, *sub.choices.values()) for a in p._actions]
+    assert [a.dest for a in actions if a.type is float] == []
+    assert {a.dest for a in actions if a.type is lattice.finite_float} >= {"mu", "lambda_scale", "betas"}
 
 
 def ref_check_draws(monkeypatch, tmp_path, *argv):

@@ -25,15 +25,6 @@ def test_chi_is_c1_at_the_knots():
         assert abs(d_in) < 1e-5
 
 
-def test_mollified_limit_and_positivity():
-    s = np.linspace(0.0, 2.5, 101)
-    for eps in (1e-2, 1e-4):
-        gap = np.max(np.abs(cutoffs.chi_mollified(s, eps) - cutoffs.chi(s)))
-        assert gap < 10 * np.sqrt(eps)
-    # strictly positive just outside the support edge
-    assert cutoffs.chi_mollified(2.01, 1e-2) > 0.0
-
-
 def test_band_cutoff_window():
     r = np.array([2.0**-7, 2.0**-4, 1.0, 2.0**3, 2.0**5])
     w = cutoffs.band_cutoff(r, -5, 4)

@@ -323,7 +323,7 @@ def sunset_kernel_per_call_grid(k0, k1, state, params, channel, level=4, gl=4):
     p1 = u1 / vb
     f_h = shell(np.hypot(p0 + k0, vb * (p1 + k1)), h, h - 60)
     d_run = reference.chiral_denominator(p0 + k0, p1 + k1, vr)
-    outer = f_h / d_run * reference.form_factor(p0, p1, params.p_c) ** 2
+    outer = f_h / d_run * reference.form_factor(p0, p1) ** 2
     total = np.zeros((), dtype=complex)
     for other in range(params.n_channels):
         lam = state.lam[channel, other]

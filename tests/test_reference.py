@@ -384,8 +384,6 @@ def test_params_validation():
         (dict(z=[1.0, -0.5]), "field strengths"),
         (dict(z=[1.0]), "channel counts"),
         (dict(lam=[[0.0]]), "channel counts"),
-        (dict(p_c=0.0), "form-factor scale"),
-        (dict(p_c=-1.0), "form-factor scale"),
         (dict(lam=[[0.0, np.nan], [np.nan, 0.0]]), "symmetric"),
         (dict(lam=[[0.0, np.nan], [0.1, 0.0]]), "symmetric"),
     ]:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from edgeflow import lattice, response
+from edgeflow import lattice, response, spectrum
 from conftest import random_hermitian_model
 
 
@@ -175,6 +175,49 @@ def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup, 
     scale = np.max(np.abs(total))
     assert abs(total.sum(axis=0)[3]) <= 1e-12 * scale  # corrupted current: still exact
     assert abs(corrupted.sum(axis=0)[3]) > 1e-6 * scale  # corrupted density: loud
+
+
+def test_ward_sum_rule_trips_on_mixed_band_states(haldane_setup):
+    # mixing 0.1 of the lowest empty state into the highest occupied one at
+    # every k breaks the orthonormal basis the sum rule rests on
+    ham, mu, fibers = haldane_setup
+    mixed = []
+    for f in fibers:
+        i = int(np.searchsorted(f.energies, mu)) - 1
+        states = f.states.copy()
+        states[:, i] += 0.1 * states[:, i + 1]
+        mixed.append(response.FiberBasis(k1=f.k1, energies=f.energies, states=states))
+    assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=fibers)[1] <= 1e-10
+    assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=mixed)[1] > 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, n_k, run",
+    [
+        ("current_current", 8, lambda ham, mu, fibers: response.current_current(ham, mu, 0.3, 1, 8, fibers=fibers)),
+        ("ward_sum_rule", 8, lambda ham, mu, fibers: response.ward_sum_rule(ham, mu, 0.3, 3, 8, fibers=fibers)),
+        ("edge_conductance_free", 32, lambda ham, mu, fibers: response.edge_conductance_free(
+            ham, mu, 32, a=6, a_prime=4, fibers=fibers)),
+        ("wrong_order_diagnostic", 32, lambda ham, mu, fibers: response.wrong_order_diagnostic(
+            ham, mu, 0.7, 32, a_prime=4, fibers=fibers)),
+        ("wick_rotation_check", 8, lambda ham, mu, fibers: response.wick_rotation_check(
+            ham, mu, 20.0, 50.0, 0.4, 1, 8, 4, 2, fibers=fibers)),
+        ("vertex_ward_residual", 32, lambda ham, mu, fibers: response.vertex_ward_residual(
+            ham, mu, 0.2, 1, 0.3, 1, 32, fibers=fibers)),
+        ("scan_spectrum", 64, lambda ham, mu, fibers: spectrum.scan_spectrum(ham, n_k=64, fibers=fibers)),
+    ],
+)
+def test_a_fiber_grid_of_the_wrong_length_is_refused(haldane_setup, monkeypatch, name, n_k, run):
+    # a 16-fiber grid read as another grid would pair the wrong momenta
+    ham, mu, fibers = haldane_setup
+
+    def no_vertices(*args, **kwargs):
+        raise AssertionError("a vertex was built before the grid was checked")
+
+    monkeypatch.setattr(response, "build_vertices", no_vertices)
+    monkeypatch.setattr(response, "_strip_vertices", no_vertices)
+    with pytest.raises(ValueError, match=f"need {n_k} fibers, got 16"):
+        run(ham, mu, fibers)
 
 
 # ---------------------------------------------------------------------------
