@@ -172,11 +172,9 @@ def cmd_conductance(args, report):
         for b in branches
         if b.side == "lower" and np.isfinite(b.k_fermi)
     )
-    est = response.edge_conductance_free(
-        ham, args.mu, n_k, a=a, a_prime=a_prime, chirality_sum=chi, fibers=grid[::step],
-    )
+    est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime, fibers=grid[::step])
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
-    target = est.target
+    target = chi / (2.0 * np.pi)
     rel = abs(est.g - target) / abs(target) if target != 0 else abs(est.g) * 2 * np.pi
     report["G_extrapolated"] = est.g
     report["G_stderr"] = est.stderr
@@ -188,6 +186,9 @@ def cmd_conductance(args, report):
 
 
 def cmd_wick(args, report):
+    for flag, value in [("--betas", b) for b in args.betas] + [("--T", args.T), ("--eta", args.eta)]:
+        if value <= 0.0:
+            raise ValueError(f"{flag} must be positive, got {value}")
     ham = _model(args)
     n_k = ham.geometry.L1
     fibers = response.fiber_cache(ham, n_k, threads=args.threads)
@@ -244,6 +245,8 @@ def cmd_ref_check(args, report):
 def cmd_bubble(args, report):
     if args.N_min > args.N:
         raise ValueError("--N-min must not exceed --N")
+    if args.v == 0.0:
+        raise ValueError("--v must be nonzero: a channel needs a velocity")
     exact = reference.bubble_closed(args.p0, args.p1, args.v)
     rows = []
     for n in range(args.N_min, args.N + 1, 2):

@@ -38,7 +38,7 @@ __all__ = [
     "build_model",
     "finite_float",
     "assemble_fiber",
-    "boundary_weight",
+    "row_weights",
     "dump_blocks",
     "load_blocks",
     "model_from_config",
@@ -222,12 +222,11 @@ def assemble_fiber(ham: LatticeHamiltonian, k1: float) -> np.ndarray:
     return out
 
 
-def boundary_weight(geometry, vec):
-    """Total |psi|^2 carried by the two Dirichlet rows of a fiber vector."""
-    m, l2 = geometry.M, geometry.L2
-    v = np.asarray(vec).reshape(l2, m)
-    w = np.sum(np.abs(v) ** 2, axis=1)
-    return float(w[0] + w[l2 - 1])
+def row_weights(geometry, vecs):
+    """|psi|^2 per row ``x2`` of a fiber vector, shape ``(L2,)``, or of each
+    column of an ``(L2 M, s)`` matrix of them, shape ``(L2, s)``."""
+    v = np.asarray(vecs)
+    return np.sum(np.abs(v.reshape(geometry.L2, geometry.M, *v.shape[1:])) ** 2, axis=1)
 
 
 # ---------------------------------------------------------------------------

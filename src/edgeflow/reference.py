@@ -38,6 +38,7 @@ __all__ = [
     "chiral_denominator",
     "chiral_denominator_reflected",
     "bubble_closed",
+    "bubble_over_d",
     "bubble_regularized",
     "same_chirality_bubble",
     "lattice_propagator",
@@ -182,6 +183,12 @@ def chiral_denominator_reflected(p0, p1, v):
 def bubble_closed(p0, p1, v):
     """Cutoff-removed anomalous bubble (i p0 + v p1) / (4 pi |v|)."""
     return -chiral_denominator_reflected(p0, p1, v) / (4.0 * np.pi * np.abs(v))
+
+
+def bubble_over_d(p0, p1, v):
+    """Closed-form pair bubble per unit field strength, B(p)/D(p): unit
+    modulus times 1 / (4 pi |v|)."""
+    return bubble_closed(p0, p1, v) / chiral_denominator(p0, p1, v)
 
 
 P_C = 4.0  # plateau scale of the two-body form factor
@@ -335,18 +342,11 @@ def lattice_propagator(k0, k1, v, z, reg: RegulatorConfig):
 # ---------------------------------------------------------------------------
 
 
-def _bubble_over_d(p0, p1, params):
-    # diagonal of B(p)/D(p); entries have unit modulus times kappa
-    b = bubble_closed(p0, p1, params.v)
-    d = chiral_denominator(p0, p1, params.v)
-    return b / d
-
-
 def t_matrix(p0, p1, params: LuttingerParams, cond_limit=1e12):
     """Channel mixing matrix (1 + diag(B/D) Lambda_Z vhat(p))^-1."""
     n = params.n_channels
     m = np.eye(n, dtype=complex) + (
-        _bubble_over_d(p0, p1, params)[:, None]
+        bubble_over_d(p0, p1, params.v)[:, None]
         * params.coupling_weighted()
         * form_factor(p0, p1)
     )
@@ -405,7 +405,7 @@ def t_matrix_directional_numeric(params, order):
 
 def density_density(p0, p1, params: LuttingerParams):
     """Channel density-density correlation T(p) Z^-2 B(p)/D(p)."""
-    right = _bubble_over_d(p0, p1, params) / params.z**2
+    right = bubble_over_d(p0, p1, params.v) / params.z**2
     return t_matrix(p0, p1, params) * right[None, :]
 
 

@@ -298,13 +298,18 @@ def _fermi(e, mu, temperature):
 
 def _pair_weight(e_a, e_b, mu, temperature, p0):
     """Spectral weight (n_F(e_b) - n_F(e_a)) / (i p0 + e_a - e_b) with the
-    zero-frequency limits of pairs closer than 1e-12 in energy resolved."""
+    zero-frequency limits of pairs closer than 1e-12 in energy resolved.
+
+    A pair of equal occupations has weight exactly 0 at every ``p0``, also
+    at a ``p0`` so small that ``0 / (i p0)`` would come out NaN."""
     na = _fermi(e_a, mu, temperature)
     nb = _fermi(e_b, mu, temperature)
     de = e_a[:, None] - e_b[None, :]
     dn = nb[None, :] - na[:, None]
     if p0 != 0.0:
-        return dn / (1j * p0 + de)
+        out = np.zeros(de.shape, dtype=complex)
+        np.divide(dn, 1j * p0 + de, out=out, where=dn != 0.0)
+        return out
     deg = np.abs(de) < 1e-12
     if temperature <= 0.0:
         if np.any(deg & (np.abs(dn) > 0.5)):
@@ -364,8 +369,14 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
 def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     """Charge-conservation residual: |sum_x2 S_{0,i}((p0, 0); x2, y2)| for
     the two current components, normalized by the largest summand: the
-    density on every row contracted with row ``y2`` of each current."""
+    density on every row contracted with row ``y2`` of each current.
+
+    ``y2`` must be an interior row, in ``[1, L2 - 2]``: on a Dirichlet row
+    every summand vanishes and the residual would be 0 whatever the model.
+    """
     L2 = ham.geometry.L2
+    if not 1 <= y2 <= L2 - 2:
+        raise ValueError(f"y2 must be an interior row in [1, L2 - 2] = [1, {L2 - 2}], got {y2}")
     cols = np.zeros((2, L2), dtype=complex)
     for f in fiber_grid(ham, n_k, fibers):
         vs = build_vertices(ham, f, f, rows=(L2, y2 + 1, y2 + 1))
@@ -446,23 +457,31 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
 # ---------------------------------------------------------------------------
 
 
-def _strip_response(ham, fibers, mu, temperature, p0, p1_index, rows):
+def _strip_response(ham, fibers, p1_index, rows, weight):
     """Density-current response summed over the strips ``x2 < rows[0]``
-    (density) and ``y2 < rows[1]`` (ring current) at frequency ``p0`` and
-    ring momentum ``2 pi p1_index / n_k``, ``n_k = len(fibers)``.
+    (density) and ``y2 < rows[1]`` (ring current) at ring momentum
+    ``2 pi p1_index / n_k``, ``n_k = len(fibers)``.
 
-    The strip sums are taken on the vertices, before the band contraction
-    (:func:`_strip_vertices`); this is the sum of the
-    :func:`current_current` table ``(0, 1)`` over those rows.
+    ``weight(f_k, f_kp)`` is the spectral weight of each fiber pair: an
+    ``(n, n)`` array, or a stack ``(s, n, n)`` of them, which gives ``s``
+    responses from one loop.  The strip sums are taken on the vertices,
+    before the band contraction (:func:`_strip_vertices`); with the weight
+    :func:`_pair_weight` this is the sum of the :func:`current_current`
+    table ``(0, 1)`` over those rows.
     """
     n_k = len(fibers)
     total = 0.0 + 0.0j
     for m in range(n_k):
         f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
         dbar, jbar = _strip_vertices(ham, f_k, f_kp, rows)
-        w = _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
-        total += np.sum(dbar * jbar.conj() * w)
+        total = total + np.sum(dbar * jbar.conj() * weight(f_k, f_kp), axis=(-2, -1))
     return total / n_k
+
+
+def _gibbs_weight(mu, temperature, p0):
+    """:func:`_pair_weight` at ``(mu, temperature, p0)`` as the ``weight`` of
+    :func:`_strip_response`."""
+    return lambda f_k, f_kp: _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
 
 
 @dataclass
@@ -471,14 +490,9 @@ class ConductanceEstimate:
     g_values: np.ndarray
     g: float
     stderr: float
-    chirality_sum: float = np.nan
-
-    @property
-    def target(self):
-        return self.chirality_sum / (2.0 * np.pi)
 
 
-def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers=None):
+def edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=None):
     """Static edge response summed over strips, extrapolated to zero ring
     momentum.
 
@@ -494,7 +508,7 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers
     fibers = fiber_grid(ham, n_k, fibers)
 
     def strip_sum(p1_index):
-        return _strip_response(ham, fibers, mu, 0.0, 0.0, p1_index, (a + 1, a_prime + 1))
+        return _strip_response(ham, fibers, p1_index, (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0, 0.0))
 
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
@@ -512,7 +526,6 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, chirality_sum=np.nan, fibers
         g_values=gs.real,
         g=float(coef[1]),
         stderr=float(np.sqrt(max(cov[1, 1], 0.0))),
-        chirality_sum=chirality_sum,
     )
 
 
@@ -526,7 +539,7 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     ``y2 <= a_prime``, on the vertices (:func:`_strip_response`).
     """
     fibers = fiber_grid(ham, n_k, fibers)
-    return complex(_strip_response(ham, fibers, mu, 0.0, p0, 0, (ham.geometry.L2, a_prime + 1)))
+    return complex(_strip_response(ham, fibers, 0, (ham.geometry.L2, a_prime + 1), _gibbs_weight(mu, 0.0, p0)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,31 +552,24 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     imaginary-time correlation at the nearest periodic frequency.
 
     Returns ``(lhs, rhs, residual)``.  Both sides are evaluated in closed
-    form per eigenpair: the real-time side integrates
-    ``exp((eta + i(e_a - e_b)) t)`` over ``(-T, 0]``, the imaginary-time
-    side is the spectral form at frequency ``eta_beta``.
+    form per eigenpair, as two weights of one :func:`_strip_response` loop:
+    the real-time side integrates ``exp((eta + i(e_a - e_b)) t)`` over
+    ``(-T, 0]``, the imaginary-time side is the spectral form at frequency
+    ``eta_beta``.
     """
     eta_beta = 2.0 * np.pi / beta * round(eta * beta / (2.0 * np.pi))
     if eta_beta == 0.0:
         raise ValueError("beta too small: nearest periodic frequency to eta is 0")
     fibers = fiber_grid(ham, n_k, fibers)
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
-    for m in range(n_k):
-        f_k = fibers[m]
-        f_kp = fibers[(m + p1_index) % n_k]
-        n_strip, j_strip = _strip_vertices(ham, f_k, f_kp, (a + 1, a_prime + 1))
-        weight_nj = n_strip * j_strip.conj()  # A_ab B_ba, B the backward current leg
-        na = _fermi(f_k.energies, mu, 1.0 / beta)
-        nb = _fermi(f_kp.energies, mu, 1.0 / beta)
-        de = f_k.energies[:, None] - f_kp.energies[None, :]
-        # real time: int_{-T}^0 e^{(eta + i de) t} dt
-        zz = eta + 1j * de
-        time_int = (1.0 - np.exp(-zz * t_horizon)) / zz
-        lhs += np.sum(weight_nj * (na[:, None] - nb[None, :]) * time_int)
-        # imaginary time at the nearest periodic frequency
-        w = _pair_weight(f_k.energies, f_kp.energies, mu, 1.0 / beta, -eta_beta)
-        rhs += 1j * np.sum(weight_nj * w)
-    lhs /= n_k
-    rhs /= n_k
+    temperature = 1.0 / beta
+    imaginary_time = _gibbs_weight(mu, temperature, -eta_beta)
+
+    def weights(f_k, f_kp):
+        # real time: (n_F(e_a) - n_F(e_b)) int_{-T}^0 e^{(eta + i (e_a - e_b)) t} dt
+        dn = _fermi(f_k.energies, mu, temperature)[:, None] - _fermi(f_kp.energies, mu, temperature)[None, :]
+        zz = eta + 1j * (f_k.energies[:, None] - f_kp.energies[None, :])
+        return np.stack([dn * (1.0 - np.exp(-zz * t_horizon)) / zz, imaginary_time(f_k, f_kp)])
+
+    lhs, rhs = _strip_response(ham, fibers, p1_index, (a + 1, a_prime + 1), weights)
+    rhs = 1j * rhs
     return lhs, rhs, abs(lhs - rhs)

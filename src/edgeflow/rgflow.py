@@ -27,9 +27,7 @@ import numpy as np
 
 from .cutoffs import shell
 from .quadrature import polar_nodes
-from .reference import (
-    LuttingerParams, antiperiodic_grid, bubble_closed, chiral_denominator, form_factor,
-)
+from .reference import LuttingerParams, antiperiodic_grid, bubble_over_d, chiral_denominator, form_factor
 
 __all__ = [
     "FlowState",
@@ -59,13 +57,13 @@ class FlowDivergenceError(RuntimeError):
 def single_scale_propagator(k0, k1, h, v_bare, v_run, z_run):
     """Shell-restricted propagator f_h(|k|_v) / (z (-i k0 + v_run k1)).
 
-    The shell (window from scale -40) is cut in the bare-velocity norm; the
+    The shell (window from scale h - 60) is cut in the bare-velocity norm; the
     denominator carries the running velocity, matching the dressed
     covariance of the flow.  Exactly zero outside the shell (the origin
     included, where D vanishes).
     """
     r = np.hypot(k0, v_bare * k1)
-    f = shell(r, h, -40)
+    f = shell(r, h, h - 60)
     d = z_run * chiral_denominator(k0, k1, v_run)
     out = np.zeros(np.broadcast(f, d).shape, dtype=complex)
     np.divide(f, d, out=out, where=f != 0.0)
@@ -120,13 +118,9 @@ class FlowTrajectory:
         return hs, zs, vs, lams
 
 
-def _inner_bubble(p0, p1, v_channel):
-    # closed-form pair bubble per unit field strength: B(p)/D(p)
-    return bubble_closed(p0, p1, v_channel) / chiral_denominator(p0, p1, v_channel)
-
-
 def _sunset_kernel(k0, k1, state, params, channel, grid):
-    """W(k) = sum_{w'} lam^2 v^2(p) [B/D]_{w'}(p) f_h(k+p) / D_run(k+p) dp.
+    """W(k) = sum_{w'} lam^2 v^2(p) [B/D]_{w'}(p) g_h(k+p) dp, with g_h the
+    :func:`single_scale_propagator` at unit field strength.
 
     ``grid`` is the scale's polar grid ``(du0, du1, w)`` around the origin
     in the bare-norm rescaled coordinates, aligned with the shell knots.
@@ -140,17 +134,13 @@ def _sunset_kernel(k0, k1, state, params, channel, grid):
     du0, du1, w = grid
     p0 = -k0 + du0
     p1 = (-vb * k1 + du1) / vb
-    r_shell = np.hypot(p0 + k0, vb * (p1 + k1))
-    f_h = shell(r_shell, h, h - 60)
-    d_run = chiral_denominator(p0 + k0, p1 + k1, vr)
-    vhat2 = form_factor(p0, p1) ** 2
-    outer = f_h / d_run * vhat2
+    outer = single_scale_propagator(p0 + k0, p1 + k1, h, vb, vr, 1.0) * form_factor(p0, p1) ** 2
     total = np.zeros((), dtype=complex)
     for other in range(params.n_channels):
         lam = state.lam[channel, other]
         if lam == 0.0:
             continue
-        inner = _inner_bubble(p0, p1, state.v[other])
+        inner = bubble_over_d(p0, p1, state.v[other])
         total = total + lam**2 * np.dot(w, inner * outer)
     return total / (4.0 * np.pi**2 * abs(vb))
 

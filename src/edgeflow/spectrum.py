@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import response
-from .lattice import assemble_fiber, boundary_weight
+from .lattice import assemble_fiber, row_weights
 
 __all__ = [
     "BandScan",
@@ -26,7 +26,6 @@ __all__ = [
     "scan_spectrum",
     "extract_edge_branches",
     "fermi_point",
-    "fermi_points",
     "check_assumptions",
 ]
 
@@ -153,19 +152,12 @@ def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, fibers=None):
     lo, hi = window
     for f in fibers:
         e, v = f.energies, f.states
-        keep = (e > lo) & (e < hi)
-        idx = np.where(keep)[0]
-        idx = [i for i in idx if boundary_weight(g, v[:, i]) < 0.5]
+        w = row_weights(g, v)
+        idx = np.flatnonzero((e > lo) & (e < hi) & (w[0] + w[-1] < 0.5))
         vecs = _purify_degenerate(g, e[idx], v[:, idx].T.copy())
         energies.append(e[idx])
         vectors.append(vecs)
     return BandScan(ham=ham, k_grid=ks, window=window, energies=energies, vectors=vectors)
-
-
-def _lower_weight(geometry, vec):
-    m, l2 = geometry.M, geometry.L2
-    w = np.sum(np.abs(np.asarray(vec).reshape(l2, m)) ** 2, axis=1)
-    return float(np.sum(w[: l2 // 2]))
 
 
 def _fit_loc_rate(geometry, vec, side):
@@ -175,8 +167,8 @@ def _fit_loc_rate(geometry, vec, side):
     oscillate between sublattice-dominated rows, while the pair envelope
     decays cleanly with the same exponential rate.
     """
-    m, l2 = geometry.M, geometry.L2
-    w = np.sum(np.abs(np.asarray(vec).reshape(l2, m)) ** 2, axis=1)
+    l2 = geometry.L2
+    w = row_weights(geometry, vec)
     if side == "upper":
         w = w[::-1]
     half = w[1 : l2 // 2]  # skip the Dirichlet row, stay on one half
@@ -240,7 +232,7 @@ def extract_edge_branches(scan, mu):
         vs = np.array([scan.vectors[i][j] for i, j in chain])
         sides = []
         for v in vs:
-            lw = _lower_weight(g, v)
+            lw = float(np.sum(row_weights(g, v)[: g.L2 // 2]))
             if lw >= SIDE_THRESHOLD:
                 sides.append("lower")
             elif 1.0 - lw >= SIDE_THRESHOLD:
@@ -290,16 +282,6 @@ def _track_eig(ham, k1, ref_vec):
     return e[j], v[:, j]
 
 
-def fermi_points(branch, ham, mu):
-    """All Fermi points of a branch, one per sign change of the energy.
-
-    Branches produced by :func:`extract_edge_branches` carry a single
-    crossing (chains are split); this entry point covers hand-built
-    branches that cross several times.
-    """
-    return [_refine_crossing(branch, ham, mu, i) for i in _crossings(branch.energies, mu)]
-
-
 def fermi_point(branch, ham, mu):
     """Locate the branch's Fermi momentum by bisection with
     re-diagonalization, and the velocity by Richardson-extrapolated
@@ -313,10 +295,7 @@ def fermi_point(branch, ham, mu):
     crossings = _crossings(branch.energies, mu)
     if not crossings:
         raise ValueError("branch does not cross the chemical potential")
-    return _refine_crossing(branch, ham, mu, crossings[0])
-
-
-def _refine_crossing(branch, ham, mu, i):
+    i = crossings[0]
     es = branch.energies - mu
     ka, kb = branch.k_samples[i], branch.k_samples[i + 1]
     if kb < ka:
@@ -404,8 +383,6 @@ def check_assumptions(branches):
             for i2 in range(n):
                 for i3 in range(n):
                     for i4 in range(n):
-                        if i1 == i2 and i3 == i4:
-                            continue
                         if i1 == i3 and i2 == i4:
                             continue
                         if i1 == i2 or i3 == i4:

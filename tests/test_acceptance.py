@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -267,7 +266,7 @@ def test_09_reproducibility(tmp_path):
             ["ref-check", "--ensemble-size", "100", "--seed", "2718", "--out", str(d)]
         )
         assert code == 0
-        rep = json.load(open(os.path.join(str(d), "report_ref_check.json")))
+        rep = json.loads((d / "report_ref_check.json").read_text())
         rep.pop("wall_time_s")
         docs.append(json.dumps(rep, sort_keys=True).encode())
     ok = docs[0] == docs[1]

@@ -52,6 +52,14 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["ref-check", "--lambda-scale", "-0.5"], "--lambda-scale"),
         (["ref-check", "--lambda-scale", "nan"], "--lambda-scale"),
         (["ref-check", "--lambda-scale", "inf"], "--lambda-scale"),
+        (["wick", "--model", "haldane", "--betas", "0"], "--betas"),
+        (["wick", "--model", "haldane", "--betas", "20", "-40"], "--betas"),
+        (["wick", "--model", "haldane", "--T", "0"], "--T"),
+        (["wick", "--model", "haldane", "--T", "-200"], "--T"),
+        (["wick", "--model", "haldane", "--eta", "0"], "--eta"),
+        (["wick", "--model", "haldane", "--eta", "-0.4"], "--eta"),
+        (["bubble", "--v", "0"], "--v"),
+        (["bubble", "--v", "-0.0"], "--v"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
@@ -61,8 +69,13 @@ def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys,
     def no_draw(*args, **kwargs):
         raise AssertionError("the ensemble was drawn before its inputs were validated")
 
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were validated")
+
     monkeypatch.setattr(rgflow, "flow_run", no_flow)
     monkeypatch.setattr(reference, "random_block", no_draw)
+    for module, name in ((lattice, "build_model"), (response, "fiber_cache"), (reference, "bubble_closed")):
+        monkeypatch.setattr(module, name, no_work)
     code, out = run_cli(tmp_path, *argv)
     assert code == cli.EXIT_USAGE
     assert flag in capsys.readouterr().err
@@ -212,7 +225,7 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
         paths.append(os.path.join(out, "report_ref_check.json"))
     docs = []
     for p in paths:
-        rep = json.load(open(p))
+        rep = json.loads(Path(p).read_text())
         rep.pop("wall_time_s")
         docs.append(json.dumps(rep, sort_keys=True))
     assert docs[0] == docs[1]
@@ -221,7 +234,7 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
 def test_bubble_csv_headers(tmp_path):
     code, out = run_cli(tmp_path, "bubble", "--h", "-8", "--N", "10", "--N-min", "8")
     assert code == 0
-    lines = open(os.path.join(out, "bubble.csv")).read().splitlines()
+    lines = Path(out, "bubble.csv").read_text().splitlines()
     assert lines[0].startswith("#") and "N" in lines[0] and "error" in lines[0]
     assert len(lines) >= 2
 
@@ -246,7 +259,7 @@ def test_rg_command_report(tmp_path):
     assert code == 0
     rep = load_report(out, "report_rg.json")
     assert rep["checks"]["containment"] and rep["checks"]["eta_in_range"]
-    csv = open(os.path.join(out, "rg_trajectory.csv")).read().splitlines()
+    csv = Path(out, "rg_trajectory.csv").read_text().splitlines()
     assert csv[0].startswith("# h,")
 
 
@@ -258,7 +271,7 @@ def test_spectrum_command(tmp_path):
     assert code == 0
     rep = load_report(out, "report_spectrum.json")
     assert rep["n_states"] > 0
-    lines = open(os.path.join(out, "spectrum.csv")).read().splitlines()
+    lines = Path(out, "spectrum.csv").read_text().splitlines()
     assert lines[0].startswith("# k1, energy")
 
 

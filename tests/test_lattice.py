@@ -247,6 +247,19 @@ def test_spectrum_real_sorted(haldane16):
     assert e.dtype == np.float64
 
 
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_row_weights_of_a_matrix_are_the_per_column_weights(rng, M):
+    g = lattice.CylinderGeometry(8, 10, M)
+    vecs = rng.normal(size=(g.L2 * M, 7)) + 1j * rng.normal(size=(g.L2 * M, 7))
+    w = lattice.row_weights(g, vecs)
+    assert w.shape == (g.L2, 7)
+    for j in range(7):
+        col = lattice.row_weights(g, vecs[:, j])
+        assert col.shape == (g.L2,)
+        assert np.array_equal(w[:, j], col)
+        assert np.allclose(col, [np.vdot(r, r).real for r in vecs[:, j].reshape(g.L2, M)], rtol=1e-14, atol=0)
+
+
 def test_random_hermitian_model_fiber(rng):
     ham = random_hermitian_model(rng)
     f = lattice.assemble_fiber(ham, 0.77)

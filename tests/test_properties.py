@@ -218,7 +218,9 @@ def test_strip_response_is_the_summed_row_table(seed, size, mu, p0, temperature,
     a, a_prime = (min(r, L2) - 1 for r in rows)
     fibers = response.fiber_cache(ham, L1)
     try:
-        got = response._strip_response(ham, fibers, mu, temperature, p0, p1_index, (a + 1, a_prime + 1))
+        got = response._strip_response(
+            ham, fibers, p1_index, (a + 1, a_prime + 1), response._gibbs_weight(mu, temperature, p0)
+        )
     except response.DegenerateCrossingError:
         assume(False)
     table = response.current_current(
@@ -329,7 +331,7 @@ def sunset_kernel_per_call_grid(k0, k1, state, params, channel, level=4, gl=4):
         lam = state.lam[channel, other]
         if lam == 0.0:
             continue
-        inner = rgflow._inner_bubble(p0, p1, state.v[other])
+        inner = reference.bubble_over_d(p0, p1, state.v[other])
         total = total + lam**2 * np.dot(w, inner * outer)
     return total / (4.0 * np.pi**2 * abs(vb))
 

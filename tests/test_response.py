@@ -147,6 +147,18 @@ def test_ward_sum_rule_every_builtin(rng):
             assert res[1] <= 1e-10 and res[2] <= 1e-10
 
 
+@pytest.mark.parametrize("p0", [0.3, 1e-300, 2.2250738585e-313, -5e-324])
+def test_equal_occupations_have_zero_weight_at_every_frequency(p0):
+    # two Dirichlet-row zero modes at mu = 0: 0 / (i p0) is NaN for a
+    # subnormal p0, the weight is 0
+    e_a = np.array([-2.18, 0.0, 0.0, 0.45])
+    e_b = np.array([-2.19, -0.54, 0.0, 0.0])
+    w = response._pair_weight(e_a, e_b, 0.0, 0.0, p0)
+    assert np.all(np.isfinite(w))
+    same = (e_a < 0.0)[:, None] == (e_b < 0.0)[None, :]
+    assert np.all(w[same] == 0.0) and np.all(w[~same] != 0.0)
+
+
 def _drop_diagonal_bonds(monkeypatch):
     # keep only the straight bonds of the ring current
     straight = [t for t in response._J1_TERMS if t[1] == 0 and t[3] == 0]
@@ -189,6 +201,38 @@ def test_ward_sum_rule_trips_on_mixed_band_states(haldane_setup):
         mixed.append(response.FiberBasis(k1=f.k1, energies=f.energies, states=states))
     assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=fibers)[1] <= 1e-10
     assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=mixed)[1] > 1e-6
+
+
+@pytest.mark.parametrize("row", ["-1", "0", "L2-1", "L2"])
+def test_ward_sum_rule_refuses_a_row_that_is_not_interior(haldane_setup, monkeypatch, row):
+    # on a Dirichlet row every summand is 0, so the residual would pass
+    # whatever the model; outside the cylinder there is no row at all
+    ham, mu, _ = haldane_setup
+    L2 = ham.geometry.L2
+    y2 = {"-1": -1, "0": 0, "L2-1": L2 - 1, "L2": L2}[row]
+
+    def no_fiber(*args, **kwargs):
+        raise AssertionError("a fiber was diagonalized before y2 was checked")
+
+    monkeypatch.setattr(response, "diagonalize_fiber", no_fiber)
+    with pytest.raises(ValueError, match=rf"y2 .*\[1, L2 - 2\] = \[1, 14\], got {y2}$"):
+        response.ward_sum_rule(ham, mu, 0.3, y2, 16)
+
+
+@pytest.mark.parametrize("p1_index, temperature", [(1, 0.0), (2, 0.05), (0, 0.05)])
+def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_index, temperature):
+    # the two Wick sides share one strip loop: each weight of a stack gives
+    # exactly the sum the loop gives for that weight alone
+    ham, mu, fibers = haldane_setup
+    first = response._gibbs_weight(mu, temperature, 0.4)
+    second = response._gibbs_weight(mu, 0.05, -1.3)
+    rows = (7, 4)
+    stacked = response._strip_response(
+        ham, fibers, p1_index, rows, lambda f_k, f_kp: np.stack([first(f_k, f_kp), second(f_k, f_kp)])
+    )
+    assert stacked.shape == (2,)
+    assert stacked[0] == response._strip_response(ham, fibers, p1_index, rows, first)
+    assert stacked[1] == response._strip_response(ham, fibers, p1_index, rows, second)
 
 
 @pytest.mark.parametrize(

@@ -138,25 +138,6 @@ def test_fermi_point_analytic_dispersion():
     assert abs(abs(vel) - abs(v_exact)) < 1e-8
 
 
-def test_fermi_points_returns_all_crossings():
-    # a full cosine period crosses mu twice, with opposite slopes
-    t, k0, mu = 0.8, 1.1, 0.3
-    ham = shifted_chain(t=t, k0=k0)
-    ks = 2.0 * np.pi * np.arange(64) / 64
-    branch = spectrum.EdgeBranch(
-        label=0,
-        k_samples=ks,
-        energies=-2.0 * t * np.cos(ks - k0),
-        vectors=np.array([np.linalg.eigh(lattice.assemble_fiber(ham, k))[1][:, 3] for k in ks]),
-        side="lower",
-    )
-    points = spectrum.fermi_points(branch, ham, mu)
-    assert len(points) == 2
-    vels = sorted(p[1] for p in points)
-    assert vels[0] < 0 < vels[1]
-    assert abs(vels[0] + vels[1]) < 1e-8
-
-
 def test_fermi_point_requires_crossing():
     ham = shifted_chain()
     ks = 2.0 * np.pi * np.arange(8) / 64
