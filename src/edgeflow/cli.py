@@ -166,12 +166,9 @@ def cmd_conductance(args, report):
         window=(args.mu - args.window, args.mu + args.window),
         fibers=grid,
     )
-    branches = spectrum.extract_edge_branches(scan, args.mu)
-    chi = sum(
-        np.sign(b.velocity)
-        for b in branches
-        if b.side == "lower" and np.isfinite(b.k_fermi)
-    )
+    # the chirality target: the signed count of lower-edge grid crossings
+    branches = spectrum.edge_branches(scan, args.mu)
+    chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
     est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime, fibers=grid[::step])
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
     target = chi / (2.0 * np.pi)
@@ -189,6 +186,11 @@ def cmd_wick(args, report):
     for flag, value in [("--betas", b) for b in args.betas] + [("--T", args.T), ("--eta", args.eta)]:
         if value <= 0.0:
             raise ValueError(f"{flag} must be positive, got {value}")
+    for beta in args.betas:
+        if response.periodic_frequency(args.eta, beta) == 0.0:
+            raise ValueError(
+                f"--betas {beta} is too small: the periodic frequency nearest to --eta {args.eta} is 0"
+            )
     ham = _model(args)
     n_k = ham.geometry.L1
     fibers = response.fiber_cache(ham, n_k, threads=args.threads)

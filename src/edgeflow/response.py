@@ -63,6 +63,7 @@ __all__ = [
     "vertex_ward_residual",
     "edge_conductance_free",
     "wrong_order_diagnostic",
+    "periodic_frequency",
     "wick_rotation_check",
 ]
 
@@ -547,6 +548,12 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
 # ---------------------------------------------------------------------------
 
 
+def periodic_frequency(eta, beta):
+    """The frequency ``2 pi n / beta`` nearest to ``eta``, at which
+    :func:`wick_rotation_check` evaluates the imaginary-time side."""
+    return 2.0 * np.pi / beta * round(eta * beta / (2.0 * np.pi))
+
+
 def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime, fibers=None):
     """Compare the damped real-time commutator integral with the
     imaginary-time correlation at the nearest periodic frequency.
@@ -555,9 +562,9 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     form per eigenpair, as two weights of one :func:`_strip_response` loop:
     the real-time side integrates ``exp((eta + i(e_a - e_b)) t)`` over
     ``(-T, 0]``, the imaginary-time side is the spectral form at frequency
-    ``eta_beta``.
+    ``eta_beta`` (:func:`periodic_frequency`), which must be nonzero.
     """
-    eta_beta = 2.0 * np.pi / beta * round(eta * beta / (2.0 * np.pi))
+    eta_beta = periodic_frequency(eta, beta)
     if eta_beta == 0.0:
         raise ValueError("beta too small: nearest periodic frequency to eta is 0")
     fibers = fiber_grid(ham, n_k, fibers)

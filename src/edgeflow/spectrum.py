@@ -2,9 +2,17 @@
 
 A scan diagonalizes the Bloch fiber on a uniform ring-momentum grid and
 keeps the eigenpairs inside an energy window (excluding the decoupled
-Dirichlet-row modes).  Branches are formed by eigenvector-overlap
-continuation, assigned to an edge by their half-cylinder weight, and
-carry one Fermi point with velocity and localization-rate fits.
+Dirichlet-row modes).  Branches come from the scan in two steps:
+
+1. :func:`edge_branches` forms them by eigenvector-overlap continuation,
+   assigns each to an edge by its half-cylinder weight and splits them so
+   that each crosses ``mu`` at most once between grid samples.  It
+   diagonalizes nothing; :func:`crossing_sign` reads a branch's chirality
+   off its samples, as the direction in which it crosses ``mu``.
+2. :func:`extract_edge_branches` adds the Fermi data: each crossing
+   branch gets its Fermi point, refined by bisection with
+   re-diagonalization (:func:`fermi_point`), its velocity and its
+   localization-rate fit.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ __all__ = [
     "FermiPointError",
     "NoEdgeBranchError",
     "scan_spectrum",
+    "edge_branches",
+    "crossing_sign",
     "extract_edge_branches",
     "fermi_point",
     "check_assumptions",
@@ -187,15 +197,16 @@ def _fit_loc_rate(geometry, vec, side):
     return float(-slope / 2.0), float(r2)
 
 
-def extract_edge_branches(scan, mu):
+def edge_branches(scan, mu):
     """Continue in-window states across the k grid and classify by edge.
 
     Continuation accepts the best |<v(k), v(k+dk)>| >= :data:`OVERLAP_THRESHOLD` match;
     the grid wraps at 2 pi.  Each maximal chain becomes one branch per
-    Fermi crossing (chains crossing ``mu`` several times are split so a
-    branch carries a single Fermi point).  States with less than
-    :data:`SIDE_THRESHOLD` weight on either half of the cylinder raise
-    :class:`BulkStateError`.
+    grid crossing of ``mu`` (chains crossing ``mu`` several times are split
+    so a branch carries a single crossing); branches of fewer than 3
+    samples are dropped.  States with less than :data:`SIDE_THRESHOLD`
+    weight on either half of the cylinder raise :class:`BulkStateError`.
+    The branches carry no Fermi data: no fiber is diagonalized.
     """
     g = scan.geometry
     n_k = len(scan.k_grid)
@@ -260,12 +271,19 @@ def extract_edge_branches(scan, mu):
                 )
             )
 
-    branches = [b for b in branches if len(b.k_samples) >= 3]
+    return [b for b in branches if len(b.k_samples) >= 3]
+
+
+def extract_edge_branches(scan, mu):
+    """The :func:`edge_branches` of the scan, each crossing branch with its
+    Fermi momentum, velocity and localization fit from :func:`fermi_point`
+    at its first crossing."""
+    branches = edge_branches(scan, mu)
     for b in branches:
         if _crossings(b.energies, mu):
             kf, vel, vec = fermi_point(b, scan.ham, mu)
             b.k_fermi, b.velocity = kf, vel
-            b.loc_rate, b.loc_r2 = _fit_loc_rate(g, vec, b.side)
+            b.loc_rate, b.loc_r2 = _fit_loc_rate(scan.geometry, vec, b.side)
     return branches
 
 
@@ -273,6 +291,21 @@ def _crossings(energies, mu):
     """Indices i at which the sampled energies cross mu between i and i + 1."""
     sign = np.sign(energies - mu)
     return [i for i in range(len(sign) - 1) if sign[i] * sign[i + 1] < 0]
+
+
+def crossing_sign(branch, mu):
+    """The direction, +1 or -1, in which the branch's samples cross ``mu``
+    at its first grid crossing (the one :func:`fermi_point` refines), or 0
+    for a branch that does not cross.
+
+    For a single root between the two samples this is the sign of the
+    Fermi velocity; for several it is their net signed count.
+    """
+    crossings = _crossings(branch.energies, mu)
+    if not crossings:
+        return 0
+    i = crossings[0]
+    return int(np.sign(branch.energies[i + 1] - branch.energies[i]))
 
 
 def _track_eig(ham, k1, ref_vec):

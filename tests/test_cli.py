@@ -60,6 +60,9 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["wick", "--model", "haldane", "--eta", "-0.4"], "--eta"),
         (["bubble", "--v", "0"], "--v"),
         (["bubble", "--v", "-0.0"], "--v"),
+        # at the default eta, beta = 1 has nearest periodic frequency 0; the
+        # valid beta = 20 before it must not be computed first
+        (["wick", "--model", "haldane", "--betas", "20", "1"], "--betas 1.0"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
@@ -345,7 +348,8 @@ def test_wick_passes_threads_to_the_fiber_cache(tmp_path, monkeypatch):
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
     # the response and the chirality scan share one grid of 2 L1 fibers,
-    # diagonalized once on the requested threads; the scan diagonalizes none
+    # diagonalized once on the requested threads; the scan diagonalizes none,
+    # and the chirality is read off the grid crossings, with no Fermi point
     seen, scanned, assembled = [], [], []
     cache, scan = response.fiber_cache, spectrum.scan_spectrum
 
@@ -364,14 +368,20 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
         monkeypatch.setattr(
             mod, "assemble_fiber", lambda ham, k1, f=assemble: assembled.append(k1) or f(ham, k1)
         )
+
+    def no_fermi_point(*args, **kwargs):
+        raise AssertionError("conductance refined a Fermi point")
+
     monkeypatch.setattr(response, "fiber_cache", recorded_cache)
     monkeypatch.setattr(spectrum, "scan_spectrum", recorded_scan)
+    monkeypatch.setattr(spectrum, "fermi_point", no_fermi_point)
     code, _ = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
     )
     assert code == 0
     assert seen == [(64, 2)]
     assert scanned == [0]
+    assert len(assembled) == 64
 
 
 def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):

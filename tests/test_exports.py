@@ -32,3 +32,24 @@ def test_all_names_exactly_the_public_definitions(name):
 
 def test_package_exports_resolve():
     assert [name for name in edgeflow.__all__ if not hasattr(edgeflow, name)] == []
+
+
+def test_spectrum_api_is_pinned():
+    # the branch extraction is two public steps: edge_branches diagonalizes
+    # nothing, extract_edge_branches adds the Fermi data
+    from edgeflow import spectrum
+
+    assert sorted(spectrum.__all__) == sorted([
+        "BandScan",
+        "EdgeBranch",
+        "AssumptionReport",
+        "BulkStateError",
+        "FermiPointError",
+        "NoEdgeBranchError",
+        "scan_spectrum",
+        "edge_branches",
+        "crossing_sign",
+        "extract_edge_branches",
+        "fermi_point",
+        "check_assumptions",
+    ])

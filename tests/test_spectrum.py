@@ -297,3 +297,136 @@ def test_dispersion_curvature_stable_under_refinement(haldane_scan):
 
     c1, c2 = max_curvature(128), max_curvature(256)
     assert abs(c1 - c2) / c2 < 0.1
+
+
+# ---------------------------------------------------------------------------
+# chirality from the grid crossings
+# ---------------------------------------------------------------------------
+
+BACKSCATTERING_BONDS = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))  # (z1, x2 - y2)
+
+
+def haldane_with_backscattering(seed, rows_outer=False):
+    """Haldane 48 x 24 with random Hermitian hoppings of scale 0.6 between
+    rows 1 to 3 of the lower edge and their neighbours, which couple and
+    fold its edge modes.  The blocks are drawn bond by bond, or row by row
+    with ``rows_outer``."""
+    rng = np.random.default_rng(seed)
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(48, 24, 2))
+    keys = [(z1, x2, x2 - d) for z1, d in BACKSCATTERING_BONDS for x2 in (1, 2, 3)]
+    if rows_outer:
+        keys.sort(key=lambda key: key[1])
+    for z1, x2, y2 in keys:
+        if y2 < 1:
+            continue
+        blk = 0.6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ham.add_block(z1, x2, y2, blk)
+        ham.add_block(-z1, y2, x2, blk.conj().T)
+    ham.check_hermitian()
+    return ham
+
+
+def lower_chirality_by_grid(scan, mu):
+    return sum(spectrum.crossing_sign(b, mu) for b in spectrum.edge_branches(scan, mu) if b.side == "lower")
+
+
+def lower_fermi_velocities(scan, mu):
+    branches = spectrum.extract_edge_branches(scan, mu)
+    return [b.velocity for b in branches if b.side == "lower" and np.isfinite(b.k_fermi)]
+
+
+def _counter_stack():
+    g = lattice.CylinderGeometry(24, 16, 2)
+    return lattice.stacked_shifted(
+        [lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, phi=-np.pi / 2)], [0.0, 0.1]
+    )
+
+
+@pytest.mark.parametrize(
+    "build, mu, n_k, window, chirality",
+    [
+        (lambda: lattice.haldane_cylinder(lattice.CylinderGeometry(24, 16, 2)), 0.15, 96, 0.3, 1),
+        (lambda: lattice.hofstadter_cylinder(lattice.CylinderGeometry(24, 16, 1)), -1.0, 96, 0.2, -1),
+        (lambda: lattice.hofstadter_cylinder(lattice.CylinderGeometry(60, 32, 1), p=2, q=5), -1.0, 240, 0.2, -1),
+        (
+            lambda: lattice.stacked_shifted(
+                lattice.haldane_cylinder(lattice.CylinderGeometry(24, 16, 2)), [0.0, 0.1, 0.26]
+            ),
+            0.15, 96, 0.3, 3,
+        ),
+        (_counter_stack, 0.15, 96, 0.3, 0),
+    ],
+    ids=["haldane", "hofstadter-1/3", "hofstadter-2/5", "three-copy-stack", "counter-stack"],
+)
+def test_grid_crossings_give_the_velocity_sign_sum(build, mu, n_k, window, chirality):
+    scan = spectrum.scan_spectrum(build(), n_k=n_k, window=(mu - window, mu + window))
+    by_grid = lower_chirality_by_grid(scan, mu)
+    assert by_grid == sum(np.sign(lower_fermi_velocities(scan, mu)))
+    assert by_grid == chirality
+
+
+def test_grid_crossings_give_the_velocity_sign_sum_under_backscattering():
+    # edge detail folds the lower edge into several modes at mu; both
+    # routes must still count one net chiral channel
+    mu = 0.1
+    crossings = []
+    for seed in range(8):
+        scan = spectrum.scan_spectrum(haldane_with_backscattering(seed), n_k=96, window=(mu - 0.3, mu + 0.3))
+        velocities = lower_fermi_velocities(scan, mu)
+        assert lower_chirality_by_grid(scan, mu) == sum(np.sign(velocities)) == 1, seed
+        crossings.append(len(velocities))
+    assert max(crossings) >= 3
+
+
+def test_grid_crossings_cancel_across_an_avoided_crossing():
+    # seed 7, drawn row by row: two lower branches anticross within one
+    # grid interval at k1 ~ 3.25, where the gap straddles mu.  Continuation
+    # follows the eigenvectors across it, so each branch shows a grid
+    # crossing that no eigenvalue makes; the two have opposite signs and
+    # cancel, leaving one net chiral channel
+    mu = 0.1
+    scan = spectrum.scan_spectrum(
+        haldane_with_backscattering(7, rows_outer=True), n_k=96, window=(mu - 0.3, mu + 0.3)
+    )
+    crossings = {}  # grid interval of the crossing -> signs crossing there
+    for b in spectrum.edge_branches(scan, mu):
+        sign = spectrum.crossing_sign(b, mu)
+        if b.side == "lower" and sign:
+            side_of_mu = np.sign(b.energies - mu)
+            i = int(np.flatnonzero(side_of_mu[:-1] * side_of_mu[1:] < 0)[0])
+            crossings.setdefault(round(float(b.k_samples[i]), 6), []).append(sign)
+    assert sorted(map(sorted, crossings.values())) == [[-1, 1], [1]]
+    assert sum(map(sum, crossings.values())) == 1
+
+
+def test_edge_branches_are_the_extracted_branches_without_fermi_data(haldane_scan):
+    ham, mu, scan = haldane_scan
+    plain, refined = spectrum.edge_branches(scan, mu), spectrum.extract_edge_branches(scan, mu)
+    assert [b.label for b in plain] == [b.label for b in refined]
+    for a, b in zip(plain, refined):
+        assert a.side == b.side
+        for name in ("k_samples", "energies", "vectors"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.isnan([a.k_fermi, a.velocity, a.loc_rate, a.loc_r2]).all()
+        assert spectrum.crossing_sign(a, mu) == (np.sign(b.velocity) if np.isfinite(b.k_fermi) else 0)
+
+
+@pytest.mark.parametrize(
+    "energies, sign",
+    [
+        ([-0.2, -0.1, 0.1, 0.2], 1),
+        ([0.2, 0.1, -0.1, -0.2], -1),
+        ([0.2, 0.1, 0.05, 0.1], 0),
+        ([-0.2, 0.0, 0.1], 0),  # a sample on mu is no crossing, as in fermi_point
+        ([0.1, -0.1, -0.2, 0.3], -1),  # the first crossing counts
+    ],
+)
+def test_crossing_sign_reads_the_first_crossing(energies, sign):
+    n = len(energies)
+    branch = spectrum.EdgeBranch(
+        label=0,
+        k_samples=np.linspace(0.0, 1.0, n),
+        energies=np.array(energies),
+        vectors=np.zeros((n, 2), dtype=complex),
+    )
+    assert spectrum.crossing_sign(branch, 0.0) == sign
