@@ -16,6 +16,13 @@ edit, not once per momentum.  The row table of the bond currents is
 built after the stack, so vertices built from fibers computed elsewhere
 are checked by the same cached check.
 
+A model whose internal indices fall into classes that no block couples
+is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
+from the blocks' sparsity pattern, with the stack and under its lock, and
+gives each its own sub-model, so that callers can diagonalize and
+contract one summand at a time.  A connected model is its own only
+summand.
+
 Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 """
 
@@ -87,6 +94,7 @@ class LatticeHamiltonian:
         self._blocks = {}
         self._table = None
         self._slabs = None
+        self._summands = None
         self._slabs_lock = threading.Lock()
         if blocks:
             for key, blk in blocks.items():
@@ -110,6 +118,7 @@ class LatticeHamiltonian:
         key = (int(z1), int(x2), int(y2))
         self._table = None
         self._slabs = None
+        self._summands = None
         if accumulate and key in self._blocks:
             self._blocks[key] = self._blocks[key] + block
         else:
@@ -158,9 +167,10 @@ class LatticeHamiltonian:
         blocks in turn; Fermi velocities, finite differences of fiber
         energies, show any change in the last bit.
 
-        Built on first use, after :meth:`check_hermitian` passes, and cached;
-        :meth:`add_block` drops the cache.  A lock makes the first build
-        happen once when fibers are assembled on a thread pool.
+        Built on first use, after :meth:`check_hermitian` passes, and cached
+        with :meth:`summands`; :meth:`add_block` drops both.  A lock makes
+        the first build happen once when fibers are assembled on a thread
+        pool.
         """
         stack = self._slabs
         if stack is not None:
@@ -174,8 +184,50 @@ class LatticeHamiltonian:
                 for (z1, x2, y2), blk in self._blocks.items():
                     slabs[z1s.index(z1), x2, :, y2, :] = blk
                 n = g.fiber_dim
+                self._summands = self._split()
                 self._slabs = (np.array(z1s, dtype=float), slabs.reshape(-1, n, n))
             return self._slabs
+
+    def summands(self):
+        """The model as a direct sum: ``[(indices, sub), ...]``, one pair per
+        class of internal indices that the stored blocks couple, in the order
+        of their smallest index.
+
+        ``indices`` is the class, ascending, and ``sub`` the model on
+        ``M = len(indices)`` internal indices whose blocks are the class's
+        rows and columns of this model's blocks.  Two classes share no
+        nonzero block entry, so the fiber is block diagonal in them, and
+        every eigenvector of a sub-model's fiber, placed on its class, is one
+        of the whole fiber.  A connected model gives ``[(arange(M), self)]``.
+
+        Built with :meth:`_slab_stack`, under its lock, and cached with it;
+        :meth:`add_block` drops both, so a block that couples two classes
+        merges them on the next call.
+        """
+        self._slab_stack()
+        # a connected model caches no parts, which keeps it free of a cycle to itself
+        return self._summands or [(np.arange(self.geometry.M), self)]
+
+    def _split(self):
+        g = self.geometry
+        linked = np.eye(g.M, dtype=bool)
+        for blk in self._blocks.values():
+            linked |= blk != 0.0
+        linked |= linked.T
+        for _ in range(g.M.bit_length()):  # each squaring doubles the path length
+            linked = linked @ linked
+        classes = sorted({tuple(np.flatnonzero(row)) for row in linked})
+        if len(classes) == 1:
+            return []
+        out = []
+        for cls in classes:
+            idx = np.array(cls)
+            sub = LatticeHamiltonian(CylinderGeometry(g.L1, g.L2, idx.size), hop_range=self.hop_range)
+            # restrictions of blocks that passed add_block; only the zero ones drop out
+            parts = {key: blk[np.ix_(idx, idx)] for key, blk in self._blocks.items()}
+            sub._blocks = {key: blk for key, blk in parts.items() if np.any(blk)}
+            out.append((idx, sub))
+        return out
 
     def check_hermitian(self):
         scale = max((np.max(np.abs(b)) for b in self._blocks.values()), default=1.0)

@@ -32,6 +32,13 @@ w[a,b] = sum_ab Dbar[a,b] conj(Jbar[a,b]) w[a,b]``: the strip density
 ``Jbar`` is one ``(n, K) @ (K, n)`` product of the same group terms laid
 side by side.
 
+A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
+is diagonalized one summand at a time, one ``eigh`` of each summand's own
+fiber, and the strip sums contract each summand's bands on its own
+sub-model: the bands of two summands have disjoint support, so every
+vertex between them is 0.  A connected model is one summand and takes
+the whole-fiber arithmetic unchanged.
+
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
 (matching the wavefunction convention of the fiber) and imaginary time
 with ``exp(+i p0 x0)``.
@@ -80,11 +87,52 @@ class SingularPropagatorError(RuntimeError):
     """A free propagator was asked for at its pole, -i k0 + e - mu = 0."""
 
 
-@dataclass
 class FiberBasis:
-    k1: float
-    energies: np.ndarray  # (n,)
-    states: np.ndarray  # (n, n) columns are eigenvectors
+    """Eigenpairs of the Bloch fiber at ``k1``: ``energies`` ascending, and
+    ``states`` with the matching eigenvectors as columns.
+
+    The basis is kept per summand of the model
+    (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`): ``parts`` holds
+    one basis per summand, of that summand's own fiber.  A basis of one
+    summand is its own only part and holds the ``eigh`` output as it came.
+    A basis of several (:meth:`direct_sum`) merges the parts' energies by a
+    stable sort, and builds ``states`` on each access by placing each
+    part's eigenvectors on its summand's rows; the whole-fiber states are
+    not stored.
+    """
+
+    def __init__(self, k1, energies, states):
+        self.k1 = float(k1)
+        self.energies = energies
+        self._states = states
+        self._parts = None  # ((basis, fiber rows, columns), ...) of a direct sum
+
+    @classmethod
+    def direct_sum(cls, geometry, indices, parts):
+        """The basis of a model whose summand ``s`` holds the internal
+        indices ``indices[s]`` and has the fiber basis ``parts[s]``."""
+        energies = np.concatenate([p.energies for p in parts])
+        order = np.argsort(energies, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        out = cls(parts[0].k1, energies[order], None)
+        ends = np.cumsum([p.dim for p in parts])
+        rows = [(np.arange(geometry.L2)[:, None] * geometry.M + idx).ravel() for idx in indices]
+        out._parts = tuple(zip(parts, rows, np.split(column, ends[:-1])))
+        return out
+
+    @property
+    def parts(self):
+        return (self,) if self._parts is None else tuple(p for p, _, _ in self._parts)
+
+    @property
+    def states(self):
+        if self._parts is None:
+            return self._states
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for part, rows, cols in self._parts:
+            out[np.ix_(rows, cols)] = part.states
+        return out
 
     @property
     def dim(self):
@@ -92,8 +140,14 @@ class FiberBasis:
 
 
 def diagonalize_fiber(ham, k1):
-    e, v = np.linalg.eigh(assemble_fiber(ham, k1))
-    return FiberBasis(k1=float(k1), energies=e, states=v)
+    """The :class:`FiberBasis` at ``k1``: one ``eigh`` per summand of the
+    model, of the summand's own fiber; for a connected model that is
+    ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes."""
+    summands = ham.summands()
+    parts = [FiberBasis(k1, *np.linalg.eigh(assemble_fiber(sub, k1))) for _, sub in summands]
+    if len(parts) == 1:
+        return parts[0]
+    return FiberBasis.direct_sum(ham.geometry, [idx for idx, _ in summands], parts)
 
 
 def fiber_cache(ham, n_k, threads=1):
@@ -469,13 +523,24 @@ def _strip_response(ham, fibers, p1_index, rows, weight):
     before the band contraction (:func:`_strip_vertices`); with the weight
     :func:`_pair_weight` this is the sum of the :func:`current_current`
     table ``(0, 1)`` over those rows.
+
+    The sum runs over the summands of the model, on each summand's own
+    bases (``FiberBasis.parts``) and with its own weight: the bands of two
+    summands have disjoint support, so every vertex between them is 0.
+    Fibers of one part are contracted on the whole model; fibers of
+    several parts that do not match the model's summands raise
+    ``ValueError``.
     """
     n_k = len(fibers)
     total = 0.0 + 0.0j
     for m in range(n_k):
         f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
-        dbar, jbar = _strip_vertices(ham, f_k, f_kp, rows)
-        total = total + np.sum(dbar * jbar.conj() * weight(f_k, f_kp), axis=(-2, -1))
+        subs = [ham] if len(f_k.parts) == 1 else [sub for _, sub in ham.summands()]
+        if len(subs) != len(f_k.parts):
+            raise ValueError(f"the fibers hold {len(f_k.parts)} summands, the model {len(subs)}")
+        for sub, b_k, b_kp in zip(subs, f_k.parts, f_kp.parts, strict=True):
+            dbar, jbar = _strip_vertices(sub, b_k, b_kp, rows)
+            total = total + np.sum(dbar * jbar.conj() * weight(b_k, b_kp), axis=(-2, -1))
     return total / n_k
 
 

@@ -385,19 +385,60 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
 
 
 def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):
-    # with t2 = 0 the fibers at k and 2 pi - k are complex conjugates, so on
-    # a ring of 13 the neighbours k = 2 pi 6/13 and 2 pi 7/13 share their
-    # energies; two copies split by 1e-13 put a degenerate pair across mu
+    # m_stag breaks the inversion that makes every fiber at k and 2 pi - k
+    # share its energies, and a t2 of 1e-13 breaks time reversal, so on a
+    # ring of 13 the lowest states at k = 2 pi 6/13 and 2 pi 7/13 split by
+    # about 1.6e-13: a degenerate pair inside the one summand, with mu between
+    ham = lattice.build_model("haldane", 13, 12, t2=1e-13, m_stag=0.3)
+    e6, e7 = (np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * m / 13))[0] for m in (6, 7))
+    assert 0.0 < e7 - e6 < 1e-12
+    code, out = run_cli(
+        tmp_path, "conductance", "--model", "haldane", "--t2", "1e-13", "--m-stag", "0.3",
+        "--L1", "13", "--L2", "12", "--mu", repr(float(0.5 * (e6 + e7))), "--window", "1e-14",
+    )
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, "report_conductance.json")
+    assert rep["checks"] == {"pair_weights": False}
+    assert rep["error"].startswith("DegenerateCrossingError: ")
+
+
+def test_a_degenerate_pair_across_two_summands_carries_no_weight(tmp_path):
+    # with t2 = 0 the neighbours k = 2 pi 6/13 and 2 pi 7/13 share their
+    # energies; two copies split by 1e-13 put a degenerate pair across mu,
+    # but its states lie on different summands, so their vertex is 0
     ham = lattice.build_model("haldane", 13, 12, t2=0.0)
     e = np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * 6 / 13))[0]
     code, out = run_cli(
         tmp_path, "conductance", "--model", "stacked-haldane", "--t2", "0", "--shifts", "0,1e-13",
         "--L1", "13", "--L2", "12", "--mu", repr(float(e + 5e-14)), "--window", "1e-14",
     )
-    assert code == cli.EXIT_NUMERICAL
+    assert code == 0
     rep = load_report(out, "report_conductance.json")
-    assert rep["checks"] == {"pair_weights": False}
-    assert rep["error"].startswith("DegenerateCrossingError: ")
+    assert rep["checks"] == {"conductance_matches_chirality": True}
+    assert rep["chirality_sum_lower"] == 0.0 and abs(rep["two_pi_G"]) < 1e-12
+
+
+def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypatch):
+    # the stack is a direct sum of two M = 2 copies: its 96 fibers of 96 x 96
+    # are diagonalized as 192 fibers of 48 x 48 (small eigh calls purify
+    # degenerate clusters in the scan)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    code, out = run_cli(
+        tmp_path, "conductance", "--model", "stacked-haldane", "--shifts", "0.0,0.1", "--flips", "0,1",
+        "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6",
+    )
+    assert code == 0
+    assert load_report(out, "report_conductance.json")["chirality_sum_lower"] == 0.0
+    assert shapes.count((48, 48)) == 192
+    assert (96, 96) not in shapes
+    assert all(s[0] < 48 for s in shapes if s != (48, 48))
 
 
 @pytest.mark.parametrize(

@@ -228,6 +228,42 @@ def test_stacked_shifted_validation(haldane16):
         lattice.stacked_shifted([haldane16], [0.0, 0.1])
 
 
+def test_a_connected_model_is_its_own_only_summand(rng, haldane16, hofstadter16):
+    for ham in (haldane16, hofstadter16, random_hermitian_model(rng), random_hermitian_model(rng, M=3)):
+        [(idx, sub)] = ham.summands()
+        assert sub is ham
+        assert np.array_equal(idx, np.arange(ham.geometry.M))
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_a_stack_splits_into_its_copies(haldane16, copies):
+    shifts = [0.0, 0.1, 0.26][:copies]
+    stack = lattice.stacked_shifted(haldane16, shifts)
+    parts = stack.summands()
+    assert [idx.tolist() for idx, _ in parts] == [[2 * c, 2 * c + 1] for c in range(copies)]
+    for (_, sub), shift in zip(parts, shifts):
+        copy = haldane16.shifted(shift)
+        assert sub.geometry == copy.geometry
+        assert dict(sub.items()).keys() == dict(copy.items()).keys()
+        assert all(np.array_equal(blk, copy.block(*key)) for key, blk in sub.items())
+    assert stack.summands() is parts  # cached with the slab stack
+
+
+def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
+    stack = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
+    before = stack.summands()
+    assert len(before) == 3
+    hop = np.zeros((6, 6))
+    hop[1, 4] = hop[4, 1] = 0.05  # copy 0 to copy 2, on one row
+    stack.add_block(0, 5, 5, hop)
+    after = stack.summands()
+    assert after is not before
+    assert [idx.tolist() for idx, _ in after] == [[0, 1, 4, 5], [2, 3]]
+    merged = after[0][1]
+    assert merged.geometry.M == 4
+    assert merged.block(0, 5, 5)[1, 2] == 0.05
+
+
 def test_fiber_hermiticity_and_periodicity_all_builtins(rng, haldane16, hofstadter16):
     models = [haldane16, hofstadter16, lattice.stacked_shifted(haldane16, [0.0, 0.13])]
     for ham in models:

@@ -230,6 +230,80 @@ def test_strip_response_is_the_summed_row_table(seed, size, mu, p0, temperature,
     assert abs(got - table.sum()) <= 1e-13
 
 
+# a direct sum of 2 or 3 random models with differing M: seed, L1, L2, the
+# M of each summand and their energy shifts
+DIRECT_SUMS = st.tuples(
+    SEEDS,
+    st.integers(4, 8),
+    st.integers(4, 8),
+    st.permutations([1, 2, 3]).flatmap(lambda ms: st.sampled_from([ms[:2], ms])),
+    st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+)
+
+
+def random_direct_sum(seed, L1, L2, ms, shifts):
+    """``(parts, stack)``: the energy-shifted random models and their direct sum."""
+    rng = np.random.default_rng(seed)
+    models = [random_hermitian_model(rng, L1, L2, m) for m in ms]
+    shifts = shifts[: len(ms)]
+    return [h.shifted(e) for h, e in zip(models, shifts)], lattice.stacked_shifted(models, shifts)
+
+
+@PROPERTY
+@given(draw=DIRECT_SUMS, k1=st.floats(0.0, 2.0 * np.pi))
+def test_a_direct_sum_is_diagonalized_per_summand(draw, k1):
+    parts, stack = random_direct_sum(*draw)
+    assert len(stack.summands()) == len(parts)
+    f = response.diagonalize_fiber(stack, k1)
+    assert [p.dim for p in f.parts] == [h.geometry.fiber_dim for h in parts]
+    fiber = lattice.assemble_fiber(stack, k1)
+    assert np.max(np.abs(f.energies - np.linalg.eigvalsh(fiber))) <= 1e-12
+    v = f.states
+    assert np.max(np.abs(fiber @ v - v * f.energies)) <= 1e-12 * max(1.0, np.max(np.abs(fiber)))
+    assert np.max(np.abs(v.conj().T @ v - np.eye(f.dim))) <= 1e-12
+
+
+@PROPERTY
+@given(
+    draw=DIRECT_SUMS,
+    mu=st.floats(-2.0, 2.0),
+    p0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    rows=st.tuples(st.integers(1, 7), st.integers(0, 6)),
+)
+def test_responses_of_a_direct_sum_are_the_sums_over_its_summands(draw, mu, p0, rows):
+    parts, stack = random_direct_sum(*draw)
+    n_k, L2 = draw[1], draw[2]
+    a = min(rows[0], L2 - 1)
+    a_prime = rows[1] % a
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    try:
+        est = response.edge_conductance_free(stack, mu, n_k, a, a_prime)
+        ests = [response.edge_conductance_free(h, mu, n_k, a, a_prime) for h in parts]
+    except response.DegenerateCrossingError:
+        assume(False)
+    assert all(close(g, w) for g, w in zip(est.g_values, np.sum([e.g_values for e in ests], axis=0)))
+    assert close(est.g, sum(e.g for e in ests))
+    got = response.wrong_order_diagnostic(stack, mu, p0, n_k, a_prime)
+    assert close(got, sum(response.wrong_order_diagnostic(h, mu, p0, n_k, a_prime) for h in parts))
+    beta, t_horizon, eta = 20.0, 30.0, 0.4
+    lhs, rhs, _ = response.wick_rotation_check(stack, mu, beta, t_horizon, eta, 1, n_k, a, a_prime)
+    sides = [response.wick_rotation_check(h, mu, beta, t_horizon, eta, 1, n_k, a, a_prime)[:2] for h in parts]
+    assert close(lhs, sum(s[0] for s in sides)) and close(rhs, sum(s[1] for s in sides))
+
+
+@PROPERTY
+@given(seed=SEEDS, size=SIZES, k1=st.floats(-4.0 * np.pi, 4.0 * np.pi))
+def test_a_connected_model_is_diagonalized_bitwise_as_one_fiber(seed, size, k1):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    f = response.diagonalize_fiber(ham, k1)
+    e, v = np.linalg.eigh(lattice.assemble_fiber(ham, k1))
+    assert f.parts == (f,)
+    assert np.array_equal(f.energies, e) and np.array_equal(f.states, v)
+
+
 @PROPERTY
 @given(seed=SEEDS, size=SIZES, k1=st.floats(0.0, 2.0 * np.pi), p1=st.floats(-np.pi, np.pi))
 def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):

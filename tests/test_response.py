@@ -70,6 +70,34 @@ def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkey
         assert np.array_equal(a.states, b.states)
 
 
+@pytest.mark.parametrize("threads", [2, 4])
+def test_threaded_fiber_cache_splits_a_fresh_stack_once(hermitian_checks, monkeypatch, threads):
+    # the summands are built with the slab stack, under its lock: a slow
+    # check holds that first build open while the other threads ask for them
+    check = lattice.LatticeHamiltonian.check_hermitian
+
+    def slow(ham, *args, **kwargs):
+        time.sleep(0.05)
+        return check(ham, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.LatticeHamiltonian, "check_hermitian", slow)
+    g = lattice.CylinderGeometry(16, 12, 2)
+    copies = [lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, phi=-np.pi / 2)]
+    stack = lattice.stacked_shifted(copies, [0.0, 0.1])
+    threaded = response.fiber_cache(stack, 16, threads=threads)
+    subs = [sub for _, sub in stack.summands()]
+    assert len(subs) == 2
+    # one check of the stack and one of each sub-model: no summand was built twice
+    assert hermitian_checks == [stack, *subs]
+    for a, b in zip(response.fiber_cache(stack, 16), threaded, strict=True):
+        assert a.k1 == b.k1
+        assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.states, b.states)
+        for pa, pb in zip(a.parts, b.parts, strict=True):
+            assert np.array_equal(pa.energies, pb.energies)
+            assert np.array_equal(pa.states, pb.states)
+
+
 def test_vertices_require_short_range(rng):
     g = lattice.CylinderGeometry(8, 8, 1)
     ham = lattice.LatticeHamiltonian(g, hop_range=2.0)
@@ -510,6 +538,18 @@ def test_precomputed_fibers_do_not_skip_the_hermiticity_check(counter_stack, her
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 3, 3\)"):
         response.edge_conductance_free(broken, 0.15, 24, a=6, a_prime=4, fibers=fibers)
     assert hermitian_checks == [broken]
+
+
+def test_fibers_split_unlike_the_model_are_refused(counter_stack):
+    # fibers diagonalized before a block coupled the two copies hold two
+    # summands; the edited model has one, so no strip sum can pair them
+    stack, fibers = counter_stack
+    coupled = stack.shifted(0.0)  # a copy
+    hop = np.zeros((4, 4))
+    hop[1, 2] = hop[2, 1] = 0.05
+    coupled.add_block(0, 3, 3, hop)
+    with pytest.raises(ValueError, match="the fibers hold 2 summands, the model 1"):
+        response.edge_conductance_free(coupled, 0.15, 24, a=6, a_prime=4, fibers=fibers)
 
 
 def test_conductance_trivial_gap_vanishes():
