@@ -263,7 +263,12 @@ def cmd_bubble(args, report):
 
 
 def cmd_rg(args, report):
-    vs = [float(x) for x in args.velocities.split(",")]
+    try:
+        vs = [lattice.finite_float(x) for x in args.velocities.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--velocities: {exc}") from None
+    if 0.0 in vs:
+        raise ValueError(f"--velocities entries must be nonzero, got {args.velocities!r}")
     n = len(vs)
     # eta is fitted over the scales and checked against 0 < eta <= 10 lam^2,
     # which an uncoupled flow (eta = 0 exactly) can never meet

@@ -95,6 +95,7 @@ class LatticeHamiltonian:
         self._table = None
         self._slabs = None
         self._summands = None
+        self._checked = False  # blocks known to be Hermitian partners
         self._slabs_lock = threading.Lock()
         if blocks:
             for key, blk in blocks.items():
@@ -119,6 +120,7 @@ class LatticeHamiltonian:
         self._table = None
         self._slabs = None
         self._summands = None
+        self._checked = False
         if accumulate and key in self._blocks:
             self._blocks[key] = self._blocks[key] + block
         else:
@@ -168,7 +170,9 @@ class LatticeHamiltonian:
         energies, show any change in the last bit.
 
         Built on first use, after :meth:`check_hermitian` passes, and cached
-        with :meth:`summands`; :meth:`add_block` drops both.  A lock makes
+        with :meth:`summands`; :meth:`add_block` drops both.  The sub-models
+        of :meth:`summands` skip the check: their blocks are restrictions of
+        blocks that passed it, so they are Hermitian partners too.  A lock makes
         the first build happen once when fibers are assembled on a thread
         pool.
         """
@@ -177,7 +181,8 @@ class LatticeHamiltonian:
             return stack
         with self._slabs_lock:
             if self._slabs is None:
-                self.check_hermitian()
+                if not self._checked:
+                    self.check_hermitian()
                 g = self.geometry
                 z1s = list(dict.fromkeys(z1 for z1, _, _ in self._blocks))
                 slabs = np.zeros((len(z1s), g.L2, g.M, g.L2, g.M), dtype=complex)
@@ -226,6 +231,7 @@ class LatticeHamiltonian:
             # restrictions of blocks that passed add_block; only the zero ones drop out
             parts = {key: blk[np.ix_(idx, idx)] for key, blk in self._blocks.items()}
             sub._blocks = {key: blk for key, blk in parts.items() if np.any(blk)}
+            sub._checked = True
             out.append((idx, sub))
         return out
 

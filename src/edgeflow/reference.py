@@ -195,8 +195,16 @@ P_C = 4.0  # plateau scale of the two-body form factor
 
 
 def form_factor(p0, p1):
-    """Smooth even two-body form factor, exactly 1 for |p| <= P_C."""
-    return chi(np.hypot(p0, p1) / P_C)
+    """Smooth even two-body form factor, exactly 1 for |p| <= P_C.
+
+    Arrays of momenta all on that plateau, as the RG flow's are at nearly
+    every scale, skip the cutoff polynomial; ``chi`` is exactly 1 there, so
+    the ones are bitwise its value.
+    """
+    r = np.hypot(p0, p1)
+    if np.all(r <= P_C):
+        return np.ones_like(r)[()]  # [()] keeps a scalar input a scalar
+    return chi(r / P_C)
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,20 @@ class FiberBasis:
     def states(self):
         if self._parts is None:
             return self._states
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        return self.columns(np.arange(self.dim))
+
+    def columns(self, idx):
+        """``states[:, idx]`` for an array ``idx`` of column indices; a direct
+        sum places only those columns of its parts."""
+        if self._parts is None:
+            return self._states[:, idx]
+        out = np.zeros((self.dim, len(idx)), dtype=complex)
         for part, rows, cols in self._parts:
-            out[np.ix_(rows, cols)] = part.states
+            local = np.full(self.dim, -1)
+            local[cols] = np.arange(cols.size)
+            j = local[idx]
+            mine = j >= 0
+            out[np.ix_(rows, np.flatnonzero(mine))] = part.states[:, j[mine]]
         return out
 
     @property

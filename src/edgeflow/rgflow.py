@@ -7,7 +7,10 @@ beta function:
 * the self-energy correction is the mixed-channel sunset with a
   closed-form inner pair bubble and the outer line restricted to the
   running shell; its derivatives at zero momentum give the per-scale
-  increments z0 (anomalous field strength) and z1 (velocity shift);
+  increments z0 (anomalous field strength) and z1 (velocity shift).
+  The sunset is integrated over the outer line's momentum q = k + p, so
+  the shell propagator is evaluated once per scale and channel, and only
+  the inner lines move with the external momentum k;
 * every second-order contribution to the local quartic coupling carries
   either a coincident same-chirality pair bubble (zero by the angular
   symmetry of 1/D^2) or a pair of mixed-chirality routings that cancel
@@ -118,30 +121,30 @@ class FlowTrajectory:
         return hs, zs, vs, lams
 
 
-def _sunset_kernel(k0, k1, state, params, channel, grid):
-    """W(k) = sum_{w'} lam^2 v^2(p) [B/D]_{w'}(p) g_h(k+p) dp, with g_h the
-    :func:`single_scale_propagator` at unit field strength.
+def _sunset_kernel(k0, k1, state, params, channel, grid, outer):
+    """W(k) = sum_{w'} lam^2 int v^2(p) [B/D]_{w'}(p) g_h(k+p) dp, with g_h the
+    :func:`single_scale_propagator` at unit field strength, taken in the
+    outer line's frame q = k + p: the integral runs over the shell of q,
+    with the inner lines at p = q - k.
 
-    ``grid`` is the scale's polar grid ``(du0, du1, w)`` around the origin
-    in the bare-norm rescaled coordinates, aligned with the shell knots.
-    It is shifted to ``-k`` as ``center + offset``, the sum
-    :func:`polar_nodes` forms, so the nodes are bitwise those of a grid
-    built around ``-k``.
+    ``grid`` is the scale's polar grid ``(du0, du1, w)`` of q around the
+    origin in the bare-norm rescaled coordinates, aligned with the shell
+    knots, and ``outer`` is ``w * g_h(q)`` on it, which is the same for
+    every k.  The inner nodes ``p = q - k`` round exactly as the nodes of
+    a polar grid built around ``-k``.
     """
-    h = state.h
+    du0, du1, _ = grid
     vb = params.v[channel]
-    vr = state.v[channel]
-    du0, du1, w = grid
-    p0 = -k0 + du0
-    p1 = (-vb * k1 + du1) / vb
-    outer = single_scale_propagator(p0 + k0, p1 + k1, h, vb, vr, 1.0) * form_factor(p0, p1) ** 2
+    p0 = du0 - k0
+    p1 = (du1 - vb * k1) / vb
+    vhat2 = form_factor(p0, p1) ** 2
     total = np.zeros((), dtype=complex)
     for other in range(params.n_channels):
         lam = state.lam[channel, other]
         if lam == 0.0:
             continue
-        inner = bubble_over_d(p0, p1, state.v[other])
-        total = total + lam**2 * np.dot(w, inner * outer)
+        inner = bubble_over_d(p0, p1, state.v[other]) * vhat2
+        total = total + lam**2 * np.dot(outer, inner)
     return total / (4.0 * np.pi**2 * abs(vb))
 
 
@@ -151,8 +154,11 @@ def beta_second_order(state: FlowState, params: LuttingerParams, level=4):
     z0, z1 come from symmetric differences (step 2^(h-3)) of the sunset
     kernel; the dressed covariance gives Z_eff = Z - i dSigma/dk0, so
     z0 = -i dW/dk0 and z1 = -dW/dk1 with W the kernel per unit Z.  The
-    kernel's polar grid depends on the scale alone, so it is built once
-    per scale and shifted to each stencil point of each channel.
+    kernel is integrated over the outer line's momentum q = k + p, whose
+    shell does not move with the stencil point k: the polar grid of q is
+    built once per scale, the shell propagator on it once per scale and
+    channel, and only the inner lines are evaluated again at p = q - k
+    for each stencil point.
     The quartic beta function is assembled from the three one-loop bubble
     structures; the same-chirality ones vanish by angular symmetry and
     the two mixed-chirality routings cancel pointwise, which the
@@ -162,16 +168,18 @@ def beta_second_order(state: FlowState, params: LuttingerParams, level=4):
     h = state.h
     delta = 2.0 ** (h - 3)
     knots = [2.0 ** (h - 1), 2.0**h, 2.0 ** (h + 1)]
-    grid = polar_nodes(knots, level, 8 * level, gl=4)
+    grid = du0, du1, w = polar_nodes(knots, level, 8 * level, gl=4)
     z0 = np.zeros(n)
     z1 = np.zeros(n)
     for c in range(n):
         if np.all(state.lam[c] == 0.0):
             continue
-        w_p0 = _sunset_kernel(+delta, 0.0, state, params, c, grid)
-        w_m0 = _sunset_kernel(-delta, 0.0, state, params, c, grid)
-        w_p1 = _sunset_kernel(0.0, +delta, state, params, c, grid)
-        w_m1 = _sunset_kernel(0.0, -delta, state, params, c, grid)
+        vb = params.v[c]
+        outer = w * single_scale_propagator(du0, du1 / vb, h, vb, state.v[c], 1.0)
+        w_p0 = _sunset_kernel(+delta, 0.0, state, params, c, grid, outer)
+        w_m0 = _sunset_kernel(-delta, 0.0, state, params, c, grid, outer)
+        w_p1 = _sunset_kernel(0.0, +delta, state, params, c, grid, outer)
+        w_m1 = _sunset_kernel(0.0, -delta, state, params, c, grid, outer)
         z0[c] = float(np.real(-1j * (w_p0 - w_m0) / (2.0 * delta)))
         z1[c] = float(np.real(-(w_p1 - w_m1) / (2.0 * delta)))
 

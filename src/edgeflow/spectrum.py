@@ -161,10 +161,13 @@ def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, fibers=None):
     energies, vectors = [], []
     lo, hi = window
     for f in fibers:
-        e, v = f.energies, f.states
+        e = f.energies
+        idx = np.flatnonzero((e > lo) & (e < hi))
+        v = f.columns(idx)
         w = row_weights(g, v)
-        idx = np.flatnonzero((e > lo) & (e < hi) & (w[0] + w[-1] < 0.5))
-        vecs = _purify_degenerate(g, e[idx], v[:, idx].T.copy())
+        keep = w[0] + w[-1] < 0.5
+        idx = idx[keep]
+        vecs = _purify_degenerate(g, e[idx], v[:, keep].T.copy())
         energies.append(e[idx])
         vectors.append(vecs)
     return BandScan(ham=ham, k_grid=ks, window=window, energies=energies, vectors=vectors)

@@ -63,6 +63,9 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         # at the default eta, beta = 1 has nearest periodic frequency 0; the
         # valid beta = 20 before it must not be computed first
         (["wick", "--model", "haldane", "--betas", "20", "1"], "--betas 1.0"),
+        (["rg", "--velocities", "1.0,inf"], "--velocities"),
+        (["rg", "--velocities", "1.0,nan"], "--velocities"),
+        (["rg", "--velocities", "1.0,0.0"], "--velocities"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):

@@ -264,6 +264,17 @@ def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
     assert merged.block(0, 5, 5)[1, 2] == 0.05
 
 
+def test_a_summand_is_checked_again_only_once_it_is_edited(haldane16, hermitian_checks):
+    stack = lattice.stacked_shifted(haldane16, [0.0, 0.1])
+    sub = stack.summands()[1][1]
+    lattice.assemble_fiber(sub, 0.3)
+    assert hermitian_checks == [stack]  # restrictions of checked blocks
+    sub.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
+    with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
+        lattice.assemble_fiber(sub, 0.3)
+    assert hermitian_checks == [stack, sub]
+
+
 def test_fiber_hermiticity_and_periodicity_all_builtins(rng, haldane16, hofstadter16):
     models = [haldane16, hofstadter16, lattice.stacked_shifted(haldane16, [0.0, 0.13])]
     for ham in models:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeflow import lattice, reference, response, rgflow
-from edgeflow.cutoffs import shell
+from edgeflow.cutoffs import chi, shell
 from edgeflow.quadrature import polar_nodes
 from conftest import random_hermitian_model
 
@@ -264,6 +264,19 @@ def test_a_direct_sum_is_diagonalized_per_summand(draw, k1):
 
 
 @PROPERTY
+@given(draw=DIRECT_SUMS, k1=st.floats(0.0, 2.0 * np.pi), pick=st.randoms(use_true_random=False))
+def test_chosen_columns_of_a_direct_sum_are_bitwise_those_of_its_states(draw, k1, pick):
+    _, stack = random_direct_sum(*draw)
+    f = response.diagonalize_fiber(stack, k1)
+    states = f.states
+    for size in (0, 1, f.dim // 3, f.dim):
+        idx = np.array(pick.sample(range(f.dim), size), dtype=int)
+        got = f.columns(idx)
+        assert got.shape == (f.dim, size)
+        assert got.tobytes() == states[:, idx].tobytes()
+
+
+@PROPERTY
 @given(
     draw=DIRECT_SUMS,
     mu=st.floats(-2.0, 2.0),
@@ -440,7 +453,58 @@ def test_one_sunset_grid_per_scale_is_bitwise_the_per_call_grids(v, h, level):
     ev = rgflow.beta_second_order(state, params, level=level)
     z0, z1 = sunset_increments(state, params, level)
     assert np.any(z0 != 0.0)
-    assert ev.z0.tobytes() == z0.tobytes() and ev.z1.tobytes() == z1.tobytes()
+    # the flow takes the outer line at the grid node q, the reference at
+    # p + k = (q - k) + k, which rounds differently in the last bits
+    assert np.all(np.abs(ev.z0 - z0) <= 1e-14 * np.abs(z0))
+    assert np.all(np.abs(ev.z1 - z1) <= 1e-14 * np.abs(z1))
+
+
+@PROPERTY
+@given(
+    speeds=st.lists(st.floats(0.3, 2.0), min_size=2, max_size=4),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
+    h=st.integers(-20, 0),
+    seed=SEEDS,
+)
+def test_the_sunset_in_the_outer_frame_matches_the_shifted_grids(speeds, signs, h, seed):
+    n = len(speeds)
+    signs[1] = -signs[0]  # mixed chiralities
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.01, 0.08, (n, n))
+    lam = lam + lam.T
+    np.fill_diagonal(lam, 0.0)
+    params = reference.LuttingerParams(v=np.multiply(speeds, signs[:n]), z=np.ones(n), lam=lam)
+    # running values off the bare ones, so shell (bare) and D_run differ
+    state = rgflow.FlowState(
+        h=h,
+        z=rng.uniform(0.8, 1.2, n),
+        v=params.v * rng.uniform(0.9, 1.1, n),
+        lam=params.lam * rng.uniform(0.8, 1.2),
+    )
+    ev = rgflow.beta_second_order(state, params)
+    z0, z1 = sunset_increments(state, params, 4)
+    scale = max(np.max(np.abs(z0)), np.max(np.abs(z1)))
+    assert scale > 0.0
+    assert np.max(np.abs(ev.z0 - z0)) <= 1e-14 * scale
+    assert np.max(np.abs(ev.z1 - z1)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "p0, p1",
+    [
+        (np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 3.0, 9)),  # all on the plateau
+        (np.linspace(-9.0, 9.0, 13), np.linspace(-1.0, 7.0, 13)),  # plateau, ramp and zero
+        (1.5, -2.5),
+        (np.array([]), np.array([])),
+    ],
+    ids=["plateau", "mixed", "scalar", "empty"],
+)
+def test_form_factor_is_bitwise_the_cutoff_formula(p0, p1):
+    got = reference.form_factor(p0, p1)
+    want = chi(np.hypot(p0, p1) / reference.P_C)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def random_params_three_builds(rng, n_channels=None, lambda_scale=0.1):

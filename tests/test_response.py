@@ -87,8 +87,9 @@ def test_threaded_fiber_cache_splits_a_fresh_stack_once(hermitian_checks, monkey
     threaded = response.fiber_cache(stack, 16, threads=threads)
     subs = [sub for _, sub in stack.summands()]
     assert len(subs) == 2
-    # one check of the stack and one of each sub-model: no summand was built twice
-    assert hermitian_checks == [stack, *subs]
+    # one check of the stack, so its slabs and summands were built once; the
+    # sub-models hold restrictions of checked blocks and are not checked again
+    assert hermitian_checks == [stack]
     for a, b in zip(response.fiber_cache(stack, 16), threaded, strict=True):
         assert a.k1 == b.k1
         assert np.array_equal(a.energies, b.energies)
