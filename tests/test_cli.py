@@ -66,6 +66,9 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["rg", "--velocities", "1.0,inf"], "--velocities"),
         (["rg", "--velocities", "1.0,nan"], "--velocities"),
         (["rg", "--velocities", "1.0,0.0"], "--velocities"),
+        # one chirality only: eta = 0 up to quadrature noise of either sign
+        (["rg", "--velocities", "1.0,1.0"], "--velocities"),
+        (["rg", "--velocities", "-1.0,-0.5,-2.0"], "--velocities"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):

@@ -53,3 +53,21 @@ def test_spectrum_api_is_pinned():
         "fermi_point",
         "check_assumptions",
     ])
+
+
+def test_rgflow_api_is_pinned():
+    # one definition per diagram: the sunset the flow runs is the one the
+    # Wick-oracle tests call, and no grid-only copy of a diagram remains
+    from edgeflow import rgflow
+
+    assert sorted(rgflow.__all__) == sorted([
+        "FlowState",
+        "BetaEvaluation",
+        "FlowTrajectory",
+        "FlowDivergenceError",
+        "single_scale_propagator",
+        "sunset",
+        "beta_second_order",
+        "flow_run",
+        "vanishing_beta_report",
+    ])

@@ -3,8 +3,9 @@
 Computes connected correlation functions of the quartic-coupled chiral
 model order by order in the coupling, by brute-force enumeration of all
 Grassmann pairings with exact sign bookkeeping and exact grid momentum
-conservation.  This is the authority the one-loop diagram evaluators in
-``edgeflow.rgflow`` must match.
+conservation.  This is the authority the one-loop diagrams must match:
+``edgeflow.rgflow.sunset`` and the grid contractions of
+``grid_diagrams.py``.
 
 Momenta are tracked in half-units of 2 pi / box so that fermionic
 (antiperiodic, odd half-index) and transfer (periodic, even) grids mix
