@@ -27,10 +27,10 @@ matmul.  Only the leading rows a caller reads are built.
 Callers that read only sums over a strip of rows (the edge conductance,
 the real-time check, the row-summed three-point function) take the sums
 before the band contraction, since ``sum_xy sum_ab D[x,a,b] conj(J[y,a,b])
-w[a,b] = sum_ab Dbar[a,b] conj(Jbar[a,b]) w[a,b]``: the strip density
-``Dbar`` is one product of the strip's band states, and the strip current
-``Jbar`` is one ``(n, K) @ (K, n)`` product of the same group terms laid
-side by side.
+w[a,b] = sum_ab Dbar[a,b] conj(Jbar[a,b]) w[a,b]``.  The ring current summed
+over a strip is a fiber operator ``J(k, k') = e^{i k'} J_01 + e^{-i k} J_10``
+of two fixed matrices, built once per summand and call; per pair, ``Dbar``
+and ``Jbar`` are each one contraction of the band states.
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 is diagonalized one summand at a time, one ``eigh`` of each summand's own
@@ -245,26 +245,12 @@ class VertexSet:
     current2: np.ndarray
 
 
-def _band_states(geometry, basis):
-    return basis.states.reshape(geometry.L2, geometry.M, basis.dim)
-
-
 def _row_groups(terms):
     """Bond terms keyed by their row offsets ``(du, dv)``."""
     groups = {}
     for (u1, _, v1, _, z1, du, dv, wgt) in terms:
         groups.setdefault((du, dv), []).append((u1, v1, z1, wgt))
     return groups
-
-
-def _band_legs(ham, basis_k, basis_kp):
-    """Row-resolved band states: ``ah[x2] = a[x2]^+`` of shape ``(L2, n, M)``
-    at ``k1`` and ``b[x2]`` of shape ``(L2, M, n)`` at ``k1 + p1``."""
-    g = ham.geometry
-    if basis_k.dim != basis_kp.dim:
-        raise ValueError("fiber dimensions differ")
-    ah = _band_states(g, basis_k).conj().transpose(0, 2, 1)
-    return ah, _band_states(g, basis_kp)
 
 
 def _check_rows(geometry, rows, count):
@@ -308,7 +294,7 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     of each current come from :func:`_current_groups`, one item per row
     offset ``(du, dv)``, and each item adds ``a[x2 + du]^+ Heff b[x2 + dv]``
     to its rows in one batched matmul.  Callers that only read row sums
-    use :func:`_strip_vertices`, which takes the same items.
+    use :func:`_strip_vertices`, which equals their row sums.
 
     The vertices of the reversed pair need no build of their own:
     ``build_vertices(ham, basis_kp, basis_k)`` is the per-row conjugate
@@ -320,7 +306,10 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     """
     g = ham.geometry
     rows = (g.L2,) * 3 if rows is None else _check_rows(g, rows, 3)
-    ah, b = _band_legs(ham, basis_k, basis_kp)
+    if basis_k.dim != basis_kp.dim:
+        raise ValueError("fiber dimensions differ")
+    ah = basis_k.states.reshape(g.L2, g.M, -1).conj().transpose(0, 2, 1)  # a[x2]^+
+    b = basis_kp.states.reshape(g.L2, g.M, -1)
     density = ah[: rows[0]] @ b[: rows[0]]
 
     currents = []
@@ -332,27 +321,35 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     return VertexSet(density=density, current1=currents[0], current2=currents[1])
 
 
-def _strip_vertices(ham, basis_k, basis_kp, rows):
-    """Density and ring-current vertices summed over strips at the lower
-    edge: ``(Dbar, Jbar)``, each ``(n, n)``, with ``Dbar`` summed over rows
-    ``x2 < rows[0]`` and ``Jbar`` over rows ``x2 < rows[1]``.
-
-    Equal to the row sums of :func:`build_vertices` to rounding, but each
-    is one GEMM: ``Dbar`` contracts the strip's band states, and ``Jbar``
-    lays the ``left`` blocks of every :func:`_current_groups` item side by
-    side into an ``(n, K)`` matrix and stacks the ``right`` blocks into a
-    ``(K, n)`` one.
-    """
+def _strip_current(ham, n_rows):
+    """The ring current summed over the rows ``y2 < n_rows``: the function
+    ``J(k1, kp1) = e^{i kp1} J_01 + e^{-i k1} J_10`` of its ``(P M, P M)``
+    operator on the leading ``P = min(n_rows + 1, L2)`` rows.  ``J_{u1 v1}``,
+    built once here, places ``i w H(z1; x2 + du, x2 + dv)`` at rows
+    ``(x2 + du, x2 + dv)`` for each bond term with that ``(u1, v1)``; a
+    strip of no rows gives zeros."""
     g = ham.geometry
-    rows = _check_rows(g, rows, 2)
-    ah, b = _band_legs(ham, basis_k, basis_kp)
-    n, strip = basis_k.dim, rows[0] * g.M
-    dbar = basis_k.states[:strip].conj().T @ basis_kp.states[:strip]
-    lefts, rights = [np.empty((n, 0))], [np.empty((0, n))]
-    for _, _, left, right in _current_groups(ham, _J1_TERMS, rows[1], ah, b, basis_k.k1, basis_kp.k1):
-        lefts.append(left.transpose(1, 0, 2).reshape(n, -1))
-        rights.append(right.reshape(-1, n))
-    return dbar, np.concatenate(lefts, axis=1) @ np.concatenate(rights)
+    p = min(n_rows + 1, g.L2)
+    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
+    ops = {uv: np.zeros((p, g.M, p, g.M), dtype=complex) for uv in ((0, 1), (1, 0))}
+    for (du, dv), group in _row_groups(_J1_TERMS).items():
+        x2 = np.arange(max(0, -du, -dv), min(n_rows, g.L2 - max(du, dv)))
+        for (u1, v1, z1, wgt) in group:
+            ops[u1, v1][x2 + du, :, x2 + dv] += 1j * wgt * table[z1 + 1, du - dv + 1, x2 + du]
+    j01, j10 = (op.reshape(p * g.M, p * g.M) for op in ops.values())
+    return lambda k1, kp1: np.exp(1j * kp1) * j01 + np.exp(-1j * k1) * j10
+
+
+def _strip_vertices(basis_k, basis_kp, strip, current):
+    """``(Dbar, Jbar)`` of one fiber pair, each ``(n, n)``: the leading
+    ``strip`` fiber components of the band states contracted with each
+    other, and the leading ones with the pair's operator from ``current =
+    _strip_current(ham, n_rows)``.  They are the :func:`build_vertices`
+    density and ring current summed over ``x2 < strip / M`` and ``y2 < n_rows``."""
+    u_k, u_kp = basis_k.states, basis_kp.states
+    op = current(basis_k.k1, basis_kp.k1)
+    dbar = u_k[:strip].conj().T @ u_kp[:strip]
+    return dbar, (u_k[: len(op)].conj().T @ op) @ u_kp[: len(op)]
 
 
 def _fermi(e, mu, temperature):
@@ -477,21 +474,18 @@ def _propagator(energies, k0, mu):
 
 def free_two_point(basis, k0, mu):
     """Free fiber-resolved two-point function (-i k0 + H(k1) - mu)^-1."""
-    gvals = _propagator(basis.energies, k0, mu)
-    return (basis.states * gvals[None, :]) @ basis.states.conj().T
+    states = basis.states
+    return (states * _propagator(basis.energies, k0, mu)) @ states.conj().T
 
 
 def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu):
     """Row-summed free three-point functions for the density and the ring
-    current: matrices over (x2 rho, y2 rho')."""
-    L2 = ham.geometry.L2
-    g_k = _propagator(basis_k.energies, k0, mu)
-    g_kp = _propagator(basis_kp.energies, k0 + p0, mu)
-    out = []
-    for vbar in _strip_vertices(ham, basis_k, basis_kp, (L2, L2)):
-        mid = (g_k[:, None] * vbar) * g_kp[None, :]
-        out.append(basis_k.states @ mid @ basis_kp.states.conj().T)
-    return out
+    current: matrices over (x2 rho, y2 rho'), ``S2(k) S2(k+p)`` and
+    ``S2(k) J(k, k') S2(k+p)`` with :func:`free_two_point` and the ring
+    current on all rows (:func:`_strip_current`)."""
+    s2_k, s2_kp = free_two_point(basis_k, k0, mu), free_two_point(basis_kp, k0 + p0, mu)
+    op = _strip_current(ham, ham.geometry.L2)(basis_k.k1, basis_kp.k1)
+    return [s2_k @ s2_kp, s2_k @ op @ s2_kp]
 
 
 def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
@@ -531,9 +525,11 @@ def _strip_response(ham, fibers, p1_index, rows, weight):
     ``weight(f_k, f_kp)`` is the spectral weight of each fiber pair: an
     ``(n, n)`` array, or a stack ``(s, n, n)`` of them, which gives ``s``
     responses from one loop.  The strip sums are taken on the vertices,
-    before the band contraction (:func:`_strip_vertices`); with the weight
-    :func:`_pair_weight` this is the sum of the :func:`current_current`
-    table ``(0, 1)`` over those rows.
+    before the band contraction: the strip current is built once per
+    summand as a fiber operator (:func:`_strip_current`), and each pair
+    only contracts its band states with it (:func:`_strip_vertices`).  With
+    the weight :func:`_pair_weight` this is the sum of the
+    :func:`current_current` table ``(0, 1)`` over those rows.
 
     The sum runs over the summands of the model, on each summand's own
     bases (``FiberBasis.parts``) and with its own weight: the bands of two
@@ -542,15 +538,17 @@ def _strip_response(ham, fibers, p1_index, rows, weight):
     several parts that do not match the model's summands raise
     ``ValueError``.
     """
+    rows = _check_rows(ham.geometry, rows, 2)
     n_k = len(fibers)
+    subs = [ham] if len(fibers[0].parts) == 1 else [sub for _, sub in ham.summands()]
+    if len(subs) != len(fibers[0].parts):
+        raise ValueError(f"the fibers hold {len(fibers[0].parts)} summands, the model {len(subs)}")
+    strips = [(rows[0] * sub.geometry.M, _strip_current(sub, rows[1])) for sub in subs]
     total = 0.0 + 0.0j
     for m in range(n_k):
         f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
-        subs = [ham] if len(f_k.parts) == 1 else [sub for _, sub in ham.summands()]
-        if len(subs) != len(f_k.parts):
-            raise ValueError(f"the fibers hold {len(f_k.parts)} summands, the model {len(subs)}")
-        for sub, b_k, b_kp in zip(subs, f_k.parts, f_kp.parts, strict=True):
-            dbar, jbar = _strip_vertices(sub, b_k, b_kp, rows)
+        for (strip, current), b_k, b_kp in zip(strips, f_k.parts, f_kp.parts, strict=True):
+            dbar, jbar = _strip_vertices(b_k, b_kp, strip, current)
             total = total + np.sum(dbar * jbar.conj() * weight(b_k, b_kp), axis=(-2, -1))
     return total / n_k
 

@@ -217,7 +217,7 @@ def test_08_rg_flow_truncation():
     )
     traj = rgflow.flow_run(params, -30)
     hs, zs, vs, lams = traj.arrays()
-    lam_drift = np.max(np.abs(lams - lams[0]))
+    lam_carried = np.array_equal(lams, np.broadcast_to(params.lam, lams.shape))
     v_drift = np.max(np.abs(vs - vs[0]))
     rep = rgflow.vanishing_beta_report(traj)
 
@@ -235,7 +235,7 @@ def test_08_rg_flow_truncation():
     oracle_gap = max(oracle_gap, abs(o4 - p4) / max(abs(o4), 1e-30))
 
     ok = (
-        lam_drift <= lam**1.5
+        lam_carried
         and v_drift <= lam**0.5
         and np.all(rep["eta"] > 0.0)
         and np.all(rep["eta"] <= 10.0 * lam**2)
@@ -244,7 +244,7 @@ def test_08_rg_flow_truncation():
     _report(
         "8 truncated RG flow",
         ok,
-        f"max|lam_h - lam_0| = {lam_drift:.1e} <= {lam**1.5:.1e}; max|v_h - v_0| = "
+        f"lam_h = lam_0 exactly: {lam_carried}; max|v_h - v_0| = "
         f"{v_drift:.1e}; eta = {rep['eta'][0]:.2e} in (0, {10 * lam**2:.2e}]; "
         f"oracle gap = {oracle_gap:.1e}",
         t0,

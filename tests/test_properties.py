@@ -153,10 +153,42 @@ def test_strip_vertices_are_the_row_sums(seed, size, k1, p1, rows):
     rows = tuple(min(r, ham.geometry.L2) for r in rows)
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
     vs = response.build_vertices(ham, f_k, f_kp, rows=(*rows, 0))
-    dbar, jbar = response._strip_vertices(ham, f_k, f_kp, rows)
+    current = response._strip_current(ham, rows[1])
+    dbar, jbar = response._strip_vertices(f_k, f_kp, rows[0] * ham.geometry.M, current)
     for got, want in ((dbar, vs.density.sum(axis=0)), (jbar, vs.current1.sum(axis=0))):
         assert got.shape == (f_k.dim, f_k.dim)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2)),
+        lambda: lattice.stacked_shifted([
+            lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2)),
+            lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2), phi=-np.pi / 2),
+        ], [0.0, 0.1]),
+        lambda: random_hermitian_model(np.random.default_rng(5), 8, 8, 1),
+    ],
+    ids=["haldane", "counter-stack", "random-M1"],
+)
+def test_strip_vertices_at_the_edge_cases_are_the_row_sums(make):
+    # the strip current caps at P = L2 rows and is all zeros on a strip of
+    # no rows; the density strip ends at 0 and at L2 rows
+    ham = make()
+    g = ham.geometry
+    f_k, f_kp = response.diagonalize_fiber(ham, 0.7), response.diagonalize_fiber(ham, 0.7 + 2.0 * np.pi / 8)
+    vs = response.build_vertices(ham, f_k, f_kp)
+    for rows in ((0, 0), (g.L2, 0), (0, g.L2), (g.L2, g.L2), (1, g.L2 - 1)):
+        current = response._strip_current(ham, rows[1])
+        op = current(f_k.k1, f_kp.k1)
+        assert op.shape == ((min(rows[1] + 1, g.L2) * g.M,) * 2)
+        assert rows[1] or not op.any()
+        dbar, jbar = response._strip_vertices(f_k, f_kp, rows[0] * g.M, current)
+        want = vs.density[: rows[0]].sum(axis=0), vs.current1[: rows[1]].sum(axis=0)
+        for got, ref in zip((dbar, jbar), want):
+            assert got.shape == (f_k.dim, f_k.dim)
+            assert np.max(np.abs(got - ref)) <= 1e-13, rows
 
 
 @pytest.mark.parametrize(

@@ -109,35 +109,41 @@ def test_vertices_require_short_range(rng):
         response.build_vertices(ham, f, f)
 
 
-def test_one_vertex_build_per_fiber_pair(haldane_setup, monkeypatch):
+def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
     # the backward leg of each loop is the conjugate of the forward vertices,
     # so each (k, k + p) pair is built once: row-resolved by build_vertices,
-    # or summed over the strips by _strip_vertices
-    ham, mu, fibers = haldane_setup
-    n_k = 16
-    calls = {"build_vertices": [], "_strip_vertices": []}
-    for name in calls:
+    # or summed over the strips by _strip_vertices.  The strip current is a
+    # fixed fiber operator, built by _strip_current once per summand and
+    # strip sum, not once per pair
+    names = ("build_vertices", "_strip_vertices", "_strip_current")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         build = getattr(response, name)
 
-        def counted(*args, build=build, seen=calls[name], **kwargs):
-            seen.append(args)
+        def counted(*args, build=build, name=name, **kwargs):
+            calls[name] += 1
             return build(*args, **kwargs)
 
         monkeypatch.setattr(response, name, counted)
 
-    def builds(run, name):
-        for seen in calls.values():
-            seen.clear()
+    def builds(run):
+        calls.update(dict.fromkeys(names, 0))
         run()
-        assert all(not seen for other, seen in calls.items() if other != name)
-        return len(calls[name])
+        return tuple(calls[name] for name in names)
 
+    ham, mu, fibers = haldane_setup
+    n_k = 16
     eta = 2.0 * np.pi / 20.0 * (4.0 / 3.0)
-    assert builds(lambda: response.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers), "build_vertices") == n_k
+    assert builds(lambda: response.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers)) == (n_k, 0, 0)
     assert builds(lambda: response.wick_rotation_check(
-        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers), "_strip_vertices") == n_k
+        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers)) == (0, n_k, 1)
     assert builds(lambda: response.edge_conductance_free(
-        ham, mu, n_k, a=6, a_prime=4, fibers=fibers), "_strip_vertices") == 4 * n_k
+        ham, mu, n_k, a=6, a_prime=4, fibers=fibers)) == (0, 4 * n_k, 4)
+    # two summands: each strip sum builds one operator per summand, and each
+    # pair contracts each summand's bands with its own
+    stack, stack_fibers = counter_stack
+    assert builds(lambda: response.edge_conductance_free(
+        stack, 0.15, 24, a=6, a_prime=4, fibers=stack_fibers)) == (0, 2 * 4 * 24, 2 * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +526,8 @@ def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
     build = response._strip_vertices
     back = 2.0 * np.pi * 23 / 24  # p1 = -1 on the ring of 24
 
-    def broken(ham, basis_k, basis_kp, rows):
-        dbar, jbar = build(ham, basis_k, basis_kp, rows)
+    def broken(basis_k, basis_kp, strip, current):
+        dbar, jbar = build(basis_k, basis_kp, strip, current)
         if np.isclose((basis_kp.k1 - basis_k.k1) % (2.0 * np.pi), back):
             dbar = dbar + 0.1
         return dbar, jbar

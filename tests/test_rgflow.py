@@ -157,7 +157,7 @@ def test_flow_containment_30_scales():
     params = helical_params(lam)
     traj = rgflow.flow_run(params, -30)
     hs, zs, vs, lams = traj.arrays()
-    assert np.max(np.abs(lams - lams[0])) <= lam**1.5
+    assert np.array_equal(lams, np.broadcast_to(params.lam, lams.shape))
     assert np.max(np.abs(vs - params.v[None, :])) <= lam**0.5
     rep = rgflow.vanishing_beta_report(traj)
     assert np.all(rep["eta"] > 0.0)
