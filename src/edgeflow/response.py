@@ -11,30 +11,28 @@ The full fiber basis (including the decoupled Dirichlet-row modes) is kept
 in all spectral sums; completeness of the basis is what makes the
 conservation identities exact at finite size.
 
-Each fiber pair's vertices are built once.  The backward leg of a loop,
-from ``k1 + p1`` back to ``k1``, is the conjugate transpose of the forward
-one, ``bwd[y2, b, a] = conj(fwd[y2, a, b])``: the density and the bond
+Every current a response reads is one fiber operator, built once per
+summand and call by :func:`_current_operator`: a current component
+summed over rows with a weight per row, ``J(k, k') = sum_(u1, v1)
+e^{-i (k u1 - k' v1)} J_(u1 v1)`` with fixed matrices ``J_(u1 v1)`` on only
+the fiber rows the weight touches.  The indicator of ``y2 < n`` gives the
+ring current on a strip (the edge conductance, the wrong-order diagnostic,
+the real-time check), ones on every row give the row-summed three-point
+function, and a unit weight on row ``y2`` gives the current of the charge
+sum rule.  Per fiber pair the vertex ``Jbar = U_k^+ J(k, k') U_k'`` is one
+contraction of the band states on the operator's rows.
+
+The density is contracted the same way, before any band sum: summed over
+a strip it is ``Dbar = U_k[strip]^+ U_k'[strip]``, since ``sum_xy sum_ab
+D[x,a,b] conj(J[y,a,b]) w[a,b] = sum_ab Dbar[a,b] conj(Jbar[a,b]) w[a,b]``;
+row by row (the sum rule) it is read off ``conj(U) * (U @ leg)``.  No
+table of row-resolved vertices is built.  The backward leg of a loop is
+the conjugate transpose of the forward one: the density and the bond
 currents are Hermitian operators.
-
-The vertex build is batched over rows.  The bond terms of a current
-component are grouped by their row offsets ``(du, dv)`` (five groups for
-the ring current, two for the transverse one).  Per fiber pair, each
-group's terms are summed into one effective block per row, read from the
-model's cached row table ``H(z1; x2, y2)``, and the group adds
-``a[x2 + du]^+ Heff[x2] b[x2 + dv]`` for all its rows in one batched
-matmul.  Only the leading rows a caller reads are built.
-
-Callers that read only sums over a strip of rows (the edge conductance,
-the real-time check, the row-summed three-point function) take the sums
-before the band contraction, since ``sum_xy sum_ab D[x,a,b] conj(J[y,a,b])
-w[a,b] = sum_ab Dbar[a,b] conj(Jbar[a,b]) w[a,b]``.  The ring current summed
-over a strip is a fiber operator ``J(k, k') = e^{i k'} J_01 + e^{-i k} J_10``
-of two fixed matrices, built once per summand and call; per pair, ``Dbar``
-and ``Jbar`` are each one contraction of the band states.
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 is diagonalized one summand at a time, one ``eigh`` of each summand's own
-fiber, and the strip sums contract each summand's bands on its own
+fiber, and the responses contract each summand's bands on its own
 sub-model: the bands of two summands have disjoint support, so every
 vertex between them is 0.  A connected model is one summand and takes
 the whole-fiber arithmetic unchanged.
@@ -54,7 +52,6 @@ from .lattice import assemble_fiber
 
 __all__ = [
     "FiberBasis",
-    "VertexSet",
     "ConductanceEstimate",
     "DegenerateCrossingError",
     "ConjugationSymmetryError",
@@ -62,8 +59,6 @@ __all__ = [
     "diagonalize_fiber",
     "fiber_cache",
     "fiber_grid",
-    "build_vertices",
-    "current_current",
     "ward_sum_rule",
     "free_two_point",
     "vertex_three_point",
@@ -232,19 +227,6 @@ _J2_TERMS = [
 ]
 
 
-@dataclass
-class VertexSet:
-    """Row-resolved density and current vertices between two fiber bases.
-
-    Arrays have shape (L2, n, n): entry [x2, a, b] couples band a of the
-    basis at k1 to band b of the basis at k1 + p1.
-    """
-
-    density: np.ndarray
-    current1: np.ndarray
-    current2: np.ndarray
-
-
 def _row_groups(terms):
     """Bond terms keyed by their row offsets ``(du, dv)``."""
     groups = {}
@@ -260,96 +242,67 @@ def _check_rows(geometry, rows, count):
     return rows
 
 
-def _current_groups(ham, terms, n_rows, ah, b, k1, kp1):
-    """One current component's bond terms on rows ``x2 < n_rows``, one item
-    per row-offset group ``(du, dv)``.
+def _current_operator(ham, terms, weight):
+    """The current component ``terms`` (:data:`_J1_TERMS` or :data:`_J2_TERMS`)
+    summed over rows with ``weight[y2]``, as a fiber operator ``(rows, J)``.
 
-    Each item is ``(lo, hi, left, right)`` with ``left[i] = a[x2 + du]^+ Heff[x2]``
-    and ``right[i] = b[x2 + dv]`` for ``x2 = lo + i < hi``, where ``Heff`` sums
-    the group's phased hoppings ``H(z1; x2 + du, x2 + dv)`` from the model's
-    row table: the vertex on row ``x2`` is the sum over groups of
-    ``left @ right`` at that row.
+    ``rows`` is the slice of fiber components on the span of rows the
+    weight touches (its nonzero rows +- 1, within the cylinder; empty for a
+    zero weight), and ``J(k1, kp1) = sum_(u1, v1) e^{-i (k1 u1 - kp1 v1)}
+    J_(u1 v1)`` the operator on that span between the fibers at ``k1`` and
+    ``kp1``.  Each fixed matrix ``J_(u1 v1)``, built once here from the
+    model's row table, places ``i w weight[y2] H(z1; y2 + du, y2 + dv)`` at
+    rows ``(y2 + du, y2 + dv)`` for each bond term with that ``(u1, v1)``.
     """
-    L2 = ham.geometry.L2
+    g = ham.geometry
     table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
+    weight = np.asarray(weight, dtype=float)
+    on = np.flatnonzero(weight)
+    lo, hi = (max(on[0] - 1, 0), min(on[-1] + 2, g.L2)) if on.size else (0, 0)
+    ops = {}
     for (du, dv), group in _row_groups(terms).items():
-        lo, hi = max(0, -du, -dv), min(n_rows, L2 - max(du, dv))
-        if lo >= hi:
-            continue
-        heff = sum(
-            1j * wgt * np.exp(-1j * (k1 * u1 - kp1 * v1))
-            * table[z1 + 1, du - dv + 1, lo + du : hi + du]
-            for (u1, v1, z1, wgt) in group
-        )
-        yield lo, hi, ah[lo + du : hi + du] @ heff, b[lo + dv : hi + dv]
-
-
-def build_vertices(ham, basis_k, basis_kp, rows=None):
-    """Assemble density and bond-current vertices for the pair
-    ``(k1, k1 + p1)`` implied by the two bases.
-
-    ``rows`` gives how many leading rows ``x2 = 0, 1, ...`` to build of
-    the density, ``current1`` and ``current2`` (all ``L2`` rows each by
-    default); a component given 0 rows is an empty array.  The bond terms
-    of each current come from :func:`_current_groups`, one item per row
-    offset ``(du, dv)``, and each item adds ``a[x2 + du]^+ Heff b[x2 + dv]``
-    to its rows in one batched matmul.  Callers that only read row sums
-    use :func:`_strip_vertices`, which equals their row sums.
-
-    The vertices of the reversed pair need no build of their own:
-    ``build_vertices(ham, basis_kp, basis_k)`` is the per-row conjugate
-    transpose of this one.
-
-    Raises :class:`~edgeflow.lattice.HermiticityError` for a model whose
-    blocks are not Hermitian partners, also when the bases were computed
-    elsewhere (``fibers=``); the check is the model's cached one.
-    """
-    g = ham.geometry
-    rows = (g.L2,) * 3 if rows is None else _check_rows(g, rows, 3)
-    if basis_k.dim != basis_kp.dim:
-        raise ValueError("fiber dimensions differ")
-    ah = basis_k.states.reshape(g.L2, g.M, -1).conj().transpose(0, 2, 1)  # a[x2]^+
-    b = basis_kp.states.reshape(g.L2, g.M, -1)
-    density = ah[: rows[0]] @ b[: rows[0]]
-
-    currents = []
-    for terms, n_rows in zip((_J1_TERMS, _J2_TERMS), rows[1:]):
-        out = np.zeros((n_rows, basis_k.dim, basis_k.dim), dtype=complex)
-        for lo, hi, left, right in _current_groups(ham, terms, n_rows, ah, b, basis_k.k1, basis_kp.k1):
-            out[lo:hi] += left @ right
-        currents.append(out)
-    return VertexSet(density=density, current1=currents[0], current2=currents[1])
-
-
-def _strip_current(ham, n_rows):
-    """The ring current summed over the rows ``y2 < n_rows``: the function
-    ``J(k1, kp1) = e^{i kp1} J_01 + e^{-i k1} J_10`` of its ``(P M, P M)``
-    operator on the leading ``P = min(n_rows + 1, L2)`` rows.  ``J_{u1 v1}``,
-    built once here, places ``i w H(z1; x2 + du, x2 + dv)`` at rows
-    ``(x2 + du, x2 + dv)`` for each bond term with that ``(u1, v1)``; a
-    strip of no rows gives zeros."""
-    g = ham.geometry
-    p = min(n_rows + 1, g.L2)
-    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
-    ops = {uv: np.zeros((p, g.M, p, g.M), dtype=complex) for uv in ((0, 1), (1, 0))}
-    for (du, dv), group in _row_groups(_J1_TERMS).items():
-        x2 = np.arange(max(0, -du, -dv), min(n_rows, g.L2 - max(du, dv)))
+        y2 = on[(on + min(du, dv) >= 0) & (on + max(du, dv) < g.L2)]
+        coef = weight[y2, None, None]
         for (u1, v1, z1, wgt) in group:
-            ops[u1, v1][x2 + du, :, x2 + dv] += 1j * wgt * table[z1 + 1, du - dv + 1, x2 + du]
-    j01, j10 = (op.reshape(p * g.M, p * g.M) for op in ops.values())
-    return lambda k1, kp1: np.exp(1j * kp1) * j01 + np.exp(-1j * k1) * j10
+            op = ops.setdefault((u1, v1), np.zeros((hi - lo, g.M, hi - lo, g.M), dtype=complex))
+            op[y2 + du - lo, :, y2 + dv - lo] += 1j * wgt * coef * table[z1 + 1, du - dv + 1, y2 + du]
+    n = (hi - lo) * g.M
+    mats = [(u1, v1, op.reshape(n, n)) for (u1, v1), op in ops.items()]
+
+    def current(k1, kp1):
+        first, *rest = [np.exp(-1j * (k1 * u1 - kp1 * v1)) * mat for u1, v1, mat in mats]
+        return sum(rest, first)
+
+    return slice(lo * g.M, hi * g.M), current
+
+
+def _current_vertex(basis_k, basis_kp, current):
+    """``U_k^+ J(k1, kp1) U_kp`` for ``current = _current_operator(...)``:
+    the pair's ``(n, n)`` current vertex, its band states contracted on the
+    operator's rows only."""
+    rows, op = current
+    return (basis_k.states[rows].conj().T @ op(basis_k.k1, basis_kp.k1)) @ basis_kp.states[rows]
 
 
 def _strip_vertices(basis_k, basis_kp, strip, current):
     """``(Dbar, Jbar)`` of one fiber pair, each ``(n, n)``: the leading
     ``strip`` fiber components of the band states contracted with each
-    other, and the leading ones with the pair's operator from ``current =
-    _strip_current(ham, n_rows)``.  They are the :func:`build_vertices`
-    density and ring current summed over ``x2 < strip / M`` and ``y2 < n_rows``."""
-    u_k, u_kp = basis_k.states, basis_kp.states
-    op = current(basis_k.k1, basis_kp.k1)
-    dbar = u_k[:strip].conj().T @ u_kp[:strip]
-    return dbar, (u_k[: len(op)].conj().T @ op) @ u_kp[: len(op)]
+    other, and the pair's vertex of the strip current ``current =
+    _current_operator(ham, _J1_TERMS, y2 < n_rows)``.  They are the density
+    summed over ``x2 < strip / M`` and the ring current over ``y2 < n_rows``."""
+    dbar = basis_k.states[:strip].conj().T @ basis_kp.states[:strip]
+    return dbar, _current_vertex(basis_k, basis_kp, current)
+
+
+def _summand_models(ham, fibers):
+    """The models whose bases are the ``parts`` of each fiber: the whole
+    model for fibers of one part, else the model's summands; ``ValueError``
+    when the fibers hold another number of summands than the model."""
+    parts = len(fibers[0].parts)
+    subs = [ham] if parts == 1 else [sub for _, sub in ham.summands()]
+    if len(subs) != parts:
+        raise ValueError(f"the fibers hold {parts} summands, the model {len(subs)}")
+    return subs
 
 
 def _fermi(e, mu, temperature):
@@ -391,48 +344,38 @@ def _pair_weight(e_a, e_b, mu, temperature, p0):
     return out
 
 
-def _vertex_component(vs, index):
-    return (vs.density, vs.current1, vs.current2)[index]
+def _ward_columns(ham, fibers, mu, p0, y2, temperature):
+    """``cols[i - 1, x2] = S_{0,i}((p0, 0); x2, y2)``, ``(2, L2)``: the density
+    on row ``x2`` against row ``y2`` of current component ``i``.
 
-
-def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, components=((0, 0), (0, 1)), fibers=None):
-    """Connected current-current correlation on strips near the lower edge.
-
-    ``p1_index`` selects the ring momentum 2 pi p1_index / n_k.  Returns
-    a dict from each component pair (mu, nu) to its table, indexed by rows
-    x2 <= strips[0] and y2 <= strips[1].
+    Per summand and fiber, with band states ``U`` on the summand's rows and
+    weight ``w``, ``Jbar_i`` is the vertex of the unit-weight operator of
+    row ``y2`` (:func:`_current_operator`, three rows of the fiber) and
+    ``cols[i - 1, x2] = sum_(rho, a) conj(U) * (U @ (conj(Jbar_i) * w).T)`` on
+    the components ``(x2, rho)``: no row-resolved density is built, and
+    the cost does not depend on ``y2``.
     """
-    g = ham.geometry
-    if strips is None:
-        strips = (g.L2 // 2 - 2, g.L2 // 4)
-    sa, sb = strips
-    fibers = fiber_grid(ham, n_k, fibers)
-    tables = {c: np.zeros((sa + 1, sb + 1), dtype=complex) for c in components}
-    rows = [0, 0, 0]
-    for (mu_i, nu_i) in components:
-        rows[mu_i] = max(rows[mu_i], sa + 1)
-        rows[nu_i] = max(rows[nu_i], sb + 1)
-    for m in range(n_k):
-        f_k = fibers[m]
-        f_kp = fibers[(m + p1_index) % n_k]
-        vs = build_vertices(ham, f_k, f_kp, rows=rows)
-        w = _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
-        for (mu_i, nu_i) in components:
-            va = _vertex_component(vs, mu_i)[: sa + 1]
-            vf = _vertex_component(vs, nu_i)[: sb + 1]
-            # the backward leg is vf conjugate-transposed per row
-            tables[(mu_i, nu_i)] += (
-                va.reshape(sa + 1, -1) @ (vf.conj() * w).reshape(sb + 1, -1).T
-            )
-    for c in components:
-        tables[c] /= n_k
-    return tables
+    L2 = ham.geometry.L2
+    row = np.arange(L2) == y2
+    currents = [
+        [_current_operator(sub, terms, row) for terms in (_J1_TERMS, _J2_TERMS)] for sub in _summand_models(ham, fibers)
+    ]
+    cols = np.zeros((2, L2), dtype=complex)
+    for f in fibers:
+        for ops, b in zip(currents, f.parts, strict=True):
+            u = b.states
+            w = _pair_weight(b.energies, b.energies, mu, temperature, p0)
+            # the backward leg is the row-y2 current, conjugate-transposed
+            legs = np.stack([_current_vertex(b, b, op) for op in ops]).conj() * w
+            cols += (u.conj() * (u @ legs.transpose(0, 2, 1))).reshape(2, L2, -1).sum(axis=2)
+    return cols / len(fibers)
 
 
 def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     """Charge-conservation residual: |sum_x2 S_{0,i}((p0, 0); x2, y2)| for
     the two current components, normalized by the largest summand: the
-    density on every row contracted with row ``y2`` of each current.
+    density on every row contracted with row ``y2`` of each current
+    (:func:`_ward_columns`).
 
     ``y2`` must be an interior row, in ``[1, L2 - 2]``: on a Dirichlet row
     every summand vanishes and the residual would be 0 whatever the model.
@@ -440,14 +383,7 @@ def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     L2 = ham.geometry.L2
     if not 1 <= y2 <= L2 - 2:
         raise ValueError(f"y2 must be an interior row in [1, L2 - 2] = [1, {L2 - 2}], got {y2}")
-    cols = np.zeros((2, L2), dtype=complex)
-    for f in fiber_grid(ham, n_k, fibers):
-        vs = build_vertices(ham, f, f, rows=(L2, y2 + 1, y2 + 1))
-        w = _pair_weight(f.energies, f.energies, mu, temperature, p0)
-        # the backward leg is row y2 of each current, conjugate-transposed
-        legs = np.stack([vs.current1[y2], vs.current2[y2]]).conj() * w
-        cols += legs.reshape(2, -1) @ vs.density.reshape(L2, -1).T
-    cols /= n_k
+    cols = _ward_columns(ham, fiber_grid(ham, n_k, fibers), mu, p0, y2, temperature)
     out = {}
     for i, col in zip((1, 2), cols):
         scale = max(np.max(np.abs(col)), 1e-300)
@@ -478,14 +414,20 @@ def free_two_point(basis, k0, mu):
     return (states * _propagator(basis.energies, k0, mu)) @ states.conj().T
 
 
+def _three_point(ham, basis_k, basis_kp, s2_k, s2_kp):
+    """``[S2(k) S2(k+p), S2(k) J(k, k') S2(k+p)]`` from the two free
+    two-point functions, with the ring current on all rows."""
+    _, current = _current_operator(ham, _J1_TERMS, np.ones(ham.geometry.L2))
+    return [s2_k @ s2_kp, s2_k @ current(basis_k.k1, basis_kp.k1) @ s2_kp]
+
+
 def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu):
     """Row-summed free three-point functions for the density and the ring
     current: matrices over (x2 rho, y2 rho'), ``S2(k) S2(k+p)`` and
     ``S2(k) J(k, k') S2(k+p)`` with :func:`free_two_point` and the ring
-    current on all rows (:func:`_strip_current`)."""
+    current on all rows (:func:`_current_operator`)."""
     s2_k, s2_kp = free_two_point(basis_k, k0, mu), free_two_point(basis_kp, k0 + p0, mu)
-    op = _strip_current(ham, ham.geometry.L2)(basis_k.k1, basis_kp.k1)
-    return [s2_k @ s2_kp, s2_k @ op @ s2_kp]
+    return _three_point(ham, basis_k, basis_kp, s2_k, s2_kp)
 
 
 def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
@@ -493,7 +435,8 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
 
     ``p0 * S3_density + (1 - e^{-i p1}) * S3_current = i S2(k) - i S2(k+p)``
     with everything summed over the insertion row; returns the max-norm
-    residual divided by the largest participating term.
+    residual divided by the largest participating term.  The two free
+    two-point functions are formed once, for both sides.
     """
     if fibers is None:
         f_k = diagonalize_fiber(ham, 2.0 * np.pi * k1_index / n_k)
@@ -503,9 +446,9 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
         f_k = fibers[k1_index % n_k]
         f_kp = fibers[(k1_index + p1_index) % n_k]
     p1 = 2.0 * np.pi * p1_index / n_k
-    s3_n, s3_j = vertex_three_point(ham, f_k, f_kp, k0, p0, mu)
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)
+    s3_n, s3_j = _three_point(ham, f_k, f_kp, s2_k, s2_kp)
     lhs = p0 * s3_n + (1.0 - np.exp(-1j * p1)) * s3_j
     rhs = 1j * (s2_k - s2_kp)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
@@ -526,10 +469,11 @@ def _strip_response(ham, fibers, p1_index, rows, weight):
     ``(n, n)`` array, or a stack ``(s, n, n)`` of them, which gives ``s``
     responses from one loop.  The strip sums are taken on the vertices,
     before the band contraction: the strip current is built once per
-    summand as a fiber operator (:func:`_strip_current`), and each pair
-    only contracts its band states with it (:func:`_strip_vertices`).  With
-    the weight :func:`_pair_weight` this is the sum of the
-    :func:`current_current` table ``(0, 1)`` over those rows.
+    summand as a fiber operator (:func:`_current_operator` with the
+    indicator of ``y2 < rows[1]``), and each pair only contracts its band
+    states with it (:func:`_strip_vertices`).  With the weight
+    :func:`_pair_weight` this is the row-resolved density-current table
+    summed over those rows.
 
     The sum runs over the summands of the model, on each summand's own
     bases (``FiberBasis.parts``) and with its own weight: the bands of two
@@ -540,10 +484,10 @@ def _strip_response(ham, fibers, p1_index, rows, weight):
     """
     rows = _check_rows(ham.geometry, rows, 2)
     n_k = len(fibers)
-    subs = [ham] if len(fibers[0].parts) == 1 else [sub for _, sub in ham.summands()]
-    if len(subs) != len(fibers[0].parts):
-        raise ValueError(f"the fibers hold {len(fibers[0].parts)} summands, the model {len(subs)}")
-    strips = [(rows[0] * sub.geometry.M, _strip_current(sub, rows[1])) for sub in subs]
+    on_strip = np.arange(ham.geometry.L2) < rows[1]
+    strips = [
+        (rows[0] * sub.geometry.M, _current_operator(sub, _J1_TERMS, on_strip)) for sub in _summand_models(ham, fibers)
+    ]
     total = 0.0 + 0.0j
     for m in range(n_k):
         f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]

@@ -13,6 +13,7 @@ from edgeflow import lattice, reference, response, rgflow
 from edgeflow.cutoffs import chi, shell
 from edgeflow.quadrature import polar_nodes
 from conftest import random_hermitian_model
+from row_vertices import build_vertices, current_current, ward_columns
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -42,9 +43,9 @@ def loop_vertices(ham, basis_k, basis_kp):
 
 def table_sum_conductance(ham, mu, n_k, a, a_prime, fibers):
     """Reference strip responses at p1 = 1, 2, 3: the full (a+1, a'+1) row
-    table of ``current_current``, summed."""
+    table of the oracle's ``current_current``, summed."""
     tables = (
-        response.current_current(
+        current_current(
             ham, mu, 0.0, p1_index, n_k, strips=(a, a_prime), components=((0, 1),), fibers=fibers
         )[(0, 1)]
         for p1_index in (1, 2, 3)
@@ -65,7 +66,7 @@ def loop_fiber(ham, k1):
 
 def assert_matches_loop(ham, f_k, f_kp, rows):
     rows = tuple(min(r, ham.geometry.L2) for r in rows)
-    vs = response.build_vertices(ham, f_k, f_kp, rows=rows)
+    vs = build_vertices(ham, f_k, f_kp, rows=rows)
     for want, got, n in zip(loop_vertices(ham, f_k, f_kp), (vs.density, vs.current1, vs.current2), rows):
         assert got.shape == (n, f_k.dim, f_k.dim)
         assert np.max(np.abs(got - want[:n]), initial=0.0) <= 1e-13
@@ -77,8 +78,8 @@ def test_backward_vertices_are_conjugate_transposes(seed, size, k1, p1):
     ham = random_hermitian_model(np.random.default_rng(seed), *size)
     f_k = response.diagonalize_fiber(ham, k1)
     f_kp = response.diagonalize_fiber(ham, k1 + p1)
-    fwd = response.build_vertices(ham, f_k, f_kp)
-    bwd = response.build_vertices(ham, f_kp, f_k)
+    fwd = build_vertices(ham, f_k, f_kp)
+    bwd = build_vertices(ham, f_kp, f_k)
     for name in ("density", "current1", "current2"):
         a, b = getattr(fwd, name), getattr(bwd, name)
         scale = np.max(np.abs(a))
@@ -152,12 +153,37 @@ def test_strip_vertices_are_the_row_sums(seed, size, k1, p1, rows):
     ham = random_hermitian_model(np.random.default_rng(seed), *size)
     rows = tuple(min(r, ham.geometry.L2) for r in rows)
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
-    vs = response.build_vertices(ham, f_k, f_kp, rows=(*rows, 0))
-    current = response._strip_current(ham, rows[1])
+    vs = build_vertices(ham, f_k, f_kp, rows=(*rows, 0))
+    current = response._current_operator(ham, response._J1_TERMS, np.arange(ham.geometry.L2) < rows[1])
     dbar, jbar = response._strip_vertices(f_k, f_kp, rows[0] * ham.geometry.M, current)
     for got, want in ((dbar, vs.density.sum(axis=0)), (jbar, vs.current1.sum(axis=0))):
         assert got.shape == (f_k.dim, f_k.dim)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    k1=st.floats(0.0, 2.0 * np.pi),
+    p1=st.floats(-np.pi, np.pi),
+    weight=st.lists(st.sampled_from([0.0, 0.0, 1.0, -0.5, 2.5]), min_size=8, max_size=8),
+)
+def test_a_weighted_current_operator_is_the_weighted_row_sum(seed, size, k1, p1, weight):
+    # any weight per row, on the span of rows the weight touches, for both
+    # current components
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    g = ham.geometry
+    weight = np.array(weight[: g.L2])
+    on = np.flatnonzero(weight)
+    span = slice(max(on[0] - 1, 0) * g.M, min(on[-1] + 2, g.L2) * g.M) if on.size else slice(0, 0)
+    f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
+    vs = build_vertices(ham, f_k, f_kp)
+    for terms, rows in ((response._J1_TERMS, vs.current1), (response._J2_TERMS, vs.current2)):
+        current = response._current_operator(ham, terms, weight)
+        assert current[0] == span
+        got = response._current_vertex(f_k, f_kp, current)
+        assert np.max(np.abs(got - np.tensordot(weight, rows, axes=1))) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -173,17 +199,18 @@ def test_strip_vertices_are_the_row_sums(seed, size, k1, p1, rows):
     ids=["haldane", "counter-stack", "random-M1"],
 )
 def test_strip_vertices_at_the_edge_cases_are_the_row_sums(make):
-    # the strip current caps at P = L2 rows and is all zeros on a strip of
-    # no rows; the density strip ends at 0 and at L2 rows
+    # the strip current of y2 < n spans the leading P = min(n + 1, L2) rows
+    # and is empty on a strip of no rows; the density strip ends at 0 and at
+    # L2 rows
     ham = make()
     g = ham.geometry
     f_k, f_kp = response.diagonalize_fiber(ham, 0.7), response.diagonalize_fiber(ham, 0.7 + 2.0 * np.pi / 8)
-    vs = response.build_vertices(ham, f_k, f_kp)
+    vs = build_vertices(ham, f_k, f_kp)
     for rows in ((0, 0), (g.L2, 0), (0, g.L2), (g.L2, g.L2), (1, g.L2 - 1)):
-        current = response._strip_current(ham, rows[1])
-        op = current(f_k.k1, f_kp.k1)
-        assert op.shape == ((min(rows[1] + 1, g.L2) * g.M,) * 2)
-        assert rows[1] or not op.any()
+        current = response._current_operator(ham, response._J1_TERMS, np.arange(g.L2) < rows[1])
+        span = min(rows[1] + 1, g.L2) * g.M if rows[1] else 0
+        assert current[0] == slice(0, span)
+        assert current[1](f_k.k1, f_kp.k1).shape == (span, span)
         dbar, jbar = response._strip_vertices(f_k, f_kp, rows[0] * g.M, current)
         want = vs.density[: rows[0]].sum(axis=0), vs.current1[: rows[1]].sum(axis=0)
         for got, ref in zip((dbar, jbar), want):
@@ -226,7 +253,7 @@ def test_wrong_order_diagnostic_is_the_summed_row_table(seed, size, mu, p0, row)
     fibers = response.fiber_cache(ham, L1)
     got = response.wrong_order_diagnostic(ham, mu, p0, L1, a_prime, fibers=fibers)
     # reference: the full (L2, a' + 1) row table of current_current, summed
-    table = response.current_current(
+    table = current_current(
         ham, mu, p0, 0, L1, strips=(L2 - 1, a_prime), components=((0, 1),), fibers=fibers
     )[(0, 1)]
     assert abs(got - complex(table.sum())) <= 1e-14
@@ -255,11 +282,36 @@ def test_strip_response_is_the_summed_row_table(seed, size, mu, p0, temperature,
         )
     except response.DegenerateCrossingError:
         assume(False)
-    table = response.current_current(
+    table = current_current(
         ham, mu, p0, p1_index, L1, temperature=temperature, strips=(a, a_prime),
         components=((0, 1),), fibers=fibers,
     )[(0, 1)]
     assert abs(got - table.sum()) <= 1e-13
+
+
+def assert_ward_columns_match(ham, mu, p0, temperature):
+    """``response._ward_columns`` at every interior row against the oracle's
+    row-resolved columns, to 1e-14 of the largest."""
+    g = ham.geometry
+    fibers = response.fiber_cache(ham, g.L1)
+    for y2 in range(1, g.L2 - 1):
+        got = response._ward_columns(ham, fibers, mu, p0, y2, temperature)
+        want = ward_columns(ham, fibers, mu, p0, y2, temperature)
+        assert got.shape == want.shape == (2, g.L2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), y2
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    mu=st.floats(-2.0, 2.0),
+    p0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    temperature=st.sampled_from([0.0, 0.05]),
+)
+def test_ward_columns_are_the_row_resolved_columns(seed, size, mu, p0, temperature):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    assert_ward_columns_match(ham, mu, p0, temperature)
 
 
 # a direct sum of 2 or 3 random models with differing M: seed, L1, L2, the
@@ -279,6 +331,27 @@ def random_direct_sum(seed, L1, L2, ms, shifts):
     models = [random_hermitian_model(rng, L1, L2, m) for m in ms]
     shifts = shifts[: len(ms)]
     return [h.shifted(e) for h, e in zip(models, shifts)], lattice.stacked_shifted(models, shifts)
+
+
+@PROPERTY
+@given(
+    draw=DIRECT_SUMS,
+    flipped=st.booleans(),
+    mu=st.floats(-2.0, 2.0),
+    p0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    temperature=st.sampled_from([0.0, 0.05]),
+)
+def test_ward_columns_of_a_direct_sum_are_the_row_resolved_columns(draw, flipped, mu, p0, temperature):
+    # the sum rule runs one summand at a time, the oracle on the whole
+    # fiber; flipped is a Haldane copy stacked with its time reverse
+    if flipped:
+        g = lattice.CylinderGeometry(draw[1], draw[2], 2)
+        copies = [lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, phi=-np.pi / 2)]
+        stack = lattice.stacked_shifted(copies, draw[4][:2])
+    else:
+        _, stack = random_direct_sum(*draw)
+    assert len(stack.summands()) > 1
+    assert_ward_columns_match(stack, mu, p0, temperature)
 
 
 @PROPERTY
@@ -356,14 +429,14 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     ham = random_hermitian_model(rng, *size)
     L2, M = size[1], size[2]
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
-    before = response.build_vertices(ham, f_k, f_kp)
+    before = build_vertices(ham, f_k, f_kp)
     x2 = int(rng.integers(1, L2 - 1))
     # a complex block and its partner: the vertex build checks Hermiticity,
     # and a real pair would cancel in current1 at k1 + p1 = -k1
     blk = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)) + 1.0
     ham.add_block(1, x2, x2, blk)
     ham.add_block(-1, x2, x2, blk.conj().T)
-    after = response.build_vertices(ham, f_k, f_kp)
+    after = build_vertices(ham, f_k, f_kp)
     assert np.max(np.abs(after.current1 - before.current1)) > 1e-6
     assert_matches_loop(ham, f_k, f_kp, (L2, L2, L2))
 

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import row_vertices
 from edgeflow import lattice, response, spectrum
 from conftest import random_hermitian_model
 
@@ -21,7 +22,7 @@ def haldane_setup():
 
 def test_density_completeness(haldane_setup):
     ham, _, fibers = haldane_setup
-    vs = response.build_vertices(ham, fibers[3], fibers[3])
+    vs = row_vertices.build_vertices(ham, fibers[3], fibers[3])
     total = vs.density.sum(axis=0)
     assert np.max(np.abs(total - np.eye(total.shape[0]))) < 1e-13
 
@@ -30,10 +31,10 @@ def test_chain_current_is_group_velocity():
     # J1 diagonal at p1 = 0 equals the numerical dispersion derivative
     g = lattice.CylinderGeometry(16, 8, 1)
     ham = lattice.chain_cylinder(g, t=0.9)
+    current = response._current_operator(ham, response._J1_TERMS, np.ones(g.L2))
     for k in (0.3, 1.7):
         f = response.diagonalize_fiber(ham, k)
-        vs = response.build_vertices(ham, f, f)
-        j_diag = np.real(vs.current1.sum(axis=0).diagonal())
+        j_diag = np.real(response._current_vertex(f, f, current).diagonal())
         step = 1e-6
         e_p = np.linalg.eigvalsh(lattice.assemble_fiber(ham, k + step))
         e_m = np.linalg.eigvalsh(lattice.assemble_fiber(ham, k - step))
@@ -105,26 +106,29 @@ def test_vertices_require_short_range(rng):
     ham.add_block(2, 3, 3, [[1.0]])
     ham.add_block(-2, 3, 3, [[1.0]])
     f = response.diagonalize_fiber(ham, 0.1)
-    with pytest.raises(ValueError):
-        response.build_vertices(ham, f, f)
+    with pytest.raises(ValueError, match="hop range"):
+        response._current_operator(ham, response._J1_TERMS, np.ones(g.L2))
+    with pytest.raises(ValueError, match="hop range"):
+        response.ward_sum_rule(ham, 0.0, 0.3, 3, 8, fibers=[f] * 8)
 
 
 def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
     # the backward leg of each loop is the conjugate of the forward vertices,
-    # so each (k, k + p) pair is built once: row-resolved by build_vertices,
-    # or summed over the strips by _strip_vertices.  The strip current is a
-    # fixed fiber operator, built by _strip_current once per summand and
-    # strip sum, not once per pair
-    names = ("build_vertices", "_strip_vertices", "_strip_current")
+    # so each (k, k + p) pair is built once: row-resolved by the oracle's
+    # build_vertices, or summed over the strips by _strip_vertices.  Every
+    # current is a fixed fiber operator, built by _current_operator once per
+    # summand, component and call, not once per pair
+    owners = {"build_vertices": row_vertices, "_strip_vertices": response, "_current_operator": response}
+    names = tuple(owners)
     calls = dict.fromkeys(names, 0)
-    for name in names:
-        build = getattr(response, name)
+    for name, owner in owners.items():
+        build = getattr(owner, name)
 
         def counted(*args, build=build, name=name, **kwargs):
             calls[name] += 1
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(response, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     def builds(run):
         calls.update(dict.fromkeys(names, 0))
@@ -134,7 +138,10 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
     ham, mu, fibers = haldane_setup
     n_k = 16
     eta = 2.0 * np.pi / 20.0 * (4.0 / 3.0)
-    assert builds(lambda: response.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers)) == (n_k, 0, 0)
+    assert builds(lambda: row_vertices.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers)) == (n_k, 0, 0)
+    # the sum rule: one operator per current component, none per fiber
+    assert builds(lambda: response.ward_sum_rule(ham, mu, 0.3, 3, n_k, fibers=fibers)) == (0, 0, 2)
+    assert builds(lambda: response.vertex_ward_residual(ham, mu, 0.2, 1, 0.3, 1, n_k, fibers=fibers)) == (0, 0, 1)
     assert builds(lambda: response.wick_rotation_check(
         ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers)) == (0, n_k, 1)
     assert builds(lambda: response.edge_conductance_free(
@@ -144,6 +151,7 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
     stack, stack_fibers = counter_stack
     assert builds(lambda: response.edge_conductance_free(
         stack, 0.15, 24, a=6, a_prime=4, fibers=stack_fibers)) == (0, 2 * 4 * 24, 2 * 4)
+    assert builds(lambda: response.ward_sum_rule(stack, 0.15, 0.3, 3, 24, fibers=stack_fibers)) == (0, 0, 2 * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +218,10 @@ def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup, 
     corrupted = np.zeros_like(total)
     for m in range(n_k):
         f_k = fibers[m]
-        vs_fwd = response.build_vertices(ham, f_k, f_k)
+        vs_fwd = row_vertices.build_vertices(ham, f_k, f_k)
         with monkeypatch.context() as mp:
             _drop_diagonal_bonds(mp)
-            vs_bwd = response.build_vertices(ham, f_k, f_k)
+            vs_bwd = row_vertices.build_vertices(ham, f_k, f_k)
         w = response._pair_weight(f_k.energies, f_k.energies, mu, 0.0, 0.3)
         total += np.einsum("xab,yba,ab->xy", vs_fwd.density, vs_bwd.current1, w)
         bad_density = vs_fwd.density.copy()
@@ -273,7 +281,8 @@ def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_
 @pytest.mark.parametrize(
     "name, n_k, run",
     [
-        ("current_current", 8, lambda ham, mu, fibers: response.current_current(ham, mu, 0.3, 1, 8, fibers=fibers)),
+        ("current_current", 8, lambda ham, mu, fibers: row_vertices.current_current(
+            ham, mu, 0.3, 1, 8, fibers=fibers)),
         ("ward_sum_rule", 8, lambda ham, mu, fibers: response.ward_sum_rule(ham, mu, 0.3, 3, 8, fibers=fibers)),
         ("edge_conductance_free", 32, lambda ham, mu, fibers: response.edge_conductance_free(
             ham, mu, 32, a=6, a_prime=4, fibers=fibers)),
@@ -293,8 +302,9 @@ def test_a_fiber_grid_of_the_wrong_length_is_refused(haldane_setup, monkeypatch,
     def no_vertices(*args, **kwargs):
         raise AssertionError("a vertex was built before the grid was checked")
 
-    monkeypatch.setattr(response, "build_vertices", no_vertices)
-    monkeypatch.setattr(response, "_strip_vertices", no_vertices)
+    monkeypatch.setattr(row_vertices, "build_vertices", no_vertices)
+    for name in ("_strip_vertices", "_current_vertex", "_ward_columns"):
+        monkeypatch.setattr(response, name, no_vertices)
     with pytest.raises(ValueError, match=f"need {n_k} fibers, got 16"):
         run(ham, mu, fibers)
 
@@ -364,7 +374,7 @@ def test_lindhard_matsubara_oracle():
     beta = 1.0 / temp
     p0 = 2.0 * np.pi / beta * p0_index
     fibers = response.fiber_cache(ham, n_k)
-    res = response.current_current(
+    res = row_vertices.current_current(
         ham, mu, p0, p1_index, n_k, temperature=temp, strips=(3, 3),
         components=((0, 0),), fibers=fibers,
     )
@@ -380,8 +390,8 @@ def test_lindhard_matsubara_oracle():
     for m in range(n_k):
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
-        vs_fwd = response.build_vertices(ham, f_k, f_kp)
-        vs_bwd = response.build_vertices(ham, f_kp, f_k)
+        vs_fwd = row_vertices.build_vertices(ham, f_k, f_kp)
+        vs_bwd = row_vertices.build_vertices(ham, f_kp, f_k)
         na = vs_fwd.density[2]
         nb = vs_bwd.density[2]
         for a in range(f_k.dim):
@@ -402,7 +412,7 @@ def test_lindhard_matsubara_oracle():
 def test_response_vanishes_below_band():
     g = lattice.CylinderGeometry(12, 8, 1)
     ham = lattice.chain_cylinder(g)
-    res = response.current_current(ham, -5.0, 0.0, 0, 12, strips=(5, 5))
+    res = row_vertices.current_current(ham, -5.0, 0.0, 0, 12, strips=(5, 5))
     assert np.max(np.abs(res[(0, 1)])) == 0.0
 
 
@@ -411,8 +421,8 @@ def test_response_transpose_symmetry(haldane_setup):
     ham, mu, fibers = haldane_setup
     g = ham.geometry
     kw = dict(n_k=16, strips=(g.L2 - 1, g.L2 - 1), fibers=fibers)
-    a = response.current_current(ham, mu, 0.37, 3, components=((0, 1),), **kw)
-    b = response.current_current(ham, mu, -0.37, 16 - 3, components=((1, 0),), **kw)
+    a = row_vertices.current_current(ham, mu, 0.37, 3, components=((0, 1),), **kw)
+    b = row_vertices.current_current(ham, mu, -0.37, 16 - 3, components=((1, 0),), **kw)
     t1 = a[(0, 1)]
     t2 = b[(1, 0)]
     assert np.max(np.abs(t1 - t2.T)) < 1e-10 * np.max(np.abs(t1))
@@ -422,8 +432,8 @@ def test_response_reality_symmetry(haldane_setup):
     # conj S_00((0, p1)) = S_00((0, -p1))
     ham, mu, fibers = haldane_setup
     kw = dict(n_k=16, strips=(5, 5), components=((0, 0),), fibers=fibers)
-    a = response.current_current(ham, mu, 0.0, 2, **kw)
-    b = response.current_current(ham, mu, 0.0, 14, **kw)
+    a = row_vertices.current_current(ham, mu, 0.0, 2, **kw)
+    b = row_vertices.current_current(ham, mu, 0.0, 14, **kw)
     assert np.max(np.abs(np.conj(a[(0, 0)]) - b[(0, 0)])) < 1e-12
 
 
@@ -437,7 +447,7 @@ def test_degenerate_crossing_error():
     k_star = 2.0 * np.pi * 7 / 16
     e_star = -2.0 * np.cos(k_star)
     with pytest.raises(response.DegenerateCrossingError):
-        response.current_current(stack, e_star + 0.5 * split, 0.0, 2, 16, strips=(3, 3))
+        row_vertices.current_current(stack, e_star + 0.5 * split, 0.0, 2, 16, strips=(3, 3))
 
 
 # ---------------------------------------------------------------------------
