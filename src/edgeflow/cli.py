@@ -30,10 +30,6 @@ FAILED_STAGE = {
     response.DegenerateCrossingError: "pair_weights",
     response.ConjugationSymmetryError: "conjugation_symmetry",
     quadrature.QuadratureError: "quadrature",
-    reference.SingularTMatrixError: "t_matrix",
-    reference.LatticeSingularPointError: "lattice_propagator",
-    reference.DiscontinuityCrossCheckError: "discontinuity_cross_check",
-    reference.VertexFormsError: "vertex_renormalizations",
     rgflow.FlowDivergenceError: "flow_containment",
 }
 

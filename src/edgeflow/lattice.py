@@ -12,9 +12,9 @@ A fiber is one contraction of the phases with the model's cached stack of
 dense ``H(z1)`` slabs, one per stored ring displacement.  The stack is
 built on first use and dropped by every edit, and the blocks are checked
 for Hermiticity when it is built: once per model and once after each
-edit, not once per momentum.  The row table of the bond currents is
-built after the stack, so vertices built from fibers computed elsewhere
-are checked by the same cached check.
+edit, not once per momentum.  The bond currents read their blocks off
+the same stack, so vertices built from fibers computed elsewhere are
+checked by the same cached check.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
@@ -92,7 +92,6 @@ class LatticeHamiltonian:
         self.geometry = geometry
         self.hop_range = float(hop_range)
         self._blocks = {}
-        self._table = None
         self._slabs = None
         self._summands = None
         self._checked = False  # blocks known to be Hermitian partners
@@ -117,7 +116,6 @@ class LatticeHamiltonian:
                 raise ValueError("Dirichlet rows must carry zero blocks")
             return
         key = (int(z1), int(x2), int(y2))
-        self._table = None
         self._slabs = None
         self._summands = None
         self._checked = False
@@ -137,26 +135,6 @@ class LatticeHamiltonian:
 
     def items(self):
         return self._blocks.items()
-
-    def _row_table(self):
-        """All blocks as one array, ``table[z1 + 1, x2 - y2 + 1, x2] = H(z1; x2, y2)``,
-        of shape ``(3, 3, L2, M, M)`` with zeros where no block is stored.
-
-        Built on first use, after :meth:`_slab_stack` (and with it
-        :meth:`check_hermitian`), and cached; :meth:`add_block` drops the
-        cache.  Needs ``hop_range <= sqrt(2)``, which keeps ``z1`` and
-        ``x2 - y2`` in ``{-1, 0, 1}``.
-        """
-        if self._table is None:
-            if self.hop_range > np.sqrt(2.0) + 1e-12:
-                raise ValueError("the row table (and the bond currents) need hop range <= sqrt(2)")
-            self._slab_stack()
-            g = self.geometry
-            table = np.zeros((3, 3, g.L2, g.M, g.M), dtype=complex)
-            for (z1, x2, y2), blk in self._blocks.items():
-                table[z1 + 1, x2 - y2 + 1, x2] = blk
-            self._table = table
-        return self._table
 
     def _slab_stack(self):
         """Ring displacements ``z1s`` and dense slabs ``slabs[i] = H(z1s[i])``

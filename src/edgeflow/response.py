@@ -17,10 +17,10 @@ summed over rows with a weight per row, ``J(k, k') = sum_(u1, v1)
 e^{-i (k u1 - k' v1)} J_(u1 v1)`` with fixed matrices ``J_(u1 v1)`` on only
 the fiber rows the weight touches.  The indicator of ``y2 < n`` gives the
 ring current on a strip (the edge conductance, the wrong-order diagnostic,
-the real-time check), ones on every row give the row-summed three-point
-function, and a unit weight on row ``y2`` gives the current of the charge
-sum rule.  Per fiber pair the vertex ``Jbar = U_k^+ J(k, k') U_k'`` is one
-contraction of the band states on the operator's rows.
+the real-time check), ones on every row give the current of the row-summed
+vertex identity, and a unit weight on row ``y2`` gives the current of the
+charge sum rule.  Per fiber pair the vertex ``Jbar = U_k^+ J(k, k') U_k'``
+is one contraction of the band states on the operator's rows.
 
 The density is contracted the same way, before any band sum: summed over
 a strip it is ``Dbar = U_k[strip]^+ U_k'[strip]``, since ``sum_xy sum_ab
@@ -61,7 +61,6 @@ __all__ = [
     "fiber_grid",
     "ward_sum_rule",
     "free_two_point",
-    "vertex_three_point",
     "vertex_ward_residual",
     "edge_conductance_free",
     "wrong_order_diagnostic",
@@ -250,12 +249,16 @@ def _current_operator(ham, terms, weight):
     weight touches (its nonzero rows +- 1, within the cylinder; empty for a
     zero weight), and ``J(k1, kp1) = sum_(u1, v1) e^{-i (k1 u1 - kp1 v1)}
     J_(u1 v1)`` the operator on that span between the fibers at ``k1`` and
-    ``kp1``.  Each fixed matrix ``J_(u1 v1)``, built once here from the
-    model's row table, places ``i w weight[y2] H(z1; y2 + du, y2 + dv)`` at
-    rows ``(y2 + du, y2 + dv)`` for each bond term with that ``(u1, v1)``.
+    ``kp1``.  Each fixed matrix ``J_(u1 v1)``, built once here, places
+    ``i w weight[y2] H(z1; y2 + du, y2 + dv)`` at rows ``(y2 + du, y2 + dv)``
+    for each bond term with that ``(u1, v1)``, read off the model's slab
+    stack; a ``z1`` that no block has adds nothing.
     """
     g = ham.geometry
-    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
+    if ham.hop_range > np.sqrt(2.0) + 1e-12:
+        raise ValueError("the bond currents need hop range <= sqrt(2)")
+    z1s, slabs = ham._slab_stack()
+    hops = {int(z1): slab.reshape(g.L2, g.M, g.L2, g.M) for z1, slab in zip(z1s, slabs)}
     weight = np.asarray(weight, dtype=float)
     on = np.flatnonzero(weight)
     lo, hi = (max(on[0] - 1, 0), min(on[-1] + 2, g.L2)) if on.size else (0, 0)
@@ -265,7 +268,8 @@ def _current_operator(ham, terms, weight):
         coef = weight[y2, None, None]
         for (u1, v1, z1, wgt) in group:
             op = ops.setdefault((u1, v1), np.zeros((hi - lo, g.M, hi - lo, g.M), dtype=complex))
-            op[y2 + du - lo, :, y2 + dv - lo] += 1j * wgt * coef * table[z1 + 1, du - dv + 1, y2 + du]
+            if z1 in hops:
+                op[y2 + du - lo, :, y2 + dv - lo] += 1j * wgt * coef * hops[z1][y2 + du, :, y2 + dv]
     n = (hi - lo) * g.M
     mats = [(u1, v1, op.reshape(n, n)) for (u1, v1), op in ops.items()]
 
@@ -414,28 +418,15 @@ def free_two_point(basis, k0, mu):
     return (states * _propagator(basis.energies, k0, mu)) @ states.conj().T
 
 
-def _three_point(ham, basis_k, basis_kp, s2_k, s2_kp):
-    """``[S2(k) S2(k+p), S2(k) J(k, k') S2(k+p)]`` from the two free
-    two-point functions, with the ring current on all rows."""
-    _, current = _current_operator(ham, _J1_TERMS, np.ones(ham.geometry.L2))
-    return [s2_k @ s2_kp, s2_k @ current(basis_k.k1, basis_kp.k1) @ s2_kp]
-
-
-def vertex_three_point(ham, basis_k, basis_kp, k0, p0, mu):
-    """Row-summed free three-point functions for the density and the ring
-    current: matrices over (x2 rho, y2 rho'), ``S2(k) S2(k+p)`` and
-    ``S2(k) J(k, k') S2(k+p)`` with :func:`free_two_point` and the ring
-    current on all rows (:func:`_current_operator`)."""
-    s2_k, s2_kp = free_two_point(basis_k, k0, mu), free_two_point(basis_kp, k0 + p0, mu)
-    return _three_point(ham, basis_k, basis_kp, s2_k, s2_kp)
-
-
 def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
     """Residual of the free vertex conservation identity.
 
     ``p0 * S3_density + (1 - e^{-i p1}) * S3_current = i S2(k) - i S2(k+p)``
     with everything summed over the insertion row; returns the max-norm
-    residual divided by the largest participating term.  The two free
+    residual divided by the largest participating term.  The row-summed
+    three-point functions are the matrices ``S2(k) S2(k+p)`` and ``S2(k)
+    J(k, k') S2(k+p)`` over (x2 rho, y2 rho'), with :func:`free_two_point`
+    and the ring current on all rows (:func:`_current_operator`); the two
     two-point functions are formed once, for both sides.
     """
     if fibers is None:
@@ -448,7 +439,9 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
     p1 = 2.0 * np.pi * p1_index / n_k
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)
-    s3_n, s3_j = _three_point(ham, f_k, f_kp, s2_k, s2_kp)
+    _, current = _current_operator(ham, _J1_TERMS, np.ones(ham.geometry.L2))
+    s3_n = s2_k @ s2_kp
+    s3_j = s2_k @ current(f_k.k1, f_kp.k1) @ s2_kp
     lhs = p0 * s3_n + (1.0 - np.exp(-1j * p1)) * s3_j
     rhs = 1j * (s2_k - s2_kp)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)

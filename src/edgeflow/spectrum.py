@@ -377,16 +377,15 @@ def _circle_dist(a, b):
 def check_assumptions(branches):
     """Separation and regularity checks on the extracted edge modes.
 
-    Flags: ``a`` in-window spectrum is all edge branches (extraction did
-    not abort); ``b`` exponential
-    localization fits; ``c`` nonzero velocities; ``d`` Fermi-momentum
-    separations per edge, pairwise and in differences, modulo 2 pi, of at
-    least ``GAMMA_MIN``.  An empty branch list raises
-    :class:`NoEdgeBranchError`.
+    Flags: ``b`` exponential localization fits; ``c`` nonzero velocities;
+    ``d`` Fermi-momentum separations per edge, pairwise and in differences,
+    modulo 2 pi, of at least ``GAMMA_MIN``.  An empty branch list raises
+    :class:`NoEdgeBranchError`; a bulk state in the window has already
+    raised :class:`BulkStateError` in the extraction.
     """
     if not branches:
         raise NoEdgeBranchError("need at least one branch in the energy window")
-    flags = {"a": True, "b": True, "c": True, "d": True}
+    flags = {"b": True, "c": True, "d": True}
     diag = {}
 
     curv = []

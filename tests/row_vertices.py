@@ -32,6 +32,22 @@ class VertexSet:
     current2: np.ndarray
 
 
+def _row_table(ham):
+    """All blocks as one array, ``table[z1 + 1, x2 - y2 + 1, x2] = H(z1; x2, y2)``,
+    of shape ``(3, 3, L2, M, M)`` with zeros where no block is stored.
+    Needs ``hop_range <= sqrt(2)``, which keeps ``z1`` and ``x2 - y2`` in
+    ``{-1, 0, 1}``, and runs the model's cached Hermiticity check first, as
+    the response path does."""
+    if ham.hop_range > np.sqrt(2.0) + 1e-12:
+        raise ValueError("the row table (and the bond currents) need hop range <= sqrt(2)")
+    ham._slab_stack()
+    g = ham.geometry
+    table = np.zeros((3, 3, g.L2, g.M, g.M), dtype=complex)
+    for (z1, x2, y2), blk in ham.items():
+        table[z1 + 1, x2 - y2 + 1, x2] = blk
+    return table
+
+
 def _current_groups(ham, terms, n_rows, ah, b, k1, kp1):
     """One current component's bond terms on rows ``x2 < n_rows``, one item
     per row-offset group ``(du, dv)``.
@@ -43,7 +59,7 @@ def _current_groups(ham, terms, n_rows, ah, b, k1, kp1):
     ``left @ right`` at that row.
     """
     L2 = ham.geometry.L2
-    table = ham._row_table()  # ValueError beyond hop range sqrt(2), where bond currents are undefined
+    table = _row_table(ham)
     for (du, dv), group in _row_groups(terms).items():
         lo, hi = max(0, -du, -dv), min(n_rows, L2 - max(du, dv))
         if lo >= hi:

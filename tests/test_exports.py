@@ -71,3 +71,41 @@ def test_rgflow_api_is_pinned():
         "flow_run",
         "vanishing_beta_report",
     ])
+
+
+def test_reference_api_is_pinned():
+    # one closed form per reference quantity: no self-check switch and no
+    # error class for a cross-check, whose second route lives in the tests
+    from edgeflow import reference
+
+    assert sorted(reference.__all__) == sorted([
+        "LuttingerParams",
+        "RegulatorConfig",
+        "SingularTMatrixError",
+        "LatticeSingularPointError",
+        "chiral_denominator",
+        "bubble_closed",
+        "bubble_over_d",
+        "bubble_regularized",
+        "same_chirality_bubble",
+        "lattice_propagator",
+        "antiperiodic_grid",
+        "P_C",
+        "form_factor",
+        "t_matrix",
+        "t_limit_static",
+        "t_limit_dynamic",
+        "t_matrix_directional_numeric",
+        "density_density",
+        "density_density_directional_numeric",
+        "discontinuity_matrix",
+        "vertex_renormalizations",
+        "edge_conductance",
+        "anomaly_residual",
+        "random_block",
+        "random_params",
+    ])
+    # nor a settable tolerance or switch, nor a wrapper of a private helper
+    for fn in (reference.t_matrix, reference.discontinuity_matrix, reference.vertex_renormalizations):
+        assert list(inspect.signature(fn).parameters)[-1] == "params", fn.__name__
+    assert [m for m in ("kappa", "coupling_weighted") if hasattr(reference.LuttingerParams, m)] == []

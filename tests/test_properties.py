@@ -624,11 +624,10 @@ def random_params_three_builds(rng, n_channels=None, lambda_scale=0.1):
     params = reference.LuttingerParams(v=v, z=z, lam=np.zeros_like(lam))
     rescaled = False
     if n_channels > 1 and np.any(lam != 0.0):
-        trial = reference.LuttingerParams.__new__(reference.LuttingerParams)
-        object.__setattr__(trial, "v", v)
-        object.__setattr__(trial, "z", z)
-        object.__setattr__(trial, "lam", lam)
-        rho = float(np.max(np.abs(np.linalg.eigvals(trial.kappa() @ trial.coupling_weighted()))))
+        # the radius of the unvalidated trial couplings, kappa @ Lambda_Z
+        kappa = np.diag(1.0 / (4.0 * np.pi * np.abs(v)))
+        lambda_z = lam * z[None, :] / z[:, None]
+        rho = float(np.max(np.abs(np.linalg.eigvals(kappa @ lambda_z))))
         if rho >= reference.RADIUS_CAP:
             lam = lam * (reference.RADIUS_CAP / rho) * 0.99
             rescaled = True

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,18 @@ def test_quadruple_separation_detected():
     ]
     rep = spectrum.check_assumptions(branches)
     assert not rep.flags["d"]
+
+
+@pytest.mark.parametrize(
+    "flag, field, value, failures",
+    [("b", "loc_r2", 0.5, "localization_failures"), ("c", "velocity", 1e-4, "velocity_failures")],
+)
+def test_a_bad_branch_fails_its_flag(flag, field, value, failures):
+    bad = dataclasses.replace(_stub_branch(1, "upper", 2.0, -0.5), **{field: value})
+    rep = spectrum.check_assumptions([_stub_branch(0, "lower", 1.0, 0.5), bad])
+    assert rep.flags == {"b": True, "c": True, "d": True} | {flag: False}
+    assert rep.diagnostics[failures] == [1]
+    assert not rep.all_pass
 
 
 def test_check_assumptions_needs_branches():
