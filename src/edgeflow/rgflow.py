@@ -7,9 +7,17 @@ momentum scales with a second-order (one-loop) beta function:
   with a closed-form inner pair bubble and the outer line restricted to
   the running shell; its derivatives at zero momentum give the per-scale
   increments z0 (anomalous field strength) and z1 (velocity shift).
-  The sunset is integrated over the outer line's momentum q = k + p, so
-  the shell propagator is evaluated once per scale and channel, and only
-  the inner lines move with the external momentum k;
+  The sunset kernel W(k) is odd in k: the outer line is odd, the inner
+  pair bubble and the form factor are even, and the polar grid of the
+  outer momentum q = k + p maps onto itself under q -> -q (its number of
+  angular cells is even).  So each derivative is one kernel call,
+  W(delta) / delta, not a difference of two;
+* each scale is evaluated in units of 2^h: the grid at scale h is 2^h
+  times the grid at scale 0 and its weights 4^h times, which is exact in
+  floating point, so the shell on it is bitwise the scale-0 shell.  The
+  grid and each channel's shell are built once per flow, and only the
+  running denominators and the inner lines are evaluated per scale.  The
+  form factor is not scale invariant and is taken at the true momenta;
 * the quartic couplings do not run at this order: every one-loop
   contribution to the local quartic coupling carries either a coincident
   same-chirality pair bubble, zero by the angular symmetry of 1/D^2
@@ -60,8 +68,16 @@ def single_scale_propagator(k0, k1, h, v_bare, v_run, z_run):
     covariance of the flow.  Exactly zero outside the shell (the origin
     included, where D vanishes).
     """
-    r = np.hypot(k0, v_bare * k1)
-    f = shell(r, h, h - 60)
+    return _shell_over_d(_bare_shell(k0, k1, h, v_bare), k0, k1, v_run, z_run)
+
+
+def _bare_shell(k0, k1, h, v_bare):
+    """The shell f_h of :func:`single_scale_propagator` at (k0, k1)."""
+    return shell(np.hypot(k0, v_bare * k1), h, h - 60)
+
+
+def _shell_over_d(f, k0, k1, v_run, z_run):
+    """f / (z (-i k0 + v_run k1)), exactly zero where the shell f is."""
     d = z_run * chiral_denominator(k0, k1, v_run)
     out = np.zeros(np.broadcast(f, d).shape, dtype=complex)
     np.divide(f, d, out=out, where=f != 0.0)
@@ -127,26 +143,48 @@ def sunset(outer, lam_row, pair_bubble):
     return -total
 
 
-def _sunset_kernel(k0, k1, state, params, channel, grid, outer):
-    """W(k) = Sigma(k) per unit Z: the :func:`sunset` on the scale's polar
-    grid with the measure d^2q / (2 pi)^2 (the rescaled coordinates add the
-    factor 1 / |v|).  The outer line is the :func:`single_scale_propagator`
-    at unit field strength, taken in the outer line's frame q = k + p: the
-    integral runs over the shell of q, with the inner lines at p = q - k.
-    The inner pair bubble is the regularized one, -v^2(p) [B/D](p)
-    (``bubble_regularized`` is -D(p) times it).
+def _unit_grid(params, level=4):
+    """The scale-0 polar grid ``(du0, du1, w)`` of the outer momentum q and
+    each channel's shell f_0 on it, as ``(grid, shells)``.
 
-    ``grid`` is the scale's polar grid ``(du0, du1, w)`` of q around the
-    origin in the bare-norm rescaled coordinates, aligned with the shell
-    knots, and ``outer`` is ``w * g_h(q)`` on it, which is the same for
-    every k.  The inner nodes ``p = q - k`` round exactly as the nodes of
-    a polar grid built around ``-k``.
+    The grid is taken in the bare-norm rescaled coordinates around the
+    origin, aligned with the shell knots 1/2, 1, 2, with ``8 level``
+    angular cells (an even number, so it maps onto itself under q -> -q).
+    The grid at scale h is 2^h times this one and its weights are 4^h
+    times these; scaling by a power of two is exact, so f_h on the scaled
+    grid is bitwise f_0 on this one.
+    """
+    grid = du0, du1, _ = polar_nodes([0.5, 1.0, 2.0], level, 8 * level, gl=4)
+    return grid, [_bare_shell(du0, du1 / vb, 0, vb) for vb in params.v]
+
+
+def _sunset_kernel(k0, k1, state, params, channel, grid, outer):
+    """2^-h W(2^h k) at h = ``state.h``: the kernel W(k) = Sigma(k) per
+    unit Z in units of 2^h, with ``k`` in those units.
+
+    W is the :func:`sunset` on the scale's polar grid with the measure
+    d^2q / (2 pi)^2 (the rescaled coordinates add the factor 1 / |v|).
+    The outer line is the :func:`single_scale_propagator` at unit field
+    strength, taken in the outer line's frame q = k + p: the integral runs
+    over the shell of q, with the inner lines at p = q - k.  The inner pair
+    bubble is the regularized one, -v^2(p) [B/D](p) (``bubble_regularized``
+    is -D(p) times it).
+
+    ``grid`` is the scale-0 grid of :func:`_unit_grid` and ``outer`` is
+    ``w * g_0(q)`` on it with the running velocity, the same for every k.
+    The inner nodes ``p = q - k`` round exactly as the nodes of a polar
+    grid built around ``-k``.  Every factor but the form factor is
+    homogeneous in the scale, so the kernel is exactly 2^h times its value
+    on this grid; the form factor is not, and is taken at the true momenta
+    2^h p.  W is odd in k on this grid, up to the rounding of its
+    inversion symmetry.
     """
     du0, du1, _ = grid
     vb = params.v[channel]
     p0 = du0 - k0
     p1 = (du1 - vb * k1) / vb
-    vhat2 = form_factor(p0, p1) ** 2
+    scale = 2.0**state.h
+    vhat2 = form_factor(scale * p0, scale * p1) ** 2
 
     def pair_bubble(other):
         return -vhat2 * bubble_over_d(p0, p1, state.v[other])
@@ -154,41 +192,43 @@ def _sunset_kernel(k0, k1, state, params, channel, grid, outer):
     return sunset(outer, state.lam[channel], pair_bubble) / (4.0 * np.pi**2 * abs(vb))
 
 
-def beta_second_order(state: FlowState, params: LuttingerParams, level=4):
-    """One-loop increments at the current scale.
+STEP = 0.125  # difference step 2^(h-3) of the beta function, in units of 2^h
+
+
+def beta_second_order(state: FlowState, params: LuttingerParams, unit):
+    """One-loop increments at the current scale, on the scale-0 grid and
+    shells ``unit`` of :func:`_unit_grid`.
 
     z0, z1 come from symmetric differences (step 2^(h-3)) of the sunset
     kernel; the dressed covariance gives Z_eff = Z - i dSigma/dk0, so
-    z0 = -i dW/dk0 and z1 = -dW/dk1 with W the kernel per unit Z.  The
-    kernel is integrated over the outer line's momentum q = k + p, whose
-    shell does not move with the stencil point k: the polar grid of q is
-    built once per scale, the shell propagator on it once per scale and
-    channel, and only the inner lines are evaluated again at p = q - k
-    for each stencil point.
+    z0 = -i dW/dk0 and z1 = -dW/dk1 with W the kernel per unit Z.  W is
+    odd in k, so each symmetric difference is W(delta) / delta: one kernel
+    call per derivative, two per channel.  The kernel is integrated over
+    the outer line's momentum q = k + p, whose shell does not move with
+    k: the outer line is evaluated once per scale and channel from the
+    channel's scale-0 shell and the running velocity, and only the inner
+    lines are evaluated again at p = q - k for each k.  Everything is
+    evaluated in units of 2^h, which the ratio W / delta does not see.
     The quartic beta function is zero at this order (the same-chirality
     bubbles vanish by angular symmetry, the mixed-chirality routings
     cancel pointwise), so nothing is evaluated for it.
     """
     n = params.n_channels
-    h = state.h
-    delta = 2.0 ** (h - 3)
-    knots = [2.0 ** (h - 1), 2.0**h, 2.0 ** (h + 1)]
-    grid = du0, du1, w = polar_nodes(knots, level, 8 * level, gl=4)
+    grid, shells = unit
+    du0, du1, w = grid
     z0 = np.zeros(n)
     z1 = np.zeros(n)
     for c in range(n):
         if np.all(state.lam[c] == 0.0):
             continue
         vb = params.v[c]
-        outer = w * single_scale_propagator(du0, du1 / vb, h, vb, state.v[c], 1.0)
-        w_p0 = _sunset_kernel(+delta, 0.0, state, params, c, grid, outer)
-        w_m0 = _sunset_kernel(-delta, 0.0, state, params, c, grid, outer)
-        w_p1 = _sunset_kernel(0.0, +delta, state, params, c, grid, outer)
-        w_m1 = _sunset_kernel(0.0, -delta, state, params, c, grid, outer)
-        z0[c] = float(np.real(-1j * (w_p0 - w_m0) / (2.0 * delta)))
-        z1[c] = float(np.real(-(w_p1 - w_m1) / (2.0 * delta)))
+        outer = w * _shell_over_d(shells[c], du0, du1 / vb, state.v[c], 1.0)
+        w0 = _sunset_kernel(STEP, 0.0, state, params, c, grid, outer)
+        w1 = _sunset_kernel(0.0, STEP, state, params, c, grid, outer)
+        z0[c] = float(np.real(-1j * w0 / STEP))
+        z1[c] = float(np.real(-w1 / STEP))
     beta_v = (state.v + z1) / (1.0 + z0) - state.v
-    return BetaEvaluation(h=h, z0=z0, z1=z1, beta_v=beta_v)
+    return BetaEvaluation(h=state.h, z0=z0, z1=z1, beta_v=beta_v)
 
 
 BIG_C = 2.0  # containment constant of the running velocities
@@ -202,14 +242,17 @@ def flow_run(params: LuttingerParams, h_min):
     |v_h - v_0| <= BIG_C |lam|; a breach raises
     :class:`FlowDivergenceError` naming the scale.  The quartic couplings
     are carried unchanged (their beta function vanishes at this order).
+    The scale-0 grid and shells of :func:`_unit_grid` are built once and
+    serve every scale.
     """
     lam_scale = max(float(np.max(np.abs(params.lam))), 1e-300)
+    unit = _unit_grid(params)
     state = FlowState.initial(params)
     states = [state]
     betas = []
     for h in range(0, h_min, -1):
         state = states[-1]
-        ev = beta_second_order(state, params)
+        ev = beta_second_order(state, params, unit)
         z_new = state.z * (1.0 + ev.z0)
         v_new = (state.v + ev.z1) / (1.0 + ev.z0)
         nxt = FlowState(h=h - 1, z=z_new, v=v_new, lam=state.lam)

@@ -326,7 +326,7 @@ def fermi_point(branch, ham, mu):
     Returns ``(k_fermi, velocity, eigenvector_at_k_fermi)`` for the first
     crossing.  Raises ``ValueError`` when the branch does not cross ``mu``,
     and :class:`FermiPointError` when the bisection does not converge or the
-    branch is tangent (|velocity| < :data:`V_MIN`).
+    branch is tangent (|velocity| < :data:`V_MIN`, or not a number).
     """
     crossings = _crossings(branch.energies, mu)
     if not crossings:
@@ -361,10 +361,10 @@ def fermi_point(branch, ham, mu):
 
     d1, d2 = deriv(step), deriv(step / 2.0)
     velocity = (4.0 * d2 - d1) / 3.0
-    if abs(velocity) < V_MIN:
+    if not abs(velocity) >= V_MIN:
         raise FermiPointError(
             f"branch tangent to mu at k1 = {km:.5f}: |velocity| = "
-            f"{abs(velocity):.2e} < {V_MIN}"
+            f"{abs(velocity):.2e}, not at least {V_MIN}"
         )
     return km % (2.0 * np.pi), float(velocity), vec
 
@@ -377,15 +377,17 @@ def _circle_dist(a, b):
 def check_assumptions(branches):
     """Separation and regularity checks on the extracted edge modes.
 
-    Flags: ``b`` exponential localization fits; ``c`` nonzero velocities;
-    ``d`` Fermi-momentum separations per edge, pairwise and in differences,
-    modulo 2 pi, of at least ``GAMMA_MIN``.  An empty branch list raises
+    Flags: ``b`` exponential localization fits; ``d`` Fermi-momentum
+    separations per edge, pairwise and in differences, modulo 2 pi, of at
+    least ``GAMMA_MIN``.  An empty branch list raises
     :class:`NoEdgeBranchError`; a bulk state in the window has already
-    raised :class:`BulkStateError` in the extraction.
+    raised :class:`BulkStateError` in the extraction, and a velocity below
+    :data:`V_MIN` (or not a number) :class:`FermiPointError` in
+    :func:`fermi_point`.
     """
     if not branches:
         raise NoEdgeBranchError("need at least one branch in the energy window")
-    flags = {"b": True, "c": True, "d": True}
+    flags = {"b": True, "d": True}
     diag = {}
 
     curv = []
@@ -401,10 +403,6 @@ def check_assumptions(branches):
     if bad_loc:
         flags["b"] = False
         diag["localization_failures"] = bad_loc
-    bad_v = [b.label for b in with_kf if not abs(b.velocity) > V_MIN]
-    if bad_v:
-        flags["c"] = False
-        diag["velocity_failures"] = bad_v
 
     gamma = np.inf
     for side in ("lower", "upper"):

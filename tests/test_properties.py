@@ -555,7 +555,7 @@ def test_one_sunset_grid_per_scale_is_bitwise_the_per_call_grids(v, h, level):
     state = rgflow.FlowState(
         h=h, z=np.linspace(1.0, 1.2, n), v=params.v * 1.03, lam=0.9 * params.lam
     )
-    ev = rgflow.beta_second_order(state, params, level=level)
+    ev = rgflow.beta_second_order(state, params, rgflow._unit_grid(params, level))
     z0, z1 = sunset_increments(state, params, level)
     assert np.any(z0 != 0.0)
     # the flow takes the outer line at the grid node q, the reference at
@@ -564,14 +564,17 @@ def test_one_sunset_grid_per_scale_is_bitwise_the_per_call_grids(v, h, level):
     assert np.all(np.abs(ev.z1 - z1) <= 1e-14 * np.abs(z1))
 
 
-@PROPERTY
-@given(
+RUNNING_STATES = dict(
     speeds=st.lists(st.floats(0.3, 2.0), min_size=2, max_size=4),
     signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
     h=st.integers(-20, 0),
     seed=SEEDS,
 )
-def test_the_sunset_in_the_outer_frame_matches_the_shifted_grids(speeds, signs, h, seed):
+
+
+def random_running_state(speeds, signs, h, seed):
+    """Coupled channels of mixed chiralities, with running values off the
+    bare ones, so shell (bare) and D_run differ."""
     n = len(speeds)
     signs[1] = -signs[0]  # mixed chiralities
     rng = np.random.default_rng(seed)
@@ -579,19 +582,66 @@ def test_the_sunset_in_the_outer_frame_matches_the_shifted_grids(speeds, signs, 
     lam = lam + lam.T
     np.fill_diagonal(lam, 0.0)
     params = reference.LuttingerParams(v=np.multiply(speeds, signs[:n]), z=np.ones(n), lam=lam)
-    # running values off the bare ones, so shell (bare) and D_run differ
     state = rgflow.FlowState(
         h=h,
         z=rng.uniform(0.8, 1.2, n),
         v=params.v * rng.uniform(0.9, 1.1, n),
         lam=params.lam * rng.uniform(0.8, 1.2),
     )
-    ev = rgflow.beta_second_order(state, params)
+    return params, state
+
+
+@PROPERTY
+@given(**RUNNING_STATES)
+def test_the_sunset_in_the_outer_frame_matches_the_shifted_grids(speeds, signs, h, seed):
+    params, state = random_running_state(speeds, signs, h, seed)
+    ev = rgflow.beta_second_order(state, params, rgflow._unit_grid(params))
     z0, z1 = sunset_increments(state, params, 4)
     scale = max(np.max(np.abs(z0)), np.max(np.abs(z1)))
     assert scale > 0.0
     assert np.max(np.abs(ev.z0 - z0)) <= 1e-14 * scale
     assert np.max(np.abs(ev.z1 - z1)) <= 1e-14 * scale
+
+
+def kernel_oddness(state, params, grid, k0, k1):
+    """Per channel, |W(k) + W(-k)| of the kernel on ``grid`` and the
+    kernel's magnitude: every term at full modulus, |B/D| = 1 / (4 pi |v|)."""
+    du0, du1, w = grid
+    out = []
+    for c, vb in enumerate(params.v):
+        outer = w * rgflow.single_scale_propagator(du0, du1 / vb, 0, vb, state.v[c], 1.0)
+
+        def kernel(sign):
+            return rgflow._sunset_kernel(sign * k0, sign * k1, state, params, c, grid, outer)
+
+        inner = np.sum(state.lam[c] ** 2 / (4.0 * np.pi * np.abs(state.v)))
+        size = np.sum(np.abs(outer)) * inner / (4.0 * np.pi**2 * abs(vb))
+        out.append((abs(kernel(1.0) + kernel(-1.0)), size))
+    return out
+
+
+@pytest.mark.parametrize("level", [4, 6])
+@PROPERTY
+@given(**RUNNING_STATES, angle=st.floats(0.0, 2.0 * np.pi))
+def test_the_sunset_kernel_is_odd_on_the_flow_grid(level, speeds, signs, h, seed, angle):
+    # W(-k) = -W(k): the outer line is odd, the inner lines and the form
+    # factor are even, and the grid has an even number of angular cells.
+    # The bound is relative to the kernel's magnitude, which sets its
+    # rounding: W vanishes at k = 0, so at the flow's step |W(k)| is up to
+    # about 600 times smaller than the sum of its terms' moduli
+    params, state = random_running_state(speeds, signs, h, seed)
+    k0, k1 = rgflow.STEP * np.cos(angle), rgflow.STEP * np.sin(angle)
+    grid, _ = rgflow._unit_grid(params, level)
+    for odd, size in kernel_oddness(state, params, grid, k0, k1):
+        assert size > 0.0
+        assert odd <= 1e-14 * size
+    # control: on a coarse grid the symmetry, not convergence, makes W odd;
+    # four angular cells keep it, three break it by far more than the bound
+    knots = [0.5, 1.0, 2.0]
+    for odd, size in kernel_oddness(state, params, polar_nodes(knots, 1, 4), k0, k1):
+        assert odd <= 1e-14 * size
+    for odd, size in kernel_oddness(state, params, polar_nodes(knots, 1, 3), k0, k1):
+        assert odd > 1e-10 * size
 
 
 @pytest.mark.parametrize(

@@ -127,7 +127,7 @@ def test_mixed_bubbles_cancel_pointwise():
 def test_beta_vanishes_without_coupling():
     params = helical_params(lam=0.0)
     state = rgflow.FlowState.initial(params)
-    ev = rgflow.beta_second_order(state, params)
+    ev = rgflow.beta_second_order(state, params, rgflow._unit_grid(params))
     assert np.all(ev.z0 == 0.0) and np.all(ev.z1 == 0.0)
 
 
@@ -138,7 +138,7 @@ def test_anomalous_increment_matches_analytic_value():
     params = helical_params(lam)
     state = rgflow.FlowState.initial(params)
     state.h = -4
-    ev = rgflow.beta_second_order(state, params, level=6)
+    ev = rgflow.beta_second_order(state, params, rgflow._unit_grid(params, level=6))
     want = lam**2 * np.log(2.0) / (8.0 * np.pi**2)
     assert ev.z0[0] == pytest.approx(want, rel=1e-3)
     assert ev.z0[0] > 0.0
@@ -163,6 +163,61 @@ def test_flow_containment_30_scales():
     assert np.all(rep["eta"] > 0.0)
     assert np.all(rep["eta"] <= 10.0 * lam**2)
     assert np.all(rep["beta_v_max_per_scale"] <= 1e-8)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        (1.0, -1.0),
+        (1.0, -0.5),
+        (2.0, -1.0),
+        (1.0, -0.7, 0.4),
+        (0.8, -1.2, 1.7),
+        (1.3, -0.45, 0.8, -2.0),
+    ],
+)
+def test_fitted_exponents_follow_the_one_loop_law(v):
+    # eta_c = sum over opposite-chirality partners o of
+    # lam_co^2 / (2 pi^2 (|v_c| + |v_o|)^2); a same-chirality partner adds nothing
+    lam = 0.05
+    v = np.array(v)
+    n = len(v)
+    mat = np.full((n, n), lam)
+    np.fill_diagonal(mat, 0.0)
+    params = LuttingerParams(v=v, z=np.ones(n), lam=mat)
+    eta = rgflow.vanishing_beta_report(rgflow.flow_run(params, -30))["eta"]
+    opposite = np.sign(v)[:, None] != np.sign(v)[None, :]
+    speeds = np.abs(v)[:, None] + np.abs(v)[None, :]
+    want = np.sum(opposite * mat**2 / (2.0 * np.pi**2 * speeds**2), axis=1)
+    assert np.all(np.abs(eta - want) <= 2e-4 * want)
+
+
+def test_one_grid_per_flow_and_two_kernel_calls_per_coupled_channel(monkeypatch):
+    # the polar grid and each channel's shell are built once per flow; each
+    # scale makes one beta_second_order call and, the kernel being odd, one
+    # kernel call per derivative of each coupled channel
+    names = ("polar_nodes", "shell", "_sunset_kernel", "beta_second_order")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(rgflow, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(rgflow, name, counted)
+    # channel 2 is uncoupled: no kernel call, but a shell like every channel
+    lam = np.zeros((3, 3))
+    lam[0, 1] = lam[1, 0] = 0.05
+    params = LuttingerParams(v=[1.0, -0.7, 0.4], z=np.ones(3), lam=lam)
+    scales = 12
+    rgflow.flow_run(params, -scales)
+    assert calls == {
+        "polar_nodes": 1,
+        "shell": 3,
+        "_sunset_kernel": 2 * 2 * scales,
+        "beta_second_order": scales,
+    }
 
 
 def test_flow_divergence_error():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeflow import lattice, spectrum
+from edgeflow import cli, lattice, spectrum
 
 
 def bulk_gap_torus(t1=1.0, t2=0.2, phi=np.pi / 2, m_stag=0.0, grid=48):
@@ -121,18 +121,22 @@ def shifted_chain(L1=16, L2=8, t=0.8, k0=1.1):
     return ham
 
 
-def test_fermi_point_analytic_dispersion():
-    # fiber(k) = -2t cos(k - k0); mu-crossing and slope known in closed form
-    t, k0, mu = 0.8, 1.1, 0.3
-    ham = shifted_chain(t=t, k0=k0)
-    ks = 2.0 * np.pi * np.arange(64) / 64
-    branch = spectrum.EdgeBranch(
+def chain_branch(ham, t, k0, ks):
+    """The band -2t cos(k - k0) of :func:`shifted_chain` sampled at ``ks``."""
+    return spectrum.EdgeBranch(
         label=0,
         k_samples=ks,
         energies=-2.0 * t * np.cos(ks - k0),
         vectors=np.array([np.linalg.eigh(lattice.assemble_fiber(ham, k))[1][:, 3] for k in ks]),
         side="lower",
     )
+
+
+def test_fermi_point_analytic_dispersion():
+    # fiber(k) = -2t cos(k - k0); mu-crossing and slope known in closed form
+    t, k0, mu = 0.8, 1.1, 0.3
+    ham = shifted_chain(t=t, k0=k0)
+    branch = chain_branch(ham, t, k0, 2.0 * np.pi * np.arange(64) / 64)
     kf, vel, _ = spectrum.fermi_point(branch, ham, mu)
     kf_exact = (k0 + np.arccos(-mu / (2 * t))) % (2 * np.pi)
     v_exact = 2.0 * t * np.sin(kf_exact - k0)
@@ -159,16 +163,33 @@ def test_fermi_point_tangent_guard():
     t, k0 = 0.8, 1.1
     ham = shifted_chain(t=t, k0=k0)
     mu = -2.0 * t + 1e-10
-    ks = np.linspace(k0 + np.pi - 0.2, k0 + np.pi + 0.2, 21)
-    branch = spectrum.EdgeBranch(
-        label=0,
-        k_samples=ks,
-        energies=-2.0 * t * np.cos(ks - k0),
-        vectors=np.array([np.linalg.eigh(lattice.assemble_fiber(ham, k))[1][:, 3] for k in ks]),
-        side="lower",
-    )
+    branch = chain_branch(ham, t, k0, np.linspace(k0 + np.pi - 0.2, k0 + np.pi + 0.2, 21))
     with pytest.raises((ValueError, RuntimeError)):
         spectrum.fermi_point(branch, ham, mu)
+
+
+def test_fermi_point_rejects_a_nan_velocity(monkeypatch):
+    # the bisection converges; every eigenvalue after it is NaN, so the
+    # central differences give a NaN velocity, which the guard must catch
+    t, k0, mu = 0.8, 1.1, 0.3
+    ham = shifted_chain(t=t, k0=k0)
+    branch = chain_branch(ham, t, k0, 2.0 * np.pi * np.arange(64) / 64)
+    track = spectrum._track_eig
+    converged = []
+
+    def nan_after_convergence(ham, k1, ref_vec):
+        e, v = track(ham, k1, ref_vec)
+        if converged:
+            return np.nan, v
+        if abs(e - mu) <= spectrum.FERMI_TOL:
+            converged.append(k1)
+        return e, v
+
+    monkeypatch.setattr(spectrum, "_track_eig", nan_after_convergence)
+    with pytest.raises(spectrum.FermiPointError, match="velocity"):
+        spectrum.fermi_point(branch, ham, mu)
+    assert len(converged) == 1
+    assert cli.FAILED_STAGE[spectrum.FermiPointError] == "fermi_point"
 
 
 def test_velocity_matches_dense_fit(haldane_scan):
@@ -236,12 +257,14 @@ def test_quadruple_separation_detected():
 
 @pytest.mark.parametrize(
     "flag, field, value, failures",
-    [("b", "loc_r2", 0.5, "localization_failures"), ("c", "velocity", 1e-4, "velocity_failures")],
+    # a slow velocity has no flag: fermi_point raises on it (see
+    # test_fermi_point_rejects_a_nan_velocity)
+    [("b", "loc_r2", 0.5, "localization_failures")],
 )
 def test_a_bad_branch_fails_its_flag(flag, field, value, failures):
     bad = dataclasses.replace(_stub_branch(1, "upper", 2.0, -0.5), **{field: value})
     rep = spectrum.check_assumptions([_stub_branch(0, "lower", 1.0, 0.5), bad])
-    assert rep.flags == {"b": True, "c": True, "d": True} | {flag: False}
+    assert rep.flags == {"b": True, "d": True} | {flag: False}
     assert rep.diagnostics[failures] == [1]
     assert not rep.all_pass
 
