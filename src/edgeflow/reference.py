@@ -162,25 +162,31 @@ def bubble_closed(p0, p1, v):
 
 
 def bubble_over_d(p0, p1, v):
-    """Closed-form pair bubble per unit field strength, B(p)/D(p): unit
-    modulus times 1 / (4 pi |v|)."""
-    return bubble_closed(p0, p1, v) / chiral_denominator(p0, p1, v)
+    """Closed-form pair bubble per unit field strength, B(p)/D(p), at real
+    momenta: unit modulus times 1 / (4 pi |v|).
+
+    It is ``bubble_closed / chiral_denominator`` in real arithmetic: with
+    a = v p1,  B/D = ((a^2 - p0^2) + 2i a p0) / ((a^2 + p0^2) 4 pi |v|).
+    The real and imaginary parts are written straight into the complex
+    output, with no complex division.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    a = np.multiply(v, p1)
+    a2 = a * a
+    q2 = p0 * p0
+    den = (a2 + q2) * (4.0 * np.pi * np.abs(v))
+    out = np.empty(den.shape, dtype=complex)
+    np.divide(a2 - q2, den, out=out.real)
+    np.divide(2.0 * a * p0, den, out=out.imag)
+    return out[()]  # [()] keeps a scalar input a scalar
 
 
 P_C = 4.0  # plateau scale of the two-body form factor
 
 
 def form_factor(p0, p1):
-    """Smooth even two-body form factor, exactly 1 for |p| <= P_C.
-
-    Arrays of momenta all on that plateau, as the RG flow's are at nearly
-    every scale, skip the cutoff polynomial; ``chi`` is exactly 1 there, so
-    the ones are bitwise its value.
-    """
-    r = np.hypot(p0, p1)
-    if np.all(r <= P_C):
-        return np.ones_like(r)[()]  # [()] keeps a scalar input a scalar
-    return chi(r / P_C)
+    """Smooth even two-body form factor, exactly 1 for |p| <= P_C."""
+    return chi(np.hypot(p0, p1) / P_C)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,14 @@ momentum scales with a second-order (one-loop) beta function:
 * each scale is evaluated in units of 2^h: the grid at scale h is 2^h
   times the grid at scale 0 and its weights 4^h times, which is exact in
   floating point, so the shell on it is bitwise the scale-0 shell.  The
-  grid and each channel's shell are built once per flow, and only the
-  running denominators and the inner lines are evaluated per scale.  The
-  form factor is not scale invariant and is taken at the true momenta;
+  grid, each channel's shell and, per coupled channel and difference
+  point, the table of inner momenta p = q - k and their largest radius
+  are built once per flow; only the running denominators and the inner
+  pair bubbles (``reference.bubble_over_d``, in real arithmetic) are
+  evaluated per scale.  The form factor is not scale invariant: it is
+  taken at the true momenta 2^h p, and left out at the scales where the
+  table's largest radius puts every node on its plateau, where it is
+  exactly 1;
 * the quartic couplings do not run at this order: every one-loop
   contribution to the local quartic coupling carries either a coincident
   same-chirality pair bubble, zero by the angular symmetry of 1/D^2
@@ -37,7 +42,7 @@ import numpy as np
 
 from .cutoffs import shell
 from .quadrature import polar_nodes
-from .reference import LuttingerParams, bubble_over_d, chiral_denominator, form_factor
+from .reference import P_C, LuttingerParams, bubble_over_d, chiral_denominator, form_factor
 
 __all__ = [
     "FlowState",
@@ -143,22 +148,50 @@ def sunset(outer, lam_row, pair_bubble):
     return -total
 
 
+STEP = 0.125  # difference step 2^(h-3) of the beta function, in units of 2^h
+
+
 def _unit_grid(params, level=4):
-    """The scale-0 polar grid ``(du0, du1, w)`` of the outer momentum q and
-    each channel's shell f_0 on it, as ``(grid, shells)``.
+    """The scale-0 polar grid ``(du0, du1, w)`` of the outer momentum q,
+    each channel's shell f_0 on it, and each coupled channel's inner
+    tables, as ``(grid, shells, tables)``.
 
     The grid is taken in the bare-norm rescaled coordinates around the
     origin, aligned with the shell knots 1/2, 1, 2, with ``8 level``
     angular cells (an even number, so it maps onto itself under q -> -q).
     The grid at scale h is 2^h times this one and its weights are 4^h
     times these; scaling by a power of two is exact, so f_h on the scaled
-    grid is bitwise f_0 on this one.
+    grid is bitwise f_0 on this one.  ``tables[c]`` holds the
+    :func:`_inner_table` of channel c at the two difference points
+    (STEP, 0) and (0, STEP), and is None for a channel that ``params``
+    does not couple.
     """
     grid = du0, du1, _ = polar_nodes([0.5, 1.0, 2.0], level, 8 * level, gl=4)
-    return grid, [_bare_shell(du0, du1 / vb, 0, vb) for vb in params.v]
+    shells = [_bare_shell(du0, du1 / vb, 0, vb) for vb in params.v]
+    tables = [
+        (_inner_table(grid, vb, STEP, 0.0), _inner_table(grid, vb, 0.0, STEP))
+        if np.any(params.lam[c] != 0.0)
+        else None
+        for c, vb in enumerate(params.v)
+    ]
+    return grid, shells, tables
 
 
-def _sunset_kernel(k0, k1, state, params, channel, grid, outer):
+def _inner_table(grid, vb, k0, k1):
+    """The inner momenta ``(p0, p1)`` at p = q - k on the scale-0 ``grid``
+    of a channel of bare velocity ``vb``, and their largest radius r_max.
+
+    The nodes ``p = q - k`` round exactly as the nodes of a polar grid
+    built around ``-k``.  They do not depend on the scale, so the flow
+    builds them once, at its two difference points.
+    """
+    du0, du1, _ = grid
+    p0 = du0 - k0
+    p1 = (du1 - vb * k1) / vb
+    return p0, p1, float(np.max(np.hypot(p0, p1)))
+
+
+def _sunset_kernel(table, state, params, channel, outer):
     """2^-h W(2^h k) at h = ``state.h``: the kernel W(k) = Sigma(k) per
     unit Z in units of 2^h, with ``k`` in those units.
 
@@ -170,34 +203,33 @@ def _sunset_kernel(k0, k1, state, params, channel, grid, outer):
     bubble is the regularized one, -v^2(p) [B/D](p) (``bubble_regularized``
     is -D(p) times it).
 
-    ``grid`` is the scale-0 grid of :func:`_unit_grid` and ``outer`` is
-    ``w * g_0(q)`` on it with the running velocity, the same for every k.
-    The inner nodes ``p = q - k`` round exactly as the nodes of a polar
-    grid built around ``-k``.  Every factor but the form factor is
+    ``table`` is the :func:`_inner_table` of the channel at k, and
+    ``outer`` is ``w * g_0(q)`` on the scale-0 grid with the running
+    velocity, the same for every k.  Every factor but the form factor is
     homogeneous in the scale, so the kernel is exactly 2^h times its value
-    on this grid; the form factor is not, and is taken at the true momenta
-    2^h p.  W is odd in k on this grid, up to the rounding of its
-    inversion symmetry.
+    on this grid.  The form factor is not, and belongs to the true momenta
+    2^h p: where 2^h r_max <= P_C every node is on its plateau, where it
+    is exactly 1, so it is left out; elsewhere it is taken at 2^h p.  W
+    is odd in k on this grid, up to the rounding of its inversion
+    symmetry.
     """
-    du0, du1, _ = grid
-    vb = params.v[channel]
-    p0 = du0 - k0
-    p1 = (du1 - vb * k1) / vb
+    p0, p1, r_max = table
     scale = 2.0**state.h
-    vhat2 = form_factor(scale * p0, scale * p1) ** 2
+    if scale * r_max <= P_C:
+        vhat2 = 1.0  # the plateau: bitwise the ones form_factor returns there
+    else:
+        vhat2 = form_factor(scale * p0, scale * p1) ** 2
 
     def pair_bubble(other):
         return -vhat2 * bubble_over_d(p0, p1, state.v[other])
 
+    vb = params.v[channel]
     return sunset(outer, state.lam[channel], pair_bubble) / (4.0 * np.pi**2 * abs(vb))
 
 
-STEP = 0.125  # difference step 2^(h-3) of the beta function, in units of 2^h
-
-
 def beta_second_order(state: FlowState, params: LuttingerParams, unit):
-    """One-loop increments at the current scale, on the scale-0 grid and
-    shells ``unit`` of :func:`_unit_grid`.
+    """One-loop increments at the current scale, on the scale-0 grid,
+    shells and inner tables ``unit`` of :func:`_unit_grid`.
 
     z0, z1 come from symmetric differences (step 2^(h-3)) of the sunset
     kernel; the dressed covariance gives Z_eff = Z - i dSigma/dk0, so
@@ -207,14 +239,16 @@ def beta_second_order(state: FlowState, params: LuttingerParams, unit):
     the outer line's momentum q = k + p, whose shell does not move with
     k: the outer line is evaluated once per scale and channel from the
     channel's scale-0 shell and the running velocity, and only the inner
-    lines are evaluated again at p = q - k for each k.  Everything is
+    lines are evaluated again, at the tabulated p = q - k of each k.
+    ``unit`` must hold a table for every channel that ``state`` couples,
+    as it does for the ``params`` it was built from.  Everything is
     evaluated in units of 2^h, which the ratio W / delta does not see.
     The quartic beta function is zero at this order (the same-chirality
     bubbles vanish by angular symmetry, the mixed-chirality routings
     cancel pointwise), so nothing is evaluated for it.
     """
     n = params.n_channels
-    grid, shells = unit
+    grid, shells, tables = unit
     du0, du1, w = grid
     z0 = np.zeros(n)
     z1 = np.zeros(n)
@@ -223,8 +257,9 @@ def beta_second_order(state: FlowState, params: LuttingerParams, unit):
             continue
         vb = params.v[c]
         outer = w * _shell_over_d(shells[c], du0, du1 / vb, state.v[c], 1.0)
-        w0 = _sunset_kernel(STEP, 0.0, state, params, c, grid, outer)
-        w1 = _sunset_kernel(0.0, STEP, state, params, c, grid, outer)
+        at_k0, at_k1 = tables[c]
+        w0 = _sunset_kernel(at_k0, state, params, c, outer)
+        w1 = _sunset_kernel(at_k1, state, params, c, outer)
         z0[c] = float(np.real(-1j * w0 / STEP))
         z1[c] = float(np.real(-w1 / STEP))
     beta_v = (state.v + z1) / (1.0 + z0) - state.v
@@ -242,8 +277,8 @@ def flow_run(params: LuttingerParams, h_min):
     |v_h - v_0| <= BIG_C |lam|; a breach raises
     :class:`FlowDivergenceError` naming the scale.  The quartic couplings
     are carried unchanged (their beta function vanishes at this order).
-    The scale-0 grid and shells of :func:`_unit_grid` are built once and
-    serve every scale.
+    The scale-0 grid, shells and inner tables of :func:`_unit_grid` are
+    built once and serve every scale.
     """
     lam_scale = max(float(np.max(np.abs(params.lam))), 1e-300)
     unit = _unit_grid(params)

@@ -612,7 +612,8 @@ def kernel_oddness(state, params, grid, k0, k1):
         outer = w * rgflow.single_scale_propagator(du0, du1 / vb, 0, vb, state.v[c], 1.0)
 
         def kernel(sign):
-            return rgflow._sunset_kernel(sign * k0, sign * k1, state, params, c, grid, outer)
+            table = rgflow._inner_table(grid, vb, sign * k0, sign * k1)
+            return rgflow._sunset_kernel(table, state, params, c, outer)
 
         inner = np.sum(state.lam[c] ** 2 / (4.0 * np.pi * np.abs(state.v)))
         size = np.sum(np.abs(outer)) * inner / (4.0 * np.pi**2 * abs(vb))
@@ -631,7 +632,7 @@ def test_the_sunset_kernel_is_odd_on_the_flow_grid(level, speeds, signs, h, seed
     # about 600 times smaller than the sum of its terms' moduli
     params, state = random_running_state(speeds, signs, h, seed)
     k0, k1 = rgflow.STEP * np.cos(angle), rgflow.STEP * np.sin(angle)
-    grid, _ = rgflow._unit_grid(params, level)
+    grid = rgflow._unit_grid(params, level)[0]
     for odd, size in kernel_oddness(state, params, grid, k0, k1):
         assert size > 0.0
         assert odd <= 1e-14 * size
@@ -642,6 +643,27 @@ def test_the_sunset_kernel_is_odd_on_the_flow_grid(level, speeds, signs, h, seed
         assert odd <= 1e-14 * size
     for odd, size in kernel_oddness(state, params, polar_nodes(knots, 1, 3), k0, k1):
         assert odd > 1e-10 * size
+
+
+SIGNED_MAGNITUDES = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-100.0, 100.0)).map(
+    lambda t: t[0] * 10.0 ** t[1]
+)
+
+
+@pytest.mark.parametrize("v_sign", [1.0, -1.0])
+@pytest.mark.parametrize("axis", ["p0", "p1", "off-axis"])
+@PROPERTY
+@given(x=SIGNED_MAGNITUDES, y=SIGNED_MAGNITUDES, speed=st.floats(0.05, 20.0))
+def test_bubble_over_d_is_the_complex_quotient(v_sign, axis, x, y, speed):
+    # the real-arithmetic B/D against the complex quotient it replaced,
+    # for |p0|, |p1| anywhere in [1e-100, 1e100], and its modulus
+    p0, p1 = {"p0": (x, 0.0), "p1": (0.0, y), "off-axis": (x, y)}[axis]
+    v = v_sign * speed
+    got = reference.bubble_over_d(p0, p1, v)
+    want = reference.bubble_closed(p0, p1, v) / reference.chiral_denominator(p0, p1, v)
+    modulus = 1.0 / (4.0 * np.pi * abs(v))
+    assert abs(got - want) <= 2e-15 * abs(want)
+    assert abs(abs(got) - modulus) <= 2e-15 * modulus
 
 
 @pytest.mark.parametrize(

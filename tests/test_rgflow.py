@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeflow import rgflow
+from edgeflow import reference, rgflow
 from edgeflow.cutoffs import band_cutoff, shell
 from edgeflow.reference import LuttingerParams
 from grid_diagrams import fourpoint_grid, mixed_bubbles, sunset_grid
@@ -193,10 +193,12 @@ def test_fitted_exponents_follow_the_one_loop_law(v):
 
 
 def test_one_grid_per_flow_and_two_kernel_calls_per_coupled_channel(monkeypatch):
-    # the polar grid and each channel's shell are built once per flow; each
+    # the polar grid and each channel's shell are built once per flow, and
+    # each coupled channel's inner table once per difference point; each
     # scale makes one beta_second_order call and, the kernel being odd, one
-    # kernel call per derivative of each coupled channel
-    names = ("polar_nodes", "shell", "_sunset_kernel", "beta_second_order")
+    # kernel call per derivative of each coupled channel.  The form factor
+    # is evaluated only off its plateau
+    names = ("polar_nodes", "shell", "_inner_table", "_sunset_kernel", "form_factor", "beta_second_order")
     calls = dict.fromkeys(names, 0)
     for name in names:
         fn = getattr(rgflow, name)
@@ -206,18 +208,71 @@ def test_one_grid_per_flow_and_two_kernel_calls_per_coupled_channel(monkeypatch)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(rgflow, name, counted)
-    # channel 2 is uncoupled: no kernel call, but a shell like every channel
+    # channel 0 is uncoupled: no table and no kernel call, but a shell like
+    # every channel
     lam = np.zeros((3, 3))
-    lam[0, 1] = lam[1, 0] = 0.05
+    lam[1, 2] = lam[2, 1] = 0.05
     params = LuttingerParams(v=[1.0, -0.7, 0.4], z=np.ones(3), lam=lam)
     scales = 12
     rgflow.flow_run(params, -scales)
     assert calls == {
         "polar_nodes": 1,
         "shell": 3,
+        "_inner_table": 2 * 2,
         "_sunset_kernel": 2 * 2 * scales,
+        # channel v = 0.4 reaches |p1| = 2 / 0.4 + STEP > P_C at h = 0, at
+        # both difference points, and 2^-1 (5 + STEP) < P_C from h = -1 on
+        "form_factor": 2,
         "beta_second_order": scales,
     }
+
+
+@pytest.mark.parametrize(
+    "v, off",
+    [
+        ((1.0, -1.0), []),
+        # |p1| reaches 2 / 0.4 + STEP > P_C at h = 0, at both points
+        ((1.0, -0.7, 0.4), [(0, 0.4)] * 2),
+        # a slow channel, |p| up to 2 / 0.1 + STEP: off the plateau down to
+        # h = -2, where a form factor taken at p, not 2^h p, would differ
+        ((0.1, -0.4), [(-2, 0.1)] * 2 + [(-1, 0.1)] * 2 + [(0, 0.1)] * 2 + [(0, -0.4)] * 2),
+    ],
+    ids=["2ch", "3ch", "slow"],
+)
+def test_the_kernel_takes_the_form_factor_at_the_true_momenta(monkeypatch, v, off):
+    # at every scale of a flow, the kernel's pair bubbles are bitwise
+    # -form_factor(2^h p)^2 [B/D](p): on the plateau, where the kernel
+    # leaves the form factor out, as well as off it (the control: the
+    # scales and channels ``off`` where it is not 1 everywhere)
+    n = len(v)
+    lam = np.full((n, n), 0.05)
+    np.fill_diagonal(lam, 0.0)
+    params = LuttingerParams(v=v, z=np.ones(n), lam=lam)
+    grid, _, tables = rgflow._unit_grid(params)
+    seen = []
+    sunset = rgflow.sunset
+
+    def capture(outer, lam_row, pair_bubble):
+        seen.extend(pair_bubble(o) for o in range(n) if lam_row[o] != 0.0)
+        return sunset(outer, lam_row, pair_bubble)
+
+    monkeypatch.setattr(rgflow, "sunset", capture)
+    off_plateau = []
+    for h in range(-40, 1):
+        state = rgflow.FlowState.initial(params)
+        state.h = h
+        for c, pair in enumerate(tables):
+            for table in pair:
+                p0, p1, _ = table
+                seen.clear()
+                rgflow._sunset_kernel(table, state, params, c, grid[2])
+                vhat2 = reference.form_factor(2.0**h * p0, 2.0**h * p1) ** 2
+                want = [-vhat2 * reference.bubble_over_d(p0, p1, state.v[o]) for o in range(n) if o != c]
+                assert len(seen) == len(want) == n - 1
+                assert all(got.tobytes() == w.tobytes() for got, w in zip(seen, want))
+                if np.any(vhat2 != 1.0):
+                    off_plateau.append((h, params.v[c]))
+    assert off_plateau == off
 
 
 def test_flow_divergence_error():
