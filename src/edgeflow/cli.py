@@ -156,9 +156,11 @@ def cmd_conductance(args, report):
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    # one grid for both: the chirality scan needs at least 64 momenta, and a
-    # power-of-two step keeps every step-th fiber bitwise the L1-grid one
-    step = 2
+    # one grid for both: the chirality scan needs at least 64 momenta, so the
+    # grid is the least power-of-two multiple of L1 that has them (L1 itself
+    # from L1 = 64 on), and a power-of-two step keeps every step-th fiber
+    # bitwise the L1-grid one
+    step = 1
     while step * n_k < 64:
         step *= 2
     grid = response.fiber_cache(ham, step * n_k, threads=args.threads)

@@ -14,13 +14,14 @@ conservation identities exact at finite size.
 Every current a response reads is one fiber operator, built once per
 summand and call by :func:`_current_operator`: a current component
 summed over rows with a weight per row, ``J(k, k') = sum_(u1, v1)
-e^{-i (k u1 - k' v1)} J_(u1 v1)`` with fixed matrices ``J_(u1 v1)`` on only
-the fiber rows the weight touches.  The indicator of ``y2 < n`` gives the
-ring current on a strip (the edge conductance, the wrong-order diagnostic,
-the real-time check), ones on every row give the current of the row-summed
-vertex identity, and a unit weight on row ``y2`` gives the current of the
-charge sum rule.  Per fiber pair the vertex ``Jbar = U_k^+ J(k, k') U_k'``
-is one contraction of the band states on the operator's rows.
+e^{-i (k u1 - k' v1)} J_(u1 v1)`` (:func:`_ring_sum`) with fixed matrices
+``J_(u1 v1)`` on only the fiber rows the weight touches.  The indicator of
+``y2 < n`` gives the ring current on a strip (the edge conductance, the
+wrong-order diagnostic, the real-time check), ones on every row give the
+current of the row-summed vertex identity, and a unit weight on row ``y2``
+gives the current of the charge sum rule.  Per fiber pair the vertex
+``Jbar = U_k^+ J(k, k') U_k'`` is a contraction of the band states on the
+operator's rows.
 
 The density is contracted the same way, before any band sum: summed over
 a strip it is ``Dbar = U_k[strip]^+ U_k'[strip]``, since ``sum_xy sum_ab
@@ -29,6 +30,16 @@ row by row (the sum rule) it is read off ``conj(U) * (U @ leg)``.  No
 table of row-resolved vertices is built.  The backward leg of a loop is
 the conjugate transpose of the forward one: the density and the bond
 currents are Hermitian operators.
+
+The strip sums (:func:`_strip_response`) take several ring momenta in one
+call and loop over the fibers ``k`` outside: each fiber's legs,
+``U_k[strip]^+`` and ``U_k[rows]^+ J_(u1 v1)``, are built once
+(:func:`_fiber_legs`) and contracted with every partner ``k + p``, the
+current legs summed with the pair's phases.  Only the band blocks where
+the weight can be nonzero are contracted: at zero temperature the
+occupied bands at ``k`` against the empty ones at ``k + p`` and the empty
+against the occupied, two slices of the ascending bands
+(:func:`_gibbs_weight`).
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 is diagonalized one summand at a time, one ``eigh`` of each summand's own
@@ -243,16 +254,17 @@ def _check_rows(geometry, rows, count):
 
 def _current_operator(ham, terms, weight):
     """The current component ``terms`` (:data:`_J1_TERMS` or :data:`_J2_TERMS`)
-    summed over rows with ``weight[y2]``, as a fiber operator ``(rows, J)``.
+    summed over rows with ``weight[y2]``, as a fiber operator ``(rows, mats)``.
 
     ``rows`` is the slice of fiber components on the span of rows the
     weight touches (its nonzero rows +- 1, within the cylinder; empty for a
-    zero weight), and ``J(k1, kp1) = sum_(u1, v1) e^{-i (k1 u1 - kp1 v1)}
-    J_(u1 v1)`` the operator on that span between the fibers at ``k1`` and
-    ``kp1``.  Each fixed matrix ``J_(u1 v1)``, built once here, places
-    ``i w weight[y2] H(z1; y2 + du, y2 + dv)`` at rows ``(y2 + du, y2 + dv)``
-    for each bond term with that ``(u1, v1)``, read off the model's slab
-    stack; a ``z1`` that no block has adds nothing.
+    zero weight), and ``mats`` the fixed matrices ``(u1, v1, J_(u1 v1))`` on
+    that span, of which the operator between the fibers at ``k1`` and
+    ``kp1`` is the phase-weighted sum ``J(k1, kp1) = _ring_sum(mats, k1,
+    kp1)``.  Each ``J_(u1 v1)``, built once here, places ``i w weight[y2]
+    H(z1; y2 + du, y2 + dv)`` at rows ``(y2 + du, y2 + dv)`` for each bond
+    term with that ``(u1, v1)``, read off the model's slab stack; a ``z1``
+    that no block has adds nothing.
     """
     g = ham.geometry
     if ham.hop_range > np.sqrt(2.0) + 1e-12:
@@ -271,31 +283,50 @@ def _current_operator(ham, terms, weight):
             if z1 in hops:
                 op[y2 + du - lo, :, y2 + dv - lo] += 1j * wgt * coef * hops[z1][y2 + du, :, y2 + dv]
     n = (hi - lo) * g.M
-    mats = [(u1, v1, op.reshape(n, n)) for (u1, v1), op in ops.items()]
+    return slice(lo * g.M, hi * g.M), [(u1, v1, op.reshape(n, n)) for (u1, v1), op in ops.items()]
 
-    def current(k1, kp1):
-        first, *rest = [np.exp(-1j * (k1 * u1 - kp1 * v1)) * mat for u1, v1, mat in mats]
-        return sum(rest, first)
 
-    return slice(lo * g.M, hi * g.M), current
+def _ring_sum(mats, k1, kp1):
+    """``sum_(u1, v1) e^{-i (k1 u1 - kp1 v1)} X_(u1 v1)`` over ``mats =
+    [(u1, v1, X_(u1 v1)), ...]``: the current ``J(k1, kp1)`` from the fixed
+    matrices of :func:`_current_operator`, or the forward leg of its vertex
+    from the legs of :func:`_fiber_legs`."""
+    (u1, v1, x), *rest = mats
+    out = np.exp(-1j * (k1 * u1 - kp1 * v1)) * x
+    for u1, v1, x in rest:
+        out += np.exp(-1j * (k1 * u1 - kp1 * v1)) * x
+    return out
 
 
 def _current_vertex(basis_k, basis_kp, current):
     """``U_k^+ J(k1, kp1) U_kp`` for ``current = _current_operator(...)``:
     the pair's ``(n, n)`` current vertex, its band states contracted on the
     operator's rows only."""
-    rows, op = current
-    return (basis_k.states[rows].conj().T @ op(basis_k.k1, basis_kp.k1)) @ basis_kp.states[rows]
+    rows, mats = current
+    return (basis_k.states[rows].conj().T @ _ring_sum(mats, basis_k.k1, basis_kp.k1)) @ basis_kp.states[rows]
 
 
-def _strip_vertices(basis_k, basis_kp, strip, current):
-    """``(Dbar, Jbar)`` of one fiber pair, each ``(n, n)``: the leading
-    ``strip`` fiber components of the band states contracted with each
-    other, and the pair's vertex of the strip current ``current =
-    _current_operator(ham, _J1_TERMS, y2 < n_rows)``.  They are the density
-    summed over ``x2 < strip / M`` and the ring current over ``y2 < n_rows``."""
-    dbar = basis_k.states[:strip].conj().T @ basis_kp.states[:strip]
-    return dbar, _current_vertex(basis_k, basis_kp, current)
+def _fiber_legs(basis, strip, current):
+    """The legs at ``k`` of every strip vertex ``(k, k')``, built once per
+    fiber: ``(k1, U_k[:strip]^+, rows, [(u1, v1, U_k[rows]^+ J_(u1 v1)), ...])``
+    for the strip current ``current = _current_operator(ham, _J1_TERMS, y2 <
+    n_rows)``.  The ring sum of the current legs (:func:`_ring_sum` at
+    ``(k, k')``) is the forward leg of the pair's current vertex."""
+    rows, mats = current
+    ah = basis.states[rows].conj().T
+    return basis.k1, basis.states[:strip].conj().T, rows, [(u1, v1, ah @ mat) for u1, v1, mat in mats]
+
+
+def _strip_vertices(legs, basis_kp, blocks):
+    """``[(Dbar, Jbar), ...]`` of the fiber pair ``(k, k')``, one per band
+    block ``(a, b, _)`` of ``blocks``: the legs of :func:`_fiber_legs` at
+    ``k`` on the bands ``a``, contracted with the band states ``b`` of the
+    basis at ``k'``.  ``Dbar`` is the density summed over the strip ``x2 <
+    strip / M``, ``Jbar`` the vertex of the ring current over ``y2 < n_rows``."""
+    k1, dh, rows, jlegs = legs
+    leg = _ring_sum(jlegs, k1, basis_kp.k1)
+    u = basis_kp.states
+    return [(dh[a] @ u[: dh.shape[1], b], leg[a] @ u[rows, b]) for a, b, _ in blocks]
 
 
 def _summand_models(ham, fibers):
@@ -439,9 +470,9 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
     p1 = 2.0 * np.pi * p1_index / n_k
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)
-    _, current = _current_operator(ham, _J1_TERMS, np.ones(ham.geometry.L2))
+    _, mats = _current_operator(ham, _J1_TERMS, np.ones(ham.geometry.L2))
     s3_n = s2_k @ s2_kp
-    s3_j = s2_k @ current(f_k.k1, f_kp.k1) @ s2_kp
+    s3_j = s2_k @ _ring_sum(mats, f_k.k1, f_kp.k1) @ s2_kp
     lhs = p0 * s3_n + (1.0 - np.exp(-1j * p1)) * s3_j
     rhs = 1j * (s2_k - s2_kp)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
@@ -453,18 +484,33 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
 # ---------------------------------------------------------------------------
 
 
-def _strip_response(ham, fibers, p1_index, rows, weight):
-    """Density-current response summed over the strips ``x2 < rows[0]``
-    (density) and ``y2 < rows[1]`` (ring current) at ring momentum
-    ``2 pi p1_index / n_k``, ``n_k = len(fibers)``.
+def _contract(dbar, jbar, w):
+    """``sum_ab Dbar[a, b] conj(Jbar[a, b]) w[a, b]``, one ``vdot``; for a
+    stack ``w`` of weights, one per weight."""
+    if w.ndim == 2:
+        return np.vdot(jbar, dbar * w)
+    return np.array([_contract(dbar, jbar, x) for x in w])
 
-    ``weight(f_k, f_kp)`` is the spectral weight of each fiber pair: an
-    ``(n, n)`` array, or a stack ``(s, n, n)`` of them, which gives ``s``
-    responses from one loop.  The strip sums are taken on the vertices,
-    before the band contraction: the strip current is built once per
-    summand as a fiber operator (:func:`_current_operator` with the
-    indicator of ``y2 < rows[1]``), and each pair only contracts its band
-    states with it (:func:`_strip_vertices`).  With the weight
+
+def _strip_response(ham, fibers, p1_indices, rows, weight):
+    """Density-current response summed over the strips ``x2 < rows[0]``
+    (density) and ``y2 < rows[1]`` (ring current) at each ring momentum
+    ``2 pi p1 / n_k`` of ``p1_indices``, ``n_k = len(fibers)``: one value per
+    momentum.
+
+    ``weight(e_k, e_kp)`` is the spectral weight of a fiber pair on the band
+    blocks where it can be nonzero, from the ascending energies of the two
+    bases: a list of ``(a, b, w)`` with slices ``a`` of the bands at ``k``
+    and ``b`` of those at ``k + p``, and ``w`` of shape ``(len a, len b)``,
+    or a stack ``(s, len a, len b)``, which gives ``s`` responses from one
+    loop (:func:`_gibbs_weight`).
+
+    The strip sums are taken on the vertices, before the band contraction.
+    The strip current is built once per summand as a fiber operator
+    (:func:`_current_operator` with the indicator of ``y2 < rows[1]``); the
+    loop runs over the fibers ``k`` outside, builds each fiber's legs once
+    (:func:`_fiber_legs`), and contracts them with every partner ``k + p``
+    on the pair's blocks only (:func:`_strip_vertices`).  With the weight
     :func:`_pair_weight` this is the row-resolved density-current table
     summed over those rows.
 
@@ -481,19 +527,54 @@ def _strip_response(ham, fibers, p1_index, rows, weight):
     strips = [
         (rows[0] * sub.geometry.M, _current_operator(sub, _J1_TERMS, on_strip)) for sub in _summand_models(ham, fibers)
     ]
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(p1_indices)
     for m in range(n_k):
-        f_k, f_kp = fibers[m], fibers[(m + p1_index) % n_k]
-        for (strip, current), b_k, b_kp in zip(strips, f_k.parts, f_kp.parts, strict=True):
-            dbar, jbar = _strip_vertices(b_k, b_kp, strip, current)
-            total = total + np.sum(dbar * jbar.conj() * weight(b_k, b_kp), axis=(-2, -1))
-    return total / n_k
+        for s, ((strip, current), b_k) in enumerate(zip(strips, fibers[m].parts, strict=True)):
+            legs = _fiber_legs(b_k, strip, current)
+            for j, p1_index in enumerate(p1_indices):
+                b_kp = fibers[(m + p1_index) % n_k].parts[s]
+                blocks = weight(b_k.energies, b_kp.energies)
+                for (_, _, w), (dbar, jbar) in zip(blocks, _strip_vertices(legs, b_kp, blocks)):
+                    totals[j] = totals[j] + _contract(dbar, jbar, w)
+    return np.array(totals) / n_k
 
 
 def _gibbs_weight(mu, temperature, p0):
     """:func:`_pair_weight` at ``(mu, temperature, p0)`` as the ``weight`` of
-    :func:`_strip_response`."""
-    return lambda f_k, f_kp: _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
+    :func:`_strip_response`.
+
+    At ``T > 0`` that is one block of all bands.  At ``T = 0`` the weight
+    is 0 unless one state is occupied and the other empty, so it is the two
+    blocks ``[:o] x [o':]`` and ``[o:] x [:o']`` with ``o = #(e_k < mu)`` and
+    ``o' = #(e_kp < mu)`` (slices, the energies being ascending), where
+    ``n_F(e_b) - n_F(e_a)`` is -1 and +1; an empty block is left out.  At
+    ``p0 = 0`` each block's smallest energy gap, one scalar, is checked
+    against the 1e-12 of :func:`_pair_weight`.
+    """
+    if temperature > 0.0:
+        return lambda e_k, e_kp: [(slice(None), slice(None), _pair_weight(e_k, e_kp, mu, temperature, p0))]
+
+    def blocks(e_k, e_kp):
+        o, o_p = e_k.searchsorted(mu), e_kp.searchsorted(mu)
+        out = []
+        for a, b, dn in ((slice(0, o), slice(o_p, None), -1.0), (slice(o, None), slice(0, o_p), 1.0)):
+            de = e_k[a, None] - e_kp[b]
+            if not de.size:
+                continue
+            if p0 != 0.0:
+                w = dn / (1j * p0 + de)
+            # the energies ascend, so the block's smallest gap is at a corner
+            elif min(abs(de[-1, 0]), abs(de[0, -1])) < 1e-12:
+                raise DegenerateCrossingError(
+                    "states straddling mu are degenerate at p0 = 0; shift the "
+                    "momentum grid or chemical potential"
+                )
+            else:
+                w = dn / de
+            out.append((a, b, w))
+        return out
+
+    return blocks
 
 
 @dataclass
@@ -518,20 +599,18 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=None):
     if not 0 <= a_prime < a <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime < a <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
     fibers = fiber_grid(ham, n_k, fibers)
-
-    def strip_sum(p1_index):
-        return _strip_response(ham, fibers, p1_index, (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0, 0.0))
-
+    g_plus, g_minus, g_2, g_3 = _strip_response(
+        ham, fibers, (1, n_k - 1, 2, 3), (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0, 0.0)
+    )
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
     # check is relative to one conductance quantum 1/(2 pi) at least: a
     # counter-propagating stack cancels G down to rounding.
-    g_plus, g_minus = strip_sum(1), strip_sum(n_k - 1)
     sym_err = abs(g_minus - np.conj(g_plus))
     if sym_err > 1e-9 * max(abs(g_plus), 1.0 / (2.0 * np.pi)):
         raise ConjugationSymmetryError(f"conjugation symmetry violated: {sym_err:.2e}")
     p1s = 2.0 * np.pi * np.arange(1, 4) / n_k
-    gs = np.array([g_plus, strip_sum(2), strip_sum(3)])
+    gs = np.array([g_plus, g_2, g_3])
     coef, cov = np.polyfit(p1s, gs.real, 1, cov=True)
     return ConductanceEstimate(
         p1_values=p1s,
@@ -551,7 +630,7 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     ``y2 <= a_prime``, on the vertices (:func:`_strip_response`).
     """
     fibers = fiber_grid(ham, n_k, fibers)
-    return complex(_strip_response(ham, fibers, 0, (ham.geometry.L2, a_prime + 1), _gibbs_weight(mu, 0.0, p0)))
+    return complex(_strip_response(ham, fibers, (0,), (ham.geometry.L2, a_prime + 1), _gibbs_weight(mu, 0.0, p0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +659,14 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
         raise ValueError("beta too small: nearest periodic frequency to eta is 0")
     fibers = fiber_grid(ham, n_k, fibers)
     temperature = 1.0 / beta
-    imaginary_time = _gibbs_weight(mu, temperature, -eta_beta)
 
-    def weights(f_k, f_kp):
+    def weights(e_k, e_kp):
         # real time: (n_F(e_a) - n_F(e_b)) int_{-T}^0 e^{(eta + i (e_a - e_b)) t} dt
-        dn = _fermi(f_k.energies, mu, temperature)[:, None] - _fermi(f_kp.energies, mu, temperature)[None, :]
-        zz = eta + 1j * (f_k.energies[:, None] - f_kp.energies[None, :])
-        return np.stack([dn * (1.0 - np.exp(-zz * t_horizon)) / zz, imaginary_time(f_k, f_kp)])
+        dn = _fermi(e_k, mu, temperature)[:, None] - _fermi(e_kp, mu, temperature)[None, :]
+        zz = eta + 1j * (e_k[:, None] - e_kp[None, :])
+        imaginary_time = _pair_weight(e_k, e_kp, mu, temperature, -eta_beta)
+        return [(slice(None), slice(None), np.stack([dn * (1.0 - np.exp(-zz * t_horizon)) / zz, imaginary_time]))]
 
-    lhs, rhs = _strip_response(ham, fibers, p1_index, (a + 1, a_prime + 1), weights)
+    (lhs, rhs), = _strip_response(ham, fibers, (p1_index,), (a + 1, a_prime + 1), weights)
     rhs = 1j * rhs
     return lhs, rhs, abs(lhs - rhs)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .cutoffs import shell
 from .quadrature import polar_nodes
-from .reference import P_C, LuttingerParams, bubble_over_d, chiral_denominator, form_factor
+from .reference import P_C, LuttingerParams, bubble_over_d, form_factor
 
 __all__ = [
     "FlowState",
@@ -82,10 +82,15 @@ def _bare_shell(k0, k1, h, v_bare):
 
 
 def _shell_over_d(f, k0, k1, v_run, z_run):
-    """f / (z (-i k0 + v_run k1)), exactly zero where the shell f is."""
-    d = z_run * chiral_denominator(k0, k1, v_run)
-    out = np.zeros(np.broadcast(f, d).shape, dtype=complex)
-    np.divide(f, d, out=out, where=f != 0.0)
+    """f / (z (-i k0 + v_run k1)), exactly zero where the shell f is, in
+    real arithmetic: ``f (a + i k0) / (z (a^2 + k0^2))`` with ``a = v_run k1``,
+    for momenta within about 1e+-150, where the squares stay in range."""
+    a = v_run * np.asarray(k1)
+    scale = np.zeros(np.broadcast(f, a, k0, z_run).shape)
+    np.divide(f, z_run * (a * a + k0 * k0), out=scale, where=f != 0.0)
+    out = np.empty(scale.shape, dtype=complex)
+    np.multiply(scale, a, out=out.real)
+    np.multiply(scale, k0, out=out.imag)
     if out.shape == ():
         return complex(out)
     return out

@@ -359,7 +359,8 @@ def test_wick_passes_threads_to_the_fiber_cache(tmp_path, monkeypatch):
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
-    # the response and the chirality scan share one grid of 2 L1 fibers,
+    # the response and the chirality scan share one grid, here of 2 L1 = 64
+    # fibers (the least power-of-two multiple of L1 with at least 64),
     # diagonalized once on the requested threads; the scan diagonalizes none,
     # and the chirality is read off the grid crossings, with no Fermi point
     seen, scanned, assembled = [], [], []
@@ -394,6 +395,38 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
     assert seen == [(64, 2)]
     assert scanned == [0]
     assert len(assembled) == 64
+
+
+@pytest.mark.parametrize(
+    "model",
+    [["--model", "haldane"], ["--model", "stacked-haldane", "--shifts", "0.0,0.1", "--flips", "0,1"]],
+    ids=["haldane", "counter-stack"],
+)
+def test_conductance_from_64_momenta_on_scans_the_ring_itself(tmp_path, monkeypatch, model):
+    # L1 = 64 already has the 64 momenta the chirality scan needs: one grid of
+    # L1 fibers, where a grid of 2 L1 gives the same chirality and, its even
+    # fibers being bitwise the L1 grid, the same 2 pi G
+    seen = []
+    cache = response.fiber_cache
+
+    def recorded_cache(ham, n_k, threads=1):
+        seen.append(n_k)
+        return cache(ham, n_k, threads=threads)
+
+    monkeypatch.setattr(response, "fiber_cache", recorded_cache)
+    code, out = run_cli(tmp_path, "conductance", *model, "--L1", "64", "--L2", "16")
+    assert code == 0
+    assert seen == [64]
+    rep = load_report(out, "report_conductance.json")
+    args = cli.build_parser().parse_args(["conductance", *model, "--L1", "64", "--L2", "16"])
+    ham = cli._model(args)
+    grid = cache(ham, 128)
+    scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - args.window, args.mu + args.window), fibers=grid)
+    branches = spectrum.edge_branches(scan, args.mu)
+    chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
+    est = response.edge_conductance_free(ham, args.mu, 64, a=6, a_prime=4, fibers=grid[::2])
+    assert rep["chirality_sum_lower"] == chi == (1.0 if model[1] == "haldane" else 0.0)
+    assert rep["two_pi_G"] == 2.0 * np.pi * est.g
 
 
 def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):

@@ -141,6 +141,16 @@ def test_batched_vertices_match_the_row_loop_on_a_counter_stack(k1, p1, rows):
     assert_matches_loop(stack, f_k, f_kp, rows)
 
 
+def strip_vertices(ham, f_k, f_kp, rows, a=slice(None), b=slice(None)):
+    """``(Dbar, Jbar)`` of the pair on the band block ``a x b``, through the
+    legs of ``f_k`` (:func:`response._fiber_legs`)."""
+    g = ham.geometry
+    current = response._current_operator(ham, response._J1_TERMS, np.arange(g.L2) < rows[1])
+    legs = response._fiber_legs(f_k, rows[0] * g.M, current)
+    [vertices] = response._strip_vertices(legs, f_kp, [(a, b, None)])
+    return vertices
+
+
 @PROPERTY
 @given(
     seed=SEEDS,
@@ -148,17 +158,19 @@ def test_batched_vertices_match_the_row_loop_on_a_counter_stack(k1, p1, rows):
     k1=st.floats(0.0, 2.0 * np.pi),
     p1=st.floats(-np.pi, np.pi),
     rows=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    cuts=st.tuples(st.integers(0, 32), st.integers(0, 32), st.integers(0, 32), st.integers(0, 32)),
 )
-def test_strip_vertices_are_the_row_sums(seed, size, k1, p1, rows):
+def test_strip_vertices_are_the_row_sums(seed, size, k1, p1, rows, cuts):
+    # on any band block, empty ones included, from the legs of f_k
     ham = random_hermitian_model(np.random.default_rng(seed), *size)
     rows = tuple(min(r, ham.geometry.L2) for r in rows)
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
+    a, b = (slice(*sorted(c % (f_k.dim + 1) for c in pair)) for pair in (cuts[:2], cuts[2:]))
     vs = build_vertices(ham, f_k, f_kp, rows=(*rows, 0))
-    current = response._current_operator(ham, response._J1_TERMS, np.arange(ham.geometry.L2) < rows[1])
-    dbar, jbar = response._strip_vertices(f_k, f_kp, rows[0] * ham.geometry.M, current)
+    dbar, jbar = strip_vertices(ham, f_k, f_kp, rows, a, b)
     for got, want in ((dbar, vs.density.sum(axis=0)), (jbar, vs.current1.sum(axis=0))):
-        assert got.shape == (f_k.dim, f_k.dim)
-        assert np.max(np.abs(got - want)) <= 1e-13
+        assert got.shape == want[a, b].shape
+        assert np.max(np.abs(got - want[a, b]), initial=0.0) <= 1e-13
 
 
 @PROPERTY
@@ -210,8 +222,8 @@ def test_strip_vertices_at_the_edge_cases_are_the_row_sums(make):
         current = response._current_operator(ham, response._J1_TERMS, np.arange(g.L2) < rows[1])
         span = min(rows[1] + 1, g.L2) * g.M if rows[1] else 0
         assert current[0] == slice(0, span)
-        assert current[1](f_k.k1, f_kp.k1).shape == (span, span)
-        dbar, jbar = response._strip_vertices(f_k, f_kp, rows[0] * g.M, current)
+        assert response._ring_sum(current[1], f_k.k1, f_kp.k1).shape == (span, span)
+        dbar, jbar = strip_vertices(ham, f_k, f_kp, rows)
         want = vs.density[: rows[0]].sum(axis=0), vs.current1[: rows[1]].sum(axis=0)
         for got, ref in zip((dbar, jbar), want):
             assert got.shape == (f_k.dim, f_k.dim)
@@ -259,36 +271,6 @@ def test_wrong_order_diagnostic_is_the_summed_row_table(seed, size, mu, p0, row)
     assert abs(got - complex(table.sum())) <= 1e-14
 
 
-@PROPERTY
-@given(
-    seed=SEEDS,
-    size=SIZES,
-    mu=st.floats(-2.0, 2.0),
-    p0=st.floats(-3.0, 3.0),
-    temperature=st.sampled_from([0.0, 0.05]),
-    p1_index=st.integers(1, 3),
-    rows=st.tuples(st.integers(1, 8), st.integers(1, 8)),
-)
-def test_strip_response_is_the_summed_row_table(seed, size, mu, p0, temperature, p1_index, rows):
-    # the loop the conductance and the wrong-order diagnostic share, where
-    # nothing cancels: p1 != 0, partial density strips, finite temperature
-    ham = random_hermitian_model(np.random.default_rng(seed), *size)
-    L1, L2, _ = size
-    a, a_prime = (min(r, L2) - 1 for r in rows)
-    fibers = response.fiber_cache(ham, L1)
-    try:
-        got = response._strip_response(
-            ham, fibers, p1_index, (a + 1, a_prime + 1), response._gibbs_weight(mu, temperature, p0)
-        )
-    except response.DegenerateCrossingError:
-        assume(False)
-    table = current_current(
-        ham, mu, p0, p1_index, L1, temperature=temperature, strips=(a, a_prime),
-        components=((0, 1),), fibers=fibers,
-    )[(0, 1)]
-    assert abs(got - table.sum()) <= 1e-13
-
-
 def assert_ward_columns_match(ham, mu, p0, temperature):
     """``response._ward_columns`` at every interior row against the oracle's
     row-resolved columns, to 1e-14 of the largest."""
@@ -331,6 +313,88 @@ def random_direct_sum(seed, L1, L2, ms, shifts):
     models = [random_hermitian_model(rng, L1, L2, m) for m in ms]
     shifts = shifts[: len(ms)]
     return [h.shifted(e) for h, e in zip(models, shifts)], lattice.stacked_shifted(models, shifts)
+
+
+def fiber_edge_mu(fibers, where):
+    """A chemical potential at which some fiber has every band empty
+    (``"below"``: ``o = 0``) or every band occupied (``"above"``: ``o = n``)."""
+    if where == "below":
+        return max(f.energies[0] for f in fibers)
+    return np.nextafter(min(f.energies[-1] for f in fibers), np.inf)
+
+
+@PROPERTY
+@given(
+    model=st.one_of(st.tuples(SEEDS, SIZES), DIRECT_SUMS),
+    mu=st.floats(-2.0, 2.0) | st.sampled_from(["below", "above"]),
+    p0=st.just(0.0) | st.floats(-3.0, 3.0),
+    temperature=st.sampled_from([0.0, 0.05]),
+    p1_indices=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+    rows=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+)
+def test_strip_response_is_the_summed_row_table(model, mu, p0, temperature, p1_indices, rows):
+    # the loop the conductance, the wrong-order diagnostic and the Wick
+    # check share, on random models and direct sums, where nothing cancels:
+    # several momenta per call, p1 = 0 among them, partial strips, p0 = 0
+    # and not, a mu at which some fiber is all empty or all occupied, and at
+    # finite temperature a stack of two weights on one block of all bands
+    if len(model) == 2:
+        ham = random_hermitian_model(np.random.default_rng(model[0]), *model[1])
+    else:
+        ham = random_direct_sum(*model)[1]
+    L1, L2 = ham.geometry.L1, ham.geometry.L2
+    a, a_prime = (min(r, L2) - 1 for r in rows)
+    fibers = response.fiber_cache(ham, L1)
+    if isinstance(mu, str):
+        mu = fiber_edge_mu(fibers, mu)
+    p1_indices = [p % L1 for p in p1_indices]
+    states = [(temperature, p0)]  # (temperature, p0) of each weight
+    if temperature > 0.0:
+        every = slice(None)
+        states.append((0.02, p0 + 0.7))
+
+        def weight(e_k, e_kp):
+            return [(every, every, np.stack([response._pair_weight(e_k, e_kp, mu, t, q) for t, q in states]))]
+    else:
+        weight = response._gibbs_weight(mu, temperature, p0)
+    try:
+        got = response._strip_response(ham, fibers, p1_indices, (a + 1, a_prime + 1), weight)
+    except response.DegenerateCrossingError:
+        assume(False)
+    got = got.reshape(len(p1_indices), -1)
+    assert got.shape[1] == len(states)
+    for i, (t, q) in enumerate(states):
+        for j, p1_index in enumerate(p1_indices):
+            table = current_current(
+                ham, mu, q, p1_index, L1, temperature=t, strips=(a, a_prime), components=((0, 1),), fibers=fibers
+            )[(0, 1)]
+            assert abs(got[j, i] - table.sum()) <= 1e-13
+
+
+@PROPERTY
+@given(
+    energies=st.tuples(
+        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+    ),
+    mu=st.floats(-4.0, 4.0),
+    p0=st.sampled_from([0.0, 1e-300, -5e-324]) | st.floats(-3.0, 3.0),
+)
+def test_zero_temperature_blocks_are_exactly_the_dense_weight(energies, mu, p0):
+    # the blocks hold every nonzero entry of the dense weight, exactly, and
+    # raise where it raises (outside them the dense weight is +-0)
+    e_k, e_kp = (np.sort(e) for e in energies)
+    try:
+        dense = response._pair_weight(e_k, e_kp, mu, 0.0, p0)
+    except response.DegenerateCrossingError:
+        with pytest.raises(response.DegenerateCrossingError):
+            response._gibbs_weight(mu, 0.0, p0)(e_k, e_kp)
+        return
+    placed = np.zeros_like(dense)
+    for a, b, w in response._gibbs_weight(mu, 0.0, p0)(e_k, e_kp):
+        assert w.size and not np.any(placed[a, b])
+        placed[a, b] = w
+    assert np.array_equal(placed, dense)
 
 
 @PROPERTY
@@ -664,6 +728,31 @@ def test_bubble_over_d_is_the_complex_quotient(v_sign, axis, x, y, speed):
     modulus = 1.0 / (4.0 * np.pi * abs(v))
     assert abs(got - want) <= 2e-15 * abs(want)
     assert abs(abs(got) - modulus) <= 2e-15 * modulus
+
+
+@pytest.mark.parametrize("v_sign", [1.0, -1.0])
+@pytest.mark.parametrize("axis", ["k0", "k1", "off-axis"])
+@PROPERTY
+@given(
+    x=SIGNED_MAGNITUDES,
+    y=SIGNED_MAGNITUDES,
+    speed=st.floats(0.05, 20.0),
+    z=st.floats(0.5, 2.0),
+    f=st.just(0.0) | st.floats(1e-300, 1.0),
+)
+def test_the_outer_line_is_the_complex_quotient(v_sign, axis, x, y, speed, z, f):
+    # the flow's outer line f / (z D) in real arithmetic against the complex
+    # quotient, for |k0|, |k1| anywhere in [1e-100, 1e100] (beyond about
+    # 1e+-150 the squares leave the double range); exactly 0 where the shell
+    # is, also at k = 0
+    k0, k1 = {"k0": (x, 0.0), "k1": (0.0, y), "off-axis": (x, y)}[axis]
+    v = v_sign * speed
+    got = rgflow._shell_over_d(f, k0, k1, v, z)
+    if f == 0.0:
+        assert got == 0.0 and rgflow._shell_over_d(f, 0.0, 0.0, v, z) == 0.0
+        return
+    want = f / (z * reference.chiral_denominator(k0, k1, v))
+    assert abs(got - want) <= 2e-15 * abs(want)
 
 
 @pytest.mark.parametrize(

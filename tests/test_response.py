@@ -114,11 +114,12 @@ def test_vertices_require_short_range(rng):
 
 def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
     # the backward leg of each loop is the conjugate of the forward vertices,
-    # so each (k, k + p) pair is built once: row-resolved by the oracle's
-    # build_vertices, or summed over the strips by _strip_vertices.  Every
-    # current is a fixed fiber operator, built by _current_operator once per
-    # summand, component and call, not once per pair
-    owners = {"build_vertices": row_vertices, "_strip_vertices": response, "_current_operator": response}
+    # so each (k, k + p) pair is built once, row-resolved by the oracle's
+    # build_vertices.  The strip sums build each fiber's legs once per
+    # summand and call, for every momentum of the call (_fiber_legs), and
+    # every current is a fixed fiber operator, built by _current_operator
+    # once per summand, component and call, not once per pair or momentum
+    owners = {"build_vertices": row_vertices, "_fiber_legs": response, "_current_operator": response}
     names = tuple(owners)
     calls = dict.fromkeys(names, 0)
     for name, owner in owners.items():
@@ -144,13 +145,15 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
     assert builds(lambda: response.vertex_ward_residual(ham, mu, 0.2, 1, 0.3, 1, n_k, fibers=fibers)) == (0, 0, 1)
     assert builds(lambda: response.wick_rotation_check(
         ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers)) == (0, n_k, 1)
+    assert builds(lambda: response.wrong_order_diagnostic(ham, mu, 0.4, n_k, a_prime=4, fibers=fibers)) == (0, n_k, 1)
+    # the four momenta of the conductance share one strip current and one
+    # set of legs per fiber
     assert builds(lambda: response.edge_conductance_free(
-        ham, mu, n_k, a=6, a_prime=4, fibers=fibers)) == (0, 4 * n_k, 4)
-    # two summands: each strip sum builds one operator per summand, and each
-    # pair contracts each summand's bands with its own
+        ham, mu, n_k, a=6, a_prime=4, fibers=fibers)) == (0, n_k, 1)
+    # two summands: one operator and one set of legs per fiber for each
     stack, stack_fibers = counter_stack
     assert builds(lambda: response.edge_conductance_free(
-        stack, 0.15, 24, a=6, a_prime=4, fibers=stack_fibers)) == (0, 2 * 4 * 24, 2 * 4)
+        stack, 0.15, 24, a=6, a_prime=4, fibers=stack_fibers)) == (0, 2 * 24, 2)
     assert builds(lambda: response.ward_sum_rule(stack, 0.15, 0.3, 3, 24, fibers=stack_fibers)) == (0, 0, 2 * 2)
 
 
@@ -200,6 +203,31 @@ def test_equal_occupations_have_zero_weight_at_every_frequency(p0):
     assert np.all(np.isfinite(w))
     same = (e_a < 0.0)[:, None] == (e_b < 0.0)[None, :]
     assert np.all(w[same] == 0.0) and np.all(w[~same] != 0.0)
+
+
+def test_the_block_guard_names_a_degenerate_pair_across_mu_only():
+    # at p0 = 0 an occupied and an empty state closer than 1e-12 are a pole
+    # of the zero-temperature weight, in either block; a degenerate pair on
+    # one side of mu is in no block, and a pair across mu 2e-12 apart is
+    # resolved
+    mu = 0.1
+    weight = response._gibbs_weight(mu, 0.0, 0.0)
+
+    def fiber(*e):
+        return np.sort([-2.0, *e, 2.0])
+
+    below, above = mu - 4e-13, mu + 4e-13
+    for e_k, e_kp in ((fiber(below), fiber(above)), (fiber(above), fiber(below))):
+        with pytest.raises(response.DegenerateCrossingError):
+            weight(e_k, e_kp)
+        with pytest.raises(response.DegenerateCrossingError):
+            response._pair_weight(e_k, e_kp, mu, 0.0, 0.0)
+        # at p0 != 0 the pair is no pole
+        assert all(np.all(np.isfinite(w)) for _, _, w in response._gibbs_weight(mu, 0.0, 0.3)(e_k, e_kp))
+    for e in (mu - 1e-3, mu + 1e-3):
+        for e_k, e_kp in ((fiber(e), fiber(e)), (fiber(e), fiber(e + 1e-14))):
+            assert all(np.max(np.abs(w)) < 1e3 for _, _, w in weight(e_k, e_kp))
+    assert len(weight(fiber(mu - 1e-12), fiber(mu + 1e-12))) == 2
 
 
 def _drop_diagonal_bonds(monkeypatch):
@@ -264,18 +292,28 @@ def test_ward_sum_rule_refuses_a_row_that_is_not_interior(haldane_setup, monkeyp
 
 @pytest.mark.parametrize("p1_index, temperature", [(1, 0.0), (2, 0.05), (0, 0.05)])
 def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_index, temperature):
-    # the two Wick sides share one strip loop: each weight of a stack gives
-    # exactly the sum the loop gives for that weight alone
+    # the two Wick sides share one strip loop: each weight of a stack, on one
+    # block of all bands, gives exactly the sum the loop gives for that
+    # weight alone, at every momentum of the call
     ham, mu, fibers = haldane_setup
-    first = response._gibbs_weight(mu, temperature, 0.4)
-    second = response._gibbs_weight(mu, 0.05, -1.3)
-    rows = (7, 4)
-    stacked = response._strip_response(
-        ham, fibers, p1_index, rows, lambda f_k, f_kp: np.stack([first(f_k, f_kp), second(f_k, f_kp)])
-    )
-    assert stacked.shape == (2,)
-    assert stacked[0] == response._strip_response(ham, fibers, p1_index, rows, first)
-    assert stacked[1] == response._strip_response(ham, fibers, p1_index, rows, second)
+    every = slice(None)
+
+    def first(e_k, e_kp):
+        return response._pair_weight(e_k, e_kp, mu, temperature, 0.4)
+
+    def second(e_k, e_kp):
+        return response._pair_weight(e_k, e_kp, mu, 0.05, -1.3)
+
+    def on_all_bands(*weights):
+        return lambda e_k, e_kp: [(every, every, np.stack([w(e_k, e_kp) for w in weights]))]
+
+    momenta, rows = (p1_index, 3), (7, 4)
+    stacked = response._strip_response(ham, fibers, momenta, rows, on_all_bands(first, second))
+    assert stacked.shape == (2, 2)
+    for i, weight in enumerate((first, second)):
+        alone = response._strip_response(ham, fibers, momenta, rows, lambda e_k, e_kp: [(every, every, weight(e_k, e_kp))])
+        assert alone.shape == (2,)
+        assert np.array_equal(stacked[:, i], alone)
 
 
 @pytest.mark.parametrize(
@@ -303,7 +341,7 @@ def test_a_fiber_grid_of_the_wrong_length_is_refused(haldane_setup, monkeypatch,
         raise AssertionError("a vertex was built before the grid was checked")
 
     monkeypatch.setattr(row_vertices, "build_vertices", no_vertices)
-    for name in ("_strip_vertices", "_current_vertex", "_ward_columns"):
+    for name in ("_fiber_legs", "_strip_vertices", "_current_vertex", "_ward_columns"):
         monkeypatch.setattr(response, name, no_vertices)
     with pytest.raises(ValueError, match=f"need {n_k} fibers, got 16"):
         run(ham, mu, fibers)
@@ -531,20 +569,25 @@ def test_conjugation_check_passes_a_cancelling_stack(counter_stack):
 
 def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
     # the symmetry holds term by term for any fiber list, so a defect shows
-    # in the vertices: the strip-summed density of every p1 = -1 pair is shifted
+    # in the vertices: the strip-summed density of every p1 = -1 pair is
+    # shifted on each of its band blocks
     stack, fibers = counter_stack
     build = response._strip_vertices
     back = 2.0 * np.pi * 23 / 24  # p1 = -1 on the ring of 24
+    broken_pairs = []
 
-    def broken(basis_k, basis_kp, strip, current):
-        dbar, jbar = build(basis_k, basis_kp, strip, current)
-        if np.isclose((basis_kp.k1 - basis_k.k1) % (2.0 * np.pi), back):
-            dbar = dbar + 0.1
-        return dbar, jbar
+    def broken(legs, basis_kp, blocks):
+        vertices = build(legs, basis_kp, blocks)
+        if np.isclose((basis_kp.k1 - legs[0]) % (2.0 * np.pi), back):
+            broken_pairs.append(basis_kp.k1)
+            vertices = [(dbar + 0.1, jbar) for dbar, jbar in vertices]
+        return vertices
 
     monkeypatch.setattr(response, "_strip_vertices", broken)
     with pytest.raises(response.ConjugationSymmetryError):
         response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+    # every fiber is the partner of one p1 = -1 pair, once per summand
+    assert len(broken_pairs) == 2 * 24
 
 
 def test_precomputed_fibers_do_not_skip_the_hermiticity_check(counter_stack, hermitian_checks):
