@@ -308,7 +308,7 @@ def cmd_rg(args, report):
     )
     write_csv(args.out, "rg_trajectory.csv", header, rows)
     rep = rgflow.vanishing_beta_report(traj)
-    lam_scale = max(abs(args.lam), 1e-300)
+    lam_scale = abs(args.lam)
     report["eta"] = rep["eta"]
     # the quartic beta function vanishes at this order, so lambda does not
     # run; the key stays because rg_check in perfbench/workloads.py reads

@@ -11,10 +11,8 @@ import numpy as np
 __all__ = [
     "smoothstep",
     "chi",
-    "channel_norm",
     "band_cutoff",
     "shell",
-    "shell_support",
 ]
 
 
@@ -27,11 +25,6 @@ def smoothstep(t):
 def chi(s):
     """Even plateau cutoff: 1 for |s| <= 1, 0 for |s| >= 2, monotone between."""
     return 1.0 - smoothstep(np.abs(s) - 1.0)
-
-
-def channel_norm(k0, k1, v):
-    """Velocity-weighted Euclidean norm sqrt(k0^2 + v^2 k1^2)."""
-    return np.hypot(k0, v * k1)
 
 
 def band_cutoff(r, h, n):
@@ -50,8 +43,3 @@ def shell(r, j, h_min):
     The shells partition the full window: sum_{j=h_min..0} f_j = window[h_min, 0].
     """
     return band_cutoff(r, h_min, j) - band_cutoff(r, h_min, j - 1)
-
-
-def shell_support(j):
-    """Radial support (r_lo, r_hi) of the shell at scale j."""
-    return 2.0 ** (j - 1), 2.0 ** (j + 1)

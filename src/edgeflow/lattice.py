@@ -46,8 +46,6 @@ __all__ = [
     "finite_float",
     "assemble_fiber",
     "row_weights",
-    "dump_blocks",
-    "load_blocks",
     "model_from_config",
 ]
 
@@ -141,11 +139,11 @@ class LatticeHamiltonian:
         of shape ``(len(z1s), L2 M, L2 M)``, one per stored ``z1``.
 
         The ``z1s`` are in the order they first appear among the blocks.  The
-        built-in models and loaded files add each fiber entry's blocks in
-        that order, so summing the phased slabs in turn, as
-        :func:`assemble_fiber` does, rounds exactly as summing the phased
-        blocks in turn; Fermi velocities, finite differences of fiber
-        energies, show any change in the last bit.
+        built-in models add each fiber entry's blocks in that order, so
+        summing the phased slabs in turn, as :func:`assemble_fiber` does,
+        rounds exactly as summing the phased blocks in turn; Fermi
+        velocities, finite differences of fiber energies, show any change in
+        the last bit.
 
         Built on first use, after :meth:`check_hermitian` passes, and cached
         with :meth:`summands`; :meth:`add_block` drops both.  The sub-models
@@ -459,55 +457,6 @@ def build_model(kind, L1, L2, **params):
     phi = kw.pop("phi", np.pi / 2)
     bases = [haldane_cylinder(L1=L1, L2=L2, phi=-phi if flip else phi, **kw) for flip in flips]
     return stacked_shifted(bases, shifts)
-
-
-# ---------------------------------------------------------------------------
-# Model files
-# ---------------------------------------------------------------------------
-
-
-def dump_blocks(ham, path):
-    """Write nonzero block entries: z1 x2 y2 rho rho' re im (one per line)."""
-    g = ham.geometry
-    with open(path, "w") as f:
-        f.write(f"# cylinder L1={g.L1} L2={g.L2} M={g.M} range={ham.hop_range}\n")
-        for (z1, x2, y2) in sorted(ham._blocks):
-            blk = ham._blocks[(z1, x2, y2)]
-            for r in range(g.M):
-                for c in range(g.M):
-                    if blk[r, c] != 0.0:
-                        f.write(
-                            f"{z1} {x2} {y2} {r} {c} "
-                            f"{blk[r, c].real:.17g} {blk[r, c].imag:.17g}\n"
-                        )
-
-
-def load_blocks(path):
-    """Inverse of :func:`dump_blocks`.
-
-    Raises ``ValueError`` naming the file when the header is not exactly
-    ``# cylinder L1=.. L2=.. M=.. range=..``.
-    """
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        fields = [w.partition("=") for w in header.removeprefix("# cylinder ").split()]
-        try:
-            if not header.startswith("# cylinder ") or [k + eq for k, eq, _ in fields] != [
-                "L1=", "L2=", "M=", "range="
-            ]:
-                raise ValueError("wrong fields")
-            l1, l2, m = (int(v) for _, _, v in fields[:3])
-            hop_range = float(fields[3][2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed header {header!r} ({exc})") from None
-        geometry = CylinderGeometry(l1, l2, m)
-        ham = LatticeHamiltonian(geometry, hop_range=hop_range)
-        for line in f:
-            z1, x2, y2, r, c, re, im = line.split()
-            blk = np.zeros((geometry.M, geometry.M), dtype=complex)
-            blk[int(r), int(c)] = float(re) + 1j * float(im)
-            ham.add_block(int(z1), int(x2), int(y2), blk)
-    return ham
 
 
 def model_from_config(cfg):

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["QuadratureError", "polar_nodes", "polar_integrate", "refine_until"]
+__all__ = ["QuadratureError", "polar_nodes", "refine_until"]
 
 
 class QuadratureError(RuntimeError):
@@ -70,11 +70,6 @@ def polar_nodes(r_edges, n_radial, n_angular, gl=4, center=(0.0, 0.0)):
     k1 = center[1] + r[:, None] * np.sin(th[None, :])
     w = (r * wr)[:, None] * wth[None, :]
     return k0.ravel(), k1.ravel(), w.ravel()
-
-
-def polar_integrate(f, r_edges, n_radial, n_angular, gl=4, center=(0.0, 0.0)):
-    k0, k1, w = polar_nodes(r_edges, n_radial, n_angular, gl=gl, center=center)
-    return np.dot(w, f(k0, k1))
 
 
 def refine_until(estimate, tol, start=1, max_doublings=6):

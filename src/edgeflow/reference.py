@@ -2,9 +2,8 @@
 
 Closed-form correlation matrices of a family of linearly dispersing
 chiral fermion channels with density-density couplings between distinct
-channels, together with the regularized momentum-space objects (cutoff
-propagator, regularized bubble) that converge to those closed forms when
-the infrared/ultraviolet cutoffs are removed.
+channels, together with the regularized bubble that converges to its
+closed form when the infrared/ultraviolet cutoffs are removed.
 
 The headline identity: the edge conductance assembled from the vertex
 renormalizations and the discontinuity matrix equals
@@ -25,21 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import band_cutoff, channel_norm, chi, shell
+from .cutoffs import band_cutoff, chi, shell
 from .quadrature import polar_nodes, refine_until
 
 __all__ = [
     "LuttingerParams",
-    "RegulatorConfig",
     "SingularTMatrixError",
-    "LatticeSingularPointError",
     "chiral_denominator",
     "bubble_closed",
     "bubble_over_d",
     "bubble_regularized",
     "same_chirality_bubble",
-    "lattice_propagator",
-    "antiperiodic_grid",
     "P_C",
     "form_factor",
     "t_matrix",
@@ -51,7 +46,6 @@ __all__ = [
     "discontinuity_matrix",
     "vertex_renormalizations",
     "edge_conductance",
-    "anomaly_residual",
     "random_block",
     "random_params",
 ]
@@ -59,10 +53,6 @@ __all__ = [
 
 class SingularTMatrixError(RuntimeError):
     """Channel-mixing inversion is ill conditioned at the given momentum."""
-
-
-class LatticeSingularPointError(RuntimeError):
-    """A lattice propagator was evaluated at a zero of its denominator."""
 
 
 @dataclass(frozen=True)
@@ -277,56 +267,6 @@ def same_chirality_bubble(h1, h2, v, mutated=False):
     return value
 
 
-@dataclass(frozen=True)
-class RegulatorConfig:
-    """Finite-lattice regularization of the reference model: the band cutoff
-    ``[2^h, 2^n]`` and an antiperiodic box of an even number of cells."""
-
-    h: int
-    n: int
-    spacing: float = 0.1
-    box: float = 51.2
-
-    def __post_init__(self):
-        if self.h >= 0 or self.n <= 0:
-            raise ValueError("need infrared h < 0 < n ultraviolet")
-        if self.spacing <= 0.0 or self.box <= 0.0:
-            raise ValueError("spacing and box must be positive")
-        cells = self.box / self.spacing
-        if abs(cells - round(cells)) > 1e-9 or round(cells) % 2:
-            raise ValueError("box/spacing must be an even integer")
-
-    @property
-    def cells(self):
-        return int(round(self.box / self.spacing))
-
-
-def antiperiodic_grid(cells, box):
-    """1D antiperiodic momenta (2 pi / box)(m + 1/2), m = 0..cells-1."""
-    return 2.0 * np.pi / box * (np.arange(cells) + 0.5)
-
-
-def _fold(k, spacing):
-    g = 2.0 * np.pi / spacing
-    return (np.asarray(k, float) + g / 2.0) % g - g / 2.0
-
-
-def lattice_propagator(k0, k1, v, z, reg: RegulatorConfig):
-    """Cutoff lattice propagator  chi_[h,n](k) / (z * D_lat(k)).
-
-    ``D_lat`` replaces each momentum component by sin(a k)/a, periodic
-    under reciprocal shifts; the cutoff uses the folded channel norm, so
-    the whole expression is reciprocal-lattice periodic.  The antiperiodic
-    grid never hits the zeros of D_lat; a guard asserts this.
-    """
-    a = reg.spacing
-    d = (-1j * np.sin(a * np.asarray(k0)) + v * np.sin(a * np.asarray(k1))) / a
-    if np.any(np.abs(d) < 1e-12 / a):
-        raise LatticeSingularPointError("momentum hit a lattice singular point")
-    r = channel_norm(_fold(k0, a), _fold(k1, a), v)
-    return band_cutoff(r, reg.h, reg.n) / (z * d)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -445,21 +385,6 @@ def edge_conductance(params: LuttingerParams):
     z0, z1 = vertex_renormalizations(params)
     az1 = _matvec(discontinuity_matrix(params), z1)
     return (z0[..., None, :] @ az1[..., None])[..., 0, 0]
-
-
-def anomaly_residual(p0, p1, v, z, h, n, tol=1e-6):
-    """Residual of the free-channel anomaly identity at finite cutoffs.
-
-    ``z D(p) S0(p) - (1/z) B_reg(p)`` where S0 is the exact free
-    density-density correlation and B_reg the regularized bubble; the
-    residual is (1/z)(B_closed - B_reg) and tends to 0 as h -> -inf,
-    n -> inf.
-    """
-    params = LuttingerParams(v=[v], z=[z], lam=[[0.0]])
-    s0 = density_density(p0, p1, params)[0, 0]
-    lhs = z * chiral_denominator(p0, p1, v) * s0
-    rhs = bubble_regularized(p0, p1, v, h, n, tol=tol) / z
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

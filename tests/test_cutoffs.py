@@ -52,6 +52,6 @@ def test_shell_partition_bulk_random():
 def test_shell_support():
     r = np.linspace(1e-4, 4.0, 2000)
     f = cutoffs.shell(r, -3, -12)
-    lo, hi = cutoffs.shell_support(-3)
+    lo, hi = 2.0**-4, 2.0**-2  # 2^(j - 1) and 2^(j + 1) at j = -3
     assert np.all(f[(r < lo) | (r > hi)] == 0.0)
     assert np.max(f) > 0.5

@@ -73,23 +73,50 @@ def test_rgflow_api_is_pinned():
     ])
 
 
+def test_lattice_api_is_pinned():
+    # models come from flags or the INI model file through build_model; no
+    # second input format
+    from edgeflow import lattice
+
+    assert sorted(lattice.__all__) == sorted([
+        "CylinderGeometry",
+        "LatticeHamiltonian",
+        "HermiticityError",
+        "haldane_cylinder",
+        "hofstadter_cylinder",
+        "stacked_shifted",
+        "chain_cylinder",
+        "MODEL_PARAMS",
+        "build_model",
+        "finite_float",
+        "assemble_fiber",
+        "row_weights",
+        "model_from_config",
+    ])
+
+
+def test_cutoffs_and_quadrature_apis_are_pinned():
+    # what reference and rgflow call: no helper that only tests would use
+    from edgeflow import cutoffs, quadrature
+
+    assert sorted(cutoffs.__all__) == sorted(["smoothstep", "chi", "band_cutoff", "shell"])
+    assert sorted(quadrature.__all__) == sorted(["QuadratureError", "polar_nodes", "refine_until"])
+
+
 def test_reference_api_is_pinned():
-    # one closed form per reference quantity: no self-check switch and no
-    # error class for a cross-check, whose second route lives in the tests
+    # one closed form per reference quantity: no self-check switch, no
+    # error class for a cross-check, whose second route lives in the tests,
+    # and no finite-lattice regulator, which no subcommand runs
     from edgeflow import reference
 
     assert sorted(reference.__all__) == sorted([
         "LuttingerParams",
-        "RegulatorConfig",
         "SingularTMatrixError",
-        "LatticeSingularPointError",
         "chiral_denominator",
         "bubble_closed",
         "bubble_over_d",
         "bubble_regularized",
         "same_chirality_bubble",
-        "lattice_propagator",
-        "antiperiodic_grid",
         "P_C",
         "form_factor",
         "t_matrix",
@@ -101,7 +128,6 @@ def test_reference_api_is_pinned():
         "discontinuity_matrix",
         "vertex_renormalizations",
         "edge_conductance",
-        "anomaly_residual",
         "random_block",
         "random_params",
     ])

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -313,16 +311,6 @@ def test_random_hermitian_model_fiber(rng):
     assert np.max(np.abs(f - f.conj().T)) < 1e-13 * np.max(np.abs(f))
 
 
-def test_dump_load_roundtrip(tmp_path, haldane16):
-    path = os.path.join(tmp_path, "model.dat")
-    lattice.dump_blocks(haldane16, path)
-    back = lattice.load_blocks(path)
-    for k1 in (0.0, 0.9):
-        a = lattice.assemble_fiber(haldane16, k1)
-        b = lattice.assemble_fiber(back, k1)
-        assert np.max(np.abs(a - b)) < 1e-14
-
-
 def test_model_from_config(tmp_path):
     cfg = tmp_path / "model.ini"
     cfg.write_text(
@@ -364,21 +352,3 @@ def test_build_model_flip_rule_and_stack_defaults():
         lattice.build_model("stacked-haldane", 8, 8, shifts="0,0.1", flips="0,2")
     with pytest.raises(ValueError, match="hofstadter parameters: t2"):
         lattice.build_model("hofstadter", 9, 8, t2=0.1)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [
-        "# cylinder L1=8 L2=8 M=2",
-        "# cylinders L1=8 L2=8 M=2 range=1.4",
-        "# cylinder L1=8 L2=8 range=1.4 M=2",
-        "# cylinder L1=8 L2=eight M=2 range=1.4",
-        "cylinder L1=8 L2=8 M=2 range=1.4",
-        "",
-    ],
-)
-def test_load_blocks_rejects_malformed_header(tmp_path, header):
-    path = tmp_path / "model.dat"
-    path.write_text(header + "\n0 1 1 0 0 1.0 0.0\n")
-    with pytest.raises(ValueError, match="model.dat: malformed header"):
-        lattice.load_blocks(str(path))

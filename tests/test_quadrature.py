@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from edgeflow.quadrature import QuadratureError, _unit_rule, polar_integrate, polar_nodes, refine_until
+from edgeflow.quadrature import QuadratureError, _unit_rule, polar_nodes, refine_until
 
 
 def test_area_of_annulus():
-    val = polar_integrate(lambda k0, k1: np.ones_like(k0), [1.0, 2.0], 4, 8)
+    k0, k1, w = polar_nodes([1.0, 2.0], 4, 8)
+    val = np.dot(w, np.ones_like(k0))
     assert abs(val - np.pi * 3.0) < 1e-10
 
 
@@ -14,7 +15,8 @@ def test_angular_harmonic_vanishes():
         z = k0 + 1j * k1
         return (z / np.abs(z)) ** 2 / np.abs(z) ** 2
 
-    val = polar_integrate(f, [0.5, 1.0, 2.0], 3, 12)
+    k0, k1, w = polar_nodes([0.5, 1.0, 2.0], 3, 12)
+    val = np.dot(w, f(k0, k1))
     assert abs(val) < 1e-13
 
 
@@ -25,7 +27,8 @@ def test_offcenter_gaussian():
     def f(k0, k1):
         return np.exp(-((k0 - c[0]) ** 2 + (k1 - c[1]) ** 2))
 
-    val = polar_integrate(f, [1e-9, 2.0, 6.0], 8, 16, gl=6, center=c)
+    k0, k1, w = polar_nodes([1e-9, 2.0, 6.0], 8, 16, gl=6, center=c)
+    val = np.dot(w, f(k0, k1))
     assert abs(val - np.pi) < 1e-8
 
 

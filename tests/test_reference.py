@@ -144,57 +144,6 @@ def test_same_chirality_bubble_mutation_control():
 
 
 # ---------------------------------------------------------------------------
-# lattice propagator
-# ---------------------------------------------------------------------------
-
-
-def test_lattice_propagator_continuum_limit_second_order():
-    k0, k1, v, z = 0.31, -0.42, 1.3, 0.9
-    target_r = np.hypot(k0, v * k1)
-    h, n = -6, 6
-    cont = band_cutoff(target_r, h, n) / (z * ref.chiral_denominator(k0, k1, v))
-    errs = []
-    for a in (0.1, 0.05, 0.025):
-        reg = ref.RegulatorConfig(h=h, n=n, spacing=a, box=a * 512)
-        errs.append(abs(ref.lattice_propagator(k0, k1, v, z, reg) - cont))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
-
-
-def test_lattice_propagator_outside_support_and_plateau():
-    reg = ref.RegulatorConfig(h=-4, n=4, spacing=0.01, box=5.12)
-    assert ref.lattice_propagator(40.0, 40.0, 1.0, 1.0, reg) == 0.0
-    # plateau point (2^(h+1) <= r <= 2^n): exact 1 / (z D_lat)
-    k0, k1 = 3.0 * 2.0**-4, 0.0
-    val = ref.lattice_propagator(k0, k1, 1.0, 2.0, reg)
-    d_lat = (-1j * np.sin(0.01 * k0)) / 0.01
-    assert abs(val - 1.0 / (2.0 * d_lat)) < 1e-12
-
-
-def test_lattice_propagator_reciprocal_periodicity():
-    reg = ref.RegulatorConfig(h=-4, n=4, spacing=0.1, box=51.2)
-    g_shift = 2.0 * np.pi / reg.spacing
-    a = ref.lattice_propagator(0.3, 0.7, 1.0, 1.0, reg)
-    b = ref.lattice_propagator(0.3 + g_shift, 0.7, 1.0, 1.0, reg)
-    assert abs(a - b) < 1e-10 * abs(a)
-
-
-def test_antiperiodic_grid_avoids_singular_points():
-    reg = ref.RegulatorConfig(h=-4, n=4, spacing=0.5, box=8.0)
-    ks = ref.antiperiodic_grid(reg.cells, reg.box)
-    k0, k1 = np.meshgrid(ks, ks, indexing="ij")
-    vals = ref.lattice_propagator(k0, k1, 1.0, 1.0, reg)  # no assertion fires
-    assert np.all(np.isfinite(vals))
-
-
-def test_regulator_validation():
-    with pytest.raises(ValueError):
-        ref.RegulatorConfig(h=1, n=4)
-    with pytest.raises(ValueError):
-        ref.RegulatorConfig(h=-2, n=2, spacing=0.3, box=1.0)  # not an even cell count
-
-
-# ---------------------------------------------------------------------------
 # T matrix and closed forms
 # ---------------------------------------------------------------------------
 
@@ -226,12 +175,6 @@ def test_t_matrix_singular_guard():
     with pytest.raises(ref.SingularTMatrixError):
         ref.t_matrix(0.0, 1.0, params(1e-12))  # condition number 2e12
     assert np.all(np.isfinite(ref.t_matrix(0.0, 1.0, params(1e-9))))  # 2e9
-
-
-def test_reference_cross_checks_raise_named_errors():
-    reg = ref.RegulatorConfig(h=-4, n=4, spacing=0.5, box=8.0)
-    with pytest.raises(ref.LatticeSingularPointError):
-        ref.lattice_propagator(0.0, 0.0, 1.0, 1.0, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +313,15 @@ def test_anomaly_residual_closed_form_is_exact():
     assert abs(lhs - rhs) < 1e-15
 
 
-def test_anomaly_residual_small_and_monotone_in_n():
-    res12 = abs(ref.anomaly_residual(0.0, 1.0, 1.0, 1.2, h=-12, n=12, tol=1e-8))
-    assert res12 < 2e-3
-    vals = [abs(ref.anomaly_residual(0.0, 1.0, 1.0, 1.0, h=-14, n=n, tol=1e-9)) for n in (8, 10, 12)]
+def test_regularized_bubble_error_small_and_monotone_in_n():
+    # with the closed form's identity exact (above), the anomaly residual at
+    # finite cutoffs is (B_closed - B_reg) / z
+    def residual(z, h, n, tol):
+        bubble_reg = ref.bubble_regularized(0.0, 1.0, 1.0, h, n, tol=tol)
+        return abs(ref.bubble_closed(0.0, 1.0, 1.0) - bubble_reg) / z
+
+    assert residual(1.2, -12, 12, 1e-8) < 2e-3
+    vals = [residual(1.0, -14, n, 1e-9) for n in (8, 10, 12)]
     assert vals[0] > vals[1] > vals[2]
 
 
