@@ -78,15 +78,12 @@ class LatticeHamiltonian:
     Parameters
     ----------
     geometry : CylinderGeometry
-    blocks : dict
-        Mapping ``(z1, x2, y2) -> (M, M) complex array``.  Entries on the
-        Dirichlet rows or beyond the range are rejected.
     hop_range : float
         Maximal Euclidean bond length D; blocks with
-        ``hypot(z1, x2 - y2) > D`` are rejected at construction.
+        ``hypot(z1, x2 - y2) > D`` are rejected by :meth:`add_block`.
     """
 
-    def __init__(self, geometry, blocks=None, hop_range=np.sqrt(2.0)):
+    def __init__(self, geometry, hop_range=np.sqrt(2.0)):
         self.geometry = geometry
         self.hop_range = float(hop_range)
         self._blocks = {}
@@ -94,9 +91,6 @@ class LatticeHamiltonian:
         self._summands = None
         self._checked = False  # blocks known to be Hermitian partners
         self._slabs_lock = threading.Lock()
-        if blocks:
-            for key, blk in blocks.items():
-                self.add_block(*key, blk)
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
         g = self.geometry
@@ -191,9 +185,8 @@ class LatticeHamiltonian:
 
     def _split(self):
         g = self.geometry
-        linked = np.eye(g.M, dtype=bool)
-        for blk in self._blocks.values():
-            linked |= blk != 0.0
+        blocks = np.reshape(list(self._blocks.values()), (-1, g.M, g.M))
+        linked = np.eye(g.M, dtype=bool) | np.any(blocks != 0.0, axis=0)
         linked |= linked.T
         for _ in range(g.M.bit_length()):  # each squaring doubles the path length
             linked = linked @ linked
@@ -204,9 +197,9 @@ class LatticeHamiltonian:
         for cls in classes:
             idx = np.array(cls)
             sub = LatticeHamiltonian(CylinderGeometry(g.L1, g.L2, idx.size), hop_range=self.hop_range)
-            # restrictions of blocks that passed add_block; only the zero ones drop out
-            parts = {key: blk[np.ix_(idx, idx)] for key, blk in self._blocks.items()}
-            sub._blocks = {key: blk for key, blk in parts.items() if np.any(blk)}
+            # one index cuts the class out of the (n, M, M) array of stored blocks
+            parts = blocks[:, idx[:, None], idx]
+            sub._blocks = {key: blk for key, blk in zip(self._blocks, parts) if np.any(blk)}
             sub._checked = True
             out.append((idx, sub))
         return out
@@ -361,6 +354,10 @@ def stacked_shifted(base, shifts):
     ``base`` is a single :class:`LatticeHamiltonian` (duplicated) or a
     sequence matched with ``shifts``.  Internal indices of the copies are
     interleaved into an ``M = sum M_i`` model on the same cylinder.
+
+    Written in one pass: each copy's blocks, its shift added on the interior
+    diagonal, go onto its own indices.  Keys keep their first appearance over
+    the copies, and a block that the shift makes exactly 0 is dropped.
     """
     shifts = list(shifts)
     if not shifts:
@@ -374,17 +371,19 @@ def stacked_shifted(base, shifts):
     g0 = parts[0].geometry
     if any(p.geometry.L1 != g0.L1 or p.geometry.L2 != g0.L2 for p in parts):
         raise ValueError("stacked models must share the cylinder")
-    parts = [p.shifted(e) for p, e in zip(parts, shifts)]
     m_tot = sum(p.geometry.M for p in parts)
-    geometry = CylinderGeometry(L1=g0.L1, L2=g0.L2, M=m_tot)
-    ham = LatticeHamiltonian(geometry, hop_range=max(p.hop_range for p in parts))
-    offset = 0
-    for part in parts:
-        m = part.geometry.M
-        for (z1, x2, y2), blk in part.items():
-            big = np.zeros((m_tot, m_tot), dtype=complex)
-            big[offset : offset + m, offset : offset + m] = blk
-            ham.add_block(z1, x2, y2, big)
+    ham = LatticeHamiltonian(CylinderGeometry(g0.L1, g0.L2, m_tot), hop_range=max(p.hop_range for p in parts))
+    stack, offset = ham._blocks, 0
+    for part, energy in zip(parts, shifts):
+        m, own = part.geometry.M, dict(part.items())
+        eye = energy * np.eye(m)
+        for x2 in range(1, g0.L2 - 1):
+            own[0, x2, x2] = own.get((0, x2, x2), 0.0) + eye
+        for key, blk in own.items():
+            if np.any(blk):
+                if key not in stack:
+                    stack[key] = np.zeros((m_tot, m_tot), dtype=complex)
+                stack[key][offset : offset + m, offset : offset + m] = blk
         offset += m
     return ham
 

@@ -627,10 +627,14 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     charge, so this vanishes for every p0 != 0: taking the momentum limit
     before the frequency limit gives 0 instead of the conductance.  The
     density is summed over all rows and the ring current over rows
-    ``y2 <= a_prime``, on the vertices (:func:`_strip_response`).
+    ``y2 <= a_prime``, on the vertices (:func:`_strip_response`), with
+    ``0 <= a_prime <= L2 - 1``: an empty strip would give exactly 0.
     """
+    L2 = ham.geometry.L2
+    if not 0 <= a_prime <= L2 - 1:
+        raise ValueError(f"need 0 <= a_prime <= L2 - 1 = {L2 - 1}, got a_prime = {a_prime}")
     fibers = fiber_grid(ham, n_k, fibers)
-    return complex(_strip_response(ham, fibers, (0,), (ham.geometry.L2, a_prime + 1), _gibbs_weight(mu, 0.0, p0))[0])
+    return complex(_strip_response(ham, fibers, (0,), (L2, a_prime + 1), _gibbs_weight(mu, 0.0, p0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +656,14 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     form per eigenpair, as two weights of one :func:`_strip_response` loop:
     the real-time side integrates ``exp((eta + i(e_a - e_b)) t)`` over
     ``(-T, 0]``, the imaginary-time side is the spectral form at frequency
-    ``eta_beta`` (:func:`periodic_frequency`), which must be nonzero.
+    ``eta_beta`` (:func:`periodic_frequency`), which must be nonzero.  The
+    density is summed over rows ``x2 <= a`` and the ring current over rows
+    ``y2 <= a_prime``, both in ``[0, L2 - 1]``: an empty strip would make
+    both sides exactly 0.
     """
+    L2 = ham.geometry.L2
+    if not (0 <= a <= L2 - 1 and 0 <= a_prime <= L2 - 1):
+        raise ValueError(f"need 0 <= a, a_prime <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
     eta_beta = periodic_frequency(eta, beta)
     if eta_beta == 0.0:
         raise ValueError("beta too small: nearest periodic frequency to eta is 0")

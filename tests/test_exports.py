@@ -95,6 +95,30 @@ def test_lattice_api_is_pinned():
     ])
 
 
+def test_response_api_is_pinned():
+    # one strip loop behind the conductance, wrong-order and Wick checks;
+    # the row-resolved tables and vertices are test oracles, not API
+    from edgeflow import response
+
+    assert sorted(response.__all__) == sorted([
+        "FiberBasis",
+        "ConductanceEstimate",
+        "DegenerateCrossingError",
+        "ConjugationSymmetryError",
+        "SingularPropagatorError",
+        "diagonalize_fiber",
+        "fiber_cache",
+        "fiber_grid",
+        "ward_sum_rule",
+        "free_two_point",
+        "vertex_ward_residual",
+        "edge_conductance_free",
+        "wrong_order_diagnostic",
+        "periodic_frequency",
+        "wick_rotation_check",
+    ])
+
+
 def test_cutoffs_and_quadrature_apis_are_pinned():
     # what reference and rgflow call: no helper that only tests would use
     from edgeflow import cutoffs, quadrature

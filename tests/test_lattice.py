@@ -239,12 +239,27 @@ def test_a_stack_splits_into_its_copies(haldane16, copies):
     stack = lattice.stacked_shifted(haldane16, shifts)
     parts = stack.summands()
     assert [idx.tolist() for idx, _ in parts] == [[2 * c, 2 * c + 1] for c in range(copies)]
+    # fibers round by block order: the stack keeps the keys' first appearance
+    # over the copies, and each summand the order of its shifted copy
+    want = list(dict.fromkeys(key for shift in shifts for key, _ in haldane16.shifted(shift).items()))
+    assert [key for key, _ in stack.items()] == want
     for (_, sub), shift in zip(parts, shifts):
         copy = haldane16.shifted(shift)
         assert sub.geometry == copy.geometry
-        assert dict(sub.items()).keys() == dict(copy.items()).keys()
+        assert [key for key, _ in sub.items()] == [key for key, _ in copy.items()]
         assert all(np.array_equal(blk, copy.block(*key)) for key, blk in sub.items())
     assert stack.summands() is parts  # cached with the slab stack
+
+
+def test_a_stack_appends_the_new_diagonal_keys_of_a_copy(hofstadter16):
+    # Hofstadter stores no on-site block: a zero shift adds none, and a
+    # nonzero one adds the interior diagonal after the copy's own keys
+    own = [key for key, _ in hofstadter16.items()]
+    assert [key for key, _ in lattice.stacked_shifted(hofstadter16, [0.0]).items()] == own
+    stack = lattice.stacked_shifted(hofstadter16, [0.0, 0.1])
+    diag = [(0, x2, x2) for x2 in range(1, hofstadter16.geometry.L2 - 1)]
+    assert [key for key, _ in stack.items()] == own + diag
+    assert all(np.array_equal(stack.block(*key), np.diag([0.0, 0.1])) for key in diag)
 
 
 def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
@@ -345,7 +360,7 @@ def test_build_model_flip_rule_and_stack_defaults():
     stack = lattice.build_model("stacked-haldane", 8, 8, shifts="0,0.1", flips="0,1", t2=0.3)
     copies = [lattice.haldane_cylinder(L1=8, L2=8, t2=0.3, phi=f * np.pi / 2) for f in (1, -1)]
     want = lattice.stacked_shifted(copies, [0.0, 0.1])
-    assert dict(stack.items()).keys() == dict(want.items()).keys()
+    assert [key for key, _ in stack.items()] == [key for key, _ in want.items()]
     assert all(np.array_equal(blk, want.block(*key)) for key, blk in stack.items())
     assert lattice.build_model("stacked-haldane", 8, 8).geometry.M == 2 * 3  # shifts 0.0,0.1,0.26
     with pytest.raises(ValueError, match="flips must be 0 or 1"):

@@ -290,6 +290,29 @@ def test_ward_sum_rule_refuses_a_row_that_is_not_interior(haldane_setup, monkeyp
         response.ward_sum_rule(ham, mu, 0.3, y2, 16)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ham, mu: response.edge_conductance_free(ham, mu, 16, a=4, a_prime=-1),
+        lambda ham, mu: response.wrong_order_diagnostic(ham, mu, 0.4, 16, a_prime=-1),
+        lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=-1, a_prime=2),
+        lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=4, a_prime=-1),
+    ],
+    ids=["conductance", "wrong-order", "wick-a", "wick-a_prime"],
+)
+def test_an_empty_strip_is_refused_before_any_fiber(haldane_setup, monkeypatch, call):
+    # a strip of no rows makes every strip sum exactly 0, so a check on it
+    # would pass whatever the model
+    ham, mu, _ = haldane_setup
+
+    def no_fiber(*args, **kwargs):
+        raise AssertionError("a fiber was diagonalized before the strip widths were checked")
+
+    monkeypatch.setattr(response, "diagonalize_fiber", no_fiber)
+    with pytest.raises(ValueError, match=r"^need 0 <= a.* L2 - 1 = 15, got .*= -1"):
+        call(ham, mu)
+
+
 @pytest.mark.parametrize("p1_index, temperature", [(1, 0.0), (2, 0.05), (0, 0.05)])
 def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_index, temperature):
     # the two Wick sides share one strip loop: each weight of a stack, on one
