@@ -67,7 +67,6 @@ def write_csv(outdir, name, header, rows):
 def _base_report(args):
     return {
         "command": args.command,
-        "seed": getattr(args, "seed", None),
         "inputs": {
             k: v
             for k, v in sorted(vars(args).items())
@@ -107,7 +106,7 @@ def cmd_spectrum(args, report):
     ham = _model(args)
     scan = spectrum.scan_spectrum(
         ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window),
-        threads=args.threads,
+        fibers=response.fiber_cache(ham, args.n_k, threads=args.threads),
     )
     rows = []
     for k1, es in zip(scan.k_grid, scan.energies):
@@ -122,7 +121,7 @@ def cmd_edges(args, report):
     ham = _model(args)
     scan = spectrum.scan_spectrum(
         ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window),
-        threads=args.threads,
+        fibers=response.fiber_cache(ham, args.n_k, threads=args.threads),
     )
     branches = spectrum.extract_edge_branches(scan, args.mu)
     rows = []
@@ -156,12 +155,12 @@ def cmd_conductance(args, report):
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    # one grid for both: the chirality scan needs at least 64 momenta, so the
-    # grid is the least power-of-two multiple of L1 that has them (L1 itself
-    # from L1 = 64 on), and a power-of-two step keeps every step-th fiber
-    # bitwise the L1-grid one
+    # one grid for both: the chirality scan needs at least MIN_SCAN_MOMENTA,
+    # so the grid is the least power-of-two multiple of L1 that has them (L1
+    # itself once it has them), and a power-of-two step keeps every step-th
+    # fiber bitwise the L1-grid one
     step = 1
-    while step * n_k < 64:
+    while step * n_k < spectrum.MIN_SCAN_MOMENTA:
         step *= 2
     grid = response.fiber_cache(ham, step * n_k, threads=args.threads)
     scan = spectrum.scan_spectrum(
@@ -325,12 +324,11 @@ def cmd_rg(args, report):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1)
-    ap = argparse.ArgumentParser(prog="edgeflow", description=__doc__, parents=[common])
+    ap = argparse.ArgumentParser(prog="edgeflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_model_args(p):
+    def add_model_args(p, window=True):
         p.add_argument("--model", choices=list(lattice.MODEL_PARAMS))
         p.add_argument("--config", help="model definition file (INI sections)")
         p.add_argument("--L1", type=int, default=24)
@@ -343,7 +341,8 @@ def build_parser():
         p.add_argument("--q", type=int)
         p.add_argument("--shifts")
         p.add_argument("--flips")
-        p.add_argument("--window", type=lattice.finite_float, default=0.3)
+        if window:  # the half-width of the scan's energy window around --mu
+            p.add_argument("--window", type=lattice.finite_float, default=0.3)
 
     p = sub.add_parser("spectrum", parents=[common], help="band scan near the chemical potential")
     add_model_args(p)
@@ -363,13 +362,14 @@ def build_parser():
     p.set_defaults(func=cmd_conductance)
 
     p = sub.add_parser("wick", parents=[common], help="real- vs imaginary-time response comparison")
-    add_model_args(p)
+    add_model_args(p, window=False)
     p.add_argument("--betas", type=lattice.finite_float, nargs="+", default=[20.0, 40.0, 80.0])
     p.add_argument("--T", type=lattice.finite_float, default=200.0)
     p.add_argument("--eta", type=lattice.finite_float, default=2.0 * np.pi / 20.0 * (4.0 / 3.0))
     p.set_defaults(func=cmd_wick)
 
     p = sub.add_parser("ref-check", parents=[common], help="universality identity over a random ensemble")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=None)
     p.add_argument("--ensemble-size", dest="ensemble_size", type=int, default=500)
     p.add_argument("--lambda-scale", dest="lambda_scale", type=lattice.finite_float, default=0.1)

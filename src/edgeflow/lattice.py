@@ -11,10 +11,10 @@ densely for any real ``k1``.
 A fiber is one contraction of the phases with the model's cached stack of
 dense ``H(z1)`` slabs, one per stored ring displacement.  The stack is
 built on first use and dropped by every edit, and the blocks are checked
-for Hermiticity when it is built: once per model and once after each
-edit, not once per momentum.  The bond currents read their blocks off
-the same stack, so vertices built from fibers computed elsewhere are
-checked by the same cached check.
+for finite entries and Hermiticity when it is built: once per model and
+once after each edit, not once per momentum.  The bond currents read
+their blocks off the same stack, so vertices built from fibers computed
+elsewhere are checked by the same cached check.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# largest Euclidean bond length hypot(z1, x2 - y2) of a block; the bond
+# currents of edgeflow.response need z1 and x2 - y2 in {-1, 0, 1}
+_HOP_RANGE = np.sqrt(2.0)
+
+
 class HermiticityError(ValueError):
     """A pair of hopping blocks violates H(z1; x2, y2) = H(-z1; y2, x2)^dag."""
 
@@ -73,19 +78,11 @@ class CylinderGeometry:
 
 
 class LatticeHamiltonian:
-    """Finite-range hopping Hamiltonian on a cylinder.
+    """Finite-range hopping Hamiltonian on a cylinder: :meth:`add_block`
+    rejects blocks with ``hypot(z1, x2 - y2) > sqrt(2)``."""
 
-    Parameters
-    ----------
-    geometry : CylinderGeometry
-    hop_range : float
-        Maximal Euclidean bond length D; blocks with
-        ``hypot(z1, x2 - y2) > D`` are rejected by :meth:`add_block`.
-    """
-
-    def __init__(self, geometry, hop_range=np.sqrt(2.0)):
+    def __init__(self, geometry):
         self.geometry = geometry
-        self.hop_range = float(hop_range)
         self._blocks = {}
         self._slabs = None
         self._summands = None
@@ -99,10 +96,8 @@ class LatticeHamiltonian:
             raise ValueError(f"block at {(z1, x2, y2)} must be {g.M}x{g.M}")
         if not (0 <= x2 < g.L2 and 0 <= y2 < g.L2):
             raise ValueError(f"column indices out of range at {(z1, x2, y2)}")
-        if np.hypot(z1, x2 - y2) > self.hop_range + 1e-12:
-            raise ValueError(
-                f"block at {(z1, x2, y2)} exceeds hopping range {self.hop_range}"
-            )
+        if np.hypot(z1, x2 - y2) > _HOP_RANGE + 1e-12:
+            raise ValueError(f"block at {(z1, x2, y2)} exceeds hopping range {_HOP_RANGE}")
         if x2 in (0, g.L2 - 1) or y2 in (0, g.L2 - 1):
             if np.any(block != 0.0):
                 raise ValueError("Dirichlet rows must carry zero blocks")
@@ -196,7 +191,7 @@ class LatticeHamiltonian:
         out = []
         for cls in classes:
             idx = np.array(cls)
-            sub = LatticeHamiltonian(CylinderGeometry(g.L1, g.L2, idx.size), hop_range=self.hop_range)
+            sub = LatticeHamiltonian(CylinderGeometry(g.L1, g.L2, idx.size))
             # one index cuts the class out of the (n, M, M) array of stored blocks
             parts = blocks[:, idx[:, None], idx]
             sub._blocks = {key: blk for key, blk in zip(self._blocks, parts) if np.any(blk)}
@@ -205,7 +200,12 @@ class LatticeHamiltonian:
         return out
 
     def check_hermitian(self):
-        scale = max((np.max(np.abs(b)) for b in self._blocks.values()), default=1.0)
+        # NaN passes every comparison below, so non-finite entries are refused first
+        peaks = [np.max(np.abs(b)) for b in self._blocks.values()]
+        bad = np.flatnonzero(~np.isfinite(peaks))
+        if bad.size:
+            raise ValueError(f"block at (z1,x2,y2)={list(self._blocks)[bad[0]]} has a non-finite entry")
+        scale = max(peaks, default=1.0)
         for (z1, x2, y2), blk in self._blocks.items():
             partner = self._blocks.get((-z1, y2, x2))
             partner = (
@@ -220,7 +220,7 @@ class LatticeHamiltonian:
     def shifted(self, energy):
         """Copy with ``energy`` added on the diagonal of all interior sites."""
         g = self.geometry
-        out = LatticeHamiltonian(g, hop_range=self.hop_range)
+        out = LatticeHamiltonian(g)
         for key, blk in self._blocks.items():
             out.add_block(*key, blk)
         eye = energy * np.eye(g.M)
@@ -372,7 +372,7 @@ def stacked_shifted(base, shifts):
     if any(p.geometry.L1 != g0.L1 or p.geometry.L2 != g0.L2 for p in parts):
         raise ValueError("stacked models must share the cylinder")
     m_tot = sum(p.geometry.M for p in parts)
-    ham = LatticeHamiltonian(CylinderGeometry(g0.L1, g0.L2, m_tot), hop_range=max(p.hop_range for p in parts))
+    ham = LatticeHamiltonian(CylinderGeometry(g0.L1, g0.L2, m_tot))
     stack, offset = ham._blocks, 0
     for part, energy in zip(parts, shifts):
         m, own = part.geometry.M, dict(part.items())

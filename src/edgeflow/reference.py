@@ -189,7 +189,7 @@ def _rescaled(p0, p1, v):
     return float(p0), float(v) * float(p1)
 
 
-def bubble_regularized(p0, p1, v, h, n, tol=1e-6, max_doublings=5):
+def bubble_regularized(p0, p1, v, h, n, tol=1e-6):
     """Anomalous bubble at finite infrared scale 2^h and ultraviolet 2^n.
 
     Evaluates  int d^2k/(2pi)^2 (1/D(k)) W(k) (W(k-p) - W(k+p))  with
@@ -230,7 +230,7 @@ def bubble_regularized(p0, p1, v, h, n, tol=1e-6, max_doublings=5):
             total += np.dot(w_, integrand(k0_, k1_))
         return total / (4.0 * np.pi**2 * abs(v))
 
-    value, _ = refine_until(estimate, tol, start=2, max_doublings=max_doublings)
+    value, _ = refine_until(estimate, tol, start=2, max_doublings=5)
     return value
 
 

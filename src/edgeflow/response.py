@@ -181,12 +181,12 @@ def fiber_cache(ham, n_k, threads=1):
     return [diagonalize_fiber(ham, k) for k in ks]
 
 
-def fiber_grid(ham, n_k, fibers, threads=1):
+def fiber_grid(ham, n_k, fibers):
     """The ``n_k``-point grid: the caller's ``fibers``, which must be ``n_k``
     of them (``ValueError`` naming both counts), or for ``None`` a new
-    :func:`fiber_cache` on ``threads`` threads."""
+    :func:`fiber_cache`."""
     if fibers is None:
-        return fiber_cache(ham, n_k, threads=threads)
+        return fiber_cache(ham, n_k)
     if len(fibers) != n_k:
         raise ValueError(f"need {n_k} fibers, got {len(fibers)}")
     return fibers
@@ -267,8 +267,6 @@ def _current_operator(ham, terms, weight):
     that no block has adds nothing.
     """
     g = ham.geometry
-    if ham.hop_range > np.sqrt(2.0) + 1e-12:
-        raise ValueError("the bond currents need hop range <= sqrt(2)")
     z1s, slabs = ham._slab_stack()
     hops = {int(z1): slab.reshape(g.L2, g.M, g.L2, g.M) for z1, slab in zip(z1s, slabs)}
     weight = np.asarray(weight, dtype=float)
@@ -539,20 +537,18 @@ def _strip_response(ham, fibers, p1_indices, rows, weight):
     return np.array(totals) / n_k
 
 
-def _gibbs_weight(mu, temperature, p0):
-    """:func:`_pair_weight` at ``(mu, temperature, p0)`` as the ``weight`` of
+def _gibbs_weight(mu, p0):
+    """:func:`_pair_weight` at ``(mu, T = 0, p0)`` as the ``weight`` of
     :func:`_strip_response`.
 
-    At ``T > 0`` that is one block of all bands.  At ``T = 0`` the weight
-    is 0 unless one state is occupied and the other empty, so it is the two
-    blocks ``[:o] x [o':]`` and ``[o:] x [:o']`` with ``o = #(e_k < mu)`` and
-    ``o' = #(e_kp < mu)`` (slices, the energies being ascending), where
-    ``n_F(e_b) - n_F(e_a)`` is -1 and +1; an empty block is left out.  At
-    ``p0 = 0`` each block's smallest energy gap, one scalar, is checked
-    against the 1e-12 of :func:`_pair_weight`.
+    The weight is 0 unless one state is occupied and the other empty, so it
+    is the two blocks ``[:o] x [o':]`` and ``[o:] x [:o']`` with ``o = #(e_k
+    < mu)`` and ``o' = #(e_kp < mu)`` (slices, the energies being ascending),
+    where ``n_F(e_b) - n_F(e_a)`` is -1 and +1; an empty block is left out.
+    At ``p0 = 0`` each block's smallest energy gap, one scalar, is checked
+    against the 1e-12 of :func:`_pair_weight`.  The finite-temperature
+    weights of :func:`wick_rotation_check` are built there.
     """
-    if temperature > 0.0:
-        return lambda e_k, e_kp: [(slice(None), slice(None), _pair_weight(e_k, e_kp, mu, temperature, p0))]
 
     def blocks(e_k, e_kp):
         o, o_p = e_k.searchsorted(mu), e_kp.searchsorted(mu)
@@ -600,7 +596,7 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=None):
         raise ValueError(f"need 0 <= a_prime < a <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
     fibers = fiber_grid(ham, n_k, fibers)
     g_plus, g_minus, g_2, g_3 = _strip_response(
-        ham, fibers, (1, n_k - 1, 2, 3), (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0, 0.0)
+        ham, fibers, (1, n_k - 1, 2, 3), (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0)
     )
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
@@ -634,7 +630,7 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     if not 0 <= a_prime <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime <= L2 - 1 = {L2 - 1}, got a_prime = {a_prime}")
     fibers = fiber_grid(ham, n_k, fibers)
-    return complex(_strip_response(ham, fibers, (0,), (L2, a_prime + 1), _gibbs_weight(mu, 0.0, p0))[0])
+    return complex(_strip_response(ham, fibers, (0,), (L2, a_prime + 1), _gibbs_weight(mu, p0))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ DEGENERACY_TOL = 1e-5  # energy gap below which scan states are side-purified
 FERMI_TOL = 1e-10  # |E(k_F) - mu| at which the bisection stops
 MAX_BISECTIONS = 200
 GAMMA_MIN = 0.05  # least Fermi-momentum separation, pairwise and in differences
+MIN_SCAN_MOMENTA = 64  # least grid size of a scan
 
 
 class BulkStateError(RuntimeError):
@@ -144,20 +145,19 @@ def _purify_degenerate(geometry, e, vecs):
     return out
 
 
-def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, fibers=None):
+def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), fibers=None):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).
 
     The fibers come from :func:`~edgeflow.response.fiber_grid`: the
-    caller's ``fibers`` of that grid, or a new grid diagonalized on
-    ``threads`` threads.
+    caller's ``fibers`` of that grid, or a new grid; the scan's ``k_grid``
+    is their ``k1``.
     """
-    if n_k < 64:
-        raise ValueError("need at least 64 grid momenta")
-    fibers = response.fiber_grid(ham, n_k, fibers, threads)
+    if n_k < MIN_SCAN_MOMENTA:
+        raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta")
+    fibers = response.fiber_grid(ham, n_k, fibers)
     g = ham.geometry
-    ks = 2.0 * np.pi * np.arange(n_k) / n_k
     energies, vectors = [], []
     lo, hi = window
     for f in fibers:
@@ -170,6 +170,7 @@ def scan_spectrum(ham, n_k=64, window=(-0.5, 0.5), threads=1, fibers=None):
         vecs = _purify_degenerate(g, e[idx], v[:, keep].T.copy())
         energies.append(e[idx])
         vectors.append(vecs)
+    ks = np.array([f.k1 for f in fibers])
     return BandScan(ham=ham, k_grid=ks, window=window, energies=energies, vectors=vectors)
 
 

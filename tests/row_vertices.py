@@ -34,12 +34,9 @@ class VertexSet:
 
 def _row_table(ham):
     """All blocks as one array, ``table[z1 + 1, x2 - y2 + 1, x2] = H(z1; x2, y2)``,
-    of shape ``(3, 3, L2, M, M)`` with zeros where no block is stored.
-    Needs ``hop_range <= sqrt(2)``, which keeps ``z1`` and ``x2 - y2`` in
-    ``{-1, 0, 1}``, and runs the model's cached Hermiticity check first, as
-    the response path does."""
-    if ham.hop_range > np.sqrt(2.0) + 1e-12:
-        raise ValueError("the row table (and the bond currents) need hop range <= sqrt(2)")
+    of shape ``(3, 3, L2, M, M)`` with zeros where no block is stored: every
+    block has ``z1`` and ``x2 - y2`` in ``{-1, 0, 1}``.  Runs the model's
+    cached Hermiticity check first, as the response path does."""
     ham._slab_stack()
     g = ham.geometry
     table = np.zeros((3, 3, g.L2, g.M, g.M), dtype=complex)

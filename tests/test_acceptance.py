@@ -48,11 +48,11 @@ def test_02_anomalous_bubble():
     est = reference.bubble_regularized(0.0, 1.0, 1.0, h=-12, n=12, tol=1e-7)
     err_main = abs(est - exact)
     err_n = [
-        abs(reference.bubble_regularized(0.0, 1.0, 1.0, h=-14, n=n, tol=1e-9, max_doublings=6) - exact)
+        abs(reference.bubble_regularized(0.0, 1.0, 1.0, h=-14, n=n, tol=1e-9) - exact)
         for n in (6, 8, 10)
     ]
     err_h = [
-        abs(reference.bubble_regularized(0.0, 1.0, 1.0, h=h, n=14, tol=1e-9, max_doublings=6) - exact)
+        abs(reference.bubble_regularized(0.0, 1.0, 1.0, h=h, n=14, tol=1e-9) - exact)
         for h in (-5, -7, -9)
     ]
     ok = (

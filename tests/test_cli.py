@@ -31,6 +31,7 @@ def test_ref_check_pass_and_report(tmp_path):
     assert rep["max_abs_error"] <= 1e-9
     assert rep["checks"]["universality"] is True
     assert "worst_params" in rep and "wall_time_s" in rep
+    assert "seed" not in rep and rep["inputs"]["seed"] == 7
 
 
 def test_ref_check_numerical_failure_exit_code(tmp_path):
@@ -97,6 +98,27 @@ def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys,
     assert code == cli.EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the common flags go after the subcommand; before it they would be
+        # read and then overwritten by the subcommand's defaults
+        ["--seed", "5", "--out", "runs", "ref-check"],
+        ["--out", "runs", "ref-check", "--seed", "5"],
+        ["--threads", "2", "ref-check"],
+        # only ref-check draws random numbers, and wick reads no window
+        ["conductance", "--model", "haldane", "--seed", "1", "--out", "runs"],
+        ["spectrum", "--model", "haldane", "--seed", "1", "--out", "runs"],
+        ["wick", "--model", "haldane", "--window", "0.1", "--out", "runs"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "usage: edgeflow" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -359,20 +381,28 @@ def test_reference_failures_are_numerical_stages():
     assert cls not in cli.FAILED_STAGE
 
 
-def test_wick_passes_threads_to_the_fiber_cache(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, n_k",
+    [
+        (["wick", "--L1", "12", "--L2", "12"], 12),
+        (["spectrum", "--n-k", "64"], 64),
+        (["edges", "--n-k", "64"], 64),
+    ],
+    ids=["wick", "spectrum", "edges"],
+)
+def test_grid_commands_pass_threads_to_the_fiber_cache(tmp_path, monkeypatch, argv, n_k):
+    # the fiber cache is the only place a thread count reaches
     seen = []
     cache = response.fiber_cache
 
     def recorded(ham, n_k, threads=1):
-        seen.append(threads)
+        seen.append((n_k, threads))
         return cache(ham, n_k, threads=threads)
 
     monkeypatch.setattr(response, "fiber_cache", recorded)
-    code, _ = run_cli(
-        tmp_path, "wick", "--model", "haldane", "--L1", "12", "--L2", "12", "--threads", "2"
-    )
+    code, _ = run_cli(tmp_path, *argv, "--model", "haldane", "--threads", "2")
     assert code == 0
-    assert seen == [2]
+    assert seen == [(n_k, 2)]
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):

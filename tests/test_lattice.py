@@ -110,6 +110,33 @@ def test_block_constraints():
     ham.add_block(0, 0, 1, [[0.0]])  # zero blocks on the boundary are fine
 
 
+def test_add_block_refuses_blocks_beyond_the_hopping_range():
+    # the bond currents read only z1 and x2 - y2 in {-1, 0, 1}
+    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(8, 8, 1))
+    for key in ((2, 3, 3), (1, 3, 5), (0, 3, 5)):
+        with pytest.raises(ValueError, match="exceeds hopping range"):
+            ham.add_block(*key, [[1.0]])
+    ham.add_block(1, 3, 4, [[1.0]])
+    assert list(dict(ham.items())) == [(1, 3, 4)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_a_non_finite_block_is_refused_before_any_fiber(value):
+    # every comparison with NaN is false, so the Hermiticity check alone
+    # would pass a NaN block and eigh would return zeros with no error
+    ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
+    ham.add_block(0, 3, 3, [[value]])
+    with pytest.raises(ValueError, match=r"\(0, 3, 3\) has a non-finite entry"):
+        response.diagonalize_fiber(ham, 0.1)
+
+
+def test_a_nan_shift_is_refused_before_any_fiber(haldane16):
+    # stacked_shifted writes its blocks with no add_block call
+    stack = lattice.stacked_shifted(haldane16, [0.0, np.nan])
+    with pytest.raises(ValueError, match=r"\(0, 1, 1\) has a non-finite entry"):
+        lattice.assemble_fiber(stack, 0.3)
+
+
 def test_hermiticity_error_names_blocks():
     g = lattice.CylinderGeometry(8, 8, 1)
     ham = lattice.LatticeHamiltonian(g)

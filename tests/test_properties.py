@@ -356,7 +356,7 @@ def test_strip_response_is_the_summed_row_table(model, mu, p0, temperature, p1_i
         def weight(e_k, e_kp):
             return [(every, every, np.stack([response._pair_weight(e_k, e_kp, mu, t, q) for t, q in states]))]
     else:
-        weight = response._gibbs_weight(mu, temperature, p0)
+        weight = response._gibbs_weight(mu, p0)
     try:
         got = response._strip_response(ham, fibers, p1_indices, (a + 1, a_prime + 1), weight)
     except response.DegenerateCrossingError:
@@ -388,10 +388,10 @@ def test_zero_temperature_blocks_are_exactly_the_dense_weight(energies, mu, p0):
         dense = response._pair_weight(e_k, e_kp, mu, 0.0, p0)
     except response.DegenerateCrossingError:
         with pytest.raises(response.DegenerateCrossingError):
-            response._gibbs_weight(mu, 0.0, p0)(e_k, e_kp)
+            response._gibbs_weight(mu, p0)(e_k, e_kp)
         return
     placed = np.zeros_like(dense)
-    for a, b, w in response._gibbs_weight(mu, 0.0, p0)(e_k, e_kp):
+    for a, b, w in response._gibbs_weight(mu, p0)(e_k, e_kp):
         assert w.size and not np.any(placed[a, b])
         placed[a, b] = w
     assert np.array_equal(placed, dense)
@@ -539,19 +539,6 @@ def test_fibers_are_bitwise_the_block_loop(make):
     ham = make()
     for k1 in np.linspace(-7.0, 7.0, 15):
         assert np.array_equal(lattice.assemble_fiber(ham, k1), loop_fiber(ham, k1))
-
-
-@PROPERTY
-@given(seed=SEEDS, k1=st.floats(-4.0 * np.pi, 4.0 * np.pi))
-def test_fiber_matches_the_block_loop_at_hop_range_2(seed, k1):
-    rng = np.random.default_rng(seed)
-    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(8, 8, 2), hop_range=2.0)
-    for x2 in range(1, 7):
-        blk = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ham.add_block(2, x2, x2, blk)
-        ham.add_block(-2, x2, x2, blk.conj().T)
-        ham.add_block(0, x2, x2, blk + blk.conj().T)
-    assert np.max(np.abs(lattice.assemble_fiber(ham, k1) - loop_fiber(ham, k1))) <= 1e-14
 
 
 @PROPERTY

@@ -101,7 +101,7 @@ def test_bubble_uv_error_second_order():
     exact = ref.bubble_closed(0.0, 1.0, 1.0)
     errs = {}
     for n in (6, 8, 10):
-        est = ref.bubble_regularized(0.0, 1.0, 1.0, h=-14, n=n, tol=1e-9, max_doublings=6)
+        est = ref.bubble_regularized(0.0, 1.0, 1.0, h=-14, n=n, tol=1e-9)
         errs[n] = abs(est - exact)
     slope = (np.log2(errs[10]) - np.log2(errs[6])) / 4.0
     assert errs[6] > errs[8] > errs[10]

@@ -100,18 +100,6 @@ def test_threaded_fiber_cache_splits_a_fresh_stack_once(hermitian_checks, monkey
             assert np.array_equal(pa.states, pb.states)
 
 
-def test_vertices_require_short_range(rng):
-    g = lattice.CylinderGeometry(8, 8, 1)
-    ham = lattice.LatticeHamiltonian(g, hop_range=2.0)
-    ham.add_block(2, 3, 3, [[1.0]])
-    ham.add_block(-2, 3, 3, [[1.0]])
-    f = response.diagonalize_fiber(ham, 0.1)
-    with pytest.raises(ValueError, match="hop range"):
-        response._current_operator(ham, response._J1_TERMS, np.ones(g.L2))
-    with pytest.raises(ValueError, match="hop range"):
-        response.ward_sum_rule(ham, 0.0, 0.3, 3, 8, fibers=[f] * 8)
-
-
 def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
     # the backward leg of each loop is the conjugate of the forward vertices,
     # so each (k, k + p) pair is built once, row-resolved by the oracle's
@@ -211,7 +199,7 @@ def test_the_block_guard_names_a_degenerate_pair_across_mu_only():
     # one side of mu is in no block, and a pair across mu 2e-12 apart is
     # resolved
     mu = 0.1
-    weight = response._gibbs_weight(mu, 0.0, 0.0)
+    weight = response._gibbs_weight(mu, 0.0)
 
     def fiber(*e):
         return np.sort([-2.0, *e, 2.0])
@@ -223,7 +211,7 @@ def test_the_block_guard_names_a_degenerate_pair_across_mu_only():
         with pytest.raises(response.DegenerateCrossingError):
             response._pair_weight(e_k, e_kp, mu, 0.0, 0.0)
         # at p0 != 0 the pair is no pole
-        assert all(np.all(np.isfinite(w)) for _, _, w in response._gibbs_weight(mu, 0.0, 0.3)(e_k, e_kp))
+        assert all(np.all(np.isfinite(w)) for _, _, w in response._gibbs_weight(mu, 0.3)(e_k, e_kp))
     for e in (mu - 1e-3, mu + 1e-3):
         for e_k, e_kp in ((fiber(e), fiber(e)), (fiber(e), fiber(e + 1e-14))):
             assert all(np.max(np.abs(w)) < 1e3 for _, _, w in weight(e_k, e_kp))
