@@ -217,17 +217,6 @@ class LatticeHamiltonian:
                     "are not Hermitian partners"
                 )
 
-    def shifted(self, energy):
-        """Copy with ``energy`` added on the diagonal of all interior sites."""
-        g = self.geometry
-        out = LatticeHamiltonian(g)
-        for key, blk in self._blocks.items():
-            out.add_block(*key, blk)
-        eye = energy * np.eye(g.M)
-        for x2 in range(1, g.L2 - 1):
-            out.add_block(0, x2, x2, eye)
-        return out
-
 
 def assemble_fiber(ham: LatticeHamiltonian, k1: float) -> np.ndarray:
     """Dense Bloch fiber ``sum_z1 exp(-i k1 z1) H(z1)`` at any real k1.

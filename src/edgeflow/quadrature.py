@@ -72,16 +72,16 @@ def polar_nodes(r_edges, n_radial, n_angular, gl=4, center=(0.0, 0.0)):
     return k0.ravel(), k1.ravel(), w.ravel()
 
 
-def refine_until(estimate, tol, start=1, max_doublings=6):
-    """Run ``estimate(level)`` with level doubling until two successive
-    results differ by less than ``tol``.
+def refine_until(estimate, tol):
+    """Run ``estimate(level)`` from level 2, doubling the level at most 5
+    times, until two successive results differ by less than ``tol``.
 
     Returns ``(value, err)`` where err is the last successive difference.
     Raises :class:`QuadratureError` when the budget is exhausted.
     """
-    level = start
+    level = 2
     prev = estimate(level)
-    for _ in range(max_doublings):
+    for _ in range(5):
         level *= 2
         cur = estimate(level)
         err = abs(cur - prev)

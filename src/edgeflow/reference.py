@@ -14,8 +14,9 @@ The momentum-independent closed forms (validation, admissibility radius,
 renormalizations, conductance) are written once over leading stack axes:
 a :class:`LuttingerParams` may hold a stack of parameter sets with the same
 channel count, and each set of the stack comes out bitwise as it would
-alone.  Random ensembles are drawn in blocks (:func:`random_block`) and
-evaluated one stack per channel count.
+alone.  Random ensembles are drawn in blocks (:func:`random_block`), one
+generator call per variate and channel count, and evaluated one stack per
+channel count.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def bubble_regularized(p0, p1, v, h, n, tol=1e-6):
             total += np.dot(w_, integrand(k0_, k1_))
         return total / (4.0 * np.pi**2 * abs(v))
 
-    value, _ = refine_until(estimate, tol, start=2, max_doublings=5)
+    value, _ = refine_until(estimate, tol)
     return value
 
 
@@ -263,7 +264,7 @@ def same_chirality_bubble(h1, h2, v, mutated=False):
         k0_, k1_, w_ = polar_nodes(knots, level, 4 * level)
         return np.dot(w_, integrand(k0_, k1_)) / (4.0 * np.pi**2 * abs(v))
 
-    value, _ = refine_until(estimate, 1e-9, start=2, max_doublings=5)
+    value, _ = refine_until(estimate, 1e-9)
     return value
 
 
@@ -400,16 +401,17 @@ _SIGNS = np.array([-1.0, 1.0])
 def _draw_groups(rng, size, n_channels, lambda_scale):
     """The draw code of :func:`random_block`: ``(index, v, z, lam, rescaled)``
     per channel count, the arrays admissible but not yet validated."""
-    raw = []
-    for _ in range(size):
-        n = n_channels if n_channels is not None else int(rng.integers(1, 5))
-        v = rng.uniform(0.5, 2.0, n) * _SIGNS[rng.integers(0, 2, n)]
-        z = rng.uniform(0.5, 2.0, n)
-        raw.append((v, z, rng.normal(0.0, lambda_scale, (n, n))))
+    if n_channels is None:
+        counts = rng.integers(1, 5, size)
+    else:
+        counts = np.full(size, n_channels)
     groups = []
-    for n in sorted({v.size for v, _, _ in raw}):
-        index = np.array([i for i, (v, _, _) in enumerate(raw) if v.size == n])
-        v, z, lam = (np.stack([raw[i][k] for i in index]) for k in range(3))
+    for n in sorted(set(counts.tolist())):  # not np.unique, which imports numpy.ma (1 MB of RSS)
+        index = np.flatnonzero(counts == n)
+        shape = (index.size, n)
+        v = rng.uniform(0.5, 2.0, shape) * _SIGNS[rng.integers(0, 2, shape)]
+        z = rng.uniform(0.5, 2.0, shape)
+        lam = rng.normal(0.0, lambda_scale, shape + (n,))
         lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))
         diag = np.arange(n)
         lam[:, diag, diag] = 0.0
@@ -427,10 +429,14 @@ def random_block(rng, size, n_channels=None, lambda_scale=0.1):
     Velocities have random signs and magnitudes in [0.5, 2], field
     strengths in [0.5, 2]; couplings are Gaussian of width lambda_scale,
     rescaled when needed so the admissibility radius stays below
-    :data:`RADIUS_CAP`.  The generator is read draw by draw, in the order
-    of ``size`` calls of :func:`random_params`; the symmetrization, the
-    radius, the rescaling and the validation then run once per channel
-    count on the stack of its draws, bitwise as they would per draw.
+    :data:`RADIUS_CAP`.  The generator is read by variate: one call for
+    the ``size`` channel counts (none when ``n_channels`` is given), then,
+    for each channel count in ascending order, one call each for the
+    velocity magnitudes, their signs, the field strengths and the couplings
+    of its draws.  A block of one reads it as :func:`random_params` does.
+    The symmetrization, the radius, the rescaling and the validation run
+    once per channel count on the stack of its draws, bitwise as they
+    would per draw.
 
     Returns ``(index, params, rescaled)`` per channel count, ascending:
     the draws' positions in the block, their stacked

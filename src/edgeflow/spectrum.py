@@ -66,7 +66,6 @@ class NoEdgeBranchError(RuntimeError):
 class BandScan:
     ham: object
     k_grid: np.ndarray
-    window: tuple
     energies: list  # per k: sorted array of in-window energies
     vectors: list  # per k: matching eigenvector columns
 
@@ -171,7 +170,7 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), fibers=None):
         energies.append(e[idx])
         vectors.append(vecs)
     ks = np.array([f.k1 for f in fibers])
-    return BandScan(ham=ham, k_grid=ks, window=window, energies=energies, vectors=vectors)
+    return BandScan(ham=ham, k_grid=ks, energies=energies, vectors=vectors)
 
 
 def _fit_loc_rate(geometry, vec, side):

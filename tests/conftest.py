@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeflow import lattice
+from edgeflow import lattice, reference
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +54,37 @@ def random_hermitian_model(rng, L1=12, L2=12, M=2, scale=1.0):
         ham.add_block(z1, x2, y2, 0.5 * (blk + partner.conj().T), accumulate=False)
     ham.check_hermitian()
     return ham
+
+
+def shifted(ham, energy):
+    """Copy of ``ham`` with ``energy`` added on the diagonal of all interior
+    sites, block by block through ``add_block``: the oracle of one copy of
+    :func:`edgeflow.lattice.stacked_shifted`."""
+    g = ham.geometry
+    out = lattice.LatticeHamiltonian(g)
+    for key, blk in ham.items():
+        out.add_block(*key, blk)
+    eye = energy * np.eye(g.M)
+    for x2 in range(1, g.L2 - 1):
+        out.add_block(0, x2, x2, eye)
+    return out
+
+
+def three_builds(v, z, lam):
+    """One draw's raw variates made admissible set by set: validate zero
+    couplings, symmetrize, size the trial couplings, rescale them onto the
+    radius cap if needed and validate again.  Returns ``(params, rescaled)``."""
+    lam = 0.5 * (lam + lam.T)
+    np.fill_diagonal(lam, 0.0)
+    params = reference.LuttingerParams(v=v, z=z, lam=np.zeros_like(lam))
+    rescaled = False
+    if v.size > 1 and np.any(lam != 0.0):
+        # the radius of the unvalidated trial couplings, kappa @ Lambda_Z
+        kappa = np.diag(1.0 / (4.0 * np.pi * np.abs(v)))
+        lambda_z = lam * z[None, :] / z[:, None]
+        rho = float(np.max(np.abs(np.linalg.eigvals(kappa @ lambda_z))))
+        if rho >= reference.RADIUS_CAP:
+            lam = lam * (reference.RADIUS_CAP / rho) * 0.99
+            rescaled = True
+        params = reference.LuttingerParams(v=v, z=z, lam=lam)
+    return params, rescaled

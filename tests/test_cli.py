@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edgeflow import cli, lattice, reference, response, rgflow, spectrum
+from conftest import three_builds
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 
@@ -196,12 +197,32 @@ def ref_check_draws(monkeypatch, tmp_path, *argv):
     return load_report(out, "report_ref_check.json"), draws
 
 
+def block_read_order(rng, size, channels, lambda_scale):
+    """One ref-check block's raw variates, ``(v, z, lam)`` per draw in draw
+    order, read as a block reads the generator: the channel counts, then for
+    each count in ascending order the velocity magnitudes, their signs, the
+    field strengths and the couplings of all its draws."""
+    counts = rng.integers(1, 5, size) if channels is None else np.full(size, channels)
+    draws = [None] * size
+    for n in sorted(set(counts.tolist())):
+        index = np.flatnonzero(counts == n)
+        shape = (index.size, n)
+        v = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        z = rng.uniform(0.5, 2.0, shape)
+        lam = rng.normal(0.0, lambda_scale, shape + (n,))
+        for j, i in enumerate(index):
+            draws[i] = (v[j], z[j], lam[j])
+    return draws
+
+
 @pytest.mark.parametrize(
     "size",
     [1, reference.ENSEMBLE_BLOCK - 1, reference.ENSEMBLE_BLOCK, reference.ENSEMBLE_BLOCK + 1, 1000],
 )
 @pytest.mark.parametrize("channels", [None, 1, 2, 3, 4])
 def test_ref_check_draws_are_bitwise_the_per_draw_loop(tmp_path, monkeypatch, size, channels):
+    # the generator is read block by block; each draw is then made
+    # admissible and its conductance taken as for one set
     for lambda_scale in (0.1, 10.0, 20.0):
         argv = ["--ensemble-size", str(size), "--lambda-scale", str(lambda_scale), "--seed", "31"]
         if channels is not None:
@@ -211,14 +232,17 @@ def test_ref_check_draws_are_bitwise_the_per_draw_loop(tmp_path, monkeypatch, si
         rep, draws = ref_check_draws(monkeypatch, out, *argv)
         assert len(draws) == size
         rng = np.random.default_rng(31)
+        raw = []
+        for start in range(0, size, reference.ENSEMBLE_BLOCK):
+            raw += block_read_order(rng, min(size - start, reference.ENSEMBLE_BLOCK), channels, lambda_scale)
         errs = []
-        for v, z, lam, g, _ in draws:
-            want = reference.random_params(rng, channels, lambda_scale)
-            assert (v.tobytes(), z.tobytes(), lam.tobytes()) == (
-                want.v.tobytes(), want.z.tobytes(), want.lam.tobytes()
+        for (v, z, lam, g, rescaled), own in zip(draws, raw, strict=True):
+            want, fired = three_builds(*own)
+            assert (v.tobytes(), z.tobytes(), lam.tobytes(), rescaled) == (
+                want.v.tobytes(), want.z.tobytes(), want.lam.tobytes(), fired
             )
             # the stacked conductance is bitwise the one-set conductance
-            assert g == reference.edge_conductance(reference.LuttingerParams(v=v, z=z, lam=lam))
+            assert g == reference.edge_conductance(want)
             errs.append(abs(g - float(np.sum(np.sign(v))) / (2.0 * np.pi)))
         # worst_params is the first draw with the largest error
         worst = draws[int(np.argmax(errs))]

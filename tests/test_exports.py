@@ -93,6 +93,9 @@ def test_lattice_api_is_pinned():
         "row_weights",
         "model_from_config",
     ])
+    # nor a copy builder that only tests call: their one-copy oracle of
+    # stacked_shifted is conftest.shifted
+    assert not hasattr(lattice.LatticeHamiltonian, "shifted")
 
 
 def test_response_api_is_pinned():

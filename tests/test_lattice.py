@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgeflow import lattice, response, spectrum
-from conftest import random_hermitian_model
+from conftest import random_hermitian_model, shifted
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,10 @@ def test_a_stack_splits_into_its_copies(haldane16, copies):
     assert [idx.tolist() for idx, _ in parts] == [[2 * c, 2 * c + 1] for c in range(copies)]
     # fibers round by block order: the stack keeps the keys' first appearance
     # over the copies, and each summand the order of its shifted copy
-    want = list(dict.fromkeys(key for shift in shifts for key, _ in haldane16.shifted(shift).items()))
+    want = list(dict.fromkeys(key for shift in shifts for key, _ in shifted(haldane16, shift).items()))
     assert [key for key, _ in stack.items()] == want
     for (_, sub), shift in zip(parts, shifts):
-        copy = haldane16.shifted(shift)
+        copy = shifted(haldane16, shift)
         assert sub.geometry == copy.geometry
         assert [key for key, _ in sub.items()] == [key for key, _ in copy.items()]
         assert all(np.array_equal(blk, copy.block(*key)) for key, blk in sub.items())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from edgeflow import lattice, reference, response, rgflow
 from edgeflow.cutoffs import chi, shell
 from edgeflow.quadrature import polar_nodes
-from conftest import random_hermitian_model
+from conftest import random_hermitian_model, shifted, three_builds
 from row_vertices import build_vertices, current_current, ward_columns
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -312,7 +312,7 @@ def random_direct_sum(seed, L1, L2, ms, shifts):
     rng = np.random.default_rng(seed)
     models = [random_hermitian_model(rng, L1, L2, m) for m in ms]
     shifts = shifts[: len(ms)]
-    return [h.shifted(e) for h, e in zip(models, shifts)], lattice.stacked_shifted(models, shifts)
+    return [shifted(h, e) for h, e in zip(models, shifts)], lattice.stacked_shifted(models, shifts)
 
 
 def fiber_edge_mu(fibers, where):
@@ -759,26 +759,12 @@ def test_form_factor_is_bitwise_the_cutoff_formula(p0, p1):
 
 
 def random_params_three_builds(rng, n_channels=None, lambda_scale=0.1):
-    """Reference draw: validate zero couplings, size a trial, validate again."""
+    """Reference draw: read one draw's variates, then :func:`three_builds`."""
     if n_channels is None:
         n_channels = int(rng.integers(1, 5))
     v = rng.uniform(0.5, 2.0, n_channels) * rng.choice([-1.0, 1.0], n_channels)
     z = rng.uniform(0.5, 2.0, n_channels)
-    lam = rng.normal(0.0, lambda_scale, (n_channels, n_channels))
-    lam = 0.5 * (lam + lam.T)
-    np.fill_diagonal(lam, 0.0)
-    params = reference.LuttingerParams(v=v, z=z, lam=np.zeros_like(lam))
-    rescaled = False
-    if n_channels > 1 and np.any(lam != 0.0):
-        # the radius of the unvalidated trial couplings, kappa @ Lambda_Z
-        kappa = np.diag(1.0 / (4.0 * np.pi * np.abs(v)))
-        lambda_z = lam * z[None, :] / z[:, None]
-        rho = float(np.max(np.abs(np.linalg.eigvals(kappa @ lambda_z))))
-        if rho >= reference.RADIUS_CAP:
-            lam = lam * (reference.RADIUS_CAP / rho) * 0.99
-            rescaled = True
-        params = reference.LuttingerParams(v=v, z=z, lam=lam)
-    return params, rescaled
+    return three_builds(v, z, rng.normal(0.0, lambda_scale, (n_channels, n_channels)))
 
 
 # the cap is hit only for couplings of order 4 pi |v| RADIUS_CAP / (n - 1),
@@ -797,6 +783,21 @@ def test_one_build_per_draw_is_bitwise_the_three_build_draw(n_channels, lambda_s
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
     if lambda_scale == 10.0 and n_channels != 1:
         assert rescaled > 0
+
+
+@pytest.mark.parametrize("lambda_scale", [0.0, 0.1, 20.0])
+@pytest.mark.parametrize("n_channels", [None, 1, 2, 3, 4])
+def test_consecutive_draws_read_the_generator_as_the_per_draw_oracle(n_channels, lambda_scale):
+    # random_params is a block of one: five calls on one generator give the
+    # oracle's five draws and leave the generator where the oracle leaves it,
+    # which keeps every seeded model of the tests as it is
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for draw in range(5):
+        got = reference.random_params(got_rng, n_channels, lambda_scale)
+        want, _ = random_params_three_builds(want_rng, n_channels, lambda_scale)
+        for name in ("v", "z", "lam"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (draw, name)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @PROPERTY

@@ -33,10 +33,26 @@ def test_offcenter_gaussian():
 
 
 def test_refine_until_converges_and_raises():
-    val, err = refine_until(lambda lvl: 1.0 + 2.0 ** (-lvl), 1e-3, start=1)
-    assert err < 1e-3
-    with pytest.raises(QuadratureError):
-        refine_until(lambda lvl: float(lvl), 1e-6, start=1, max_doublings=3)
+    # refinement starts at level 2 and may double it 5 times
+    levels = []
+
+    def converging(lvl):
+        levels.append(lvl)
+        return 1.0 + 2.0 ** (-lvl)
+
+    val, err = refine_until(converging, 1e-3)
+    assert levels == [2, 4, 8, 16, 32]
+    assert (val, err) == (1.0 + 2.0**-32, 2.0**-16 - 2.0**-32)
+    levels.clear()
+
+    def diverging(lvl):
+        levels.append(lvl)
+        return float(lvl)
+
+    with pytest.raises(QuadratureError) as info:
+        refine_until(diverging, 1e-6)
+    assert levels == [2, 4, 8, 16, 32, 64]
+    assert (info.value.estimate, info.value.error) == (64.0, 32.0)
 
 
 def test_bad_edges_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 import row_vertices
 from edgeflow import lattice, response, spectrum
-from conftest import random_hermitian_model
+from conftest import random_hermitian_model, shifted
 
 
 @pytest.fixture(scope="module")
@@ -604,7 +604,7 @@ def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
 def test_precomputed_fibers_do_not_skip_the_hermiticity_check(counter_stack, hermitian_checks):
     # a block without its Hermitian partner is named before any strip sum runs
     stack, fibers = counter_stack
-    broken = stack.shifted(0.0)  # a copy
+    broken = shifted(stack, 0.0)  # a copy
     broken.add_block(1, 3, 3, 0.1 * np.eye(4))
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 3, 3\)"):
         response.edge_conductance_free(broken, 0.15, 24, a=6, a_prime=4, fibers=fibers)
@@ -615,7 +615,7 @@ def test_fibers_split_unlike_the_model_are_refused(counter_stack):
     # fibers diagonalized before a block coupled the two copies hold two
     # summands; the edited model has one, so no strip sum can pair them
     stack, fibers = counter_stack
-    coupled = stack.shifted(0.0)  # a copy
+    coupled = shifted(stack, 0.0)  # a copy
     hop = np.zeros((4, 4))
     hop[1, 2] = hop[2, 1] = 0.05
     coupled.add_block(0, 3, 3, hop)
