@@ -16,6 +16,11 @@ once after each edit, not once per momentum.  The bond currents read
 their blocks off the same stack, so vertices built from fibers computed
 elsewhere are checked by the same cached check.
 
+The model also holds the fiber bases that
+:func:`edgeflow.response.diagonalize_fiber` has solved, one per distinct
+``k1``, keyed by the exact float and kept for the model's life; every edit
+drops them with the stack.  They hold no reference back to the model.
+
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
 from the blocks' sparsity pattern, with the stack and under its lock, and
@@ -86,6 +91,7 @@ class LatticeHamiltonian:
         self._blocks = {}
         self._slabs = None
         self._summands = None
+        self._fibers = {}  # k1 -> FiberBasis, filled by response.diagonalize_fiber
         self._checked = False  # blocks known to be Hermitian partners
         self._slabs_lock = threading.Lock()
 
@@ -105,6 +111,7 @@ class LatticeHamiltonian:
         key = (int(z1), int(x2), int(y2))
         self._slabs = None
         self._summands = None
+        self._fibers = {}
         self._checked = False
         if accumulate and key in self._blocks:
             self._blocks[key] = self._blocks[key] + block

@@ -41,6 +41,15 @@ occupied bands at ``k`` against the empty ones at ``k + p`` and the empty
 against the occupied, two slices of the ascending bands
 (:func:`_gibbs_weight`).
 
+A model keeps each fiber basis that :func:`diagonalize_fiber` solves,
+keyed by the exact float ``k1``: a repeat request returns the stored
+basis with no ``eigh``, and :func:`fiber_cache` and every response called
+without ``fibers=`` go through it, so the identities asked of one model
+solve its grid once.  An edit of the model drops them all.  The cost is one
+basis per distinct momentum for the model's life; the off-grid bisection
+solves of :func:`edgeflow.spectrum.fermi_point` are not stored.  A stored
+basis's arrays are read-only.
+
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 is diagonalized one summand at a time, one ``eigh`` of each summand's own
 fiber, and the responses contract each summand's bands on its own
@@ -158,12 +167,27 @@ class FiberBasis:
 def diagonalize_fiber(ham, k1):
     """The :class:`FiberBasis` at ``k1``: one ``eigh`` per summand of the
     model, of the summand's own fiber; for a connected model that is
-    ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes."""
-    summands = ham.summands()
-    parts = [FiberBasis(k1, *np.linalg.eigh(assemble_fiber(sub, k1))) for _, sub in summands]
-    if len(parts) == 1:
-        return parts[0]
-    return FiberBasis.direct_sum(ham.geometry, [idx for idx, _ in summands], parts)
+    ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes.
+
+    The basis is stored on the model, keyed by the float ``k1``, and a
+    later call at the same ``k1`` returns it with no ``eigh``; an edit of
+    the model (:meth:`~edgeflow.lattice.LatticeHamiltonian.add_block`) drops
+    every stored basis.  Its energies and states, and those of each part,
+    are read-only, so that no caller can change what a later call returns.
+    """
+    k1 = float(k1)
+    basis = ham._fibers.get(k1)
+    if basis is None:
+        summands = ham.summands()
+        parts = [FiberBasis(k1, *np.linalg.eigh(assemble_fiber(sub, k1))) for _, sub in summands]
+        if len(parts) == 1:
+            basis = parts[0]
+        else:
+            basis = FiberBasis.direct_sum(ham.geometry, [idx for idx, _ in summands], parts)
+        for array in (basis.energies, *(a for p in parts for a in (p.energies, p._states))):
+            array.flags.writeable = False
+        ham._fibers[k1] = basis
+    return basis
 
 
 def fiber_cache(ham, n_k, threads=1):
@@ -261,27 +285,30 @@ def _current_operator(ham, terms, weight):
     zero weight), and ``mats`` the fixed matrices ``(u1, v1, J_(u1 v1))`` on
     that span, of which the operator between the fibers at ``k1`` and
     ``kp1`` is the phase-weighted sum ``J(k1, kp1) = _ring_sum(mats, k1,
-    kp1)``.  Each ``J_(u1 v1)``, built once here, places ``i w weight[y2]
-    H(z1; y2 + du, y2 + dv)`` at rows ``(y2 + du, y2 + dv)`` for each bond
-    term with that ``(u1, v1)``, read off the model's slab stack; a ``z1``
-    that no block has adds nothing.
+    kp1)``.  A bond term with that ``(u1, v1)`` adds ``i w weight[y2]
+    H(z1; y2 + du, y2 + dv)`` at rows ``(y2 + du, y2 + dv)``, and all of them
+    share ``z1 = u1 - v1``, so ``J_(u1 v1) = i C * H(z1)`` on the span, built
+    once here from the model's slab stack: ``C`` is the row-pair matrix of
+    the summed ``w weight[y2]``.  A ``z1`` that no block has gives 0.
     """
     g = ham.geometry
     z1s, slabs = ham._slab_stack()
-    hops = {int(z1): slab.reshape(g.L2, g.M, g.L2, g.M) for z1, slab in zip(z1s, slabs)}
     weight = np.asarray(weight, dtype=float)
     on = np.flatnonzero(weight)
     lo, hi = (max(on[0] - 1, 0), min(on[-1] + 2, g.L2)) if on.size else (0, 0)
-    ops = {}
+    span = hi - lo
+    hops = {int(z1): slab.reshape(g.L2, g.M, g.L2, g.M)[lo:hi, :, lo:hi] for z1, slab in zip(z1s, slabs)}
+    keys, at, values = {}, [], []
     for (du, dv), group in _row_groups(terms).items():
         y2 = on[(on + min(du, dv) >= 0) & (on + max(du, dv) < g.L2)]
-        coef = weight[y2, None, None]
         for (u1, v1, z1, wgt) in group:
-            op = ops.setdefault((u1, v1), np.zeros((hi - lo, g.M, hi - lo, g.M), dtype=complex))
-            if z1 in hops:
-                op[y2 + du - lo, :, y2 + dv - lo] += 1j * wgt * coef * hops[z1][y2 + du, :, y2 + dv]
-    n = (hi - lo) * g.M
-    return slice(lo * g.M, hi * g.M), [(u1, v1, op.reshape(n, n)) for (u1, v1), op in ops.items()]
+            at.append((np.full(y2.size, keys.setdefault((u1, v1, z1), len(keys))), y2 + du - lo, y2 + dv - lo))
+            values.append(wgt * weight[y2])
+    coef = np.zeros((len(keys), span, span))
+    np.add.at(coef, tuple(np.concatenate(i) for i in zip(*at)), np.concatenate(values))
+    n, zero = span * g.M, np.zeros((span, g.M, span, g.M))
+    mats = [(u1, v1, 1j * c[:, None, :, None] * hops.get(z1, zero)) for (u1, v1, z1), c in zip(keys, coef)]
+    return slice(lo * g.M, hi * g.M), [(u1, v1, op.reshape(n, n)) for u1, v1, op in mats]
 
 
 def _ring_sum(mats, k1, kp1):
@@ -456,15 +483,17 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
     three-point functions are the matrices ``S2(k) S2(k+p)`` and ``S2(k)
     J(k, k') S2(k+p)`` over (x2 rho, y2 rho'), with :func:`free_two_point`
     and the ring current on all rows (:func:`_current_operator`); the two
-    two-point functions are formed once, for both sides.
+    two-point functions are formed once, for both sides.  The fibers are
+    those of the grid ``2 pi m / n_k`` at ``m = k1_index`` and ``k1_index +
+    p1_index``, both mod ``n_k``: the caller's ``fibers``, or those two from
+    :func:`diagonalize_fiber`.
     """
+    grid = (k1_index % n_k, (k1_index + p1_index) % n_k)
     if fibers is None:
-        f_k = diagonalize_fiber(ham, 2.0 * np.pi * k1_index / n_k)
-        f_kp = diagonalize_fiber(ham, 2.0 * np.pi * (k1_index + p1_index) / n_k)
+        f_k, f_kp = (diagonalize_fiber(ham, 2.0 * np.pi * m / n_k) for m in grid)
     else:
         fibers = fiber_grid(ham, n_k, fibers)
-        f_k = fibers[k1_index % n_k]
-        f_kp = fibers[(k1_index + p1_index) % n_k]
+        f_k, f_kp = (fibers[m] for m in grid)
     p1 = 2.0 * np.pi * p1_index / n_k
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)

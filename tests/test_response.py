@@ -1,4 +1,7 @@
+import gc
+import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -43,13 +46,82 @@ def test_chain_current_is_group_velocity():
         assert np.allclose(np.sort(j_diag), np.sort(dnum), atol=1e-6)
 
 
-def test_fiber_cache_threaded_matches_serial(haldane_setup):
-    ham, _, serial = haldane_setup
-    threaded = response.fiber_cache(ham, 16, threads=4)
-    for a, b in zip(serial, threaded):
+def assert_same_grids(serial, threaded):
+    # the two grids come from two models, so both were really diagonalized
+    for a, b in zip(serial, threaded, strict=True):
+        assert a is not b
         assert a.k1 == b.k1
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.states, b.states)
+        for pa, pb in zip(a.parts, b.parts, strict=True):
+            assert np.array_equal(pa.energies, pb.energies)
+            assert np.array_equal(pa.states, pb.states)
+
+
+def counter_stack_model():
+    g = lattice.CylinderGeometry(16, 12, 2)
+    return lattice.stacked_shifted([lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, phi=-np.pi / 2)], [0.0, 0.1])
+
+
+ONE_AND_TWO_SUMMANDS = pytest.mark.parametrize(
+    "make", [lambda: lattice.haldane_cylinder(L1=16, L2=12), counter_stack_model], ids=["connected", "direct-sum"]
+)
+
+
+def term_loop_operator(ham, terms, weight):
+    """The oracle of ``response._current_operator``: one zero matrix per
+    ``(u1, v1)``, in the order of the row-offset groups, and each bond term
+    added on all its rows in turn."""
+    g = ham.geometry
+    z1s, slabs = ham._slab_stack()
+    hops = {int(z1): slab.reshape(g.L2, g.M, g.L2, g.M) for z1, slab in zip(z1s, slabs)}
+    on = np.flatnonzero(weight)
+    lo, hi = (max(on[0] - 1, 0), min(on[-1] + 2, g.L2)) if on.size else (0, 0)
+    ops = {}
+    for (du, dv), group in response._row_groups(terms).items():
+        y2 = on[(on + min(du, dv) >= 0) & (on + max(du, dv) < g.L2)]
+        coef = weight[y2, None, None]
+        for (u1, v1, z1, wgt) in group:
+            op = ops.setdefault((u1, v1), np.zeros((hi - lo, g.M, hi - lo, g.M), dtype=complex))
+            if z1 in hops:
+                op[y2 + du - lo, :, y2 + dv - lo] += 1j * wgt * coef * hops[z1][y2 + du, :, y2 + dv]
+    n = (hi - lo) * g.M
+    return slice(lo * g.M, hi * g.M), [(u1, v1, op.reshape(n, n)) for (u1, v1), op in ops.items()]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2)),
+        lambda: lattice.hofstadter_cylinder(lattice.CylinderGeometry(24, 16, 1)),
+        lambda: random_hermitian_model(np.random.default_rng(3), 12, 12, 2),
+        counter_stack_model,
+    ],
+    ids=["haldane", "hofstadter", "random", "counter-stack"],
+)
+def test_the_current_operator_is_the_bond_term_loop(make):
+    # every weight a response passes: all rows (the vertex identity), one
+    # row (the sum rule) and a strip (the strip sums); the row-pair
+    # coefficients are sums of halves and ones, so the entries are equal
+    ham = make()
+    L2 = ham.geometry.L2
+    rows = np.arange(L2)
+    weights = [np.ones(L2)] + [1.0 * (rows == y2) for y2 in (1, 5, L2 - 2)]
+    weights += [1.0 * (rows < n) for n in (0, 1, 4, L2 - 1, L2)]
+    for weight in weights:
+        for terms in (response._J1_TERMS, response._J2_TERMS):
+            span, mats = response._current_operator(ham, terms, weight)
+            want_span, want = term_loop_operator(ham, terms, weight)
+            assert span == want_span
+            assert [(u1, v1) for u1, v1, _ in mats] == [(u1, v1) for u1, v1, _ in want]
+            for (_, _, got), (_, _, ref) in zip(mats, want):
+                assert np.array_equal(got, ref)
+
+
+def test_fiber_cache_threaded_matches_serial(haldane_setup):
+    _, _, serial = haldane_setup
+    twin = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
+    assert_same_grids(serial, response.fiber_cache(twin, 16, threads=4))
 
 
 def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkeypatch):
@@ -65,10 +137,8 @@ def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkey
     ham = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
     threaded = response.fiber_cache(ham, 16, threads=4)
     assert hermitian_checks == [ham]
-    for a, b in zip(response.fiber_cache(ham, 16), threaded, strict=True):
-        assert a.k1 == b.k1
-        assert np.array_equal(a.energies, b.energies)
-        assert np.array_equal(a.states, b.states)
+    twin = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
+    assert_same_grids(response.fiber_cache(twin, 16), threaded)
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -82,22 +152,120 @@ def test_threaded_fiber_cache_splits_a_fresh_stack_once(hermitian_checks, monkey
         return check(ham, *args, **kwargs)
 
     monkeypatch.setattr(lattice.LatticeHamiltonian, "check_hermitian", slow)
-    g = lattice.CylinderGeometry(16, 12, 2)
-    copies = [lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, phi=-np.pi / 2)]
-    stack = lattice.stacked_shifted(copies, [0.0, 0.1])
+    stack = counter_stack_model()
     threaded = response.fiber_cache(stack, 16, threads=threads)
     subs = [sub for _, sub in stack.summands()]
     assert len(subs) == 2
     # one check of the stack, so its slabs and summands were built once; the
     # sub-models hold restrictions of checked blocks and are not checked again
     assert hermitian_checks == [stack]
-    for a, b in zip(response.fiber_cache(stack, 16), threaded, strict=True):
-        assert a.k1 == b.k1
-        assert np.array_equal(a.energies, b.energies)
-        assert np.array_equal(a.states, b.states)
-        for pa, pb in zip(a.parts, b.parts, strict=True):
-            assert np.array_equal(pa.energies, pb.energies)
-            assert np.array_equal(pa.states, pb.states)
+    assert_same_grids(response.fiber_cache(counter_stack_model(), 16), threaded)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shape of each ``np.linalg.eigh`` call, in order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+@ONE_AND_TWO_SUMMANDS
+def test_a_repeated_momentum_returns_the_stored_basis(eigh_calls, make):
+    ham = make()
+    summands = len(ham.summands())
+    first = response.diagonalize_fiber(ham, 0.3)
+    assert len(eigh_calls) == summands
+    assert response.diagonalize_fiber(ham, 0.3) is first
+    assert len(eigh_calls) == summands
+    # the key is the exact momentum: a neighbouring float is another fiber
+    assert response.diagonalize_fiber(ham, np.nextafter(0.3, 1.0)) is not first
+    assert len(eigh_calls) == 2 * summands
+
+
+def test_one_model_solves_its_grid_once_for_every_identity(eigh_calls):
+    # the sum rule at two temperatures, the wrong-order limit and the vertex
+    # identity on grid momenta all read the model's one grid of n_k fibers
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 12, 2))
+    n_k, mu = 16, 0.15
+    for temperature in (0.0, 0.05):
+        response.ward_sum_rule(ham, mu, 0.7, 3, n_k, temperature=temperature)
+    response.wrong_order_diagnostic(ham, mu, 0.7, n_k, a_prime=3)
+    assert len(eigh_calls) == n_k
+    for k1_index, p1_index in ((3, 5), (14, 7), (-1, 1)):
+        response.vertex_ward_residual(ham, mu, 0.4, k1_index, 0.3, p1_index, n_k)
+    assert len(eigh_calls) == n_k
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_a_grid_fills_the_map(eigh_calls, threads):
+    # four threads on a short switch interval: no stored basis is lost
+    stack = counter_stack_model()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        grid = response.fiber_cache(stack, 16, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(eigh_calls) == 2 * 16
+    assert stack._fibers == {f.k1: f for f in grid}
+    again = response.fiber_cache(stack, 16)
+    assert all(a is b for a, b in zip(grid, again, strict=True))
+    assert [response.diagonalize_fiber(stack, f.k1) for f in grid] == grid
+    assert len(eigh_calls) == 2 * 16
+
+
+@ONE_AND_TWO_SUMMANDS
+def test_a_model_with_stored_fibers_is_freed_by_refcount(make):
+    # the stored bases hold no reference back to the model, so a model that
+    # one command builds goes with its last reference, with no cycle to collect
+    ham = make()
+    response.fiber_cache(ham, 16)
+    model = weakref.ref(ham)
+    gc.disable()
+    try:
+        del ham
+        assert model() is None
+    finally:
+        gc.enable()
+
+
+def test_an_edit_drops_the_stored_fibers():
+    # the edited model's fibers are those of a model built with the edit,
+    # and an edit that breaks Hermiticity is refused, not read from the map
+    g = lattice.CylinderGeometry(16, 12, 2)
+    ham = lattice.haldane_cylinder(g)
+    response.fiber_cache(ham, 16)
+    assert len(ham._fibers) == 16
+    edited = lattice.haldane_cylinder(g)
+    for model in (ham, edited):
+        model.add_block(0, 4, 4, np.diag([0.2, -0.2]))
+    assert not ham._fibers
+    assert_same_grids(response.fiber_cache(edited, 16), response.fiber_cache(ham, 16))
+    ham.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
+    for k1 in (0.0, 2.0 * np.pi / 16):
+        with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
+            response.diagonalize_fiber(ham, k1)
+    assert not ham._fibers
+
+
+@ONE_AND_TWO_SUMMANDS
+def test_a_stored_basis_is_read_only(make):
+    ham = make()
+    basis = response.diagonalize_fiber(ham, 0.3)
+    arrays = [basis.energies] + [a for part in basis.parts for a in (part.energies, part.states)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        basis.energies += 1.0
+    assert response.diagonalize_fiber(ham, 0.3) is basis
 
 
 def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
