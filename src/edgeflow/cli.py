@@ -27,6 +27,7 @@ FAILED_STAGE = {
     spectrum.BulkStateError: "edge_branches",
     spectrum.NoEdgeBranchError: "assumptions",
     spectrum.FermiPointError: "fermi_point",
+    spectrum.UndersampledCrossingError: "chirality_undersampled",
     response.DegenerateCrossingError: "pair_weights",
     response.ConjugationSymmetryError: "conjugation_symmetry",
     quadrature.QuadratureError: "quadrature",
@@ -155,14 +156,15 @@ def cmd_conductance(args, report):
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    # one grid for both: the chirality scan needs at least MIN_SCAN_MOMENTA,
-    # so the grid is the least power-of-two multiple of L1 that has them (L1
-    # itself once it has them), and a power-of-two step keeps every step-th
-    # fiber bitwise the L1-grid one
+    # the response reads the L1 grid; the chirality scan needs at least
+    # MIN_SCAN_MOMENTA, so it runs on the least power-of-two multiple of L1
+    # that has them (L1 itself once it has them), takes the L1 grid as every
+    # step-th of its momenta (bitwise, the step being a power of two) and
+    # diagonalizes a momentum in between only when its window may hold a state
     step = 1
     while step * n_k < spectrum.MIN_SCAN_MOMENTA:
         step *= 2
-    grid = response.fiber_cache(ham, step * n_k, threads=args.threads)
+    grid = response.fiber_cache(ham, n_k, threads=args.threads)
     scan = spectrum.scan_spectrum(
         ham,
         n_k=step * n_k,
@@ -172,7 +174,7 @@ def cmd_conductance(args, report):
     # the chirality target: the signed count of lower-edge grid crossings
     branches = spectrum.edge_branches(scan, args.mu)
     chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
-    est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime, fibers=grid[::step])
+    est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime, fibers=grid)
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
     target = chi / (2.0 * np.pi)
     rel = abs(est.g - target) / abs(target) if target != 0 else abs(est.g) * 2 * np.pi
@@ -182,6 +184,7 @@ def cmd_conductance(args, report):
     report["target"] = target
     report["relative_error"] = rel
     report["chirality_sum_lower"] = chi
+    report["scan_fibers"] = {"solved": len(scan.k_grid) - scan.pruned, "pruned": scan.pruned}
     report["checks"]["conductance_matches_chirality"] = bool(rel <= args.tolerance)
 
 

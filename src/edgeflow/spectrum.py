@@ -1,8 +1,11 @@
 """Edge-mode spectroscopy: band scans, branch continuation, Fermi data.
 
-A scan diagonalizes the Bloch fiber on a uniform ring-momentum grid and
-keeps the eigenpairs inside an energy window (excluding the decoupled
-Dirichlet-row modes).  Branches come from the scan in two steps:
+A scan keeps the eigenpairs inside an energy window (excluding the
+decoupled Dirichlet-row modes) of the Bloch fibers on a uniform
+ring-momentum grid.  It may take a coarser grid of the caller's, every
+``step``-th momentum, and then diagonalizes a momentum in between only
+when Weyl's inequality cannot prove from its neighbours that its window
+is empty.  Branches come from the scan in two steps:
 
 1. :func:`edge_branches` forms them by eigenvector-overlap continuation,
    assigns each to an edge by its half-cylinder weight and splits them so
@@ -31,6 +34,7 @@ __all__ = [
     "BulkStateError",
     "FermiPointError",
     "NoEdgeBranchError",
+    "UndersampledCrossingError",
     "scan_spectrum",
     "edge_branches",
     "crossing_sign",
@@ -47,6 +51,7 @@ FERMI_TOL = 1e-10  # |E(k_F) - mu| at which the bisection stops
 MAX_BISECTIONS = 200
 GAMMA_MIN = 0.05  # least Fermi-momentum separation, pairwise and in differences
 MIN_SCAN_MOMENTA = 64  # least grid size of a scan
+PRUNE_MARGIN = 1e-9  # rounding allowance of a pruned fiber, relative to the fiber norm
 
 
 class BulkStateError(RuntimeError):
@@ -62,12 +67,18 @@ class NoEdgeBranchError(RuntimeError):
     """The energy window holds no edge branch to check."""
 
 
+class UndersampledCrossingError(RuntimeError):
+    """A branch that crosses the chemical potential has too few grid samples
+    to be kept, so its crossing would be lost from the chirality count."""
+
+
 @dataclass
 class BandScan:
     ham: object
     k_grid: np.ndarray
     energies: list  # per k: sorted array of in-window energies
     vectors: list  # per k: matching eigenvector columns
+    pruned: int = 0  # momenta left empty without a diagonalization
 
     @property
     def geometry(self):
@@ -144,33 +155,88 @@ def _purify_degenerate(geometry, e, vecs):
     return out
 
 
+def _reach(ham, dk):
+    """Bounds on how far any fiber eigenvalue moves over the momentum
+    changes ``dk``, and on ``||H(k1)||_2``: ``sum_z1 2 |sin(z1 dk / 2)|
+    ||H(z1)||_2`` bounds ``||H(k1 + dk) - H(k1)||_2`` and so, by Weyl's
+    inequality, ``|E_j(k1 + dk) - E_j(k1)|`` for the ``j``-th ascending
+    eigenvalue ``E_j``; ``sum_z1 ||H(z1)||_2`` bounds the fiber.  A direct
+    sum's ``||H(z1)||_2`` is the largest of its summands'."""
+    norms = {}
+    for _, sub in ham.summands():
+        z1s, slabs = sub._slab_stack()
+        for z1, norm in zip(z1s, np.linalg.norm(slabs, 2, axis=(1, 2))):
+            norms[z1] = max(norms.get(z1, 0.0), norm)
+    z1s, norms = np.array(list(norms)), np.array(list(norms.values()))
+    return 2.0 * np.abs(np.sin(np.multiply.outer(dk, z1s) / 2.0)) @ norms, norms.sum()
+
+
+def _clearance(geometry, energies, lo, hi):
+    """How far the fiber's eigenvalues lie outside ``(lo, hi)``, 0 or less
+    when one lies inside.  ``2 M`` exact zeros, the Dirichlet-row modes,
+    are left out; when fewer than ``2 M`` zeros are exact, none is."""
+    out = np.maximum(lo - energies, energies - hi)
+    zeros = np.flatnonzero(energies == 0.0)
+    if zeros.size >= 2 * geometry.M:
+        out[zeros[: 2 * geometry.M]] = np.inf
+    return out.min(initial=np.inf)
+
+
 def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), fibers=None):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).
 
-    The fibers come from :func:`~edgeflow.response.fiber_grid`: the
-    caller's ``fibers`` of that grid, or a new grid; the scan's ``k_grid``
-    is their ``k1``.
+    ``fibers`` is the caller's grid of ``n_k / step`` fibers, ``step`` a
+    power of two, so that every ``step``-th scan momentum is bitwise one of
+    theirs; ``None`` is a new :func:`~edgeflow.response.fiber_cache` of all
+    ``n_k``, and a grid of another size raises ``ValueError`` naming both
+    counts.  A momentum between two of the caller's is diagonalized
+    (:func:`~edgeflow.response.diagonalize_fiber`) only when neither
+    neighbour proves its window empty.  By Weyl's inequality no eigenvalue
+    moves farther than the reach of :func:`_reach` from the neighbour's;
+    so when the neighbour's eigenvalues, ``2 M`` exact Dirichlet zeros left
+    out, all lie farther than that reach plus :data:`PRUNE_MARGIN` times the
+    fiber norm bound outside the window, the momentum keeps no state, as its
+    ``eigh`` would give.  Such a pruned momentum gets empty entries and is
+    neither diagonalized nor stored on the model; :attr:`BandScan.pruned`
+    counts them.
     """
     if n_k < MIN_SCAN_MOMENTA:
         raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta")
-    fibers = response.fiber_grid(ham, n_k, fibers)
+    if fibers is None:
+        fibers = response.fiber_cache(ham, n_k)
+    n_fibers = len(fibers)
+    step = n_k // max(n_fibers, 1)
+    if step * n_fibers != n_k or step & (step - 1):
+        raise ValueError(f"need {n_k} fibers, got {n_fibers}, which is not n_k / 2^j")
     g = ham.geometry
-    energies, vectors = [], []
     lo, hi = window
-    for f in fibers:
-        e = f.energies
+    if step > 1:
+        reach, norm = _reach(ham, 2.0 * np.pi * np.arange(step) / n_k)
+        slack = PRUNE_MARGIN * max(1.0, norm)
+        clear = [_clearance(g, f.energies, lo, hi) for f in fibers]
+    ks, energies, vectors, pruned = [], [], [], 0
+    for m in range(n_k):
+        j, d = divmod(m, step)
+        k1 = 2.0 * np.pi * m / n_k
+        if d and max(clear[j] - reach[d], clear[(j + 1) % n_fibers] - reach[step - d]) > slack:
+            ks.append(k1)
+            energies.append(np.empty(0))
+            vectors.append(np.empty((0, g.fiber_dim), dtype=complex))
+            pruned += 1
+            continue
+        basis = response.diagonalize_fiber(ham, k1) if d else fibers[j]
+        e = basis.energies
         idx = np.flatnonzero((e > lo) & (e < hi))
-        v = f.columns(idx)
+        v = basis.columns(idx)
         w = row_weights(g, v)
         keep = w[0] + w[-1] < 0.5
         idx = idx[keep]
-        vecs = _purify_degenerate(g, e[idx], v[:, keep].T.copy())
+        ks.append(basis.k1)
         energies.append(e[idx])
-        vectors.append(vecs)
-    ks = np.array([f.k1 for f in fibers])
-    return BandScan(ham=ham, k_grid=ks, energies=energies, vectors=vectors)
+        vectors.append(_purify_degenerate(g, e[idx], v[:, keep].T.copy()))
+    return BandScan(ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors, pruned=pruned)
 
 
 def _fit_loc_rate(geometry, vec, side):
@@ -207,7 +273,8 @@ def edge_branches(scan, mu):
     the grid wraps at 2 pi.  Each maximal chain becomes one branch per
     grid crossing of ``mu`` (chains crossing ``mu`` several times are split
     so a branch carries a single crossing); branches of fewer than 3
-    samples are dropped.  States with less than :data:`SIDE_THRESHOLD`
+    samples are dropped, and one of them that crosses ``mu`` raises
+    :class:`UndersampledCrossingError`.  States with less than :data:`SIDE_THRESHOLD`
     weight on either half of the cylinder raise :class:`BulkStateError`.
     The branches carry no Fermi data: no fiber is diagonalized.
     """
@@ -274,6 +341,12 @@ def edge_branches(scan, mu):
                 )
             )
 
+    for b in branches:
+        if len(b.k_samples) < 3 and _crossings(b.energies, mu):
+            raise UndersampledCrossingError(
+                f"branch crossing mu near k1 = {b.k_samples[0]:.4f} has only "
+                f"{len(b.k_samples)} grid samples in the window; a finer grid or a wider window keeps it"
+            )
     return [b for b in branches if len(b.k_samples) >= 3]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeflow import lattice, reference
+from edgeflow import lattice, reference, spectrum
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +54,18 @@ def random_hermitian_model(rng, L1=12, L2=12, M=2, scale=1.0):
         ham.add_block(z1, x2, y2, 0.5 * (blk + partner.conj().T), accumulate=False)
     ham.check_hermitian()
     return ham
+
+
+def two_sample_crossing_scan(ham, mu, n_k=64):
+    """A hand-built scan of ``ham`` whose only states are one lower-edge
+    state at the first two grid momenta, just below and just above ``mu``:
+    a branch of 2 samples that crosses ``mu``."""
+    g = ham.geometry
+    state = np.zeros((1, g.fiber_dim), dtype=complex)
+    state[0, g.M] = 1.0  # row 1, the lower edge
+    energies = [np.array([mu - 0.01]), np.array([mu + 0.01])] + [np.empty(0)] * (n_k - 2)
+    vectors = [state, state] + [np.empty((0, g.fiber_dim), dtype=complex)] * (n_k - 2)
+    return spectrum.BandScan(ham, 2.0 * np.pi * np.arange(n_k) / n_k, energies, vectors)
 
 
 def shifted(ham, energy):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from edgeflow import cli, lattice, reference, response, rgflow, spectrum
-from conftest import three_builds
+from conftest import three_builds, two_sample_crossing_scan
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 
@@ -430,10 +430,11 @@ def test_grid_commands_pass_threads_to_the_fiber_cache(tmp_path, monkeypatch, ar
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
-    # the response and the chirality scan share one grid, here of 2 L1 = 64
-    # fibers (the least power-of-two multiple of L1 with at least 64),
-    # diagonalized once on the requested threads; the scan diagonalizes none,
-    # and the chirality is read off the grid crossings, with no Fermi point
+    # the response and the chirality scan share the L1 = 32 grid, diagonalized
+    # once on the requested threads; the scan runs on 2 L1 = 64 momenta (the
+    # least power-of-two multiple of L1 with at least 64) and diagonalizes 6
+    # of the 32 in between, the rest proved empty; the chirality is read off
+    # the grid crossings, with no Fermi point
     seen, scanned, assembled = [], [], []
     cache, scan = response.fiber_cache, spectrum.scan_spectrum
 
@@ -459,13 +460,14 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
     monkeypatch.setattr(response, "fiber_cache", recorded_cache)
     monkeypatch.setattr(spectrum, "scan_spectrum", recorded_scan)
     monkeypatch.setattr(spectrum, "fermi_point", no_fermi_point)
-    code, _ = run_cli(
+    code, out = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
     )
     assert code == 0
-    assert seen == [(64, 2)]
-    assert scanned == [0]
-    assert len(assembled) == 64
+    assert seen == [(32, 2)]
+    assert scanned == [6]
+    assert len(assembled) == 38
+    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 38, "pruned": 26}
 
 
 @pytest.mark.parametrize(
@@ -535,9 +537,10 @@ def test_a_degenerate_pair_across_two_summands_carries_no_weight(tmp_path):
 
 
 def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypatch):
-    # the stack is a direct sum of two M = 2 copies: its 96 fibers of 96 x 96
-    # are diagonalized as 192 fibers of 48 x 48 (small eigh calls purify
-    # degenerate clusters in the scan)
+    # the stack is a direct sum of two M = 2 copies: each fiber of 96 x 96 is
+    # diagonalized as two of 48 x 48 (small eigh calls purify degenerate
+    # clusters in the scan), the 48 of the L1 grid and the 10 of the 48 in
+    # between that the scan cannot prove empty, on one thread or two alike
     shapes = []
     eigh = np.linalg.eigh
 
@@ -546,15 +549,46 @@ def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypa
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    code, out = run_cli(
-        tmp_path, "conductance", "--model", "stacked-haldane", "--shifts", "0.0,0.1", "--flips", "0,1",
-        "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6",
-    )
-    assert code == 0
-    assert load_report(out, "report_conductance.json")["chirality_sum_lower"] == 0.0
-    assert shapes.count((48, 48)) == 192
+    reports = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        code, out = run_cli(
+            tmp_path / threads, "conductance", "--model", "stacked-haldane", "--shifts", "0.0,0.1",
+            "--flips", "0,1", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6", "--threads", threads,
+        )
+        assert code == 0
+        reports.append(load_report(out, "report_conductance.json"))
+        reports[-1].pop("wall_time_s")
+        reports[-1]["inputs"].pop("threads")
+    assert reports[0] == reports[1]
+    assert reports[0]["chirality_sum_lower"] == 0.0
+    assert reports[0]["scan_fibers"] == {"solved": 58, "pruned": 38}
+    assert shapes.count((48, 48)) == 2 * 2 * 58
     assert (96, 96) not in shapes
     assert all(s[0] < 48 for s in shapes if s != (48, 48))
+
+
+def test_conductance_reports_its_scan_work(tmp_path):
+    # Haldane 48 x 24: the scan of 96 momenta diagonalizes the 48 of the L1
+    # grid and 10 of the 48 in between; the other 38 are proved empty
+    code, out = run_cli(
+        tmp_path, "conductance", "--model", "haldane", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6"
+    )
+    assert code == 0
+    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 58, "pruned": 38}
+
+
+def test_an_undersampled_crossing_writes_report_and_exits_2(tmp_path, monkeypatch):
+    # a crossing branch of 2 grid samples would drop out of the chirality
+    # count; conductance stops at its own stage instead
+    monkeypatch.setattr(
+        spectrum, "scan_spectrum", lambda ham, n_k, window, fibers: two_sample_crossing_scan(ham, 0.15, n_k)
+    )
+    code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "16", "--L2", "8")
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, "report_conductance.json")
+    assert rep["checks"] == {"chirality_undersampled": False}
+    assert rep["error"].startswith("UndersampledCrossingError: ")
 
 
 @pytest.mark.parametrize(

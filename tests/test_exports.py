@@ -46,6 +46,7 @@ def test_spectrum_api_is_pinned():
         "BulkStateError",
         "FermiPointError",
         "NoEdgeBranchError",
+        "UndersampledCrossingError",
         "scan_spectrum",
         "edge_branches",
         "crossing_sign",

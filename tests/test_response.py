@@ -509,7 +509,7 @@ def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_
             ham, mu, 20.0, 50.0, 0.4, 1, 8, 4, 2, fibers=fibers)),
         ("vertex_ward_residual", 32, lambda ham, mu, fibers: response.vertex_ward_residual(
             ham, mu, 0.2, 1, 0.3, 1, 32, fibers=fibers)),
-        ("scan_spectrum", 64, lambda ham, mu, fibers: spectrum.scan_spectrum(ham, n_k=64, fibers=fibers)),
+        ("scan_spectrum", 96, lambda ham, mu, fibers: spectrum.scan_spectrum(ham, n_k=96, fibers=fibers)),
     ],
 )
 def test_a_fiber_grid_of_the_wrong_length_is_refused(haldane_setup, monkeypatch, name, n_k, run):

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from edgeflow import cli, lattice, spectrum
+from edgeflow import cli, lattice, response, spectrum
+from conftest import random_hermitian_model, two_sample_crossing_scan
 
 
 def bulk_gap_torus(t1=1.0, t2=0.2, phi=np.pi / 2, m_stag=0.0, grid=48):
@@ -467,3 +470,83 @@ def test_crossing_sign_reads_the_first_crossing(energies, sign):
         vectors=np.zeros((n, 2), dtype=complex),
     )
     assert spectrum.crossing_sign(branch, 0.0) == sign
+
+
+# ---------------------------------------------------------------------------
+# scans on a coarse grid: momenta in between proved empty are not diagonalized
+# ---------------------------------------------------------------------------
+
+PRUNE_MODELS = {
+    "random": lambda seed: random_hermitian_model(np.random.default_rng(seed), L1=8, L2=8, M=2),
+    "haldane": lambda seed: lattice.haldane_cylinder(lattice.CylinderGeometry(8, 12, 2)),
+    "hofstadter": lambda seed: lattice.hofstadter_cylinder(lattice.CylinderGeometry(9, 16, 1)),
+    "counter-stack": lambda seed: lattice.stacked_shifted(
+        [lattice.haldane_cylinder(lattice.CylinderGeometry(8, 10, 2)),
+         lattice.haldane_cylinder(lattice.CylinderGeometry(8, 10, 2), phi=-np.pi / 2)],
+        [0.0, 0.1],
+    ),
+    # a flat band of exact zeros beside gapped rings at 1 <= E <= 5: a fiber's
+    # zeros are more than its 2 M Dirichlet ones, and none may be left out
+    "flat-band": lambda seed: lattice.stacked_shifted(
+        [lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1)),
+         lattice.LatticeHamiltonian(lattice.CylinderGeometry(8, 8, 1))],
+        [3.0, 0.0],
+    ),
+}
+PRUNE_SCANS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@PRUNE_SCANS
+@given(
+    kind=st.sampled_from(sorted(PRUNE_MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+    step=st.sampled_from([2, 4, 8]),
+    mu=st.floats(-3.0, 3.0),
+    half_width=st.floats(0.02, 1.0),
+)
+@example(kind="flat-band", seed=0, step=2, mu=0.0, half_width=0.5)
+@example(kind="haldane", seed=0, step=8, mu=0.15, half_width=0.3)
+@example(kind="random", seed=0, step=4, mu=1.0, half_width=0.3)
+def test_a_coarse_grid_scan_is_the_full_grid_scan(kind, seed, step, mu, half_width):
+    window = (mu - half_width, mu + half_width)
+    full = spectrum.scan_spectrum(PRUNE_MODELS[kind](seed), n_k=64, window=window)
+    ham = PRUNE_MODELS[kind](seed)
+    coarse = response.fiber_cache(ham, 64 // step)
+    scan = spectrum.scan_spectrum(ham, n_k=64, window=window, fibers=coarse)
+    assert np.array_equal(scan.k_grid, full.k_grid)
+    for name in ("energies", "vectors"):
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(scan, name), getattr(full, name)))
+    # a pruned momentum is neither diagonalized nor stored on the model
+    assert full.pruned == 0 <= scan.pruned <= 64 - 64 // step
+    assert len(ham._fibers) == 64 - scan.pruned
+    assert set(ham._fibers) <= set(scan.k_grid)
+
+
+@PRUNE_SCANS
+@given(
+    kind=st.sampled_from(sorted(PRUNE_MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+    k1=st.floats(0.0, 2.0 * np.pi),
+    dk=st.floats(-np.pi, np.pi),
+)
+def test_no_fiber_eigenvalue_moves_farther_than_the_reach(kind, seed, k1, dk):
+    ham = PRUNE_MODELS[kind](seed)
+    e0, e1 = (np.linalg.eigvalsh(lattice.assemble_fiber(ham, k)) for k in (k1, k1 + dk))
+    reach, norm = spectrum._reach(ham, dk)
+    assert np.max(np.abs(e1 - e0)) <= reach + 1e-12 * norm
+
+
+@pytest.mark.parametrize("n_fibers", [0, 36, 128])
+def test_a_coarse_grid_must_be_n_k_over_a_power_of_two(haldane_scan, n_fibers):
+    ham = haldane_scan[0]
+    with pytest.raises(ValueError, match=f"need 96 fibers, got {n_fibers}"):
+        spectrum.scan_spectrum(ham, n_k=96, fibers=[None] * n_fibers)
+
+
+def test_a_crossing_branch_of_two_samples_is_loud():
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2))
+    scan = two_sample_crossing_scan(ham, 0.15)
+    with pytest.raises(spectrum.UndersampledCrossingError, match="only 2 grid samples"):
+        spectrum.edge_branches(scan, 0.15)
+    # the same branch off mu is dropped as before
+    assert spectrum.edge_branches(scan, 0.5) == []
