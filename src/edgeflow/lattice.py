@@ -8,32 +8,31 @@ hop from column ``y2`` to column ``x2`` with ring displacement ``z1``),
 and its Bloch fibers ``H(k1) = sum_z1 exp(-i k1 z1) H(z1)`` are assembled
 densely for any real ``k1``.
 
-A fiber is one contraction of the phases with the model's cached stack of
-dense ``H(z1)`` slabs, one per stored ring displacement.  The stack is
-built on first use and dropped by every edit, and the blocks are checked
-for finite entries and Hermiticity when it is built: once per model and
-once after each edit, not once per momentum.  The bond currents read
-their blocks off the same stack, so vertices built from fibers computed
-elsewhere are checked by the same cached check.
+A fiber is one contraction of the phases with the model's stack of dense
+``H(z1)`` slabs, one per stored ring displacement.  The stack is built at
+the model's first read, once the blocks, the model's own read-only
+copies, pass the check for finite entries and Hermiticity; from then on
+:meth:`add_block` refuses every block, so nothing is dropped or rebuilt.
+The bond currents read their blocks off the same stack, so vertices of
+fibers computed elsewhere pass the same check.
 
 The model also holds the fiber bases that
 :func:`edgeflow.response.diagonalize_fiber` has solved, one per distinct
-``k1``, keyed by the exact float and kept for the model's life; every edit
-drops them with the stack.  They hold no reference back to the model.
+``k1``, keyed by the exact float and kept for the model's life.  They hold
+no reference back to the model.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
-from the blocks' sparsity pattern, with the stack and under its lock, and
-gives each its own sub-model, so that callers can diagonalize and
-contract one summand at a time.  A connected model is its own only
-summand.
+from the blocks' sparsity pattern, with the stack, and gives each its own
+sub-model, fixed from birth on a stack cut from the whole one, so that
+callers can diagonalize and contract one summand at a time.  A connected
+model is its own only summand.
 
 Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +83,21 @@ class CylinderGeometry:
 
 class LatticeHamiltonian:
     """Finite-range hopping Hamiltonian on a cylinder: :meth:`add_block`
-    rejects blocks with ``hypot(z1, x2 - y2) > sqrt(2)``."""
+    rejects blocks with ``hypot(z1, x2 - y2) > sqrt(2)``, and every block
+    once the model has been read."""
 
     def __init__(self, geometry):
         self.geometry = geometry
         self._blocks = {}
-        self._slabs = None
+        self._slabs = None  # (z1s, slabs), built at the first read
         self._summands = None
         self._fibers = {}  # k1 -> FiberBasis, filled by response.diagonalize_fiber
-        self._checked = False  # blocks known to be Hermitian partners
-        self._slabs_lock = threading.Lock()
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
+        if self._slabs is not None:
+            raise ValueError(f"block at {(z1, x2, y2)}: the model was already read and is fixed")
         g = self.geometry
-        block = np.asarray(block, dtype=complex)
+        block = np.array(block, dtype=complex)  # a copy, so the caller's array stays theirs
         if block.shape != (g.M, g.M):
             raise ValueError(f"block at {(z1, x2, y2)} must be {g.M}x{g.M}")
         if not (0 <= x2 < g.L2 and 0 <= y2 < g.L2):
@@ -109,16 +109,13 @@ class LatticeHamiltonian:
                 raise ValueError("Dirichlet rows must carry zero blocks")
             return
         key = (int(z1), int(x2), int(y2))
-        self._slabs = None
-        self._summands = None
-        self._fibers = {}
-        self._checked = False
         if accumulate and key in self._blocks:
-            self._blocks[key] = self._blocks[key] + block
-        else:
+            block = self._blocks[key] + block
+        if np.any(block):
+            block.flags.writeable = False
             self._blocks[key] = block
-        if np.all(self._blocks[key] == 0.0):
-            del self._blocks[key]
+        else:
+            self._blocks.pop(key, None)
 
     def block(self, z1, x2, y2):
         g = self.geometry
@@ -141,29 +138,20 @@ class LatticeHamiltonian:
         velocities, finite differences of fiber energies, show any change in
         the last bit.
 
-        Built on first use, after :meth:`check_hermitian` passes, and cached
-        with :meth:`summands`; :meth:`add_block` drops both.  The sub-models
-        of :meth:`summands` skip the check: their blocks are restrictions of
-        blocks that passed it, so they are Hermitian partners too.  A lock makes
-        the first build happen once when fibers are assembled on a thread
-        pool.
+        Built at the model's first read, after :meth:`check_hermitian`
+        passes, with :meth:`summands`; both are kept for the model's life.
         """
-        stack = self._slabs
-        if stack is not None:
-            return stack
-        with self._slabs_lock:
-            if self._slabs is None:
-                if not self._checked:
-                    self.check_hermitian()
-                g = self.geometry
-                z1s = list(dict.fromkeys(z1 for z1, _, _ in self._blocks))
-                slabs = np.zeros((len(z1s), g.L2, g.M, g.L2, g.M), dtype=complex)
-                for (z1, x2, y2), blk in self._blocks.items():
-                    slabs[z1s.index(z1), x2, :, y2, :] = blk
-                n = g.fiber_dim
-                self._summands = self._split()
-                self._slabs = (np.array(z1s, dtype=float), slabs.reshape(-1, n, n))
-            return self._slabs
+        if self._slabs is None:
+            self.check_hermitian()
+            g = self.geometry
+            z1s = list(dict.fromkeys(z1 for z1, _, _ in self._blocks))
+            slabs = np.zeros((len(z1s), g.L2, g.M, g.L2, g.M), dtype=complex)
+            for (z1, x2, y2), blk in self._blocks.items():
+                slabs[z1s.index(z1), x2, :, y2, :] = blk
+            stack = (np.array(z1s, dtype=float), slabs.reshape(-1, g.fiber_dim, g.fiber_dim))
+            self._summands = self._split(*stack)
+            self._slabs = stack
+        return self._slabs
 
     def summands(self):
         """The model as a direct sum: ``[(indices, sub), ...]``, one pair per
@@ -177,15 +165,15 @@ class LatticeHamiltonian:
         every eigenvector of a sub-model's fiber, placed on its class, is one
         of the whole fiber.  A connected model gives ``[(arange(M), self)]``.
 
-        Built with :meth:`_slab_stack`, under its lock, and cached with it;
-        :meth:`add_block` drops both, so a block that couples two classes
-        merges them on the next call.
+        Built with :meth:`_slab_stack` at the first read.  Each ``sub`` is
+        born fixed, on its class's cut of this model's slab stack, and is
+        not checked again: its blocks are restrictions of checked blocks.
         """
         self._slab_stack()
         # a connected model caches no parts, which keeps it free of a cycle to itself
         return self._summands or [(np.arange(self.geometry.M), self)]
 
-    def _split(self):
+    def _split(self, z1s, slabs):
         g = self.geometry
         blocks = np.reshape(list(self._blocks.values()), (-1, g.M, g.M))
         linked = np.eye(g.M, dtype=bool) | np.any(blocks != 0.0, axis=0)
@@ -201,8 +189,13 @@ class LatticeHamiltonian:
             sub = LatticeHamiltonian(CylinderGeometry(g.L1, g.L2, idx.size))
             # one index cuts the class out of the (n, M, M) array of stored blocks
             parts = blocks[:, idx[:, None], idx]
+            parts.flags.writeable = False
             sub._blocks = {key: blk for key, blk in zip(self._blocks, parts) if np.any(blk)}
-            sub._checked = True
+            # and one out of the slabs, on the fiber rows x2 M + idx, less all-zero slabs
+            rows = (g.M * np.arange(g.L2)[:, None] + idx).ravel()
+            cut = slabs[:, rows[:, None], rows]
+            own = np.any(cut, axis=(1, 2))
+            sub._slabs, sub._summands = (z1s[own], cut[own]), []
             out.append((idx, sub))
         return out
 
@@ -233,10 +226,10 @@ def assemble_fiber(ham: LatticeHamiltonian, k1: float) -> np.ndarray:
     eigenvector of the fiber, so the dispersion slope is the physical
     propagation velocity.
 
-    The fiber is one contraction of the phases with the model's cached
-    stack of ``H(z1)`` slabs.  Raises :class:`HermiticityError`, naming the
-    violating pair, when the blocks are not Hermitian partners; the check
-    runs when the stack is built, so once per model and after each edit.
+    The fiber is one contraction of the phases with the model's stack of
+    ``H(z1)`` slabs.  Raises :class:`HermiticityError`, naming the violating
+    pair, when the blocks are not Hermitian partners; the check runs when
+    the stack is built, so once per model.
     """
     z1s, slabs = ham._slab_stack()
     out = np.zeros(slabs.shape[1:], dtype=complex)
@@ -381,6 +374,8 @@ def stacked_shifted(base, shifts):
                     stack[key] = np.zeros((m_tot, m_tot), dtype=complex)
                 stack[key][offset : offset + m, offset : offset + m] = blk
         offset += m
+    for blk in stack.values():
+        blk.flags.writeable = False
     return ham
 
 

@@ -45,10 +45,10 @@ A model keeps each fiber basis that :func:`diagonalize_fiber` solves,
 keyed by the exact float ``k1``: a repeat request returns the stored
 basis with no ``eigh``, and :func:`fiber_cache` and every response called
 without ``fibers=`` go through it, so the identities asked of one model
-solve its grid once.  An edit of the model drops them all.  The cost is one
-basis per distinct momentum for the model's life; the off-grid bisection
-solves of :func:`edgeflow.spectrum.fermi_point` are not stored.  A stored
-basis's arrays are read-only.
+solve its grid once.  A model is fixed from its first read, so none goes
+stale.  The cost is one basis per distinct momentum for the model's life;
+the off-grid bisection solves of :func:`edgeflow.spectrum.fermi_point` are
+not stored.  A stored basis's arrays are read-only.
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 is diagonalized one summand at a time, one ``eigh`` of each summand's own
@@ -170,10 +170,10 @@ def diagonalize_fiber(ham, k1):
     ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes.
 
     The basis is stored on the model, keyed by the float ``k1``, and a
-    later call at the same ``k1`` returns it with no ``eigh``; an edit of
-    the model (:meth:`~edgeflow.lattice.LatticeHamiltonian.add_block`) drops
-    every stored basis.  Its energies and states, and those of each part,
-    are read-only, so that no caller can change what a later call returns.
+    later call at the same ``k1`` returns it with no ``eigh``; the model is
+    fixed from its first read on, so the stored basis is kept for its life.
+    Its energies and states, and those of each part, are read-only, so that
+    no caller can change what a later call returns.
     """
     k1 = float(k1)
     basis = ham._fibers.get(k1)
@@ -198,6 +198,7 @@ def fiber_cache(ham, n_k, threads=1):
     """
     ks = [2.0 * np.pi * m / n_k for m in range(n_k)]
     if threads > 1:
+        ham.summands()  # the model's first read, before any thread reads it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -161,12 +161,15 @@ def _reach(ham, dk):
     ||H(z1)||_2`` bounds ``||H(k1 + dk) - H(k1)||_2`` and so, by Weyl's
     inequality, ``|E_j(k1 + dk) - E_j(k1)|`` for the ``j``-th ascending
     eigenvalue ``E_j``; ``sum_z1 ||H(z1)||_2`` bounds the fiber.  A direct
-    sum's ``||H(z1)||_2`` is the largest of its summands'."""
+    sum's ``||H(z1)||_2`` is the largest of its summands', and ``H(-z1) =
+    H(z1)^+`` has the norm of ``H(z1)``: a stored mirror takes no SVD."""
     norms = {}
     for _, sub in ham.summands():
         z1s, slabs = sub._slab_stack()
-        for z1, norm in zip(z1s, np.linalg.norm(slabs, 2, axis=(1, 2))):
-            norms[z1] = max(norms.get(z1, 0.0), norm)
+        own = (z1s >= 0) | ~np.isin(-z1s, z1s)
+        svd = dict(zip(z1s[own], np.linalg.norm(slabs[own], 2, axis=(1, 2))))
+        for z1 in z1s:
+            norms[z1] = max(norms.get(z1, 0.0), svd[z1] if z1 in svd else svd[-z1])
     z1s, norms = np.array(list(norms)), np.array(list(norms.values()))
     return 2.0 * np.abs(np.sin(np.multiply.outer(dk, z1s) / 2.0)) @ norms, norms.sum()
 

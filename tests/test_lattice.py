@@ -153,16 +153,43 @@ def test_a_model_is_checked_once_and_never_read_stale(hermitian_checks):
     spectrum.fermi_point(branch, ham, 0.15)
     assert hermitian_checks == [ham]
 
-    before = lattice.assemble_fiber(ham, 0.4)
-    ham.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
+    # an edit after the first read is refused and changes nothing read
+    before, stored = lattice.assemble_fiber(ham, 0.4), dict(ham._fibers)
+    with pytest.raises(ValueError, match=r"block at \(1, 5, 6\): the model was already read"):
+        ham.add_block(1, 5, 6, np.eye(2))
+    assert np.array_equal(lattice.assemble_fiber(ham, 0.4), before)
+    assert ham._fibers.keys() == stored.keys()
+    assert all(ham._fibers[k1] is basis for k1, basis in stored.items())
+
+    # made before the first read, the edit is checked and read; a model whose
+    # check failed was not read, so it still takes blocks
+    edited = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
+    edited.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
-        lattice.assemble_fiber(ham, 0.4)
-    ham.add_block(-1, 6, 5, np.eye(2))
+        lattice.assemble_fiber(edited, 0.4)
+    edited.add_block(-1, 6, 5, np.eye(2))
     want = before.copy()
     want[10:12, 12:14] += np.exp(-0.4j) * np.eye(2)
     want[12:14, 10:12] += np.exp(0.4j) * np.eye(2)
-    assert np.max(np.abs(lattice.assemble_fiber(ham, 0.4) - want)) <= 1e-15
-    assert len(hermitian_checks) == 3
+    assert np.max(np.abs(lattice.assemble_fiber(edited, 0.4) - want)) <= 1e-15
+    assert hermitian_checks == [ham, edited, edited]
+
+
+def test_a_model_owns_its_blocks():
+    # neither the caller's array nor the one block() returns can change the model
+    ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
+    onsite = np.array([[0.3]], dtype=complex)
+    ham.add_block(0, 3, 3, onsite)
+    basis = response.diagonalize_fiber(ham, 0.5)
+    onsite[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        ham.block(0, 3, 3)[0, 0] = 7.0
+    assert ham.block(0, 3, 3)[0, 0] == 0.3
+    assert response.diagonalize_fiber(ham, 0.5) is basis
+    assert np.array_equal(basis.energies, np.linalg.eigvalsh(lattice.assemble_fiber(ham, 0.5)))
+    stack = lattice.stacked_shifted(ham, [0.0, 0.1])
+    models = [ham, stack] + [sub for _, sub in stack.summands()]
+    assert all(not blk.flags.writeable for model in models for _, blk in model.items())
 
 
 def test_zero_hamiltonian_zero_fiber():
@@ -275,7 +302,10 @@ def test_a_stack_splits_into_its_copies(haldane16, copies):
         assert sub.geometry == copy.geometry
         assert [key for key, _ in sub.items()] == [key for key, _ in copy.items()]
         assert all(np.array_equal(blk, copy.block(*key)) for key, blk in sub.items())
-    assert stack.summands() is parts  # cached with the slab stack
+        # the summand's stack, cut from the whole one, is the copy's own build
+        for got, want in zip(sub._slab_stack(), copy._slab_stack(), strict=True):
+            assert np.array_equal(got, want)
+    assert stack.summands() is parts  # kept with the slab stack
 
 
 def test_a_stack_appends_the_new_diagonal_keys_of_a_copy(hofstadter16):
@@ -290,29 +320,40 @@ def test_a_stack_appends_the_new_diagonal_keys_of_a_copy(hofstadter16):
 
 
 def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
-    stack = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
-    before = stack.summands()
-    assert len(before) == 3
     hop = np.zeros((6, 6))
     hop[1, 4] = hop[4, 1] = 0.05  # copy 0 to copy 2, on one row
-    stack.add_block(0, 5, 5, hop)
-    after = stack.summands()
-    assert after is not before
-    assert [idx.tolist() for idx, _ in after] == [[0, 1, 4, 5], [2, 3]]
-    merged = after[0][1]
+    stack = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
+    stack.add_block(0, 5, 5, hop)  # before the first read
+    parts = stack.summands()
+    assert [idx.tolist() for idx, _ in parts] == [[0, 1, 4, 5], [2, 3]]
+    merged = parts[0][1]
     assert merged.geometry.M == 4
     assert merged.block(0, 5, 5)[1, 2] == 0.05
+    # after the first read the coupling is refused and the split stays
+    apart = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
+    split, basis = apart.summands(), response.diagonalize_fiber(apart, 0.3)
+    for model in (stack, apart):
+        with pytest.raises(ValueError, match=r"block at \(0, 5, 5\): the model was already read"):
+            model.add_block(0, 5, 5, hop)
+    assert stack.summands() is parts
+    assert apart.summands() is split and len(split) == 3
+    assert response.diagonalize_fiber(apart, 0.3) is basis
 
 
-def test_a_summand_is_checked_again_only_once_it_is_edited(haldane16, hermitian_checks):
+def test_a_summand_is_born_fixed_and_not_checked_again(haldane16, hermitian_checks):
     stack = lattice.stacked_shifted(haldane16, [0.0, 0.1])
     sub = stack.summands()[1][1]
-    lattice.assemble_fiber(sub, 0.3)
+    before = lattice.assemble_fiber(sub, 0.3)
     assert hermitian_checks == [stack]  # restrictions of checked blocks
-    sub.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
+    with pytest.raises(ValueError, match=r"block at \(1, 5, 6\): the model was already read"):
+        sub.add_block(1, 5, 6, np.eye(2))
+    assert np.array_equal(lattice.assemble_fiber(sub, 0.3), before)
+    # the summand built on its own with the edit is checked, and refused
+    copy = shifted(haldane16, 0.1)
+    copy.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
-        lattice.assemble_fiber(sub, 0.3)
-    assert hermitian_checks == [stack, sub]
+        lattice.assemble_fiber(copy, 0.3)
+    assert hermitian_checks == [stack, copy]
 
 
 def test_fiber_hermiticity_and_periodicity_all_builtins(rng, haldane16, hofstadter16):

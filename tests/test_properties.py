@@ -498,11 +498,17 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     # a complex block and its partner: the vertex build checks Hermiticity,
     # and a real pair would cancel in current1 at k1 + p1 = -k1
     blk = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)) + 1.0
-    ham.add_block(1, x2, x2, blk)
-    ham.add_block(-1, x2, x2, blk.conj().T)
-    after = build_vertices(ham, f_k, f_kp)
+    with pytest.raises(ValueError, match="the model was already read"):
+        ham.add_block(1, x2, x2, blk)
+    assert response.diagonalize_fiber(ham, k1) is f_k
+    assert np.array_equal(build_vertices(ham, f_k, f_kp).current1, before.current1)
+    # the same edit made before the first read is read
+    edited = random_hermitian_model(np.random.default_rng(seed), *size)
+    edited.add_block(1, x2, x2, blk)
+    edited.add_block(-1, x2, x2, blk.conj().T)
+    after = build_vertices(edited, f_k, f_kp)
     assert np.max(np.abs(after.current1 - before.current1)) > 1e-6
-    assert_matches_loop(ham, f_k, f_kp, (L2, L2, L2))
+    assert_matches_loop(edited, f_k, f_kp, (L2, L2, L2))
 
 
 @PROPERTY

@@ -236,23 +236,35 @@ def test_a_model_with_stored_fibers_is_freed_by_refcount(make):
         gc.enable()
 
 
-def test_an_edit_drops_the_stored_fibers():
-    # the edited model's fibers are those of a model built with the edit,
-    # and an edit that breaks Hermiticity is refused, not read from the map
+def test_an_edit_after_a_read_is_refused_and_the_stored_fibers_kept():
+    # the read model keeps its grid; built with the edit, a model reads the
+    # edited fibers, and an edit that breaks Hermiticity is refused, not read
     g = lattice.CylinderGeometry(16, 12, 2)
+    onsite = np.diag([0.2, -0.2])
     ham = lattice.haldane_cylinder(g)
-    response.fiber_cache(ham, 16)
-    assert len(ham._fibers) == 16
+    grid = response.fiber_cache(ham, 16)
+    with pytest.raises(ValueError, match=r"block at \(0, 4, 4\): the model was already read"):
+        ham.add_block(0, 4, 4, onsite)
+    assert ham._fibers == {f.k1: f for f in grid}
+    assert all(a is b for a, b in zip(grid, response.fiber_cache(ham, 16), strict=True))
     edited = lattice.haldane_cylinder(g)
-    for model in (ham, edited):
-        model.add_block(0, 4, 4, np.diag([0.2, -0.2]))
-    assert not ham._fibers
-    assert_same_grids(response.fiber_cache(edited, 16), response.fiber_cache(ham, 16))
-    ham.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
+    edited.add_block(0, 4, 4, onsite)
+    assert not np.array_equal(response.diagonalize_fiber(edited, grid[1].k1).energies, grid[1].energies)
+    broken = lattice.haldane_cylinder(g)
+    broken.add_block(1, 5, 6, np.eye(2))  # no partner at (-1, 6, 5)
     for k1 in (0.0, 2.0 * np.pi / 16):
         with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
-            response.diagonalize_fiber(ham, k1)
-    assert not ham._fibers
+            response.diagonalize_fiber(broken, k1)
+    assert not broken._fibers
+
+
+def test_a_summand_of_a_read_stack_refuses_an_edit():
+    # an edit of a summand would reach the whole model's unstored fibers only
+    stack = counter_stack_model()
+    with pytest.raises(ValueError, match=r"block at \(0, 4, 4\): the model was already read"):
+        stack.summands()[1][1].add_block(0, 4, 4, 0.5 * np.eye(2))
+    k1 = 0.3 + 1e-12
+    assert_same_grids([response.diagonalize_fiber(counter_stack_model(), k1)], [response.diagonalize_fiber(stack, k1)])
 
 
 @ONE_AND_TWO_SUMMANDS
