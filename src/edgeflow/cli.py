@@ -104,11 +104,10 @@ def _require_positive(flag, value):
 
 
 def cmd_spectrum(args, report):
+    _require_positive("--window", args.window)
     ham = _model(args)
-    scan = spectrum.scan_spectrum(
-        ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window),
-        fibers=response.fiber_cache(ham, args.n_k, threads=args.threads),
-    )
+    response.fiber_cache(ham, args.n_k, threads=args.threads)  # stored on the model, where the scan reads it
+    scan = spectrum.scan_spectrum(ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window))
     rows = []
     for k1, es in zip(scan.k_grid, scan.energies):
         for e in es:
@@ -119,11 +118,10 @@ def cmd_spectrum(args, report):
 
 
 def cmd_edges(args, report):
+    _require_positive("--window", args.window)
     ham = _model(args)
-    scan = spectrum.scan_spectrum(
-        ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window),
-        fibers=response.fiber_cache(ham, args.n_k, threads=args.threads),
-    )
+    response.fiber_cache(ham, args.n_k, threads=args.threads)  # stored on the model, where the scan reads it
+    scan = spectrum.scan_spectrum(ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window))
     branches = spectrum.extract_edge_branches(scan, args.mu)
     rows = []
     for b in branches:
@@ -152,29 +150,28 @@ def cmd_edges(args, report):
 
 def cmd_conductance(args, report):
     _require_positive("--tolerance", args.tolerance)
+    _require_positive("--window", args.window)
     ham = _model(args)
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    # the response reads the L1 grid; the chirality scan needs at least
-    # MIN_SCAN_MOMENTA, so it runs on the least power-of-two multiple of L1
-    # that has them (L1 itself once it has them), takes the L1 grid as every
-    # step-th of its momenta (bitwise, the step being a power of two) and
-    # diagonalizes a momentum in between only when its window may hold a state
+    # the response reads the L1 grid, solved here and stored on the model; the
+    # chirality scan needs at least MIN_SCAN_MOMENTA, so it runs on the least
+    # power-of-two multiple of L1 that has them (L1 itself once it has them),
+    # reads the stored L1 grid as every step-th of its momenta (bitwise, the
+    # step being a power of two) and diagonalizes a momentum in between only
+    # when its window may hold a state
     step = 1
     while step * n_k < spectrum.MIN_SCAN_MOMENTA:
         step *= 2
-    grid = response.fiber_cache(ham, n_k, threads=args.threads)
+    response.fiber_cache(ham, n_k, threads=args.threads)
     scan = spectrum.scan_spectrum(
-        ham,
-        n_k=step * n_k,
-        window=(args.mu - args.window, args.mu + args.window),
-        fibers=grid,
+        ham, n_k=step * n_k, window=(args.mu - args.window, args.mu + args.window), step=step
     )
     # the chirality target: the signed count of lower-edge grid crossings
     branches = spectrum.edge_branches(scan, args.mu)
     chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
-    est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime, fibers=grid)
+    est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime)
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
     target = chi / (2.0 * np.pi)
     rel = abs(est.g - target) / abs(target) if target != 0 else abs(est.g) * 2 * np.pi
@@ -198,15 +195,13 @@ def cmd_wick(args, report):
             )
     ham = _model(args)
     n_k = ham.geometry.L1
-    fibers = response.fiber_cache(ham, n_k, threads=args.threads)
+    response.fiber_cache(ham, n_k, threads=args.threads)  # stored on the model for every beta
     a = ham.geometry.L2 // 2 - 2
     a_prime = ham.geometry.L2 // 4
     rows = []
     residuals = {}
     for beta in args.betas:
-        lhs, rhs, res = response.wick_rotation_check(
-            ham, args.mu, beta, args.T, args.eta, 1, n_k, a, a_prime, fibers=fibers
-        )
+        lhs, rhs, res = response.wick_rotation_check(ham, args.mu, beta, args.T, args.eta, 1, n_k, a, a_prime)
         rows.append((beta, args.T, res))
         residuals[beta] = res
     write_csv(args.out, "wick.csv", ["beta", "T", "residual"], rows)
@@ -407,6 +402,7 @@ def main(argv=None):
     t0 = time.time()
     report = _base_report(args)
     try:
+        _require_positive("--threads", args.threads)
         args.func(args, report)
     except (ValueError, FileNotFoundError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,13 +13,14 @@ A fiber is one contraction of the phases with the model's stack of dense
 the model's first read, once the blocks, the model's own read-only
 copies, pass the check for finite entries and Hermiticity; from then on
 :meth:`add_block` refuses every block, so nothing is dropped or rebuilt.
-The bond currents read their blocks off the same stack, so vertices of
-fibers computed elsewhere pass the same check.
+The bond currents read their blocks off the same stack, so every vertex
+passes the same check.
 
 The model also holds the fiber bases that
 :func:`edgeflow.response.diagonalize_fiber` has solved, one per distinct
-``k1``, keyed by the exact float and kept for the model's life.  They hold
-no reference back to the model.
+``k1``, keyed by the exact float and kept for the model's life: the only
+fibers that the responses and scans of the model read.  They hold no
+reference back to the model.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes

@@ -43,9 +43,11 @@ against the occupied, two slices of the ascending bands
 
 A model keeps each fiber basis that :func:`diagonalize_fiber` solves,
 keyed by the exact float ``k1``: a repeat request returns the stored
-basis with no ``eigh``, and :func:`fiber_cache` and every response called
-without ``fibers=`` go through it, so the identities asked of one model
-solve its grid once.  A model is fixed from its first read, so none goes
+basis with no ``eigh``.  That store is the only source of fibers: every
+response reads its grid through :func:`fiber_cache`, and so does the
+scan of :func:`edgeflow.spectrum.scan_spectrum`, so the identities asked
+of one model solve its grid once, and no response can read the fibers of
+another model.  A model is fixed from its first read, so none goes
 stale.  The cost is one basis per distinct momentum for the model's life;
 the off-grid bisection solves of :func:`edgeflow.spectrum.fermi_point` are
 not stored.  A stored basis's arrays are read-only.
@@ -78,7 +80,6 @@ __all__ = [
     "SingularPropagatorError",
     "diagonalize_fiber",
     "fiber_cache",
-    "fiber_grid",
     "ward_sum_rule",
     "free_two_point",
     "vertex_ward_residual",
@@ -191,10 +192,14 @@ def diagonalize_fiber(ham, k1):
 
 
 def fiber_cache(ham, n_k, threads=1):
-    """All fibers on the ring-momentum grid k1 = 2 pi m / n_k.
+    """All fibers on the ring-momentum grid k1 = 2 pi m / n_k, from
+    :func:`diagonalize_fiber`: a grid already stored on the model is
+    returned with no ``eigh``.
 
     Diagonalizations are independent and may run on a thread pool; the
-    returned list order (ascending k1) fixes every later reduction.
+    model is read (checked, stacked and split into summands) before the
+    pool starts.  The returned list order (ascending k1) fixes every later
+    reduction.
     """
     ks = [2.0 * np.pi * m / n_k for m in range(n_k)]
     if threads > 1:
@@ -204,17 +209,6 @@ def fiber_cache(ham, n_k, threads=1):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda k: diagonalize_fiber(ham, k), ks))
     return [diagonalize_fiber(ham, k) for k in ks]
-
-
-def fiber_grid(ham, n_k, fibers):
-    """The ``n_k``-point grid: the caller's ``fibers``, which must be ``n_k``
-    of them (``ValueError`` naming both counts), or for ``None`` a new
-    :func:`fiber_cache`."""
-    if fibers is None:
-        return fiber_cache(ham, n_k)
-    if len(fibers) != n_k:
-        raise ValueError(f"need {n_k} fibers, got {len(fibers)}")
-    return fibers
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +349,6 @@ def _strip_vertices(legs, basis_kp, blocks):
     return [(dh[a] @ u[: dh.shape[1], b], leg[a] @ u[rows, b]) for a, b, _ in blocks]
 
 
-def _summand_models(ham, fibers):
-    """The models whose bases are the ``parts`` of each fiber: the whole
-    model for fibers of one part, else the model's summands; ``ValueError``
-    when the fibers hold another number of summands than the model."""
-    parts = len(fibers[0].parts)
-    subs = [ham] if parts == 1 else [sub for _, sub in ham.summands()]
-    if len(subs) != parts:
-        raise ValueError(f"the fibers hold {parts} summands, the model {len(subs)}")
-    return subs
-
-
 def _fermi(e, mu, temperature):
     if temperature <= 0.0:
         return (e < mu).astype(float)
@@ -418,9 +401,7 @@ def _ward_columns(ham, fibers, mu, p0, y2, temperature):
     """
     L2 = ham.geometry.L2
     row = np.arange(L2) == y2
-    currents = [
-        [_current_operator(sub, terms, row) for terms in (_J1_TERMS, _J2_TERMS)] for sub in _summand_models(ham, fibers)
-    ]
+    currents = [[_current_operator(sub, terms, row) for terms in (_J1_TERMS, _J2_TERMS)] for _, sub in ham.summands()]
     cols = np.zeros((2, L2), dtype=complex)
     for f in fibers:
         for ops, b in zip(currents, f.parts, strict=True):
@@ -432,7 +413,7 @@ def _ward_columns(ham, fibers, mu, p0, y2, temperature):
     return cols / len(fibers)
 
 
-def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
+def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0):
     """Charge-conservation residual: |sum_x2 S_{0,i}((p0, 0); x2, y2)| for
     the two current components, normalized by the largest summand: the
     density on every row contracted with row ``y2`` of each current
@@ -444,7 +425,7 @@ def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0, fibers=None):
     L2 = ham.geometry.L2
     if not 1 <= y2 <= L2 - 2:
         raise ValueError(f"y2 must be an interior row in [1, L2 - 2] = [1, {L2 - 2}], got {y2}")
-    cols = _ward_columns(ham, fiber_grid(ham, n_k, fibers), mu, p0, y2, temperature)
+    cols = _ward_columns(ham, fiber_cache(ham, n_k), mu, p0, y2, temperature)
     out = {}
     for i, col in zip((1, 2), cols):
         scale = max(np.max(np.abs(col)), 1e-300)
@@ -475,7 +456,7 @@ def free_two_point(basis, k0, mu):
     return (states * _propagator(basis.energies, k0, mu)) @ states.conj().T
 
 
-def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
+def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k):
     """Residual of the free vertex conservation identity.
 
     ``p0 * S3_density + (1 - e^{-i p1}) * S3_current = i S2(k) - i S2(k+p)``
@@ -486,15 +467,10 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k, fibers=None):
     and the ring current on all rows (:func:`_current_operator`); the two
     two-point functions are formed once, for both sides.  The fibers are
     those of the grid ``2 pi m / n_k`` at ``m = k1_index`` and ``k1_index +
-    p1_index``, both mod ``n_k``: the caller's ``fibers``, or those two from
-    :func:`diagonalize_fiber`.
+    p1_index``, both mod ``n_k``, from :func:`diagonalize_fiber`.
     """
     grid = (k1_index % n_k, (k1_index + p1_index) % n_k)
-    if fibers is None:
-        f_k, f_kp = (diagonalize_fiber(ham, 2.0 * np.pi * m / n_k) for m in grid)
-    else:
-        fibers = fiber_grid(ham, n_k, fibers)
-        f_k, f_kp = (fibers[m] for m in grid)
+    f_k, f_kp = (diagonalize_fiber(ham, 2.0 * np.pi * m / n_k) for m in grid)
     p1 = 2.0 * np.pi * p1_index / n_k
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)
@@ -545,16 +521,11 @@ def _strip_response(ham, fibers, p1_indices, rows, weight):
     The sum runs over the summands of the model, on each summand's own
     bases (``FiberBasis.parts``) and with its own weight: the bands of two
     summands have disjoint support, so every vertex between them is 0.
-    Fibers of one part are contracted on the whole model; fibers of
-    several parts that do not match the model's summands raise
-    ``ValueError``.
     """
     rows = _check_rows(ham.geometry, rows, 2)
     n_k = len(fibers)
     on_strip = np.arange(ham.geometry.L2) < rows[1]
-    strips = [
-        (rows[0] * sub.geometry.M, _current_operator(sub, _J1_TERMS, on_strip)) for sub in _summand_models(ham, fibers)
-    ]
+    strips = [(rows[0] * sub.geometry.M, _current_operator(sub, _J1_TERMS, on_strip)) for _, sub in ham.summands()]
     totals = [0.0 + 0.0j] * len(p1_indices)
     for m in range(n_k):
         for s, ((strip, current), b_k) in enumerate(zip(strips, fibers[m].parts, strict=True)):
@@ -611,7 +582,7 @@ class ConductanceEstimate:
     stderr: float
 
 
-def edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=None):
+def edge_conductance_free(ham, mu, n_k, a, a_prime):
     """Static edge response summed over strips, extrapolated to zero ring
     momentum.
 
@@ -624,9 +595,8 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=None):
     L2 = ham.geometry.L2
     if not 0 <= a_prime < a <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime < a <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
-    fibers = fiber_grid(ham, n_k, fibers)
     g_plus, g_minus, g_2, g_3 = _strip_response(
-        ham, fibers, (1, n_k - 1, 2, 3), (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0)
+        ham, fiber_cache(ham, n_k), (1, n_k - 1, 2, 3), (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0)
     )
     # the response at opposite ring momenta are complex conjugates, so the
     # even-in-p1 part (the part that survives p1 -> 0) is the real part.  The
@@ -646,7 +616,7 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=None):
     )
 
 
-def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
+def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime):
     """Zero-momentum static response with the limits interchanged.
 
     The full transverse sum of the density leg at p1 = 0 is the conserved
@@ -659,8 +629,7 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime, fibers=None):
     L2 = ham.geometry.L2
     if not 0 <= a_prime <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime <= L2 - 1 = {L2 - 1}, got a_prime = {a_prime}")
-    fibers = fiber_grid(ham, n_k, fibers)
-    return complex(_strip_response(ham, fibers, (0,), (L2, a_prime + 1), _gibbs_weight(mu, p0))[0])
+    return complex(_strip_response(ham, fiber_cache(ham, n_k), (0,), (L2, a_prime + 1), _gibbs_weight(mu, p0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +643,7 @@ def periodic_frequency(eta, beta):
     return 2.0 * np.pi / beta * round(eta * beta / (2.0 * np.pi))
 
 
-def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime, fibers=None):
+def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime):
     """Compare the damped real-time commutator integral with the
     imaginary-time correlation at the nearest periodic frequency.
 
@@ -693,7 +662,6 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     eta_beta = periodic_frequency(eta, beta)
     if eta_beta == 0.0:
         raise ValueError("beta too small: nearest periodic frequency to eta is 0")
-    fibers = fiber_grid(ham, n_k, fibers)
     temperature = 1.0 / beta
 
     def weights(e_k, e_kp):
@@ -703,6 +671,6 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
         imaginary_time = _pair_weight(e_k, e_kp, mu, temperature, -eta_beta)
         return [(slice(None), slice(None), np.stack([dn * (1.0 - np.exp(-zz * t_horizon)) / zz, imaginary_time]))]
 
-    (lhs, rhs), = _strip_response(ham, fibers, (p1_index,), (a + 1, a_prime + 1), weights)
+    (lhs, rhs), = _strip_response(ham, fiber_cache(ham, n_k), (p1_index,), (a + 1, a_prime + 1), weights)
     rhs = 1j * rhs
     return lhs, rhs, abs(lhs - rhs)

@@ -2,10 +2,10 @@
 
 A scan keeps the eigenpairs inside an energy window (excluding the
 decoupled Dirichlet-row modes) of the Bloch fibers on a uniform
-ring-momentum grid.  It may take a coarser grid of the caller's, every
-``step``-th momentum, and then diagonalizes a momentum in between only
-when Weyl's inequality cannot prove from its neighbours that its window
-is empty.  Branches come from the scan in two steps:
+ring-momentum grid.  It may read a coarser grid, every ``step``-th
+momentum, and then diagonalizes a momentum in between only when Weyl's
+inequality cannot prove from its neighbours that its window is empty.
+Branches come from the scan in two steps:
 
 1. :func:`edge_branches` forms them by eigenvector-overlap continuation,
    assigns each to an edge by its half-cylinder weight and splits them so
@@ -185,16 +185,17 @@ def _clearance(geometry, energies, lo, hi):
     return out.min(initial=np.inf)
 
 
-def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), fibers=None):
+def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).
 
-    ``fibers`` is the caller's grid of ``n_k / step`` fibers, ``step`` a
-    power of two, so that every ``step``-th scan momentum is bitwise one of
-    theirs; ``None`` is a new :func:`~edgeflow.response.fiber_cache` of all
-    ``n_k``, and a grid of another size raises ``ValueError`` naming both
-    counts.  A momentum between two of the caller's is diagonalized
+    The coarse grid is :func:`~edgeflow.response.fiber_cache` of ``n_k //
+    step`` momenta, read from the model's store, where a response on that
+    grid finds it too.  ``step`` must be a power of two that divides
+    ``n_k`` (else ``ValueError`` naming both), so that every ``step``-th
+    scan momentum is bitwise one of the coarse grid's.  A momentum between
+    two coarse ones is diagonalized
     (:func:`~edgeflow.response.diagonalize_fiber`) only when neither
     neighbour proves its window empty.  By Weyl's inequality no eigenvalue
     moves farther than the reach of :func:`_reach` from the neighbour's;
@@ -207,12 +208,10 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), fibers=None):
     """
     if n_k < MIN_SCAN_MOMENTA:
         raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta")
-    if fibers is None:
-        fibers = response.fiber_cache(ham, n_k)
+    if step < 1 or step & (step - 1) or n_k % step:
+        raise ValueError(f"step must be a power of two that divides n_k = {n_k}, got step = {step}")
+    fibers = response.fiber_cache(ham, n_k // step)
     n_fibers = len(fibers)
-    step = n_k // max(n_fibers, 1)
-    if step * n_fibers != n_k or step & (step - 1):
-        raise ValueError(f"need {n_k} fibers, got {n_fibers}, which is not n_k / 2^j")
     g = ham.geometry
     lo, hi = window
     if step > 1:

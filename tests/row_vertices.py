@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from edgeflow import response
-from edgeflow.response import _check_rows, _pair_weight, _row_groups, fiber_grid
+from edgeflow.response import _check_rows, _pair_weight, _row_groups
 
 
 @dataclass
@@ -102,7 +102,7 @@ def _vertex_component(vs, index):
     return (vs.density, vs.current1, vs.current2)[index]
 
 
-def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, components=((0, 0), (0, 1)), fibers=None):
+def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, components=((0, 0), (0, 1))):
     """Connected current-current correlation on strips near the lower edge.
 
     ``p1_index`` selects the ring momentum 2 pi p1_index / n_k.  Returns
@@ -113,7 +113,7 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
     if strips is None:
         strips = (g.L2 // 2 - 2, g.L2 // 4)
     sa, sb = strips
-    fibers = fiber_grid(ham, n_k, fibers)
+    fibers = response.fiber_cache(ham, n_k)
     tables = {c: np.zeros((sa + 1, sb + 1), dtype=complex) for c in components}
     rows = [0, 0, 0]
     for (mu_i, nu_i) in components:

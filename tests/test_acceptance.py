@@ -118,16 +118,15 @@ def test_05_lattice_ward_identities():
         (lattice.hofstadter_cylinder(g16h, q=4), -1.0),
     ]
     for ham, mu in models:
-        fibers = response.fiber_cache(ham, 16)
         for _ in range(5):
             p0 = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
             y2 = int(rng.integers(1, 15))
-            res = response.ward_sum_rule(ham, mu, p0, y2, 16, fibers=fibers)
+            res = response.ward_sum_rule(ham, mu, p0, y2, 16)
             worst_sum = max(worst_sum, res[1], res[2])
             k0 = rng.uniform(-2.0, 2.0)
             ki = int(rng.integers(0, 16))
             pi_ = int(rng.integers(1, 8))
-            r = response.vertex_ward_residual(ham, mu, k0, ki, p0, pi_, 16, fibers=fibers)
+            r = response.vertex_ward_residual(ham, mu, k0, ki, p0, pi_, 16)
             worst_vertex = max(worst_vertex, r)
     ok = worst_sum <= 1e-10 and worst_vertex <= 1e-10
     _report(
@@ -174,19 +173,18 @@ def test_07_wick_rotation():
     t0 = time.time()
     g = lattice.CylinderGeometry(12, 12, 2)
     ham = lattice.haldane_cylinder(g)
-    fibers = response.fiber_cache(ham, 12)
     eta = 2.0 * np.pi / 20.0 * (1.0 + 1.0 / 3.0)
     res = {}
     for beta in (20.0, 40.0, 80.0):
         _, _, r = response.wick_rotation_check(
-            ham, 0.15, beta, 200.0, eta, 1, 12, a=4, a_prime=2, fibers=fibers
+            ham, 0.15, beta, 200.0, eta, 1, 12, a=4, a_prime=2
         )
         res[beta] = r
     ratio1, ratio2 = res[20.0] / res[40.0], res[40.0] / res[80.0]
 
     def residual(T):
         _, _, r = response.wick_rotation_check(
-            ham, 0.15, 20.0, T, eta, 1, 12, a=4, a_prime=2, fibers=fibers
+            ham, 0.15, 20.0, T, eta, 1, 12, a=4, a_prime=2
         )
         return r
 

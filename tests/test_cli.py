@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,13 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["ref-check", "--tolerance", "-1"], "--tolerance"),
         (["conductance", "--model", "haldane", "--tolerance", "0"], "--tolerance"),
         (["conductance", "--model", "haldane", "--tolerance", "-0.05"], "--tolerance"),
+        # an empty or inverted energy window keeps no state, and conductance
+        # would blame a correct 2 pi G for the chirality it then misses
+        (["spectrum", "--model", "haldane", "--window", "0"], "--window"),
+        (["edges", "--model", "haldane", "--window", "-0.3"], "--window"),
+        (["conductance", "--model", "haldane", "--L1", "32", "--window", "-0.3"], "--window"),
+        (["ref-check", "--threads", "0"], "--threads"),
+        (["conductance", "--model", "haldane", "--threads", "-1"], "--threads"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
@@ -405,6 +413,20 @@ def test_reference_failures_are_numerical_stages():
     assert cls not in cli.FAILED_STAGE
 
 
+def record_diagonalizations(monkeypatch):
+    """The thread of each fiber diagonalization that is stored on a model,
+    one per summand and momentum, in order."""
+    solvers = []
+    assemble = response.assemble_fiber
+
+    def recorded(ham, k1):
+        solvers.append(threading.current_thread())
+        return assemble(ham, k1)
+
+    monkeypatch.setattr(response, "assemble_fiber", recorded)
+    return solvers
+
+
 @pytest.mark.parametrize(
     "argv, n_k",
     [
@@ -415,58 +437,45 @@ def test_reference_failures_are_numerical_stages():
     ids=["wick", "spectrum", "edges"],
 )
 def test_grid_commands_pass_threads_to_the_fiber_cache(tmp_path, monkeypatch, argv, n_k):
-    # the fiber cache is the only place a thread count reaches
-    seen = []
-    cache = response.fiber_cache
-
-    def recorded(ham, n_k, threads=1):
-        seen.append((n_k, threads))
-        return cache(ham, n_k, threads=threads)
-
-    monkeypatch.setattr(response, "fiber_cache", recorded)
+    # the fiber cache is the only place a thread count reaches: the grid is
+    # diagonalized once, on the pool of --threads 2, and the scan and the
+    # responses read it from the model's store
+    solvers = record_diagonalizations(monkeypatch)
     code, _ = run_cli(tmp_path, *argv, "--model", "haldane", "--threads", "2")
     assert code == 0
-    assert seen == [(n_k, 2)]
+    assert len(solvers) == n_k
+    assert threading.main_thread() not in solvers and len(set(solvers)) <= 2
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
     # the response and the chirality scan share the L1 = 32 grid, diagonalized
     # once on the requested threads; the scan runs on 2 L1 = 64 momenta (the
     # least power-of-two multiple of L1 with at least 64) and diagonalizes 6
-    # of the 32 in between, the rest proved empty; the chirality is read off
-    # the grid crossings, with no Fermi point
-    seen, scanned, assembled = [], [], []
-    cache, scan = response.fiber_cache, spectrum.scan_spectrum
-
-    def recorded_cache(ham, n_k, threads=1):
-        seen.append((n_k, threads))
-        return cache(ham, n_k, threads=threads)
+    # of the 32 in between, the rest proved empty, and the response adds
+    # none; the chirality is read off the grid crossings, with no Fermi point
+    scanned = []
+    solvers = record_diagonalizations(monkeypatch)
+    scan = spectrum.scan_spectrum
 
     def recorded_scan(*args, **kwargs):
-        before = len(assembled)
+        before = len(solvers)
         out = scan(*args, **kwargs)
-        scanned.append(len(assembled) - before)
+        scanned.append(solvers[before:])
         return out
-
-    for mod in (response, spectrum):
-        assemble = mod.assemble_fiber
-        monkeypatch.setattr(
-            mod, "assemble_fiber", lambda ham, k1, f=assemble: assembled.append(k1) or f(ham, k1)
-        )
 
     def no_fermi_point(*args, **kwargs):
         raise AssertionError("conductance refined a Fermi point")
 
-    monkeypatch.setattr(response, "fiber_cache", recorded_cache)
     monkeypatch.setattr(spectrum, "scan_spectrum", recorded_scan)
     monkeypatch.setattr(spectrum, "fermi_point", no_fermi_point)
     code, out = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
     )
     assert code == 0
-    assert seen == [(32, 2)]
-    assert scanned == [6]
-    assert len(assembled) == 38
+    grid = solvers[:32]
+    assert threading.main_thread() not in grid and len(set(grid)) <= 2
+    assert scanned == [[threading.main_thread()] * 6]
+    assert len(solvers) == 38
     assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 38, "pruned": 26}
 
 
@@ -477,27 +486,20 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
 )
 def test_conductance_from_64_momenta_on_scans_the_ring_itself(tmp_path, monkeypatch, model):
     # L1 = 64 already has the 64 momenta the chirality scan needs: one grid of
-    # L1 fibers, where a grid of 2 L1 gives the same chirality and, its even
-    # fibers being bitwise the L1 grid, the same 2 pi G
-    seen = []
-    cache = response.fiber_cache
-
-    def recorded_cache(ham, n_k, threads=1):
-        seen.append(n_k)
-        return cache(ham, n_k, threads=threads)
-
-    monkeypatch.setattr(response, "fiber_cache", recorded_cache)
+    # L1 fibers, one diagonalization per summand and momentum, where a grid
+    # of 2 L1 gives the same chirality and, its even fibers being bitwise the
+    # L1 grid, the same 2 pi G
+    solvers = record_diagonalizations(monkeypatch)
     code, out = run_cli(tmp_path, "conductance", *model, "--L1", "64", "--L2", "16")
     assert code == 0
-    assert seen == [64]
     rep = load_report(out, "report_conductance.json")
     args = cli.build_parser().parse_args(["conductance", *model, "--L1", "64", "--L2", "16"])
     ham = cli._model(args)
-    grid = cache(ham, 128)
-    scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - args.window, args.mu + args.window), fibers=grid)
+    assert len(solvers) == 64 * len(ham.summands())
+    scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - args.window, args.mu + args.window))
     branches = spectrum.edge_branches(scan, args.mu)
     chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
-    est = response.edge_conductance_free(ham, args.mu, 64, a=6, a_prime=4, fibers=grid[::2])
+    est = response.edge_conductance_free(ham, args.mu, 64, a=6, a_prime=4)
     assert rep["chirality_sum_lower"] == chi == (1.0 if model[1] == "haldane" else 0.0)
     assert rep["two_pi_G"] == 2.0 * np.pi * est.g
 
@@ -582,7 +584,7 @@ def test_an_undersampled_crossing_writes_report_and_exits_2(tmp_path, monkeypatc
     # a crossing branch of 2 grid samples would drop out of the chirality
     # count; conductance stops at its own stage instead
     monkeypatch.setattr(
-        spectrum, "scan_spectrum", lambda ham, n_k, window, fibers: two_sample_crossing_scan(ham, 0.15, n_k)
+        spectrum, "scan_spectrum", lambda ham, n_k, window, step: two_sample_crossing_scan(ham, 0.15, n_k)
     )
     code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "16", "--L2", "8")
     assert code == cli.EXIT_NUMERICAL

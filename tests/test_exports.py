@@ -112,7 +112,6 @@ def test_response_api_is_pinned():
         "SingularPropagatorError",
         "diagonalize_fiber",
         "fiber_cache",
-        "fiber_grid",
         "ward_sum_rule",
         "free_two_point",
         "vertex_ward_residual",

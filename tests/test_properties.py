@@ -41,12 +41,12 @@ def loop_vertices(ham, basis_k, basis_kp):
     return density, *currents
 
 
-def table_sum_conductance(ham, mu, n_k, a, a_prime, fibers):
+def table_sum_conductance(ham, mu, n_k, a, a_prime):
     """Reference strip responses at p1 = 1, 2, 3: the full (a+1, a'+1) row
     table of the oracle's ``current_current``, summed."""
     tables = (
         current_current(
-            ham, mu, 0.0, p1_index, n_k, strips=(a, a_prime), components=((0, 1),), fibers=fibers
+            ham, mu, 0.0, p1_index, n_k, strips=(a, a_prime), components=((0, 1),)
         )[(0, 1)]
         for p1_index in (1, 2, 3)
     )
@@ -243,10 +243,9 @@ def test_strip_sums_match_the_summed_row_table(make, mu):
     # absolute: the counter-propagating stack cancels G down to rounding
     ham = make()
     n_k = ham.geometry.L1
-    fibers = response.fiber_cache(ham, n_k)
     for a, a_prime in ((6, 4), (9, 1), (ham.geometry.L2 - 1, 2)):
-        est = response.edge_conductance_free(ham, mu, n_k, a, a_prime, fibers=fibers)
-        want = table_sum_conductance(ham, mu, n_k, a, a_prime, fibers)
+        est = response.edge_conductance_free(ham, mu, n_k, a, a_prime)
+        want = table_sum_conductance(ham, mu, n_k, a, a_prime)
         assert np.max(np.abs(est.g_values - want)) <= 1e-13, (a, a_prime)
 
 
@@ -262,11 +261,10 @@ def test_wrong_order_diagnostic_is_the_summed_row_table(seed, size, mu, p0, row)
     ham = random_hermitian_model(np.random.default_rng(seed), *size)
     L1, L2, _ = size
     a_prime = row % L2
-    fibers = response.fiber_cache(ham, L1)
-    got = response.wrong_order_diagnostic(ham, mu, p0, L1, a_prime, fibers=fibers)
+    got = response.wrong_order_diagnostic(ham, mu, p0, L1, a_prime)
     # reference: the full (L2, a' + 1) row table of current_current, summed
     table = current_current(
-        ham, mu, p0, 0, L1, strips=(L2 - 1, a_prime), components=((0, 1),), fibers=fibers
+        ham, mu, p0, 0, L1, strips=(L2 - 1, a_prime), components=((0, 1),)
     )[(0, 1)]
     assert abs(got - complex(table.sum())) <= 1e-14
 
@@ -366,7 +364,7 @@ def test_strip_response_is_the_summed_row_table(model, mu, p0, temperature, p1_i
     for i, (t, q) in enumerate(states):
         for j, p1_index in enumerate(p1_indices):
             table = current_current(
-                ham, mu, q, p1_index, L1, temperature=t, strips=(a, a_prime), components=((0, 1),), fibers=fibers
+                ham, mu, q, p1_index, L1, temperature=t, strips=(a, a_prime), components=((0, 1),)
             )[(0, 1)]
             assert abs(got[j, i] - table.sum()) <= 1e-13
 

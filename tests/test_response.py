@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import row_vertices
-from edgeflow import lattice, response, spectrum
+from edgeflow import lattice, response
 from conftest import random_hermitian_model, shifted
 
 
@@ -125,8 +125,9 @@ def test_fiber_cache_threaded_matches_serial(haldane_setup):
 
 
 def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkeypatch):
-    # a slow check holds the first build of the slab stack open while the
-    # pool's other threads start and ask for it
+    # fiber_cache reads the model (check, slab stack, summands) before its
+    # pool starts, so a slow check is over before any thread asks for the
+    # stack: the model is checked once, and the pooled grid is the serial one
     check = lattice.LatticeHamiltonian.check_hermitian
 
     def slow(ham, *args, **kwargs):
@@ -143,8 +144,10 @@ def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkey
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_threaded_fiber_cache_splits_a_fresh_stack_once(hermitian_checks, monkeypatch, threads):
-    # the summands are built with the slab stack, under its lock: a slow
-    # check holds that first build open while the other threads ask for them
+    # fiber_cache reads the stack (check, slab stack, summands) before its
+    # pool starts, so a slow check is over before any thread asks for the
+    # summands: the stack is checked and split once, and the pooled grid is
+    # the serial one
     check = lattice.LatticeHamiltonian.check_hermitian
 
     def slow(ham, *args, **kwargs):
@@ -304,25 +307,25 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
         run()
         return tuple(calls[name] for name in names)
 
-    ham, mu, fibers = haldane_setup
+    ham, mu, _ = haldane_setup
     n_k = 16
     eta = 2.0 * np.pi / 20.0 * (4.0 / 3.0)
-    assert builds(lambda: row_vertices.current_current(ham, mu, 0.3, 2, n_k, fibers=fibers)) == (n_k, 0, 0)
+    assert builds(lambda: row_vertices.current_current(ham, mu, 0.3, 2, n_k)) == (n_k, 0, 0)
     # the sum rule: one operator per current component, none per fiber
-    assert builds(lambda: response.ward_sum_rule(ham, mu, 0.3, 3, n_k, fibers=fibers)) == (0, 0, 2)
-    assert builds(lambda: response.vertex_ward_residual(ham, mu, 0.2, 1, 0.3, 1, n_k, fibers=fibers)) == (0, 0, 1)
+    assert builds(lambda: response.ward_sum_rule(ham, mu, 0.3, 3, n_k)) == (0, 0, 2)
+    assert builds(lambda: response.vertex_ward_residual(ham, mu, 0.2, 1, 0.3, 1, n_k)) == (0, 0, 1)
     assert builds(lambda: response.wick_rotation_check(
-        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2, fibers=fibers)) == (0, n_k, 1)
-    assert builds(lambda: response.wrong_order_diagnostic(ham, mu, 0.4, n_k, a_prime=4, fibers=fibers)) == (0, n_k, 1)
+        ham, mu, 20.0, 50.0, eta, 1, n_k, a=4, a_prime=2)) == (0, n_k, 1)
+    assert builds(lambda: response.wrong_order_diagnostic(ham, mu, 0.4, n_k, a_prime=4)) == (0, n_k, 1)
     # the four momenta of the conductance share one strip current and one
     # set of legs per fiber
     assert builds(lambda: response.edge_conductance_free(
-        ham, mu, n_k, a=6, a_prime=4, fibers=fibers)) == (0, n_k, 1)
+        ham, mu, n_k, a=6, a_prime=4)) == (0, n_k, 1)
     # two summands: one operator and one set of legs per fiber for each
-    stack, stack_fibers = counter_stack
+    stack, _ = counter_stack
     assert builds(lambda: response.edge_conductance_free(
-        stack, 0.15, 24, a=6, a_prime=4, fibers=stack_fibers)) == (0, 2 * 24, 2)
-    assert builds(lambda: response.ward_sum_rule(stack, 0.15, 0.3, 3, 24, fibers=stack_fibers)) == (0, 0, 2 * 2)
+        stack, 0.15, 24, a=6, a_prime=4)) == (0, 2 * 24, 2)
+    assert builds(lambda: response.ward_sum_rule(stack, 0.15, 0.3, 3, 24)) == (0, 0, 2 * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +334,8 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
 
 
 def test_ward_sum_rule_haldane(haldane_setup):
-    ham, mu, fibers = haldane_setup
-    res = response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=fibers)
+    ham, mu, _ = haldane_setup
+    res = response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16)
     assert res[1] <= 1e-10 and res[2] <= 1e-10
 
 
@@ -353,11 +356,10 @@ def test_ward_sum_rule_every_builtin(rng):
         (lattice.chain_cylinder(g1), 0.2),
     ]
     for ham, mu in models:
-        fibers = response.fiber_cache(ham, 12)
         for _ in range(5):
             p0 = rng.uniform(0.1, 1.5) * rng.choice([-1.0, 1.0])
             y2 = int(rng.integers(1, 11))
-            res = response.ward_sum_rule(ham, mu, p0, y2, 12, fibers=fibers)
+            res = response.ward_sum_rule(ham, mu, p0, y2, 12)
             assert res[1] <= 1e-10 and res[2] <= 1e-10
 
 
@@ -428,18 +430,24 @@ def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup, 
     assert abs(corrupted.sum(axis=0)[3]) > 1e-6 * scale  # corrupted density: loud
 
 
-def test_ward_sum_rule_trips_on_mixed_band_states(haldane_setup):
+def test_ward_sum_rule_trips_on_mixed_band_states(haldane_setup, monkeypatch):
     # mixing 0.1 of the lowest empty state into the highest occupied one at
-    # every k breaks the orthonormal basis the sum rule rests on
-    ham, mu, fibers = haldane_setup
-    mixed = []
-    for f in fibers:
+    # every k breaks the orthonormal basis the sum rule rests on; a fresh
+    # model reads the mixed bases from its store
+    ham, mu, _ = haldane_setup
+    diagonalize = response.diagonalize_fiber
+
+    def mixed(model, k1):
+        f = diagonalize(model, k1)
         i = int(np.searchsorted(f.energies, mu)) - 1
         states = f.states.copy()
         states[:, i] += 0.1 * states[:, i + 1]
-        mixed.append(response.FiberBasis(k1=f.k1, energies=f.energies, states=states))
-    assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=fibers)[1] <= 1e-10
-    assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16, fibers=mixed)[1] > 1e-6
+        return response.FiberBasis(k1=f.k1, energies=f.energies, states=states)
+
+    assert response.ward_sum_rule(ham, mu, 0.3, y2=3, n_k=16)[1] <= 1e-10
+    monkeypatch.setattr(response, "diagonalize_fiber", mixed)
+    fresh = lattice.haldane_cylinder(ham.geometry)
+    assert response.ward_sum_rule(fresh, mu, 0.3, y2=3, n_k=16)[1] > 1e-6
 
 
 @pytest.mark.parametrize("row", ["-1", "0", "L2-1", "L2"])
@@ -507,71 +515,40 @@ def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_
         assert np.array_equal(stacked[:, i], alone)
 
 
-@pytest.mark.parametrize(
-    "name, n_k, run",
-    [
-        ("current_current", 8, lambda ham, mu, fibers: row_vertices.current_current(
-            ham, mu, 0.3, 1, 8, fibers=fibers)),
-        ("ward_sum_rule", 8, lambda ham, mu, fibers: response.ward_sum_rule(ham, mu, 0.3, 3, 8, fibers=fibers)),
-        ("edge_conductance_free", 32, lambda ham, mu, fibers: response.edge_conductance_free(
-            ham, mu, 32, a=6, a_prime=4, fibers=fibers)),
-        ("wrong_order_diagnostic", 32, lambda ham, mu, fibers: response.wrong_order_diagnostic(
-            ham, mu, 0.7, 32, a_prime=4, fibers=fibers)),
-        ("wick_rotation_check", 8, lambda ham, mu, fibers: response.wick_rotation_check(
-            ham, mu, 20.0, 50.0, 0.4, 1, 8, 4, 2, fibers=fibers)),
-        ("vertex_ward_residual", 32, lambda ham, mu, fibers: response.vertex_ward_residual(
-            ham, mu, 0.2, 1, 0.3, 1, 32, fibers=fibers)),
-        ("scan_spectrum", 96, lambda ham, mu, fibers: spectrum.scan_spectrum(ham, n_k=96, fibers=fibers)),
-    ],
-)
-def test_a_fiber_grid_of_the_wrong_length_is_refused(haldane_setup, monkeypatch, name, n_k, run):
-    # a 16-fiber grid read as another grid would pair the wrong momenta
-    ham, mu, fibers = haldane_setup
-
-    def no_vertices(*args, **kwargs):
-        raise AssertionError("a vertex was built before the grid was checked")
-
-    monkeypatch.setattr(row_vertices, "build_vertices", no_vertices)
-    for name in ("_fiber_legs", "_strip_vertices", "_current_vertex", "_ward_columns"):
-        monkeypatch.setattr(response, name, no_vertices)
-    with pytest.raises(ValueError, match=f"need {n_k} fibers, got 16"):
-        run(ham, mu, fibers)
-
-
 # ---------------------------------------------------------------------------
 # vertex conservation identity
 # ---------------------------------------------------------------------------
 
 
 def test_vertex_ward_pure_frequency_shift(haldane_setup):
-    ham, mu, fibers = haldane_setup
-    r = response.vertex_ward_residual(ham, mu, 0.8, 2, 0.5, 0, 16, fibers=fibers)
+    ham, mu, _ = haldane_setup
+    r = response.vertex_ward_residual(ham, mu, 0.8, 2, 0.5, 0, 16)
     assert r <= 1e-12
 
 
 def test_vertex_ward_generic_momenta(haldane_setup, rng):
-    ham, mu, fibers = haldane_setup
+    ham, mu, _ = haldane_setup
     for _ in range(5):
         k0 = rng.uniform(-2, 2)
         p0 = rng.uniform(-2, 2)
         ki = int(rng.integers(0, 16))
         pi_ = int(rng.integers(1, 8))
-        r = response.vertex_ward_residual(ham, mu, k0, ki, p0, pi_, 16, fibers=fibers)
+        r = response.vertex_ward_residual(ham, mu, k0, ki, p0, pi_, 16)
         assert r <= 1e-10
 
 
 def test_vertex_ward_at_fermi_point(haldane_setup):
     # small transfer around a momentum near the Fermi crossing: still exact
-    ham, mu, fibers = haldane_setup
-    r = response.vertex_ward_residual(ham, mu, 1e-3, 8, 1e-3, 1, 16, fibers=fibers)
+    ham, mu, _ = haldane_setup
+    r = response.vertex_ward_residual(ham, mu, 1e-3, 8, 1e-3, 1, 16)
     assert r <= 1e-10
 
 
 def test_vertex_ward_mutation_sensitivity(haldane_setup, monkeypatch):
     # dropping the half-weighted diagonal bond currents breaks the identity
-    ham, mu, fibers = haldane_setup
+    ham, mu, _ = haldane_setup
     _drop_diagonal_bonds(monkeypatch)
-    r = response.vertex_ward_residual(ham, mu, 0.9, 3, -0.4, 2, 16, fibers=fibers)
+    r = response.vertex_ward_residual(ham, mu, 0.9, 3, -0.4, 2, 16)
     assert r > 1e-3
 
 
@@ -583,8 +560,7 @@ def test_vertex_ward_at_a_propagator_pole_is_named():
 
 
 def test_vertex_ward_hofstadter(hofstadter16):
-    fibers = response.fiber_cache(hofstadter16, 24)
-    r = response.vertex_ward_residual(hofstadter16, -1.0, 0.7, 5, 0.3, 3, 24, fibers=fibers)
+    r = response.vertex_ward_residual(hofstadter16, -1.0, 0.7, 5, 0.3, 3, 24)
     assert r <= 1e-10
 
 
@@ -605,7 +581,7 @@ def test_lindhard_matsubara_oracle():
     fibers = response.fiber_cache(ham, n_k)
     res = row_vertices.current_current(
         ham, mu, p0, p1_index, n_k, temperature=temp, strips=(3, 3),
-        components=((0, 0),), fibers=fibers,
+        components=((0, 0),),
     )
     got = res[(0, 0)][2, 2]
 
@@ -647,9 +623,9 @@ def test_response_vanishes_below_band():
 
 def test_response_transpose_symmetry(haldane_setup):
     # S_{mu nu}(p; x2, y2) = S_{nu mu}(-p; y2, x2)
-    ham, mu, fibers = haldane_setup
+    ham, mu, _ = haldane_setup
     g = ham.geometry
-    kw = dict(n_k=16, strips=(g.L2 - 1, g.L2 - 1), fibers=fibers)
+    kw = dict(n_k=16, strips=(g.L2 - 1, g.L2 - 1))
     a = row_vertices.current_current(ham, mu, 0.37, 3, components=((0, 1),), **kw)
     b = row_vertices.current_current(ham, mu, -0.37, 16 - 3, components=((1, 0),), **kw)
     t1 = a[(0, 1)]
@@ -659,8 +635,8 @@ def test_response_transpose_symmetry(haldane_setup):
 
 def test_response_reality_symmetry(haldane_setup):
     # conj S_00((0, p1)) = S_00((0, -p1))
-    ham, mu, fibers = haldane_setup
-    kw = dict(n_k=16, strips=(5, 5), components=((0, 0),), fibers=fibers)
+    ham, mu, _ = haldane_setup
+    kw = dict(n_k=16, strips=(5, 5), components=((0, 0),))
     a = row_vertices.current_current(ham, mu, 0.0, 2, **kw)
     b = row_vertices.current_current(ham, mu, 0.0, 14, **kw)
     assert np.max(np.abs(np.conj(a[(0, 0)]) - b[(0, 0)])) < 1e-12
@@ -685,9 +661,9 @@ def test_degenerate_crossing_error():
 
 
 def test_conductance_config_error(haldane_setup):
-    ham, mu, fibers = haldane_setup
+    ham, mu, _ = haldane_setup
     with pytest.raises(ValueError):
-        response.edge_conductance_free(ham, mu, 16, a=4, a_prime=6, fibers=fibers)
+        response.edge_conductance_free(ham, mu, 16, a=4, a_prime=6)
 
 
 def test_hopping_lookups_do_not_grow_with_the_ring(monkeypatch):
@@ -724,11 +700,10 @@ def test_strip_decay(haldane_setup):
     # widening both strips changes G by an exponentially small amount
     g = lattice.CylinderGeometry(24, 24, 2)
     ham = lattice.haldane_cylinder(g)
-    fibers = response.fiber_cache(ham, 24)
     mu = 0.15
     gs = []
     for a, ap in ((8, 4), (10, 6), (12, 8)):
-        est = response.edge_conductance_free(ham, mu, 24, a=a, a_prime=ap, fibers=fibers)
+        est = response.edge_conductance_free(ham, mu, 24, a=a, a_prime=ap)
         gs.append(est.g)
     d1, d2 = abs(gs[1] - gs[0]), abs(gs[2] - gs[1])
     assert d2 < d1
@@ -737,8 +712,8 @@ def test_strip_decay(haldane_setup):
 
 
 def test_wrong_order_diagnostic_vanishes(haldane_setup):
-    ham, mu, fibers = haldane_setup
-    val = response.wrong_order_diagnostic(ham, mu, 0.4, 16, a_prime=4, fibers=fibers)
+    ham, mu, _ = haldane_setup
+    val = response.wrong_order_diagnostic(ham, mu, 0.4, 16, a_prime=4)
     assert abs(val) < 1e-14
 
 
@@ -753,8 +728,8 @@ def counter_stack():
 def test_conjugation_check_passes_a_cancelling_stack(counter_stack):
     # the counter-propagating stack cancels G down to rounding; the check is
     # relative to one conductance quantum, so rounding does not trip it
-    stack, fibers = counter_stack
-    est = response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+    stack, _ = counter_stack
+    est = response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4)
     assert abs(2.0 * np.pi * est.g) < 1e-9
 
 
@@ -762,7 +737,7 @@ def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
     # the symmetry holds term by term for any fiber list, so a defect shows
     # in the vertices: the strip-summed density of every p1 = -1 pair is
     # shifted on each of its band blocks
-    stack, fibers = counter_stack
+    stack, _ = counter_stack
     build = response._strip_vertices
     back = 2.0 * np.pi * 23 / 24  # p1 = -1 on the ring of 24
     broken_pairs = []
@@ -776,31 +751,20 @@ def test_conjugation_check_trips_on_a_broken_vertex(counter_stack, monkeypatch):
 
     monkeypatch.setattr(response, "_strip_vertices", broken)
     with pytest.raises(response.ConjugationSymmetryError):
-        response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+        response.edge_conductance_free(stack, 0.15, 24, a=6, a_prime=4)
     # every fiber is the partner of one p1 = -1 pair, once per summand
     assert len(broken_pairs) == 2 * 24
 
 
-def test_precomputed_fibers_do_not_skip_the_hermiticity_check(counter_stack, hermitian_checks):
-    # a block without its Hermitian partner is named before any strip sum runs
-    stack, fibers = counter_stack
+def test_a_broken_copy_of_a_read_stack_is_checked_once(counter_stack, hermitian_checks):
+    # the copy reads its own fibers, not the stack's: a block without its
+    # Hermitian partner is named before any strip sum runs
+    stack, _ = counter_stack
     broken = shifted(stack, 0.0)  # a copy
     broken.add_block(1, 3, 3, 0.1 * np.eye(4))
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 3, 3\)"):
-        response.edge_conductance_free(broken, 0.15, 24, a=6, a_prime=4, fibers=fibers)
+        response.edge_conductance_free(broken, 0.15, 24, a=6, a_prime=4)
     assert hermitian_checks == [broken]
-
-
-def test_fibers_split_unlike_the_model_are_refused(counter_stack):
-    # fibers diagonalized before a block coupled the two copies hold two
-    # summands; the edited model has one, so no strip sum can pair them
-    stack, fibers = counter_stack
-    coupled = shifted(stack, 0.0)  # a copy
-    hop = np.zeros((4, 4))
-    hop[1, 2] = hop[2, 1] = 0.05
-    coupled.add_block(0, 3, 3, hop)
-    with pytest.raises(ValueError, match="the fibers hold 2 summands, the model 1"):
-        response.edge_conductance_free(coupled, 0.15, 24, a=6, a_prime=4, fibers=fibers)
 
 
 def test_conductance_trivial_gap_vanishes():
@@ -818,12 +782,11 @@ def test_conductance_trivial_gap_vanishes():
 def test_wick_rotation_beta_scaling():
     g = lattice.CylinderGeometry(12, 12, 2)
     ham = lattice.haldane_cylinder(g)
-    fibers = response.fiber_cache(ham, 12)
     eta = 2.0 * np.pi / 20.0 * (1.0 + 1.0 / 3.0)
     res = {}
     for beta in (20.0, 40.0, 80.0):
         _, _, r = response.wick_rotation_check(
-            ham, 0.15, beta, 200.0, eta, 1, 12, a=4, a_prime=2, fibers=fibers
+            ham, 0.15, beta, 200.0, eta, 1, 12, a=4, a_prime=2
         )
         res[beta] = r
     assert res[20.0] / res[40.0] >= 1.8
@@ -833,13 +796,12 @@ def test_wick_rotation_beta_scaling():
 def test_wick_rotation_horizon_envelope():
     g = lattice.CylinderGeometry(12, 12, 2)
     ham = lattice.haldane_cylinder(g)
-    fibers = response.fiber_cache(ham, 12)
     eta = 2.0 * np.pi / 20.0 * (1.0 + 1.0 / 3.0)
     beta = 20.0
 
     def residual(T):
         _, _, r = response.wick_rotation_check(
-            ham, 0.15, beta, T, eta, 1, 12, a=4, a_prime=2, fibers=fibers
+            ham, 0.15, beta, T, eta, 1, 12, a=4, a_prime=2
         )
         return r
 
@@ -857,7 +819,6 @@ def test_wick_rotation_two_term_bound_shape():
     # residual(beta, T) fits A / beta + K exp(-eta T) over a 3 x 3 sweep
     g = lattice.CylinderGeometry(12, 12, 2)
     ham = lattice.haldane_cylinder(g)
-    fibers = response.fiber_cache(ham, 12)
     eta = 2.0 * np.pi / 20.0 * (1.0 + 1.0 / 3.0)
     betas = (20.0, 40.0, 80.0)
     horizons = (4.0, 8.0, 200.0)
@@ -865,7 +826,7 @@ def test_wick_rotation_two_term_bound_shape():
     for beta in betas:
         for T in horizons:
             _, _, r = response.wick_rotation_check(
-                ham, 0.15, beta, T, eta, 1, 12, a=4, a_prime=2, fibers=fibers
+                ham, 0.15, beta, T, eta, 1, 12, a=4, a_prime=2
             )
             rows.append([1.0 / beta, np.exp(-eta * T)])
             rhs.append(r)

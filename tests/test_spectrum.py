@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeflow import cli, lattice, response, spectrum
+from edgeflow import cli, lattice, spectrum
 from conftest import random_hermitian_model, two_sample_crossing_scan
 
 
@@ -511,8 +511,7 @@ def test_a_coarse_grid_scan_is_the_full_grid_scan(kind, seed, step, mu, half_wid
     window = (mu - half_width, mu + half_width)
     full = spectrum.scan_spectrum(PRUNE_MODELS[kind](seed), n_k=64, window=window)
     ham = PRUNE_MODELS[kind](seed)
-    coarse = response.fiber_cache(ham, 64 // step)
-    scan = spectrum.scan_spectrum(ham, n_k=64, window=window, fibers=coarse)
+    scan = spectrum.scan_spectrum(ham, n_k=64, window=window, step=step)
     assert np.array_equal(scan.k_grid, full.k_grid)
     for name in ("energies", "vectors"):
         assert all(np.array_equal(a, b) for a, b in zip(getattr(scan, name), getattr(full, name)))
@@ -536,11 +535,15 @@ def test_no_fiber_eigenvalue_moves_farther_than_the_reach(kind, seed, k1, dk):
     assert np.max(np.abs(e1 - e0)) <= reach + 1e-12 * norm
 
 
-@pytest.mark.parametrize("n_fibers", [0, 36, 128])
-def test_a_coarse_grid_must_be_n_k_over_a_power_of_two(haldane_scan, n_fibers):
-    ham = haldane_scan[0]
-    with pytest.raises(ValueError, match=f"need 96 fibers, got {n_fibers}"):
-        spectrum.scan_spectrum(ham, n_k=96, fibers=[None] * n_fibers)
+@pytest.mark.parametrize("step", [0, 3, 192])
+def test_a_scan_step_must_be_a_power_of_two_that_divides_n_k(monkeypatch, step):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a fiber was diagonalized before the step was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2))
+    with pytest.raises(ValueError, match=f"power of two that divides n_k = 96, got step = {step}"):
+        spectrum.scan_spectrum(ham, n_k=96, step=step)
 
 
 def test_a_crossing_branch_of_two_samples_is_loud():
