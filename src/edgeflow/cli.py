@@ -103,11 +103,17 @@ def _require_positive(flag, value):
 # ---------------------------------------------------------------------------
 
 
+def _scan(args, ham, n_k, step=1):
+    """The band scan of ``n_k`` momenta around ``--mu``; its coarse grid is
+    diagonalized on ``--threads`` and stays on the model."""
+    window = (args.mu - args.window, args.mu + args.window)
+    return spectrum.scan_spectrum(ham, n_k=n_k, window=window, step=step, threads=args.threads)
+
+
 def cmd_spectrum(args, report):
     _require_positive("--window", args.window)
     ham = _model(args)
-    response.fiber_cache(ham, args.n_k, threads=args.threads)  # stored on the model, where the scan reads it
-    scan = spectrum.scan_spectrum(ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window))
+    scan = _scan(args, ham, args.n_k)
     rows = []
     for k1, es in zip(scan.k_grid, scan.energies):
         for e in es:
@@ -120,9 +126,7 @@ def cmd_spectrum(args, report):
 def cmd_edges(args, report):
     _require_positive("--window", args.window)
     ham = _model(args)
-    response.fiber_cache(ham, args.n_k, threads=args.threads)  # stored on the model, where the scan reads it
-    scan = spectrum.scan_spectrum(ham, n_k=args.n_k, window=(args.mu - args.window, args.mu + args.window))
-    branches = spectrum.extract_edge_branches(scan, args.mu)
+    branches = spectrum.extract_edge_branches(_scan(args, ham, args.n_k), args.mu)
     rows = []
     for b in branches:
         for k1, e in zip(b.k_samples, b.energies):
@@ -155,19 +159,16 @@ def cmd_conductance(args, report):
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    # the response reads the L1 grid, solved here and stored on the model; the
-    # chirality scan needs at least MIN_SCAN_MOMENTA, so it runs on the least
-    # power-of-two multiple of L1 that has them (L1 itself once it has them),
-    # reads the stored L1 grid as every step-th of its momenta (bitwise, the
-    # step being a power of two) and diagonalizes a momentum in between only
-    # when its window may hold a state
+    # the chirality scan needs at least MIN_SCAN_MOMENTA, so it runs on the
+    # least power-of-two multiple of L1 that has them (L1 itself once it has
+    # them), solves the L1 grid that the response reads as every step-th of
+    # its momenta (bitwise, the step being a power of two), stores it on the
+    # model and reads a momentum in between only when its window may hold a
+    # state
     step = 1
     while step * n_k < spectrum.MIN_SCAN_MOMENTA:
         step *= 2
-    response.fiber_cache(ham, n_k, threads=args.threads)
-    scan = spectrum.scan_spectrum(
-        ham, n_k=step * n_k, window=(args.mu - args.window, args.mu + args.window), step=step
-    )
+    scan = _scan(args, ham, step * n_k, step)
     # the chirality target: the signed count of lower-edge grid crossings
     branches = spectrum.edge_branches(scan, args.mu)
     chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
@@ -181,7 +182,7 @@ def cmd_conductance(args, report):
     report["target"] = target
     report["relative_error"] = rel
     report["chirality_sum_lower"] = chi
-    report["scan_fibers"] = {"solved": len(scan.k_grid) - scan.pruned, "pruned": scan.pruned}
+    report["scan_fibers"] = {"solved": len(scan.k_grid) - scan.pruned, "pruned": scan.pruned, "mirrored": scan.mirrored}
     report["checks"]["conductance_matches_chirality"] = bool(rel <= args.tolerance)
 
 

@@ -17,10 +17,11 @@ The bond currents read their blocks off the same stack, so every vertex
 passes the same check.
 
 The model also holds the fiber bases that
-:func:`edgeflow.response.diagonalize_fiber` has solved, one per distinct
-``k1``, keyed by the exact float and kept for the model's life: the only
-fibers that the responses and scans of the model read.  They hold no
-reference back to the model.
+:func:`edgeflow.response.diagonalize_fiber` and
+:func:`edgeflow.response.grid_fiber` have made, one per distinct ``k1``,
+keyed by the exact float and kept for the model's life: the only fibers
+that the responses and scans of the model read.  They hold no reference
+back to the model.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
@@ -28,6 +29,13 @@ from the blocks' sparsity pattern, with the stack, and gives each its own
 sub-model, fixed from birth on a stack cut from the whole one, so that
 callers can diagonalize and contract one summand at a time.  A connected
 model is its own only summand.
+
+Each summand also gets its inversion mirror at the first read, if it has
+one: a permutation ``P`` of its fiber index with ``H(-z1) = P H(z1) P^T``
+for every stored ``z1``, bitwise (:func:`_inversion`), so that ``H(-k1)
+= P H(k1) P^T`` at every ``k1``.  Its fiber at ``-k1`` then follows from
+the one at ``k1`` with no ``eigh``
+(:func:`edgeflow.response.grid_fiber`).
 
 Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 """
@@ -92,7 +100,8 @@ class LatticeHamiltonian:
         self._blocks = {}
         self._slabs = None  # (z1s, slabs), built at the first read
         self._summands = None
-        self._fibers = {}  # k1 -> FiberBasis, filled by response.diagonalize_fiber
+        self._mirror = None  # fiber index permutation of _inversion, found at the first read
+        self._fibers = {}  # k1 -> FiberBasis, filled by response.diagonalize_fiber and grid_fiber
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
         if self._slabs is not None:
@@ -140,7 +149,8 @@ class LatticeHamiltonian:
         the last bit.
 
         Built at the model's first read, after :meth:`check_hermitian`
-        passes, with :meth:`summands`; both are kept for the model's life.
+        passes, with :meth:`summands` and each summand's mirror
+        (:func:`_inversion`); all are kept for the model's life.
         """
         if self._slabs is None:
             self.check_hermitian()
@@ -151,6 +161,8 @@ class LatticeHamiltonian:
                 slabs[z1s.index(z1), x2, :, y2, :] = blk
             stack = (np.array(z1s, dtype=float), slabs.reshape(-1, g.fiber_dim, g.fiber_dim))
             self._summands = self._split(*stack)
+            if not self._summands:
+                self._mirror = _inversion(g, *stack)
             self._slabs = stack
         return self._slabs
 
@@ -197,6 +209,7 @@ class LatticeHamiltonian:
             cut = slabs[:, rows[:, None], rows]
             own = np.any(cut, axis=(1, 2))
             sub._slabs, sub._summands = (z1s[own], cut[own]), []
+            sub._mirror = _inversion(sub.geometry, *sub._slabs)
             out.append((idx, sub))
         return out
 
@@ -217,6 +230,26 @@ class LatticeHamiltonian:
                     f"blocks at (z1,x2,y2)={(z1, x2, y2)} and {(-z1, y2, x2)} "
                     "are not Hermitian partners"
                 )
+
+
+def _inversion(geometry, z1s, slabs):
+    """The inversion mirror of a slab stack: a permutation ``perm`` of the
+    fiber index with ``slabs[-z1] == slabs[z1][perm][:, perm]``, bitwise, for
+    every stored ``z1``, or None.
+
+    Two candidates are tried, the whole fiber index reversed (rows and
+    internal indices, as the Haldane model's row reversal times sublattice
+    swap) and the rows reversed with the internal indices kept; a ``z1``
+    whose ``-z1`` is not stored has none.  With such a ``perm``, ``H(-k1)
+    = H(k1)[perm][:, perm]``, so the eigenvectors at ``-k1`` are those at
+    ``k1`` with their rows permuted, and the energies are the same.
+    """
+    index = np.arange(geometry.fiber_dim).reshape(geometry.L2, geometry.M)[::-1]
+    at = {z1: i for i, z1 in enumerate(z1s)}
+    for perm in (index[:, ::-1].ravel(), index.ravel()):
+        if all(-z1 in at and np.array_equal(slabs[at[-z1]], slab[perm][:, perm]) for z1, slab in zip(z1s, slabs)):
+            return perm
+    return None
 
 
 def assemble_fiber(ham: LatticeHamiltonian, k1: float) -> np.ndarray:

@@ -44,13 +44,22 @@ against the occupied, two slices of the ascending bands
 A model keeps each fiber basis that :func:`diagonalize_fiber` solves,
 keyed by the exact float ``k1``: a repeat request returns the stored
 basis with no ``eigh``.  That store is the only source of fibers: every
-response reads its grid through :func:`fiber_cache`, and so does the
-scan of :func:`edgeflow.spectrum.scan_spectrum`, so the identities asked
-of one model solve its grid once, and no response can read the fibers of
+response reads its grid momenta through :func:`grid_fiber` (the whole
+grid through :func:`fiber_cache`), and so does the scan of
+:func:`edgeflow.spectrum.scan_spectrum`, so the identities asked of one
+model solve its grid once, and no response can read the fibers of
 another model.  A model is fixed from its first read, so none goes
 stale.  The cost is one basis per distinct momentum for the model's life;
 the off-grid bisection solves of :func:`edgeflow.spectrum.fermi_point` are
 not stored.  A stored basis's arrays are read-only.
+
+A grid read solves only half the ring of a summand with an inversion
+mirror (:func:`edgeflow.lattice._inversion`, as the Haldane model and its
+stacks have): its fiber at ``k1 = 2 pi m / n_k`` with ``n_k - m < m`` is
+the permuted fiber at ``n_k - m``, so :func:`grid_fiber` takes that
+basis's energies and its states with their rows permuted
+(:meth:`FiberBasis.mirror`).  These equal what an ``eigh`` at ``k1`` gives
+up to rounding and the phase of each state, which no response reads.
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 is diagonalized one summand at a time, one ``eigh`` of each summand's own
@@ -79,6 +88,7 @@ __all__ = [
     "ConjugationSymmetryError",
     "SingularPropagatorError",
     "diagonalize_fiber",
+    "grid_fiber",
     "fiber_cache",
     "ward_sum_rule",
     "free_two_point",
@@ -113,7 +123,8 @@ class FiberBasis:
     A basis of several (:meth:`direct_sum`) merges the parts' energies by a
     stable sort, and builds ``states`` on each access by placing each
     part's eigenvectors on its summand's rows; the whole-fiber states are
-    not stored.
+    not stored.  ``from_mirror`` tells whether some part was taken from the
+    basis at ``-k1`` (:meth:`mirror`) rather than solved.
     """
 
     def __init__(self, k1, energies, states):
@@ -121,6 +132,7 @@ class FiberBasis:
         self.energies = energies
         self._states = states
         self._parts = None  # ((basis, fiber rows, columns), ...) of a direct sum
+        self.from_mirror = False
 
     @classmethod
     def direct_sum(cls, geometry, indices, parts):
@@ -134,6 +146,15 @@ class FiberBasis:
         ends = np.cumsum([p.dim for p in parts])
         rows = [(np.arange(geometry.L2)[:, None] * geometry.M + idx).ravel() for idx in indices]
         out._parts = tuple(zip(parts, rows, np.split(column, ends[:-1])))
+        out.from_mirror = any(p.from_mirror for p in parts)
+        return out
+
+    def mirror(self, k1, perm):
+        """The basis at ``k1`` of the fiber ``H(k1) = H(self.k1)[perm][:, perm]``
+        of a connected model: the same energies, and the states with their
+        rows permuted, ``U(k1) = U(self.k1)[perm]``."""
+        out = FiberBasis(k1, self.energies, self._states[perm])
+        out.from_mirror = True
         return out
 
     @property
@@ -165,50 +186,84 @@ class FiberBasis:
         return len(self.energies)
 
 
-def diagonalize_fiber(ham, k1):
-    """The :class:`FiberBasis` at ``k1``: one ``eigh`` per summand of the
-    model, of the summand's own fiber; for a connected model that is
-    ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes.
-
-    The basis is stored on the model, keyed by the float ``k1``, and a
-    later call at the same ``k1`` returns it with no ``eigh``; the model is
-    fixed from its first read on, so the stored basis is kept for its life.
-    Its energies and states, and those of each part, are read-only, so that
-    no caller can change what a later call returns.
-    """
-    k1 = float(k1)
+def _stored(ham, k1, part, solve):
+    """The basis at ``k1`` stored on the model, else made and stored: the
+    direct sum of ``part(sub)`` over the model's summands, or ``solve()``
+    for a connected model.  A stored basis's energies and states, and those
+    of each part, are read-only, so that no caller can change what a later
+    call returns."""
     basis = ham._fibers.get(k1)
     if basis is None:
         summands = ham.summands()
-        parts = [FiberBasis(k1, *np.linalg.eigh(assemble_fiber(sub, k1))) for _, sub in summands]
-        if len(parts) == 1:
-            basis = parts[0]
+        if len(summands) == 1:
+            basis = solve()
         else:
-            basis = FiberBasis.direct_sum(ham.geometry, [idx for idx, _ in summands], parts)
-        for array in (basis.energies, *(a for p in parts for a in (p.energies, p._states))):
+            basis = FiberBasis.direct_sum(ham.geometry, [idx for idx, _ in summands], [part(sub) for _, sub in summands])
+        for array in (basis.energies, *(a for p in basis.parts for a in (p.energies, p._states))):
             array.flags.writeable = False
         ham._fibers[k1] = basis
     return basis
 
 
+def diagonalize_fiber(ham, k1):
+    """The :class:`FiberBasis` at ``k1``: one ``eigh`` per summand of the
+    model, of the summand's own fiber; for a connected model that is
+    ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes.
+
+    The basis is stored on the model, keyed by the float ``k1``, and each
+    part on its summand, and a later call at the same ``k1`` returns it
+    with no ``eigh``; the model is fixed from its first read on, so the
+    stored basis is kept for its life.
+    """
+    k1 = float(k1)
+    return _stored(
+        ham, k1, lambda sub: diagonalize_fiber(sub, k1), lambda: FiberBasis(k1, *np.linalg.eigh(assemble_fiber(ham, k1)))
+    )
+
+
+def grid_fiber(ham, m, n_k):
+    """The :class:`FiberBasis` at the grid momentum ``k1 = 2 pi m / n_k``,
+    ``0 <= m < n_k``: the one read of a grid fiber, stored on the model
+    like :func:`diagonalize_fiber`'s.
+
+    A summand with an inversion mirror ``perm`` (found at the model's first
+    read, :func:`edgeflow.lattice._inversion`) takes its basis at ``m`` with
+    ``n_k - m < m`` from the one at ``n_k - m``, solved first if need be:
+    ``H(-k1) = H(k1)[perm][:, perm]``, so the energies are shared and the
+    states are ``U[perm]`` (:meth:`FiberBasis.mirror`), with no ``eigh``.
+    Which momentum is asked first does not change a bit.  Every other
+    summand and momentum is :func:`diagonalize_fiber`'s.
+    """
+    k1 = 2.0 * np.pi * m / n_k
+
+    def solve():
+        if ham._mirror is None or n_k - m >= m:
+            return diagonalize_fiber(ham, k1)
+        return grid_fiber(ham, n_k - m, n_k).mirror(k1, ham._mirror)
+
+    return _stored(ham, k1, lambda sub: grid_fiber(sub, m, n_k), solve)
+
+
 def fiber_cache(ham, n_k, threads=1):
     """All fibers on the ring-momentum grid k1 = 2 pi m / n_k, from
-    :func:`diagonalize_fiber`: a grid already stored on the model is
-    returned with no ``eigh``.
+    :func:`grid_fiber`: a grid already stored on the model is returned with
+    no ``eigh``.
 
     Diagonalizations are independent and may run on a thread pool; the
     model is read (checked, stacked and split into summands) before the
-    pool starts.  The returned list order (ascending k1) fixes every later
-    reduction.
+    pool starts, and the pool solves the momenta ``m <= n_k - m`` before
+    the rest, which a summand with a mirror takes from them.  The returned
+    list order (ascending k1) fixes every later reduction.
     """
-    ks = [2.0 * np.pi * m / n_k for m in range(n_k)]
+    ms = range(n_k)
     if threads > 1:
         ham.summands()  # the model's first read, before any thread reads it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda k: diagonalize_fiber(ham, k), ks))
-    return [diagonalize_fiber(ham, k) for k in ks]
+            for half in ([m for m in ms if 2 * m <= n_k], [m for m in ms if 2 * m > n_k]):
+                list(pool.map(lambda m: grid_fiber(ham, m, n_k), half))
+    return [grid_fiber(ham, m, n_k) for m in ms]
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +522,9 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k):
     and the ring current on all rows (:func:`_current_operator`); the two
     two-point functions are formed once, for both sides.  The fibers are
     those of the grid ``2 pi m / n_k`` at ``m = k1_index`` and ``k1_index +
-    p1_index``, both mod ``n_k``, from :func:`diagonalize_fiber`.
+    p1_index``, both mod ``n_k``, from :func:`grid_fiber`.
     """
-    grid = (k1_index % n_k, (k1_index + p1_index) % n_k)
-    f_k, f_kp = (diagonalize_fiber(ham, 2.0 * np.pi * m / n_k) for m in grid)
+    f_k, f_kp = (grid_fiber(ham, m % n_k, n_k) for m in (k1_index, k1_index + p1_index))
     p1 = 2.0 * np.pi * p1_index / n_k
     s2_k = free_two_point(f_k, k0, mu)
     s2_kp = free_two_point(f_kp, k0 + p0, mu)

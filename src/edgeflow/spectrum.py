@@ -79,6 +79,7 @@ class BandScan:
     energies: list  # per k: sorted array of in-window energies
     vectors: list  # per k: matching eigenvector columns
     pruned: int = 0  # momenta left empty without a diagonalization
+    mirrored: int = 0  # momenta whose basis was taken, in some summand, from its inversion mirror
 
     @property
     def geometry(self):
@@ -185,32 +186,34 @@ def _clearance(geometry, energies, lo, hi):
     return out.min(initial=np.inf)
 
 
-def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1):
+def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1, threads=1):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).
 
     The coarse grid is :func:`~edgeflow.response.fiber_cache` of ``n_k //
-    step`` momenta, read from the model's store, where a response on that
-    grid finds it too.  ``step`` must be a power of two that divides
-    ``n_k`` (else ``ValueError`` naming both), so that every ``step``-th
-    scan momentum is bitwise one of the coarse grid's.  A momentum between
-    two coarse ones is diagonalized
-    (:func:`~edgeflow.response.diagonalize_fiber`) only when neither
-    neighbour proves its window empty.  By Weyl's inequality no eigenvalue
-    moves farther than the reach of :func:`_reach` from the neighbour's;
-    so when the neighbour's eigenvalues, ``2 M`` exact Dirichlet zeros left
-    out, all lie farther than that reach plus :data:`PRUNE_MARGIN` times the
+    step`` momenta on ``threads``, read from the model's store, where a
+    response on that grid finds it too.  ``n_k`` below
+    :data:`MIN_SCAN_MOMENTA` raises ``ValueError``, and so does a ``step``
+    that is not a power of two dividing ``n_k``, naming both, before any
+    ``eigh``; so every ``step``-th scan momentum is bitwise one of the
+    coarse grid's.  A momentum between two coarse ones is read
+    (:func:`~edgeflow.response.grid_fiber`) only when neither neighbour
+    proves its window empty.  By Weyl's inequality no eigenvalue moves
+    farther than the reach of :func:`_reach` from the neighbour's; so when
+    the neighbour's eigenvalues, ``2 M`` exact Dirichlet zeros left out,
+    all lie farther than that reach plus :data:`PRUNE_MARGIN` times the
     fiber norm bound outside the window, the momentum keeps no state, as its
     ``eigh`` would give.  Such a pruned momentum gets empty entries and is
     neither diagonalized nor stored on the model; :attr:`BandScan.pruned`
-    counts them.
+    counts them, and :attr:`BandScan.mirrored` the read momenta that some
+    summand took from its inversion mirror.
     """
     if n_k < MIN_SCAN_MOMENTA:
-        raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta")
+        raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta, got n_k = {n_k}")
     if step < 1 or step & (step - 1) or n_k % step:
         raise ValueError(f"step must be a power of two that divides n_k = {n_k}, got step = {step}")
-    fibers = response.fiber_cache(ham, n_k // step)
+    fibers = response.fiber_cache(ham, n_k // step, threads=threads)
     n_fibers = len(fibers)
     g = ham.geometry
     lo, hi = window
@@ -218,17 +221,17 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1):
         reach, norm = _reach(ham, 2.0 * np.pi * np.arange(step) / n_k)
         slack = PRUNE_MARGIN * max(1.0, norm)
         clear = [_clearance(g, f.energies, lo, hi) for f in fibers]
-    ks, energies, vectors, pruned = [], [], [], 0
+    ks, energies, vectors, pruned, mirrored = [], [], [], 0, 0
     for m in range(n_k):
         j, d = divmod(m, step)
-        k1 = 2.0 * np.pi * m / n_k
         if d and max(clear[j] - reach[d], clear[(j + 1) % n_fibers] - reach[step - d]) > slack:
-            ks.append(k1)
+            ks.append(2.0 * np.pi * m / n_k)
             energies.append(np.empty(0))
             vectors.append(np.empty((0, g.fiber_dim), dtype=complex))
             pruned += 1
             continue
-        basis = response.diagonalize_fiber(ham, k1) if d else fibers[j]
+        basis = response.grid_fiber(ham, m, n_k) if d else fibers[j]
+        mirrored += basis.from_mirror
         e = basis.energies
         idx = np.flatnonzero((e > lo) & (e < hi))
         v = basis.columns(idx)
@@ -238,7 +241,9 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1):
         ks.append(basis.k1)
         energies.append(e[idx])
         vectors.append(_purify_degenerate(g, e[idx], v[:, keep].T.copy()))
-    return BandScan(ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors, pruned=pruned)
+    return BandScan(
+        ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors, pruned=pruned, mirrored=mirrored
+    )
 
 
 def _fit_loc_rate(geometry, vec, side):

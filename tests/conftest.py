@@ -56,6 +56,36 @@ def random_hermitian_model(rng, L1=12, L2=12, M=2, scale=1.0):
     return ham
 
 
+def inversion_symmetric_model(rng, L1=12, L2=12, M=2, internal_reversed=True):
+    """Random Hermitian model with an inversion mirror: the blocks of
+    :func:`random_hermitian_model` averaged with their images under ``(z1,
+    x2, y2) -> (-z1, L2 - 1 - x2, L2 - 1 - y2)``, the internal index reversed
+    too or kept, so that each block pair is bitwise the mirror of the other
+    (IEEE addition commutes)."""
+    base = dict(random_hermitian_model(rng, L1, L2, M).items())
+    flip = (lambda b: b[::-1, ::-1]) if internal_reversed else (lambda b: b)
+    zero = np.zeros((M, M), dtype=complex)
+    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(L1, L2, M))
+    for z1, x2, y2 in sorted(set(base) | {(-z1, L2 - 1 - x2, L2 - 1 - y2) for z1, x2, y2 in base}):
+        image = flip(base.get((-z1, L2 - 1 - x2, L2 - 1 - y2), zero))
+        ham.add_block(z1, x2, y2, 0.5 * (base.get((z1, x2, y2), zero) + image), accumulate=False)
+    return ham
+
+
+def off_mirror_twin(ham):
+    """A copy of ``ham`` with its Hermitian block pair at ``(1, 1, 1)`` and
+    ``(-1, 1, 1)`` moved by one ulp in one entry: a block pair that is no
+    longer its mirror's image, so the copy has no inversion mirror."""
+    out = lattice.LatticeHamiltonian(ham.geometry)
+    for key, blk in ham.items():
+        out.add_block(*key, blk)
+    blk = ham.block(1, 1, 1).copy()
+    blk[0, 0] = complex(np.nextafter(blk[0, 0].real, np.inf), blk[0, 0].imag)
+    out.add_block(1, 1, 1, blk, accumulate=False)
+    out.add_block(-1, 1, 1, blk.conj().T, accumulate=False)
+    return out
+
+
 def two_sample_crossing_scan(ham, mu, n_k=64):
     """A hand-built scan of ``ham`` whose only states are one lower-edge
     state at the first two grid momenta, just below and just above ``mu``:

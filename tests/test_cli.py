@@ -427,6 +427,19 @@ def record_diagonalizations(monkeypatch):
     return solvers
 
 
+@pytest.mark.parametrize("command", ["spectrum", "edges"])
+@pytest.mark.parametrize("n_k", ["32", "63"])
+def test_a_scan_of_too_few_momenta_is_refused_before_any_fiber(tmp_path, capsys, monkeypatch, command, n_k):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a fiber was diagonalized before --n-k was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    code, out = run_cli(tmp_path, command, "--model", "haldane", "--n-k", n_k)
+    assert code == cli.EXIT_USAGE
+    assert f"need at least 64 grid momenta, got n_k = {n_k}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize(
     "argv, n_k",
     [
@@ -439,20 +452,23 @@ def record_diagonalizations(monkeypatch):
 def test_grid_commands_pass_threads_to_the_fiber_cache(tmp_path, monkeypatch, argv, n_k):
     # the fiber cache is the only place a thread count reaches: the grid is
     # diagonalized once, on the pool of --threads 2, and the scan and the
-    # responses read it from the model's store
+    # responses read it from the model's store; Haldane has an inversion
+    # mirror, so the momenta m <= n_k - m are solved and the rest mirrored
     solvers = record_diagonalizations(monkeypatch)
     code, _ = run_cli(tmp_path, *argv, "--model", "haldane", "--threads", "2")
     assert code == 0
-    assert len(solvers) == n_k
+    assert len(solvers) == n_k // 2 + 1
     assert threading.main_thread() not in solvers and len(set(solvers)) <= 2
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
-    # the response and the chirality scan share the L1 = 32 grid, diagonalized
-    # once on the requested threads; the scan runs on 2 L1 = 64 momenta (the
-    # least power-of-two multiple of L1 with at least 64) and diagonalizes 6
-    # of the 32 in between, the rest proved empty, and the response adds
-    # none; the chirality is read off the grid crossings, with no Fermi point
+    # the response and the chirality scan share the L1 = 32 grid, which the
+    # scan diagonalizes once on the requested threads, the 17 momenta m <=
+    # 32 - m (Haldane's inversion mirror gives the other 15); the scan runs
+    # on 2 L1 = 64 momenta (the least power-of-two multiple of L1 with at
+    # least 64) and reads 6 of the 32 in between, the rest proved empty,
+    # diagonalizing 3 of them and mirroring 3, and the response adds none;
+    # the chirality is read off the grid crossings, with no Fermi point
     scanned = []
     solvers = record_diagonalizations(monkeypatch)
     scan = spectrum.scan_spectrum
@@ -472,11 +488,10 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
         tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
     )
     assert code == 0
-    grid = solvers[:32]
+    grid = solvers[:17]
     assert threading.main_thread() not in grid and len(set(grid)) <= 2
-    assert scanned == [[threading.main_thread()] * 6]
-    assert len(solvers) == 38
-    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 38, "pruned": 26}
+    assert scanned == [solvers] and solvers[17:] == [threading.main_thread()] * 3
+    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 38, "pruned": 26, "mirrored": 18}
 
 
 @pytest.mark.parametrize(
@@ -486,16 +501,17 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
 )
 def test_conductance_from_64_momenta_on_scans_the_ring_itself(tmp_path, monkeypatch, model):
     # L1 = 64 already has the 64 momenta the chirality scan needs: one grid of
-    # L1 fibers, one diagonalization per summand and momentum, where a grid
-    # of 2 L1 gives the same chirality and, its even fibers being bitwise the
-    # L1 grid, the same 2 pi G
+    # L1 fibers, one diagonalization per summand and momentum m <= 64 - m
+    # (every summand has an inversion mirror, which gives the rest), where a
+    # grid of 2 L1 gives the same chirality and, its even fibers being
+    # bitwise the L1 grid, the same 2 pi G
     solvers = record_diagonalizations(monkeypatch)
     code, out = run_cli(tmp_path, "conductance", *model, "--L1", "64", "--L2", "16")
     assert code == 0
     rep = load_report(out, "report_conductance.json")
     args = cli.build_parser().parse_args(["conductance", *model, "--L1", "64", "--L2", "16"])
     ham = cli._model(args)
-    assert len(solvers) == 64 * len(ham.summands())
+    assert len(solvers) == 33 * len(ham.summands())
     scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - args.window, args.mu + args.window))
     branches = spectrum.edge_branches(scan, args.mu)
     chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
@@ -542,7 +558,9 @@ def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypa
     # the stack is a direct sum of two M = 2 copies: each fiber of 96 x 96 is
     # diagonalized as two of 48 x 48 (small eigh calls purify degenerate
     # clusters in the scan), the 48 of the L1 grid and the 10 of the 48 in
-    # between that the scan cannot prove empty, on one thread or two alike
+    # between that the scan cannot prove empty, on one thread or two alike;
+    # both copies have an inversion mirror, so 30 of those 58 momenta are
+    # solved and 28 mirrored
     shapes = []
     eigh = np.linalg.eigh
 
@@ -564,27 +582,28 @@ def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypa
         reports[-1]["inputs"].pop("threads")
     assert reports[0] == reports[1]
     assert reports[0]["chirality_sum_lower"] == 0.0
-    assert reports[0]["scan_fibers"] == {"solved": 58, "pruned": 38}
-    assert shapes.count((48, 48)) == 2 * 2 * 58
+    assert reports[0]["scan_fibers"] == {"solved": 58, "pruned": 38, "mirrored": 28}
+    assert shapes.count((48, 48)) == 2 * 2 * 30
     assert (96, 96) not in shapes
     assert all(s[0] < 48 for s in shapes if s != (48, 48))
 
 
 def test_conductance_reports_its_scan_work(tmp_path):
-    # Haldane 48 x 24: the scan of 96 momenta diagonalizes the 48 of the L1
-    # grid and 10 of the 48 in between; the other 38 are proved empty
+    # Haldane 48 x 24: the scan of 96 momenta reads the 48 of the L1 grid and
+    # 10 of the 48 in between, the other 38 proved empty; of those 58, the
+    # 28 with 96 - m < m (23 of the grid, 5 in between) are mirrored
     code, out = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6"
     )
     assert code == 0
-    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 58, "pruned": 38}
+    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 58, "pruned": 38, "mirrored": 28}
 
 
 def test_an_undersampled_crossing_writes_report_and_exits_2(tmp_path, monkeypatch):
     # a crossing branch of 2 grid samples would drop out of the chirality
     # count; conductance stops at its own stage instead
     monkeypatch.setattr(
-        spectrum, "scan_spectrum", lambda ham, n_k, window, step: two_sample_crossing_scan(ham, 0.15, n_k)
+        spectrum, "scan_spectrum", lambda ham, n_k, window, step, threads: two_sample_crossing_scan(ham, 0.15, n_k)
     )
     code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "16", "--L2", "8")
     assert code == cli.EXIT_NUMERICAL

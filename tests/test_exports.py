@@ -111,6 +111,7 @@ def test_response_api_is_pinned():
         "ConjugationSymmetryError",
         "SingularPropagatorError",
         "diagonalize_fiber",
+        "grid_fiber",
         "fiber_cache",
         "ward_sum_rule",
         "free_two_point",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from edgeflow import lattice, reference, response, rgflow
 from edgeflow.cutoffs import chi, shell
 from edgeflow.quadrature import polar_nodes
-from conftest import random_hermitian_model, shifted, three_builds
+from conftest import inversion_symmetric_model, off_mirror_twin, random_hermitian_model, shifted, three_builds
 from row_vertices import build_vertices, current_current, ward_columns
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -472,6 +472,53 @@ def test_responses_of_a_direct_sum_are_the_sums_over_its_summands(draw, mu, p0, 
     lhs, rhs, _ = response.wick_rotation_check(stack, mu, beta, t_horizon, eta, 1, n_k, a, a_prime)
     sides = [response.wick_rotation_check(h, mu, beta, t_horizon, eta, 1, n_k, a, a_prime)[:2] for h in parts]
     assert close(lhs, sum(s[0] for s in sides)) and close(rhs, sum(s[1] for s in sides))
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    size=SIZES,
+    internal_reversed=st.booleans(),
+    mu=st.floats(-2.0, 2.0),
+    p0=st.floats(0.1, 3.0),
+    rows=st.tuples(st.integers(1, 8), st.integers(0, 7)),
+)
+def test_a_mirrored_grid_gives_the_responses_of_a_solved_one(seed, size, internal_reversed, mu, p0, rows):
+    # half the grid of an inversion-symmetric model is taken from the other
+    # half; each such basis is an eigenbasis of its own fiber, and every
+    # response matches that of a twin one ulp off the mirror, which solves
+    # its whole grid
+    ham = inversion_symmetric_model(np.random.default_rng(seed), *size, internal_reversed)
+    twin = off_mirror_twin(ham)
+    L1, L2 = ham.geometry.L1, ham.geometry.L2
+    grid, solved = response.fiber_cache(ham, L1), response.fiber_cache(twin, L1)
+    assert [f.from_mirror for f in grid] == [L1 - m < m for m in range(L1)]
+    assert not any(f.from_mirror for f in solved)
+    for m, f in enumerate(grid):
+        if f.from_mirror:
+            assert f.energies is grid[L1 - m].energies
+            assert np.array_equal(f.states, grid[L1 - m].states[ham._mirror])
+        fiber = lattice.assemble_fiber(ham, f.k1)
+        scale = max(1.0, np.max(np.abs(fiber)))
+        assert np.max(np.abs(fiber @ f.states - f.states * f.energies)) <= 1e-13 * scale
+    a = min(rows[0], L2 - 1)
+    a_prime = min(rows[1], a - 1)
+
+    def close(x, y):
+        return np.all(np.abs(np.asarray(x) - np.asarray(y)) <= 1e-12 * np.maximum(1.0, np.abs(y)))
+
+    try:
+        got, want = (response.edge_conductance_free(h, mu, L1, a, a_prime) for h in (ham, twin))
+    except response.DegenerateCrossingError:
+        assume(False)
+    assert close(got.g_values, want.g_values) and close(got.g, want.g)
+    for y2 in range(1, L2 - 1):
+        got, want = (response.ward_sum_rule(h, mu, p0, y2, L1, temperature=0.05) for h in (ham, twin))
+        assert close([got[1], got[2]], [want[1], want[2]])
+    got, want = (response.wrong_order_diagnostic(h, mu, p0, L1, a_prime) for h in (ham, twin))
+    assert close(got, want)
+    got, want = (response.wick_rotation_check(h, mu, 20.0, 30.0, 0.4, 1, L1, a, a_prime) for h in (ham, twin))
+    assert close(got, want)
 
 
 @PROPERTY

@@ -8,7 +8,7 @@ import pytest
 
 import row_vertices
 from edgeflow import lattice, response
-from conftest import random_hermitian_model, shifted
+from conftest import off_mirror_twin, random_hermitian_model, shifted
 
 
 @pytest.fixture(scope="module")
@@ -194,21 +194,23 @@ def test_a_repeated_momentum_returns_the_stored_basis(eigh_calls, make):
 
 def test_one_model_solves_its_grid_once_for_every_identity(eigh_calls):
     # the sum rule at two temperatures, the wrong-order limit and the vertex
-    # identity on grid momenta all read the model's one grid of n_k fibers
+    # identity on grid momenta all read the model's one grid of n_k fibers,
+    # of which Haldane's inversion mirror gives the momenta m > n_k - m
     ham = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 12, 2))
     n_k, mu = 16, 0.15
     for temperature in (0.0, 0.05):
         response.ward_sum_rule(ham, mu, 0.7, 3, n_k, temperature=temperature)
     response.wrong_order_diagnostic(ham, mu, 0.7, n_k, a_prime=3)
-    assert len(eigh_calls) == n_k
+    assert len(eigh_calls) == n_k // 2 + 1
     for k1_index, p1_index in ((3, 5), (14, 7), (-1, 1)):
         response.vertex_ward_residual(ham, mu, 0.4, k1_index, 0.3, p1_index, n_k)
-    assert len(eigh_calls) == n_k
+    assert len(eigh_calls) == n_k // 2 + 1
 
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_a_grid_fills_the_map(eigh_calls, threads):
-    # four threads on a short switch interval: no stored basis is lost
+    # four threads on a short switch interval: no stored basis is lost; each
+    # copy of the stack solves the 9 momenta m <= 16 - m and mirrors the rest
     stack = counter_stack_model()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -216,12 +218,56 @@ def test_a_grid_fills_the_map(eigh_calls, threads):
         grid = response.fiber_cache(stack, 16, threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    assert len(eigh_calls) == 2 * 16
+    assert len(eigh_calls) == 2 * 9
     assert stack._fibers == {f.k1: f for f in grid}
     again = response.fiber_cache(stack, 16)
     assert all(a is b for a, b in zip(grid, again, strict=True))
     assert [response.diagonalize_fiber(stack, f.k1) for f in grid] == grid
-    assert len(eigh_calls) == 2 * 16
+    assert len(eigh_calls) == 2 * 9
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice.haldane_cylinder(L1=16, L2=12, m_stag=0.2),
+        lambda: lattice.hofstadter_cylinder(L1=24, L2=16),
+        lambda: off_mirror_twin(lattice.haldane_cylinder(L1=16, L2=12)),
+    ],
+    ids=["haldane-m_stag", "hofstadter", "haldane-one-ulp-off"],
+)
+def test_a_model_without_a_mirror_solves_the_whole_ring(eigh_calls, make):
+    # a staggered mass breaks the sublattice swap, the Landau-gauge phases
+    # are no mirror's bitwise, and one ulp in one block pair is enough
+    ham = make()
+    grid = response.fiber_cache(ham, 16)
+    assert ham._mirror is None
+    assert len(eigh_calls) == 16
+    assert not any(f.from_mirror for f in grid)
+
+
+def test_a_stack_mirrors_only_its_mirrored_summand(eigh_calls):
+    g = lattice.CylinderGeometry(16, 12, 2)
+    stack = lattice.stacked_shifted([lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, m_stag=0.2)], [0.0, 0.1])
+    grid = response.fiber_cache(stack, 16)
+    (_, plain), (_, massive) = stack.summands()
+    assert plain._mirror is not None and massive._mirror is None
+    assert len(eigh_calls) == 9 + 16
+    assert [[p.from_mirror for p in f.parts] for f in grid] == [[16 - m < m, False] for m in range(16)]
+    assert [f.from_mirror for f in grid] == [16 - m < m for m in range(16)]
+    assert grid[12].parts[0].energies is grid[4].parts[0].energies
+
+
+@ONE_AND_TWO_SUMMANDS
+def test_a_mirrored_grid_does_not_depend_on_the_order_of_reads(eigh_calls, make):
+    # a grid momentum whose mirror is not yet stored solves the mirror first,
+    # and stores it on the summand, so a model whose first grid read is m =
+    # 13 stores bitwise the grid of one that reads in order
+    ham = make()
+    summands = ham.summands()
+    response.grid_fiber(ham, 13, 16)
+    assert len(eigh_calls) == len(summands)
+    assert all(sorted(sub._fibers) == [2.0 * np.pi * m / 16 for m in (3, 13)] for _, sub in summands)
+    assert_same_grids(response.fiber_cache(make(), 16), response.fiber_cache(ham, 16))
 
 
 @ONE_AND_TWO_SUMMANDS
