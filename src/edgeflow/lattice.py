@@ -16,6 +16,13 @@ copies, pass the check for finite entries and Hermiticity; from then on
 The bond currents read their blocks off the same stack, so every vertex
 passes the same check.
 
+Each built-in model adds one complete block per key, its terms already
+summed, with the keys in their first-appearance order: one
+:meth:`~LatticeHamiltonian.add_block` call per key, and none for a
+:func:`stacked_shifted` stack, which places its copies' blocks with array
+assignments.  The check, the slab stack and the split into summands at
+the first read are array operations on the stacked ``(n, M, M)`` blocks.
+
 The model also holds the fiber bases that
 :func:`edgeflow.response.diagonalize_fiber` and
 :func:`edgeflow.response.grid_fiber` have made, one per distinct ``k1``,
@@ -42,7 +49,10 @@ Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -65,7 +75,7 @@ __all__ = [
 
 # largest Euclidean bond length hypot(z1, x2 - y2) of a block; the bond
 # currents of edgeflow.response need z1 and x2 - y2 in {-1, 0, 1}
-_HOP_RANGE = np.sqrt(2.0)
+_HOP_RANGE = math.sqrt(2.0)
 
 
 class HermiticityError(ValueError):
@@ -106,22 +116,25 @@ class LatticeHamiltonian:
     def add_block(self, z1, x2, y2, block, accumulate=True):
         if self._slabs is not None:
             raise ValueError(f"block at {(z1, x2, y2)}: the model was already read and is fixed")
+        try:
+            key = z1, x2, y2 = operator.index(z1), operator.index(x2), operator.index(y2)
+        except TypeError:
+            raise ValueError(f"block at {(z1, x2, y2)}: indices must be integers") from None
         g = self.geometry
         block = np.array(block, dtype=complex)  # a copy, so the caller's array stays theirs
         if block.shape != (g.M, g.M):
-            raise ValueError(f"block at {(z1, x2, y2)} must be {g.M}x{g.M}")
+            raise ValueError(f"block at {key} must be {g.M}x{g.M}")
         if not (0 <= x2 < g.L2 and 0 <= y2 < g.L2):
-            raise ValueError(f"column indices out of range at {(z1, x2, y2)}")
-        if np.hypot(z1, x2 - y2) > _HOP_RANGE + 1e-12:
-            raise ValueError(f"block at {(z1, x2, y2)} exceeds hopping range {_HOP_RANGE}")
+            raise ValueError(f"column indices out of range at {key}")
+        if math.hypot(z1, x2 - y2) > _HOP_RANGE + 1e-12:
+            raise ValueError(f"block at {key} exceeds hopping range {_HOP_RANGE}")
         if x2 in (0, g.L2 - 1) or y2 in (0, g.L2 - 1):
-            if np.any(block != 0.0):
+            if np.count_nonzero(block):
                 raise ValueError("Dirichlet rows must carry zero blocks")
             return
-        key = (int(z1), int(x2), int(y2))
         if accumulate and key in self._blocks:
             block = self._blocks[key] + block
-        if np.any(block):
+        if np.count_nonzero(block):  # a Python int; far cheaper than .any() on a small block
             block.flags.writeable = False
             self._blocks[key] = block
         else:
@@ -137,16 +150,22 @@ class LatticeHamiltonian:
     def items(self):
         return self._blocks.items()
 
+    def _block_array(self):
+        """The stored blocks in block order, shape ``(n, M, M)``."""
+        return np.reshape(list(self._blocks.values()), (-1, self.geometry.M, self.geometry.M))
+
     def _slab_stack(self):
         """Ring displacements ``z1s`` and dense slabs ``slabs[i] = H(z1s[i])``
         of shape ``(len(z1s), L2 M, L2 M)``, one per stored ``z1``.
 
-        The ``z1s`` are in the order they first appear among the blocks.  The
-        built-in models add each fiber entry's blocks in that order, so
-        summing the phased slabs in turn, as :func:`assemble_fiber` does,
-        rounds exactly as summing the phased blocks in turn; Fermi
-        velocities, finite differences of fiber energies, show any change in
-        the last bit.
+        The ``z1s`` are in the order they first appear among the blocks.
+        Each built-in model adds one complete block per key, with the keys in
+        their first-appearance order, so each fiber entry's blocks come in
+        the order of the ``z1s``: summing the phased slabs in turn, as
+        :func:`assemble_fiber` does, rounds exactly as summing the phased
+        blocks in turn.  Fermi velocities, finite differences of fiber
+        energies, show any change in the last bit.  The slabs are filled
+        from the stacked blocks with one indexed assignment.
 
         Built at the model's first read, after :meth:`check_hermitian`
         passes, with :meth:`summands` and each summand's mirror
@@ -155,12 +174,14 @@ class LatticeHamiltonian:
         if self._slabs is None:
             self.check_hermitian()
             g = self.geometry
+            blocks = self._block_array()
             z1s = list(dict.fromkeys(z1 for z1, _, _ in self._blocks))
+            at = dict(zip(z1s, range(len(z1s))))
+            slab, x2, y2 = np.array([(at[z1], x2, y2) for z1, x2, y2 in self._blocks], dtype=int).reshape(-1, 3).T
             slabs = np.zeros((len(z1s), g.L2, g.M, g.L2, g.M), dtype=complex)
-            for (z1, x2, y2), blk in self._blocks.items():
-                slabs[z1s.index(z1), x2, :, y2, :] = blk
+            slabs[slab, x2, :, y2, :] = blocks
             stack = (np.array(z1s, dtype=float), slabs.reshape(-1, g.fiber_dim, g.fiber_dim))
-            self._summands = self._split(*stack)
+            self._summands = self._split(blocks, *stack)
             if not self._summands:
                 self._mirror = _inversion(g, *stack)
             self._slabs = stack
@@ -186,9 +207,8 @@ class LatticeHamiltonian:
         # a connected model caches no parts, which keeps it free of a cycle to itself
         return self._summands or [(np.arange(self.geometry.M), self)]
 
-    def _split(self, z1s, slabs):
+    def _split(self, blocks, z1s, slabs):
         g = self.geometry
-        blocks = np.reshape(list(self._blocks.values()), (-1, g.M, g.M))
         linked = np.eye(g.M, dtype=bool) | np.any(blocks != 0.0, axis=0)
         linked |= linked.T
         for _ in range(g.M.bit_length()):  # each squaring doubles the path length
@@ -203,7 +223,7 @@ class LatticeHamiltonian:
             # one index cuts the class out of the (n, M, M) array of stored blocks
             parts = blocks[:, idx[:, None], idx]
             parts.flags.writeable = False
-            sub._blocks = {key: blk for key, blk in zip(self._blocks, parts) if np.any(blk)}
+            sub._blocks = dict(compress(zip(self._blocks, parts), parts.any(axis=(1, 2))))
             # and one out of the slabs, on the fiber rows x2 M + idx, less all-zero slabs
             rows = (g.M * np.arange(g.L2)[:, None] + idx).ravel()
             cut = slabs[:, rows[:, None], rows]
@@ -214,22 +234,33 @@ class LatticeHamiltonian:
         return out
 
     def check_hermitian(self):
-        # NaN passes every comparison below, so non-finite entries are refused first
-        peaks = [np.max(np.abs(b)) for b in self._blocks.values()]
+        """Refuse blocks with a non-finite entry, then blocks that are not
+        Hermitian partners, in that order.
+
+        NaN passes every comparison, so a block with a NaN or infinite entry
+        is refused first: ``ValueError`` names the first such block in block
+        order.  Then each block ``H(z1; x2, y2)`` is compared with
+        ``H(-z1; y2, x2)^dag``, a zero block when the partner is not stored:
+        the first block in block order whose largest entry gap exceeds
+        ``1e-12`` times the largest entry of any block raises
+        :class:`HermiticityError`, naming its key and its partner's.
+        """
+        keys, blocks = list(self._blocks), self._block_array()
+        peaks = np.abs(blocks).max(axis=(1, 2))
         bad = np.flatnonzero(~np.isfinite(peaks))
         if bad.size:
-            raise ValueError(f"block at (z1,x2,y2)={list(self._blocks)[bad[0]]} has a non-finite entry")
-        scale = max(peaks, default=1.0)
-        for (z1, x2, y2), blk in self._blocks.items():
-            partner = self._blocks.get((-z1, y2, x2))
-            partner = (
-                np.zeros_like(blk) if partner is None else partner
+            raise ValueError(f"block at (z1,x2,y2)={keys[bad[0]]} has a non-finite entry")
+        at = dict(zip(keys, range(len(keys))))
+        partner = [at.get((-z1, y2, x2), len(keys)) for z1, x2, y2 in keys]  # past the end: zero
+        mates = np.concatenate([blocks, np.zeros((1,) + blocks.shape[1:])])[partner]
+        gaps = np.abs(blocks - mates.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(gaps > 1e-12 * peaks.max(initial=0.0))
+        if bad.size:
+            z1, x2, y2 = keys[bad[0]]
+            raise HermiticityError(
+                f"blocks at (z1,x2,y2)={(z1, x2, y2)} and {(-z1, y2, x2)} "
+                "are not Hermitian partners"
             )
-            if np.max(np.abs(blk - partner.conj().T)) > 1e-12 * scale:
-                raise HermiticityError(
-                    f"blocks at (z1,x2,y2)={(z1, x2, y2)} and {(-z1, y2, x2)} "
-                    "are not Hermitian partners"
-                )
 
 
 def _inversion(geometry, z1s, slabs):
@@ -311,31 +342,44 @@ def haldane_cylinder(geometry=None, t1=1.0, t2=0.2, phi=np.pi / 2, m_stag=0.0, L
     # orientation fixed so that at phi = +pi/2 the lower-edge mode crossing
     # a mid-gap chemical potential propagates with positive velocity
     up, dn = np.exp(-1j * phi), np.exp(1j * phi)
-    interior = range(1, geometry.L2 - 1)
-    for y2 in interior:
-        nn0 = np.zeros((2, 2), dtype=complex)
-        nn0[1, 0] = nn0[0, 1] = -t1
-        diag = np.diag([t2 * up, t2 * dn])
-        ham.add_block(0, y2, y2, nn0 + np.diag([m_stag, -m_stag]))
-        ham.add_block(1, y2, y2, diag)
-        ham.add_block(-1, y2, y2, diag.conj())
-        if y2 + 1 in interior:
-            blk_up = np.zeros((2, 2), dtype=complex)
-            blk_up[0, 0] = t2 * dn  # A hop along +a2
-            blk_up[1, 1] = t2 * up
-            ham.add_block(0, y2 + 1, y2, blk_up)
-            ham.add_block(0, y2, y2 + 1, blk_up.conj().T)
-            nn_up = np.zeros((2, 2), dtype=complex)
-            nn_up[1, 0] = -t1  # A(c) - B(c - a2)
-            ham.add_block(0, y2, y2 + 1, nn_up)
-            ham.add_block(0, y2 + 1, y2, nn_up.conj().T)
-            skew = np.diag([t2 * dn, t2 * up])  # A hop along +(a1 - a2)
-            ham.add_block(1, y2, y2 + 1, skew)
-            ham.add_block(-1, y2 + 1, y2, skew.conj())
-        nn1 = np.zeros((2, 2), dtype=complex)
-        nn1[1, 0] = -t1  # A(c) - B(c - a1)
-        ham.add_block(-1, y2, y2, nn1)
-        ham.add_block(1, y2, y2, nn1.conj().T)
+    nn0 = np.zeros((2, 2), dtype=complex)
+    nn0[1, 0] = nn0[0, 1] = -t1
+    diag = np.diag([t2 * up, t2 * dn])
+    blk_up = np.zeros((2, 2), dtype=complex)
+    blk_up[0, 0] = t2 * dn  # A hop along +a2
+    blk_up[1, 1] = t2 * up
+    nn_up = np.zeros((2, 2), dtype=complex)
+    nn_up[1, 0] = -t1  # A(c) - B(c - a2)
+    skew = np.diag([t2 * dn, t2 * up])  # A hop along +(a1 - a2)
+    nn1 = np.zeros((2, 2), dtype=complex)
+    nn1[1, 0] = -t1  # A(c) - B(c - a1)
+    # The blocks of row y2 by (z1, x2 - y2, y2' - y2), the same for every row.
+    # The terms are summed in this order, which sets the rounding, and a key
+    # takes the place of its first nonzero term; the two terms of one key
+    # fill disjoint entries, so no sum of nonzero terms is 0.
+    row = {}
+    for key, term in (
+        ((0, 0, 0), nn0 + np.diag([m_stag, -m_stag])),
+        ((1, 0, 0), diag),
+        ((-1, 0, 0), diag.conj()),
+        ((0, 1, 0), blk_up),
+        ((0, 0, 1), blk_up.conj().T),
+        ((0, 0, 1), nn_up),
+        ((0, 1, 0), nn_up.conj().T),
+        ((1, 0, 1), skew),
+        ((-1, 1, 0), skew.conj()),
+        ((-1, 0, 0), nn1),
+        ((1, 0, 0), nn1.conj().T),
+    ):
+        if key in row:
+            term = row[key] + term
+        if term.any():
+            row[key] = term
+    last = geometry.L2 - 2  # the last interior row has no bond to the row above
+    for y2 in range(1, last + 1):
+        for (z1, dx2, dy2), blk in row.items():
+            if y2 + dx2 + dy2 <= last:
+                ham.add_block(z1, y2 + dx2, y2 + dy2, blk)
     return ham
 
 
@@ -360,14 +404,15 @@ def hofstadter_cylinder(geometry=None, p=1, q=3, t=1.0, L1=16, L2=16):
     if geometry.L1 % q:
         raise ValueError("L1 must be a multiple of q for a single magnetic cell")
     ham = LatticeHamiltonian(geometry)
+    phase = np.exp(2j * np.pi * p / q * np.arange(geometry.L2)).reshape(-1, 1, 1)
+    ring, back, hop = -t * phase, -t * np.conj(phase), np.full((1, 1), -t, dtype=complex)
     interior = range(1, geometry.L2 - 1)
     for x2 in interior:
-        phase = np.exp(2j * np.pi * p / q * x2)
-        ham.add_block(1, x2, x2, [[-t * phase]])
-        ham.add_block(-1, x2, x2, [[-t * np.conj(phase)]])
+        ham.add_block(1, x2, x2, ring[x2])
+        ham.add_block(-1, x2, x2, back[x2])
         if x2 + 1 in interior:
-            ham.add_block(0, x2 + 1, x2, [[-t]])
-            ham.add_block(0, x2, x2 + 1, [[-t]])
+            ham.add_block(0, x2 + 1, x2, hop)
+            ham.add_block(0, x2, x2 + 1, hop)
     return ham
 
 
@@ -396,20 +441,23 @@ def stacked_shifted(base, shifts):
         raise ValueError("stacked models must share the cylinder")
     m_tot = sum(p.geometry.M for p in parts)
     ham = LatticeHamiltonian(CylinderGeometry(g0.L1, g0.L2, m_tot))
-    stack, offset = ham._blocks, 0
+    diag = [(0, x2, x2) for x2 in range(1, g0.L2 - 1)]
+    rows, placed, offset = {}, [], 0  # rows: stack key -> its block's index
     for part, energy in zip(parts, shifts):
-        m, own = part.geometry.M, dict(part.items())
-        eye = energy * np.eye(m)
-        for x2 in range(1, g0.L2 - 1):
-            own[0, x2, x2] = own.get((0, x2, x2), 0.0) + eye
-        for key, blk in own.items():
-            if np.any(blk):
-                if key not in stack:
-                    stack[key] = np.zeros((m_tot, m_tot), dtype=complex)
-                stack[key][offset : offset + m, offset : offset + m] = blk
+        m, own = part.geometry.M, list(dict.fromkeys([*part._blocks, *diag]))
+        blocks = np.zeros((len(own), m, m), dtype=complex)
+        blocks[: len(part._blocks)] = part._block_array()
+        at = dict(zip(own, range(len(own))))
+        blocks[[at[key] for key in diag]] += energy * np.eye(m)
+        kept = blocks.any(axis=(1, 2))
+        where = [rows.setdefault(key, len(rows)) for key in compress(own, kept)]
+        placed.append((where, slice(offset, offset + m), blocks[kept]))
         offset += m
-    for blk in stack.values():
-        blk.flags.writeable = False
+    stack = np.zeros((len(rows), m_tot, m_tot), dtype=complex)
+    for where, cols, blocks in placed:
+        stack[where, cols, cols] = blocks
+    stack.flags.writeable = False
+    ham._blocks = dict(zip(rows, stack))
     return ham
 
 

@@ -31,6 +31,20 @@ def hermitian_checks(monkeypatch):
 
 
 @pytest.fixture
+def add_block_calls(monkeypatch):
+    """Record every ``LatticeHamiltonian.add_block`` call, by model."""
+    calls = []
+    add = lattice.LatticeHamiltonian.add_block
+
+    def counted(ham, *args, **kwargs):
+        calls.append(ham)
+        return add(ham, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.LatticeHamiltonian, "add_block", counted)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
 
@@ -110,6 +124,91 @@ def shifted(ham, energy):
     for x2 in range(1, g.L2 - 1):
         out.add_block(0, x2, x2, eye)
     return out
+
+
+def haldane_by_terms(geometry, t1=1.0, t2=0.2, phi=np.pi / 2, m_stag=0.0):
+    """The Haldane model built one bond term at a time, summed into its key by
+    ``add_block``: the oracle of :func:`edgeflow.lattice.haldane_cylinder`,
+    which adds one complete block per key."""
+    ham = lattice.LatticeHamiltonian(geometry)
+    up, dn = np.exp(-1j * phi), np.exp(1j * phi)
+    interior = range(1, geometry.L2 - 1)
+    for y2 in interior:
+        nn0 = np.zeros((2, 2), dtype=complex)
+        nn0[1, 0] = nn0[0, 1] = -t1
+        diag = np.diag([t2 * up, t2 * dn])
+        ham.add_block(0, y2, y2, nn0 + np.diag([m_stag, -m_stag]))
+        ham.add_block(1, y2, y2, diag)
+        ham.add_block(-1, y2, y2, diag.conj())
+        if y2 + 1 in interior:
+            blk_up = np.zeros((2, 2), dtype=complex)
+            blk_up[0, 0] = t2 * dn
+            blk_up[1, 1] = t2 * up
+            ham.add_block(0, y2 + 1, y2, blk_up)
+            ham.add_block(0, y2, y2 + 1, blk_up.conj().T)
+            nn_up = np.zeros((2, 2), dtype=complex)
+            nn_up[1, 0] = -t1
+            ham.add_block(0, y2, y2 + 1, nn_up)
+            ham.add_block(0, y2 + 1, y2, nn_up.conj().T)
+            skew = np.diag([t2 * dn, t2 * up])
+            ham.add_block(1, y2, y2 + 1, skew)
+            ham.add_block(-1, y2 + 1, y2, skew.conj())
+        nn1 = np.zeros((2, 2), dtype=complex)
+        nn1[1, 0] = -t1
+        ham.add_block(-1, y2, y2, nn1)
+        ham.add_block(1, y2, y2, nn1.conj().T)
+    return ham
+
+
+def hofstadter_by_terms(geometry, p=1, q=3, t=1.0):
+    """The Hofstadter model built from one nested-list hop per ``add_block``
+    call, each phase taken row by row: the oracle of
+    :func:`edgeflow.lattice.hofstadter_cylinder`."""
+    ham = lattice.LatticeHamiltonian(geometry)
+    interior = range(1, geometry.L2 - 1)
+    for x2 in interior:
+        phase = np.exp(2j * np.pi * p / q * x2)
+        ham.add_block(1, x2, x2, [[-t * phase]])
+        ham.add_block(-1, x2, x2, [[-t * np.conj(phase)]])
+        if x2 + 1 in interior:
+            ham.add_block(0, x2 + 1, x2, [[-t]])
+            ham.add_block(0, x2, x2 + 1, [[-t]])
+    return ham
+
+
+def stacked_by_blocks(parts, shifts):
+    """Direct sum of shifted copies placed block by block: the oracle of
+    :func:`edgeflow.lattice.stacked_shifted`, keys in their first
+    appearance over the copies, blocks a shift makes exactly 0 dropped."""
+    g0 = parts[0].geometry
+    m_tot = sum(p.geometry.M for p in parts)
+    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(g0.L1, g0.L2, m_tot))
+    stack, offset = ham._blocks, 0
+    for part, energy in zip(parts, shifts):
+        m, own = part.geometry.M, dict(part.items())
+        eye = energy * np.eye(m)
+        for x2 in range(1, g0.L2 - 1):
+            own[0, x2, x2] = own.get((0, x2, x2), 0.0) + eye
+        for key, blk in own.items():
+            if np.any(blk):
+                if key not in stack:
+                    stack[key] = np.zeros((m_tot, m_tot), dtype=complex)
+                stack[key][offset : offset + m, offset : offset + m] = blk
+        offset += m
+    for blk in stack.values():
+        blk.flags.writeable = False
+    return ham
+
+
+def slabs_by_blocks(ham):
+    """``(z1s, slabs)`` of ``ham`` placed block by block, the ``z1s`` in their
+    first appearance: the oracle of ``LatticeHamiltonian._slab_stack``."""
+    g = ham.geometry
+    z1s = list(dict.fromkeys(z1 for (z1, _, _), _ in ham.items()))
+    slabs = np.zeros((len(z1s), g.L2, g.M, g.L2, g.M), dtype=complex)
+    for (z1, x2, y2), blk in ham.items():
+        slabs[z1s.index(z1), x2, :, y2, :] = blk
+    return np.array(z1s, dtype=float), slabs.reshape(-1, g.fiber_dim, g.fiber_dim)
 
 
 def three_builds(v, z, lam):

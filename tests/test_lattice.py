@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from edgeflow import lattice, response, spectrum
-from conftest import random_hermitian_model, shifted
+from conftest import (
+    haldane_by_terms,
+    hofstadter_by_terms,
+    random_hermitian_model,
+    shifted,
+    slabs_by_blocks,
+    stacked_by_blocks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +129,20 @@ def test_add_block_refuses_blocks_beyond_the_hopping_range():
     assert list(dict(ham.items())) == [(1, 3, 4)]
 
 
+def test_add_block_refuses_non_integral_indices():
+    # int() would truncate 0.5 and 2.7 onto the key (0, 2, 2)
+    ham = lattice.LatticeHamiltonian(lattice.CylinderGeometry(8, 6, 1))
+    for key in ((0.5, 2, 2), (0, 2.7, 2), (0, 2, 2.0), (np.float64(0.0), 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"block at {key}: indices must be integers")):
+            ham.add_block(*key, [[1.0]])
+    assert not ham.items()
+    ham.add_block(np.int64(0), np.int32(2), 2, [[1.0]])  # numpy integers are integers
+    ham.add_block(0, 2, 2, [[1.0]])
+    [(key, blk)] = ham.items()
+    assert key == (0, 2, 2) and all(type(i) is int for i in key)
+    assert blk[0, 0] == 2.0
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_a_non_finite_block_is_refused_before_any_fiber(value):
     # every comparison with NaN is false, so the Hermiticity check alone
@@ -130,11 +153,20 @@ def test_a_non_finite_block_is_refused_before_any_fiber(value):
         response.diagonalize_fiber(ham, 0.1)
 
 
-def test_a_nan_shift_is_refused_before_any_fiber(haldane16):
+def test_a_nan_shift_is_refused_before_any_fiber(haldane16, add_block_calls):
     # stacked_shifted writes its blocks with no add_block call
     stack = lattice.stacked_shifted(haldane16, [0.0, np.nan])
+    assert add_block_calls == []
     with pytest.raises(ValueError, match=r"\(0, 1, 1\) has a non-finite entry"):
         lattice.assemble_fiber(stack, 0.3)
+    # and a built-in model makes one add_block call per stored key, so the
+    # benchmark's counter stack makes all of its calls in its two Haldane builds
+    haldane = lattice.haldane_cylinder(L1=48, L2=24)
+    assert add_block_calls == [haldane] * 150 and len(haldane.items()) == 150
+    del add_block_calls[:]
+    counter = lattice.build_model("stacked-haldane", 48, 24, shifts="0.0,0.1", flips="0,1")
+    assert len(add_block_calls) == 300 and counter not in add_block_calls
+    assert len(set(map(id, add_block_calls))) == 2
 
 
 def test_hermiticity_error_names_blocks():
@@ -143,6 +175,32 @@ def test_hermiticity_error_names_blocks():
     ham.add_block(1, 3, 3, [[1.0 + 0.5j]])
     with pytest.raises(lattice.HermiticityError, match=r"\(1, 3, 3\)"):
         lattice.assemble_fiber(ham, 0.2)
+
+
+def test_the_check_names_the_first_broken_pair_in_block_order():
+    ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
+    ham.add_block(0, 4, 5, [[0.3]])  # no partner at (0, 5, 4)
+    ham.add_block(1, 3, 3, [[0.5]])  # stored before (0, 4, 5), off its partner by less
+    with pytest.raises(lattice.HermiticityError, match=r"^blocks at \(z1,x2,y2\)=\(1, 3, 3\) and \(-1, 3, 3\) "):
+        ham.check_hermitian()
+
+
+def test_a_non_finite_block_is_refused_before_a_broken_pair():
+    ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
+    ham.add_block(0, 4, 5, [[0.3]])  # no partner at (0, 5, 4), stored first
+    ham.add_block(0, 6, 6, [[np.nan]])
+    for read in (ham.check_hermitian, lambda: lattice.assemble_fiber(ham, 0.2)):
+        with pytest.raises(ValueError, match=r"\(0, 6, 6\) has a non-finite entry") as refused:
+            read()
+        assert not isinstance(refused.value, lattice.HermiticityError)
+    # a model whose check failed was not read: no slab stack, and it still takes blocks
+    assert ham._slabs is None and ham._summands is None
+    ham.add_block(0, 6, 6, [[0.1]], accumulate=False)
+    with pytest.raises(lattice.HermiticityError, match=r"\(0, 4, 5\) and \(0, 5, 4\)"):
+        lattice.assemble_fiber(ham, 0.2)
+    assert ham._slabs is None and ham._summands is None
+    ham.add_block(0, 5, 4, [[0.3]])
+    assert lattice.assemble_fiber(ham, 0.2)[4, 5] == 0.3
 
 
 def test_a_model_is_checked_once_and_never_read_stale(hermitian_checks):
@@ -271,6 +329,68 @@ def test_stacked_shifted_structure(haldane16):
         shifted.append(np.linalg.eigvalsh(base + s * np.diag(interior)))
     want = np.sort(np.concatenate(shifted))
     assert np.max(np.abs(eig_stack - want)) < 1e-12
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stack_by_terms(L1, L2, shifts, flips):
+    g = lattice.CylinderGeometry(L1, L2, 2)
+    return stacked_by_blocks([haldane_by_terms(g, phi=-np.pi / 2 if f else np.pi / 2) for f in flips], shifts)
+
+
+G = lattice.CylinderGeometry
+BUILDS = {
+    "haldane": (lambda: lattice.haldane_cylinder(G(16, 12, 2)), lambda: haldane_by_terms(G(16, 12, 2))),
+    "haldane-m_stag": (
+        lambda: lattice.haldane_cylinder(G(16, 12, 2), m_stag=0.3),
+        lambda: haldane_by_terms(G(16, 12, 2), m_stag=0.3),
+    ),
+    "haldane-phi-flipped": (
+        lambda: lattice.haldane_cylinder(G(16, 12, 2), phi=-np.pi / 2),
+        lambda: haldane_by_terms(G(16, 12, 2), phi=-np.pi / 2),
+    ),
+    # a zero t2 term leaves its key to the bond term added after it
+    "haldane-t2-0": (lambda: lattice.haldane_cylinder(G(16, 12, 2), t2=0.0), lambda: haldane_by_terms(G(16, 12, 2), t2=0.0)),
+    **{
+        f"haldane-L2-{L2}": (lambda L2=L2: lattice.haldane_cylinder(G(16, L2, 2)), lambda L2=L2: haldane_by_terms(G(16, L2, 2)))
+        for L2 in (4, 5, 24)
+    },
+    "hofstadter-1/3": (lambda: lattice.hofstadter_cylinder(G(24, 16, 1)), lambda: hofstadter_by_terms(G(24, 16, 1))),
+    "hofstadter-2/5": (
+        lambda: lattice.hofstadter_cylinder(G(20, 13, 1), p=2, q=5),
+        lambda: hofstadter_by_terms(G(20, 13, 1), p=2, q=5),
+    ),
+    "chain": (lambda: lattice.chain_cylinder(G(8, 8, 2), t=0.7), lambda: lattice.chain_cylinder(G(8, 8, 2), t=0.7)),
+    "stack-2-flipped": (
+        lambda: lattice.build_model("stacked-haldane", 16, 12, shifts="0.0,0.1", flips="0,1"),
+        lambda: stack_by_terms(16, 12, [0.0, 0.1], [0, 1]),
+    ),
+    "stack-3-flipped": (
+        lambda: lattice.build_model("stacked-haldane", 16, 12, shifts="0.0,-0.1,0.26", flips="1,0,1"),
+        lambda: stack_by_terms(16, 12, [0.0, -0.1, 0.26], [1, 0, 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_a_builtin_model_is_bitwise_its_per_term_build(name):
+    # fibers round by key order, and Fermi velocities show the last bit: the
+    # one-block-per-key builders and the array fill of the slab stack give the
+    # per-term build's keys in its order, its bits, slabs, mirrors and fibers
+    model, oracle = (make() for make in BUILDS[name])
+    assert [key for key, _ in model.items()] == [key for key, _ in oracle.items()]
+    assert all(same_bits(blk, oracle.block(*key)) for key, blk in model.items())
+    z1s, slabs = slabs_by_blocks(oracle)
+    assert all(map(same_bits, model._slab_stack(), (z1s, slabs)))
+    mirrors = [[sub._mirror for _, sub in ham.summands()] for ham in (model, oracle)]
+    assert all(a is b is None or np.array_equal(a, b) for a, b in zip(*mirrors, strict=True))
+    for k1 in (0.0, 0.4, -2.1, np.pi):
+        fiber = np.zeros(slabs.shape[1:], dtype=complex)
+        for phase, slab in zip(np.exp(-1j * k1 * z1s), slabs):
+            fiber += phase * slab
+        assert same_bits(lattice.assemble_fiber(model, k1), fiber)
 
 
 def test_stacked_shifted_validation(haldane16):

@@ -563,6 +563,24 @@ def test_fiber_matches_the_block_loop(seed, size, k1):
     assert np.max(np.abs(lattice.assemble_fiber(ham, k1) - loop_fiber(ham, k1))) <= 1e-14
 
 
+@PROPERTY
+@given(seed=SEEDS, size=SIZES, pick=st.integers(0, 2**16), entry=st.integers(0, 3))
+def test_the_hermiticity_check_passes_every_model_and_trips_on_one_moved_entry(seed, size, pick, entry):
+    ham = random_hermitian_model(np.random.default_rng(seed), *size)
+    ham.check_hermitian()
+    keys = [key for key, _ in ham.items()]
+    z1, x2, y2 = keys[pick % len(keys)]
+    peak = max(np.max(np.abs(blk)) for _, blk in ham.items())
+    blk = ham.block(z1, x2, y2).copy()
+    # an imaginary move breaks a real diagonal entry of a block that is its own partner too
+    blk[entry // 2 % ham.geometry.M, entry % 2 % ham.geometry.M] += 2e-12j * peak
+    ham.add_block(z1, x2, y2, blk, accumulate=False)
+    with pytest.raises(lattice.HermiticityError) as refused:
+        ham.check_hermitian()
+    pairs = ((z1, x2, y2), (-z1, y2, x2)), ((-z1, y2, x2), (z1, x2, y2))
+    assert str(refused.value) in {f"blocks at (z1,x2,y2)={a} and {b} are not Hermitian partners" for a, b in pairs}
+
+
 def random_model_in_z1_order(z1_order):
     """A random model whose blocks are added one ring displacement at a time."""
     model = random_hermitian_model(np.random.default_rng(7), 8, 8, 2)
