@@ -28,6 +28,7 @@ FAILED_STAGE = {
     spectrum.NoEdgeBranchError: "assumptions",
     spectrum.FermiPointError: "fermi_point",
     spectrum.UndersampledCrossingError: "chirality_undersampled",
+    spectrum.ChargeStepError: "chirality_charge",
     response.DegenerateCrossingError: "pair_weights",
     response.ConjugationSymmetryError: "conjugation_symmetry",
     quadrature.QuadratureError: "quadrature",
@@ -103,11 +104,11 @@ def _require_positive(flag, value):
 # ---------------------------------------------------------------------------
 
 
-def _scan(args, ham, n_k, step=1):
-    """The band scan of ``n_k`` momenta around ``--mu``; its coarse grid is
+def _scan(args, ham, n_k):
+    """The band scan of ``n_k`` momenta around ``--mu``; its grid is
     diagonalized on ``--threads`` and stays on the model."""
     window = (args.mu - args.window, args.mu + args.window)
-    return spectrum.scan_spectrum(ham, n_k=n_k, window=window, step=step, threads=args.threads)
+    return spectrum.scan_spectrum(ham, n_k=n_k, window=window, threads=args.threads)
 
 
 def cmd_spectrum(args, report):
@@ -150,30 +151,25 @@ def cmd_edges(args, report):
         "diagnostics": {k: v for k, v in rep.diagnostics.items()},
     }
     report["checks"]["assumptions"] = rep.all_pass
+    # the branches' signed lower-edge count against the charge count on the
+    # same grid: a crossing the continuation lost shows here
+    branch_chi = sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower")
+    chi = spectrum.lower_edge_chirality(ham, args.mu, args.n_k)
+    report["chirality_sum_lower"] = {"branches": float(branch_chi), "charge": float(chi)}
+    report["checks"]["chirality_agrees"] = branch_chi == chi
 
 
 def cmd_conductance(args, report):
     _require_positive("--tolerance", args.tolerance)
-    _require_positive("--window", args.window)
     ham = _model(args)
     n_k = ham.geometry.L1
     a = args.a if args.a is not None else ham.geometry.L2 // 2 - 2
     a_prime = args.aprime if args.aprime is not None else ham.geometry.L2 // 4
-    # the chirality scan needs at least MIN_SCAN_MOMENTA, so it runs on the
-    # least power-of-two multiple of L1 that has them (L1 itself once it has
-    # them), solves the L1 grid that the response reads as every step-th of
-    # its momenta (bitwise, the step being a power of two), stores it on the
-    # model and reads a momentum in between only when its window may hold a
-    # state
-    step = 1
-    while step * n_k < spectrum.MIN_SCAN_MOMENTA:
-        step *= 2
-    scan = _scan(args, ham, step * n_k, step)
-    # the chirality target: the signed count of lower-edge grid crossings
-    branches = spectrum.edge_branches(scan, args.mu)
-    chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
+    response.fiber_cache(ham, n_k, threads=args.threads)  # stored on the model for the response and the count
     est = response.edge_conductance_free(ham, args.mu, n_k, a=a, a_prime=a_prime)
     write_csv(args.out, "conductance.csv", ["p1", "G"], list(zip(est.p1_values, est.g_values)))
+    # the chirality target: the lower edge's count from its occupied charge
+    chi = float(spectrum.lower_edge_chirality(ham, args.mu, n_k))
     target = chi / (2.0 * np.pi)
     rel = abs(est.g - target) / abs(target) if target != 0 else abs(est.g) * 2 * np.pi
     report["G_extrapolated"] = est.g
@@ -182,7 +178,6 @@ def cmd_conductance(args, report):
     report["target"] = target
     report["relative_error"] = rel
     report["chirality_sum_lower"] = chi
-    report["scan_fibers"] = {"solved": len(scan.k_grid) - scan.pruned, "pruned": scan.pruned, "mirrored": scan.mirrored}
     report["checks"]["conductance_matches_chirality"] = bool(rel <= args.tolerance)
 
 
@@ -354,7 +349,7 @@ def build_parser():
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("conductance", parents=[common], help="free edge conductance with extrapolation")
-    add_model_args(p)
+    add_model_args(p, window=False)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--aprime", type=int, default=None)
     p.add_argument("--tolerance", type=lattice.finite_float, default=0.05)

@@ -45,13 +45,16 @@ A model keeps each fiber basis that :func:`diagonalize_fiber` solves,
 keyed by the exact float ``k1``: a repeat request returns the stored
 basis with no ``eigh``.  That store is the only source of fibers: every
 response reads its grid momenta through :func:`grid_fiber` (the whole
-grid through :func:`fiber_cache`), and so does the scan of
-:func:`edgeflow.spectrum.scan_spectrum`, so the identities asked of one
-model solve its grid once, and no response can read the fibers of
-another model.  A model is fixed from its first read, so none goes
-stale.  The cost is one basis per distinct momentum for the model's life;
-the off-grid bisection solves of :func:`edgeflow.spectrum.fermi_point` are
-not stored.  A stored basis's arrays are read-only.
+grid through :func:`fiber_cache`), and so do the scan of
+:func:`edgeflow.spectrum.scan_spectrum` and the chirality count of
+:func:`edgeflow.spectrum.lower_edge_chirality`, so the identities and the
+count asked of one model solve its grid once, and no response can read
+the fibers of another model.  A model is fixed from its first read, so
+none goes stale.  The cost is one basis per distinct momentum for the
+model's life; the off-grid bisection solves of
+:func:`edgeflow.spectrum.fermi_point` are not stored, and the midpoints
+that the chirality count halves an interval at are stored on the
+summand.  A stored basis's arrays are read-only.
 
 A grid read solves only half the ring of a summand with an inversion
 mirror (:func:`edgeflow.lattice._inversion`, as the Haldane model and its

@@ -1,11 +1,11 @@
-"""Edge-mode spectroscopy: band scans, branch continuation, Fermi data.
+"""Edge-mode spectroscopy: band scans, branch continuation, Fermi data and
+the lower edge's chirality.
 
 A scan keeps the eigenpairs inside an energy window (excluding the
 decoupled Dirichlet-row modes) of the Bloch fibers on a uniform
-ring-momentum grid.  It may read a coarser grid, every ``step``-th
-momentum, and then diagonalizes a momentum in between only when Weyl's
-inequality cannot prove from its neighbours that its window is empty.
-Branches come from the scan in two steps:
+ring-momentum grid, read from the model's store
+(:func:`~edgeflow.response.fiber_cache`).  Branches come from the scan in
+two steps:
 
 1. :func:`edge_branches` forms them by eigenvector-overlap continuation,
    assigns each to an edge by its half-cylinder weight and splits them so
@@ -16,6 +16,10 @@ Branches come from the scan in two steps:
    branch gets its Fermi point, refined by bisection with
    re-diagonalization (:func:`fermi_point`), its velocity and its
    localization-rate fit.
+
+:func:`lower_edge_chirality` counts that chirality with no scan and no
+branch, from the steps of the lower half's occupied charge around the ring
+(Laughlin's charge pump, read per ring momentum).
 """
 
 from __future__ import annotations
@@ -35,11 +39,13 @@ __all__ = [
     "FermiPointError",
     "NoEdgeBranchError",
     "UndersampledCrossingError",
+    "ChargeStepError",
     "scan_spectrum",
     "edge_branches",
     "crossing_sign",
     "extract_edge_branches",
     "fermi_point",
+    "lower_edge_chirality",
     "check_assumptions",
 ]
 
@@ -50,8 +56,8 @@ DEGENERACY_TOL = 1e-5  # energy gap below which scan states are side-purified
 FERMI_TOL = 1e-10  # |E(k_F) - mu| at which the bisection stops
 MAX_BISECTIONS = 200
 GAMMA_MIN = 0.05  # least Fermi-momentum separation, pairwise and in differences
-MIN_SCAN_MOMENTA = 64  # least grid size of a scan
-PRUNE_MARGIN = 1e-9  # rounding allowance of a pruned fiber, relative to the fiber norm
+MIN_SCAN_MOMENTA = 64  # least grid size of a scan, and the finest spacing of a charge step
+CHARGE_STEP_TOL = 0.25  # largest distance of a lower-half charge step from an integer
 
 
 class BulkStateError(RuntimeError):
@@ -72,14 +78,18 @@ class UndersampledCrossingError(RuntimeError):
     to be kept, so its crossing would be lost from the chirality count."""
 
 
+class ChargeStepError(RuntimeError):
+    """A step of the lower half's occupied charge stays farther than
+    :data:`CHARGE_STEP_TOL` from an integer at the finest momentum spacing,
+    ``2 pi / MIN_SCAN_MOMENTA``."""
+
+
 @dataclass
 class BandScan:
     ham: object
     k_grid: np.ndarray
     energies: list  # per k: sorted array of in-window energies
     vectors: list  # per k: matching eigenvector columns
-    pruned: int = 0  # momenta left empty without a diagonalization
-    mirrored: int = 0  # momenta whose basis was taken, in some summand, from its inversion mirror
 
     @property
     def geometry(self):
@@ -122,13 +132,6 @@ def _diag(ham, k1):
     return e, v
 
 
-def _side_projector_weights(geometry):
-    m, l2 = geometry.M, geometry.L2
-    w = np.zeros(l2 * m)
-    w[: (l2 // 2) * m] = 1.0
-    return w
-
-
 def _purify_degenerate(geometry, e, vecs):
     """Rotate quasi-degenerate clusters into side-pure combinations.
 
@@ -140,7 +143,7 @@ def _purify_degenerate(geometry, e, vecs):
     """
     if len(e) < 2:
         return vecs
-    proj = _side_projector_weights(geometry)
+    proj = np.arange(geometry.fiber_dim) < (geometry.L2 // 2) * geometry.M  # the lower half
     i = 0
     out = vecs.copy()
     while i < len(e):
@@ -156,82 +159,22 @@ def _purify_degenerate(geometry, e, vecs):
     return out
 
 
-def _reach(ham, dk):
-    """Bounds on how far any fiber eigenvalue moves over the momentum
-    changes ``dk``, and on ``||H(k1)||_2``: ``sum_z1 2 |sin(z1 dk / 2)|
-    ||H(z1)||_2`` bounds ``||H(k1 + dk) - H(k1)||_2`` and so, by Weyl's
-    inequality, ``|E_j(k1 + dk) - E_j(k1)|`` for the ``j``-th ascending
-    eigenvalue ``E_j``; ``sum_z1 ||H(z1)||_2`` bounds the fiber.  A direct
-    sum's ``||H(z1)||_2`` is the largest of its summands', and ``H(-z1) =
-    H(z1)^+`` has the norm of ``H(z1)``: a stored mirror takes no SVD."""
-    norms = {}
-    for _, sub in ham.summands():
-        z1s, slabs = sub._slab_stack()
-        own = (z1s >= 0) | ~np.isin(-z1s, z1s)
-        svd = dict(zip(z1s[own], np.linalg.norm(slabs[own], 2, axis=(1, 2))))
-        for z1 in z1s:
-            norms[z1] = max(norms.get(z1, 0.0), svd[z1] if z1 in svd else svd[-z1])
-    z1s, norms = np.array(list(norms)), np.array(list(norms.values()))
-    return 2.0 * np.abs(np.sin(np.multiply.outer(dk, z1s) / 2.0)) @ norms, norms.sum()
-
-
-def _clearance(geometry, energies, lo, hi):
-    """How far the fiber's eigenvalues lie outside ``(lo, hi)``, 0 or less
-    when one lies inside.  ``2 M`` exact zeros, the Dirichlet-row modes,
-    are left out; when fewer than ``2 M`` zeros are exact, none is."""
-    out = np.maximum(lo - energies, energies - hi)
-    zeros = np.flatnonzero(energies == 0.0)
-    if zeros.size >= 2 * geometry.M:
-        out[zeros[: 2 * geometry.M]] = np.inf
-    return out.min(initial=np.inf)
-
-
-def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1, threads=1):
+def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).
 
-    The coarse grid is :func:`~edgeflow.response.fiber_cache` of ``n_k //
-    step`` momenta on ``threads``, read from the model's store, where a
-    response on that grid finds it too.  ``n_k`` below
-    :data:`MIN_SCAN_MOMENTA` raises ``ValueError``, and so does a ``step``
-    that is not a power of two dividing ``n_k``, naming both, before any
-    ``eigh``; so every ``step``-th scan momentum is bitwise one of the
-    coarse grid's.  A momentum between two coarse ones is read
-    (:func:`~edgeflow.response.grid_fiber`) only when neither neighbour
-    proves its window empty.  By Weyl's inequality no eigenvalue moves
-    farther than the reach of :func:`_reach` from the neighbour's; so when
-    the neighbour's eigenvalues, ``2 M`` exact Dirichlet zeros left out,
-    all lie farther than that reach plus :data:`PRUNE_MARGIN` times the
-    fiber norm bound outside the window, the momentum keeps no state, as its
-    ``eigh`` would give.  Such a pruned momentum gets empty entries and is
-    neither diagonalized nor stored on the model; :attr:`BandScan.pruned`
-    counts them, and :attr:`BandScan.mirrored` the read momenta that some
-    summand took from its inversion mirror.
+    The grid is :func:`~edgeflow.response.fiber_cache` on ``threads``, read
+    from the model's store, where a response on that grid finds it too.
+    ``n_k`` below :data:`MIN_SCAN_MOMENTA` raises ``ValueError`` before any
+    ``eigh``.
     """
     if n_k < MIN_SCAN_MOMENTA:
         raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta, got n_k = {n_k}")
-    if step < 1 or step & (step - 1) or n_k % step:
-        raise ValueError(f"step must be a power of two that divides n_k = {n_k}, got step = {step}")
-    fibers = response.fiber_cache(ham, n_k // step, threads=threads)
-    n_fibers = len(fibers)
     g = ham.geometry
     lo, hi = window
-    if step > 1:
-        reach, norm = _reach(ham, 2.0 * np.pi * np.arange(step) / n_k)
-        slack = PRUNE_MARGIN * max(1.0, norm)
-        clear = [_clearance(g, f.energies, lo, hi) for f in fibers]
-    ks, energies, vectors, pruned, mirrored = [], [], [], 0, 0
-    for m in range(n_k):
-        j, d = divmod(m, step)
-        if d and max(clear[j] - reach[d], clear[(j + 1) % n_fibers] - reach[step - d]) > slack:
-            ks.append(2.0 * np.pi * m / n_k)
-            energies.append(np.empty(0))
-            vectors.append(np.empty((0, g.fiber_dim), dtype=complex))
-            pruned += 1
-            continue
-        basis = response.grid_fiber(ham, m, n_k) if d else fibers[j]
-        mirrored += basis.from_mirror
+    ks, energies, vectors = [], [], []
+    for basis in response.fiber_cache(ham, n_k, threads=threads):
         e = basis.energies
         idx = np.flatnonzero((e > lo) & (e < hi))
         v = basis.columns(idx)
@@ -241,9 +184,7 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), step=1, threads
         ks.append(basis.k1)
         energies.append(e[idx])
         vectors.append(_purify_degenerate(g, e[idx], v[:, keep].T.copy()))
-    return BandScan(
-        ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors, pruned=pruned, mirrored=mirrored
-    )
+    return BandScan(ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors)
 
 
 def _fit_loc_rate(geometry, vec, side):
@@ -276,42 +217,39 @@ def _fit_loc_rate(geometry, vec, side):
 def edge_branches(scan, mu):
     """Continue in-window states across the k grid and classify by edge.
 
-    Continuation accepts the best |<v(k), v(k+dk)>| >= :data:`OVERLAP_THRESHOLD` match;
-    the grid wraps at 2 pi.  Each maximal chain becomes one branch per
-    grid crossing of ``mu`` (chains crossing ``mu`` several times are split
-    so a branch carries a single crossing); branches of fewer than 3
-    samples are dropped, and one of them that crosses ``mu`` raises
+    Continuation accepts the best unused |<v(k), v(k+dk)>| >= :data:`OVERLAP_THRESHOLD`
+    match; the grid wraps at 2 pi.  A chain starts at a state that no state
+    at the momentum before matches, so a branch runs across the seam
+    ``k1 = 0`` and keeps the crossing there; the states of a closed ring of
+    matches start one chain in grid order.  Each maximal chain becomes one
+    branch per grid crossing of ``mu`` (chains crossing ``mu`` several times
+    are split so a branch carries a single crossing); branches of fewer than
+    3 samples are dropped, and one of them that crosses ``mu`` raises
     :class:`UndersampledCrossingError`.  States with less than :data:`SIDE_THRESHOLD`
     weight on either half of the cylinder raise :class:`BulkStateError`.
     The branches carry no Fermi data: no fiber is diagonalized.
     """
     g = scan.geometry
     n_k = len(scan.k_grid)
+    # overlaps[i][j, jn] = |<v_j(k_i), v_jn(k_(i+1))>|, around the ring
+    overlaps = [np.abs(scan.vectors[i].conj() @ scan.vectors[(i + 1) % n_k].T) for i in range(n_k)]
+    heads = [(i, j) for i in range(n_k) for j in np.flatnonzero(~np.any(overlaps[i - 1] >= OVERLAP_THRESHOLD, axis=0))]
     used = [np.zeros(len(e), dtype=bool) for e in scan.energies]
     chains = []
-    for i0 in range(n_k):
-        for j0 in range(len(scan.energies[i0])):
-            if used[i0][j0]:
-                continue
-            chain = [(i0, j0)]
-            used[i0][j0] = True
-            # extend forward around the ring
-            i, j = i0, j0
-            for step in range(1, n_k):
-                i_next = (i0 + step) % n_k
-                cand = [
-                    (abs(np.vdot(scan.vectors[i][j], vn)), jn)
-                    for jn, vn in enumerate(scan.vectors[i_next])
-                    if not used[i_next][jn]
-                ]
-                cand = [c for c in cand if c[0] >= OVERLAP_THRESHOLD]
-                if not cand:
-                    break
-                _, j_next = max(cand)
-                used[i_next][j_next] = True
-                chain.append((i_next, j_next))
-                i, j = i_next, j_next
-            chains.append(chain)
+    for i0, j0 in heads + [(i, j) for i in range(n_k) for j in range(len(used[i]))]:
+        if used[i0][j0]:
+            continue
+        chain = [(i0, j0)]
+        used[i0][j0] = True
+        i, j = i0, j0
+        for _ in range(n_k - 1):
+            cand = np.where(used[(i + 1) % n_k], -1.0, overlaps[i][j])
+            if not cand.size or cand.max() < OVERLAP_THRESHOLD:
+                break
+            i, j = (i + 1) % n_k, int(np.argmax(cand))
+            used[i][j] = True
+            chain.append((i, j))
+        chains.append(chain)
 
     branches = []
     for chain in chains:
@@ -449,6 +387,66 @@ def fermi_point(branch, ham, mu):
     return km % (2.0 * np.pi), float(velocity), vec
 
 
+def _lower_charge(geometry, basis, mu):
+    """``Q(k) = sum_(E_n < mu) sum_(x2 < L2 / 2) |U_n(x2)|^2`` of one fiber
+    basis.  A near-degenerate cluster (gaps below :data:`DEGENERACY_TOL`)
+    that straddles ``mu``, a hybridized edge pair that ``eigh`` mixes at
+    random, is rotated to side-pure states first (:func:`_purify_degenerate`),
+    and those with ``<psi|H|psi> < mu`` count as occupied."""
+    e, states = basis.energies, basis.states
+    half = (geometry.L2 // 2) * geometry.M
+    lo = hi = int(e.searchsorted(mu))
+    if 0 < lo < len(e) and e[lo] - e[lo - 1] < DEGENERACY_TOL:
+        lo, hi = lo - 1, hi + 1
+        while lo > 0 and e[lo] - e[lo - 1] < DEGENERACY_TOL:
+            lo -= 1
+        while hi < len(e) and e[hi] - e[hi - 1] < DEGENERACY_TOL:
+            hi += 1
+    charge = np.sum(np.abs(states[:half, :lo]) ** 2)
+    if hi > lo:
+        pure = _purify_degenerate(geometry, e[lo:hi], states[:, lo:hi].T)
+        energy = np.abs(pure.conj() @ states[:, lo:hi]) ** 2 @ e[lo:hi]
+        charge += np.sum(np.abs(pure[energy < mu, :half]) ** 2)
+    return charge
+
+
+def _charge_step(sub, mu, n, m, q0, q1):
+    """The integer step ``q1 - q0`` of the charge from ``k1 = 2 pi m / n`` to
+    ``2 pi (m + 1) / n``: a step farther than :data:`CHARGE_STEP_TOL` from an
+    integer is the sum over the interval's halves, down to the spacing ``2 pi
+    / MIN_SCAN_MOMENTA``, where it raises :class:`ChargeStepError`."""
+    step = q1 - q0
+    if abs(step - round(step)) <= CHARGE_STEP_TOL:
+        return int(round(step))
+    if n >= MIN_SCAN_MOMENTA:
+        raise ChargeStepError(
+            f"lower-half charge step {step:.3f} from k1 = {2.0 * np.pi * m / n:.5f} to "
+            f"{2.0 * np.pi * (m + 1) / n:.5f} is not within {CHARGE_STEP_TOL} of an integer"
+        )
+    qm = _lower_charge(sub.geometry, response.diagonalize_fiber(sub, np.pi * (2 * m + 1) / n), mu)
+    return _charge_step(sub, mu, 2 * n, 2 * m, q0, qm) + _charge_step(sub, mu, 2 * n, 2 * m + 1, qm, q1)
+
+
+def lower_edge_chirality(ham, mu, n_k):
+    """The signed number of lower-edge modes at ``mu``, ``-sum_i
+    round(Q(k_(i+1)) - Q(k_i))`` around the closed ring and over the
+    summands, ``Q`` the occupied charge of the lower half (:func:`_lower_charge`)
+    on the stored grid :func:`~edgeflow.response.fiber_cache` of ``n_k``.
+
+    ``Q`` drifts by about ``C / n_k`` an interval, and a lower-edge state
+    that crosses ``mu`` upward (downward) takes one unit out of (puts one
+    into) the lower half; so the rounded steps count the crossings by the
+    sign of their velocity, with no branch and no window.  A step not near
+    an integer is halved (:func:`_charge_step`).
+    """
+    fibers = response.fiber_cache(ham, n_k)
+    chi = 0
+    for s, (_, sub) in enumerate(ham.summands()):
+        charges = [_lower_charge(sub.geometry, f.parts[s], mu) for f in fibers]
+        chi -= sum(_charge_step(sub, mu, n_k, m, charges[m], charges[(m + 1) % n_k]) for m in range(n_k))
+    return chi
+
+
 def _circle_dist(a, b):
     d = abs(a - b) % (2.0 * np.pi)
     return min(d, 2.0 * np.pi - d)
@@ -473,7 +471,7 @@ def check_assumptions(branches):
     curv = []
     for b in branches:
         if len(b.k_samples) >= 5:
-            dk = np.diff(b.k_samples)
+            dk = np.diff(b.k_samples) % (2.0 * np.pi)  # a branch may run across k1 = 0
             if np.allclose(dk, dk[0]):
                 curv.append(np.max(np.abs(np.diff(b.energies, 2))) / dk[0] ** 2)
     diag["max_curvature"] = max(curv) if curv else 0.0

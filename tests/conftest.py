@@ -126,6 +126,16 @@ def shifted(ham, energy):
     return out
 
 
+def with_flux(ham, theta):
+    """Copy of ``ham`` with each block ``(z1, x2, y2)`` times ``exp(i theta
+    z1)``, block by block through ``add_block``: a flux ``theta`` through the
+    cylinder, whose fiber at ``k1`` is the old one at ``k1 - theta``."""
+    out = lattice.LatticeHamiltonian(ham.geometry)
+    for (z1, x2, y2), blk in ham.items():
+        out.add_block(z1, x2, y2, np.exp(1j * theta * z1) * blk)
+    return out
+
+
 def haldane_by_terms(geometry, t1=1.0, t2=0.2, phi=np.pi / 2, m_stag=0.0):
     """The Haldane model built one bond term at a time, summed into its key by
     ``add_block``: the oracle of :func:`edgeflow.lattice.haldane_cylinder`,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from edgeflow import cli, lattice, reference, response, rgflow, spectrum
-from conftest import three_builds, two_sample_crossing_scan
+from conftest import three_builds, two_sample_crossing_scan, with_flux
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 
@@ -80,11 +80,11 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["ref-check", "--tolerance", "-1"], "--tolerance"),
         (["conductance", "--model", "haldane", "--tolerance", "0"], "--tolerance"),
         (["conductance", "--model", "haldane", "--tolerance", "-0.05"], "--tolerance"),
-        # an empty or inverted energy window keeps no state, and conductance
-        # would blame a correct 2 pi G for the chirality it then misses
+        # an empty or inverted energy window keeps no state; conductance
+        # counts its chirality from the occupied charge and reads no window
         (["spectrum", "--model", "haldane", "--window", "0"], "--window"),
         (["edges", "--model", "haldane", "--window", "-0.3"], "--window"),
-        (["conductance", "--model", "haldane", "--L1", "32", "--window", "-0.3"], "--window"),
+        (["conductance", "--model", "haldane", "--L1", "32", "--window", "0.3"], "--window"),
         (["ref-check", "--threads", "0"], "--threads"),
         (["conductance", "--model", "haldane", "--threads", "-1"], "--threads"),
     ],
@@ -356,6 +356,26 @@ def test_edges_command(tmp_path):
     assert rep["checks"]["assumptions"] is True
     sides = {b["side"] for b in rep["branches"]}
     assert sides == {"lower", "upper"}
+    assert rep["checks"]["chirality_agrees"] is True
+    assert rep["chirality_sum_lower"] == {"branches": 1.0, "charge": 1.0}
+
+
+def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch):
+    # a continuation that drops a crossing branch counts one mode too few;
+    # the charge count on the same grid does not lose it
+    edge_branches = spectrum.edge_branches
+
+    def lossy(scan, mu):
+        branches = edge_branches(scan, mu)
+        lost = next(b for b in branches if b.side == "lower" and spectrum.crossing_sign(b, mu))
+        return [b for b in branches if b is not lost]
+
+    monkeypatch.setattr(spectrum, "edge_branches", lossy)
+    code, out = run_cli(tmp_path, "edges", "--model", "haldane", "--L1", "24", "--L2", "16")
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, "report_edges.json")
+    assert rep["checks"] == {"assumptions": True, "chirality_agrees": False}
+    assert rep["chirality_sum_lower"] == {"branches": 0.0, "charge": 1.0}
 
 
 @pytest.mark.xfail(
@@ -462,36 +482,28 @@ def test_grid_commands_pass_threads_to_the_fiber_cache(tmp_path, monkeypatch, ar
 
 
 def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
-    # the response and the chirality scan share the L1 = 32 grid, which the
-    # scan diagonalizes once on the requested threads, the 17 momenta m <=
-    # 32 - m (Haldane's inversion mirror gives the other 15); the scan runs
-    # on 2 L1 = 64 momenta (the least power-of-two multiple of L1 with at
-    # least 64) and reads 6 of the 32 in between, the rest proved empty,
-    # diagonalizing 3 of them and mirroring 3, and the response adds none;
-    # the chirality is read off the grid crossings, with no Fermi point
-    scanned = []
+    # the response and the chirality count share the L1 = 32 grid, which
+    # conductance diagonalizes once on the requested threads, the 17 momenta
+    # m <= 32 - m (Haldane's inversion mirror gives the other 15); the count
+    # reads the stored grid and solves no fiber after it, with no scan and
+    # no Fermi point
     solvers = record_diagonalizations(monkeypatch)
-    scan = spectrum.scan_spectrum
 
-    def recorded_scan(*args, **kwargs):
-        before = len(solvers)
-        out = scan(*args, **kwargs)
-        scanned.append(solvers[before:])
-        return out
+    def no_scan(*args, **kwargs):
+        raise AssertionError("conductance scanned a band")
 
     def no_fermi_point(*args, **kwargs):
         raise AssertionError("conductance refined a Fermi point")
 
-    monkeypatch.setattr(spectrum, "scan_spectrum", recorded_scan)
+    monkeypatch.setattr(spectrum, "scan_spectrum", no_scan)
     monkeypatch.setattr(spectrum, "fermi_point", no_fermi_point)
     code, out = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "32", "--L2", "16", "--threads", "2"
     )
     assert code == 0
-    grid = solvers[:17]
-    assert threading.main_thread() not in grid and len(set(grid)) <= 2
-    assert scanned == [solvers] and solvers[17:] == [threading.main_thread()] * 3
-    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 38, "pruned": 26, "mirrored": 18}
+    assert len(solvers) == 17
+    assert threading.main_thread() not in solvers and len(set(solvers)) <= 2
+    assert load_report(out, "report_conductance.json")["chirality_sum_lower"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -500,11 +512,10 @@ def test_conductance_passes_threads_to_both_fiber_grids(tmp_path, monkeypatch):
     ids=["haldane", "counter-stack"],
 )
 def test_conductance_from_64_momenta_on_scans_the_ring_itself(tmp_path, monkeypatch, model):
-    # L1 = 64 already has the 64 momenta the chirality scan needs: one grid of
-    # L1 fibers, one diagonalization per summand and momentum m <= 64 - m
-    # (every summand has an inversion mirror, which gives the rest), where a
-    # grid of 2 L1 gives the same chirality and, its even fibers being
-    # bitwise the L1 grid, the same 2 pi G
+    # one grid of L1 fibers, one diagonalization per summand and momentum m
+    # <= 64 - m (every summand has an inversion mirror, which gives the
+    # rest); the charge count on it is the branches' count on a scan of 2 L1
+    # momenta, and the response on it is the one on the L1 grid alone
     solvers = record_diagonalizations(monkeypatch)
     code, out = run_cli(tmp_path, "conductance", *model, "--L1", "64", "--L2", "16")
     assert code == 0
@@ -512,7 +523,7 @@ def test_conductance_from_64_momenta_on_scans_the_ring_itself(tmp_path, monkeypa
     args = cli.build_parser().parse_args(["conductance", *model, "--L1", "64", "--L2", "16"])
     ham = cli._model(args)
     assert len(solvers) == 33 * len(ham.summands())
-    scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - args.window, args.mu + args.window))
+    scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - 0.3, args.mu + 0.3))
     branches = spectrum.edge_branches(scan, args.mu)
     chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
     est = response.edge_conductance_free(ham, args.mu, 64, a=6, a_prime=4)
@@ -530,7 +541,7 @@ def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):
     assert 0.0 < e7 - e6 < 1e-12
     code, out = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--t2", "1e-13", "--m-stag", "0.3",
-        "--L1", "13", "--L2", "12", "--mu", repr(float(0.5 * (e6 + e7))), "--window", "1e-14",
+        "--L1", "13", "--L2", "12", "--mu", repr(float(0.5 * (e6 + e7))),
     )
     assert code == cli.EXIT_NUMERICAL
     rep = load_report(out, "report_conductance.json")
@@ -538,29 +549,12 @@ def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):
     assert rep["error"].startswith("DegenerateCrossingError: ")
 
 
-def test_a_degenerate_pair_across_two_summands_carries_no_weight(tmp_path):
-    # with t2 = 0 the neighbours k = 2 pi 6/13 and 2 pi 7/13 share their
-    # energies; two copies split by 1e-13 put a degenerate pair across mu,
-    # but its states lie on different summands, so their vertex is 0
-    ham = lattice.build_model("haldane", 13, 12, t2=0.0)
-    e = np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * 6 / 13))[0]
-    code, out = run_cli(
-        tmp_path, "conductance", "--model", "stacked-haldane", "--t2", "0", "--shifts", "0,1e-13",
-        "--L1", "13", "--L2", "12", "--mu", repr(float(e + 5e-14)), "--window", "1e-14",
-    )
-    assert code == 0
-    rep = load_report(out, "report_conductance.json")
-    assert rep["checks"] == {"conductance_matches_chirality": True}
-    assert rep["chirality_sum_lower"] == 0.0 and abs(rep["two_pi_G"]) < 1e-12
-
-
 def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypatch):
     # the stack is a direct sum of two M = 2 copies: each fiber of 96 x 96 is
-    # diagonalized as two of 48 x 48 (small eigh calls purify degenerate
-    # clusters in the scan), the 48 of the L1 grid and the 10 of the 48 in
-    # between that the scan cannot prove empty, on one thread or two alike;
-    # both copies have an inversion mirror, so 30 of those 58 momenta are
-    # solved and 28 mirrored
+    # diagonalized as two of 48 x 48, on one thread or two alike; both
+    # copies have an inversion mirror, so the 25 momenta m <= 48 - m of the
+    # L1 grid are solved and the other 23 mirrored, and the chirality count
+    # solves none after them
     shapes = []
     eigh = np.linalg.eigh
 
@@ -582,32 +576,73 @@ def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypa
         reports[-1]["inputs"].pop("threads")
     assert reports[0] == reports[1]
     assert reports[0]["chirality_sum_lower"] == 0.0
-    assert reports[0]["scan_fibers"] == {"solved": 58, "pruned": 38, "mirrored": 28}
-    assert shapes.count((48, 48)) == 2 * 2 * 30
-    assert (96, 96) not in shapes
-    assert all(s[0] < 48 for s in shapes if s != (48, 48))
+    assert shapes == [(48, 48)] * (2 * 2 * 25)
 
 
-def test_conductance_reports_its_scan_work(tmp_path):
-    # Haldane 48 x 24: the scan of 96 momenta reads the 48 of the L1 grid and
-    # 10 of the 48 in between, the other 38 proved empty; of those 58, the
-    # 28 with 96 - m < m (23 of the grid, 5 in between) are mirrored
+def test_conductance_reports_its_scan_work(tmp_path, monkeypatch):
+    # Haldane 48 x 24: the only fibers solved are the 25 momenta m <= 48 - m
+    # of the L1 grid, each once; the mirror gives the other 23, and the
+    # chirality count halves no interval, so no fiber off the grid is read
+    momenta = []
+    assemble = response.assemble_fiber
+
+    def recorded(ham, k1):
+        momenta.append(k1)
+        return assemble(ham, k1)
+
+    monkeypatch.setattr(response, "assemble_fiber", recorded)
     code, out = run_cli(
         tmp_path, "conductance", "--model", "haldane", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6"
     )
     assert code == 0
-    assert load_report(out, "report_conductance.json")["scan_fibers"] == {"solved": 58, "pruned": 38, "mirrored": 28}
+    assert momenta == [2.0 * np.pi * m / 48 for m in range(25)]
+    assert "scan_fibers" not in load_report(out, "report_conductance.json")
+
+
+def test_a_crossing_next_to_the_grid_seam_is_counted(tmp_path, monkeypatch):
+    # a flux of 3.0107 through Haldane 48 x 24 puts the lower edge's Fermi
+    # point between the last grid momentum and 2 pi, where a branch split at
+    # the seam lost its crossing; the charge count keeps it
+    model = cli._model
+    monkeypatch.setattr(cli, "_model", lambda args: with_flux(model(args), 3.0107))
+    code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "48", "--L2", "24", "--mu", "0.1")
+    rep = load_report(out, "report_conductance.json")
+    assert code == 0, rep
+    assert rep["chirality_sum_lower"] == 1.0 and abs(rep["two_pi_G"] - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("purify", [True, False], ids=["side-pure", "mixed"])
+def test_the_charge_count_rotates_a_hybridized_pair_at_mu(tmp_path, monkeypatch, purify):
+    # the counter stack at mu = 0.1: the flipped copy's two edge states at
+    # k1 = pi sit at mu -+ 1.1e-10, mixed across the 24 rows.  Rotated to
+    # side-pure states, each is on one side of mu whole and every charge
+    # step is near an integer; mixed, the step at pi reads about 0.445, also
+    # on the halved grid, and the count stops at its stage
+    if not purify:
+        monkeypatch.setattr(spectrum, "_purify_degenerate", lambda geometry, e, vecs: vecs)
+    code, out = run_cli(
+        tmp_path, "conductance", "--model", "stacked-haldane", "--shifts", "0.0,0.1", "--flips", "0,1",
+        "--mu", "0.1", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6",
+    )
+    rep = load_report(out, "report_conductance.json")
+    if purify:
+        assert code == 0
+        assert rep["chirality_sum_lower"] == 0.0 and abs(rep["two_pi_G"]) < 1e-6
+    else:
+        assert code == cli.EXIT_NUMERICAL
+        assert rep["checks"] == {"chirality_charge": False}
+        assert rep["error"].startswith("ChargeStepError: ")
 
 
 def test_an_undersampled_crossing_writes_report_and_exits_2(tmp_path, monkeypatch):
-    # a crossing branch of 2 grid samples would drop out of the chirality
-    # count; conductance stops at its own stage instead
+    # a crossing branch of 2 grid samples would drop out of the branches'
+    # chirality count; edges stops at its own stage instead
     monkeypatch.setattr(
-        spectrum, "scan_spectrum", lambda ham, n_k, window, step, threads: two_sample_crossing_scan(ham, 0.15, n_k)
+        spectrum, "scan_spectrum", lambda ham, n_k, window, threads: two_sample_crossing_scan(ham, 0.15, n_k)
     )
-    code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "16", "--L2", "8")
+    code, out = run_cli(tmp_path, "edges", "--model", "haldane", "--L1", "16", "--L2", "8")
     assert code == cli.EXIT_NUMERICAL
-    rep = load_report(out, "report_conductance.json")
+    rep = load_report(out, "report_edges.json")
     assert rep["checks"] == {"chirality_undersampled": False}
     assert rep["error"].startswith("UndersampledCrossingError: ")
 

@@ -47,11 +47,13 @@ def test_spectrum_api_is_pinned():
         "FermiPointError",
         "NoEdgeBranchError",
         "UndersampledCrossingError",
+        "ChargeStepError",
         "scan_spectrum",
         "edge_branches",
         "crossing_sign",
         "extract_edge_branches",
         "fermi_point",
+        "lower_edge_chirality",
         "check_assumptions",
     ])
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgeflow import lattice, reference, response, rgflow
+from edgeflow import lattice, reference, response, rgflow, spectrum
 from edgeflow.cutoffs import chi, shell
 from edgeflow.quadrature import polar_nodes
-from conftest import inversion_symmetric_model, off_mirror_twin, random_hermitian_model, shifted, three_builds
+from conftest import (
+    inversion_symmetric_model, off_mirror_twin, random_hermitian_model, shifted, three_builds, with_flux,
+)
 from row_vertices import build_vertices, current_current, ward_columns
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -519,6 +521,31 @@ def test_a_mirrored_grid_gives_the_responses_of_a_solved_one(seed, size, interna
     assert close(got, want)
     got, want = (response.wick_rotation_check(h, mu, 20.0, 30.0, 0.4, 1, L1, a, a_prime) for h in (ham, twin))
     assert close(got, want)
+
+
+FLUX_MODELS = {
+    "haldane": (lambda: lattice.build_model("haldane", 24, 16), 0.15),
+    "hofstadter-1/3": (lambda: lattice.build_model("hofstadter", 24, 16), -1.0),
+    # the flipped copy's hybridized edge pair sits at mu, on a grid node
+    "counter-stack": (lambda: lattice.build_model("stacked-haldane", 24, 16, shifts="0.0,0.1", flips="0,1"), 0.1),
+}
+
+
+@PROPERTY
+@given(kind=st.sampled_from(sorted(FLUX_MODELS)), m=st.integers(1, 23))
+def test_a_flux_of_whole_grid_steps_keeps_the_chirality_and_the_conductance(kind, m):
+    # a flux 2 pi m / L1 maps the grid onto itself, moving every Fermi point
+    # by m steps, so the charge count and 2 pi G stay; it also breaks the
+    # inversion mirror, so a mirrored grid meets a fully solved one
+    build, mu = FLUX_MODELS[kind]
+    ham, threaded = build(), with_flux(build(), 2.0 * np.pi * m / 24)
+    assert not any(f.from_mirror for f in response.fiber_cache(threaded, 24))
+    (chi, g), (chi_t, g_t) = (
+        (spectrum.lower_edge_chirality(h, mu, 24), response.edge_conductance_free(h, mu, 24, a=6, a_prime=4).g)
+        for h in (ham, threaded)
+    )
+    assert chi_t == chi == {"haldane": 1, "hofstadter-1/3": -1, "counter-stack": 0}[kind]
+    assert abs(2.0 * np.pi * (g_t - g)) <= 1e-12
 
 
 @PROPERTY

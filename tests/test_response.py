@@ -706,6 +706,20 @@ def test_degenerate_crossing_error():
 # ---------------------------------------------------------------------------
 
 
+def test_a_degenerate_pair_across_two_summands_carries_no_weight():
+    # with t2 = 0 the neighbours k = 2 pi 6/13 and 2 pi 7/13 share their
+    # energies; two copies split by 1e-13 put a degenerate pair across mu,
+    # but its states lie on different summands, so their vertex is 0
+    ham = lattice.build_model("haldane", 13, 12, t2=0.0)
+    e = np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * 6 / 13))[0]
+    stack = lattice.build_model("stacked-haldane", 13, 12, t2=0.0, shifts="0,1e-13")
+    mu = e + 5e-14
+    energies = response.grid_fiber(stack, 7, 13).energies
+    assert np.count_nonzero(abs(energies - mu) < 1e-13) == 2 and energies[0] < mu < energies[1]
+    est = response.edge_conductance_free(stack, mu, 13, a=4, a_prime=3)
+    assert abs(2.0 * np.pi * est.g) < 1e-12
+
+
 def test_conductance_config_error(haldane_setup):
     ham, mu, _ = haldane_setup
     with pytest.raises(ValueError):

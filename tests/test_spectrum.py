@@ -2,11 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from edgeflow import cli, lattice, spectrum
-from conftest import random_hermitian_model, two_sample_crossing_scan
+from edgeflow import cli, lattice, response, spectrum
+from conftest import two_sample_crossing_scan, with_flux
 
 
 def bulk_gap_torus(t1=1.0, t2=0.2, phi=np.pi / 2, m_stag=0.0, grid=48):
@@ -399,10 +397,11 @@ def _counter_stack():
     ids=["haldane", "hofstadter-1/3", "hofstadter-2/5", "three-copy-stack", "counter-stack"],
 )
 def test_grid_crossings_give_the_velocity_sign_sum(build, mu, n_k, window, chirality):
-    scan = spectrum.scan_spectrum(build(), n_k=n_k, window=(mu - window, mu + window))
+    ham = build()
+    scan = spectrum.scan_spectrum(ham, n_k=n_k, window=(mu - window, mu + window))
     by_grid = lower_chirality_by_grid(scan, mu)
     assert by_grid == sum(np.sign(lower_fermi_velocities(scan, mu)))
-    assert by_grid == chirality
+    assert by_grid == chirality == spectrum.lower_edge_chirality(ham, mu, n_k)
 
 
 def test_grid_crossings_give_the_velocity_sign_sum_under_backscattering():
@@ -411,9 +410,11 @@ def test_grid_crossings_give_the_velocity_sign_sum_under_backscattering():
     mu = 0.1
     crossings = []
     for seed in range(8):
-        scan = spectrum.scan_spectrum(haldane_with_backscattering(seed), n_k=96, window=(mu - 0.3, mu + 0.3))
+        ham = haldane_with_backscattering(seed)
+        scan = spectrum.scan_spectrum(ham, n_k=96, window=(mu - 0.3, mu + 0.3))
         velocities = lower_fermi_velocities(scan, mu)
         assert lower_chirality_by_grid(scan, mu) == sum(np.sign(velocities)) == 1, seed
+        assert spectrum.lower_edge_chirality(ham, mu, 96) == 1, seed
         crossings.append(len(velocities))
     assert max(crossings) >= 3
 
@@ -472,80 +473,6 @@ def test_crossing_sign_reads_the_first_crossing(energies, sign):
     assert spectrum.crossing_sign(branch, 0.0) == sign
 
 
-# ---------------------------------------------------------------------------
-# scans on a coarse grid: momenta in between proved empty are not diagonalized
-# ---------------------------------------------------------------------------
-
-PRUNE_MODELS = {
-    "random": lambda seed: random_hermitian_model(np.random.default_rng(seed), L1=8, L2=8, M=2),
-    "haldane": lambda seed: lattice.haldane_cylinder(lattice.CylinderGeometry(8, 12, 2)),
-    "hofstadter": lambda seed: lattice.hofstadter_cylinder(lattice.CylinderGeometry(9, 16, 1)),
-    "counter-stack": lambda seed: lattice.stacked_shifted(
-        [lattice.haldane_cylinder(lattice.CylinderGeometry(8, 10, 2)),
-         lattice.haldane_cylinder(lattice.CylinderGeometry(8, 10, 2), phi=-np.pi / 2)],
-        [0.0, 0.1],
-    ),
-    # a flat band of exact zeros beside gapped rings at 1 <= E <= 5: a fiber's
-    # zeros are more than its 2 M Dirichlet ones, and none may be left out
-    "flat-band": lambda seed: lattice.stacked_shifted(
-        [lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1)),
-         lattice.LatticeHamiltonian(lattice.CylinderGeometry(8, 8, 1))],
-        [3.0, 0.0],
-    ),
-}
-PRUNE_SCANS = settings(max_examples=60, derandomize=True, deadline=None)
-
-
-@PRUNE_SCANS
-@given(
-    kind=st.sampled_from(sorted(PRUNE_MODELS)),
-    seed=st.integers(0, 2**32 - 1),
-    step=st.sampled_from([2, 4, 8]),
-    mu=st.floats(-3.0, 3.0),
-    half_width=st.floats(0.02, 1.0),
-)
-@example(kind="flat-band", seed=0, step=2, mu=0.0, half_width=0.5)
-@example(kind="haldane", seed=0, step=8, mu=0.15, half_width=0.3)
-@example(kind="random", seed=0, step=4, mu=1.0, half_width=0.3)
-def test_a_coarse_grid_scan_is_the_full_grid_scan(kind, seed, step, mu, half_width):
-    window = (mu - half_width, mu + half_width)
-    full = spectrum.scan_spectrum(PRUNE_MODELS[kind](seed), n_k=64, window=window)
-    ham = PRUNE_MODELS[kind](seed)
-    scan = spectrum.scan_spectrum(ham, n_k=64, window=window, step=step)
-    assert np.array_equal(scan.k_grid, full.k_grid)
-    for name in ("energies", "vectors"):
-        assert all(np.array_equal(a, b) for a, b in zip(getattr(scan, name), getattr(full, name)))
-    # a pruned momentum is neither diagonalized nor stored on the model
-    assert full.pruned == 0 <= scan.pruned <= 64 - 64 // step
-    assert len(ham._fibers) == 64 - scan.pruned
-    assert set(ham._fibers) <= set(scan.k_grid)
-
-
-@PRUNE_SCANS
-@given(
-    kind=st.sampled_from(sorted(PRUNE_MODELS)),
-    seed=st.integers(0, 2**32 - 1),
-    k1=st.floats(0.0, 2.0 * np.pi),
-    dk=st.floats(-np.pi, np.pi),
-)
-def test_no_fiber_eigenvalue_moves_farther_than_the_reach(kind, seed, k1, dk):
-    ham = PRUNE_MODELS[kind](seed)
-    e0, e1 = (np.linalg.eigvalsh(lattice.assemble_fiber(ham, k)) for k in (k1, k1 + dk))
-    reach, norm = spectrum._reach(ham, dk)
-    assert np.max(np.abs(e1 - e0)) <= reach + 1e-12 * norm
-
-
-@pytest.mark.parametrize("step", [0, 3, 192])
-def test_a_scan_step_must_be_a_power_of_two_that_divides_n_k(monkeypatch, step):
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("a fiber was diagonalized before the step was checked")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2))
-    with pytest.raises(ValueError, match=f"power of two that divides n_k = 96, got step = {step}"):
-        spectrum.scan_spectrum(ham, n_k=96, step=step)
-
-
 def test_a_crossing_branch_of_two_samples_is_loud():
     ham = lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2))
     scan = two_sample_crossing_scan(ham, 0.15)
@@ -553,3 +480,60 @@ def test_a_crossing_branch_of_two_samples_is_loud():
         spectrum.edge_branches(scan, 0.15)
     # the same branch off mu is dropped as before
     assert spectrum.edge_branches(scan, 0.5) == []
+
+
+def test_a_branch_runs_across_the_grid_seam():
+    # a flux of 3.0107 through Haldane 48 x 24 puts the lower edge's crossing
+    # between the last grid momentum and 2 pi: its branch is in the window on
+    # both sides of the seam and must be one chain, or the crossing belongs
+    # to neither half
+    mu = 0.1
+    ham = with_flux(lattice.haldane_cylinder(lattice.CylinderGeometry(48, 24, 2)), 3.0107)
+    scan = spectrum.scan_spectrum(ham, n_k=96, window=(mu - 0.3, mu + 0.3))
+    lower = [b for b in spectrum.edge_branches(scan, mu) if b.side == "lower" and spectrum.crossing_sign(b, mu)]
+    assert [spectrum.crossing_sign(b, mu) for b in lower] == [1]
+    assert lower[0].k_samples[0] > lower[0].k_samples[-1]  # it wraps at 2 pi
+    assert spectrum.lower_edge_chirality(ham, mu, 96) == 1
+    # its samples are evenly spaced across the seam, so its curvature counts
+    curvature = spectrum.check_assumptions(spectrum.extract_edge_branches(scan, mu)).diagnostics["max_curvature"]
+    assert curvature > 0.0
+
+
+# ---------------------------------------------------------------------------
+# chirality from the occupied charge of the lower half
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, mu, chirality",
+    [
+        *[(lambda n=n: lattice.haldane_cylinder(lattice.CylinderGeometry(n, 16, 2)), 0.15, 1) for n in range(4, 10)],
+        (lambda: lattice.hofstadter_cylinder(lattice.CylinderGeometry(9, 16, 1)), -1.0, -1),
+    ],
+    ids=[f"haldane-{n}" for n in range(4, 10)] + ["hofstadter-9"],
+)
+def test_a_coarse_ring_halves_the_charge_steps_far_from_an_integer(monkeypatch, build, mu, chirality):
+    # on a ring this coarse some step of the charge reads 0.28 to 0.47 (the
+    # Hofstadter count would read 0); halving those intervals down to the
+    # spacing 2 pi / 64 makes every step near an integer
+    ham = build()
+    n_k = ham.geometry.L1
+    assert spectrum.lower_edge_chirality(ham, mu, n_k) == chirality
+    assert set(ham._fibers) > {2.0 * np.pi * m / n_k for m in range(n_k)}
+    # none of them would have held within the tolerance without the halving
+    monkeypatch.setattr(spectrum, "MIN_SCAN_MOMENTA", 1)
+    with pytest.raises(spectrum.ChargeStepError, match="is not within 0.25 of an integer"):
+        spectrum.lower_edge_chirality(build(), mu, n_k)
+
+
+def test_the_charge_count_reads_only_the_stored_grid(monkeypatch):
+    # from 64 momenta on nothing is halved: the count solves no fiber beyond
+    # the grid, and on a grid already stored it solves none at all
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(64, 16, 2))
+    response.fiber_cache(ham, 64)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the count diagonalized a fiber")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert spectrum.lower_edge_chirality(ham, 0.15, 64) == 1
