@@ -23,12 +23,11 @@ summed, with the keys in their first-appearance order: one
 assignments.  The check, the slab stack and the split into summands at
 the first read are array operations on the stacked ``(n, M, M)`` blocks.
 
-The model also holds the fiber bases that
-:func:`edgeflow.response.diagonalize_fiber` and
-:func:`edgeflow.response.grid_fiber` have made, one per distinct ``k1``,
+A connected model also holds the fiber bases of the grid momenta that
+:func:`edgeflow.response.grid_fiber` has read, one per distinct ``k1``,
 keyed by the exact float and kept for the model's life: the only fibers
 that the responses and scans of the model read.  They hold no reference
-back to the model.
+back to the model.  A direct sum holds none; its summands hold theirs.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
@@ -111,7 +110,7 @@ class LatticeHamiltonian:
         self._slabs = None  # (z1s, slabs), built at the first read
         self._summands = None
         self._mirror = None  # fiber index permutation of _inversion, found at the first read
-        self._fibers = {}  # k1 -> FiberBasis, filled by response.diagonalize_fiber and grid_fiber
+        self._fibers = {}  # grid k1 -> FiberBasis, filled by response.grid_fiber
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
         if self._slabs is not None:

@@ -41,20 +41,21 @@ occupied bands at ``k`` against the empty ones at ``k + p`` and the empty
 against the occupied, two slices of the ascending bands
 (:func:`_gibbs_weight`).
 
-A model keeps each fiber basis that :func:`diagonalize_fiber` solves,
-keyed by the exact float ``k1``: a repeat request returns the stored
-basis with no ``eigh``.  That store is the only source of fibers: every
-response reads its grid momenta through :func:`grid_fiber` (the whole
-grid through :func:`fiber_cache`), and so do the scan of
+A connected model stores the fiber basis of each grid momentum ``k1 = 2
+pi m / n_k`` that is read, keyed by the exact float ``k1``, and nothing
+else: :func:`grid_fiber` is the store's only writer, and a repeat
+read returns the stored basis with no ``eigh``.  Every response reads its
+grid momenta through :func:`grid_fiber` (the whole grid through
+:func:`fiber_cache`), and so do the scan of
 :func:`edgeflow.spectrum.scan_spectrum` and the chirality count of
 :func:`edgeflow.spectrum.lower_edge_chirality`, so the identities and the
 count asked of one model solve its grid once, and no response can read
 the fibers of another model.  A model is fixed from its first read, so
-none goes stale.  The cost is one basis per distinct momentum for the
-model's life; the off-grid bisection solves of
-:func:`edgeflow.spectrum.fermi_point` are not stored, and the midpoints
-that the chirality count halves an interval at are stored on the
-summand.  A stored basis's arrays are read-only.
+none goes stale, and a stored basis's arrays are read-only.  An off-grid
+solve is not stored: neither :func:`diagonalize_fiber`'s, at the
+midpoints that the chirality count halves an interval at, nor the
+bisection solves of :func:`edgeflow.spectrum.fermi_point`.  So no earlier
+solve changes a bit of a grid read.
 
 A grid read solves only half the ring of a summand with an inversion
 mirror (:func:`edgeflow.lattice._inversion`, as the Haldane model and its
@@ -65,11 +66,12 @@ basis's energies and its states with their rows permuted
 up to rounding and the phase of each state, which no response reads.
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
-is diagonalized one summand at a time, one ``eigh`` of each summand's own
-fiber, and the responses contract each summand's bands on its own
-sub-model: the bands of two summands have disjoint support, so every
-vertex between them is 0.  A connected model is one summand and takes
-the whole-fiber arithmetic unchanged.
+stores nothing of its own: its fiber is its summands' fibers, one basis
+per summand in ``parts``, each solved by one ``eigh`` of the summand's own
+fiber and stored on the summand.  The responses contract each summand's
+bands on its own sub-model: the bands of two summands have disjoint
+support, so every vertex between them is 0.  A connected model is one
+summand and takes the whole-fiber arithmetic unchanged.
 
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
 (matching the wavefunction convention of the fiber) and imaginary time
@@ -116,135 +118,92 @@ class SingularPropagatorError(RuntimeError):
 
 
 class FiberBasis:
-    """Eigenpairs of the Bloch fiber at ``k1``: ``energies`` ascending, and
-    ``states`` with the matching eigenvectors as columns.
+    """Eigenpairs of a connected model's Bloch fiber at ``k1``: ``energies``
+    ascending, and ``states`` with the matching eigenvectors as columns.
 
-    The basis is kept per summand of the model
-    (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`): ``parts`` holds
-    one basis per summand, of that summand's own fiber.  A basis of one
-    summand is its own only part and holds the ``eigh`` output as it came.
-    A basis of several (:meth:`direct_sum`) merges the parts' energies by a
-    stable sort, and builds ``states`` on each access by placing each
-    part's eigenvectors on its summand's rows; the whole-fiber states are
-    not stored.  ``from_mirror`` tells whether some part was taken from the
-    basis at ``-k1`` (:meth:`mirror`) rather than solved.
+    A basis is its own only part (``parts``); the fiber of a direct sum
+    (:class:`_SummandFibers`) has one per summand.  ``from_mirror`` tells
+    whether it was taken from the basis at ``-k1`` (:meth:`mirror`) rather
+    than solved.
     """
 
     def __init__(self, k1, energies, states):
         self.k1 = float(k1)
         self.energies = energies
-        self._states = states
-        self._parts = None  # ((basis, fiber rows, columns), ...) of a direct sum
+        self.states = states
         self.from_mirror = False
-
-    @classmethod
-    def direct_sum(cls, geometry, indices, parts):
-        """The basis of a model whose summand ``s`` holds the internal
-        indices ``indices[s]`` and has the fiber basis ``parts[s]``."""
-        energies = np.concatenate([p.energies for p in parts])
-        order = np.argsort(energies, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)
-        out = cls(parts[0].k1, energies[order], None)
-        ends = np.cumsum([p.dim for p in parts])
-        rows = [(np.arange(geometry.L2)[:, None] * geometry.M + idx).ravel() for idx in indices]
-        out._parts = tuple(zip(parts, rows, np.split(column, ends[:-1])))
-        out.from_mirror = any(p.from_mirror for p in parts)
-        return out
 
     def mirror(self, k1, perm):
         """The basis at ``k1`` of the fiber ``H(k1) = H(self.k1)[perm][:, perm]``
         of a connected model: the same energies, and the states with their
         rows permuted, ``U(k1) = U(self.k1)[perm]``."""
-        out = FiberBasis(k1, self.energies, self._states[perm])
+        out = FiberBasis(k1, self.energies, self.states[perm])
         out.from_mirror = True
         return out
 
     @property
     def parts(self):
-        return (self,) if self._parts is None else tuple(p for p, _, _ in self._parts)
-
-    @property
-    def states(self):
-        if self._parts is None:
-            return self._states
-        return self.columns(np.arange(self.dim))
-
-    def columns(self, idx):
-        """``states[:, idx]`` for an array ``idx`` of column indices; a direct
-        sum places only those columns of its parts."""
-        if self._parts is None:
-            return self._states[:, idx]
-        out = np.zeros((self.dim, len(idx)), dtype=complex)
-        for part, rows, cols in self._parts:
-            local = np.full(self.dim, -1)
-            local[cols] = np.arange(cols.size)
-            j = local[idx]
-            mine = j >= 0
-            out[np.ix_(rows, np.flatnonzero(mine))] = part.states[:, j[mine]]
-        return out
+        return (self,)
 
     @property
     def dim(self):
         return len(self.energies)
 
 
-def _stored(ham, k1, part, solve):
-    """The basis at ``k1`` stored on the model, else made and stored: the
-    direct sum of ``part(sub)`` over the model's summands, or ``solve()``
-    for a connected model.  A stored basis's energies and states, and those
-    of each part, are read-only, so that no caller can change what a later
-    call returns."""
-    basis = ham._fibers.get(k1)
-    if basis is None:
-        summands = ham.summands()
-        if len(summands) == 1:
-            basis = solve()
-        else:
-            basis = FiberBasis.direct_sum(ham.geometry, [idx for idx, _ in summands], [part(sub) for _, sub in summands])
-        for array in (basis.energies, *(a for p in basis.parts for a in (p.energies, p._states))):
-            array.flags.writeable = False
-        ham._fibers[k1] = basis
-    return basis
+@dataclass(frozen=True)
+class _SummandFibers:
+    """The fiber at ``k1`` of a direct sum: ``parts`` holds one
+    :class:`FiberBasis` per summand, of that summand's own fiber.  There
+    are no merged energies or states."""
+
+    k1: float
+    parts: tuple
+
+    @property
+    def from_mirror(self):
+        return any(p.from_mirror for p in self.parts)
 
 
 def diagonalize_fiber(ham, k1):
-    """The :class:`FiberBasis` at ``k1``: one ``eigh`` per summand of the
-    model, of the summand's own fiber; for a connected model that is
-    ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it comes.
-
-    The basis is stored on the model, keyed by the float ``k1``, and each
-    part on its summand, and a later call at the same ``k1`` returns it
-    with no ``eigh``; the model is fixed from its first read on, so the
-    stored basis is kept for its life.
-    """
+    """The fiber at ``k1``, solved and not stored: one ``eigh`` per summand
+    of the model, of the summand's own fiber.  A connected model's
+    :class:`FiberBasis` is ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it
+    comes; a direct sum's fiber is its summands' bases."""
     k1 = float(k1)
-    return _stored(
-        ham, k1, lambda sub: diagonalize_fiber(sub, k1), lambda: FiberBasis(k1, *np.linalg.eigh(assemble_fiber(ham, k1)))
-    )
+    summands = ham.summands()
+    if len(summands) > 1:
+        return _SummandFibers(k1, tuple(diagonalize_fiber(sub, k1) for _, sub in summands))
+    return FiberBasis(k1, *np.linalg.eigh(assemble_fiber(ham, k1)))
 
 
 def grid_fiber(ham, m, n_k):
-    """The :class:`FiberBasis` at the grid momentum ``k1 = 2 pi m / n_k``,
-    ``0 <= m < n_k``: the one read of a grid fiber, stored on the model
-    like :func:`diagonalize_fiber`'s.
+    """The fiber at the grid momentum ``k1 = 2 pi m / n_k``, ``0 <= m <
+    n_k``: the one read of a grid fiber.  A direct sum's is its summands'
+    grid fibers; a connected model's basis is stored on the model, keyed by
+    the float ``k1``, with read-only arrays, and a later read returns it
+    with no ``eigh``.
 
-    A summand with an inversion mirror ``perm`` (found at the model's first
-    read, :func:`edgeflow.lattice._inversion`) takes its basis at ``m`` with
-    ``n_k - m < m`` from the one at ``n_k - m``, solved first if need be:
+    A model with an inversion mirror ``perm`` (found at its first read,
+    :func:`edgeflow.lattice._inversion`) takes its basis at ``m`` with
+    ``n_k - m < m`` from the one at ``n_k - m``, read first if need be:
     ``H(-k1) = H(k1)[perm][:, perm]``, so the energies are shared and the
     states are ``U[perm]`` (:meth:`FiberBasis.mirror`), with no ``eigh``.
     Which momentum is asked first does not change a bit.  Every other
-    summand and momentum is :func:`diagonalize_fiber`'s.
+    momentum is :func:`diagonalize_fiber`'s.
     """
     k1 = 2.0 * np.pi * m / n_k
-
-    def solve():
+    summands = ham.summands()
+    if len(summands) > 1:
+        return _SummandFibers(k1, tuple(grid_fiber(sub, m, n_k) for _, sub in summands))
+    basis = ham._fibers.get(k1)
+    if basis is None:
         if ham._mirror is None or n_k - m >= m:
-            return diagonalize_fiber(ham, k1)
-        return grid_fiber(ham, n_k - m, n_k).mirror(k1, ham._mirror)
-
-    return _stored(ham, k1, lambda sub: grid_fiber(sub, m, n_k), solve)
+            basis = diagonalize_fiber(ham, k1)
+        else:
+            basis = grid_fiber(ham, n_k - m, n_k).mirror(k1, ham._mirror)
+        basis.energies.flags.writeable = basis.states.flags.writeable = False
+        ham._fibers[k1] = basis
+    return basis
 
 
 def fiber_cache(ham, n_k, threads=1):
@@ -525,19 +484,25 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k):
     and the ring current on all rows (:func:`_current_operator`); the two
     two-point functions are formed once, for both sides.  The fibers are
     those of the grid ``2 pi m / n_k`` at ``m = k1_index`` and ``k1_index +
-    p1_index``, both mod ``n_k``, from :func:`grid_fiber`.
+    p1_index``, both mod ``n_k``, from :func:`grid_fiber`.  A direct sum
+    is checked on each summand's own fibers, and its residual is the
+    largest over the summands, divided by the largest term of any.
     """
     f_k, f_kp = (grid_fiber(ham, m % n_k, n_k) for m in (k1_index, k1_index + p1_index))
     p1 = 2.0 * np.pi * p1_index / n_k
-    s2_k = free_two_point(f_k, k0, mu)
-    s2_kp = free_two_point(f_kp, k0 + p0, mu)
-    _, mats = _current_operator(ham, _J1_TERMS, np.ones(ham.geometry.L2))
-    s3_n = s2_k @ s2_kp
-    s3_j = s2_k @ _ring_sum(mats, f_k.k1, f_kp.k1) @ s2_kp
-    lhs = p0 * s3_n + (1.0 - np.exp(-1j * p1)) * s3_j
-    rhs = 1j * (s2_k - s2_kp)
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    rows = np.ones(ham.geometry.L2)
+    errors, scales = [], [1e-300]
+    for (_, sub), b_k, b_kp in zip(ham.summands(), f_k.parts, f_kp.parts, strict=True):
+        s2_k = free_two_point(b_k, k0, mu)
+        s2_kp = free_two_point(b_kp, k0 + p0, mu)
+        _, mats = _current_operator(sub, _J1_TERMS, rows)
+        s3_n = s2_k @ s2_kp
+        s3_j = s2_k @ _ring_sum(mats, b_k.k1, b_kp.k1) @ s2_kp
+        lhs = p0 * s3_n + (1.0 - np.exp(-1j * p1)) * s3_j
+        rhs = 1j * (s2_k - s2_kp)
+        errors.append(np.max(np.abs(lhs - rhs)))
+        scales += [np.max(np.abs(lhs)), np.max(np.abs(rhs))]
+    return float(np.max(errors) / np.max(scales))
 
 
 # ---------------------------------------------------------------------------

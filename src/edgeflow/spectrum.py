@@ -4,8 +4,9 @@ the lower edge's chirality.
 A scan keeps the eigenpairs inside an energy window (excluding the
 decoupled Dirichlet-row modes) of the Bloch fibers on a uniform
 ring-momentum grid, read from the model's store
-(:func:`~edgeflow.response.fiber_cache`).  Branches come from the scan in
-two steps:
+(:func:`~edgeflow.response.fiber_cache`); a direct sum's in-window states
+are its summands', merged by energy.  Branches come from the scan in two
+steps:
 
 1. :func:`edge_branches` forms them by eigenvector-overlap continuation,
    assigns each to an edge by its half-cylinder weight and splits them so
@@ -14,8 +15,8 @@ two steps:
    off its samples, as the direction in which it crosses ``mu``.
 2. :func:`extract_edge_branches` adds the Fermi data: each crossing
    branch gets its Fermi point, refined by bisection with
-   re-diagonalization (:func:`fermi_point`), its velocity and its
-   localization-rate fit.
+   re-diagonalization (:func:`fermi_point`) of the whole fiber, which is
+   not stored, its velocity and its localization-rate fit.
 
 :func:`lower_edge_chirality` counts that chirality with no scan and no
 branch, from the steps of the lower half's occupied charge around the ring
@@ -132,6 +133,18 @@ def _diag(ham, k1):
     return e, v
 
 
+def _cluster(e, i):
+    """``(lo, hi)``: the near-degenerate cluster ``e[lo:hi]`` around index
+    ``i`` of the ascending energies ``e``, its neighbours gapped by less than
+    :data:`DEGENERACY_TOL` each."""
+    lo, hi = i, i + 1
+    while lo > 0 and e[lo] - e[lo - 1] < DEGENERACY_TOL:
+        lo -= 1
+    while hi < len(e) and e[hi] - e[hi - 1] < DEGENERACY_TOL:
+        hi += 1
+    return lo, hi
+
+
 def _purify_degenerate(geometry, e, vecs):
     """Rotate quasi-degenerate clusters into side-pure combinations.
 
@@ -147,9 +160,7 @@ def _purify_degenerate(geometry, e, vecs):
     i = 0
     out = vecs.copy()
     while i < len(e):
-        j = i + 1
-        while j < len(e) and e[j] - e[j - 1] < DEGENERACY_TOL:
-            j += 1
+        j = _cluster(e, i)[1]
         if j - i > 1:
             block = out[i:j]
             w = (block.conj() * proj[None, :]) @ block.T
@@ -162,7 +173,9 @@ def _purify_degenerate(geometry, e, vecs):
 def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
-    clusters side-purified).
+    clusters side-purified).  A direct sum's are its summands' in-window
+    states, each placed on its summand's rows of the whole fiber and merged
+    by a stable sort of their energies.
 
     The grid is :func:`~edgeflow.response.fiber_cache` on ``threads``, read
     from the model's store, where a response on that grid finds it too.
@@ -173,17 +186,24 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
         raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta, got n_k = {n_k}")
     g = ham.geometry
     lo, hi = window
+    rows = [(np.arange(g.L2)[:, None] * g.M + idx).ravel() for idx, _ in ham.summands()]
     ks, energies, vectors = [], [], []
-    for basis in response.fiber_cache(ham, n_k, threads=threads):
-        e = basis.energies
-        idx = np.flatnonzero((e > lo) & (e < hi))
-        v = basis.columns(idx)
+    for fiber in response.fiber_cache(ham, n_k, threads=threads):
+        es, vs = [], []
+        for part, on in zip(fiber.parts, rows, strict=True):
+            idx = np.flatnonzero((part.energies > lo) & (part.energies < hi))
+            v = np.zeros((g.fiber_dim, idx.size), dtype=complex)
+            v[on] = part.states[:, idx]
+            es.append(part.energies[idx])
+            vs.append(v)
+        e = np.concatenate(es)
+        order = np.argsort(e, kind="stable")
+        e, v = e[order], np.concatenate(vs, axis=1)[:, order]
         w = row_weights(g, v)
         keep = w[0] + w[-1] < 0.5
-        idx = idx[keep]
-        ks.append(basis.k1)
-        energies.append(e[idx])
-        vectors.append(_purify_degenerate(g, e[idx], v[:, keep].T.copy()))
+        ks.append(fiber.k1)
+        energies.append(e[keep])
+        vectors.append(_purify_degenerate(g, e[keep], v[:, keep].T.copy()))
     return BandScan(ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors)
 
 
@@ -330,10 +350,20 @@ def crossing_sign(branch, mu):
 
 
 def _track_eig(ham, k1, ref_vec):
+    """The energy and state at ``k1`` that continue ``ref_vec``: the
+    eigenpair of best overlap, or, when that state sits in a near-degenerate
+    cluster (:func:`_cluster`), the side-pure state of best overlap
+    (:func:`_purify_degenerate`) with its ``<psi|H|psi>``, since ``eigh``
+    mixes a hybridized edge pair at random."""
     e, v = _diag(ham, k1)
     ov = np.abs(ref_vec.conj() @ v)
     j = int(np.argmax(ov))
-    return e[j], v[:, j]
+    lo, hi = _cluster(e, j)
+    if hi - lo == 1:
+        return e[j], v[:, j]
+    pure = _purify_degenerate(ham.geometry, e[lo:hi], v[:, lo:hi].T)
+    best = pure[int(np.argmax(np.abs(pure.conj() @ ref_vec)))]
+    return np.abs(best.conj() @ v[:, lo:hi]) ** 2 @ e[lo:hi], best
 
 
 def fermi_point(branch, ham, mu):
@@ -396,12 +426,10 @@ def _lower_charge(geometry, basis, mu):
     e, states = basis.energies, basis.states
     half = (geometry.L2 // 2) * geometry.M
     lo = hi = int(e.searchsorted(mu))
-    if 0 < lo < len(e) and e[lo] - e[lo - 1] < DEGENERACY_TOL:
-        lo, hi = lo - 1, hi + 1
-        while lo > 0 and e[lo] - e[lo - 1] < DEGENERACY_TOL:
-            lo -= 1
-        while hi < len(e) and e[hi] - e[hi - 1] < DEGENERACY_TOL:
-            hi += 1
+    if 0 < lo < len(e):
+        around = _cluster(e, lo)
+        if around[0] < lo:  # the cluster straddles mu
+            lo, hi = around
     charge = np.sum(np.abs(states[:half, :lo]) ** 2)
     if hi > lo:
         pure = _purify_degenerate(geometry, e[lo:hi], states[:, lo:hi].T)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -378,14 +379,10 @@ def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch):
     assert rep["chirality_sum_lower"] == {"branches": 0.0, "charge": 1.0}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the flipped copy's Fermi point is the grid node k1 = pi, where "
-    "bisection tracks a mixture of the two hybridized edge states and fails (FermiPointError)",
-)
 def test_edges_on_the_counter_stack(tmp_path):
-    # the conductance benchmark's counter-propagating stack
+    # the conductance benchmark's counter-propagating stack: the flipped
+    # copy's Fermi point is the grid node k1 = pi, where its two edge states
+    # hybridize, and the bisection follows the side-pure one
     code, out = run_cli(
         tmp_path, "edges", "--model", "stacked-haldane", "--shifts", "0.0,0.1", "--flips", "0,1",
         "--mu", "0.1", "--L1", "24", "--L2", "16",
@@ -547,6 +544,35 @@ def test_degenerate_crossing_writes_report_and_exits_2(tmp_path):
     rep = load_report(out, "report_conductance.json")
     assert rep["checks"] == {"pair_weights": False}
     assert rep["error"].startswith("DegenerateCrossingError: ")
+
+
+def test_a_broken_conjugation_symmetry_writes_report_and_exits_2(tmp_path, monkeypatch):
+    # the strip-summed density of every p1 = -1 pair is shifted, so the
+    # response at -p1 is no longer the conjugate of the one at p1
+    build = response._strip_vertices
+
+    def broken(legs, basis_kp, blocks):
+        vertices = build(legs, basis_kp, blocks)
+        if np.isclose((basis_kp.k1 - legs[0]) % (2.0 * np.pi), 2.0 * np.pi * 23 / 24):
+            vertices = [(dbar + 0.1, jbar) for dbar, jbar in vertices]
+        return vertices
+
+    monkeypatch.setattr(response, "_strip_vertices", broken)
+    code, out = run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "24", "--L2", "16", "--a", "6",
+                        "--aprime", "4")
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, "report_conductance.json")
+    assert rep["checks"] == {"conjugation_symmetry": False}
+    assert rep["error"].startswith("ConjugationSymmetryError: ")
+
+
+def test_every_failure_stage_is_reached_by_a_cli_test():
+    # the stages of the parametrized failure test, and those that a test in
+    # this file reads as a report's only check, are every stage main names
+    (_, cases), = [m.args for m in test_numerical_failure_writes_report_and_exits_2.pytestmark]
+    named = {stage for stage, _, _ in cases}
+    named |= set(re.findall(r'rep\["checks"\] == \{"(\w+)": False\}', Path(__file__).read_text()))
+    assert named == set(cli.FAILED_STAGE.values())
 
 
 def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypatch):

@@ -123,6 +123,10 @@ def test_response_api_is_pinned():
         "periodic_frequency",
         "wick_rotation_check",
     ])
+    # one store, of connected models' grid fibers: a stack's fiber is its
+    # summands' bases, with no merged basis or column picker
+    assert [a for a in ("direct_sum", "columns") if hasattr(response.FiberBasis, a)] == []
+    assert not hasattr(response, "_stored")
 
 
 def test_cutoffs_and_quadrature_apis_are_pinned():

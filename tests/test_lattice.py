@@ -238,13 +238,13 @@ def test_a_model_owns_its_blocks():
     ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
     onsite = np.array([[0.3]], dtype=complex)
     ham.add_block(0, 3, 3, onsite)
-    basis = response.diagonalize_fiber(ham, 0.5)
+    basis = response.grid_fiber(ham, 1, 8)
     onsite[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
         ham.block(0, 3, 3)[0, 0] = 7.0
     assert ham.block(0, 3, 3)[0, 0] == 0.3
-    assert response.diagonalize_fiber(ham, 0.5) is basis
-    assert np.array_equal(basis.energies, np.linalg.eigvalsh(lattice.assemble_fiber(ham, 0.5)))
+    assert response.grid_fiber(ham, 1, 8) is basis
+    assert np.array_equal(basis.energies, np.linalg.eigvalsh(lattice.assemble_fiber(ham, basis.k1)))
     stack = lattice.stacked_shifted(ham, [0.0, 0.1])
     models = [ham, stack] + [sub for _, sub in stack.summands()]
     assert all(not blk.flags.writeable for model in models for _, blk in model.items())
@@ -451,13 +451,13 @@ def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
     assert merged.block(0, 5, 5)[1, 2] == 0.05
     # after the first read the coupling is refused and the split stays
     apart = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
-    split, basis = apart.summands(), response.diagonalize_fiber(apart, 0.3)
+    split, basis = apart.summands(), response.grid_fiber(apart, 1, 16)
     for model in (stack, apart):
         with pytest.raises(ValueError, match=r"block at \(0, 5, 5\): the model was already read"):
             model.add_block(0, 5, 5, hop)
     assert stack.summands() is parts
     assert apart.summands() is split and len(split) == 3
-    assert response.diagonalize_fiber(apart, 0.3) is basis
+    assert all(a is b for a, b in zip(response.grid_fiber(apart, 1, 16).parts, basis.parts, strict=True))
 
 
 def test_a_summand_is_born_fixed_and_not_checked_again(haldane16, hermitian_checks):

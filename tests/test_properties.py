@@ -15,7 +15,7 @@ from edgeflow.quadrature import polar_nodes
 from conftest import (
     inversion_symmetric_model, off_mirror_twin, random_hermitian_model, shifted, three_builds, with_flux,
 )
-from row_vertices import build_vertices, current_current, ward_columns
+from row_vertices import build_vertices, current_current, ward_columns, whole_basis
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -139,7 +139,7 @@ def test_batched_vertices_match_the_row_loop_on_a_counter_stack(k1, p1, rows):
     stack = lattice.stacked_shifted(
         [lattice.haldane_cylinder(geo), lattice.haldane_cylinder(geo, phi=-np.pi / 2)], [0.0, 0.1]
     )
-    f_k, f_kp = response.diagonalize_fiber(stack, k1), response.diagonalize_fiber(stack, k1 + p1)
+    f_k, f_kp = whole_basis(stack, k1), whole_basis(stack, k1 + p1)
     assert_matches_loop(stack, f_k, f_kp, rows)
 
 
@@ -216,9 +216,10 @@ def test_strip_vertices_at_the_edge_cases_are_the_row_sums(make):
     # the strip current of y2 < n spans the leading P = min(n + 1, L2) rows
     # and is empty on a strip of no rows; the density strip ends at 0 and at
     # L2 rows
+    # on the whole fiber of the stack too
     ham = make()
     g = ham.geometry
-    f_k, f_kp = response.diagonalize_fiber(ham, 0.7), response.diagonalize_fiber(ham, 0.7 + 2.0 * np.pi / 8)
+    f_k, f_kp = whole_basis(ham, 0.7), whole_basis(ham, 0.7 + 2.0 * np.pi / 8)
     vs = build_vertices(ham, f_k, f_kp)
     for rows in ((0, 0), (g.L2, 0), (0, g.L2), (g.L2, g.L2), (1, g.L2 - 1)):
         current = response._current_operator(ham, response._J1_TERMS, np.arange(g.L2) < rows[1])
@@ -273,12 +274,15 @@ def test_wrong_order_diagnostic_is_the_summed_row_table(seed, size, mu, p0, row)
 
 def assert_ward_columns_match(ham, mu, p0, temperature):
     """``response._ward_columns`` at every interior row against the oracle's
-    row-resolved columns, to 1e-14 of the largest."""
+    row-resolved columns, summed over the summands, to 1e-14 of the largest."""
     g = ham.geometry
     fibers = response.fiber_cache(ham, g.L1)
     for y2 in range(1, g.L2 - 1):
         got = response._ward_columns(ham, fibers, mu, p0, y2, temperature)
-        want = ward_columns(ham, fibers, mu, p0, y2, temperature)
+        want = sum(
+            ward_columns(sub, [f.parts[s] for f in fibers], mu, p0, y2, temperature)
+            for s, (_, sub) in enumerate(ham.summands())
+        )
         assert got.shape == want.shape == (2, g.L2)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), y2
 
@@ -319,8 +323,8 @@ def fiber_edge_mu(fibers, where):
     """A chemical potential at which some fiber has every band empty
     (``"below"``: ``o = 0``) or every band occupied (``"above"``: ``o = n``)."""
     if where == "below":
-        return max(f.energies[0] for f in fibers)
-    return np.nextafter(min(f.energies[-1] for f in fibers), np.inf)
+        return max(min(p.energies[0] for p in f.parts) for f in fibers)
+    return np.nextafter(min(max(p.energies[-1] for p in f.parts) for f in fibers), np.inf)
 
 
 @PROPERTY
@@ -421,28 +425,20 @@ def test_ward_columns_of_a_direct_sum_are_the_row_resolved_columns(draw, flipped
 @PROPERTY
 @given(draw=DIRECT_SUMS, k1=st.floats(0.0, 2.0 * np.pi))
 def test_a_direct_sum_is_diagonalized_per_summand(draw, k1):
+    # each part is an eigenbasis of its summand's fiber, together they hold
+    # the whole fiber's spectrum, and an off-grid solve stores nothing
     parts, stack = random_direct_sum(*draw)
-    assert len(stack.summands()) == len(parts)
+    summands = stack.summands()
+    assert len(summands) == len(parts)
     f = response.diagonalize_fiber(stack, k1)
     assert [p.dim for p in f.parts] == [h.geometry.fiber_dim for h in parts]
-    fiber = lattice.assemble_fiber(stack, k1)
-    assert np.max(np.abs(f.energies - np.linalg.eigvalsh(fiber))) <= 1e-12
-    v = f.states
-    assert np.max(np.abs(fiber @ v - v * f.energies)) <= 1e-12 * max(1.0, np.max(np.abs(fiber)))
-    assert np.max(np.abs(v.conj().T @ v - np.eye(f.dim))) <= 1e-12
-
-
-@PROPERTY
-@given(draw=DIRECT_SUMS, k1=st.floats(0.0, 2.0 * np.pi), pick=st.randoms(use_true_random=False))
-def test_chosen_columns_of_a_direct_sum_are_bitwise_those_of_its_states(draw, k1, pick):
-    _, stack = random_direct_sum(*draw)
-    f = response.diagonalize_fiber(stack, k1)
-    states = f.states
-    for size in (0, 1, f.dim // 3, f.dim):
-        idx = np.array(pick.sample(range(f.dim), size), dtype=int)
-        got = f.columns(idx)
-        assert got.shape == (f.dim, size)
-        assert got.tobytes() == states[:, idx].tobytes()
+    energies = np.sort(np.concatenate([p.energies for p in f.parts]))
+    assert np.max(np.abs(energies - np.linalg.eigvalsh(lattice.assemble_fiber(stack, k1)))) <= 1e-12
+    for (_, sub), p in zip(summands, f.parts, strict=True):
+        fiber, v = lattice.assemble_fiber(sub, k1), p.states
+        assert np.max(np.abs(fiber @ v - v * p.energies)) <= 1e-12 * max(1.0, np.max(np.abs(fiber)))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(p.dim))) <= 1e-12
+    assert not stack._fibers and not any(sub._fibers for _, sub in summands)
 
 
 @PROPERTY
@@ -565,6 +561,7 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     ham = random_hermitian_model(rng, *size)
     L2, M = size[1], size[2]
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
+    stored = response.grid_fiber(ham, 1, size[0])
     before = build_vertices(ham, f_k, f_kp)
     x2 = int(rng.integers(1, L2 - 1))
     # a complex block and its partner: the vertex build checks Hermiticity,
@@ -572,7 +569,7 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     blk = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)) + 1.0
     with pytest.raises(ValueError, match="the model was already read"):
         ham.add_block(1, x2, x2, blk)
-    assert response.diagonalize_fiber(ham, k1) is f_k
+    assert response.grid_fiber(ham, 1, size[0]) is stored
     assert np.array_equal(build_vertices(ham, f_k, f_kp).current1, before.current1)
     # the same edit made before the first read is read
     edited = random_hermitian_model(np.random.default_rng(seed), *size)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import sys
 import time
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import row_vertices
-from edgeflow import lattice, response
+from edgeflow import lattice, response, spectrum
 from conftest import off_mirror_twin, random_hermitian_model, shifted
 
 
@@ -47,15 +48,15 @@ def test_chain_current_is_group_velocity():
 
 
 def assert_same_grids(serial, threaded):
-    # the two grids come from two models, so both were really diagonalized
+    # per summand: the two grids come from two models, so both were really
+    # diagonalized
     for a, b in zip(serial, threaded, strict=True):
-        assert a is not b
         assert a.k1 == b.k1
-        assert np.array_equal(a.energies, b.energies)
-        assert np.array_equal(a.states, b.states)
         for pa, pb in zip(a.parts, b.parts, strict=True):
+            assert pa is not pb
             assert np.array_equal(pa.energies, pb.energies)
             assert np.array_equal(pa.states, pb.states)
+            assert pa.from_mirror == pb.from_mirror
 
 
 def counter_stack_model():
@@ -182,14 +183,18 @@ def eigh_calls(monkeypatch):
 @ONE_AND_TWO_SUMMANDS
 def test_a_repeated_momentum_returns_the_stored_basis(eigh_calls, make):
     ham = make()
-    summands = len(ham.summands())
-    first = response.diagonalize_fiber(ham, 0.3)
-    assert len(eigh_calls) == summands
-    assert response.diagonalize_fiber(ham, 0.3) is first
-    assert len(eigh_calls) == summands
-    # the key is the exact momentum: a neighbouring float is another fiber
-    assert response.diagonalize_fiber(ham, np.nextafter(0.3, 1.0)) is not first
-    assert len(eigh_calls) == 2 * summands
+    summands = ham.summands()
+    first = response.grid_fiber(ham, 3, 16)
+    assert len(eigh_calls) == len(summands)
+    assert response.grid_fiber(ham, 3, 16).parts == first.parts
+    # the key is the exact momentum: 2 pi 6 / 32 is the same float
+    assert response.grid_fiber(ham, 6, 32).parts == first.parts
+    assert len(eigh_calls) == len(summands)
+    # an off-grid solve at that momentum solves again and stores nothing
+    solved = response.diagonalize_fiber(ham, first.k1)
+    assert not any(a is b for a, b in zip(solved.parts, first.parts, strict=True))
+    assert len(eigh_calls) == 2 * len(summands)
+    assert [list(sub._fibers) for _, sub in summands] == [[first.k1]] * len(summands)
 
 
 def test_one_model_solves_its_grid_once_for_every_identity(eigh_calls):
@@ -219,10 +224,13 @@ def test_a_grid_fills_the_map(eigh_calls, threads):
     finally:
         sys.setswitchinterval(interval)
     assert len(eigh_calls) == 2 * 9
-    assert stack._fibers == {f.k1: f for f in grid}
+    # the stack stores nothing of its own, each copy its grid
+    assert not stack._fibers
+    for s, (_, sub) in enumerate(stack.summands()):
+        assert sub._fibers == {f.k1: f.parts[s] for f in grid}
     again = response.fiber_cache(stack, 16)
-    assert all(a is b for a, b in zip(grid, again, strict=True))
-    assert [response.diagonalize_fiber(stack, f.k1) for f in grid] == grid
+    assert all(a.parts == b.parts for a, b in zip(grid, again, strict=True))
+    assert [response.grid_fiber(stack, m, 16).parts for m in range(16)] == [f.parts for f in grid]
     assert len(eigh_calls) == 2 * 9
 
 
@@ -270,6 +278,49 @@ def test_a_mirrored_grid_does_not_depend_on_the_order_of_reads(eigh_calls, make)
     assert_same_grids(response.fiber_cache(make(), 16), response.fiber_cache(ham, 16))
 
 
+def grid_momenta(n_k):
+    return {2.0 * np.pi * m / n_k for m in range(n_k)}
+
+
+def test_an_off_grid_solve_does_not_change_a_grid_read():
+    # 2 pi 12/16 asked off the grid first is not stored, so the grid read
+    # still takes m = 12 from the mirror of m = 4
+    make = functools.partial(lattice.haldane_cylinder, L1=16, L2=12)
+    ham = make()
+    response.diagonalize_fiber(ham, 2.0 * np.pi * 12 / 16)
+    stored = set(ham._fibers)
+    grid = response.fiber_cache(ham, 16)
+    assert_same_grids(response.fiber_cache(make(), 16), grid)
+    assert grid[12].from_mirror
+    assert not stored and set(ham._fibers) == grid_momenta(16)
+
+
+def test_the_charge_count_stores_only_its_grid():
+    # the count halves two intervals of the 6-grid; their midpoints 2 pi 5/12
+    # and 2 pi 7/12 are not stored, so a later 12-grid read mirrors m = 7
+    make = functools.partial(lattice.haldane_cylinder, L1=6, L2=12)
+    ham = make()
+    assert spectrum.lower_edge_chirality(ham, 0.1, 6) == 1
+    stored = set(ham._fibers)
+    grid = response.fiber_cache(ham, 12)
+    assert_same_grids(response.fiber_cache(make(), 12), grid)
+    assert grid[7].from_mirror
+    assert stored == grid_momenta(6)
+
+
+def test_a_read_stack_stores_nothing_of_its_own():
+    # the responses, the count and an off-grid solve read the stack; each
+    # copy stores its grid and the stack keeps no merged basis
+    stack = counter_stack_model()
+    response.edge_conductance_free(stack, 0.15, 16, a=6, a_prime=4)
+    response.ward_sum_rule(stack, 0.15, 0.7, 3, 16)
+    response.vertex_ward_residual(stack, 0.15, 0.4, 3, 0.3, 5, 16)
+    spectrum.lower_edge_chirality(stack, 0.15, 16)
+    response.diagonalize_fiber(stack, 0.3)
+    assert not stack._fibers
+    assert [set(sub._fibers) for _, sub in stack.summands()] == [grid_momenta(16)] * 2
+
+
 @ONE_AND_TWO_SUMMANDS
 def test_a_model_with_stored_fibers_is_freed_by_refcount(make):
     # the stored bases hold no reference back to the model, so a model that
@@ -312,21 +363,21 @@ def test_a_summand_of_a_read_stack_refuses_an_edit():
     stack = counter_stack_model()
     with pytest.raises(ValueError, match=r"block at \(0, 4, 4\): the model was already read"):
         stack.summands()[1][1].add_block(0, 4, 4, 0.5 * np.eye(2))
-    k1 = 0.3 + 1e-12
-    assert_same_grids([response.diagonalize_fiber(counter_stack_model(), k1)], [response.diagonalize_fiber(stack, k1)])
+    assert_same_grids(response.fiber_cache(counter_stack_model(), 16), response.fiber_cache(stack, 16))
 
 
 @ONE_AND_TWO_SUMMANDS
 def test_a_stored_basis_is_read_only(make):
+    # a solved basis and a mirrored one
     ham = make()
-    basis = response.diagonalize_fiber(ham, 0.3)
-    arrays = [basis.energies] + [a for part in basis.parts for a in (part.energies, part.states)]
-    for a in arrays:
+    for m in (3, 13):
+        basis = response.grid_fiber(ham, m, 16)
+        for a in (a for part in basis.parts for a in (part.energies, part.states)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        basis.energies += 1.0
-    assert response.diagonalize_fiber(ham, 0.3) is basis
+            basis.parts[0].energies += 1.0
+        assert response.grid_fiber(ham, m, 16).parts == basis.parts
 
 
 def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
@@ -714,7 +765,7 @@ def test_a_degenerate_pair_across_two_summands_carries_no_weight():
     e = np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * 6 / 13))[0]
     stack = lattice.build_model("stacked-haldane", 13, 12, t2=0.0, shifts="0,1e-13")
     mu = e + 5e-14
-    energies = response.grid_fiber(stack, 7, 13).energies
+    energies = np.sort(np.concatenate([p.energies for p in response.grid_fiber(stack, 7, 13).parts]))
     assert np.count_nonzero(abs(energies - mu) < 1e-13) == 2 and energies[0] < mu < energies[1]
     est = response.edge_conductance_free(stack, mu, 13, a=4, a_prime=3)
     assert abs(2.0 * np.pi * est.g) < 1e-12

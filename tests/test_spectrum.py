@@ -380,6 +380,25 @@ def _counter_stack():
     )
 
 
+def test_a_stack_scan_keeps_the_whole_fiber_eigenpairs():
+    # each copy's in-window states are placed on its own rows and merged by
+    # energy: the scan holds the whole fiber's in-window eigenvalues, less
+    # the Dirichlet-row modes, each with an eigenvector of the whole fiber
+    # up to the side-pure rotation inside a cluster (gaps below 1e-5)
+    stack = lattice.stacked_shifted(
+        lattice.haldane_cylinder(lattice.CylinderGeometry(16, 12, 2)), [0.0, 0.1, 0.26]
+    )
+    lo, hi = -0.2, 0.5
+    scan = spectrum.scan_spectrum(stack, n_k=64, window=(lo, hi))
+    for k1, e, vs in zip(scan.k_grid, scan.energies, scan.vectors, strict=True):
+        fiber = lattice.assemble_fiber(stack, k1)
+        want, v = np.linalg.eigh(fiber)
+        w = lattice.row_weights(stack.geometry, v)
+        want = want[(want > lo) & (want < hi) & (w[0] + w[-1] < 0.5)]
+        assert e.shape == want.shape and np.max(np.abs(e - want), initial=0.0) <= 1e-12
+        assert np.max(np.abs(fiber @ vs.T - vs.T * e), initial=0.0) <= 1e-4
+
+
 @pytest.mark.parametrize(
     "build, mu, n_k, window, chirality",
     [
@@ -515,11 +534,12 @@ def test_a_branch_runs_across_the_grid_seam():
 def test_a_coarse_ring_halves_the_charge_steps_far_from_an_integer(monkeypatch, build, mu, chirality):
     # on a ring this coarse some step of the charge reads 0.28 to 0.47 (the
     # Hofstadter count would read 0); halving those intervals down to the
-    # spacing 2 pi / 64 makes every step near an integer
+    # spacing 2 pi / 64 makes every step near an integer, and the midpoints
+    # are not stored
     ham = build()
     n_k = ham.geometry.L1
     assert spectrum.lower_edge_chirality(ham, mu, n_k) == chirality
-    assert set(ham._fibers) > {2.0 * np.pi * m / n_k for m in range(n_k)}
+    assert set(ham._fibers) == {2.0 * np.pi * m / n_k for m in range(n_k)}
     # none of them would have held within the tolerance without the halving
     monkeypatch.setattr(spectrum, "MIN_SCAN_MOMENTA", 1)
     with pytest.raises(spectrum.ChargeStepError, match="is not within 0.25 of an integer"):
