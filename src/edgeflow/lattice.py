@@ -23,11 +23,11 @@ summed, with the keys in their first-appearance order: one
 assignments.  The check, the slab stack and the split into summands at
 the first read are array operations on the stacked ``(n, M, M)`` blocks.
 
-A connected model also holds the fiber bases of the grid momenta that
-:func:`edgeflow.response.grid_fiber` has read, one per distinct ``k1``,
-keyed by the exact float and kept for the model's life: the only fibers
-that the responses and scans of the model read.  They hold no reference
-back to the model.  A direct sum holds none; its summands hold theirs.
+A connected model also holds the fiber grids that
+:func:`edgeflow.response.fiber_cache` has read, each whole and keyed by
+its size ``n_k``, and kept for the model's life: the only fibers that the
+responses and scans of the model read.  They hold no reference back to
+the model.  A direct sum holds none; its summands hold theirs.
 
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
@@ -40,8 +40,7 @@ Each summand also gets its inversion mirror at the first read, if it has
 one: a permutation ``P`` of its fiber index with ``H(-z1) = P H(z1) P^T``
 for every stored ``z1``, bitwise (:func:`_inversion`), so that ``H(-k1)
 = P H(k1) P^T`` at every ``k1``.  Its fiber at ``-k1`` then follows from
-the one at ``k1`` with no ``eigh``
-(:func:`edgeflow.response.grid_fiber`).
+the one at ``k1`` with no ``eigh`` (:func:`edgeflow.response.fiber_cache`).
 
 Indexing convention for fiber matrices: row index ``x2 * M + rho``.
 """
@@ -110,7 +109,7 @@ class LatticeHamiltonian:
         self._slabs = None  # (z1s, slabs), built at the first read
         self._summands = None
         self._mirror = None  # fiber index permutation of _inversion, found at the first read
-        self._fibers = {}  # grid k1 -> FiberBasis, filled by response.grid_fiber
+        self._grids = {}  # n_k -> tuple of FiberBasis, filled by response.fiber_cache
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
         if self._slabs is not None:

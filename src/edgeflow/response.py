@@ -41,36 +41,35 @@ occupied bands at ``k`` against the empty ones at ``k + p`` and the empty
 against the occupied, two slices of the ascending bands
 (:func:`_gibbs_weight`).
 
-A connected model stores the fiber basis of each grid momentum ``k1 = 2
-pi m / n_k`` that is read, keyed by the exact float ``k1``, and nothing
-else: :func:`grid_fiber` is the store's only writer, and a repeat
-read returns the stored basis with no ``eigh``.  Every response reads its
-grid momenta through :func:`grid_fiber` (the whole grid through
-:func:`fiber_cache`), and so do the scan of
+A connected model stores each grid it reads whole: ``ham._grids[n_k]``
+holds one basis per grid momentum ``k1 = 2 pi m / n_k``, in ascending
+``k1``, with read-only arrays.  :func:`fiber_cache` is the store's only
+reader and only writer, and a repeat read returns the stored grid with no
+``eigh``.  Every response reads its grid through it, and so do the scan of
 :func:`edgeflow.spectrum.scan_spectrum` and the chirality count of
 :func:`edgeflow.spectrum.lower_edge_chirality`, so the identities and the
 count asked of one model solve its grid once, and no response can read
 the fibers of another model.  A model is fixed from its first read, so
-none goes stale, and a stored basis's arrays are read-only.  An off-grid
-solve is not stored: neither :func:`diagonalize_fiber`'s, at the
-midpoints that the chirality count halves an interval at, nor the
-bisection solves of :func:`edgeflow.spectrum.fermi_point`.  So no earlier
-solve changes a bit of a grid read.
+none goes stale.  An off-grid solve is not stored: neither
+:func:`diagonalize_fiber`'s, at the midpoints that the chirality count
+halves an interval at, nor the bisection solves of
+:func:`edgeflow.spectrum.fermi_point`.  So no other solve, and no other
+grid, changes a bit of a grid read.
 
 A grid read solves only half the ring of a summand with an inversion
 mirror (:func:`edgeflow.lattice._inversion`, as the Haldane model and its
 stacks have): its fiber at ``k1 = 2 pi m / n_k`` with ``n_k - m < m`` is
-the permuted fiber at ``n_k - m``, so :func:`grid_fiber` takes that
-basis's energies and its states with their rows permuted
+the permuted fiber at ``n_k - m`` of the same grid, so :func:`fiber_cache`
+takes that basis's energies and its states with their rows permuted
 (:meth:`FiberBasis.mirror`).  These equal what an ``eigh`` at ``k1`` gives
 up to rounding and the phase of each state, which no response reads.
 
 A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
 stores nothing of its own: its fiber is its summands' fibers, one basis
 per summand in ``parts``, each solved by one ``eigh`` of the summand's own
-fiber and stored on the summand.  The responses contract each summand's
-bands on its own sub-model: the bands of two summands have disjoint
-support, so every vertex between them is 0.  A connected model is one
+fiber and stored in the summand's grid.  The responses contract each
+summand's bands on its own sub-model: the bands of two summands have
+disjoint support, so every vertex between them is 0.  A connected model is one
 summand and takes the whole-fiber arithmetic unchanged.
 
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
@@ -93,7 +92,6 @@ __all__ = [
     "ConjugationSymmetryError",
     "SingularPropagatorError",
     "diagonalize_fiber",
-    "grid_fiber",
     "fiber_cache",
     "ward_sum_rule",
     "free_two_point",
@@ -176,56 +174,40 @@ def diagonalize_fiber(ham, k1):
     return FiberBasis(k1, *np.linalg.eigh(assemble_fiber(ham, k1)))
 
 
-def grid_fiber(ham, m, n_k):
-    """The fiber at the grid momentum ``k1 = 2 pi m / n_k``, ``0 <= m <
-    n_k``: the one read of a grid fiber.  A direct sum's is its summands'
-    grid fibers; a connected model's basis is stored on the model, keyed by
-    the float ``k1``, with read-only arrays, and a later read returns it
-    with no ``eigh``.
+def fiber_cache(ham, n_k, threads=1):
+    """The fibers on the ring-momentum grid ``k1 = 2 pi m / n_k``, in
+    ascending ``k1``, the order that fixes every later reduction.
 
-    A model with an inversion mirror ``perm`` (found at its first read,
-    :func:`edgeflow.lattice._inversion`) takes its basis at ``m`` with
-    ``n_k - m < m`` from the one at ``n_k - m``, read first if need be:
-    ``H(-k1) = H(k1)[perm][:, perm]``, so the energies are shared and the
-    states are ``U[perm]`` (:meth:`FiberBasis.mirror`), with no ``eigh``.
-    Which momentum is asked first does not change a bit.  Every other
-    momentum is :func:`diagonalize_fiber`'s.
+    A connected model's grid is stored whole in ``ham._grids[n_k]``, with
+    read-only arrays, and a later read returns it with no ``eigh``.  A miss
+    solves the momenta ``m <= n_k - m`` of a model with an inversion mirror
+    ``perm`` (:func:`edgeflow.lattice._inversion`) and takes each other one
+    from the basis at ``n_k - m``, since ``H(-k1) = H(k1)[perm][:, perm]``
+    (:meth:`FiberBasis.mirror`); a model without one solves every momentum.
+    The solves are :func:`diagonalize_fiber`'s, on a pool of ``threads``
+    when there are more than one, after the model's first read.  A direct
+    sum's grid is its summands' stored grids (:class:`_SummandFibers`).
     """
-    k1 = 2.0 * np.pi * m / n_k
     summands = ham.summands()
     if len(summands) > 1:
-        return _SummandFibers(k1, tuple(grid_fiber(sub, m, n_k) for _, sub in summands))
-    basis = ham._fibers.get(k1)
-    if basis is None:
-        if ham._mirror is None or n_k - m >= m:
-            basis = diagonalize_fiber(ham, k1)
+        grids = [fiber_cache(sub, n_k, threads) for _, sub in summands]
+        return tuple(_SummandFibers(parts[0].k1, parts) for parts in zip(*grids))
+    grid = ham._grids.get(n_k)
+    if grid is None:
+        k1s = [2.0 * np.pi * m / n_k for m in range(n_k)]
+        solve = k1s if ham._mirror is None else k1s[: n_k // 2 + 1]
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                solved = list(pool.map(lambda k1: diagonalize_fiber(ham, k1), solve))
         else:
-            basis = grid_fiber(ham, n_k - m, n_k).mirror(k1, ham._mirror)
-        basis.energies.flags.writeable = basis.states.flags.writeable = False
-        ham._fibers[k1] = basis
-    return basis
-
-
-def fiber_cache(ham, n_k, threads=1):
-    """All fibers on the ring-momentum grid k1 = 2 pi m / n_k, from
-    :func:`grid_fiber`: a grid already stored on the model is returned with
-    no ``eigh``.
-
-    Diagonalizations are independent and may run on a thread pool; the
-    model is read (checked, stacked and split into summands) before the
-    pool starts, and the pool solves the momenta ``m <= n_k - m`` before
-    the rest, which a summand with a mirror takes from them.  The returned
-    list order (ascending k1) fixes every later reduction.
-    """
-    ms = range(n_k)
-    if threads > 1:
-        ham.summands()  # the model's first read, before any thread reads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for half in ([m for m in ms if 2 * m <= n_k], [m for m in ms if 2 * m > n_k]):
-                list(pool.map(lambda m: grid_fiber(ham, m, n_k), half))
-    return [grid_fiber(ham, m, n_k) for m in ms]
+            solved = [diagonalize_fiber(ham, k1) for k1 in solve]
+        grid = tuple(solved + [solved[n_k - m].mirror(k1s[m], ham._mirror) for m in range(len(solved), n_k)])
+        for basis in grid:
+            basis.energies.flags.writeable = basis.states.flags.writeable = False
+        ham._grids[n_k] = grid
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +466,12 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k):
     and the ring current on all rows (:func:`_current_operator`); the two
     two-point functions are formed once, for both sides.  The fibers are
     those of the grid ``2 pi m / n_k`` at ``m = k1_index`` and ``k1_index +
-    p1_index``, both mod ``n_k``, from :func:`grid_fiber`.  A direct sum
+    p1_index``, both mod ``n_k``, of :func:`fiber_cache`.  A direct sum
     is checked on each summand's own fibers, and its residual is the
     largest over the summands, divided by the largest term of any.
     """
-    f_k, f_kp = (grid_fiber(ham, m % n_k, n_k) for m in (k1_index, k1_index + p1_index))
+    fibers = fiber_cache(ham, n_k)
+    f_k, f_kp = fibers[k1_index % n_k], fibers[(k1_index + p1_index) % n_k]
     p1 = 2.0 * np.pi * p1_index / n_k
     rows = np.ones(ham.geometry.L2)
     errors, scales = [], [1e-300]

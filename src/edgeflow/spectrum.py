@@ -124,15 +124,6 @@ class AssumptionReport:
         return all(self.flags.values())
 
 
-def _diag(ham, k1):
-    fiber = assemble_fiber(ham, k1)
-    try:
-        e, v = np.linalg.eigh(fiber)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"eigensolver failed at k1 = {k1}") from exc
-    return e, v
-
-
 def _cluster(e, i):
     """``(lo, hi)``: the near-degenerate cluster ``e[lo:hi]`` around index
     ``i`` of the ascending energies ``e``, its neighbours gapped by less than
@@ -351,11 +342,12 @@ def crossing_sign(branch, mu):
 
 def _track_eig(ham, k1, ref_vec):
     """The energy and state at ``k1`` that continue ``ref_vec``: the
-    eigenpair of best overlap, or, when that state sits in a near-degenerate
-    cluster (:func:`_cluster`), the side-pure state of best overlap
+    eigenpair of best overlap of the whole fiber, solved and not stored,
+    or, when that state sits in a near-degenerate cluster
+    (:func:`_cluster`), the side-pure state of best overlap
     (:func:`_purify_degenerate`) with its ``<psi|H|psi>``, since ``eigh``
     mixes a hybridized edge pair at random."""
-    e, v = _diag(ham, k1)
+    e, v = np.linalg.eigh(assemble_fiber(ham, k1))
     ov = np.abs(ref_vec.conj() @ v)
     j = int(np.argmax(ov))
     lo, hi = _cluster(e, j)

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +114,6 @@ def test_response_api_is_pinned():
         "ConjugationSymmetryError",
         "SingularPropagatorError",
         "diagonalize_fiber",
-        "grid_fiber",
         "fiber_cache",
         "ward_sum_rule",
         "free_two_point",
@@ -127,6 +127,24 @@ def test_response_api_is_pinned():
     # summands' bases, with no merged basis or column picker
     assert [a for a in ("direct_sum", "columns") if hasattr(response.FiberBasis, a)] == []
     assert not hasattr(response, "_stored")
+
+
+def test_only_the_grid_read_touches_the_fiber_store():
+    # fiber_cache reads and writes the whole grids a model stores; no
+    # per-momentum read remains, and no other code reaches the store but
+    # the model's constructor, which starts it empty
+    from edgeflow import lattice, response
+
+    assert not hasattr(response, "grid_fiber")
+    touches = {
+        path.stem: [line.strip() for line in path.read_text().splitlines() if "_grids" in line]
+        for path in sorted(Path(edgeflow.__file__).parent.glob("*.py"))
+    }
+    assert [name for name, lines in touches.items() if lines and name not in ("lattice", "response")] == []
+    (init,) = touches["lattice"]
+    assert init.startswith("self._grids = {}") and init in inspect.getsource(lattice.LatticeHamiltonian.__init__)
+    in_code = inspect.getsource(response).count("_grids") - response.__doc__.count("_grids")
+    assert in_code == inspect.getsource(response.fiber_cache).count("_grids") > 0
 
 
 def test_cutoffs_and_quadrature_apis_are_pinned():

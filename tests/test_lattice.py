@@ -212,12 +212,12 @@ def test_a_model_is_checked_once_and_never_read_stale(hermitian_checks):
     assert hermitian_checks == [ham]
 
     # an edit after the first read is refused and changes nothing read
-    before, stored = lattice.assemble_fiber(ham, 0.4), dict(ham._fibers)
+    before, stored = lattice.assemble_fiber(ham, 0.4), dict(ham._grids)
     with pytest.raises(ValueError, match=r"block at \(1, 5, 6\): the model was already read"):
         ham.add_block(1, 5, 6, np.eye(2))
     assert np.array_equal(lattice.assemble_fiber(ham, 0.4), before)
-    assert ham._fibers.keys() == stored.keys()
-    assert all(ham._fibers[k1] is basis for k1, basis in stored.items())
+    assert ham._grids.keys() == stored.keys() == {16, 64}
+    assert all(ham._grids[n_k] is grid for n_k, grid in stored.items())
 
     # made before the first read, the edit is checked and read; a model whose
     # check failed was not read, so it still takes blocks
@@ -238,12 +238,12 @@ def test_a_model_owns_its_blocks():
     ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
     onsite = np.array([[0.3]], dtype=complex)
     ham.add_block(0, 3, 3, onsite)
-    basis = response.grid_fiber(ham, 1, 8)
+    basis = response.fiber_cache(ham, 8)[1]
     onsite[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
         ham.block(0, 3, 3)[0, 0] = 7.0
     assert ham.block(0, 3, 3)[0, 0] == 0.3
-    assert response.grid_fiber(ham, 1, 8) is basis
+    assert response.fiber_cache(ham, 8)[1] is basis
     assert np.array_equal(basis.energies, np.linalg.eigvalsh(lattice.assemble_fiber(ham, basis.k1)))
     stack = lattice.stacked_shifted(ham, [0.0, 0.1])
     models = [ham, stack] + [sub for _, sub in stack.summands()]
@@ -451,13 +451,13 @@ def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
     assert merged.block(0, 5, 5)[1, 2] == 0.05
     # after the first read the coupling is refused and the split stays
     apart = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
-    split, basis = apart.summands(), response.grid_fiber(apart, 1, 16)
+    split, basis = apart.summands(), response.fiber_cache(apart, 16)[1]
     for model in (stack, apart):
         with pytest.raises(ValueError, match=r"block at \(0, 5, 5\): the model was already read"):
             model.add_block(0, 5, 5, hop)
     assert stack.summands() is parts
     assert apart.summands() is split and len(split) == 3
-    assert all(a is b for a, b in zip(response.grid_fiber(apart, 1, 16).parts, basis.parts, strict=True))
+    assert all(a is b for a, b in zip(response.fiber_cache(apart, 16)[1].parts, basis.parts, strict=True))
 
 
 def test_a_summand_is_born_fixed_and_not_checked_again(haldane16, hermitian_checks):

@@ -438,7 +438,7 @@ def test_a_direct_sum_is_diagonalized_per_summand(draw, k1):
         fiber, v = lattice.assemble_fiber(sub, k1), p.states
         assert np.max(np.abs(fiber @ v - v * p.energies)) <= 1e-12 * max(1.0, np.max(np.abs(fiber)))
         assert np.max(np.abs(v.conj().T @ v - np.eye(p.dim))) <= 1e-12
-    assert not stack._fibers and not any(sub._fibers for _, sub in summands)
+    assert not stack._grids and not any(sub._grids for _, sub in summands)
 
 
 @PROPERTY
@@ -561,7 +561,7 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     ham = random_hermitian_model(rng, *size)
     L2, M = size[1], size[2]
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
-    stored = response.grid_fiber(ham, 1, size[0])
+    stored = response.fiber_cache(ham, size[0])
     before = build_vertices(ham, f_k, f_kp)
     x2 = int(rng.integers(1, L2 - 1))
     # a complex block and its partner: the vertex build checks Hermiticity,
@@ -569,7 +569,8 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     blk = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)) + 1.0
     with pytest.raises(ValueError, match="the model was already read"):
         ham.add_block(1, x2, x2, blk)
-    assert response.grid_fiber(ham, 1, size[0]) is stored
+    assert response.fiber_cache(ham, size[0]) is stored
+    assert ham._grids == {size[0]: stored}
     assert np.array_equal(build_vertices(ham, f_k, f_kp).current1, before.current1)
     # the same edit made before the first read is read
     edited = random_hermitian_model(np.random.default_rng(seed), *size)

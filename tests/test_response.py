@@ -184,17 +184,21 @@ def eigh_calls(monkeypatch):
 def test_a_repeated_momentum_returns_the_stored_basis(eigh_calls, make):
     ham = make()
     summands = ham.summands()
-    first = response.grid_fiber(ham, 3, 16)
-    assert len(eigh_calls) == len(summands)
-    assert response.grid_fiber(ham, 3, 16).parts == first.parts
-    # the key is the exact momentum: 2 pi 6 / 32 is the same float
-    assert response.grid_fiber(ham, 6, 32).parts == first.parts
-    assert len(eigh_calls) == len(summands)
+    first = response.fiber_cache(ham, 16)[3]
+    assert len(eigh_calls) == 9 * len(summands)
+    assert response.fiber_cache(ham, 16)[3].parts == first.parts
+    assert len(eigh_calls) == 9 * len(summands)
+    # the key is the grid's size: 2 pi 6 / 32 is the same float, but the
+    # 32-grid is its own grid, solved whole
+    finer = response.fiber_cache(ham, 32)[6]
+    assert finer.k1 == first.k1
+    assert not any(a is b for a, b in zip(finer.parts, first.parts, strict=True))
+    assert len(eigh_calls) == (9 + 17) * len(summands)
     # an off-grid solve at that momentum solves again and stores nothing
     solved = response.diagonalize_fiber(ham, first.k1)
     assert not any(a is b for a, b in zip(solved.parts, first.parts, strict=True))
-    assert len(eigh_calls) == 2 * len(summands)
-    assert [list(sub._fibers) for _, sub in summands] == [[first.k1]] * len(summands)
+    assert len(eigh_calls) == (9 + 17 + 1) * len(summands)
+    assert [list(sub._grids) for _, sub in summands] == [[16, 32]] * len(summands)
 
 
 def test_one_model_solves_its_grid_once_for_every_identity(eigh_calls):
@@ -225,32 +229,39 @@ def test_a_grid_fills_the_map(eigh_calls, threads):
         sys.setswitchinterval(interval)
     assert len(eigh_calls) == 2 * 9
     # the stack stores nothing of its own, each copy its grid
-    assert not stack._fibers
+    assert not stack._grids
     for s, (_, sub) in enumerate(stack.summands()):
-        assert sub._fibers == {f.k1: f.parts[s] for f in grid}
+        assert sub._grids == {16: tuple(f.parts[s] for f in grid)}
     again = response.fiber_cache(stack, 16)
     assert all(a.parts == b.parts for a, b in zip(grid, again, strict=True))
-    assert [response.grid_fiber(stack, m, 16).parts for m in range(16)] == [f.parts for f in grid]
     assert len(eigh_calls) == 2 * 9
 
 
+NO_MIRROR = {
+    "haldane-m_stag": lambda: lattice.haldane_cylinder(L1=16, L2=12, m_stag=0.2),
+    "hofstadter": lambda: lattice.hofstadter_cylinder(L1=24, L2=16),
+    "haldane-one-ulp-off": lambda: off_mirror_twin(lattice.haldane_cylinder(L1=16, L2=12)),
+}
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make, threads",
     [
-        lambda: lattice.haldane_cylinder(L1=16, L2=12, m_stag=0.2),
-        lambda: lattice.hofstadter_cylinder(L1=24, L2=16),
-        lambda: off_mirror_twin(lattice.haldane_cylinder(L1=16, L2=12)),
+        pytest.param(make, threads, id=name if threads == 1 else f"{name}-{threads}-threads")
+        for name, make in NO_MIRROR.items()
+        for threads in (1, 2)
     ],
-    ids=["haldane-m_stag", "hofstadter", "haldane-one-ulp-off"],
 )
-def test_a_model_without_a_mirror_solves_the_whole_ring(eigh_calls, make):
+def test_a_model_without_a_mirror_solves_the_whole_ring(eigh_calls, make, threads):
     # a staggered mass breaks the sublattice swap, the Landau-gauge phases
-    # are no mirror's bitwise, and one ulp in one block pair is enough
+    # are no mirror's bitwise, and one ulp in one block pair is enough; the
+    # pool solves the same 16 momenta as one thread, bitwise
     ham = make()
-    grid = response.fiber_cache(ham, 16)
+    grid = response.fiber_cache(ham, 16, threads=threads)
     assert ham._mirror is None
     assert len(eigh_calls) == 16
     assert not any(f.from_mirror for f in grid)
+    assert_same_grids(response.fiber_cache(make(), 16), grid)
 
 
 def test_a_stack_mirrors_only_its_mirrored_summand(eigh_calls):
@@ -265,21 +276,24 @@ def test_a_stack_mirrors_only_its_mirrored_summand(eigh_calls):
     assert grid[12].parts[0].energies is grid[4].parts[0].energies
 
 
-@ONE_AND_TWO_SUMMANDS
-def test_a_mirrored_grid_does_not_depend_on_the_order_of_reads(eigh_calls, make):
-    # a grid momentum whose mirror is not yet stored solves the mirror first,
-    # and stores it on the summand, so a model whose first grid read is m =
-    # 13 stores bitwise the grid of one that reads in order
+@pytest.mark.parametrize(
+    "make",
+    [
+        functools.partial(lattice.haldane_cylinder, L1=44, L2=12),
+        functools.partial(lattice.build_model, "stacked-haldane", 44, 12, shifts="0.0,0.1", flips="0,1"),
+    ],
+    ids=["haldane", "counter-stack"],
+)
+def test_a_coarse_grid_read_first_does_not_change_a_fine_one(make):
+    # 2 pi 33 / 44 is the float 2 pi 3 / 4, and 2 pi 11 / 44 is not 2 pi 1 / 4:
+    # a store keyed by the momentum mirrored the 44-grid's m = 33 from the
+    # 4-grid's m = 1, off a fresh model's by 2.2e-15; a grid keyed by its
+    # size takes m = 33 from its own m = 11
     ham = make()
-    summands = ham.summands()
-    response.grid_fiber(ham, 13, 16)
-    assert len(eigh_calls) == len(summands)
-    assert all(sorted(sub._fibers) == [2.0 * np.pi * m / 16 for m in (3, 13)] for _, sub in summands)
-    assert_same_grids(response.fiber_cache(make(), 16), response.fiber_cache(ham, 16))
-
-
-def grid_momenta(n_k):
-    return {2.0 * np.pi * m / n_k for m in range(n_k)}
+    response.fiber_cache(ham, 4)
+    grid = response.fiber_cache(ham, 44)
+    assert_same_grids(response.fiber_cache(make(), 44), grid)
+    assert all(set(sub._grids) == {4, 44} for _, sub in ham.summands())
 
 
 def test_an_off_grid_solve_does_not_change_a_grid_read():
@@ -288,11 +302,11 @@ def test_an_off_grid_solve_does_not_change_a_grid_read():
     make = functools.partial(lattice.haldane_cylinder, L1=16, L2=12)
     ham = make()
     response.diagonalize_fiber(ham, 2.0 * np.pi * 12 / 16)
-    stored = set(ham._fibers)
+    stored = set(ham._grids)
     grid = response.fiber_cache(ham, 16)
     assert_same_grids(response.fiber_cache(make(), 16), grid)
     assert grid[12].from_mirror
-    assert not stored and set(ham._fibers) == grid_momenta(16)
+    assert not stored and set(ham._grids) == {16}
 
 
 def test_the_charge_count_stores_only_its_grid():
@@ -301,11 +315,11 @@ def test_the_charge_count_stores_only_its_grid():
     make = functools.partial(lattice.haldane_cylinder, L1=6, L2=12)
     ham = make()
     assert spectrum.lower_edge_chirality(ham, 0.1, 6) == 1
-    stored = set(ham._fibers)
+    stored = set(ham._grids)
     grid = response.fiber_cache(ham, 12)
     assert_same_grids(response.fiber_cache(make(), 12), grid)
     assert grid[7].from_mirror
-    assert stored == grid_momenta(6)
+    assert stored == {6} and set(ham._grids) == {6, 12}
 
 
 def test_a_read_stack_stores_nothing_of_its_own():
@@ -317,8 +331,8 @@ def test_a_read_stack_stores_nothing_of_its_own():
     response.vertex_ward_residual(stack, 0.15, 0.4, 3, 0.3, 5, 16)
     spectrum.lower_edge_chirality(stack, 0.15, 16)
     response.diagonalize_fiber(stack, 0.3)
-    assert not stack._fibers
-    assert [set(sub._fibers) for _, sub in stack.summands()] == [grid_momenta(16)] * 2
+    assert not stack._grids
+    assert [set(sub._grids) for _, sub in stack.summands()] == [{16}] * 2
 
 
 @ONE_AND_TWO_SUMMANDS
@@ -345,7 +359,7 @@ def test_an_edit_after_a_read_is_refused_and_the_stored_fibers_kept():
     grid = response.fiber_cache(ham, 16)
     with pytest.raises(ValueError, match=r"block at \(0, 4, 4\): the model was already read"):
         ham.add_block(0, 4, 4, onsite)
-    assert ham._fibers == {f.k1: f for f in grid}
+    assert ham._grids == {16: grid}
     assert all(a is b for a, b in zip(grid, response.fiber_cache(ham, 16), strict=True))
     edited = lattice.haldane_cylinder(g)
     edited.add_block(0, 4, 4, onsite)
@@ -355,7 +369,7 @@ def test_an_edit_after_a_read_is_refused_and_the_stored_fibers_kept():
     for k1 in (0.0, 2.0 * np.pi / 16):
         with pytest.raises(lattice.HermiticityError, match=r"\(1, 5, 6\)"):
             response.diagonalize_fiber(broken, k1)
-    assert not broken._fibers
+    assert not broken._grids
 
 
 def test_a_summand_of_a_read_stack_refuses_an_edit():
@@ -371,13 +385,14 @@ def test_a_stored_basis_is_read_only(make):
     # a solved basis and a mirrored one
     ham = make()
     for m in (3, 13):
-        basis = response.grid_fiber(ham, m, 16)
+        basis = response.fiber_cache(ham, 16)[m]
         for a in (a for part in basis.parts for a in (part.energies, part.states)):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             basis.parts[0].energies += 1.0
-        assert response.grid_fiber(ham, m, 16).parts == basis.parts
+        assert response.fiber_cache(ham, 16)[m].parts == basis.parts
+    assert [set(sub._grids) for _, sub in ham.summands()] == [{16}] * len(ham.summands())
 
 
 def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypatch):
@@ -765,7 +780,7 @@ def test_a_degenerate_pair_across_two_summands_carries_no_weight():
     e = np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * 6 / 13))[0]
     stack = lattice.build_model("stacked-haldane", 13, 12, t2=0.0, shifts="0,1e-13")
     mu = e + 5e-14
-    energies = np.sort(np.concatenate([p.energies for p in response.grid_fiber(stack, 7, 13).parts]))
+    energies = np.sort(np.concatenate([p.energies for p in response.fiber_cache(stack, 13)[7].parts]))
     assert np.count_nonzero(abs(energies - mu) < 1e-13) == 2 and energies[0] < mu < energies[1]
     est = response.edge_conductance_free(stack, mu, 13, a=4, a_prime=3)
     assert abs(2.0 * np.pi * est.g) < 1e-12
