@@ -249,7 +249,8 @@ def cmd_bubble(args, report):
     _require_positive("--tol", args.tol)
     exact = reference.bubble_closed(args.p0, args.p1, args.v)
     rows = []
-    for n in range(args.N_min, args.N + 1, 2):
+    # step 2 down from --N, so that the last row is --N itself
+    for n in range(args.N_min + (args.N - args.N_min) % 2, args.N + 1, 2):
         est = reference.bubble_regularized(args.p0, args.p1, args.v, args.h, n, tol=args.tol)
         rows.append((n, args.h, est.real, est.imag, abs(est - exact)))
     write_csv(args.out, "bubble.csv", ["N", "h", "re", "im", "error"], rows)

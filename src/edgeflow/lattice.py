@@ -23,18 +23,19 @@ summed, with the keys in their first-appearance order: one
 assignments.  The check, the slab stack and the split into summands at
 the first read are array operations on the stacked ``(n, M, M)`` blocks.
 
-A connected model also holds the fiber grids that
-:func:`edgeflow.response.fiber_cache` has read, each whole and keyed by
-its size ``n_k``, and kept for the model's life: the only fibers that the
-responses and scans of the model read.  They hold no reference back to
-the model.  A direct sum holds none; its summands hold theirs.
-
 A model whose internal indices fall into classes that no block couples
 is a direct sum: :meth:`LatticeHamiltonian.summands` finds the classes
 from the blocks' sparsity pattern, with the stack, and gives each its own
 sub-model, fixed from birth on a stack cut from the whole one, so that
 callers can diagonalize and contract one summand at a time.  A connected
 model is its own only summand.
+
+Each summand holds the fiber grids that
+:func:`edgeflow.response.fiber_cache` has read of it, each whole and keyed
+by its size ``n_k``, and kept for the summand's life: ``fiber_cache``
+returns one such grid per summand, and they are the only fibers that the
+responses and scans of the model read.  They hold no reference back to
+the model.  A direct sum holds no grid of its own.
 
 Each summand also gets its inversion mirror at the first read, if it has
 one: a permutation ``P`` of its fiber index with ``H(-z1) = P H(z1) P^T``
@@ -109,7 +110,7 @@ class LatticeHamiltonian:
         self._slabs = None  # (z1s, slabs), built at the first read
         self._summands = None
         self._mirror = None  # fiber index permutation of _inversion, found at the first read
-        self._grids = {}  # n_k -> tuple of FiberBasis, filled by response.fiber_cache
+        self._grids = {}  # n_k -> tuple of FiberBasis of a summand, filled by response.fiber_cache
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
         if self._slabs is not None:

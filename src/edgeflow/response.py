@@ -41,14 +41,16 @@ occupied bands at ``k`` against the empty ones at ``k + p`` and the empty
 against the occupied, two slices of the ascending bands
 (:func:`_gibbs_weight`).
 
-A connected model stores each grid it reads whole: ``ham._grids[n_k]``
-holds one basis per grid momentum ``k1 = 2 pi m / n_k``, in ascending
-``k1``, with read-only arrays.  :func:`fiber_cache` is the store's only
-reader and only writer, and a repeat read returns the stored grid with no
-``eigh``.  Every response reads its grid through it, and so do the scan of
+Each summand of a model (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`;
+a connected model is its own only summand) stores each grid it reads
+whole: ``sub._grids[n_k]`` holds one basis per grid momentum ``k1 = 2 pi
+m / n_k``, in ascending ``k1``, with read-only arrays.  :func:`fiber_cache`
+is the store's only reader and only writer: it returns one such grid per
+summand, and a repeat read returns the stored grids with no ``eigh``.
+Every response reads its grids through it, and so do the scan of
 :func:`edgeflow.spectrum.scan_spectrum` and the chirality count of
 :func:`edgeflow.spectrum.lower_edge_chirality`, so the identities and the
-count asked of one model solve its grid once, and no response can read
+count asked of one model solve its grids once, and no response can read
 the fibers of another model.  A model is fixed from its first read, so
 none goes stale.  An off-grid solve is not stored: neither
 :func:`diagonalize_fiber`'s, at the midpoints that the chirality count
@@ -60,17 +62,16 @@ A grid read solves only half the ring of a summand with an inversion
 mirror (:func:`edgeflow.lattice._inversion`, as the Haldane model and its
 stacks have): its fiber at ``k1 = 2 pi m / n_k`` with ``n_k - m < m`` is
 the permuted fiber at ``n_k - m`` of the same grid, so :func:`fiber_cache`
-takes that basis's energies and its states with their rows permuted
-(:meth:`FiberBasis.mirror`).  These equal what an ``eigh`` at ``k1`` gives
-up to rounding and the phase of each state, which no response reads.
+takes that basis's ``energies`` array and its states with their rows
+permuted (:meth:`FiberBasis.mirror`).  These equal what an ``eigh`` at
+``k1`` gives up to rounding and the phase of each state, which no response
+reads.
 
-A model that is a direct sum (:meth:`~edgeflow.lattice.LatticeHamiltonian.summands`)
-stores nothing of its own: its fiber is its summands' fibers, one basis
-per summand in ``parts``, each solved by one ``eigh`` of the summand's own
-fiber and stored in the summand's grid.  The responses contract each
-summand's bands on its own sub-model: the bands of two summands have
-disjoint support, so every vertex between them is 0.  A connected model is one
-summand and takes the whole-fiber arithmetic unchanged.
+The responses contract each summand's bands on its own sub-model and its
+own grid, one summand at a time inside each momentum: the bands of two
+summands have disjoint support, so every vertex between them is 0.  A
+connected model is one summand and takes the whole-fiber arithmetic
+unchanged.
 
 Transform conventions: ring sums pair operators with ``exp(-i p1 x1)``
 (matching the wavefunction convention of the fiber) and imaginary time
@@ -116,98 +117,66 @@ class SingularPropagatorError(RuntimeError):
 
 
 class FiberBasis:
-    """Eigenpairs of a connected model's Bloch fiber at ``k1``: ``energies``
-    ascending, and ``states`` with the matching eigenvectors as columns.
-
-    A basis is its own only part (``parts``); the fiber of a direct sum
-    (:class:`_SummandFibers`) has one per summand.  ``from_mirror`` tells
-    whether it was taken from the basis at ``-k1`` (:meth:`mirror`) rather
-    than solved.
-    """
+    """Eigenpairs of a Bloch fiber at ``k1``: ``energies`` ascending, and
+    ``states`` with the matching eigenvectors as columns."""
 
     def __init__(self, k1, energies, states):
         self.k1 = float(k1)
         self.energies = energies
         self.states = states
-        self.from_mirror = False
 
     def mirror(self, k1, perm):
         """The basis at ``k1`` of the fiber ``H(k1) = H(self.k1)[perm][:, perm]``
-        of a connected model: the same energies, and the states with their
-        rows permuted, ``U(k1) = U(self.k1)[perm]``."""
-        out = FiberBasis(k1, self.energies, self.states[perm])
-        out.from_mirror = True
-        return out
-
-    @property
-    def parts(self):
-        return (self,)
+        of a connected model: the same ``energies`` array, and the states
+        with their rows permuted, ``U(k1) = U(self.k1)[perm]``."""
+        return FiberBasis(k1, self.energies, self.states[perm])
 
     @property
     def dim(self):
         return len(self.energies)
 
 
-@dataclass(frozen=True)
-class _SummandFibers:
-    """The fiber at ``k1`` of a direct sum: ``parts`` holds one
-    :class:`FiberBasis` per summand, of that summand's own fiber.  There
-    are no merged energies or states."""
-
-    k1: float
-    parts: tuple
-
-    @property
-    def from_mirror(self):
-        return any(p.from_mirror for p in self.parts)
-
-
 def diagonalize_fiber(ham, k1):
-    """The fiber at ``k1``, solved and not stored: one ``eigh`` per summand
-    of the model, of the summand's own fiber.  A connected model's
-    :class:`FiberBasis` is ``np.linalg.eigh(assemble_fiber(ham, k1))`` as it
-    comes; a direct sum's fiber is its summands' bases."""
-    k1 = float(k1)
-    summands = ham.summands()
-    if len(summands) > 1:
-        return _SummandFibers(k1, tuple(diagonalize_fiber(sub, k1) for _, sub in summands))
+    """The fiber at ``k1``, solved by one ``eigh`` of the whole fiber and not
+    stored."""
     return FiberBasis(k1, *np.linalg.eigh(assemble_fiber(ham, k1)))
 
 
 def fiber_cache(ham, n_k, threads=1):
-    """The fibers on the ring-momentum grid ``k1 = 2 pi m / n_k``, in
-    ascending ``k1``, the order that fixes every later reduction.
+    """The grids of the ring momenta ``k1 = 2 pi m / n_k``, one per summand
+    in :meth:`~edgeflow.lattice.LatticeHamiltonian.summands` order: each the
+    tuple of the summand's bases in ascending ``k1``, the order that fixes
+    every later reduction.  A connected model gives a 1-tuple.
 
-    A connected model's grid is stored whole in ``ham._grids[n_k]``, with
+    Each summand stores its grid whole in ``sub._grids[n_k]``, with
     read-only arrays, and a later read returns it with no ``eigh``.  A miss
-    solves the momenta ``m <= n_k - m`` of a model with an inversion mirror
-    ``perm`` (:func:`edgeflow.lattice._inversion`) and takes each other one
-    from the basis at ``n_k - m``, since ``H(-k1) = H(k1)[perm][:, perm]``
-    (:meth:`FiberBasis.mirror`); a model without one solves every momentum.
-    The solves are :func:`diagonalize_fiber`'s, on a pool of ``threads``
-    when there are more than one, after the model's first read.  A direct
-    sum's grid is its summands' stored grids (:class:`_SummandFibers`).
+    solves the momenta ``m <= n_k - m`` of a summand with an inversion
+    mirror ``perm`` (:func:`edgeflow.lattice._inversion`) and takes each
+    other one from the basis at ``n_k - m``, since ``H(-k1) =
+    H(k1)[perm][:, perm]`` (:meth:`FiberBasis.mirror`); a summand without
+    one solves every momentum.  The solves are :func:`diagonalize_fiber`'s,
+    on a pool of ``threads`` when there are more than one, after the
+    model's first read.
     """
-    summands = ham.summands()
-    if len(summands) > 1:
-        grids = [fiber_cache(sub, n_k, threads) for _, sub in summands]
-        return tuple(_SummandFibers(parts[0].k1, parts) for parts in zip(*grids))
-    grid = ham._grids.get(n_k)
-    if grid is None:
-        k1s = [2.0 * np.pi * m / n_k for m in range(n_k)]
-        solve = k1s if ham._mirror is None else k1s[: n_k // 2 + 1]
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    grids = []
+    for _, sub in ham.summands():
+        grid = sub._grids.get(n_k)
+        if grid is None:
+            k1s = [2.0 * np.pi * m / n_k for m in range(n_k)]
+            solve = k1s if sub._mirror is None else k1s[: n_k // 2 + 1]
+            if threads > 1:
+                from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                solved = list(pool.map(lambda k1: diagonalize_fiber(ham, k1), solve))
-        else:
-            solved = [diagonalize_fiber(ham, k1) for k1 in solve]
-        grid = tuple(solved + [solved[n_k - m].mirror(k1s[m], ham._mirror) for m in range(len(solved), n_k)])
-        for basis in grid:
-            basis.energies.flags.writeable = basis.states.flags.writeable = False
-        ham._grids[n_k] = grid
-    return grid
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    solved = list(pool.map(lambda k1: diagonalize_fiber(sub, k1), solve))
+            else:
+                solved = [diagonalize_fiber(sub, k1) for k1 in solve]
+            grid = tuple(solved + [solved[n_k - m].mirror(k1s[m], sub._mirror) for m in range(len(solved), n_k)])
+            for basis in grid:
+                basis.energies.flags.writeable = basis.states.flags.writeable = False
+            sub._grids[n_k] = grid
+        grids.append(grid)
+    return tuple(grids)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +356,7 @@ def _pair_weight(e_a, e_b, mu, temperature, p0):
     return out
 
 
-def _ward_columns(ham, fibers, mu, p0, y2, temperature):
+def _ward_columns(ham, grids, mu, p0, y2, temperature):
     """``cols[i - 1, x2] = S_{0,i}((p0, 0); x2, y2)``, ``(2, L2)``: the density
     on row ``x2`` against row ``y2`` of current component ``i``.
 
@@ -402,14 +371,14 @@ def _ward_columns(ham, fibers, mu, p0, y2, temperature):
     row = np.arange(L2) == y2
     currents = [[_current_operator(sub, terms, row) for terms in (_J1_TERMS, _J2_TERMS)] for _, sub in ham.summands()]
     cols = np.zeros((2, L2), dtype=complex)
-    for f in fibers:
-        for ops, b in zip(currents, f.parts, strict=True):
+    for fiber in zip(*grids):  # the summands' bases at one momentum
+        for ops, b in zip(currents, fiber, strict=True):
             u = b.states
             w = _pair_weight(b.energies, b.energies, mu, temperature, p0)
             # the backward leg is the row-y2 current, conjugate-transposed
             legs = np.stack([_current_vertex(b, b, op) for op in ops]).conj() * w
             cols += (u.conj() * (u @ legs.transpose(0, 2, 1))).reshape(2, L2, -1).sum(axis=2)
-    return cols / len(fibers)
+    return cols / len(grids[0])
 
 
 def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0):
@@ -466,16 +435,16 @@ def vertex_ward_residual(ham, mu, k0, k1_index, p0, p1_index, n_k):
     and the ring current on all rows (:func:`_current_operator`); the two
     two-point functions are formed once, for both sides.  The fibers are
     those of the grid ``2 pi m / n_k`` at ``m = k1_index`` and ``k1_index +
-    p1_index``, both mod ``n_k``, of :func:`fiber_cache`.  A direct sum
-    is checked on each summand's own fibers, and its residual is the
-    largest over the summands, divided by the largest term of any.
+    p1_index``, both mod ``n_k``, of each summand's grid of
+    :func:`fiber_cache`.  A direct sum is checked on each summand's own
+    fibers, and its residual is the largest over the summands, divided by
+    the largest term of any.
     """
-    fibers = fiber_cache(ham, n_k)
-    f_k, f_kp = fibers[k1_index % n_k], fibers[(k1_index + p1_index) % n_k]
     p1 = 2.0 * np.pi * p1_index / n_k
     rows = np.ones(ham.geometry.L2)
     errors, scales = [], [1e-300]
-    for (_, sub), b_k, b_kp in zip(ham.summands(), f_k.parts, f_kp.parts, strict=True):
+    for (_, sub), grid in zip(ham.summands(), fiber_cache(ham, n_k), strict=True):
+        b_k, b_kp = grid[k1_index % n_k], grid[(k1_index + p1_index) % n_k]
         s2_k = free_two_point(b_k, k0, mu)
         s2_kp = free_two_point(b_kp, k0 + p0, mu)
         _, mats = _current_operator(sub, _J1_TERMS, rows)
@@ -501,11 +470,11 @@ def _contract(dbar, jbar, w):
     return np.array([_contract(dbar, jbar, x) for x in w])
 
 
-def _strip_response(ham, fibers, p1_indices, rows, weight):
+def _strip_response(ham, grids, p1_indices, rows, weight):
     """Density-current response summed over the strips ``x2 < rows[0]``
     (density) and ``y2 < rows[1]`` (ring current) at each ring momentum
-    ``2 pi p1 / n_k`` of ``p1_indices``, ``n_k = len(fibers)``: one value per
-    momentum.
+    ``2 pi p1 / n_k`` of ``p1_indices``, on the grids of :func:`fiber_cache`,
+    one per summand of ``n_k`` bases each: one value per momentum.
 
     ``weight(e_k, e_kp)`` is the spectral weight of a fiber pair on the band
     blocks where it can be nonzero, from the ascending energies of the two
@@ -523,21 +492,21 @@ def _strip_response(ham, fibers, p1_indices, rows, weight):
     :func:`_pair_weight` this is the row-resolved density-current table
     summed over those rows.
 
-    The sum runs over the summands of the model, on each summand's own
-    bases (``FiberBasis.parts``) and with its own weight: the bands of two
-    summands have disjoint support, so every vertex between them is 0.
+    The sum runs over the summands of the model inside each ``k``, on each
+    summand's own grid and with its own weight: the bands of two summands
+    have disjoint support, so every vertex between them is 0.
     """
     rows = _check_rows(ham.geometry, rows, 2)
-    n_k = len(fibers)
+    n_k = len(grids[0])
     on_strip = np.arange(ham.geometry.L2) < rows[1]
     strips = [(rows[0] * sub.geometry.M, _current_operator(sub, _J1_TERMS, on_strip)) for _, sub in ham.summands()]
     totals = [0.0 + 0.0j] * len(p1_indices)
     for m in range(n_k):
-        for s, ((strip, current), b_k) in enumerate(zip(strips, fibers[m].parts, strict=True)):
-            legs = _fiber_legs(b_k, strip, current)
+        for (strip, current), grid in zip(strips, grids, strict=True):
+            legs = _fiber_legs(grid[m], strip, current)
             for j, p1_index in enumerate(p1_indices):
-                b_kp = fibers[(m + p1_index) % n_k].parts[s]
-                blocks = weight(b_k.energies, b_kp.energies)
+                b_kp = grid[(m + p1_index) % n_k]
+                blocks = weight(grid[m].energies, b_kp.energies)
                 for (_, _, w), (dbar, jbar) in zip(blocks, _strip_vertices(legs, b_kp, blocks)):
                     totals[j] = totals[j] + _contract(dbar, jbar, w)
     return np.array(totals) / n_k

@@ -165,13 +165,13 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
     """Keep the in-window eigenpairs of the fibers on the ``n_k`` grid
     momenta ``k1 = 2 pi m / n_k`` (Dirichlet-row modes dropped, degenerate
     clusters side-purified).  A direct sum's are its summands' in-window
-    states, each placed on its summand's rows of the whole fiber and merged
-    by a stable sort of their energies.
+    states at each momentum, each placed on its summand's rows of the whole
+    fiber and merged by a stable sort of their energies.
 
-    The grid is :func:`~edgeflow.response.fiber_cache` on ``threads``, read
-    from the model's store, where a response on that grid finds it too.
-    ``n_k`` below :data:`MIN_SCAN_MOMENTA` raises ``ValueError`` before any
-    ``eigh``.
+    The grids, one per summand, are :func:`~edgeflow.response.fiber_cache`'s
+    on ``threads``, read from the summands' stores, where a response on that
+    grid finds them too.  ``n_k`` below :data:`MIN_SCAN_MOMENTA` raises
+    ``ValueError`` before any ``eigh``.
     """
     if n_k < MIN_SCAN_MOMENTA:
         raise ValueError(f"need at least {MIN_SCAN_MOMENTA} grid momenta, got n_k = {n_k}")
@@ -179,9 +179,9 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
     lo, hi = window
     rows = [(np.arange(g.L2)[:, None] * g.M + idx).ravel() for idx, _ in ham.summands()]
     ks, energies, vectors = [], [], []
-    for fiber in response.fiber_cache(ham, n_k, threads=threads):
+    for fiber in zip(*response.fiber_cache(ham, n_k, threads=threads)):
         es, vs = [], []
-        for part, on in zip(fiber.parts, rows, strict=True):
+        for part, on in zip(fiber, rows, strict=True):
             idx = np.flatnonzero((part.energies > lo) & (part.energies < hi))
             v = np.zeros((g.fiber_dim, idx.size), dtype=complex)
             v[on] = part.states[:, idx]
@@ -192,7 +192,7 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
         e, v = e[order], np.concatenate(vs, axis=1)[:, order]
         w = row_weights(g, v)
         keep = w[0] + w[-1] < 0.5
-        ks.append(fiber.k1)
+        ks.append(fiber[0].k1)
         energies.append(e[keep])
         vectors.append(_purify_degenerate(g, e[keep], v[:, keep].T.copy()))
     return BandScan(ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors)
@@ -451,7 +451,7 @@ def lower_edge_chirality(ham, mu, n_k):
     """The signed number of lower-edge modes at ``mu``, ``-sum_i
     round(Q(k_(i+1)) - Q(k_i))`` around the closed ring and over the
     summands, ``Q`` the occupied charge of the lower half (:func:`_lower_charge`)
-    on the stored grid :func:`~edgeflow.response.fiber_cache` of ``n_k``.
+    on each summand's stored grid of ``n_k`` (:func:`~edgeflow.response.fiber_cache`).
 
     ``Q`` drifts by about ``C / n_k`` an interval, and a lower-edge state
     that crosses ``mu`` upward (downward) takes one unit out of (puts one
@@ -459,10 +459,9 @@ def lower_edge_chirality(ham, mu, n_k):
     sign of their velocity, with no branch and no window.  A step not near
     an integer is halved (:func:`_charge_step`).
     """
-    fibers = response.fiber_cache(ham, n_k)
     chi = 0
-    for s, (_, sub) in enumerate(ham.summands()):
-        charges = [_lower_charge(sub.geometry, f.parts[s], mu) for f in fibers]
+    for (_, sub), grid in zip(ham.summands(), response.fiber_cache(ham, n_k), strict=True):
+        charges = [_lower_charge(sub.geometry, b, mu) for b in grid]
         chi -= sum(_charge_step(sub, mu, n_k, m, charges[m], charges[(m + 1) % n_k]) for m in range(n_k))
     return chi
 

@@ -100,6 +100,18 @@ def off_mirror_twin(ham):
     return out
 
 
+def mirrored_momenta(grid):
+    """The momenta ``m`` of one summand's stored grid whose basis shares its
+    ``energies`` array with the basis at ``n_k - m < m``, as a basis taken
+    from its mirror does.  Asserts that no two bases share any other array:
+    every other basis was solved."""
+    n_k = len(grid)
+    mirrored = [m for m in range(n_k) if n_k - m < m and grid[m].energies is grid[n_k - m].energies]
+    arrays = [b.states for b in grid] + [b.energies for m, b in enumerate(grid) if m not in mirrored]
+    assert len({id(a) for a in arrays}) == len(arrays)
+    return mirrored
+
+
 def two_sample_crossing_scan(ham, mu, n_k=64):
     """A hand-built scan of ``ham`` whose only states are one lower-edge
     state at the first two grid momenta, just below and just above ``mu``:

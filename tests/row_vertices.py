@@ -7,8 +7,8 @@ currents on each row, batched over rows by row-offset group, and the
 correlation tables and sum-rule columns contracted from them.  The tests
 check the operator path against it, and it against a plain loop over the
 bond terms.  It reads a direct sum through one ``eigh`` of its whole
-fiber (:func:`whole_basis`) in the correlation tables, where the
-responses go one summand at a time.
+fiber (:func:`edgeflow.response.diagonalize_fiber`) in the correlation
+tables, where the responses go one summand at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from edgeflow import lattice, response
+from edgeflow import response
 from edgeflow.response import _check_rows, _pair_weight, _row_groups
 
 
@@ -32,19 +32,6 @@ class VertexSet:
     density: np.ndarray
     current1: np.ndarray
     current2: np.ndarray
-
-
-def whole_basis(ham, k1):
-    """One basis of the whole fiber at ``k1``, ``eigh`` as it comes: for a
-    connected model what :func:`edgeflow.response.diagonalize_fiber` gives;
-    for a direct sum it may mix degenerate states of two summands, which no
-    row-table sum over the bands depends on."""
-    return response.FiberBasis(k1, *np.linalg.eigh(lattice.assemble_fiber(ham, k1)))
-
-
-def _whole(ham, fiber):
-    """A fiber of the model as one basis: a direct sum's is :func:`whole_basis`."""
-    return fiber if len(fiber.parts) == 1 else whole_basis(ham, fiber.k1)
 
 
 def _row_table(ham):
@@ -128,7 +115,10 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
     if strips is None:
         strips = (g.L2 // 2 - 2, g.L2 // 4)
     sa, sb = strips
-    fibers = [_whole(ham, f) for f in response.fiber_cache(ham, n_k)]
+    grids = response.fiber_cache(ham, n_k)
+    # a direct sum's whole-fiber eigh may mix degenerate states of two
+    # summands, which no row-table sum over the bands depends on
+    fibers = grids[0] if len(grids) == 1 else [response.diagonalize_fiber(ham, b.k1) for b in grids[0]]
     tables = {c: np.zeros((sa + 1, sb + 1), dtype=complex) for c in components}
     rows = [0, 0, 0]
     for (mu_i, nu_i) in components:

@@ -311,6 +311,16 @@ def test_bubble_csv_headers(tmp_path):
     assert len(lines) >= 2
 
 
+def test_bubble_reports_the_requested_N_when_the_span_is_odd(tmp_path):
+    code, out = run_cli(tmp_path, "bubble", "--h", "-8", "--N", "11", "--N-min", "8")
+    assert code == 0
+    rows = [line.split() for line in Path(out, "bubble.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [9, 11]
+    rep = load_report(out, "report_bubble.json")
+    assert rep["inputs"]["N"] == 11
+    assert rep["error"] == pytest.approx(float(rows[-1][4]), rel=1e-11)  # the CSV keeps 12 digits
+
+
 def test_conductance_with_config_file(tmp_path):
     cfg = tmp_path / "model.ini"
     cfg.write_text(

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -123,8 +124,8 @@ def test_response_api_is_pinned():
         "periodic_frequency",
         "wick_rotation_check",
     ])
-    # one store, of connected models' grid fibers: a stack's fiber is its
-    # summands' bases, with no merged basis or column picker
+    # one store, of the summands' grid fibers: a stack's grid read is its
+    # summands' grids, with no merged basis or column picker
     assert [a for a in ("direct_sum", "columns") if hasattr(response.FiberBasis, a)] == []
     assert not hasattr(response, "_stored")
 
@@ -145,6 +146,21 @@ def test_only_the_grid_read_touches_the_fiber_store():
     assert init.startswith("self._grids = {}") and init in inspect.getsource(lattice.LatticeHamiltonian.__init__)
     in_code = inspect.getsource(response).count("_grids") - response.__doc__.count("_grids")
     assert in_code == inspect.getsource(response.fiber_cache).count("_grids") > 0
+    # one grid per summand, the summand's stored tuple itself: no fiber type
+    # of a direct sum, no one-part view of a basis and no mirror flag
+    assert not hasattr(response, "_SummandFibers")
+    chain = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
+    (grid,) = response.fiber_cache(chain, 8)
+    for basis in (response.FiberBasis, response.diagonalize_fiber(chain, 0.3), grid[1], grid[7]):
+        assert [a for a in ("parts", "from_mirror") if hasattr(basis, a)] == []
+    assert [path.stem for path in sorted(Path(edgeflow.__file__).parent.glob("*.py"))
+            if re.search(r"\.parts\b", path.read_text())] == []
+    stack = lattice.stacked_shifted(chain, [0.0, 0.1])
+    for n_k in (8, 12):
+        grids = response.fiber_cache(stack, n_k)
+        assert len(grids) == len(stack.summands()) == 2
+        assert all(grid is sub._grids[n_k] for grid, (_, sub) in zip(grids, stack.summands(), strict=True))
+    assert not stack._grids
 
 
 def test_cutoffs_and_quadrature_apis_are_pinned():

@@ -238,12 +238,12 @@ def test_a_model_owns_its_blocks():
     ham = lattice.chain_cylinder(lattice.CylinderGeometry(8, 8, 1))
     onsite = np.array([[0.3]], dtype=complex)
     ham.add_block(0, 3, 3, onsite)
-    basis = response.fiber_cache(ham, 8)[1]
+    basis = response.fiber_cache(ham, 8)[0][1]
     onsite[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
         ham.block(0, 3, 3)[0, 0] = 7.0
     assert ham.block(0, 3, 3)[0, 0] == 0.3
-    assert response.fiber_cache(ham, 8)[1] is basis
+    assert response.fiber_cache(ham, 8)[0][1] is basis
     assert np.array_equal(basis.energies, np.linalg.eigvalsh(lattice.assemble_fiber(ham, basis.k1)))
     stack = lattice.stacked_shifted(ham, [0.0, 0.1])
     models = [ham, stack] + [sub for _, sub in stack.summands()]
@@ -451,13 +451,13 @@ def test_a_block_that_couples_two_copies_merges_their_summands(haldane16):
     assert merged.block(0, 5, 5)[1, 2] == 0.05
     # after the first read the coupling is refused and the split stays
     apart = lattice.stacked_shifted(haldane16, [0.0, 0.1, 0.26])
-    split, basis = apart.summands(), response.fiber_cache(apart, 16)[1]
+    split, grids = apart.summands(), response.fiber_cache(apart, 16)
     for model in (stack, apart):
         with pytest.raises(ValueError, match=r"block at \(0, 5, 5\): the model was already read"):
             model.add_block(0, 5, 5, hop)
     assert stack.summands() is parts
     assert apart.summands() is split and len(split) == 3
-    assert all(a is b for a, b in zip(response.fiber_cache(apart, 16)[1].parts, basis.parts, strict=True))
+    assert all(a is b for a, b in zip(response.fiber_cache(apart, 16), grids, strict=True))
 
 
 def test_a_summand_is_born_fixed_and_not_checked_again(haldane16, hermitian_checks):

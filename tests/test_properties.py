@@ -13,9 +13,10 @@ from edgeflow import lattice, reference, response, rgflow, spectrum
 from edgeflow.cutoffs import chi, shell
 from edgeflow.quadrature import polar_nodes
 from conftest import (
-    inversion_symmetric_model, off_mirror_twin, random_hermitian_model, shifted, three_builds, with_flux,
+    inversion_symmetric_model, mirrored_momenta, off_mirror_twin, random_hermitian_model, shifted, three_builds,
+    with_flux,
 )
-from row_vertices import build_vertices, current_current, ward_columns, whole_basis
+from row_vertices import build_vertices, current_current, ward_columns
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -139,7 +140,7 @@ def test_batched_vertices_match_the_row_loop_on_a_counter_stack(k1, p1, rows):
     stack = lattice.stacked_shifted(
         [lattice.haldane_cylinder(geo), lattice.haldane_cylinder(geo, phi=-np.pi / 2)], [0.0, 0.1]
     )
-    f_k, f_kp = whole_basis(stack, k1), whole_basis(stack, k1 + p1)
+    f_k, f_kp = response.diagonalize_fiber(stack, k1), response.diagonalize_fiber(stack, k1 + p1)
     assert_matches_loop(stack, f_k, f_kp, rows)
 
 
@@ -219,7 +220,7 @@ def test_strip_vertices_at_the_edge_cases_are_the_row_sums(make):
     # on the whole fiber of the stack too
     ham = make()
     g = ham.geometry
-    f_k, f_kp = whole_basis(ham, 0.7), whole_basis(ham, 0.7 + 2.0 * np.pi / 8)
+    f_k, f_kp = response.diagonalize_fiber(ham, 0.7), response.diagonalize_fiber(ham, 0.7 + 2.0 * np.pi / 8)
     vs = build_vertices(ham, f_k, f_kp)
     for rows in ((0, 0), (g.L2, 0), (0, g.L2), (g.L2, g.L2), (1, g.L2 - 1)):
         current = response._current_operator(ham, response._J1_TERMS, np.arange(g.L2) < rows[1])
@@ -276,12 +277,12 @@ def assert_ward_columns_match(ham, mu, p0, temperature):
     """``response._ward_columns`` at every interior row against the oracle's
     row-resolved columns, summed over the summands, to 1e-14 of the largest."""
     g = ham.geometry
-    fibers = response.fiber_cache(ham, g.L1)
+    grids = response.fiber_cache(ham, g.L1)
     for y2 in range(1, g.L2 - 1):
-        got = response._ward_columns(ham, fibers, mu, p0, y2, temperature)
+        got = response._ward_columns(ham, grids, mu, p0, y2, temperature)
         want = sum(
-            ward_columns(sub, [f.parts[s] for f in fibers], mu, p0, y2, temperature)
-            for s, (_, sub) in enumerate(ham.summands())
+            ward_columns(sub, grid, mu, p0, y2, temperature)
+            for (_, sub), grid in zip(ham.summands(), grids, strict=True)
         )
         assert got.shape == want.shape == (2, g.L2)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), y2
@@ -319,12 +320,13 @@ def random_direct_sum(seed, L1, L2, ms, shifts):
     return [shifted(h, e) for h, e in zip(models, shifts)], lattice.stacked_shifted(models, shifts)
 
 
-def fiber_edge_mu(fibers, where):
+def fiber_edge_mu(grids, where):
     """A chemical potential at which some fiber has every band empty
-    (``"below"``: ``o = 0``) or every band occupied (``"above"``: ``o = n``)."""
+    (``"below"``: ``o = 0``) or every band occupied (``"above"``: ``o = n``),
+    from the grids of the summands."""
     if where == "below":
-        return max(min(p.energies[0] for p in f.parts) for f in fibers)
-    return np.nextafter(min(max(p.energies[-1] for p in f.parts) for f in fibers), np.inf)
+        return max(min(b.energies[0] for b in f) for f in zip(*grids))
+    return np.nextafter(min(max(b.energies[-1] for b in f) for f in zip(*grids)), np.inf)
 
 
 @PROPERTY
@@ -348,9 +350,9 @@ def test_strip_response_is_the_summed_row_table(model, mu, p0, temperature, p1_i
         ham = random_direct_sum(*model)[1]
     L1, L2 = ham.geometry.L1, ham.geometry.L2
     a, a_prime = (min(r, L2) - 1 for r in rows)
-    fibers = response.fiber_cache(ham, L1)
+    grids = response.fiber_cache(ham, L1)
     if isinstance(mu, str):
-        mu = fiber_edge_mu(fibers, mu)
+        mu = fiber_edge_mu(grids, mu)
     p1_indices = [p % L1 for p in p1_indices]
     states = [(temperature, p0)]  # (temperature, p0) of each weight
     if temperature > 0.0:
@@ -362,7 +364,7 @@ def test_strip_response_is_the_summed_row_table(model, mu, p0, temperature, p1_i
     else:
         weight = response._gibbs_weight(mu, p0)
     try:
-        got = response._strip_response(ham, fibers, p1_indices, (a + 1, a_prime + 1), weight)
+        got = response._strip_response(ham, grids, p1_indices, (a + 1, a_prime + 1), weight)
     except response.DegenerateCrossingError:
         assume(False)
     got = got.reshape(len(p1_indices), -1)
@@ -425,20 +427,26 @@ def test_ward_columns_of_a_direct_sum_are_the_row_resolved_columns(draw, flipped
 @PROPERTY
 @given(draw=DIRECT_SUMS, k1=st.floats(0.0, 2.0 * np.pi))
 def test_a_direct_sum_is_diagonalized_per_summand(draw, k1):
-    # each part is an eigenbasis of its summand's fiber, together they hold
-    # the whole fiber's spectrum, and an off-grid solve stores nothing
+    # each summand's basis is an eigenbasis of its own fiber, together they
+    # hold the spectrum of the whole fiber's one eigh, and an off-grid solve
+    # stores nothing; a grid read stores one grid on each summand
     parts, stack = random_direct_sum(*draw)
     summands = stack.summands()
     assert len(summands) == len(parts)
-    f = response.diagonalize_fiber(stack, k1)
-    assert [p.dim for p in f.parts] == [h.geometry.fiber_dim for h in parts]
-    energies = np.sort(np.concatenate([p.energies for p in f.parts]))
-    assert np.max(np.abs(energies - np.linalg.eigvalsh(lattice.assemble_fiber(stack, k1)))) <= 1e-12
-    for (_, sub), p in zip(summands, f.parts, strict=True):
-        fiber, v = lattice.assemble_fiber(sub, k1), p.states
-        assert np.max(np.abs(fiber @ v - v * p.energies)) <= 1e-12 * max(1.0, np.max(np.abs(fiber)))
-        assert np.max(np.abs(v.conj().T @ v - np.eye(p.dim))) <= 1e-12
+    whole = response.diagonalize_fiber(stack, k1)
+    bases = [response.diagonalize_fiber(sub, k1) for _, sub in summands]
+    assert [b.dim for b in bases] == [h.geometry.fiber_dim for h in parts]
+    energies = np.sort(np.concatenate([b.energies for b in bases]))
+    assert whole.dim == len(energies) and np.max(np.abs(energies - whole.energies)) <= 1e-12
+    for (_, sub), b in zip(summands, bases, strict=True):
+        fiber, v = lattice.assemble_fiber(sub, k1), b.states
+        assert np.max(np.abs(fiber @ v - v * b.energies)) <= 1e-12 * max(1.0, np.max(np.abs(fiber)))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(b.dim))) <= 1e-12
     assert not stack._grids and not any(sub._grids for _, sub in summands)
+    L1 = stack.geometry.L1
+    for (_, sub), grid in zip(summands, response.fiber_cache(stack, L1), strict=True):
+        assert sub._grids == {L1: grid} and {b.dim for b in grid} == {sub.geometry.fiber_dim}
+    assert not stack._grids
 
 
 @PROPERTY
@@ -489,12 +497,11 @@ def test_a_mirrored_grid_gives_the_responses_of_a_solved_one(seed, size, interna
     ham = inversion_symmetric_model(np.random.default_rng(seed), *size, internal_reversed)
     twin = off_mirror_twin(ham)
     L1, L2 = ham.geometry.L1, ham.geometry.L2
-    grid, solved = response.fiber_cache(ham, L1), response.fiber_cache(twin, L1)
-    assert [f.from_mirror for f in grid] == [L1 - m < m for m in range(L1)]
-    assert not any(f.from_mirror for f in solved)
+    (grid,), (solved,) = response.fiber_cache(ham, L1), response.fiber_cache(twin, L1)
+    assert mirrored_momenta(grid) == [m for m in range(L1) if L1 - m < m]
+    assert mirrored_momenta(solved) == []
     for m, f in enumerate(grid):
-        if f.from_mirror:
-            assert f.energies is grid[L1 - m].energies
+        if L1 - m < m:
             assert np.array_equal(f.states, grid[L1 - m].states[ham._mirror])
         fiber = lattice.assemble_fiber(ham, f.k1)
         scale = max(1.0, np.max(np.abs(fiber)))
@@ -535,7 +542,7 @@ def test_a_flux_of_whole_grid_steps_keeps_the_chirality_and_the_conductance(kind
     # inversion mirror, so a mirrored grid meets a fully solved one
     build, mu = FLUX_MODELS[kind]
     ham, threaded = build(), with_flux(build(), 2.0 * np.pi * m / 24)
-    assert not any(f.from_mirror for f in response.fiber_cache(threaded, 24))
+    assert all(mirrored_momenta(grid) == [] for grid in response.fiber_cache(threaded, 24))
     (chi, g), (chi_t, g_t) = (
         (spectrum.lower_edge_chirality(h, mu, 24), response.edge_conductance_free(h, mu, 24, a=6, a_prime=4).g)
         for h in (ham, threaded)
@@ -550,8 +557,10 @@ def test_a_connected_model_is_diagonalized_bitwise_as_one_fiber(seed, size, k1):
     ham = random_hermitian_model(np.random.default_rng(seed), *size)
     f = response.diagonalize_fiber(ham, k1)
     e, v = np.linalg.eigh(lattice.assemble_fiber(ham, k1))
-    assert f.parts == (f,)
     assert np.array_equal(f.energies, e) and np.array_equal(f.states, v)
+    # and its grid read is a 1-tuple: the model's own stored grid
+    (grid,) = response.fiber_cache(ham, size[0])
+    assert ham._grids == {size[0]: grid}
 
 
 @PROPERTY
@@ -561,7 +570,7 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     ham = random_hermitian_model(rng, *size)
     L2, M = size[1], size[2]
     f_k, f_kp = response.diagonalize_fiber(ham, k1), response.diagonalize_fiber(ham, k1 + p1)
-    stored = response.fiber_cache(ham, size[0])
+    (stored,) = response.fiber_cache(ham, size[0])
     before = build_vertices(ham, f_k, f_kp)
     x2 = int(rng.integers(1, L2 - 1))
     # a complex block and its partner: the vertex build checks Hermiticity,
@@ -569,7 +578,7 @@ def test_an_edited_model_is_never_read_stale(seed, size, k1, p1):
     blk = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)) + 1.0
     with pytest.raises(ValueError, match="the model was already read"):
         ham.add_block(1, x2, x2, blk)
-    assert response.fiber_cache(ham, size[0]) is stored
+    assert response.fiber_cache(ham, size[0])[0] is stored
     assert ham._grids == {size[0]: stored}
     assert np.array_equal(build_vertices(ham, f_k, f_kp).current1, before.current1)
     # the same edit made before the first read is read

@@ -9,14 +9,15 @@ import pytest
 
 import row_vertices
 from edgeflow import lattice, response, spectrum
-from conftest import off_mirror_twin, random_hermitian_model, shifted
+from conftest import mirrored_momenta, off_mirror_twin, random_hermitian_model, shifted
 
 
 @pytest.fixture(scope="module")
 def haldane_setup():
     g = lattice.CylinderGeometry(16, 16, 2)
     ham = lattice.haldane_cylinder(g)
-    return ham, 0.15, response.fiber_cache(ham, 16)
+    (grid,) = response.fiber_cache(ham, 16)
+    return ham, 0.15, grid
 
 
 # ---------------------------------------------------------------------------
@@ -49,14 +50,13 @@ def test_chain_current_is_group_velocity():
 
 def assert_same_grids(serial, threaded):
     # per summand: the two grids come from two models, so both were really
-    # diagonalized
-    for a, b in zip(serial, threaded, strict=True):
-        assert a.k1 == b.k1
-        for pa, pb in zip(a.parts, b.parts, strict=True):
-            assert pa is not pb
-            assert np.array_equal(pa.energies, pb.energies)
-            assert np.array_equal(pa.states, pb.states)
-            assert pa.from_mirror == pb.from_mirror
+    # diagonalized, and both took the same momenta from the mirror
+    for grid_a, grid_b in zip(serial, threaded, strict=True):
+        assert mirrored_momenta(grid_a) == mirrored_momenta(grid_b)
+        for a, b in zip(grid_a, grid_b, strict=True):
+            assert a is not b and a.k1 == b.k1
+            assert np.array_equal(a.energies, b.energies)
+            assert np.array_equal(a.states, b.states)
 
 
 def counter_stack_model():
@@ -122,7 +122,7 @@ def test_the_current_operator_is_the_bond_term_loop(make):
 def test_fiber_cache_threaded_matches_serial(haldane_setup):
     _, _, serial = haldane_setup
     twin = lattice.haldane_cylinder(lattice.CylinderGeometry(16, 16, 2))
-    assert_same_grids(serial, response.fiber_cache(twin, 16, threads=4))
+    assert_same_grids((serial,), response.fiber_cache(twin, 16, threads=4))
 
 
 def test_threaded_fiber_cache_checks_a_fresh_model_once(hermitian_checks, monkeypatch):
@@ -184,20 +184,20 @@ def eigh_calls(monkeypatch):
 def test_a_repeated_momentum_returns_the_stored_basis(eigh_calls, make):
     ham = make()
     summands = ham.summands()
-    first = response.fiber_cache(ham, 16)[3]
+    first = [grid[3] for grid in response.fiber_cache(ham, 16)]
     assert len(eigh_calls) == 9 * len(summands)
-    assert response.fiber_cache(ham, 16)[3].parts == first.parts
+    assert all(a is b for a, b in zip((grid[3] for grid in response.fiber_cache(ham, 16)), first, strict=True))
     assert len(eigh_calls) == 9 * len(summands)
     # the key is the grid's size: 2 pi 6 / 32 is the same float, but the
     # 32-grid is its own grid, solved whole
-    finer = response.fiber_cache(ham, 32)[6]
-    assert finer.k1 == first.k1
-    assert not any(a is b for a, b in zip(finer.parts, first.parts, strict=True))
+    for finer, b in zip((grid[6] for grid in response.fiber_cache(ham, 32)), first, strict=True):
+        assert finer.k1 == b.k1 and finer is not b
     assert len(eigh_calls) == (9 + 17) * len(summands)
-    # an off-grid solve at that momentum solves again and stores nothing
-    solved = response.diagonalize_fiber(ham, first.k1)
-    assert not any(a is b for a, b in zip(solved.parts, first.parts, strict=True))
-    assert len(eigh_calls) == (9 + 17 + 1) * len(summands)
+    # an off-grid solve at that momentum is one eigh of the whole fiber, and
+    # stores nothing
+    solved = response.diagonalize_fiber(ham, first[0].k1)
+    assert solved.dim == ham.geometry.fiber_dim and not any(solved is b for b in first)
+    assert len(eigh_calls) == (9 + 17) * len(summands) + 1
     assert [list(sub._grids) for _, sub in summands] == [[16, 32]] * len(summands)
 
 
@@ -224,16 +224,16 @@ def test_a_grid_fills_the_map(eigh_calls, threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        grid = response.fiber_cache(stack, 16, threads=threads)
+        grids = response.fiber_cache(stack, 16, threads=threads)
     finally:
         sys.setswitchinterval(interval)
     assert len(eigh_calls) == 2 * 9
     # the stack stores nothing of its own, each copy its grid
     assert not stack._grids
-    for s, (_, sub) in enumerate(stack.summands()):
-        assert sub._grids == {16: tuple(f.parts[s] for f in grid)}
+    for (_, sub), grid in zip(stack.summands(), grids, strict=True):
+        assert list(sub._grids) == [16] and sub._grids[16] is grid and len(grid) == 16
     again = response.fiber_cache(stack, 16)
-    assert all(a.parts == b.parts for a, b in zip(grid, again, strict=True))
+    assert all(a is b for a, b in zip(grids, again, strict=True))
     assert len(eigh_calls) == 2 * 9
 
 
@@ -257,23 +257,22 @@ def test_a_model_without_a_mirror_solves_the_whole_ring(eigh_calls, make, thread
     # are no mirror's bitwise, and one ulp in one block pair is enough; the
     # pool solves the same 16 momenta as one thread, bitwise
     ham = make()
-    grid = response.fiber_cache(ham, 16, threads=threads)
+    grids = response.fiber_cache(ham, 16, threads=threads)
     assert ham._mirror is None
     assert len(eigh_calls) == 16
-    assert not any(f.from_mirror for f in grid)
-    assert_same_grids(response.fiber_cache(make(), 16), grid)
+    assert mirrored_momenta(grids[0]) == []
+    assert_same_grids(response.fiber_cache(make(), 16), grids)
 
 
 def test_a_stack_mirrors_only_its_mirrored_summand(eigh_calls):
     g = lattice.CylinderGeometry(16, 12, 2)
     stack = lattice.stacked_shifted([lattice.haldane_cylinder(g), lattice.haldane_cylinder(g, m_stag=0.2)], [0.0, 0.1])
-    grid = response.fiber_cache(stack, 16)
+    plain_grid, massive_grid = response.fiber_cache(stack, 16)
     (_, plain), (_, massive) = stack.summands()
     assert plain._mirror is not None and massive._mirror is None
     assert len(eigh_calls) == 9 + 16
-    assert [[p.from_mirror for p in f.parts] for f in grid] == [[16 - m < m, False] for m in range(16)]
-    assert [f.from_mirror for f in grid] == [16 - m < m for m in range(16)]
-    assert grid[12].parts[0].energies is grid[4].parts[0].energies
+    assert mirrored_momenta(plain_grid) == [m for m in range(16) if 16 - m < m]
+    assert mirrored_momenta(massive_grid) == []
 
 
 @pytest.mark.parametrize(
@@ -303,9 +302,9 @@ def test_an_off_grid_solve_does_not_change_a_grid_read():
     ham = make()
     response.diagonalize_fiber(ham, 2.0 * np.pi * 12 / 16)
     stored = set(ham._grids)
-    grid = response.fiber_cache(ham, 16)
-    assert_same_grids(response.fiber_cache(make(), 16), grid)
-    assert grid[12].from_mirror
+    grids = response.fiber_cache(ham, 16)
+    assert_same_grids(response.fiber_cache(make(), 16), grids)
+    assert 12 in mirrored_momenta(grids[0])
     assert not stored and set(ham._grids) == {16}
 
 
@@ -316,15 +315,15 @@ def test_the_charge_count_stores_only_its_grid():
     ham = make()
     assert spectrum.lower_edge_chirality(ham, 0.1, 6) == 1
     stored = set(ham._grids)
-    grid = response.fiber_cache(ham, 12)
-    assert_same_grids(response.fiber_cache(make(), 12), grid)
-    assert grid[7].from_mirror
+    grids = response.fiber_cache(ham, 12)
+    assert_same_grids(response.fiber_cache(make(), 12), grids)
+    assert 7 in mirrored_momenta(grids[0])
     assert stored == {6} and set(ham._grids) == {6, 12}
 
 
 def test_a_read_stack_stores_nothing_of_its_own():
-    # the responses, the count and an off-grid solve read the stack; each
-    # copy stores its grid and the stack keeps no merged basis
+    # the responses, the count and an off-grid solve of the whole fiber read
+    # the stack; each copy stores its grid and the stack keeps no merged basis
     stack = counter_stack_model()
     response.edge_conductance_free(stack, 0.15, 16, a=6, a_prime=4)
     response.ward_sum_rule(stack, 0.15, 0.7, 3, 16)
@@ -356,11 +355,11 @@ def test_an_edit_after_a_read_is_refused_and_the_stored_fibers_kept():
     g = lattice.CylinderGeometry(16, 12, 2)
     onsite = np.diag([0.2, -0.2])
     ham = lattice.haldane_cylinder(g)
-    grid = response.fiber_cache(ham, 16)
+    (grid,) = response.fiber_cache(ham, 16)
     with pytest.raises(ValueError, match=r"block at \(0, 4, 4\): the model was already read"):
         ham.add_block(0, 4, 4, onsite)
     assert ham._grids == {16: grid}
-    assert all(a is b for a, b in zip(grid, response.fiber_cache(ham, 16), strict=True))
+    assert response.fiber_cache(ham, 16)[0] is grid
     edited = lattice.haldane_cylinder(g)
     edited.add_block(0, 4, 4, onsite)
     assert not np.array_equal(response.diagonalize_fiber(edited, grid[1].k1).energies, grid[1].energies)
@@ -385,13 +384,13 @@ def test_a_stored_basis_is_read_only(make):
     # a solved basis and a mirrored one
     ham = make()
     for m in (3, 13):
-        basis = response.fiber_cache(ham, 16)[m]
-        for a in (a for part in basis.parts for a in (part.energies, part.states)):
+        bases = [grid[m] for grid in response.fiber_cache(ham, 16)]
+        for a in (a for basis in bases for a in (basis.energies, basis.states)):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            basis.parts[0].energies += 1.0
-        assert response.fiber_cache(ham, 16)[m].parts == basis.parts
+            bases[0].energies += 1.0
+        assert all(a is b for a, b in zip((grid[m] for grid in response.fiber_cache(ham, 16)), bases, strict=True))
     assert [set(sub._grids) for _, sub in ham.summands()] == [{16}] * len(ham.summands())
 
 
@@ -619,10 +618,10 @@ def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_
         return lambda e_k, e_kp: [(every, every, np.stack([w(e_k, e_kp) for w in weights]))]
 
     momenta, rows = (p1_index, 3), (7, 4)
-    stacked = response._strip_response(ham, fibers, momenta, rows, on_all_bands(first, second))
+    stacked = response._strip_response(ham, (fibers,), momenta, rows, on_all_bands(first, second))
     assert stacked.shape == (2, 2)
     for i, weight in enumerate((first, second)):
-        alone = response._strip_response(ham, fibers, momenta, rows, lambda e_k, e_kp: [(every, every, weight(e_k, e_kp))])
+        alone = response._strip_response(ham, (fibers,), momenta, rows, lambda e_k, e_kp: [(every, every, weight(e_k, e_kp))])
         assert alone.shape == (2,)
         assert np.array_equal(stacked[:, i], alone)
 
@@ -690,7 +689,7 @@ def test_lindhard_matsubara_oracle():
     n_k = 16
     beta = 1.0 / temp
     p0 = 2.0 * np.pi / beta * p0_index
-    fibers = response.fiber_cache(ham, n_k)
+    (fibers,) = response.fiber_cache(ham, n_k)
     res = row_vertices.current_current(
         ham, mu, p0, p1_index, n_k, temperature=temp, strips=(3, 3),
         components=((0, 0),),
@@ -780,7 +779,7 @@ def test_a_degenerate_pair_across_two_summands_carries_no_weight():
     e = np.linalg.eigvalsh(lattice.assemble_fiber(ham, 2.0 * np.pi * 6 / 13))[0]
     stack = lattice.build_model("stacked-haldane", 13, 12, t2=0.0, shifts="0,1e-13")
     mu = e + 5e-14
-    energies = np.sort(np.concatenate([p.energies for p in response.fiber_cache(stack, 13)[7].parts]))
+    energies = np.sort(np.concatenate([grid[7].energies for grid in response.fiber_cache(stack, 13)]))
     assert np.count_nonzero(abs(energies - mu) < 1e-13) == 2 and energies[0] < mu < energies[1]
     est = response.edge_conductance_free(stack, mu, 13, a=4, a_prime=3)
     assert abs(2.0 * np.pi * est.g) < 1e-12
