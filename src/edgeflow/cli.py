@@ -27,7 +27,6 @@ FAILED_STAGE = {
     spectrum.BulkStateError: "edge_branches",
     spectrum.NoEdgeBranchError: "assumptions",
     spectrum.FermiPointError: "fermi_point",
-    spectrum.UndersampledCrossingError: "chirality_undersampled",
     spectrum.ChargeStepError: "chirality_charge",
     response.DegenerateCrossingError: "pair_weights",
     response.ConjugationSymmetryError: "conjugation_symmetry",
@@ -151,12 +150,13 @@ def cmd_edges(args, report):
         "diagnostics": {k: v for k, v in rep.diagnostics.items()},
     }
     report["checks"]["assumptions"] = rep.all_pass
-    # the branches' signed lower-edge count against the charge count on the
-    # same grid: a crossing the continuation lost shows here
-    branch_chi = sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower")
+    # the branches' signed count on each edge against the charge count on the
+    # same grid: the edges' crossings cancel, so one lost on either edge shows
+    lower, upper = (sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == s) for s in ("lower", "upper"))
     chi = spectrum.lower_edge_chirality(ham, args.mu, args.n_k)
-    report["chirality_sum_lower"] = {"branches": float(branch_chi), "charge": float(chi)}
-    report["checks"]["chirality_agrees"] = branch_chi == chi
+    report["chirality_sum_lower"] = {"branches": float(lower), "charge": float(chi)}
+    report["chirality_sum_upper"] = float(upper)
+    report["checks"]["chirality_agrees"] = lower == chi == -upper
 
 
 def cmd_conductance(args, report):

@@ -505,9 +505,10 @@ def build_model(kind, L1, L2, **params):
     ``params`` are the kind's keys in :data:`MODEL_PARAMS`, as numbers or as
     config-file strings; a key left out takes the constructor's default.
     ``stacked-haldane`` stacks Haldane copies at the energy ``shifts``
-    ("0.0,0.1,0.26" by default); ``flips`` ("0,1", ...) reverses a copy's
-    chirality by ``phi -> -phi``.  Unknown kinds and keys, and values that
-    do not convert (NaN and infinities too), raise ``ValueError``.
+    ("0.0,0.1,0.26" by default); ``flips`` ("0,1", ...), one per shift,
+    reverses a copy's chirality by ``phi -> -phi``.  Unknown kinds and keys,
+    values that do not convert (NaN and infinities too) and a ``flips`` count
+    other than the shifts' raise ``ValueError``.
     """
     if kind not in MODEL_PARAMS:
         raise ValueError(f"unknown model type {kind!r}")
@@ -524,7 +525,9 @@ def build_model(kind, L1, L2, **params):
     if kind == "hofstadter":
         return hofstadter_cylinder(L1=L1, L2=L2, **kw)
     shifts = kw.pop("shifts", [0.0, 0.1, 0.26])
-    flips = kw.pop("flips", None) or [False] * len(shifts)
+    flips = kw.pop("flips", [False] * len(shifts))
+    if len(flips) != len(shifts):
+        raise ValueError(f"flips: need one 0 or 1 per shift, got {len(flips)} for {len(shifts)} shifts")
     phi = kw.pop("phi", np.pi / 2)
     bases = [haldane_cylinder(L1=L1, L2=L2, phi=-phi if flip else phi, **kw) for flip in flips]
     return stacked_shifted(bases, shifts)

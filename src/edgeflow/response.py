@@ -80,6 +80,7 @@ with ``exp(+i p0 x0)``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,8 +233,17 @@ def _row_groups(terms):
     return groups
 
 
+def _index(name, value):
+    """``value`` as an ``int``; a non-integral strip width or row, which
+    truncated would read another strip, raises ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_rows(geometry, rows, count):
-    rows = tuple(int(r) for r in rows)
+    rows = tuple(_index("rows", r) for r in rows)
     if len(rows) != count or not all(0 <= r <= geometry.L2 for r in rows):
         raise ValueError(f"rows must be {count} counts in [0, {geometry.L2}], got {rows}")
     return rows
@@ -387,11 +397,11 @@ def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0):
     density on every row contracted with row ``y2`` of each current
     (:func:`_ward_columns`).
 
-    ``y2`` must be an interior row, in ``[1, L2 - 2]``: on a Dirichlet row
+    ``y2`` must be an integer interior row, in ``[1, L2 - 2]``: on a Dirichlet row
     every summand vanishes and the residual would be 0 whatever the model.
     """
     L2 = ham.geometry.L2
-    if not 1 <= y2 <= L2 - 2:
+    if not 1 <= _index("y2", y2) <= L2 - 2:
         raise ValueError(f"y2 must be an interior row in [1, L2 - 2] = [1, {L2 - 2}], got {y2}")
     cols = _ward_columns(ham, fiber_cache(ham, n_k), mu, p0, y2, temperature)
     out = {}
@@ -564,10 +574,10 @@ def edge_conductance_free(ham, mu, n_k, a, a_prime):
     set to zero inside the spectral form (the slow-time limit taken
     first); the returned ``g`` is the linear-in-p1 intercept over them.
     The density is summed over rows ``x2 <= a`` and the ring current over
-    rows ``y2 <= a_prime``, with ``0 <= a_prime < a <= L2 - 1``.
+    rows ``y2 <= a_prime``, integers with ``0 <= a_prime < a <= L2 - 1``.
     """
     L2 = ham.geometry.L2
-    if not 0 <= a_prime < a <= L2 - 1:
+    if not 0 <= _index("a_prime", a_prime) < _index("a", a) <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime < a <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
     g_plus, g_minus, g_2, g_3 = _strip_response(
         ham, fiber_cache(ham, n_k), (1, n_k - 1, 2, 3), (a + 1, a_prime + 1), _gibbs_weight(mu, 0.0)
@@ -598,10 +608,10 @@ def wrong_order_diagnostic(ham, mu, p0, n_k, a_prime):
     before the frequency limit gives 0 instead of the conductance.  The
     density is summed over all rows and the ring current over rows
     ``y2 <= a_prime``, on the vertices (:func:`_strip_response`), with
-    ``0 <= a_prime <= L2 - 1``: an empty strip would give exactly 0.
+    an integer ``0 <= a_prime <= L2 - 1``: an empty strip would give exactly 0.
     """
     L2 = ham.geometry.L2
-    if not 0 <= a_prime <= L2 - 1:
+    if not 0 <= _index("a_prime", a_prime) <= L2 - 1:
         raise ValueError(f"need 0 <= a_prime <= L2 - 1 = {L2 - 1}, got a_prime = {a_prime}")
     return complex(_strip_response(ham, fiber_cache(ham, n_k), (0,), (L2, a_prime + 1), _gibbs_weight(mu, p0))[0])
 
@@ -627,11 +637,11 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
     ``(-T, 0]``, the imaginary-time side is the spectral form at frequency
     ``eta_beta`` (:func:`periodic_frequency`), which must be nonzero.  The
     density is summed over rows ``x2 <= a`` and the ring current over rows
-    ``y2 <= a_prime``, both in ``[0, L2 - 1]``: an empty strip would make
+    ``y2 <= a_prime``, both integers in ``[0, L2 - 1]``: an empty strip would make
     both sides exactly 0.
     """
     L2 = ham.geometry.L2
-    if not (0 <= a <= L2 - 1 and 0 <= a_prime <= L2 - 1):
+    if not (0 <= _index("a", a) <= L2 - 1 and 0 <= _index("a_prime", a_prime) <= L2 - 1):
         raise ValueError(f"need 0 <= a, a_prime <= L2 - 1 = {L2 - 1}, got a = {a}, a_prime = {a_prime}")
     eta_beta = periodic_frequency(eta, beta)
     if eta_beta == 0.0:

@@ -116,7 +116,6 @@ class FlowState:
 
 @dataclass
 class BetaEvaluation:
-    h: int
     z0: np.ndarray
     z1: np.ndarray
     beta_v: np.ndarray
@@ -124,7 +123,6 @@ class BetaEvaluation:
 
 @dataclass
 class FlowTrajectory:
-    params: LuttingerParams
     states: list
     betas: list
 
@@ -268,7 +266,7 @@ def beta_second_order(state: FlowState, params: LuttingerParams, unit):
         z0[c] = float(np.real(-1j * w0 / STEP))
         z1[c] = float(np.real(-w1 / STEP))
     beta_v = (state.v + z1) / (1.0 + z0) - state.v
-    return BetaEvaluation(h=state.h, z0=z0, z1=z1, beta_v=beta_v)
+    return BetaEvaluation(z0=z0, z1=z1, beta_v=beta_v)
 
 
 BIG_C = 2.0  # containment constant of the running velocities
@@ -304,7 +302,7 @@ def flow_run(params: LuttingerParams, h_min):
             raise FlowDivergenceError(f"velocity drift breached at h={h-1}", h - 1)
         states.append(nxt)
         betas.append(ev)
-    return FlowTrajectory(params=params, states=states, betas=betas)
+    return FlowTrajectory(states=states, betas=betas)
 
 
 def vanishing_beta_report(traj: FlowTrajectory):

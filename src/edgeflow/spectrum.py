@@ -20,7 +20,8 @@ steps:
 
 :func:`lower_edge_chirality` counts that chirality with no scan and no
 branch, from the steps of the lower half's occupied charge around the ring
-(Laughlin's charge pump, read per ring momentum).
+(Laughlin's charge pump, read per ring momentum).  The scan, the bisection
+and the charge count read a hybridized edge pair alike (:func:`_side_pure`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "BulkStateError",
     "FermiPointError",
     "NoEdgeBranchError",
-    "UndersampledCrossingError",
     "ChargeStepError",
     "scan_spectrum",
     "edge_branches",
@@ -72,11 +72,6 @@ class FermiPointError(RuntimeError):
 
 class NoEdgeBranchError(RuntimeError):
     """The energy window holds no edge branch to check."""
-
-
-class UndersampledCrossingError(RuntimeError):
-    """A branch that crosses the chemical potential has too few grid samples
-    to be kept, so its crossing would be lost from the chirality count."""
 
 
 class ChargeStepError(RuntimeError):
@@ -136,27 +131,27 @@ def _cluster(e, i):
     return lo, hi
 
 
-def _purify_degenerate(geometry, e, vecs):
-    """Rotate quasi-degenerate clusters into side-pure combinations.
-
-    Edge states on opposite edges split only by exponentially small
-    tunneling; the eigensolver returns arbitrary mixtures inside such a
-    cluster.  Diagonalizing the lower-half projector within the cluster
-    restores one-sided states without changing energies beyond
-    :data:`DEGENERACY_TOL`.
-    """
-    if len(e) < 2:
-        return vecs
+def _side_pure(geometry, e, vecs):
+    """``(pure, energies)``: the rows ``vecs`` of a near-degenerate cluster of
+    energies ``e`` (edge states split only by tunneling, which ``eigh`` mixes
+    at random) rotated to side-pure rows by the lower-half projector within
+    the cluster, and their ``<psi|H|psi>``."""
     proj = np.arange(geometry.fiber_dim) < (geometry.L2 // 2) * geometry.M  # the lower half
+    w = (vecs.conj() * proj[None, :]) @ vecs.T
+    _, rot = np.linalg.eigh(0.5 * (w + w.conj().T))
+    pure = rot.T @ vecs
+    return pure, np.abs(pure.conj() @ vecs.T) ** 2 @ e
+
+
+def _purify_degenerate(geometry, e, vecs):
+    """The rows ``vecs`` with each near-degenerate cluster (:func:`_cluster`)
+    of the energies ``e`` rotated to its side-pure states (:func:`_side_pure`)."""
     i = 0
     out = vecs.copy()
     while i < len(e):
         j = _cluster(e, i)[1]
         if j - i > 1:
-            block = out[i:j]
-            w = (block.conj() * proj[None, :]) @ block.T
-            _, rot = np.linalg.eigh(0.5 * (w + w.conj().T))
-            out[i:j] = rot.T @ block
+            out[i:j] = _side_pure(geometry, e[i:j], out[i:j])[0]
         i = j
     return out
 
@@ -194,7 +189,7 @@ def scan_spectrum(ham, n_k=MIN_SCAN_MOMENTA, window=(-0.5, 0.5), threads=1):
         keep = w[0] + w[-1] < 0.5
         ks.append(fiber[0].k1)
         energies.append(e[keep])
-        vectors.append(_purify_degenerate(g, e[keep], v[:, keep].T.copy()))
+        vectors.append(_purify_degenerate(g, e[keep], v[:, keep].T))
     return BandScan(ham=ham, k_grid=np.array(ks), energies=energies, vectors=vectors)
 
 
@@ -235,10 +230,10 @@ def edge_branches(scan, mu):
     matches start one chain in grid order.  Each maximal chain becomes one
     branch per grid crossing of ``mu`` (chains crossing ``mu`` several times
     are split so a branch carries a single crossing); branches of fewer than
-    3 samples are dropped, and one of them that crosses ``mu`` raises
-    :class:`UndersampledCrossingError`.  States with less than :data:`SIDE_THRESHOLD`
-    weight on either half of the cylinder raise :class:`BulkStateError`.
-    The branches carry no Fermi data: no fiber is diagonalized.
+    3 samples are dropped, crossing ``mu`` or not.  States with less than
+    :data:`SIDE_THRESHOLD` weight on either half of the cylinder raise
+    :class:`BulkStateError`.  The branches carry no Fermi data: no fiber is
+    diagonalized.
     """
     g = scan.geometry
     n_k = len(scan.k_grid)
@@ -296,13 +291,6 @@ def edge_branches(scan, mu):
                     side=side,
                 )
             )
-
-    for b in branches:
-        if len(b.k_samples) < 3 and _crossings(b.energies, mu):
-            raise UndersampledCrossingError(
-                f"branch crossing mu near k1 = {b.k_samples[0]:.4f} has only "
-                f"{len(b.k_samples)} grid samples in the window; a finer grid or a wider window keeps it"
-            )
     return [b for b in branches if len(b.k_samples) >= 3]
 
 
@@ -344,18 +332,17 @@ def _track_eig(ham, k1, ref_vec):
     """The energy and state at ``k1`` that continue ``ref_vec``: the
     eigenpair of best overlap of the whole fiber, solved and not stored,
     or, when that state sits in a near-degenerate cluster
-    (:func:`_cluster`), the side-pure state of best overlap
-    (:func:`_purify_degenerate`) with its ``<psi|H|psi>``, since ``eigh``
-    mixes a hybridized edge pair at random."""
+    (:func:`_cluster`), the cluster's side-pure state of best overlap with
+    its ``<psi|H|psi>`` (:func:`_side_pure`), since ``eigh`` mixes a
+    hybridized edge pair at random."""
     e, v = np.linalg.eigh(assemble_fiber(ham, k1))
-    ov = np.abs(ref_vec.conj() @ v)
-    j = int(np.argmax(ov))
+    j = int(np.argmax(np.abs(ref_vec.conj() @ v)))
     lo, hi = _cluster(e, j)
     if hi - lo == 1:
         return e[j], v[:, j]
-    pure = _purify_degenerate(ham.geometry, e[lo:hi], v[:, lo:hi].T)
-    best = pure[int(np.argmax(np.abs(pure.conj() @ ref_vec)))]
-    return np.abs(best.conj() @ v[:, lo:hi]) ** 2 @ e[lo:hi], best
+    pure, energies = _side_pure(ham.geometry, e[lo:hi], v[:, lo:hi].T)
+    best = int(np.argmax(np.abs(pure.conj() @ ref_vec)))
+    return energies[best], pure[best]
 
 
 def fermi_point(branch, ham, mu):
@@ -413,8 +400,8 @@ def _lower_charge(geometry, basis, mu):
     """``Q(k) = sum_(E_n < mu) sum_(x2 < L2 / 2) |U_n(x2)|^2`` of one fiber
     basis.  A near-degenerate cluster (gaps below :data:`DEGENERACY_TOL`)
     that straddles ``mu``, a hybridized edge pair that ``eigh`` mixes at
-    random, is rotated to side-pure states first (:func:`_purify_degenerate`),
-    and those with ``<psi|H|psi> < mu`` count as occupied."""
+    random, is rotated to side-pure states first, and those whose
+    ``<psi|H|psi>`` is below ``mu`` count as occupied (:func:`_side_pure`)."""
     e, states = basis.energies, basis.states
     half = (geometry.L2 // 2) * geometry.M
     lo = hi = int(e.searchsorted(mu))
@@ -424,9 +411,8 @@ def _lower_charge(geometry, basis, mu):
             lo, hi = around
     charge = np.sum(np.abs(states[:half, :lo]) ** 2)
     if hi > lo:
-        pure = _purify_degenerate(geometry, e[lo:hi], states[:, lo:hi].T)
-        energy = np.abs(pure.conj() @ states[:, lo:hi]) ** 2 @ e[lo:hi]
-        charge += np.sum(np.abs(pure[energy < mu, :half]) ** 2)
+        pure, energies = _side_pure(geometry, e[lo:hi], states[:, lo:hi].T)
+        charge += np.sum(np.abs(pure[energies < mu, :half]) ** 2)
     return charge
 
 

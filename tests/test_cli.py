@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from edgeflow import cli, lattice, reference, response, rgflow, spectrum
-from conftest import three_builds, two_sample_crossing_scan, with_flux
+from conftest import three_builds, with_flux
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(tmp_path, *args):
@@ -369,16 +370,27 @@ def test_edges_command(tmp_path):
     assert sides == {"lower", "upper"}
     assert rep["checks"]["chirality_agrees"] is True
     assert rep["chirality_sum_lower"] == {"branches": 1.0, "charge": 1.0}
+    assert rep["chirality_sum_upper"] == -1.0
 
 
-def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch):
-    # a continuation that drops a crossing branch counts one mode too few;
-    # the charge count on the same grid does not lose it
+# the chirality sums of Haldane 24 x 16 at mu = 0.15 with the first crossing
+# branch of one side lost: its side counts no mode, the charge count still 1
+LOST_ON = {
+    "lower": ({"branches": 0.0, "charge": 1.0}, -1.0),
+    "upper": ({"branches": 1.0, "charge": 1.0}, 0.0),
+}
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch, side):
+    # a continuation that drops a crossing branch counts one mode too few on
+    # its edge; the charge count on the same grid does not lose it, and on a
+    # closed ring the upper edge's count is minus the lower's
     edge_branches = spectrum.edge_branches
 
     def lossy(scan, mu):
         branches = edge_branches(scan, mu)
-        lost = next(b for b in branches if b.side == "lower" and spectrum.crossing_sign(b, mu))
+        lost = next(b for b in branches if b.side == side and spectrum.crossing_sign(b, mu))
         return [b for b in branches if b is not lost]
 
     monkeypatch.setattr(spectrum, "edge_branches", lossy)
@@ -386,7 +398,7 @@ def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch):
     assert code == cli.EXIT_NUMERICAL
     rep = load_report(out, "report_edges.json")
     assert rep["checks"] == {"assumptions": True, "chirality_agrees": False}
-    assert rep["chirality_sum_lower"] == {"branches": 0.0, "charge": 1.0}
+    assert (rep["chirality_sum_lower"], rep["chirality_sum_upper"]) == LOST_ON[side]
 
 
 def test_edges_on_the_counter_stack(tmp_path):
@@ -585,6 +597,15 @@ def test_every_failure_stage_is_reached_by_a_cli_test():
     assert named == set(cli.FAILED_STAGE.values())
 
 
+def test_the_readme_lists_every_failure_stage():
+    # the stage list of the README's command-line section, one bullet a
+    # stage, is the stages main names: a stage removed or added shows there
+    section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    stages = re.findall(r"^- `(\w+)`: ", section, re.M)
+    assert len(stages) == len(set(stages))
+    assert set(stages) == set(cli.FAILED_STAGE.values())
+
+
 def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypatch):
     # the stack is a direct sum of two M = 2 copies: each fiber of 96 x 96 is
     # diagonalized as two of 48 x 48, on one thread or two alike; both
@@ -655,7 +676,7 @@ def test_the_charge_count_rotates_a_hybridized_pair_at_mu(tmp_path, monkeypatch,
     # step is near an integer; mixed, the step at pi reads about 0.445, also
     # on the halved grid, and the count stops at its stage
     if not purify:
-        monkeypatch.setattr(spectrum, "_purify_degenerate", lambda geometry, e, vecs: vecs)
+        monkeypatch.setattr(spectrum, "_side_pure", lambda geometry, e, vecs: (vecs, e))
     code, out = run_cli(
         tmp_path, "conductance", "--model", "stacked-haldane", "--shifts", "0.0,0.1", "--flips", "0,1",
         "--mu", "0.1", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6",
@@ -670,17 +691,36 @@ def test_the_charge_count_rotates_a_hybridized_pair_at_mu(tmp_path, monkeypatch,
         assert rep["error"].startswith("ChargeStepError: ")
 
 
-def test_an_undersampled_crossing_writes_report_and_exits_2(tmp_path, monkeypatch):
-    # a crossing branch of 2 grid samples would drop out of the branches'
-    # chirality count; edges stops at its own stage instead
-    monkeypatch.setattr(
-        spectrum, "scan_spectrum", lambda ham, n_k, window, threads: two_sample_crossing_scan(ham, 0.15, n_k)
+def thinned_to_its_crossing(scan, mu, side):
+    """``scan`` without the states of its first ``side`` branch that crosses
+    ``mu``, apart from the two samples on either side of the crossing."""
+    branch = next(b for b in spectrum.edge_branches(scan, mu) if b.side == side and spectrum.crossing_sign(b, mu))
+    above = branch.energies > mu
+    i = int(np.flatnonzero(above[:-1] != above[1:])[0])
+    lost = {(k, e) for t, (k, e) in enumerate(zip(branch.k_samples, branch.energies)) if t not in (i, i + 1)}
+    keep = [np.array([(k, e) not in lost for e in es], dtype=bool) for k, es in zip(scan.k_grid, scan.energies)]
+    return spectrum.BandScan(
+        scan.ham, scan.k_grid, [e[on] for e, on in zip(scan.energies, keep)],
+        [v[on] for v, on in zip(scan.vectors, keep)],
     )
-    code, out = run_cli(tmp_path, "edges", "--model", "haldane", "--L1", "16", "--L2", "8")
-    assert code == cli.EXIT_NUMERICAL
-    rep = load_report(out, "report_edges.json")
-    assert rep["checks"] == {"chirality_undersampled": False}
-    assert rep["error"].startswith("UndersampledCrossingError: ")
+
+
+def test_an_undersampled_crossing_writes_report_and_exits_2(tmp_path, monkeypatch):
+    # a crossing branch of 2 grid samples is dropped with its crossing, on
+    # either edge; the three chirality counts then disagree
+    scan_spectrum = spectrum.scan_spectrum
+    for side in LOST_ON:
+        monkeypatch.setattr(
+            spectrum, "scan_spectrum",
+            lambda ham, n_k, window, threads, side=side: thinned_to_its_crossing(
+                scan_spectrum(ham, n_k, window, threads), 0.15, side),
+        )
+        (tmp_path / side).mkdir()
+        code, out = run_cli(tmp_path / side, "edges", "--model", "haldane", "--L1", "24", "--L2", "16")
+        assert code == cli.EXIT_NUMERICAL
+        rep = load_report(out, "report_edges.json")
+        assert rep["checks"] == {"assumptions": True, "chirality_agrees": False}
+        assert (rep["chirality_sum_lower"], rep["chirality_sum_upper"]) == LOST_ON[side]
 
 
 @pytest.mark.parametrize(

@@ -48,7 +48,6 @@ def test_spectrum_api_is_pinned():
         "BulkStateError",
         "FermiPointError",
         "NoEdgeBranchError",
-        "UndersampledCrossingError",
         "ChargeStepError",
         "scan_spectrum",
         "edge_branches",

@@ -555,3 +555,11 @@ def test_build_model_flip_rule_and_stack_defaults():
         lattice.build_model("stacked-haldane", 8, 8, shifts="0,0.1", flips="0,2")
     with pytest.raises(ValueError, match="hofstadter parameters: t2"):
         lattice.build_model("hofstadter", 9, 8, t2=0.1)
+
+
+@pytest.mark.parametrize("flips, count", [("", 0), (" , ", 0), ("0,1", 2), ("0,1,0,1", 4)])
+def test_a_flips_count_other_than_the_shifts_is_refused(flips, count):
+    # an empty list would stack the three default shifts unflipped, as if
+    # no flips were given
+    with pytest.raises(ValueError, match=rf"^flips: need one 0 or 1 per shift, got {count} for 3 shifts$"):
+        lattice.build_model("stacked-haldane", 16, 12, flips=flips)

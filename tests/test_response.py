@@ -561,42 +561,64 @@ def test_ward_sum_rule_trips_on_mixed_band_states(haldane_setup, monkeypatch):
     assert response.ward_sum_rule(fresh, mu, 0.3, y2=3, n_k=16)[1] > 1e-6
 
 
-@pytest.mark.parametrize("row", ["-1", "0", "L2-1", "L2"])
+@pytest.mark.parametrize("row", ["-1", "0", "L2-1", "L2", "3.5"])
 def test_ward_sum_rule_refuses_a_row_that_is_not_interior(haldane_setup, monkeypatch, row):
     # on a Dirichlet row every summand is 0, so the residual would pass
-    # whatever the model; outside the cylinder there is no row at all
+    # whatever the model; outside the cylinder, or between two rows, there
+    # is no row at all, and between two rows every summand is 0 too
     ham, mu, _ = haldane_setup
     L2 = ham.geometry.L2
-    y2 = {"-1": -1, "0": 0, "L2-1": L2 - 1, "L2": L2}[row]
+    y2 = {"-1": -1, "0": 0, "L2-1": L2 - 1, "L2": L2, "3.5": 3.5}[row]
 
     def no_fiber(*args, **kwargs):
         raise AssertionError("a fiber was diagonalized before y2 was checked")
 
     monkeypatch.setattr(response, "diagonalize_fiber", no_fiber)
-    with pytest.raises(ValueError, match=rf"y2 .*\[1, L2 - 2\] = \[1, 14\], got {y2}$"):
+    with pytest.raises(ValueError, match=rf"^y2 must be an (interior row in \[1, L2 - 2\] = \[1, 14\]|integer), got {y2}$"):
         response.ward_sum_rule(ham, mu, 0.3, y2, 16)
 
 
+EMPTY_STRIP = r"^need 0 <= a.* L2 - 1 = 15, got .*= -1"
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda ham, mu: response.edge_conductance_free(ham, mu, 16, a=4, a_prime=-1),
-        lambda ham, mu: response.wrong_order_diagnostic(ham, mu, 0.4, 16, a_prime=-1),
-        lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=-1, a_prime=2),
-        lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=4, a_prime=-1),
+        (lambda ham, mu: response.edge_conductance_free(ham, mu, 16, a=4, a_prime=-1), EMPTY_STRIP),
+        (lambda ham, mu: response.wrong_order_diagnostic(ham, mu, 0.4, 16, a_prime=-1), EMPTY_STRIP),
+        (lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=-1, a_prime=2), EMPTY_STRIP),
+        (lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=4, a_prime=-1), EMPTY_STRIP),
+        (lambda ham, mu: response.edge_conductance_free(ham, mu, 16, 4.9, 2.2), r"^a_prime must be an integer, got 2\.2$"),
+        (lambda ham, mu: response.edge_conductance_free(ham, mu, 16, 4.9, 2), r"^a must be an integer, got 4\.9$"),
+        (
+            lambda ham, mu: response.wrong_order_diagnostic(ham, mu, 0.4, 16, a_prime=2.7),
+            r"^a_prime must be an integer, got 2\.7$",
+        ),
+        (
+            lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=4.0, a_prime=2),
+            r"^a must be an integer, got 4\.0$",
+        ),
+        (
+            lambda ham, mu: response.wick_rotation_check(ham, mu, 20.0, 50.0, 0.4, 1, 16, a=4, a_prime=2.5),
+            r"^a_prime must be an integer, got 2\.5$",
+        ),
     ],
-    ids=["conductance", "wrong-order", "wick-a", "wick-a_prime"],
+    ids=[
+        "conductance", "wrong-order", "wick-a", "wick-a_prime",
+        "conductance-2.2", "conductance-a-4.9", "wrong-order-2.7", "wick-a-4.0", "wick-a_prime-2.5",
+    ],
 )
-def test_an_empty_strip_is_refused_before_any_fiber(haldane_setup, monkeypatch, call):
+def test_an_empty_strip_is_refused_before_any_fiber(haldane_setup, monkeypatch, call, message):
     # a strip of no rows makes every strip sum exactly 0, so a check on it
-    # would pass whatever the model
+    # would pass whatever the model; a width that is not an integer is
+    # refused too, where truncated it would read another strip
     ham, mu, _ = haldane_setup
 
     def no_fiber(*args, **kwargs):
         raise AssertionError("a fiber was diagonalized before the strip widths were checked")
 
     monkeypatch.setattr(response, "diagonalize_fiber", no_fiber)
-    with pytest.raises(ValueError, match=r"^need 0 <= a.* L2 - 1 = 15, got .*= -1"):
+    with pytest.raises(ValueError, match=message):
         call(ham, mu)
 
 
