@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -71,7 +72,7 @@ def _base_report(args):
         "inputs": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "config", "out")
+            if k not in ("config", "out")
         },
         "checks": {},
     }
@@ -184,6 +185,8 @@ def cmd_conductance(args, report):
 def cmd_wick(args, report):
     for flag, value in [("--betas", b) for b in args.betas] + [("--T", args.T), ("--eta", args.eta)]:
         _require_positive(flag, value)
+    if len(set(args.betas)) < len(args.betas):
+        raise ValueError(f"--betas values must be distinct, got {' '.join(map(str, args.betas))}")
     for beta in args.betas:
         if response.periodic_frequency(args.eta, beta) == 0.0:
             raise ValueError(
@@ -248,11 +251,10 @@ def cmd_bubble(args, report):
         raise ValueError("--v must be nonzero: a channel needs a velocity")
     _require_positive("--tol", args.tol)
     exact = reference.bubble_closed(args.p0, args.p1, args.v)
-    rows = []
     # step 2 down from --N, so that the last row is --N itself
-    for n in range(args.N_min + (args.N - args.N_min) % 2, args.N + 1, 2):
-        est = reference.bubble_regularized(args.p0, args.p1, args.v, args.h, n, tol=args.tol)
-        rows.append((n, args.h, est.real, est.imag, abs(est - exact)))
+    ns = range(args.N_min + (args.N - args.N_min) % 2, args.N + 1, 2)
+    ests = reference.bubble_regularized(args.p0, args.p1, args.v, args.h, ns, tol=args.tol)
+    rows = [(n, args.h, est.real, est.imag, abs(est - exact)) for n, est in zip(ns, ests)]
     write_csv(args.out, "bubble.csv", ["N", "h", "re", "im", "error"], rows)
     final_err = rows[-1][-1]
     report["estimate"] = {"re": rows[-1][2], "im": rows[-1][3]}
@@ -342,26 +344,22 @@ def build_parser():
     p = sub.add_parser("spectrum", parents=[common], help="band scan near the chemical potential")
     add_model_args(p)
     p.add_argument("--n-k", dest="n_k", type=int, default=96)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("edges", parents=[common], help="edge branches, Fermi data, assumption report")
     add_model_args(p)
     p.add_argument("--n-k", dest="n_k", type=int, default=96)
-    p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("conductance", parents=[common], help="free edge conductance with extrapolation")
     add_model_args(p, window=False)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--aprime", type=int, default=None)
     p.add_argument("--tolerance", type=lattice.finite_float, default=0.05)
-    p.set_defaults(func=cmd_conductance)
 
     p = sub.add_parser("wick", parents=[common], help="real- vs imaginary-time response comparison")
     add_model_args(p, window=False)
-    p.add_argument("--betas", type=lattice.finite_float, nargs="+", default=[20.0, 40.0, 80.0])
+    p.add_argument("--betas", type=lattice.finite_float, nargs="+", default=(20.0, 40.0, 80.0))
     p.add_argument("--T", type=lattice.finite_float, default=200.0)
     p.add_argument("--eta", type=lattice.finite_float, default=2.0 * np.pi / 20.0 * (4.0 / 3.0))
-    p.set_defaults(func=cmd_wick)
 
     p = sub.add_parser("ref-check", parents=[common], help="universality identity over a random ensemble")
     p.add_argument("--seed", type=int, default=0)
@@ -369,7 +367,6 @@ def build_parser():
     p.add_argument("--ensemble-size", dest="ensemble_size", type=int, default=500)
     p.add_argument("--lambda-scale", dest="lambda_scale", type=lattice.finite_float, default=0.1)
     p.add_argument("--tolerance", type=lattice.finite_float, default=1e-9)
-    p.set_defaults(func=cmd_ref_check)
 
     p = sub.add_parser("bubble", parents=[common], help="regularized anomalous bubble convergence")
     p.add_argument("--v", type=lattice.finite_float, default=1.0)
@@ -379,20 +376,24 @@ def build_parser():
     p.add_argument("--N", type=int, default=12)
     p.add_argument("--N-min", dest="N_min", type=int, default=8)
     p.add_argument("--tol", type=lattice.finite_float, default=1e-6)
-    p.set_defaults(func=cmd_bubble)
 
     p = sub.add_parser("rg", parents=[common], help="truncated flow over dyadic scales")
     p.add_argument("--velocities", default="1.0,-1.0")
     p.add_argument("--lambda", dest="lam", type=lattice.finite_float, default=0.05)
     p.add_argument("--scales", type=int, default=30)
-    p.set_defaults(func=cmd_rg)
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of every :func:`main` call in this process, built at the
+    first.  Its defaults are immutable, so no parse leaks into the next."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     os.makedirs(args.out, exist_ok=True)
@@ -400,7 +401,8 @@ def main(argv=None):
     report = _base_report(args)
     try:
         _require_positive("--threads", args.threads)
-        args.func(args, report)
+        # looked up by name at call time, so a rebound cmd_* is the one that runs
+        globals()[f"cmd_{args.command.replace('-', '_')}"](args, report)
     except (ValueError, FileNotFoundError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -201,38 +201,60 @@ def bubble_regularized(p0, p1, v, h, n, tol=1e-6):
     disks of radius 2^(h+1) around the rescaled +-p, which are integrated
     on knot-aligned polar grids and refined until the total stabilizes.
 
-    Requires 2^(h+3) <= |p|_v <= 2^(n-3).
+    ``n`` is one ultraviolet scale, which gives one estimate, or a
+    strictly ascending sequence of them, which gives a list with one
+    estimate per scale, each bitwise the estimate of that scale alone.
+    On the disks every radius the cutoffs read is at most
+    2 |p|_v + 2^(h+1) <= 2^(n-2) + 2^(n-5) < 2^n, where the ultraviolet
+    factor chi(r 2^-n) is exactly 1, so the disks do not depend on n: each
+    refinement level integrates them once for all the scales, and only the
+    annulus is integrated per scale.  Each estimate adds the annulus and
+    then the two disks, as for one scale.
+
+    Requires 2^(h+3) <= |p|_v <= 2^(n-3) for every n.
     """
-    s = np.sign(v)
+    ns = [n] if np.ndim(n) == 0 else list(n)
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"ultraviolet scales must be one or strictly ascending, got {n!r}")
     q0, q1 = _rescaled(p0, p1, v)
     qn = np.hypot(q0, q1)
-    if qn < 2.0 ** (h + 3) or qn > 2.0 ** (n - 3):
+    if qn < 2.0 ** (h + 3) or qn > 2.0 ** (ns[0] - 3):
         raise ValueError("momentum must sit well between the cutoff scales")
 
-    def integrand(k0, k1):
+    def integrand(k0, k1, n):
         r = np.hypot(k0, k1)
         rp = np.hypot(k0 + q0, k1 + q1)
         rm = np.hypot(k0 - q0, k1 - q1)
         w = band_cutoff(r, h, n)
         bracket = band_cutoff(rm, h, n) - band_cutoff(rp, h, n)
-        return w * bracket / (-1j * k0 + s * k1)
+        # D(k) = -i k0 + v k1 is -i k0 + k1 in the rescaled k1 = v k1,
+        # which carries the chirality already
+        return w * bracket / (-1j * k0 + k1)
 
-    uv_edges = [2.0**n - 2.0 * qn, 2.0**n, 2.0 ** (n + 1)]
     disk_edges = [0.0, 2.0**h, 2.0 ** (h + 1)]
+    disks = {}  # refinement level -> the two disk sums, shared by every n
 
-    def estimate(level):
+    def disk_sums(level):
+        if level not in disks:
+            disks[level] = []
+            for sign in (+1.0, -1.0):
+                k0_, k1_, w_ = polar_nodes(
+                    disk_edges, level, 4 * level, center=(sign * q0, sign * q1)
+                )
+                disks[level].append(np.dot(w_, integrand(k0_, k1_, ns[0])))
+        return disks[level]
+
+    def estimate(level, n):
         total = 0.0 + 0.0j
+        uv_edges = [2.0**n - 2.0 * qn, 2.0**n, 2.0 ** (n + 1)]
         k0_, k1_, w_ = polar_nodes(uv_edges, level, 8 * level)
-        total += np.dot(w_, integrand(k0_, k1_))
-        for sign in (+1.0, -1.0):
-            k0_, k1_, w_ = polar_nodes(
-                disk_edges, level, 4 * level, center=(sign * q0, sign * q1)
-            )
-            total += np.dot(w_, integrand(k0_, k1_))
+        total += np.dot(w_, integrand(k0_, k1_, n))
+        for disk in disk_sums(level):
+            total += disk
         return total / (4.0 * np.pi**2 * abs(v))
 
-    value, _ = refine_until(estimate, tol)
-    return value
+    values = [refine_until(lambda level, m=m: estimate(level, m), tol)[0] for m in ns]
+    return values[0] if np.ndim(n) == 0 else values
 
 
 def same_chirality_bubble(h1, h2, v, mutated=False):

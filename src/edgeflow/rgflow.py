@@ -22,7 +22,11 @@ momentum scales with a second-order (one-loop) beta function:
   evaluated per scale.  The form factor is not scale invariant: it is
   taken at the true momenta 2^h p, and left out at the scales where the
   table's largest radius puts every node on its plateau, where it is
-  exactly 1;
+  exactly 1.  On the plateau the beta function does not see h, and it
+  reads neither Z nor the couplings, which do not run: it is a function
+  of the running velocities alone, so the flow evaluates it once per
+  distinct velocity vector there and reuses that evaluation while the
+  velocities stay bitwise equal;
 * the quartic couplings do not run at this order: every one-loop
   contribution to the local quartic coupling carries either a coincident
   same-chirality pair bubble, zero by the angular symmetry of 1/D^2
@@ -273,6 +277,12 @@ BIG_C = 2.0  # containment constant of the running velocities
 C_Z = 1.0  # containment constant of the field-strength ratio per step
 
 
+def _on_plateau(unit, h):
+    """Whether at scale h every inner table of ``unit`` lies on the form
+    factor's plateau, where :func:`_sunset_kernel` leaves it out."""
+    return all(2.0**h * r_max <= P_C for pair in unit[2] if pair is not None for _, _, r_max in pair)
+
+
 def flow_run(params: LuttingerParams, h_min):
     """Iterate the truncated flow from scale 0 down to ``h_min``.
 
@@ -282,6 +292,14 @@ def flow_run(params: LuttingerParams, h_min):
     are carried unchanged (their beta function vanishes at this order).
     The scale-0 grid, shells and inner tables of :func:`_unit_grid` are
     built once and serve every scale.
+
+    A scale reuses the previous scale's :class:`BetaEvaluation` when its
+    running velocities are bitwise those of the previous scale and every
+    inner table is on the plateau at both scales: there the evaluation
+    depends on the velocities alone, so it would come out bitwise the
+    same.  A symmetric counter-propagating pair, whose velocities do not
+    move, makes one evaluation per flow; ``betas`` then holds that one
+    object once per scale.
     """
     lam_scale = max(float(np.max(np.abs(params.lam))), 1e-300)
     unit = _unit_grid(params)
@@ -290,7 +308,13 @@ def flow_run(params: LuttingerParams, h_min):
     betas = []
     for h in range(0, h_min, -1):
         state = states[-1]
-        ev = beta_second_order(state, params, unit)
+        if not (
+            betas
+            and np.array_equal(state.v, states[-2].v)
+            and _on_plateau(unit, h + 1)
+            and _on_plateau(unit, h)
+        ):
+            ev = beta_second_order(state, params, unit)
         z_new = state.z * (1.0 + ev.z0)
         v_new = (state.v + ev.z1) / (1.0 + ev.z0)
         nxt = FlowState(h=h - 1, z=z_new, v=v_new, lam=state.lam)

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from conftest import three_builds, with_flux
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(tmp_path, *args):
@@ -89,6 +92,8 @@ def test_ref_check_numerical_failure_exit_code(tmp_path):
         (["conductance", "--model", "haldane", "--L1", "32", "--window", "0.3"], "--window"),
         (["ref-check", "--threads", "0"], "--threads"),
         (["conductance", "--model", "haldane", "--threads", "-1"], "--threads"),
+        # a repeated value would merge into one residual and drop a ratio
+        (["wick", "--model", "haldane", "--betas", "40", "20", "20"], "--betas"),
     ],
 )
 def test_empty_ensembles_and_unfittable_flows_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
@@ -304,6 +309,50 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
     assert docs[0] == docs[1]
 
 
+def outputs_without_wall_time(out):
+    """Every file ``out`` holds, by name, with the wall-time line of the
+    report left out."""
+    files = {name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))}
+    return {name: re.sub(rb'\n *"wall_time_s": [^\n]*', b"", data) for name, data in files.items()}
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # a parse that gives --betas leaves the default for the next one
+    wick = ["wick", "--model", "haldane", "--L1", "12", "--L2", "12"]
+    code, out = run_cli(tmp_path / "wick-given", *wick, "--betas", "20", "40")
+    assert code == cli.EXIT_OK
+    assert len(load_report(out, "report_wick.json")["residuals"]) == 2
+    code, out = run_cli(tmp_path / "wick-default", *wick)
+    assert code == cli.EXIT_OK
+    assert list(load_report(out, "report_wick.json")["residuals"]) == ["20.0", "40.0", "80.0"]
+    # the same command twice writes the same bytes, apart from the wall time
+    for command in ("bubble", "rg"):
+        runs = [outputs_without_wall_time(run_cli(tmp_path / f"{command}{i}", command)[1]) for i in range(2)]
+        assert len(runs[0]) == 2  # the report and the CSV
+        assert runs[0] == runs[1]
+
+
+def test_main_builds_its_parser_once_and_looks_its_command_up_by_name(tmp_path, monkeypatch):
+    # the parser is built at the first main call, not at import
+    imported = subprocess.run(
+        [sys.executable, "-c", "import edgeflow.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert imported.stdout.strip() == "0"
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    # a cmd_* rebound after the parser was built is the one that runs
+    ran = []
+    assert run_cli(tmp_path, "ref-check", "--ensemble-size", "1")[0] == cli.EXIT_OK
+    monkeypatch.setattr(cli, "cmd_ref_check", lambda args, report: ran.append(args.ensemble_size))
+    for size in ("2", "3"):
+        assert run_cli(tmp_path, "ref-check", "--ensemble-size", size)[0] == cli.EXIT_OK
+    assert built == [1]
+    assert ran == [2, 3]
+
+
 def test_bubble_csv_headers(tmp_path):
     code, out = run_cli(tmp_path, "bubble", "--h", "-8", "--N", "10", "--N-min", "8")
     assert code == 0
@@ -441,6 +490,64 @@ def test_numerical_failure_writes_report_and_exits_2(tmp_path, stage, error, arg
     rep = load_report(out, f"report_{argv[0].replace('-', '_')}.json")
     assert rep["checks"][stage] is False
     assert rep["error"].startswith(error + ": ")
+
+
+@pytest.mark.parametrize(
+    "check, argv, values",
+    [
+        # strips too narrow for 12 x 16: 2 pi G = 1.1440 against chi = 1
+        (
+            "conductance_matches_chirality",
+            ["conductance", "--model", "haldane", "--L1", "12", "--L2", "16", "--a", "4", "--aprime", "2"],
+            {"two_pi_G": 1.1440, "chirality_sum_lower": 1.0},
+        ),
+        # mu above every band: the window keeps no state
+        (
+            "scan_nonempty",
+            ["spectrum", "--model", "haldane", "--L1", "16", "--L2", "12", "--mu", "50", "--window", "0.1"],
+            {"n_states": 0},
+        ),
+        # cutoffs 2^-3 and 2^3 around |p| = 1, the tightest admissible pair:
+        # the error is 5.4e-3 against the bound 1e-3
+        ("bubble_converged", ["bubble", "--h", "-3", "--N", "3", "--N-min", "3"], {"error": 5.39e-3}),
+        # slow channels: eta = lambda^2 / (2 pi^2 (2 |v|)^2), 14 lambda^2
+        # here, is above the bound 10 lambda^2 = 1e-3
+        ("eta_in_range", ["rg", "--velocities", "0.03,-0.03", "--lambda", "0.01"], {"eta": [1.36e-3] * 2}),
+    ],
+)
+def test_a_value_check_fails_on_plain_input_and_writes_its_report(tmp_path, check, argv, values):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, f"report_{argv[0]}.json")
+    assert list(rep["checks"].items()) == [(check, False)]
+    for key, value in values.items():
+        assert rep[key] == pytest.approx(value, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "check, argv, module, name, corrupt",
+    [
+        # the closed form moved by 0.01: no regularized estimate reaches it
+        ("bubble_converged", ["bubble"], reference, "bubble_closed", lambda f: lambda *a: f(*a) + 0.01),
+        # the fitted exponents' sign flipped
+        (
+            "eta_in_range",
+            ["rg"],
+            rgflow,
+            "vanishing_beta_report",
+            lambda f: lambda traj: {**f(traj), "eta": -f(traj)["eta"]},
+        ),
+    ],
+)
+def test_a_corrupted_value_check_writes_its_report_and_exits_2(tmp_path, monkeypatch, check, argv, module, name,
+                                                              corrupt):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == cli.EXIT_OK
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    code, out = run_cli(tmp_path, *argv)
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, f"report_{argv[0]}.json")
+    assert list(rep["checks"].items()) == [(check, False)]
 
 
 def test_reference_failures_are_numerical_stages():

@@ -126,6 +126,47 @@ def test_bubble_momentum_guard():
         ref.bubble_regularized(0.0, 1e-6, 1.0, h=-8, n=8)
 
 
+def test_a_bubble_over_several_cutoffs_integrates_each_disk_once_per_level(monkeypatch):
+    # one call for the cutoffs 8 to 16 gives bitwise the estimate of each
+    # cutoff alone, and builds each disk grid once per refinement level
+    p0, p1, v, h, tol = 0.3, 0.8, 0.7, -14, 1e-8
+    ns = range(8, 17, 2)
+    alone = [ref.bubble_regularized(p0, p1, v, h, n, tol=tol) for n in ns]
+    grids = []
+    nodes = ref.polar_nodes
+
+    def counted(r_edges, n_radial, n_angular, gl=4, center=(0.0, 0.0)):
+        grids.append((tuple(r_edges), n_radial, center))
+        return nodes(r_edges, n_radial, n_angular, gl=gl, center=center)
+
+    monkeypatch.setattr(ref, "polar_nodes", counted)
+    together = ref.bubble_regularized(p0, p1, v, h, ns, tol=tol)
+    assert np.array(together).tobytes() == np.array(alone).tobytes()
+    disks = [g for g in grids if g[2] != (0.0, 0.0)]
+    annuli = [g for g in grids if g[2] == (0.0, 0.0)]
+    assert len(disks) == len(set(disks))
+    levels = {level for _, level, _ in annuli}
+    assert {level for _, level, _ in disks} == levels
+    assert len(disks) == 2 * len(levels)
+    assert len(annuli) == len(set(annuli)) >= len(ns)
+
+
+def test_the_ultraviolet_cutoffs_must_ascend():
+    for ns in ([], [10, 8], [8, 8]):
+        with pytest.raises(ValueError, match="ascending"):
+            ref.bubble_regularized(0.0, 1.0, 1.0, h=-8, n=ns)
+
+
+@pytest.mark.parametrize("p0, p1, v", [(0.0, 1.0, -1.0), (0.3, 0.8, -0.7), (0.5, 0.0, -2.0)])
+def test_a_negative_velocity_gives_the_closed_form_bubble(p0, p1, v):
+    # the channel of velocity v at p1 is the mirror image of the channel of
+    # velocity -v at -p1: the same rescaled momenta and the same bubble
+    est = ref.bubble_regularized(p0, p1, v, h=-12, n=12, tol=1e-7)
+    mirror = ref.bubble_regularized(p0, -p1, -v, h=-12, n=12, tol=1e-7)
+    assert est == mirror
+    assert abs(est - ref.bubble_closed(p0, p1, v)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # same-chirality bubble
 # ---------------------------------------------------------------------------

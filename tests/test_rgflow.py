@@ -227,6 +227,91 @@ def test_one_grid_per_flow_and_two_kernel_calls_per_coupled_channel(monkeypatch)
     }
 
 
+def coupled(v, lam=0.05):
+    n = len(v)
+    mat = np.full((n, n), lam)
+    np.fill_diagonal(mat, 0.0)
+    return LuttingerParams(v=v, z=np.ones(n), lam=mat)
+
+
+def scale_by_scale(params, h_min):
+    """The flow with a fresh beta_second_order at every scale, as
+    ``(z, v, beta)`` per step: the oracle of the reusing flow_run."""
+    unit = rgflow._unit_grid(params)
+    state = rgflow.FlowState.initial(params)
+    steps = []
+    for h in range(0, h_min, -1):
+        ev = rgflow.beta_second_order(state, params, unit)
+        state = rgflow.FlowState(
+            h=h - 1, z=state.z * (1.0 + ev.z0), v=(state.v + ev.z1) / (1.0 + ev.z0), lam=state.lam
+        )
+        steps.append((state.z, state.v, ev))
+    return steps
+
+
+@pytest.mark.parametrize(
+    "v, evaluations",
+    [
+        # the symmetric pair: the velocities never move, every scale is on
+        # the plateau
+        ((1.0, -1.0), 1),
+        # the velocities run, so every scale is evaluated
+        ((1.0, -0.7, 0.4), 30),
+        # off the plateau down to h = -2
+        ((0.1, -0.4), 30),
+        # off the plateau at h = 0, where the velocities move once
+        ((0.5, -0.5), 2),
+        # the velocities move by about one ulp per scale
+        ((0.7, -0.7), 30),
+    ],
+    ids=["2ch", "3ch", "slow", "moves-once", "rounding"],
+)
+def test_the_flow_is_bitwise_the_scale_by_scale_flow(monkeypatch, v, evaluations):
+    # flow_run reuses a beta evaluation only where a fresh one would be
+    # bitwise the same
+    params = coupled(v)
+    want = scale_by_scale(params, -30)
+    calls = []
+    beta = rgflow.beta_second_order
+    monkeypatch.setattr(rgflow, "beta_second_order", lambda state, *a: calls.append(state.h) or beta(state, *a))
+    traj = rgflow.flow_run(params, -30)
+    assert len(calls) == evaluations
+    assert len(traj.betas) == len(want) == 30
+    for state, ev, (z, v_run, ev_want) in zip(traj.states[1:], traj.betas, want):
+        assert state.z.tobytes() == z.tobytes()
+        assert state.v.tobytes() == v_run.tobytes()
+        for name in ("z0", "z1", "beta_v"):
+            assert getattr(ev, name).tobytes() == getattr(ev_want, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "v, evaluated",
+    [
+        ((1.0, -1.0), [0]),
+        # channel 0.4 is off the plateau at h = 0 only; h = -1 is on it, but
+        # its previous scale is not
+        ((1.0, -0.7, 0.4), [0, -1]),
+        # off the plateau down to h = -2, so h = -3 is evaluated too
+        ((0.1, -0.1), [0, -1, -2, -3]),
+    ],
+    ids=["2ch", "3ch", "slow"],
+)
+def test_a_scale_is_evaluated_unless_it_and_the_previous_are_on_the_plateau(monkeypatch, v, evaluated):
+    # with a beta function that moves nothing the velocities stay bitwise
+    # equal, so only the plateau decides which scales are evaluated
+    params = coupled(v)
+    calls = []
+
+    def still(state, params, unit):
+        calls.append(state.h)
+        zero = np.zeros(params.n_channels)
+        return rgflow.BetaEvaluation(z0=zero, z1=zero, beta_v=zero)
+
+    monkeypatch.setattr(rgflow, "beta_second_order", still)
+    rgflow.flow_run(params, -12)
+    assert calls == evaluated
+
+
 @pytest.mark.parametrize(
     "v, off",
     [
