@@ -41,13 +41,6 @@ def test_ref_check_pass_and_report(tmp_path):
     assert "seed" not in rep and rep["inputs"]["seed"] == 7
 
 
-def test_ref_check_numerical_failure_exit_code(tmp_path):
-    code, _ = run_cli(
-        tmp_path, "ref-check", "--ensemble-size", "10", "--tolerance", "1e-30"
-    )
-    assert code == cli.EXIT_NUMERICAL
-
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -513,12 +506,14 @@ def test_numerical_failure_writes_report_and_exits_2(tmp_path, stage, error, arg
         # slow channels: eta = lambda^2 / (2 pi^2 (2 |v|)^2), 14 lambda^2
         # here, is above the bound 10 lambda^2 = 1e-3
         ("eta_in_range", ["rg", "--velocities", "0.03,-0.03", "--lambda", "0.01"], {"eta": [1.36e-3] * 2}),
+        # a tolerance below the rounding of the closed form
+        ("universality", ["ref-check", "--ensemble-size", "10", "--tolerance", "1e-30"], {}),
     ],
 )
 def test_a_value_check_fails_on_plain_input_and_writes_its_report(tmp_path, check, argv, values):
     code, out = run_cli(tmp_path, *argv)
     assert code == cli.EXIT_NUMERICAL
-    rep = load_report(out, f"report_{argv[0]}.json")
+    rep = load_report(out, f"report_{argv[0].replace('-', '_')}.json")
     assert list(rep["checks"].items()) == [(check, False)]
     for key, value in values.items():
         assert rep[key] == pytest.approx(value, rel=1e-3)
@@ -536,6 +531,14 @@ def test_a_value_check_fails_on_plain_input_and_writes_its_report(tmp_path, chec
             rgflow,
             "vanishing_beta_report",
             lambda f: lambda traj: {**f(traj), "eta": -f(traj)["eta"]},
+        ),
+        # the residual times beta: it no longer halves as beta doubles
+        (
+            "beta_scaling",
+            ["wick", "--model", "haldane", "--L1", "12", "--L2", "12"],
+            response,
+            "wick_rotation_check",
+            lambda f: lambda ham, mu, beta, *a: (lambda lhs, rhs, res: (lhs, rhs, res * beta))(*f(ham, mu, beta, *a)),
         ),
     ],
 )
@@ -702,6 +705,20 @@ def test_every_failure_stage_is_reached_by_a_cli_test():
     named = {stage for stage, _, _ in cases}
     named |= set(re.findall(r'rep\["checks"\] == \{"(\w+)": False\}', Path(__file__).read_text()))
     assert named == set(cli.FAILED_STAGE.values())
+
+
+def test_every_report_check_is_made_false_by_a_cli_test():
+    # each check cli writes into a report is the failed check of a value-check
+    # test, a stage test, or a test that reads a report's checks with it false
+    written = set(re.findall(r'report\["checks"\]\["(\w+)"\] =', Path(cli.__file__).read_text()))
+    failed = set(re.findall(r'rep\["checks"\] == \{[^}]*"(\w+)": False', Path(__file__).read_text()))
+    for test in (test_a_value_check_fails_on_plain_input_and_writes_its_report,
+                 test_a_corrupted_value_check_writes_its_report_and_exits_2,
+                 test_numerical_failure_writes_report_and_exits_2):
+        (_, cases), = [m.args for m in test.pytestmark]
+        failed |= {case[0] for case in cases}
+    assert len(written) == 8
+    assert sorted(written - failed) == []
 
 
 def test_the_readme_lists_every_failure_stage():

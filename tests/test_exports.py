@@ -1,6 +1,9 @@
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,8 +35,32 @@ def test_all_names_exactly_the_public_definitions(name):
         assert not (inspect.isfunction(obj) or inspect.isclass(obj) or inspect.ismodule(obj)), attr
 
 
-def test_package_exports_resolve():
-    assert [name for name in edgeflow.__all__ if not hasattr(edgeflow, name)] == []
+# the edgeflow modules a fresh interpreter holds after importing each one: the
+# package loads no layer, and a layer loads only the layers it imports
+IMPORT_GRAPH = {
+    "edgeflow": set(),
+    "edgeflow.lattice": {"lattice"},
+    "edgeflow.response": {"lattice", "response"},
+    "edgeflow.spectrum": {"lattice", "response", "spectrum"},
+    "edgeflow.reference": {"cutoffs", "quadrature", "reference"},
+    "edgeflow.rgflow": {"cutoffs", "quadrature", "reference", "rgflow"},
+}
+
+
+def test_importing_a_layer_loads_only_the_layers_it_imports():
+    script = (
+        "import importlib, sys; importlib.import_module(sys.argv[1]); import edgeflow; "
+        "print(edgeflow.__version__, *sorted(m for m in sys.modules if m.startswith('edgeflow.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(edgeflow.__file__).parents[1])}
+    loaded = {}
+    for name in IMPORT_GRAPH:
+        out = subprocess.run([sys.executable, "-c", script, name], capture_output=True, text=True, check=True,
+                             env=env)
+        version, *modules = out.stdout.split()
+        assert version == edgeflow.__version__
+        loaded[name] = {m.removeprefix("edgeflow.") for m in modules}
+    assert loaded == IMPORT_GRAPH
 
 
 def test_spectrum_api_is_pinned():
