@@ -153,7 +153,7 @@ def cmd_edges(args, report):
     report["checks"]["assumptions"] = rep.all_pass
     # the branches' signed count on each edge against the charge count on the
     # same grid: the edges' crossings cancel, so one lost on either edge shows
-    lower, upper = (sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == s) for s in ("lower", "upper"))
+    lower, upper = (sum(b.direction for b in branches if b.side == s) for s in ("lower", "upper"))
     chi = spectrum.lower_edge_chirality(ham, args.mu, args.n_k)
     report["chirality_sum_lower"] = {"branches": float(lower), "charge": float(chi)}
     report["chirality_sum_upper"] = float(upper)

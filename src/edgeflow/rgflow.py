@@ -295,9 +295,9 @@ def flow_run(params: LuttingerParams, h_min):
 
     A scale reuses the previous scale's :class:`BetaEvaluation` when its
     running velocities are bitwise those of the previous scale and every
-    inner table is on the plateau at both scales: there the evaluation
-    depends on the velocities alone, so it would come out bitwise the
-    same.  A symmetric counter-propagating pair, whose velocities do not
+    inner table is on the plateau at the previous scale, so at this lower
+    one too: there the evaluation depends on the velocities alone, so it
+    would come out bitwise the same.  A symmetric counter-propagating pair, whose velocities do not
     move, makes one evaluation per flow; ``betas`` then holds that one
     object once per scale.
     """
@@ -308,12 +308,7 @@ def flow_run(params: LuttingerParams, h_min):
     betas = []
     for h in range(0, h_min, -1):
         state = states[-1]
-        if not (
-            betas
-            and np.array_equal(state.v, states[-2].v)
-            and _on_plateau(unit, h + 1)
-            and _on_plateau(unit, h)
-        ):
+        if not (betas and np.array_equal(state.v, states[-2].v) and _on_plateau(unit, h + 1)):
             ev = beta_second_order(state, params, unit)
         z_new = state.z * (1.0 + ev.z0)
         v_new = (state.v + ev.z1) / (1.0 + ev.z0)

@@ -10,13 +10,15 @@ steps:
 
 1. :func:`edge_branches` forms them by eigenvector-overlap continuation,
    assigns each to an edge by its half-cylinder weight and splits them so
-   that each crosses ``mu`` at most once between grid samples.  It
-   diagonalizes nothing; :func:`crossing_sign` reads a branch's chirality
-   off its samples, as the direction in which it crosses ``mu``.
+   that each crosses ``mu`` at most once between grid samples.  It finds
+   each grid crossing once, records it on its branch
+   (:attr:`EdgeBranch.crossing`) and diagonalizes nothing; a branch's
+   chirality is the direction in which it crosses ``mu`` there
+   (:attr:`EdgeBranch.direction`).
 2. :func:`extract_edge_branches` adds the Fermi data: each crossing
-   branch gets its Fermi point, refined by bisection with
-   re-diagonalization (:func:`fermi_point`) of the whole fiber, which is
-   not stored, its velocity and its localization-rate fit.
+   branch gets its Fermi point in its recorded interval, refined by
+   bisection with re-diagonalization (:func:`fermi_point`) of the whole
+   fiber, which is not stored, its velocity and its localization-rate fit.
 
 :func:`lower_edge_chirality` counts that chirality with no scan and no
 branch, from the steps of the lower half's occupied charge around the ring
@@ -27,6 +29,7 @@ and the charge count read a hybridized edge pair alike (:func:`_side_pure`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -43,7 +46,6 @@ __all__ = [
     "ChargeStepError",
     "scan_spectrum",
     "edge_branches",
-    "crossing_sign",
     "extract_edge_branches",
     "fermi_point",
     "lower_edge_chirality",
@@ -102,10 +104,20 @@ class EdgeBranch:
     energies: np.ndarray
     vectors: np.ndarray  # (n_samples, fiber_dim)
     side: str = "unassigned"
+    crossing: int | None = None  # the sample after which the energies cross mu
     k_fermi: float = np.nan
     velocity: float = np.nan
     loc_rate: float = np.nan
     loc_r2: float = np.nan
+
+    @property
+    def direction(self):
+        """+1 or -1, the direction in which the branch crosses ``mu`` at its
+        :attr:`crossing`, or 0 for a branch that does not cross: for a single
+        root between the two samples, the sign of the Fermi velocity."""
+        if self.crossing is None:
+            return 0
+        return int(np.sign(self.energies[self.crossing + 1] - self.energies[self.crossing]))
 
 
 @dataclass
@@ -228,12 +240,15 @@ def edge_branches(scan, mu):
     at the momentum before matches, so a branch runs across the seam
     ``k1 = 0`` and keeps the crossing there; the states of a closed ring of
     matches start one chain in grid order.  Each maximal chain becomes one
-    branch per grid crossing of ``mu`` (chains crossing ``mu`` several times
-    are split so a branch carries a single crossing); branches of fewer than
-    3 samples are dropped, crossing ``mu`` or not.  States with less than
-    :data:`SIDE_THRESHOLD` weight on either half of the cylinder raise
-    :class:`BulkStateError`.  The branches carry no Fermi data: no fiber is
-    diagonalized.
+    branch per grid crossing of ``mu``, which the branch records as
+    :attr:`EdgeBranch.crossing`: chains crossing ``mu`` several times are
+    split between crossings, and two crossings in adjacent intervals share
+    the sample between them.  Branches of fewer than 3 samples are dropped,
+    crossing ``mu`` or not.  A state with less than :data:`SIDE_THRESHOLD`
+    weight on either half of the cylinder raises :class:`BulkStateError`;
+    otherwise a chain keeps one side, since two states on opposite halves
+    overlap by less than :data:`OVERLAP_THRESHOLD`.  The branches carry no
+    Fermi data: no fiber is diagonalized.
     """
     g = scan.geometry
     n_k = len(scan.k_grid)
@@ -262,33 +277,29 @@ def edge_branches(scan, mu):
         ks = np.array([scan.k_grid[i] for i, _ in chain])
         es = np.array([scan.energies[i][j] for i, j in chain])
         vs = np.array([scan.vectors[i][j] for i, j in chain])
-        sides = []
-        for v in vs:
-            lw = float(np.sum(row_weights(g, v)[: g.L2 // 2]))
-            if lw >= SIDE_THRESHOLD:
-                sides.append("lower")
-            elif 1.0 - lw >= SIDE_THRESHOLD:
-                sides.append("upper")
-            else:
+        lws = [float(np.sum(row_weights(g, v)[: g.L2 // 2])) for v in vs]
+        for k, lw in zip(ks, lws):
+            if not (lw >= SIDE_THRESHOLD or 1.0 - lw >= SIDE_THRESHOLD):
                 raise BulkStateError(
-                    f"state at k1 = {ks[len(sides)]:.4f} has half-cylinder weight "
+                    f"state at k1 = {k:.4f} has half-cylinder weight "
                     f"{lw:.3f}; neither edge test passed (window bulk state)"
                 )
-        side = sides[0] if len(set(sides)) == 1 else "mixed"
-        # split the chain at Fermi crossings so each branch holds one
+        side = "lower" if lws[0] >= SIDE_THRESHOLD else "upper"
+        # one branch per crossing, cut after the midpoint to the next one; a
+        # crossing right after the previous one starts its branch at the
+        # sample the two share
         cross_at = _crossings(es, mu)
-        segments = [slice(None)]
-        if len(cross_at) > 1:
-            cuts = [(cross_at[t] + 1 + cross_at[t + 1]) // 2 + 1 for t in range(len(cross_at) - 1)]
-            segments = [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(es)])]
-        for seg in segments:
+        cuts = [(a + 1 + b) // 2 + 1 for a, b in zip(cross_at, cross_at[1:])]
+        starts = [0] + [min(cut, b) for cut, b in zip(cuts, cross_at[1:])]
+        for t, (a, b) in enumerate(zip(starts, cuts + [len(es)])):
             branches.append(
                 EdgeBranch(
                     label=len(branches),
-                    k_samples=ks[seg],
-                    energies=es[seg],
-                    vectors=vs[seg],
+                    k_samples=ks[a:b],
+                    energies=es[a:b],
+                    vectors=vs[a:b],
                     side=side,
+                    crossing=cross_at[t] - a if cross_at else None,
                 )
             )
     return [b for b in branches if len(b.k_samples) >= 3]
@@ -297,10 +308,10 @@ def edge_branches(scan, mu):
 def extract_edge_branches(scan, mu):
     """The :func:`edge_branches` of the scan, each crossing branch with its
     Fermi momentum, velocity and localization fit from :func:`fermi_point`
-    at its first crossing."""
+    in its recorded crossing interval."""
     branches = edge_branches(scan, mu)
     for b in branches:
-        if _crossings(b.energies, mu):
+        if b.crossing is not None:
             kf, vel, vec = fermi_point(b, scan.ham, mu)
             b.k_fermi, b.velocity = kf, vel
             b.loc_rate, b.loc_r2 = _fit_loc_rate(scan.geometry, vec, b.side)
@@ -311,21 +322,6 @@ def _crossings(energies, mu):
     """Indices i at which the sampled energies cross mu between i and i + 1."""
     sign = np.sign(energies - mu)
     return [i for i in range(len(sign) - 1) if sign[i] * sign[i + 1] < 0]
-
-
-def crossing_sign(branch, mu):
-    """The direction, +1 or -1, in which the branch's samples cross ``mu``
-    at its first grid crossing (the one :func:`fermi_point` refines), or 0
-    for a branch that does not cross.
-
-    For a single root between the two samples this is the sign of the
-    Fermi velocity; for several it is their net signed count.
-    """
-    crossings = _crossings(branch.energies, mu)
-    if not crossings:
-        return 0
-    i = crossings[0]
-    return int(np.sign(branch.energies[i + 1] - branch.energies[i]))
 
 
 def _track_eig(ham, k1, ref_vec):
@@ -350,15 +346,15 @@ def fermi_point(branch, ham, mu):
     re-diagonalization, and the velocity by Richardson-extrapolated
     central differences.
 
-    Returns ``(k_fermi, velocity, eigenvector_at_k_fermi)`` for the first
-    crossing.  Raises ``ValueError`` when the branch does not cross ``mu``,
-    and :class:`FermiPointError` when the bisection does not converge or the
+    Returns ``(k_fermi, velocity, eigenvector_at_k_fermi)`` in the
+    interval after the sample :attr:`EdgeBranch.crossing`.  Raises
+    ``ValueError`` when the branch records no crossing, and
+    :class:`FermiPointError` when the bisection does not converge or the
     branch is tangent (|velocity| < :data:`V_MIN`, or not a number).
     """
-    crossings = _crossings(branch.energies, mu)
-    if not crossings:
+    i = branch.crossing
+    if i is None:
         raise ValueError("branch does not cross the chemical potential")
-    i = crossings[0]
     es = branch.energies - mu
     ka, kb = branch.k_samples[i], branch.k_samples[i + 1]
     if kb < ka:
@@ -472,15 +468,6 @@ def check_assumptions(branches):
         raise NoEdgeBranchError("need at least one branch in the energy window")
     flags = {"b": True, "d": True}
     diag = {}
-
-    curv = []
-    for b in branches:
-        if len(b.k_samples) >= 5:
-            dk = np.diff(b.k_samples) % (2.0 * np.pi)  # a branch may run across k1 = 0
-            if np.allclose(dk, dk[0]):
-                curv.append(np.max(np.abs(np.diff(b.energies, 2))) / dk[0] ** 2)
-    diag["max_curvature"] = max(curv) if curv else 0.0
-
     with_kf = [b for b in branches if np.isfinite(b.k_fermi)]
     bad_loc = [b.label for b in with_kf if not (b.loc_r2 >= 0.95 and b.loc_rate > 0)]
     if bad_loc:
@@ -489,28 +476,12 @@ def check_assumptions(branches):
 
     gamma = np.inf
     for side in ("lower", "upper"):
-        mods = [b for b in with_kf if b.side == side]
-        kfs = [b.k_fermi for b in mods]
-        n = len(kfs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                gamma = min(gamma, _circle_dist(kfs[i], kfs[j]))
-        for i1 in range(n):
-            for i2 in range(n):
-                for i3 in range(n):
-                    for i4 in range(n):
-                        if i1 == i3 and i2 == i4:
-                            continue
-                        if i1 == i2 or i3 == i4:
-                            continue  # reduces to the pair condition
-                        d = _circle_dist(kfs[i1] - kfs[i2], kfs[i3] - kfs[i4])
-                        gamma = min(gamma, d)
+        kfs = [b.k_fermi for b in with_kf if b.side == side]
+        diffs = [a - b for a, b in permutations(kfs, 2)]
+        for a, b in (*combinations(kfs, 2), *combinations(diffs, 2)):
+            gamma = min(gamma, _circle_dist(a, b))
     if gamma < GAMMA_MIN:
         flags["d"] = False
     diag["n_lower"] = sum(1 for b in with_kf if b.side == "lower")
     diag["n_upper"] = sum(1 for b in with_kf if b.side == "upper")
-    return AssumptionReport(
-        gamma=float(gamma if np.isfinite(gamma) else np.inf),
-        flags=flags,
-        diagnostics=diag,
-    )
+    return AssumptionReport(gamma=float(gamma), flags=flags, diagnostics=diag)

@@ -1,4 +1,6 @@
 import argparse
+import fnmatch
+import importlib
 import json
 import os
 import re
@@ -432,7 +434,7 @@ def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch, si
 
     def lossy(scan, mu):
         branches = edge_branches(scan, mu)
-        lost = next(b for b in branches if b.side == side and spectrum.crossing_sign(b, mu))
+        lost = next(b for b in branches if b.side == side and b.crossing is not None)
         return [b for b in branches if b is not lost]
 
     monkeypatch.setattr(spectrum, "edge_branches", lossy)
@@ -441,6 +443,21 @@ def test_edges_fails_when_its_branches_lose_a_crossing(tmp_path, monkeypatch, si
     rep = load_report(out, "report_edges.json")
     assert rep["checks"] == {"assumptions": True, "chirality_agrees": False}
     assert (rep["chirality_sum_lower"], rep["chirality_sum_upper"]) == LOST_ON[side]
+
+
+def test_assumptions_fails_through_a_flag_on_plain_input(tmp_path):
+    # two Haldane copies shifted by 0.01: on each edge their Fermi momenta
+    # are 0.0108 apart, below GAMMA_MIN, so flag d of check_assumptions is
+    # false and edges exits 2 with its report; the chirality counts agree
+    code, out = run_cli(
+        tmp_path, "edges", "--model", "stacked-haldane", "--shifts", "0.0,0.01", "--L1", "24", "--L2", "16"
+    )
+    assert code == cli.EXIT_NUMERICAL
+    rep = load_report(out, "report_edges.json")
+    assert rep["checks"] == {"assumptions": False, "chirality_agrees": True}
+    assert rep["assumption_report"]["flags"] == {"b": True, "d": False}
+    assert rep["assumption_report"]["gamma"] < spectrum.GAMMA_MIN
+    assert rep["chirality_sum_lower"] == {"branches": 2.0, "charge": 2.0}
 
 
 def test_edges_on_the_counter_stack(tmp_path):
@@ -654,7 +671,7 @@ def test_conductance_from_64_momenta_on_scans_the_ring_itself(tmp_path, monkeypa
     assert len(solvers) == 33 * len(ham.summands())
     scan = spectrum.scan_spectrum(ham, n_k=128, window=(args.mu - 0.3, args.mu + 0.3))
     branches = spectrum.edge_branches(scan, args.mu)
-    chi = float(sum(spectrum.crossing_sign(b, args.mu) for b in branches if b.side == "lower"))
+    chi = float(sum(b.direction for b in branches if b.side == "lower"))
     est = response.edge_conductance_free(ham, args.mu, 64, a=6, a_prime=4)
     assert rep["chirality_sum_lower"] == chi == (1.0 if model[1] == "haldane" else 0.0)
     assert rep["two_pi_G"] == 2.0 * np.pi * est.g
@@ -728,6 +745,26 @@ def test_the_readme_lists_every_failure_stage():
     stages = re.findall(r"^- `(\w+)`: ", section, re.M)
     assert len(stages) == len(set(stages))
     assert set(stages) == set(cli.FAILED_STAGE.values())
+
+
+def test_every_layer_name_in_the_readme_resolves():
+    # each backticked `layer.name` of the README's prose is a name the layer
+    # defines, and a `layer.prefix*` pattern matches one: a retired or renamed
+    # name cannot stay in the text
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    layers = "|".join(path.stem for path in Path(cli.__file__).parent.glob("[a-z]*.py"))
+    refs = {ref for span in re.findall(r"`([^`]+)`", text)
+            for ref in re.findall(rf"(?<![\w./])(?:{layers})(?:\.[\w*]+)+", span)}
+    assert len(refs) >= 25
+    unresolved = []
+    for ref in sorted(refs):
+        layer, *names = ref.split(".")
+        owner = importlib.import_module(f"edgeflow.{layer}")
+        for name in names[:-1]:
+            owner = getattr(owner, name, None)
+        if not fnmatch.filter(dir(owner), names[-1]):
+            unresolved.append(ref)
+    assert unresolved == []
 
 
 def test_the_counter_stack_is_diagonalized_one_copy_at_a_time(tmp_path, monkeypatch):
@@ -818,9 +855,8 @@ def test_the_charge_count_rotates_a_hybridized_pair_at_mu(tmp_path, monkeypatch,
 def thinned_to_its_crossing(scan, mu, side):
     """``scan`` without the states of its first ``side`` branch that crosses
     ``mu``, apart from the two samples on either side of the crossing."""
-    branch = next(b for b in spectrum.edge_branches(scan, mu) if b.side == side and spectrum.crossing_sign(b, mu))
-    above = branch.energies > mu
-    i = int(np.flatnonzero(above[:-1] != above[1:])[0])
+    branch = next(b for b in spectrum.edge_branches(scan, mu) if b.side == side and b.crossing is not None)
+    i = branch.crossing
     lost = {(k, e) for t, (k, e) in enumerate(zip(branch.k_samples, branch.energies)) if t not in (i, i + 1)}
     keep = [np.array([(k, e) not in lost for e in es], dtype=bool) for k, es in zip(scan.k_grid, scan.energies)]
     return spectrum.BandScan(

@@ -65,7 +65,8 @@ def test_importing_a_layer_loads_only_the_layers_it_imports():
 
 def test_spectrum_api_is_pinned():
     # the branch extraction is two public steps: edge_branches diagonalizes
-    # nothing, extract_edge_branches adds the Fermi data
+    # nothing and records each branch's grid crossing, extract_edge_branches
+    # adds the Fermi data
     from edgeflow import spectrum
 
     assert sorted(spectrum.__all__) == sorted([
@@ -78,7 +79,6 @@ def test_spectrum_api_is_pinned():
         "ChargeStepError",
         "scan_spectrum",
         "edge_branches",
-        "crossing_sign",
         "extract_edge_branches",
         "fermi_point",
         "lower_edge_chirality",

@@ -122,14 +122,18 @@ def shifted_chain(L1=16, L2=8, t=0.8, k0=1.1):
     return ham
 
 
-def chain_branch(ham, t, k0, ks):
-    """The band -2t cos(k - k0) of :func:`shifted_chain` sampled at ``ks``."""
+def chain_branch(ham, t, k0, ks, mu):
+    """The band -2t cos(k - k0) of :func:`shifted_chain` sampled at ``ks``,
+    with its first grid crossing of ``mu`` as the branch's crossing."""
+    energies = -2.0 * t * np.cos(ks - k0)
+    above = energies > mu
     return spectrum.EdgeBranch(
         label=0,
         k_samples=ks,
-        energies=-2.0 * t * np.cos(ks - k0),
+        energies=energies,
         vectors=np.array([np.linalg.eigh(lattice.assemble_fiber(ham, k))[1][:, 3] for k in ks]),
         side="lower",
+        crossing=int(np.flatnonzero(above[:-1] != above[1:])[0]),
     )
 
 
@@ -137,7 +141,7 @@ def test_fermi_point_analytic_dispersion():
     # fiber(k) = -2t cos(k - k0); mu-crossing and slope known in closed form
     t, k0, mu = 0.8, 1.1, 0.3
     ham = shifted_chain(t=t, k0=k0)
-    branch = chain_branch(ham, t, k0, 2.0 * np.pi * np.arange(64) / 64)
+    branch = chain_branch(ham, t, k0, 2.0 * np.pi * np.arange(64) / 64, mu)
     kf, vel, _ = spectrum.fermi_point(branch, ham, mu)
     kf_exact = (k0 + np.arccos(-mu / (2 * t))) % (2 * np.pi)
     v_exact = 2.0 * t * np.sin(kf_exact - k0)
@@ -146,6 +150,7 @@ def test_fermi_point_analytic_dispersion():
 
 
 def test_fermi_point_requires_crossing():
+    # a branch that records no crossing has no Fermi point
     ham = shifted_chain()
     ks = 2.0 * np.pi * np.arange(8) / 64
     branch = spectrum.EdgeBranch(
@@ -160,12 +165,13 @@ def test_fermi_point_requires_crossing():
 
 
 def test_fermi_point_tangent_guard():
-    # chemical potential a hair above the band bottom: |velocity| < v_min
+    # chemical potential a hair above the band bottom at k0: the bisection
+    # converges, to a |velocity| of 1.6e-5 < v_min
     t, k0 = 0.8, 1.1
     ham = shifted_chain(t=t, k0=k0)
     mu = -2.0 * t + 1e-10
-    branch = chain_branch(ham, t, k0, np.linspace(k0 + np.pi - 0.2, k0 + np.pi + 0.2, 21))
-    with pytest.raises((ValueError, RuntimeError)):
+    branch = chain_branch(ham, t, k0, np.linspace(k0 - 0.2, k0 + 0.2, 21), mu)
+    with pytest.raises(spectrum.FermiPointError, match="tangent"):
         spectrum.fermi_point(branch, ham, mu)
 
 
@@ -174,7 +180,7 @@ def test_fermi_point_rejects_a_nan_velocity(monkeypatch):
     # central differences give a NaN velocity, which the guard must catch
     t, k0, mu = 0.8, 1.1, 0.3
     ham = shifted_chain(t=t, k0=k0)
-    branch = chain_branch(ham, t, k0, 2.0 * np.pi * np.arange(64) / 64)
+    branch = chain_branch(ham, t, k0, 2.0 * np.pi * np.arange(64) / 64, mu)
     track = spectrum._track_eig
     converged = []
 
@@ -221,10 +227,11 @@ def test_velocity_matches_dense_fit(haldane_scan):
 def _stub_branch(label, side, kf, vel):
     return spectrum.EdgeBranch(
         label=label,
-        k_samples=np.linspace(0, 1, 5),
-        energies=np.linspace(-0.1, 0.1, 5),
-        vectors=np.zeros((5, 4), dtype=complex),
+        k_samples=np.linspace(0, 1, 4),
+        energies=np.linspace(-0.1, 0.1, 4),
+        vectors=np.zeros((4, 4), dtype=complex),
         side=side,
+        crossing=1,  # of mu = 0
         k_fermi=kf,
         velocity=vel,
         loc_rate=1.0,
@@ -324,19 +331,6 @@ def test_localization_rate_grows_into_gap():
     assert rates[0] < rates[1] < rates[2]
 
 
-def test_dispersion_curvature_stable_under_refinement(haldane_scan):
-    ham, mu, _ = haldane_scan
-
-    def max_curvature(n_k):
-        scan = spectrum.scan_spectrum(ham, n_k=n_k, window=(mu - 0.3, mu + 0.3))
-        branches = spectrum.extract_edge_branches(scan, mu)
-        rep = spectrum.check_assumptions(branches)
-        return rep.diagnostics["max_curvature"]
-
-    c1, c2 = max_curvature(128), max_curvature(256)
-    assert abs(c1 - c2) / c2 < 0.1
-
-
 # ---------------------------------------------------------------------------
 # chirality from the grid crossings
 # ---------------------------------------------------------------------------
@@ -364,8 +358,8 @@ def haldane_with_backscattering(seed, rows_outer=False):
     return ham
 
 
-def lower_chirality_by_grid(scan, mu):
-    return sum(spectrum.crossing_sign(b, mu) for b in spectrum.edge_branches(scan, mu) if b.side == "lower")
+def chirality_by_grid(scan, mu, side="lower"):
+    return sum(b.direction for b in spectrum.edge_branches(scan, mu) if b.side == side)
 
 
 def lower_fermi_velocities(scan, mu):
@@ -418,7 +412,7 @@ def test_a_stack_scan_keeps_the_whole_fiber_eigenpairs():
 def test_grid_crossings_give_the_velocity_sign_sum(build, mu, n_k, window, chirality):
     ham = build()
     scan = spectrum.scan_spectrum(ham, n_k=n_k, window=(mu - window, mu + window))
-    by_grid = lower_chirality_by_grid(scan, mu)
+    by_grid = chirality_by_grid(scan, mu)
     assert by_grid == sum(np.sign(lower_fermi_velocities(scan, mu)))
     assert by_grid == chirality == spectrum.lower_edge_chirality(ham, mu, n_k)
 
@@ -432,7 +426,7 @@ def test_grid_crossings_give_the_velocity_sign_sum_under_backscattering():
         ham = haldane_with_backscattering(seed)
         scan = spectrum.scan_spectrum(ham, n_k=96, window=(mu - 0.3, mu + 0.3))
         velocities = lower_fermi_velocities(scan, mu)
-        assert lower_chirality_by_grid(scan, mu) == sum(np.sign(velocities)) == 1, seed
+        assert chirality_by_grid(scan, mu) == sum(np.sign(velocities)) == 1, seed
         assert spectrum.lower_edge_chirality(ham, mu, 96) == 1, seed
         crossings.append(len(velocities))
     assert max(crossings) >= 3
@@ -450,13 +444,26 @@ def test_grid_crossings_cancel_across_an_avoided_crossing():
     )
     crossings = {}  # grid interval of the crossing -> signs crossing there
     for b in spectrum.edge_branches(scan, mu):
-        sign = spectrum.crossing_sign(b, mu)
-        if b.side == "lower" and sign:
-            side_of_mu = np.sign(b.energies - mu)
-            i = int(np.flatnonzero(side_of_mu[:-1] * side_of_mu[1:] < 0)[0])
-            crossings.setdefault(round(float(b.k_samples[i]), 6), []).append(sign)
+        if b.side == "lower" and b.crossing is not None:
+            crossings.setdefault(round(float(b.k_samples[b.crossing]), 6), []).append(b.direction)
     assert sorted(map(sorted, crossings.values())) == [[-1, 1], [1]]
     assert sum(map(sum, crossings.values())) == 1
+
+
+@pytest.mark.parametrize("seed, mu", [(12, 0.15), (14, 0.1), (20, 0.15), (1, 0.05)])
+def test_a_crossing_right_after_another_is_counted(seed, mu):
+    # drawn row by row, these fold the lower edge so that one chain crosses
+    # mu in two adjacent grid intervals; the second crossing's branch starts
+    # at the sample the two share, so both are counted, and the branches,
+    # the charge count and the Fermi velocities each read one chiral channel
+    ham = haldane_with_backscattering(seed, rows_outer=True)
+    scan = spectrum.scan_spectrum(ham, n_k=96, window=(mu - 0.3, mu + 0.3))
+    lower = [b for b in spectrum.edge_branches(scan, mu) if b.side == "lower"]
+    assert any(a.k_samples[-1] == b.k_samples[0] and a.crossing == len(a.k_samples) - 2 and b.crossing == 0
+               for a, b in zip(lower, lower[1:]))
+    assert chirality_by_grid(scan, mu) == -chirality_by_grid(scan, mu, "upper") == 1
+    assert spectrum.lower_edge_chirality(ham, mu, 96) == 1
+    assert sum(np.sign(lower_fermi_velocities(scan, mu))) == 1
 
 
 def test_edge_branches_are_the_extracted_branches_without_fermi_data(haldane_scan):
@@ -467,29 +474,44 @@ def test_edge_branches_are_the_extracted_branches_without_fermi_data(haldane_sca
         assert a.side == b.side
         for name in ("k_samples", "energies", "vectors"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.crossing == b.crossing
         assert np.isnan([a.k_fermi, a.velocity, a.loc_rate, a.loc_r2]).all()
-        assert spectrum.crossing_sign(a, mu) == (np.sign(b.velocity) if np.isfinite(b.k_fermi) else 0)
+        assert a.direction == (np.sign(b.velocity) if np.isfinite(b.k_fermi) else 0)
+
+
+def one_state_scan(ham, energies, n_k=16):
+    """A hand-built scan of ``ham`` with one lower-edge state at each of the
+    first ``len(energies)`` grid momenta, at those energies, and no state
+    after them: one chain, which starts at ``k1 = 0``."""
+    state = np.zeros(ham.geometry.fiber_dim, dtype=complex)
+    state[ham.geometry.M] = 1.0  # row 1, the lower edge
+    rest = n_k - len(energies)
+    return spectrum.BandScan(
+        ham, 2.0 * np.pi * np.arange(n_k) / n_k, [np.array([e]) for e in energies] + [np.empty(0)] * rest,
+        [state[None, :]] * len(energies) + [np.empty((0, ham.geometry.fiber_dim), dtype=complex)] * rest,
+    )
 
 
 @pytest.mark.parametrize(
-    "energies, sign",
+    "energies, crossings",
     [
-        ([-0.2, -0.1, 0.1, 0.2], 1),
-        ([0.2, 0.1, -0.1, -0.2], -1),
-        ([0.2, 0.1, 0.05, 0.1], 0),
-        ([-0.2, 0.0, 0.1], 0),  # a sample on mu is no crossing, as in fermi_point
-        ([0.1, -0.1, -0.2, 0.3], -1),  # the first crossing counts
+        ([-0.2, -0.1, 0.1, 0.2], [(1, 1)]),
+        ([0.2, 0.1, -0.1, -0.2], [(1, -1)]),
+        ([0.2, 0.1, 0.05, 0.1], [(None, 0)]),
+        ([-0.2, 0.0, 0.1], [(None, 0)]),  # a sample on mu is no crossing
+        # crossings after samples 3, 4 and 8: the one after 4 starts its
+        # branch at the sample it shares with the one after 3
+        ([0.1] * 4 + [-0.1] + [0.1] * 4 + [-0.1] * 3, [(3, -1), (4, 1), (8, -1)]),
     ],
 )
-def test_crossing_sign_reads_the_first_crossing(energies, sign):
-    n = len(energies)
-    branch = spectrum.EdgeBranch(
-        label=0,
-        k_samples=np.linspace(0.0, 1.0, n),
-        energies=np.array(energies),
-        vectors=np.zeros((n, 2), dtype=complex),
-    )
-    assert spectrum.crossing_sign(branch, 0.0) == sign
+def test_each_branch_records_its_grid_crossing(energies, crossings):
+    ham = lattice.haldane_cylinder(lattice.CylinderGeometry(8, 8, 2))
+    branches = spectrum.edge_branches(one_state_scan(ham, energies), 0.0)
+    grid = list(2.0 * np.pi * np.arange(16) / 16)
+    recorded = [(None if b.crossing is None else grid.index(b.k_samples[b.crossing]), b.direction) for b in branches]
+    assert recorded == crossings
+    for b in branches:
+        assert len(b.k_samples) >= 3 and b.side == "lower"
 
 
 def test_a_crossing_branch_of_two_samples_is_loud():
@@ -511,13 +533,10 @@ def test_a_branch_runs_across_the_grid_seam():
     mu = 0.1
     ham = with_flux(lattice.haldane_cylinder(lattice.CylinderGeometry(48, 24, 2)), 3.0107)
     scan = spectrum.scan_spectrum(ham, n_k=96, window=(mu - 0.3, mu + 0.3))
-    lower = [b for b in spectrum.edge_branches(scan, mu) if b.side == "lower" and spectrum.crossing_sign(b, mu)]
-    assert [spectrum.crossing_sign(b, mu) for b in lower] == [1]
+    lower = [b for b in spectrum.edge_branches(scan, mu) if b.side == "lower" and b.crossing is not None]
+    assert [b.direction for b in lower] == [1]
     assert lower[0].k_samples[0] > lower[0].k_samples[-1]  # it wraps at 2 pi
     assert spectrum.lower_edge_chirality(ham, mu, 96) == 1
-    # its samples are evenly spaced across the seam, so its curvature counts
-    curvature = spectrum.check_assumptions(spectrum.extract_edge_branches(scan, mu)).diagnostics["max_curvature"]
-    assert curvature > 0.0
 
 
 # ---------------------------------------------------------------------------
