@@ -111,6 +111,7 @@ class LatticeHamiltonian:
         self._summands = None
         self._mirror = None  # fiber index permutation of _inversion, found at the first read
         self._grids = {}  # n_k -> tuple of FiberBasis of a summand, filled by response.fiber_cache
+        self._currents = {}  # (terms, weight bytes) -> current operator, filled by response._current_operator
 
     def add_block(self, z1, x2, y2, block, accumulate=True):
         if self._slabs is not None:

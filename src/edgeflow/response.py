@@ -11,11 +11,12 @@ The full fiber basis (including the decoupled Dirichlet-row modes) is kept
 in all spectral sums; completeness of the basis is what makes the
 conservation identities exact at finite size.
 
-Every current a response reads is one fiber operator, built once per
-summand and call by :func:`_current_operator`: a current component
-summed over rows with a weight per row, ``J(k, k') = sum_(u1, v1)
-e^{-i (k u1 - k' v1)} J_(u1 v1)`` (:func:`_ring_sum`) with fixed matrices
-``J_(u1 v1)`` on only the fiber rows the weight touches.  The indicator of
+Every current a response reads is one fiber operator, built by
+:func:`_current_operator` once per summand and kept on it in
+``sub._currents`` for the model's life: a current component summed over
+rows with a weight per row, ``J(k, k') = sum_(u1, v1) e^{-i (k u1 - k'
+v1)} J_(u1 v1)`` (:func:`_ring_sum`) with fixed matrices ``J_(u1 v1)`` on
+only the fiber rows the weight touches.  The indicator of
 ``y2 < n`` gives the ring current on a strip (the edge conductance, the
 wrong-order diagnostic, the real-time check), ones on every row give the
 current of the row-summed vertex identity, and a unit weight on row ``y2``
@@ -261,12 +262,21 @@ def _current_operator(ham, terms, weight):
     kp1)``.  A bond term with that ``(u1, v1)`` adds ``i w weight[y2]
     H(z1; y2 + du, y2 + dv)`` at rows ``(y2 + du, y2 + dv)``, and all of them
     share ``z1 = u1 - v1``, so ``J_(u1 v1) = i C * H(z1)`` on the span, built
-    once here from the model's slab stack: ``C`` is the row-pair matrix of
-    the summed ``w weight[y2]``.  A ``z1`` that no block has gives 0.
+    from the model's slab stack: ``C`` is the row-pair matrix of the summed
+    ``w weight[y2]``.  A ``z1`` that no block has gives 0.
+
+    The model stores each operator it was asked for in ``ham._currents``,
+    keyed by the bond terms and the bytes of the weight, with read-only
+    matrices, and a repeat returns the stored one: the build reads the
+    model, which is fixed from its first read.
     """
+    weight = np.asarray(weight, dtype=float)
+    key = tuple(terms), weight.tobytes()
+    current = ham._currents.get(key)
+    if current is not None:
+        return current
     g = ham.geometry
     z1s, slabs = ham._slab_stack()
-    weight = np.asarray(weight, dtype=float)
     on = np.flatnonzero(weight)
     lo, hi = (max(on[0] - 1, 0), min(on[-1] + 2, g.L2)) if on.size else (0, 0)
     span = hi - lo
@@ -280,28 +290,26 @@ def _current_operator(ham, terms, weight):
     coef = np.zeros((len(keys), span, span))
     np.add.at(coef, tuple(np.concatenate(i) for i in zip(*at)), np.concatenate(values))
     n, zero = span * g.M, np.zeros((span, g.M, span, g.M))
-    mats = [(u1, v1, 1j * c[:, None, :, None] * hops.get(z1, zero)) for (u1, v1, z1), c in zip(keys, coef)]
-    return slice(lo * g.M, hi * g.M), [(u1, v1, op.reshape(n, n)) for u1, v1, op in mats]
+    mats = []
+    for (u1, v1, z1), c in zip(keys, coef):
+        mat = (1j * c[:, None, :, None] * hops.get(z1, zero)).reshape(n, n)
+        mat.flags.writeable = False
+        mats.append((u1, v1, mat))
+    current = ham._currents[key] = slice(lo * g.M, hi * g.M), tuple(mats)
+    return current
 
 
 def _ring_sum(mats, k1, kp1):
     """``sum_(u1, v1) e^{-i (k1 u1 - kp1 v1)} X_(u1 v1)`` over ``mats =
     [(u1, v1, X_(u1 v1)), ...]``: the current ``J(k1, kp1)`` from the fixed
     matrices of :func:`_current_operator`, or the forward leg of its vertex
-    from the legs of :func:`_fiber_legs`."""
+    from the legs of :func:`_fiber_legs`.  Momenta of shape ``(n, 1, 1)``
+    give the ``n`` sums stacked, each bitwise the sum at its momentum."""
     (u1, v1, x), *rest = mats
     out = np.exp(-1j * (k1 * u1 - kp1 * v1)) * x
     for u1, v1, x in rest:
         out += np.exp(-1j * (k1 * u1 - kp1 * v1)) * x
     return out
-
-
-def _current_vertex(basis_k, basis_kp, current):
-    """``U_k^+ J(k1, kp1) U_kp`` for ``current = _current_operator(...)``:
-    the pair's ``(n, n)`` current vertex, its band states contracted on the
-    operator's rows only."""
-    rows, mats = current
-    return (basis_k.states[rows].conj().T @ _ring_sum(mats, basis_k.k1, basis_kp.k1)) @ basis_kp.states[rows]
 
 
 def _fiber_legs(basis, strip, current):
@@ -334,16 +342,16 @@ def _fermi(e, mu, temperature):
     return 1.0 / (1.0 + np.exp(x))
 
 
-def _pair_weight(e_a, e_b, mu, temperature, p0):
-    """Spectral weight (n_F(e_b) - n_F(e_a)) / (i p0 + e_a - e_b) with the
-    zero-frequency limits of pairs closer than 1e-12 in energy resolved.
+def _pair_weight(e_a, e_b, n_a, n_b, temperature, p0):
+    """Spectral weight (n_b - n_a) / (i p0 + e_a - e_b), with ``n_a`` and
+    ``n_b`` the occupations :func:`_fermi` of ``e_a`` and ``e_b`` at
+    ``temperature``, and the zero-frequency limits of pairs closer than
+    1e-12 in energy resolved.
 
     A pair of equal occupations has weight exactly 0 at every ``p0``, also
     at a ``p0`` so small that ``0 / (i p0)`` would come out NaN."""
-    na = _fermi(e_a, mu, temperature)
-    nb = _fermi(e_b, mu, temperature)
     de = e_a[:, None] - e_b[None, :]
-    dn = nb[None, :] - na[:, None]
+    dn = n_b[None, :] - n_a[:, None]
     if p0 != 0.0:
         out = np.zeros(de.shape, dtype=complex)
         np.divide(dn, 1j * p0 + de, out=out, where=dn != 0.0)
@@ -361,7 +369,7 @@ def _pair_weight(e_a, e_b, mu, temperature, p0):
     out = np.empty_like(de)
     np.divide(dn, de, out=out, where=~deg)
     beta = 1.0 / temperature
-    nn = -beta * na * (1.0 - na)
+    nn = -beta * n_a * (1.0 - n_a)
     out[deg] = (nn[:, None] * np.ones_like(de))[deg]
     return out
 
@@ -376,17 +384,31 @@ def _ward_columns(ham, grids, mu, p0, y2, temperature):
     ``cols[i - 1, x2] = sum_(rho, a) conj(U) * (U @ (conj(Jbar_i) * w).T)`` on
     the components ``(x2, rho)``: no row-resolved density is built, and
     the cost does not depend on ``y2``.
+
+    What is per grid is formed once per summand, before the fiber loop:
+    both components' currents ``J_i(k, k)`` of every fiber, stacked, and
+    the occupations of every fiber.  The band-pair arrays are not stacked
+    over the grid, which was slower and took more memory: the loop
+    contracts one fiber at a time, in the order of a per-fiber sum, so the
+    columns are bitwise the same.
     """
     L2 = ham.geometry.L2
     row = np.arange(L2) == y2
-    currents = [[_current_operator(sub, terms, row) for terms in (_J1_TERMS, _J2_TERMS)] for _, sub in ham.summands()]
+    parts = []
+    for (_, sub), grid in zip(ham.summands(), grids, strict=True):
+        k1 = np.array([b.k1 for b in grid])[:, None, None]
+        (rows, j1), (_, j2) = (_current_operator(sub, terms, row) for terms in (_J1_TERMS, _J2_TERMS))
+        currents = np.stack([_ring_sum(j1, k1, k1), _ring_sum(j2, k1, k1)], axis=1)  # (n_k, 2, r, r)
+        occupations = _fermi(np.array([b.energies for b in grid]), mu, temperature)
+        parts.append((grid, rows, currents, occupations))
     cols = np.zeros((2, L2), dtype=complex)
-    for fiber in zip(*grids):  # the summands' bases at one momentum
-        for ops, b in zip(currents, fiber, strict=True):
-            u = b.states
-            w = _pair_weight(b.energies, b.energies, mu, temperature, p0)
+    for m in range(len(grids[0])):
+        for grid, rows, currents, occupations in parts:
+            u, e, f = grid[m].states, grid[m].energies, occupations[m]
+            w = _pair_weight(e, e, f, f, temperature, p0)
             # the backward leg is the row-y2 current, conjugate-transposed
-            legs = np.stack([_current_vertex(b, b, op) for op in ops]).conj() * w
+            ah, ur = u[rows].conj().T, u[rows]
+            legs = np.stack([(ah @ j) @ ur for j in currents[m]]).conj() * w
             cols += (u.conj() * (u @ legs.transpose(0, 2, 1))).reshape(2, L2, -1).sum(axis=2)
     return cols / len(grids[0])
 
@@ -650,9 +672,10 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
 
     def weights(e_k, e_kp):
         # real time: (n_F(e_a) - n_F(e_b)) int_{-T}^0 e^{(eta + i (e_a - e_b)) t} dt
-        dn = _fermi(e_k, mu, temperature)[:, None] - _fermi(e_kp, mu, temperature)[None, :]
+        f_k, f_kp = _fermi(e_k, mu, temperature), _fermi(e_kp, mu, temperature)
+        dn = f_k[:, None] - f_kp[None, :]
         zz = eta + 1j * (e_k[:, None] - e_kp[None, :])
-        imaginary_time = _pair_weight(e_k, e_kp, mu, temperature, -eta_beta)
+        imaginary_time = _pair_weight(e_k, e_kp, f_k, f_kp, temperature, -eta_beta)
         return [(slice(None), slice(None), np.stack([dn * (1.0 - np.exp(-zz * t_horizon)) / zz, imaginary_time]))]
 
     (lhs, rhs), = _strip_response(ham, fiber_cache(ham, n_k), (p1_index,), (a + 1, a_prime + 1), weights)

@@ -243,8 +243,11 @@ def edge_branches(scan, mu):
     branch per grid crossing of ``mu``, which the branch records as
     :attr:`EdgeBranch.crossing`: chains crossing ``mu`` several times are
     split between crossings, and two crossings in adjacent intervals share
-    the sample between them.  Branches of fewer than 3 samples are dropped,
-    crossing ``mu`` or not.  A state with less than :data:`SIDE_THRESHOLD`
+    the sample between them.  A chain of fewer than 3 samples is dropped,
+    crossing ``mu`` or not; each part of a split is kept, since it holds its
+    crossing in 2 samples at least, all that :func:`fermi_point` reads, so
+    three crossings in consecutive intervals keep three branches, the
+    middle one of 2 samples.  A state with less than :data:`SIDE_THRESHOLD`
     weight on either half of the cylinder raises :class:`BulkStateError`;
     otherwise a chain keeps one side, since two states on opposite halves
     overlap by less than :data:`OVERLAP_THRESHOLD`.  The branches carry no
@@ -272,7 +275,7 @@ def edge_branches(scan, mu):
             chain.append((i, j))
         chains.append(chain)
 
-    branches = []
+    branches, label = [], 0
     for chain in chains:
         ks = np.array([scan.k_grid[i] for i, _ in chain])
         es = np.array([scan.energies[i][j] for i, j in chain])
@@ -292,17 +295,19 @@ def edge_branches(scan, mu):
         cuts = [(a + 1 + b) // 2 + 1 for a, b in zip(cross_at, cross_at[1:])]
         starts = [0] + [min(cut, b) for cut, b in zip(cuts, cross_at[1:])]
         for t, (a, b) in enumerate(zip(starts, cuts + [len(es)])):
-            branches.append(
-                EdgeBranch(
-                    label=len(branches),
-                    k_samples=ks[a:b],
-                    energies=es[a:b],
-                    vectors=vs[a:b],
-                    side=side,
-                    crossing=cross_at[t] - a if cross_at else None,
+            if b - a >= 3 or len(cross_at) > 1:
+                branches.append(
+                    EdgeBranch(
+                        label=label,
+                        k_samples=ks[a:b],
+                        energies=es[a:b],
+                        vectors=vs[a:b],
+                        side=side,
+                        crossing=cross_at[t] - a if cross_at else None,
+                    )
                 )
-            )
-    return [b for b in branches if len(b.k_samples) >= 3]
+            label += 1
+    return branches
 
 
 def extract_edge_branches(scan, mu):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from edgeflow import response
-from edgeflow.response import _check_rows, _pair_weight, _row_groups
+from edgeflow.response import _check_rows, _fermi, _pair_weight, _row_groups
 
 
 @dataclass
@@ -32,6 +32,12 @@ class VertexSet:
     density: np.ndarray
     current1: np.ndarray
     current2: np.ndarray
+
+
+def pair_weight(e_a, e_b, mu, temperature, p0):
+    """The spectral weight of :func:`edgeflow.response._pair_weight` at the
+    occupations of ``e_a`` and ``e_b`` at ``(mu, temperature)``."""
+    return _pair_weight(e_a, e_b, _fermi(e_a, mu, temperature), _fermi(e_b, mu, temperature), temperature, p0)
 
 
 def _row_table(ham):
@@ -128,7 +134,7 @@ def current_current(ham, mu, p0, p1_index, n_k, temperature=0.0, strips=None, co
         f_k = fibers[m]
         f_kp = fibers[(m + p1_index) % n_k]
         vs = build_vertices(ham, f_k, f_kp, rows=rows)
-        w = _pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
+        w = pair_weight(f_k.energies, f_kp.energies, mu, temperature, p0)
         for (mu_i, nu_i) in components:
             va = _vertex_component(vs, mu_i)[: sa + 1]
             vf = _vertex_component(vs, nu_i)[: sb + 1]
@@ -149,7 +155,33 @@ def ward_columns(ham, fibers, mu, p0, y2, temperature):
     cols = np.zeros((2, L2), dtype=complex)
     for f in fibers:
         vs = build_vertices(ham, f, f, rows=(L2, y2 + 1, y2 + 1))
-        w = _pair_weight(f.energies, f.energies, mu, temperature, p0)
+        w = pair_weight(f.energies, f.energies, mu, temperature, p0)
         legs = np.stack([vs.current1[y2], vs.current2[y2]]).conj() * w
         cols += legs.reshape(2, -1) @ vs.density.reshape(L2, -1).T
     return cols / len(fibers)
+
+
+def current_vertex(basis_k, basis_kp, current):
+    """``U_k^+ J(k1, kp1) U_kp`` for ``current =
+    response._current_operator(...)``: the pair's ``(n, n)`` current vertex,
+    its band states contracted on the operator's rows only."""
+    rows, mats = current
+    return (basis_k.states[rows].conj().T @ response._ring_sum(mats, basis_k.k1, basis_kp.k1)) @ basis_kp.states[rows]
+
+
+def ward_columns_by_fiber(ham, grids, mu, p0, y2, temperature):
+    """``response._ward_columns`` as one loop over the fibers, each fiber's
+    current and weight formed inside it: the same grouping and operand
+    order, so the columns are bitwise equal."""
+    L2 = ham.geometry.L2
+    row = np.arange(L2) == y2
+    terms = (response._J1_TERMS, response._J2_TERMS)
+    currents = [[response._current_operator(sub, t, row) for t in terms] for _, sub in ham.summands()]
+    cols = np.zeros((2, L2), dtype=complex)
+    for fiber in zip(*grids):  # the summands' bases at one momentum
+        for ops, b in zip(currents, fiber, strict=True):
+            u = b.states
+            w = pair_weight(b.energies, b.energies, mu, temperature, p0)
+            legs = np.stack([current_vertex(b, b, op) for op in ops]).conj() * w
+            cols += (u.conj() * (u @ legs.transpose(0, 2, 1))).reshape(2, L2, -1).sum(axis=2)
+    return cols / len(grids[0])

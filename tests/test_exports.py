@@ -189,6 +189,22 @@ def test_only_the_grid_read_touches_the_fiber_store():
     assert not stack._grids
 
 
+def test_only_the_current_builder_touches_the_current_store():
+    # _current_operator reads and writes the currents a model stores, and no
+    # other code reaches the store but the model's constructor
+    from edgeflow import lattice, response
+
+    touches = {
+        path.stem: [line.strip() for line in path.read_text().splitlines() if "._currents" in line]
+        for path in sorted(Path(edgeflow.__file__).parent.glob("*.py"))
+    }
+    assert [name for name, lines in touches.items() if lines and name not in ("lattice", "response")] == []
+    (init,) = touches["lattice"]
+    assert init.startswith("self._currents = {}") and init in inspect.getsource(lattice.LatticeHamiltonian.__init__)
+    in_code = inspect.getsource(response).count("._currents") - response.__doc__.count("._currents")
+    assert in_code == inspect.getsource(response._current_operator).count("._currents") > 0
+
+
 def test_cutoffs_and_quadrature_apis_are_pinned():
     # what reference and rgflow call: no helper that only tests would use
     from edgeflow import cutoffs, quadrature

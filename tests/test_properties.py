@@ -16,7 +16,9 @@ from conftest import (
     inversion_symmetric_model, mirrored_momenta, off_mirror_twin, random_hermitian_model, shifted, three_builds,
     with_flux,
 )
-from row_vertices import build_vertices, current_current, ward_columns
+from row_vertices import (
+    build_vertices, current_current, current_vertex, pair_weight, ward_columns, ward_columns_by_fiber,
+)
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -197,7 +199,7 @@ def test_a_weighted_current_operator_is_the_weighted_row_sum(seed, size, k1, p1,
     for terms, rows in ((response._J1_TERMS, vs.current1), (response._J2_TERMS, vs.current2)):
         current = response._current_operator(ham, terms, weight)
         assert current[0] == span
-        got = response._current_vertex(f_k, f_kp, current)
+        got = current_vertex(f_k, f_kp, current)
         assert np.max(np.abs(got - np.tensordot(weight, rows, axes=1))) <= 1e-13
 
 
@@ -275,11 +277,13 @@ def test_wrong_order_diagnostic_is_the_summed_row_table(seed, size, mu, p0, row)
 
 def assert_ward_columns_match(ham, mu, p0, temperature):
     """``response._ward_columns`` at every interior row against the oracle's
-    row-resolved columns, summed over the summands, to 1e-14 of the largest."""
+    row-resolved columns, summed over the summands, to 1e-14 of the largest,
+    and bitwise against the same sum formed one fiber at a time."""
     g = ham.geometry
     grids = response.fiber_cache(ham, g.L1)
     for y2 in range(1, g.L2 - 1):
         got = response._ward_columns(ham, grids, mu, p0, y2, temperature)
+        assert np.array_equal(got, ward_columns_by_fiber(ham, grids, mu, p0, y2, temperature)), y2
         want = sum(
             ward_columns(sub, grid, mu, p0, y2, temperature)
             for (_, sub), grid in zip(ham.summands(), grids, strict=True)
@@ -323,10 +327,15 @@ def random_direct_sum(seed, L1, L2, ms, shifts):
 def fiber_edge_mu(grids, where):
     """A chemical potential at which some fiber has every band empty
     (``"below"``: ``o = 0``) or every band occupied (``"above"``: ``o = n``),
-    from the grids of the summands."""
+    from the grids of the summands.
+
+    It stays 1e-12 clear of that fiber's outer band: the oracle solves a
+    direct sum's whole fiber, whose energies differ from the summands' in
+    the last bits, and a ``mu`` on the band itself is occupied in one solve
+    and empty in the other."""
     if where == "below":
-        return max(min(b.energies[0] for b in f) for f in zip(*grids))
-    return np.nextafter(min(max(b.energies[-1] for b in f) for f in zip(*grids)), np.inf)
+        return max(min(b.energies[0] for b in f) for f in zip(*grids)) - 1e-12
+    return min(max(b.energies[-1] for b in f) for f in zip(*grids)) + 1e-12
 
 
 @PROPERTY
@@ -360,7 +369,7 @@ def test_strip_response_is_the_summed_row_table(model, mu, p0, temperature, p1_i
         states.append((0.02, p0 + 0.7))
 
         def weight(e_k, e_kp):
-            return [(every, every, np.stack([response._pair_weight(e_k, e_kp, mu, t, q) for t, q in states]))]
+            return [(every, every, np.stack([pair_weight(e_k, e_kp, mu, t, q) for t, q in states]))]
     else:
         weight = response._gibbs_weight(mu, p0)
     try:
@@ -391,7 +400,7 @@ def test_zero_temperature_blocks_are_exactly_the_dense_weight(energies, mu, p0):
     # raise where it raises (outside them the dense weight is +-0)
     e_k, e_kp = (np.sort(e) for e in energies)
     try:
-        dense = response._pair_weight(e_k, e_kp, mu, 0.0, p0)
+        dense = pair_weight(e_k, e_kp, mu, 0.0, p0)
     except response.DegenerateCrossingError:
         with pytest.raises(response.DegenerateCrossingError):
             response._gibbs_weight(mu, p0)(e_k, e_kp)

@@ -39,7 +39,7 @@ def test_chain_current_is_group_velocity():
     current = response._current_operator(ham, response._J1_TERMS, np.ones(g.L2))
     for k in (0.3, 1.7):
         f = response.diagonalize_fiber(ham, k)
-        j_diag = np.real(response._current_vertex(f, f, current).diagonal())
+        j_diag = np.real(row_vertices.current_vertex(f, f, current).diagonal())
         step = 1e-6
         e_p = np.linalg.eigvalsh(lattice.assemble_fiber(ham, k + step))
         e_m = np.linalg.eigvalsh(lattice.assemble_fiber(ham, k - step))
@@ -336,10 +336,12 @@ def test_a_read_stack_stores_nothing_of_its_own():
 
 @ONE_AND_TWO_SUMMANDS
 def test_a_model_with_stored_fibers_is_freed_by_refcount(make):
-    # the stored bases hold no reference back to the model, so a model that
-    # one command builds goes with its last reference, with no cycle to collect
+    # the stored bases and currents hold no reference back to the model, so a
+    # model that one command builds goes with its last reference, with no
+    # cycle to collect
     ham = make()
     response.fiber_cache(ham, 16)
+    response.vertex_ward_residual(ham, 0.15, 0.4, 3, 0.3, 5, 16)
     model = weakref.ref(ham)
     gc.disable()
     try:
@@ -399,8 +401,9 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
     # so each (k, k + p) pair is built once, row-resolved by the oracle's
     # build_vertices.  The strip sums build each fiber's legs once per
     # summand and call, for every momentum of the call (_fiber_legs), and
-    # every current is a fixed fiber operator, built by _current_operator
+    # every current is a fixed fiber operator, read from _current_operator
     # once per summand, component and call, not once per pair or momentum
+    # (what it builds, not reads, is counted in the test below)
     owners = {"build_vertices": row_vertices, "_fiber_legs": response, "_current_operator": response}
     names = tuple(owners)
     calls = dict.fromkeys(names, 0)
@@ -437,6 +440,74 @@ def test_one_vertex_build_per_fiber_pair(haldane_setup, counter_stack, monkeypat
     assert builds(lambda: response.edge_conductance_free(
         stack, 0.15, 24, a=6, a_prime=4)) == (0, 2 * 24, 2)
     assert builds(lambda: response.ward_sum_rule(stack, 0.15, 0.3, 3, 24)) == (0, 0, 2 * 2)
+
+
+@pytest.fixture
+def current_builds(monkeypatch):
+    """Count the current operators ``_current_operator`` builds: each build
+    groups the bond terms once (``_row_groups``), a stored read does not."""
+    calls = []
+    groups = response._row_groups
+
+    def counted(terms):
+        calls.append(terms)
+        return groups(terms)
+
+    monkeypatch.setattr(response, "_row_groups", counted)
+    return calls
+
+
+def test_a_model_builds_each_current_once(current_builds):
+    # a summand keeps every current it was asked for, so the identities
+    # asked again of one model, at another temperature or other momenta,
+    # build no operator; the stored one is returned, read-only
+    ham, mu, n_k = lattice.haldane_cylinder(L1=16, L2=12), 0.15, 16
+    momenta = [(0.4, 3, 0.3, 5), (-1.2, 0, 0.8, 1), (0.9, 7, -0.4, 2), (1.7, 15, 1.1, 8), (-0.3, 9, -1.5, 4)]
+
+    def builds(run):
+        current_builds.clear()
+        run()
+        return len(current_builds)
+
+    assert builds(lambda: response.ward_sum_rule(ham, mu, 0.7, 3, n_k)) == 2
+    assert builds(lambda: response.ward_sum_rule(ham, mu, 0.7, 3, n_k, temperature=0.05)) == 0
+    assert builds(lambda: response.ward_sum_rule(ham, mu, -0.7, 4, n_k)) == 2
+    assert builds(lambda: response.vertex_ward_residual(ham, mu, 0.2, 1, 0.3, 1, n_k)) == 1
+    assert builds(lambda: [response.vertex_ward_residual(ham, mu, *at, n_k) for at in momenta]) == 0
+    assert builds(lambda: response.wrong_order_diagnostic(ham, mu, 0.7, n_k, a_prime=3)) == 1
+    assert builds(lambda: response.wrong_order_diagnostic(ham, mu, -0.7, n_k, a_prime=3)) == 0
+    assert len(ham._currents) == 6
+    # the key is the weight's values, not its dtype: a boolean row is the float row
+    rows = np.arange(12)
+    current = response._current_operator(ham, response._J1_TERMS, rows == 3)
+    assert response._current_operator(ham, response._J1_TERMS, 1.0 * (rows == 3)) is current
+    assert response._current_operator(ham, list(response._J1_TERMS), rows == 3) is current
+    for _, _, mat in current[1]:
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0.0
+    assert not current_builds
+
+
+def test_a_stack_stores_each_current_on_its_summands(current_builds):
+    # one entry per summand, on the summand itself, and none on the stack
+    stack = counter_stack_model()
+    response.vertex_ward_residual(stack, 0.15, 0.4, 3, 0.3, 5, 16)
+    assert len(current_builds) == 2
+    assert not stack._currents
+    assert [len(sub._currents) for _, sub in stack.summands()] == [1, 1]
+    response.vertex_ward_residual(stack, 0.15, -0.8, 6, 0.5, 2, 16)
+    assert len(current_builds) == 2
+
+
+def test_patched_bond_terms_miss_the_stored_current(current_builds, monkeypatch):
+    # the key is the terms' contents: a stored all-rows current does not
+    # stand in for the current of other bond terms, so the vertex identity
+    # still breaks when the diagonal bonds are dropped
+    ham = lattice.haldane_cylinder(L1=16, L2=12)
+    assert response.vertex_ward_residual(ham, 0.15, 0.9, 3, -0.4, 2, 16) <= 1e-10
+    _drop_diagonal_bonds(monkeypatch)
+    assert response.vertex_ward_residual(ham, 0.15, 0.9, 3, -0.4, 2, 16) > 1e-3
+    assert len(current_builds) == len(ham._currents) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +551,7 @@ def test_equal_occupations_have_zero_weight_at_every_frequency(p0):
     # subnormal p0, the weight is 0
     e_a = np.array([-2.18, 0.0, 0.0, 0.45])
     e_b = np.array([-2.19, -0.54, 0.0, 0.0])
-    w = response._pair_weight(e_a, e_b, 0.0, 0.0, p0)
+    w = row_vertices.pair_weight(e_a, e_b, 0.0, 0.0, p0)
     assert np.all(np.isfinite(w))
     same = (e_a < 0.0)[:, None] == (e_b < 0.0)[None, :]
     assert np.all(w[same] == 0.0) and np.all(w[~same] != 0.0)
@@ -502,7 +573,7 @@ def test_the_block_guard_names_a_degenerate_pair_across_mu_only():
         with pytest.raises(response.DegenerateCrossingError):
             weight(e_k, e_kp)
         with pytest.raises(response.DegenerateCrossingError):
-            response._pair_weight(e_k, e_kp, mu, 0.0, 0.0)
+            row_vertices.pair_weight(e_k, e_kp, mu, 0.0, 0.0)
         # at p0 != 0 the pair is no pole
         assert all(np.all(np.isfinite(w)) for _, _, w in response._gibbs_weight(mu, 0.3)(e_k, e_kp))
     for e in (mu - 1e-3, mu + 1e-3):
@@ -531,7 +602,7 @@ def test_ward_sum_rule_insensitive_to_current_but_density_breaks(haldane_setup, 
         with monkeypatch.context() as mp:
             _drop_diagonal_bonds(mp)
             vs_bwd = row_vertices.build_vertices(ham, f_k, f_k)
-        w = response._pair_weight(f_k.energies, f_k.energies, mu, 0.0, 0.3)
+        w = row_vertices.pair_weight(f_k.energies, f_k.energies, mu, 0.0, 0.3)
         total += np.einsum("xab,yba,ab->xy", vs_fwd.density, vs_bwd.current1, w)
         bad_density = vs_fwd.density.copy()
         bad_density[2] = 0.0  # drop one row from the density vertex
@@ -631,10 +702,10 @@ def test_a_stack_of_weights_is_bitwise_the_single_weight_sums(haldane_setup, p1_
     every = slice(None)
 
     def first(e_k, e_kp):
-        return response._pair_weight(e_k, e_kp, mu, temperature, 0.4)
+        return row_vertices.pair_weight(e_k, e_kp, mu, temperature, 0.4)
 
     def second(e_k, e_kp):
-        return response._pair_weight(e_k, e_kp, mu, 0.05, -1.3)
+        return row_vertices.pair_weight(e_k, e_kp, mu, 0.05, -1.3)
 
     def on_all_bands(*weights):
         return lambda e_k, e_kp: [(every, every, np.stack([w(e_k, e_kp) for w in weights]))]

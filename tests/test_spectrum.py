@@ -502,6 +502,9 @@ def one_state_scan(ham, energies, n_k=16):
         # crossings after samples 3, 4 and 8: the one after 4 starts its
         # branch at the sample it shares with the one after 3
         ([0.1] * 4 + [-0.1] + [0.1] * 4 + [-0.1] * 3, [(3, -1), (4, 1), (8, -1)]),
+        # crossings after samples 3, 4 and 5: the middle branch is the 2
+        # samples 4 and 5, kept, and the directions sum to -1
+        ([0.1] * 4 + [-0.1] + [0.1] + [-0.1] * 6, [(3, -1), (4, 1), (5, -1)]),
     ],
 )
 def test_each_branch_records_its_grid_crossing(energies, crossings):
@@ -510,8 +513,12 @@ def test_each_branch_records_its_grid_crossing(energies, crossings):
     grid = list(2.0 * np.pi * np.arange(16) / 16)
     recorded = [(None if b.crossing is None else grid.index(b.k_samples[b.crossing]), b.direction) for b in branches]
     assert recorded == crossings
+    assert sum(b.direction for b in branches) == sum(d for _, d in crossings)
+    # a branch of a split holds its crossing in 2 samples at least; an unsplit chain has 3
     for b in branches:
-        assert len(b.k_samples) >= 3 and b.side == "lower"
+        assert len(b.k_samples) >= (3 if len(crossings) == 1 else 2) and b.side == "lower"
+        if b.crossing is not None:
+            assert b.crossing + 1 < len(b.k_samples)
 
 
 def test_a_crossing_branch_of_two_samples_is_loud():
