@@ -243,13 +243,6 @@ def _index(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_rows(geometry, rows, count):
-    rows = tuple(_index("rows", r) for r in rows)
-    if len(rows) != count or not all(0 <= r <= geometry.L2 for r in rows):
-        raise ValueError(f"rows must be {count} counts in [0, {geometry.L2}], got {rows}")
-    return rows
-
-
 def _current_operator(ham, terms, weight):
     """The current component ``terms`` (:data:`_J1_TERMS` or :data:`_J2_TERMS`)
     summed over rows with ``weight[y2]``, as a fiber operator ``(rows, mats)``.
@@ -342,35 +335,19 @@ def _fermi(e, mu, temperature):
     return 1.0 / (1.0 + np.exp(x))
 
 
-def _pair_weight(e_a, e_b, n_a, n_b, temperature, p0):
-    """Spectral weight (n_b - n_a) / (i p0 + e_a - e_b), with ``n_a`` and
-    ``n_b`` the occupations :func:`_fermi` of ``e_a`` and ``e_b`` at
-    ``temperature``, and the zero-frequency limits of pairs closer than
-    1e-12 in energy resolved.
+def _pair_weight(e_a, e_b, n_a, n_b, p0):
+    """Spectral weight (n_b - n_a) / (i p0 + e_a - e_b) at a frequency ``p0
+    != 0``, with ``n_a`` and ``n_b`` the occupations :func:`_fermi` of
+    ``e_a`` and ``e_b``.  Every caller passes a nonzero ``p0``: the sum rule
+    refuses ``p0 = 0`` and the Wick check ``eta_beta = 0``, and the static
+    weight of the strip sums is :func:`_gibbs_weight`'s.
 
-    A pair of equal occupations has weight exactly 0 at every ``p0``, also
-    at a ``p0`` so small that ``0 / (i p0)`` would come out NaN."""
+    A pair of equal occupations has weight exactly 0, also at a ``p0`` so
+    small that ``0 / (i p0)`` would come out NaN."""
     de = e_a[:, None] - e_b[None, :]
     dn = n_b[None, :] - n_a[:, None]
-    if p0 != 0.0:
-        out = np.zeros(de.shape, dtype=complex)
-        np.divide(dn, 1j * p0 + de, out=out, where=dn != 0.0)
-        return out
-    deg = np.abs(de) < 1e-12
-    if temperature <= 0.0:
-        if np.any(deg & (np.abs(dn) > 0.5)):
-            raise DegenerateCrossingError(
-                "states straddling mu are degenerate at p0 = 0; shift the "
-                "momentum grid or chemical potential"
-            )
-        out = np.zeros_like(de)
-        np.divide(dn, de, out=out, where=~deg)
-        return out
-    out = np.empty_like(de)
-    np.divide(dn, de, out=out, where=~deg)
-    beta = 1.0 / temperature
-    nn = -beta * n_a * (1.0 - n_a)
-    out[deg] = (nn[:, None] * np.ones_like(de))[deg]
+    out = np.zeros(de.shape, dtype=complex)
+    np.divide(dn, 1j * p0 + de, out=out, where=dn != 0.0)
     return out
 
 
@@ -405,7 +382,7 @@ def _ward_columns(ham, grids, mu, p0, y2, temperature):
     for m in range(len(grids[0])):
         for grid, rows, currents, occupations in parts:
             u, e, f = grid[m].states, grid[m].energies, occupations[m]
-            w = _pair_weight(e, e, f, f, temperature, p0)
+            w = _pair_weight(e, e, f, f, p0)
             # the backward leg is the row-y2 current, conjugate-transposed
             ah, ur = u[rows].conj().T, u[rows]
             legs = np.stack([(ah @ j) @ ur for j in currents[m]]).conj() * w
@@ -421,10 +398,17 @@ def ward_sum_rule(ham, mu, p0, y2, n_k, temperature=0.0):
 
     ``y2`` must be an integer interior row, in ``[1, L2 - 2]``: on a Dirichlet row
     every summand vanishes and the residual would be 0 whatever the model.
+    ``p0`` must be nonzero: at ``p1 = 0`` the density summed over all rows
+    is the conserved charge, whose correlation vanishes at every ``p0 !=
+    0`` but not at ``p0 = 0``, where the sum is the static charge
+    susceptibility at ``T > 0`` and rounding over rounding at ``T = 0``.
+    Both are checked before any fiber is diagonalized.
     """
     L2 = ham.geometry.L2
     if not 1 <= _index("y2", y2) <= L2 - 2:
         raise ValueError(f"y2 must be an interior row in [1, L2 - 2] = [1, {L2 - 2}], got {y2}")
+    if p0 == 0.0:
+        raise ValueError(f"p0 must be nonzero: the charge sum rule holds at p0 != 0 only, got {p0}")
     cols = _ward_columns(ham, fiber_cache(ham, n_k), mu, p0, y2, temperature)
     out = {}
     for i, col in zip((1, 2), cols):
@@ -522,13 +506,13 @@ def _strip_response(ham, grids, p1_indices, rows, weight):
     (:func:`_fiber_legs`), and contracts them with every partner ``k + p``
     on the pair's blocks only (:func:`_strip_vertices`).  With the weight
     :func:`_pair_weight` this is the row-resolved density-current table
-    summed over those rows.
+    summed over those rows.  The strip widths ``rows`` are counts in
+    ``[0, L2]`` that each caller has checked.
 
     The sum runs over the summands of the model inside each ``k``, on each
     summand's own grid and with its own weight: the bands of two summands
     have disjoint support, so every vertex between them is 0.
     """
-    rows = _check_rows(ham.geometry, rows, 2)
     n_k = len(grids[0])
     on_strip = np.arange(ham.geometry.L2) < rows[1]
     strips = [(rows[0] * sub.geometry.M, _current_operator(sub, _J1_TERMS, on_strip)) for _, sub in ham.summands()]
@@ -545,16 +529,19 @@ def _strip_response(ham, grids, p1_indices, rows, weight):
 
 
 def _gibbs_weight(mu, p0):
-    """:func:`_pair_weight` at ``(mu, T = 0, p0)`` as the ``weight`` of
-    :func:`_strip_response`.
+    """The zero-temperature weight ``(n_F(e_b) - n_F(e_a)) / (i p0 + e_a -
+    e_b)`` at ``mu`` as the ``weight`` of :func:`_strip_response`, at any
+    ``p0``: the only weight of the package taken at ``p0 = 0``.
 
     The weight is 0 unless one state is occupied and the other empty, so it
     is the two blocks ``[:o] x [o':]`` and ``[o:] x [:o']`` with ``o = #(e_k
     < mu)`` and ``o' = #(e_kp < mu)`` (slices, the energies being ascending),
     where ``n_F(e_b) - n_F(e_a)`` is -1 and +1; an empty block is left out.
-    At ``p0 = 0`` each block's smallest energy gap, one scalar, is checked
-    against the 1e-12 of :func:`_pair_weight`.  The finite-temperature
-    weights of :func:`wick_rotation_check` are built there.
+    At ``p0 = 0`` a pair across ``mu`` closer than 1e-12 in energy is a pole
+    of the weight and raises :class:`DegenerateCrossingError`; each block's
+    smallest energy gap, one scalar, is what is checked.  The
+    finite-temperature weights of :func:`wick_rotation_check` are built
+    there.
     """
 
     def blocks(e_k, e_kp):
@@ -675,7 +662,7 @@ def wick_rotation_check(ham, mu, beta, t_horizon, eta, p1_index, n_k, a, a_prime
         f_k, f_kp = _fermi(e_k, mu, temperature), _fermi(e_kp, mu, temperature)
         dn = f_k[:, None] - f_kp[None, :]
         zz = eta + 1j * (e_k[:, None] - e_kp[None, :])
-        imaginary_time = _pair_weight(e_k, e_kp, f_k, f_kp, temperature, -eta_beta)
+        imaginary_time = _pair_weight(e_k, e_kp, f_k, f_kp, -eta_beta)
         return [(slice(None), slice(None), np.stack([dn * (1.0 - np.exp(-zz * t_horizon)) / zz, imaginary_time]))]
 
     (lhs, rhs), = _strip_response(ham, fiber_cache(ham, n_k), (p1_index,), (a + 1, a_prime + 1), weights)

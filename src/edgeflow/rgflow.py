@@ -122,7 +122,6 @@ class FlowState:
 class BetaEvaluation:
     z0: np.ndarray
     z1: np.ndarray
-    beta_v: np.ndarray
 
 
 @dataclass
@@ -269,8 +268,7 @@ def beta_second_order(state: FlowState, params: LuttingerParams, unit):
         w1 = _sunset_kernel(at_k1, state, params, c, outer)
         z0[c] = float(np.real(-1j * w0 / STEP))
         z1[c] = float(np.real(-w1 / STEP))
-    beta_v = (state.v + z1) / (1.0 + z0) - state.v
-    return BetaEvaluation(z0=z0, z1=z1, beta_v=beta_v)
+    return BetaEvaluation(z0=z0, z1=z1)
 
 
 BIG_C = 2.0  # containment constant of the running velocities
@@ -325,11 +323,10 @@ def flow_run(params: LuttingerParams, h_min):
 
 
 def vanishing_beta_report(traj: FlowTrajectory):
-    """Fit the anomalous exponents and collect the velocity beta function.
+    """Fit the anomalous exponents.
 
     Returns a dict with the fitted anomalous exponent per channel
-    (eta = log2 of the per-step field-strength ratio) and max |beta_v|
-    per scale.
+    (eta = log2 of the per-step field-strength ratio).
     """
     if len(traj.betas) < 10:
         raise ValueError("need at least 10 scales")
@@ -339,7 +336,4 @@ def vanishing_beta_report(traj: FlowTrajectory):
         [np.polyfit(hs, log_z[:, c], 1)[0] for c in range(zs.shape[1])]
     )
     eta = -eta  # Z grows toward the infrared: Z_h ~ 2^(-eta h), eta > 0
-    return {
-        "eta": eta,
-        "beta_v_max_per_scale": np.array([np.max(np.abs(b.beta_v)) for b in traj.betas]),
-    }
+    return {"eta": eta}

@@ -8,17 +8,20 @@ correlation tables and sum-rule columns contracted from them.  The tests
 check the operator path against it, and it against a plain loop over the
 bond terms.  It reads a direct sum through one ``eigh`` of its whole
 fiber (:func:`edgeflow.response.diagonalize_fiber`) in the correlation
-tables, where the responses go one summand at a time.
+tables, where the responses go one summand at a time.  Its spectral weight
+(:func:`pair_weight`) is its own dense one, zero-frequency limits
+included, and not one of the weights it checks.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from edgeflow import response
-from edgeflow.response import _check_rows, _fermi, _pair_weight, _row_groups
+from edgeflow.response import _fermi, _row_groups
 
 
 @dataclass
@@ -35,9 +38,46 @@ class VertexSet:
 
 
 def pair_weight(e_a, e_b, mu, temperature, p0):
-    """The spectral weight of :func:`edgeflow.response._pair_weight` at the
-    occupations of ``e_a`` and ``e_b`` at ``(mu, temperature)``."""
-    return _pair_weight(e_a, e_b, _fermi(e_a, mu, temperature), _fermi(e_b, mu, temperature), temperature, p0)
+    """Spectral weight (n_b - n_a) / (i p0 + e_a - e_b) as one dense array,
+    with ``n_a`` and ``n_b`` the occupations of ``e_a`` and ``e_b`` at
+    ``(mu, temperature)``, at every ``p0``: the zero-frequency limits of
+    pairs closer than 1e-12 in energy are resolved, and at ``T = 0`` such a
+    pair across ``mu`` raises
+    :class:`~edgeflow.response.DegenerateCrossingError`.
+
+    A pair of equal occupations has weight exactly 0 at every ``p0``, also
+    at a ``p0`` so small that ``0 / (i p0)`` would come out NaN."""
+    n_a, n_b = _fermi(e_a, mu, temperature), _fermi(e_b, mu, temperature)
+    de = e_a[:, None] - e_b[None, :]
+    dn = n_b[None, :] - n_a[:, None]
+    if p0 != 0.0:
+        out = np.zeros(de.shape, dtype=complex)
+        np.divide(dn, 1j * p0 + de, out=out, where=dn != 0.0)
+        return out
+    deg = np.abs(de) < 1e-12
+    if temperature <= 0.0:
+        if np.any(deg & (np.abs(dn) > 0.5)):
+            raise response.DegenerateCrossingError(
+                "states straddling mu are degenerate at p0 = 0; shift the "
+                "momentum grid or chemical potential"
+            )
+        out = np.zeros_like(de)
+        np.divide(dn, de, out=out, where=~deg)
+        return out
+    out = np.empty_like(de)
+    np.divide(dn, de, out=out, where=~deg)
+    beta = 1.0 / temperature
+    nn = -beta * n_a * (1.0 - n_a)
+    out[deg] = (nn[:, None] * np.ones_like(de))[deg]
+    return out
+
+
+def _check_rows(geometry, rows):
+    """``rows`` as three integer counts in ``[0, L2]``."""
+    rows = tuple(operator.index(r) for r in rows)
+    if len(rows) != 3 or not all(0 <= r <= geometry.L2 for r in rows):
+        raise ValueError(f"rows must be 3 counts in [0, {geometry.L2}], got {rows}")
+    return rows
 
 
 def _row_table(ham):
@@ -89,7 +129,7 @@ def build_vertices(ham, basis_k, basis_kp, rows=None):
     the per-row conjugate transpose of this one.
     """
     g = ham.geometry
-    rows = (g.L2,) * 3 if rows is None else _check_rows(g, rows, 3)
+    rows = (g.L2,) * 3 if rows is None else _check_rows(g, rows)
     if basis_k.dim != basis_kp.dim:
         raise ValueError("fiber dimensions differ")
     ah = basis_k.states.reshape(g.L2, g.M, -1).conj().transpose(0, 2, 1)  # a[x2]^+

@@ -22,7 +22,7 @@ def test_chiral_denominator_values():
     assert ref.chiral_denominator(0.0, 1.0, 2.0) == 2.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(
     st.floats(-10, 10, allow_nan=False),
     st.floats(-10, 10, allow_nan=False),
@@ -329,7 +329,7 @@ def test_edge_conductance_examples():
     assert ref.edge_conductance(p3) == pytest.approx(1.0 / (2.0 * np.pi), abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_universality_property(n_channels, seed):
     rng = np.random.default_rng(seed)

@@ -649,6 +649,24 @@ def test_ward_sum_rule_refuses_a_row_that_is_not_interior(haldane_setup, monkeyp
         response.ward_sum_rule(ham, mu, 0.3, y2, 16)
 
 
+@pytest.mark.parametrize("temperature", [0.0, 0.05])
+@pytest.mark.parametrize("p0", [0.0, -0.0])
+def test_ward_sum_rule_refuses_zero_frequency(haldane_setup, monkeypatch, p0, temperature):
+    # at p1 = 0 the summed density is the conserved charge, whose correlation
+    # vanishes at p0 != 0 only: at p0 = 0 the sum is the static charge
+    # susceptibility at T > 0 and rounding over rounding at T = 0; a fresh
+    # model has no stored grid, so any read would solve a fiber
+    ham, mu, _ = haldane_setup
+    ham = lattice.haldane_cylinder(ham.geometry)
+
+    def no_fiber(*args, **kwargs):
+        raise AssertionError("a fiber was diagonalized before p0 was checked")
+
+    monkeypatch.setattr(response, "diagonalize_fiber", no_fiber)
+    with pytest.raises(ValueError, match=r"^p0 must be nonzero: .*, got -?0\.0$"):
+        response.ward_sum_rule(ham, mu, p0, 3, 16, temperature=temperature)
+
+
 EMPTY_STRIP = r"^need 0 <= a.* L2 - 1 = 15, got .*= -1"
 
 
