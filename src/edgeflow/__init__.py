@@ -9,6 +9,9 @@ layers it calls:
 - ``response``: lattice and response; ``spectrum`` adds spectrum;
 - ``reference``: cutoffs, quadrature and reference; ``rgflow`` adds rgflow.
 
-``edgeflow.cli`` imports all six layers."""
+``edgeflow.cli`` imports lattice, for its parser, and each subcommand the
+layers it runs: ``ref-check`` and ``bubble`` reference, ``rg`` reference and
+rgflow, ``wick`` response, and ``spectrum``, ``edges`` and ``conductance``
+response and spectrum."""
 
 __version__ = "0.1.0"

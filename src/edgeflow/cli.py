@@ -3,8 +3,9 @@
 Subcommands dispatch to the computational modules and write CSV data
 files plus one machine-readable JSON report per run.  Exit codes:
 0 all checks passed, 1 usage/configuration error, 2 a numerical
-acceptance check failed or a numerical stage raised; the report is
-written in both exit-2 cases.
+acceptance check failed or a numerical stage raised (an exception with a
+``stage``, the check its report fails); the report is written in both
+exit-2 cases.
 """
 
 from __future__ import annotations
@@ -19,21 +20,10 @@ import time
 
 import numpy as np
 
-from . import lattice, quadrature, reference, response, rgflow, spectrum
+# the parser's types and choices; each subcommand imports the layers it runs
+from . import lattice
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2
-
-# numerical failures a subcommand can raise, by the check its report fails
-FAILED_STAGE = {
-    spectrum.BulkStateError: "edge_branches",
-    spectrum.NoEdgeBranchError: "assumptions",
-    spectrum.FermiPointError: "fermi_point",
-    spectrum.ChargeStepError: "chirality_charge",
-    response.DegenerateCrossingError: "pair_weights",
-    response.ConjugationSymmetryError: "conjugation_symmetry",
-    quadrature.QuadratureError: "quadrature",
-    rgflow.FlowDivergenceError: "flow_containment",
-}
 
 # model flags, named as the build_model keys they set
 MODEL_FLAGS = ("t2", "m_stag", "p", "q", "shifts", "flips")
@@ -107,6 +97,8 @@ def _require_positive(flag, value):
 def _scan(args, ham, n_k):
     """The band scan of ``n_k`` momenta around ``--mu``; its grid is
     diagonalized on ``--threads`` and stays on the model."""
+    from . import spectrum
+
     window = (args.mu - args.window, args.mu + args.window)
     return spectrum.scan_spectrum(ham, n_k=n_k, window=window, threads=args.threads)
 
@@ -125,6 +117,8 @@ def cmd_spectrum(args, report):
 
 
 def cmd_edges(args, report):
+    from . import spectrum
+
     _require_positive("--window", args.window)
     ham = _model(args)
     branches = spectrum.extract_edge_branches(_scan(args, ham, args.n_k), args.mu)
@@ -161,6 +155,8 @@ def cmd_edges(args, report):
 
 
 def cmd_conductance(args, report):
+    from . import response, spectrum
+
     _require_positive("--tolerance", args.tolerance)
     ham = _model(args)
     n_k = ham.geometry.L1
@@ -183,6 +179,8 @@ def cmd_conductance(args, report):
 
 
 def cmd_wick(args, report):
+    from . import response
+
     for flag, value in [("--betas", b) for b in args.betas] + [("--T", args.T), ("--eta", args.eta)]:
         _require_positive(flag, value)
     if len(set(args.betas)) < len(args.betas):
@@ -212,6 +210,8 @@ def cmd_wick(args, report):
 
 
 def cmd_ref_check(args, report):
+    from . import reference
+
     if args.ensemble_size < 1:
         raise ValueError(f"--ensemble-size must be at least 1, got {args.ensemble_size}")
     if args.channels is not None and args.channels < 1:
@@ -245,6 +245,8 @@ def cmd_ref_check(args, report):
 
 
 def cmd_bubble(args, report):
+    from . import reference
+
     if args.N_min > args.N:
         raise ValueError("--N-min must not exceed --N")
     if args.v == 0.0:
@@ -264,6 +266,8 @@ def cmd_bubble(args, report):
 
 
 def cmd_rg(args, report):
+    from . import reference, rgflow
+
     try:
         vs = [lattice.finite_float(x) for x in args.velocities.split(",")]
     except ValueError as exc:
@@ -403,11 +407,15 @@ def main(argv=None):
         _require_positive("--threads", args.threads)
         # looked up by name at call time, so a rebound cmd_* is the one that runs
         globals()[f"cmd_{args.command.replace('-', '_')}"](args, report)
-    except (ValueError, FileNotFoundError, KeyError, configparser.Error) as exc:
+    except (ValueError, FileNotFoundError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except tuple(FAILED_STAGE) as exc:
-        report["checks"][FAILED_STAGE[type(exc)]] = False
+    except RuntimeError as exc:
+        # a numerical failure names the check its report fails; any other
+        # RuntimeError is a fault and ends in its traceback
+        if not hasattr(exc, "stage"):
+            raise
+        report["checks"][exc.stage] = False
         report["error"] = f"{type(exc).__name__}: {exc}"
     report["wall_time_s"] = time.time() - t0
     path = write_report(args.out, f"report_{report['command'].replace('-', '_')}.json", report)

@@ -500,6 +500,12 @@ def _reject_unknown(what, keys, known):
         raise ValueError(f"unknown {what}: {', '.join(unknown)} (known: {', '.join(known)})")
 
 
+def _require(what, keys, required):
+    missing = [k for k in required if k not in keys]
+    if missing:
+        raise ValueError(f"missing {what}: {', '.join(missing)}")
+
+
 def build_model(kind, L1, L2, **params):
     """Build the model kind ``kind`` on an ``L1 x L2`` cylinder.
 
@@ -541,13 +547,17 @@ def model_from_config(cfg):
     ``configparser.ConfigParser``.  [geometry] holds ``l1`` and ``l2``,
     [model] the ``type`` and, for a stack, :data:`STACK_KEYS`, and [params]
     the type's keys in :data:`MODEL_PARAMS`; everything goes to
-    :func:`build_model`.  Unknown sections and keys raise ``ValueError``.
+    :func:`build_model`.  Unknown sections and keys raise ``ValueError``,
+    and so does a missing [geometry], [model], ``l1``, ``l2`` or ``type``.
     """
     sections = {name: dict(cfg[name]) for name in cfg if name != "DEFAULT"}
     _reject_unknown("config sections", sections, ("geometry", "model", "params"))
+    _require("config sections", sections, ("geometry", "model"))
     geo, model, params = sections["geometry"], sections["model"], sections.get("params", {})
     _reject_unknown("[geometry] keys", geo, ("l1", "l2"))
+    _require("[geometry] keys", geo, ("l1", "l2"))
     _reject_unknown("[model] keys", model, ("type",) + STACK_KEYS)
+    _require("[model] keys", model, ("type",))
     kind = model.pop("type").strip().lower()
     # an unknown type is reported by build_model
     _reject_unknown("[params] keys", params, MODEL_PARAMS.get(kind, tuple(params)))

@@ -21,6 +21,8 @@ __all__ = ["QuadratureError", "polar_nodes", "refine_until"]
 class QuadratureError(RuntimeError):
     """Raised when cell-halving refinement fails to stabilize."""
 
+    stage = "quadrature"
+
     def __init__(self, message, estimate=None, error=None):
         super().__init__(message)
         self.estimate = estimate

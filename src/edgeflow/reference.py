@@ -257,13 +257,11 @@ def bubble_regularized(p0, p1, v, h, n, tol=1e-6):
     return values[0] if np.ndim(n) == 0 else values
 
 
-def same_chirality_bubble(h1, h2, v, mutated=False):
+def same_chirality_bubble(h1, h2, v):
     """Two-shell coincident bubble  int f_h1 f_h2 / D^2  (vanishes).
 
     The angular symmetry of the rescaled integrand kills the integral
-    exactly; the returned value measures quadrature noise.  With
-    ``mutated=True`` the denominator is replaced by |D|^2, which breaks
-    the cancellation and serves as a sensitivity control.
+    exactly; the returned value measures quadrature noise.
     """
     s = np.sign(v)
     h_min = min(h1, h2) - 12
@@ -272,8 +270,7 @@ def same_chirality_bubble(h1, h2, v, mutated=False):
         r = np.hypot(k0, k1)
         f = shell(r, h1, h_min) * shell(r, h2, h_min)
         d = -1j * k0 + s * k1
-        den = (d * np.conj(d)).real if mutated else d * d
-        return f / den
+        return f / (d * d)
 
     lo = 2.0 ** (min(h1, h2) - 1)
     hi = 2.0 ** (max(h1, h2) + 1)

@@ -109,9 +109,13 @@ __all__ = [
 class DegenerateCrossingError(RuntimeError):
     """A zero-frequency spectral weight hit an exact degeneracy across mu."""
 
+    stage = "pair_weights"
+
 
 class ConjugationSymmetryError(RuntimeError):
     """The strip response at -p1 is not the complex conjugate of that at p1."""
+
+    stage = "conjugation_symmetry"
 
 
 class SingularPropagatorError(RuntimeError):

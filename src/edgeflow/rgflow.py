@@ -30,9 +30,10 @@ momentum scales with a second-order (one-loop) beta function:
 * the quartic couplings do not run at this order: every one-loop
   contribution to the local quartic coupling carries either a coincident
   same-chirality pair bubble, zero by the angular symmetry of 1/D^2
-  (``reference.same_chirality_bubble`` checks it by quadrature, with a
-  control that breaks it), or a pair of mixed-chirality routings that
-  cancel pointwise because D is odd.  The flow carries lambda unchanged.
+  (``reference.same_chirality_bubble`` checks it by quadrature; its test
+  control integrates one quadrant, where the cancellation fails), or a
+  pair of mixed-chirality routings that cancel pointwise because D is odd.
+  The flow carries lambda unchanged.
 
 :func:`sunset` takes its measure from the caller, so the Wick-oracle
 tests evaluate the same function on a finite antiperiodic grid.
@@ -63,6 +64,8 @@ __all__ = [
 
 class FlowDivergenceError(RuntimeError):
     """A running coupling left its admissibility region."""
+
+    stage = "flow_containment"
 
     def __init__(self, message, scale):
         super().__init__(message)

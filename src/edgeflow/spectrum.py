@@ -66,20 +66,28 @@ CHARGE_STEP_TOL = 0.25  # largest distance of a lower-half charge step from an i
 class BulkStateError(RuntimeError):
     """An in-window state is localized at neither edge."""
 
+    stage = "edge_branches"
+
 
 class FermiPointError(RuntimeError):
     """The Fermi-point bisection did not converge, or the branch is tangent
     to the chemical potential."""
 
+    stage = "fermi_point"
+
 
 class NoEdgeBranchError(RuntimeError):
     """The energy window holds no edge branch to check."""
+
+    stage = "assumptions"
 
 
 class ChargeStepError(RuntimeError):
     """A step of the lower half's occupied charge stays farther than
     :data:`CHARGE_STEP_TOL` from an integer at the finest momentum spacing,
     ``2 pi / MIN_SCAN_MOMENTA``."""
+
+    stage = "chirality_charge"
 
 
 @dataclass

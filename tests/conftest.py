@@ -44,6 +44,21 @@ def add_block_calls(monkeypatch):
     return calls
 
 
+def keep_first_quadrant(monkeypatch):
+    """Keep only the ``k0 > 0, k1 > 0`` nodes of each ``reference`` polar
+    grid.  A grid's ``4 * level`` angular cells align with the quadrant, so
+    the integral is exact over it, and the angular symmetry that makes
+    ``same_chirality_bubble`` vanish no longer cancels: the lemma's control."""
+    nodes = reference.polar_nodes
+
+    def quadrant(*args, **kwargs):
+        k0, k1, w = nodes(*args, **kwargs)
+        keep = (k0 > 0) & (k1 > 0)
+        return k0[keep], k1[keep], w[keep]
+
+    monkeypatch.setattr(reference, "polar_nodes", quadrant)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

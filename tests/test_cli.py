@@ -19,6 +19,16 @@ SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.ini"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# every numerical-failure class the layers define: each names, as its
+# stage, the check that main writes false when it raises
+STAGED = [
+    obj
+    for path in sorted((SRC / "edgeflow").glob("[a-z]*.py"))
+    for obj in vars(importlib.import_module(f"edgeflow.{path.stem}")).values()
+    if isinstance(obj, type) and issubclass(obj, Exception) and hasattr(obj, "stage")
+]
+STAGES = {cls.stage for cls in STAGED}
+
 
 def run_cli(tmp_path, *args):
     out = str(tmp_path)
@@ -570,13 +580,23 @@ def test_a_corrupted_value_check_writes_its_report_and_exits_2(tmp_path, monkeyp
     assert list(rep["checks"].items()) == [(check, False)]
 
 
-def test_reference_failures_are_numerical_stages():
+def test_reference_failures_are_numerical_stages(tmp_path, monkeypatch):
     # main reads a ValueError as a usage error; the T(p) guard is a numerical
     # outcome.  No subcommand reaches it (ref-check runs random_block and
-    # edge_conductance only), so FAILED_STAGE names no stage for it
-    cls = reference.SingularTMatrixError
-    assert issubclass(cls, RuntimeError) and not issubclass(cls, ValueError)
-    assert cls not in cli.FAILED_STAGE
+    # edge_conductance only), so it names no stage, nor does the free
+    # propagator's pole guard, and main lets such a failure end in its traceback
+    assert len(STAGED) == len(STAGES) == 8
+    assert all(issubclass(cls, RuntimeError) and not issubclass(cls, ValueError) for cls in STAGED)
+    for cls in (reference.SingularTMatrixError, response.SingularPropagatorError):
+        assert issubclass(cls, RuntimeError) and not issubclass(cls, ValueError)
+        assert not hasattr(cls, "stage")
+
+    def singular(params):
+        raise reference.SingularTMatrixError("T(p) is singular")
+
+    monkeypatch.setattr(reference, "edge_conductance", singular)
+    with pytest.raises(reference.SingularTMatrixError):
+        run_cli(tmp_path, "ref-check", "--ensemble-size", "2")
 
 
 def record_diagonalizations(monkeypatch):
@@ -717,11 +737,11 @@ def test_a_broken_conjugation_symmetry_writes_report_and_exits_2(tmp_path, monke
 
 def test_every_failure_stage_is_reached_by_a_cli_test():
     # the stages of the parametrized failure test, and those that a test in
-    # this file reads as a report's only check, are every stage main names
+    # this file reads as a report's only check, are every stage a layer declares
     (_, cases), = [m.args for m in test_numerical_failure_writes_report_and_exits_2.pytestmark]
     named = {stage for stage, _, _ in cases}
     named |= set(re.findall(r'rep\["checks"\] == \{"(\w+)": False\}', Path(__file__).read_text()))
-    assert named == set(cli.FAILED_STAGE.values())
+    assert named == STAGES
 
 
 def test_every_report_check_is_made_false_by_a_cli_test():
@@ -740,11 +760,11 @@ def test_every_report_check_is_made_false_by_a_cli_test():
 
 def test_the_readme_lists_every_failure_stage():
     # the stage list of the README's command-line section, one bullet a
-    # stage, is the stages main names: a stage removed or added shows there
+    # stage, is the stages the layers declare: a stage removed or added shows there
     section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
     stages = re.findall(r"^- `(\w+)`: ", section, re.M)
     assert len(stages) == len(set(stages))
-    assert set(stages) == set(cli.FAILED_STAGE.values())
+    assert set(stages) == STAGES
 
 
 def test_every_layer_name_in_the_readme_resolves():
@@ -911,6 +931,44 @@ def test_flags_and_config_build_the_same_blocks(tmp_path, flags, ini):
 def test_flag_the_model_does_not_take_is_usage_error(tmp_path):
     code, _ = run_cli(tmp_path, "spectrum", "--model", "haldane", "--p", "2")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "section, key, message",
+    [
+        ("geometry", None, "config sections: geometry"),
+        ("model", None, "config sections: model"),
+        ("geometry", "l1", "[geometry] keys: l1"),
+        ("geometry", "l2", "[geometry] keys: l2"),
+        ("model", "type", "[model] keys: type"),
+    ],
+)
+def test_a_model_file_without_a_required_entry_is_a_usage_error(tmp_path, capsys, section, key, message):
+    sections = {"geometry": {"l1": "16", "l2": "12"}, "model": {"type": "haldane"}}
+    if key is None:
+        del sections[section]
+    else:
+        del sections[section][key]
+    cfg = tmp_path / "model.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items()))
+    out = tmp_path / "out"
+    code, _ = run_cli(out, "spectrum", "--config", str(cfg))
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: missing {message}\n"
+    assert os.listdir(out) == []
+
+
+def test_a_key_error_in_a_command_is_a_fault(tmp_path, monkeypatch):
+    # a KeyError is no usage error: one from a numerical layer ends in its
+    # traceback, with no report
+    def lookup(*args, **kwargs):
+        return {}["G"]
+
+    monkeypatch.setattr(response, "edge_conductance_free", lookup)
+    with pytest.raises(KeyError):
+        run_cli(tmp_path, "conductance", "--model", "haldane", "--L1", "16", "--L2", "12")
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_schema_builds_and_rejects_unknown_entries(tmp_path):

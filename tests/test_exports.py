@@ -44,6 +44,7 @@ IMPORT_GRAPH = {
     "edgeflow.spectrum": {"lattice", "response", "spectrum"},
     "edgeflow.reference": {"cutoffs", "quadrature", "reference"},
     "edgeflow.rgflow": {"cutoffs", "quadrature", "reference", "rgflow"},
+    "edgeflow.cli": {"cli", "lattice"},
 }
 
 
@@ -61,6 +62,38 @@ def test_importing_a_layer_loads_only_the_layers_it_imports():
         assert version == edgeflow.__version__
         loaded[name] = {m.removeprefix("edgeflow.") for m in modules}
     assert loaded == IMPORT_GRAPH
+
+
+REFERENCE_SIDE = {"cli", "lattice", "reference", "cutoffs", "quadrature"}
+LATTICE_SIDE = {"cli", "lattice", "response", "spectrum"}
+
+# the edgeflow modules a fresh interpreter holds after one cli.main call: each
+# subcommand loads only the layers it runs
+COMMAND_LAYERS = {
+    ("ref-check", "--ensemble-size", "20"): REFERENCE_SIDE,
+    ("bubble",): REFERENCE_SIDE,
+    ("rg", "--scales", "10"): REFERENCE_SIDE | {"rgflow"},
+    ("wick", "--model", "haldane", "--L1", "12", "--L2", "12"): {"cli", "lattice", "response"},
+    ("conductance", "--model", "haldane", "--L1", "48", "--L2", "24", "--a", "12", "--aprime", "6"): LATTICE_SIDE,
+    ("edges", "--model", "haldane", "--n-k", "64"): LATTICE_SIDE,
+    ("spectrum", "--model", "haldane", "--n-k", "64"): LATTICE_SIDE,
+}
+
+
+def test_a_command_loads_only_the_layers_it_runs(tmp_path):
+    script = (
+        "import sys; from edgeflow import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('edgeflow.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(edgeflow.__file__).parents[1])}
+    loaded = {}
+    for argv in COMMAND_LAYERS:
+        out = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / argv[0])],
+                             capture_output=True, text=True, check=True, env=env)
+        code, *modules = out.stdout.splitlines()[-1].split()
+        assert code == "0", out.stdout
+        loaded[argv] = {m.removeprefix("edgeflow.") for m in modules}
+    assert loaded == COMMAND_LAYERS
 
 
 def test_spectrum_api_is_pinned():
@@ -242,6 +275,7 @@ def test_reference_api_is_pinned():
         "random_params",
     ])
     # nor a settable tolerance or switch, nor a wrapper of a private helper
+    assert list(inspect.signature(reference.same_chirality_bubble).parameters) == ["h1", "h2", "v"]
     for fn in (reference.t_matrix, reference.discontinuity_matrix, reference.vertex_renormalizations):
         assert list(inspect.signature(fn).parameters)[-1] == "params", fn.__name__
     assert [m for m in ("kappa", "coupling_weighted") if hasattr(reference.LuttingerParams, m)] == []

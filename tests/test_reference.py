@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from edgeflow import reference as ref
 from edgeflow.cutoffs import band_cutoff
 from edgeflow.quadrature import polar_nodes
+from conftest import keep_first_quadrant
 
 
 def params_2ch(lam=0.05, v=(1.0, -0.7), z=(1.3, 0.8)):
@@ -179,9 +180,12 @@ def test_same_chirality_bubble_vanishes():
             assert abs(val) < 1e-8
 
 
-def test_same_chirality_bubble_mutation_control():
-    val = ref.same_chirality_bubble(0, 0, 1.0, mutated=True)
-    assert abs(val) > 1e-3
+def test_same_chirality_bubble_mutation_control(monkeypatch):
+    keep_first_quadrant(monkeypatch)
+    # on one quadrant the angular cancellation is gone: the bubble reads
+    # |value| = 0.0139 there, against 5e-18 on the full circle
+    for v in (1.0, -1.0):
+        assert abs(ref.same_chirality_bubble(0, 0, v)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

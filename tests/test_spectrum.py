@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeflow import cli, lattice, response, spectrum
+from edgeflow import lattice, response, spectrum
 from conftest import two_sample_crossing_scan, with_flux
 
 
@@ -196,7 +196,7 @@ def test_fermi_point_rejects_a_nan_velocity(monkeypatch):
     with pytest.raises(spectrum.FermiPointError, match="velocity"):
         spectrum.fermi_point(branch, ham, mu)
     assert len(converged) == 1
-    assert cli.FAILED_STAGE[spectrum.FermiPointError] == "fermi_point"
+    assert spectrum.FermiPointError.stage == "fermi_point"
 
 
 def test_velocity_matches_dense_fit(haldane_scan):
