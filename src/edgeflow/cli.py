@@ -56,18 +56,6 @@ def write_csv(outdir, name, header, rows):
     return path
 
 
-def _base_report(args):
-    return {
-        "command": args.command,
-        "inputs": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("config", "out")
-        },
-        "checks": {},
-    }
-
-
 def _load_config(path):
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
@@ -76,12 +64,16 @@ def _load_config(path):
 
 
 def _model(args):
-    if args.config:
-        return lattice.model_from_config(_load_config(args.config))
-    if args.model is None:
-        raise ValueError("missing --model (or --config with a model definition file)")
     flags = {k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}
-    return lattice.build_model(args.model, args.L1, args.L2, **flags)
+    if args.config is None:
+        return lattice.build_model(args.model, args.L1, args.L2, **flags)
+    if flags:
+        names = ", ".join("--" + k.replace("_", "-") for k in flags)
+        raise ValueError(f"--config takes the place of the model flags, got {names}")
+    ham = lattice.model_from_config(_load_config(args.config))
+    # the report's inputs record the geometry that ran
+    args.L1, args.L2 = ham.geometry.L1, ham.geometry.L2
+    return ham
 
 
 def _require_positive(flag, value):
@@ -291,15 +283,10 @@ def cmd_rg(args, report):
     np.fill_diagonal(lam, 0.0)
     params = reference.LuttingerParams(v=vs, z=np.ones(n), lam=lam)
     traj = rgflow.flow_run(params, -args.scales)
-    hs, zs, vels, lams = traj.arrays()
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rows = []
-    for i, h in enumerate(hs):
-        row = [int(h)]
-        row.extend(float(z) for z in zs[i])
-        row.extend(float(v) for v in vels[i])
-        row.extend(float(lams[i][a, b]) for a, b in pairs)
-        rows.append(tuple(row))
+    # the couplings do not run, so every scale's are the bare ones
+    lams = [float(lam[a, b]) for a, b in pairs]
+    rows = [(int(h), *map(float, z), *map(float, v), *lams) for h, z, v in zip(traj.h, traj.z, traj.v)]
     header = (
         ["h"]
         + [f"Z_{c}" for c in range(n)]
@@ -330,8 +317,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_model_args(p, window=True):
-        p.add_argument("--model", choices=list(lattice.MODEL_PARAMS))
-        p.add_argument("--config", help="model definition file (INI sections)")
+        model = p.add_mutually_exclusive_group(required=True)
+        model.add_argument("--model", choices=list(lattice.MODEL_PARAMS))
+        model.add_argument("--config", help="model definition file (INI sections)")
         p.add_argument("--L1", type=int, default=24)
         p.add_argument("--L2", type=int, default=16)
         p.add_argument("--mu", type=lattice.finite_float, default=0.15)
@@ -402,7 +390,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     os.makedirs(args.out, exist_ok=True)
     t0 = time.time()
-    report = _base_report(args)
+    report = {"command": args.command, "checks": {}}
     try:
         _require_positive("--threads", args.threads)
         # looked up by name at call time, so a rebound cmd_* is the one that runs
@@ -417,6 +405,8 @@ def main(argv=None):
             raise
         report["checks"][exc.stage] = False
         report["error"] = f"{type(exc).__name__}: {exc}"
+    # taken after the command, which sets L1 and L2 from a model file
+    report["inputs"] = {k: v for k, v in sorted(vars(args).items()) if k not in ("config", "out")}
     report["wall_time_s"] = time.time() - t0
     path = write_report(args.out, f"report_{report['command'].replace('-', '_')}.json", report)
     ok = all(report["checks"].values()) if report["checks"] else True

@@ -491,7 +491,20 @@ def _floats(text):
     return [finite_float(s) for s in text.split(",")]
 
 
-_CONVERT = {"p": int, "q": int, "shifts": _floats, "flips": _flags}
+_CONVERT = {"l1": int, "l2": int, "p": int, "q": int, "shifts": _floats, "flips": _flags}
+
+
+def _convert(entries):
+    """The values of ``entries`` as numbers (``finite_float`` unless
+    :data:`_CONVERT` names another type); a value that does not convert
+    raises ``ValueError`` naming its key."""
+    out = {}
+    for k, v in entries.items():
+        try:
+            out[k] = _CONVERT.get(k, finite_float)(v)
+        except ValueError as exc:
+            raise ValueError(f"{k}: {exc}") from None
+    return out
 
 
 def _reject_unknown(what, keys, known):
@@ -521,12 +534,7 @@ def build_model(kind, L1, L2, **params):
         raise ValueError(f"unknown model type {kind!r}")
     known = MODEL_PARAMS[kind] + (STACK_KEYS if kind == "stacked-haldane" else ())
     _reject_unknown(f"{kind} parameters", params, known)
-    kw = {}
-    for k, v in params.items():
-        try:
-            kw[k] = _CONVERT.get(k, finite_float)(v)
-        except ValueError as exc:
-            raise ValueError(f"{k}: {exc}") from None
+    kw = _convert(params)
     if kind == "haldane":
         return haldane_cylinder(L1=L1, L2=L2, **kw)
     if kind == "hofstadter":
@@ -548,9 +556,14 @@ def model_from_config(cfg):
     [model] the ``type`` and, for a stack, :data:`STACK_KEYS`, and [params]
     the type's keys in :data:`MODEL_PARAMS`; everything goes to
     :func:`build_model`.  Unknown sections and keys raise ``ValueError``,
-    and so does a missing [geometry], [model], ``l1``, ``l2`` or ``type``.
+    and so do a missing [geometry], [model], ``l1``, ``l2`` or ``type`` and
+    a non-empty [DEFAULT], whose keys ``configparser`` copies into every
+    section.
     """
-    sections = {name: dict(cfg[name]) for name in cfg if name != "DEFAULT"}
+    sections = {name: dict(cfg[name]) for name in cfg}
+    default = sections.pop("DEFAULT", {})
+    if default:
+        raise ValueError(f"[DEFAULT] is not a model file section, got keys: {', '.join(default)}")
     _reject_unknown("config sections", sections, ("geometry", "model", "params"))
     _require("config sections", sections, ("geometry", "model"))
     geo, model, params = sections["geometry"], sections["model"], sections.get("params", {})
@@ -561,4 +574,5 @@ def model_from_config(cfg):
     kind = model.pop("type").strip().lower()
     # an unknown type is reported by build_model
     _reject_unknown("[params] keys", params, MODEL_PARAMS.get(kind, tuple(params)))
-    return build_model(kind, int(geo["l1"]), int(geo["l2"]), **model, **params)
+    size = _convert(geo)
+    return build_model(kind, size["l1"], size["l2"], **model, **params)

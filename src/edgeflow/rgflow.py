@@ -33,7 +33,7 @@ momentum scales with a second-order (one-loop) beta function:
   (``reference.same_chirality_bubble`` checks it by quadrature; its test
   control integrates one quadrant, where the cancellation fails), or a
   pair of mixed-chirality routings that cancel pointwise because D is odd.
-  The flow carries lambda unchanged.
+  So the couplings are ``params.lam`` at every scale.
 
 :func:`sunset` takes its measure from the caller, so the Wick-oracle
 tests evaluate the same function on a finite antiperiodic grid.
@@ -50,8 +50,6 @@ from .quadrature import polar_nodes
 from .reference import P_C, LuttingerParams, bubble_over_d, form_factor
 
 __all__ = [
-    "FlowState",
-    "BetaEvaluation",
     "FlowTrajectory",
     "FlowDivergenceError",
     "single_scale_propagator",
@@ -104,40 +102,20 @@ def _shell_over_d(f, k0, k1, v_run, z_run):
 
 
 @dataclass
-class FlowState:
-    """Running parameters at one scale.
+class FlowTrajectory:
+    """The running field strengths ``z`` and velocities ``v``, one row per
+    scale ``h`` from 0 down to ``h_min``, and the ``(z0, z1)`` increments
+    of :func:`beta_second_order` that took each scale to the next.
 
-    No local quadratic coupling is carried: with exactly linear dispersion
-    the tadpole vanishes by parity at every order computed here.
+    The couplings are not carried: they do not run at this order.  No
+    local quadratic coupling is carried either: with exactly linear
+    dispersion the tadpole vanishes by parity at every order computed here.
     """
 
-    h: int
+    h: np.ndarray
     z: np.ndarray
     v: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def initial(cls, params: LuttingerParams):
-        return cls(h=0, z=params.z.copy(), v=params.v.copy(), lam=params.lam.copy())
-
-
-@dataclass
-class BetaEvaluation:
-    z0: np.ndarray
-    z1: np.ndarray
-
-
-@dataclass
-class FlowTrajectory:
-    states: list
     betas: list
-
-    def arrays(self):
-        hs = np.array([s.h for s in self.states])
-        zs = np.array([s.z for s in self.states])
-        vs = np.array([s.v for s in self.states])
-        lams = np.array([s.lam for s in self.states])
-        return hs, zs, vs, lams
 
 
 def sunset(outer, lam_row, pair_bubble):
@@ -200,9 +178,10 @@ def _inner_table(grid, vb, k0, k1):
     return p0, p1, float(np.max(np.hypot(p0, p1)))
 
 
-def _sunset_kernel(table, state, params, channel, outer):
-    """2^-h W(2^h k) at h = ``state.h``: the kernel W(k) = Sigma(k) per
-    unit Z in units of 2^h, with ``k`` in those units.
+def _sunset_kernel(table, h, v, params, channel, outer):
+    """2^-h W(2^h k) at scale h and running velocities ``v``: the kernel
+    W(k) = Sigma(k) per unit Z in units of 2^h, with ``k`` in those units,
+    and the couplings of ``params``.
 
     W is the :func:`sunset` on the scale's polar grid with the measure
     d^2q / (2 pi)^2 (the rescaled coordinates add the factor 1 / |v|).
@@ -223,22 +202,23 @@ def _sunset_kernel(table, state, params, channel, outer):
     symmetry.
     """
     p0, p1, r_max = table
-    scale = 2.0**state.h
+    scale = 2.0**h
     if scale * r_max <= P_C:
         vhat2 = 1.0  # the plateau: bitwise the ones form_factor returns there
     else:
         vhat2 = form_factor(scale * p0, scale * p1) ** 2
 
     def pair_bubble(other):
-        return -vhat2 * bubble_over_d(p0, p1, state.v[other])
+        return -vhat2 * bubble_over_d(p0, p1, v[other])
 
     vb = params.v[channel]
-    return sunset(outer, state.lam[channel], pair_bubble) / (4.0 * np.pi**2 * abs(vb))
+    return sunset(outer, params.lam[channel], pair_bubble) / (4.0 * np.pi**2 * abs(vb))
 
 
-def beta_second_order(state: FlowState, params: LuttingerParams, unit):
-    """One-loop increments at the current scale, on the scale-0 grid,
-    shells and inner tables ``unit`` of :func:`_unit_grid`.
+def beta_second_order(h, v, params: LuttingerParams, unit):
+    """One-loop increments ``(z0, z1)`` at scale h and running velocities
+    ``v``, with the bare velocities and the couplings of ``params``, on the
+    scale-0 grid, shells and inner tables ``unit`` of :func:`_unit_grid`.
 
     z0, z1 come from symmetric differences (step 2^(h-3)) of the sunset
     kernel; the dressed covariance gives Z_eff = Z - i dSigma/dk0, so
@@ -249,8 +229,7 @@ def beta_second_order(state: FlowState, params: LuttingerParams, unit):
     k: the outer line is evaluated once per scale and channel from the
     channel's scale-0 shell and the running velocity, and only the inner
     lines are evaluated again, at the tabulated p = q - k of each k.
-    ``unit`` must hold a table for every channel that ``state`` couples,
-    as it does for the ``params`` it was built from.  Everything is
+    A channel with no table in ``unit`` is uncoupled.  Everything is
     evaluated in units of 2^h, which the ratio W / delta does not see.
     The quartic beta function is zero at this order (the same-chirality
     bubbles vanish by angular symmetry, the mixed-chirality routings
@@ -261,17 +240,17 @@ def beta_second_order(state: FlowState, params: LuttingerParams, unit):
     du0, du1, w = grid
     z0 = np.zeros(n)
     z1 = np.zeros(n)
-    for c in range(n):
-        if np.all(state.lam[c] == 0.0):
+    for c, pair in enumerate(tables):
+        if pair is None:
             continue
         vb = params.v[c]
-        outer = w * _shell_over_d(shells[c], du0, du1 / vb, state.v[c], 1.0)
-        at_k0, at_k1 = tables[c]
-        w0 = _sunset_kernel(at_k0, state, params, c, outer)
-        w1 = _sunset_kernel(at_k1, state, params, c, outer)
+        outer = w * _shell_over_d(shells[c], du0, du1 / vb, v[c], 1.0)
+        at_k0, at_k1 = pair
+        w0 = _sunset_kernel(at_k0, h, v, params, c, outer)
+        w1 = _sunset_kernel(at_k1, h, v, params, c, outer)
         z0[c] = float(np.real(-1j * w0 / STEP))
         z1[c] = float(np.real(-w1 / STEP))
-    return BetaEvaluation(z0=z0, z1=z1)
+    return z0, z1
 
 
 BIG_C = 2.0  # containment constant of the running velocities
@@ -289,40 +268,39 @@ def flow_run(params: LuttingerParams, h_min):
 
     Containment bounds per step: |Z_h/Z_{h-1}| <= exp(C_Z |lam|) and
     |v_h - v_0| <= BIG_C |lam|; a breach raises
-    :class:`FlowDivergenceError` naming the scale.  The quartic couplings
-    are carried unchanged (their beta function vanishes at this order).
-    The scale-0 grid, shells and inner tables of :func:`_unit_grid` are
-    built once and serve every scale.
+    :class:`FlowDivergenceError` naming the scale.  Only ``z`` and ``v``
+    run: the couplings are ``params.lam`` at every scale (their beta
+    function vanishes at this order).  The scale-0 grid, shells and inner
+    tables of :func:`_unit_grid` are built once and serve every scale.
 
-    A scale reuses the previous scale's :class:`BetaEvaluation` when its
-    running velocities are bitwise those of the previous scale and every
-    inner table is on the plateau at the previous scale, so at this lower
-    one too: there the evaluation depends on the velocities alone, so it
-    would come out bitwise the same.  A symmetric counter-propagating pair, whose velocities do not
-    move, makes one evaluation per flow; ``betas`` then holds that one
-    object once per scale.
+    A scale reuses the previous scale's ``(z0, z1)`` when its running
+    velocities are bitwise those of the previous scale and every inner
+    table is on the plateau at the previous scale, so at this lower one
+    too: there the evaluation depends on the velocities alone, so it would
+    come out bitwise the same.  A symmetric counter-propagating pair, whose
+    velocities do not move, makes one evaluation per flow; ``betas`` then
+    holds that one object once per scale.
     """
     lam_scale = max(float(np.max(np.abs(params.lam))), 1e-300)
     unit = _unit_grid(params)
-    state = FlowState.initial(params)
-    states = [state]
-    betas = []
+    zs, vs, betas = [params.z], [params.v], []
     for h in range(0, h_min, -1):
-        state = states[-1]
-        if not (betas and np.array_equal(state.v, states[-2].v) and _on_plateau(unit, h + 1)):
-            ev = beta_second_order(state, params, unit)
-        z_new = state.z * (1.0 + ev.z0)
-        v_new = (state.v + ev.z1) / (1.0 + ev.z0)
-        nxt = FlowState(h=h - 1, z=z_new, v=v_new, lam=state.lam)
-        ratio = np.abs(state.z / nxt.z)
+        z, v = zs[-1], vs[-1]
+        if not (betas and np.array_equal(v, vs[-2]) and _on_plateau(unit, h + 1)):
+            beta = beta_second_order(h, v, params, unit)
+        z0, z1 = beta
+        z_new = z * (1.0 + z0)
+        v_new = (v + z1) / (1.0 + z0)
+        ratio = np.abs(z / z_new)
         ratio = np.max(np.maximum(ratio, 1.0 / ratio))
         if ratio > np.exp(C_Z * lam_scale):
             raise FlowDivergenceError(f"field-strength ratio breached at h={h-1}", h - 1)
-        if np.max(np.abs(nxt.v - params.v)) > BIG_C * lam_scale:
+        if np.max(np.abs(v_new - params.v)) > BIG_C * lam_scale:
             raise FlowDivergenceError(f"velocity drift breached at h={h-1}", h - 1)
-        states.append(nxt)
-        betas.append(ev)
-    return FlowTrajectory(states=states, betas=betas)
+        zs.append(z_new)
+        vs.append(v_new)
+        betas.append(beta)
+    return FlowTrajectory(h=-np.arange(len(zs)), z=np.array(zs), v=np.array(vs), betas=betas)
 
 
 def vanishing_beta_report(traj: FlowTrajectory):
@@ -333,10 +311,9 @@ def vanishing_beta_report(traj: FlowTrajectory):
     """
     if len(traj.betas) < 10:
         raise ValueError("need at least 10 scales")
-    hs, zs, vs, lams = traj.arrays()
-    log_z = np.log2(zs)
+    log_z = np.log2(traj.z)
     eta = np.array(
-        [np.polyfit(hs, log_z[:, c], 1)[0] for c in range(zs.shape[1])]
+        [np.polyfit(traj.h, log_z[:, c], 1)[0] for c in range(traj.z.shape[1])]
     )
     eta = -eta  # Z grows toward the infrared: Z_h ~ 2^(-eta h), eta > 0
     return {"eta": eta}

@@ -959,6 +959,64 @@ def test_a_model_file_without_a_required_entry_is_a_usage_error(tmp_path, capsys
     assert os.listdir(out) == []
 
 
+HALDANE_FILE = "[geometry]\nl1 = 16\nl2 = 12\n\n[model]\ntype = haldane\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (HALDANE_FILE.replace("l1 = 16", "l1 = 16.5"), "error: l1: invalid literal for int() with base 10: '16.5'\n"),
+        ("[DEFAULT]\nt2 = 0.3\nphi = 1.0\n\n" + HALDANE_FILE,
+         "error: [DEFAULT] is not a model file section, got keys: t2, phi\n"),
+    ],
+    ids=["fractional-l1", "default-section"],
+)
+def test_a_model_file_names_its_bad_entry(tmp_path, capsys, text, message):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code, _ = run_cli(out, "spectrum", "--config", str(cfg))
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == message
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t2", "0.5"], "error: --config takes the place of the model flags, got --t2\n"),
+        (["--m-stag", "9", "--p", "2", "--flips", "0"],
+         "error: --config takes the place of the model flags, got --m-stag, --p, --flips\n"),
+        (["--model", "haldane"], "argument --model: not allowed with argument --config"),
+    ],
+    ids=["t2", "three-flags", "model"],
+)
+def test_a_model_file_and_model_flags_are_a_usage_error(tmp_path, capsys, flags, message):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(HALDANE_FILE)
+    out = tmp_path / "out"
+    code, _ = run_cli(out, "conductance", "--config", str(cfg), *flags)
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_a_model_file_run_reports_the_file_geometry(tmp_path):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(HALDANE_FILE.replace("l1 = 16\nl2 = 12", "l1 = 20\nl2 = 12"))
+    code, out = run_cli(tmp_path, "spectrum", "--config", str(cfg), "--n-k", "64")
+    assert code == cli.EXIT_OK
+    inputs = load_report(out, "report_spectrum.json")["inputs"]
+    assert (inputs["L1"], inputs["L2"], inputs["model"]) == (20, 12, None)
+
+
+def test_a_model_is_required(tmp_path, capsys):
+    code, _ = run_cli(tmp_path / "out", "spectrum")
+    assert code == cli.EXIT_USAGE
+    assert "one of the arguments --model --config is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_key_error_in_a_command_is_a_fault(tmp_path, monkeypatch):
     # a KeyError is no usage error: one from a numerical layer ends in its
     # traceback, with no report

@@ -125,8 +125,6 @@ def test_rgflow_api_is_pinned():
     from edgeflow import rgflow
 
     assert sorted(rgflow.__all__) == sorted([
-        "FlowState",
-        "BetaEvaluation",
         "FlowTrajectory",
         "FlowDivergenceError",
         "single_scale_propagator",

@@ -126,9 +126,8 @@ def test_mixed_bubbles_cancel_pointwise():
 
 def test_beta_vanishes_without_coupling():
     params = helical_params(lam=0.0)
-    state = rgflow.FlowState.initial(params)
-    ev = rgflow.beta_second_order(state, params, rgflow._unit_grid(params))
-    assert np.all(ev.z0 == 0.0) and np.all(ev.z1 == 0.0)
+    z0, z1 = rgflow.beta_second_order(0, params.v, params, rgflow._unit_grid(params))
+    assert np.all(z0 == 0.0) and np.all(z1 == 0.0)
 
 
 def test_anomalous_increment_matches_analytic_value():
@@ -136,34 +135,29 @@ def test_anomalous_increment_matches_analytic_value():
     # shell sits inside the form-factor plateau
     lam = 0.05
     params = helical_params(lam)
-    state = rgflow.FlowState.initial(params)
-    state.h = -4
-    ev = rgflow.beta_second_order(state, params, rgflow._unit_grid(params, level=6))
+    z0, _ = rgflow.beta_second_order(-4, params.v, params, rgflow._unit_grid(params, level=6))
     want = lam**2 * np.log(2.0) / (8.0 * np.pi**2)
-    assert ev.z0[0] == pytest.approx(want, rel=1e-3)
-    assert ev.z0[0] > 0.0
+    assert z0[0] == pytest.approx(want, rel=1e-3)
+    assert z0[0] > 0.0
 
 
 def test_flow_constant_without_coupling():
     params = helical_params(0.0)
     traj = rgflow.flow_run(params, -12)
-    hs, zs, vs, lams = traj.arrays()
-    assert np.max(np.abs(zs - zs[0])) == 0.0
-    assert np.max(np.abs(vs - vs[0])) == 0.0
+    assert np.max(np.abs(traj.z - traj.z[0])) == 0.0
+    assert np.max(np.abs(traj.v - traj.v[0])) == 0.0
 
 
 def test_flow_containment_30_scales():
     lam = 0.05
     params = helical_params(lam)
     traj = rgflow.flow_run(params, -30)
-    hs, zs, vs, lams = traj.arrays()
-    assert np.array_equal(lams, np.broadcast_to(params.lam, lams.shape))
-    assert np.max(np.abs(vs - params.v[None, :])) <= lam**0.5
+    assert np.max(np.abs(traj.v - params.v[None, :])) <= lam**0.5
     rep = rgflow.vanishing_beta_report(traj)
     assert np.all(rep["eta"] > 0.0)
     assert np.all(rep["eta"] <= 10.0 * lam**2)
     # the velocity step v_(h-1) - v_h of every scale
-    assert np.all(np.max(np.abs(np.diff(vs, axis=0)), axis=1) <= 1e-8)
+    assert np.all(np.max(np.abs(np.diff(traj.v, axis=0)), axis=1) <= 1e-8)
 
 
 @pytest.mark.parametrize(
@@ -237,16 +231,14 @@ def coupled(v, lam=0.05):
 
 def scale_by_scale(params, h_min):
     """The flow with a fresh beta_second_order at every scale, as
-    ``(z, v, beta)`` per step: the oracle of the reusing flow_run."""
+    ``(z, v, (z0, z1))`` per step: the oracle of the reusing flow_run."""
     unit = rgflow._unit_grid(params)
-    state = rgflow.FlowState.initial(params)
+    z, v = params.z, params.v
     steps = []
     for h in range(0, h_min, -1):
-        ev = rgflow.beta_second_order(state, params, unit)
-        state = rgflow.FlowState(
-            h=h - 1, z=state.z * (1.0 + ev.z0), v=(state.v + ev.z1) / (1.0 + ev.z0), lam=state.lam
-        )
-        steps.append((state.z, state.v, ev))
+        z0, z1 = rgflow.beta_second_order(h, v, params, unit)
+        z, v = z * (1.0 + z0), (v + z1) / (1.0 + z0)
+        steps.append((z, v, (z0, z1)))
     return steps
 
 
@@ -274,15 +266,15 @@ def test_the_flow_is_bitwise_the_scale_by_scale_flow(monkeypatch, v, evaluations
     want = scale_by_scale(params, -30)
     calls = []
     beta = rgflow.beta_second_order
-    monkeypatch.setattr(rgflow, "beta_second_order", lambda state, *a: calls.append(state.h) or beta(state, *a))
+    monkeypatch.setattr(rgflow, "beta_second_order", lambda h, *a: calls.append(h) or beta(h, *a))
     traj = rgflow.flow_run(params, -30)
     assert len(calls) == evaluations
     assert len(traj.betas) == len(want) == 30
-    for state, ev, (z, v_run, ev_want) in zip(traj.states[1:], traj.betas, want):
-        assert state.z.tobytes() == z.tobytes()
-        assert state.v.tobytes() == v_run.tobytes()
-        for name in ("z0", "z1"):
-            assert getattr(ev, name).tobytes() == getattr(ev_want, name).tobytes()
+    for z, v_run, beta_got, (z_want, v_want, beta_want) in zip(traj.z[1:], traj.v[1:], traj.betas, want):
+        assert z.tobytes() == z_want.tobytes()
+        assert v_run.tobytes() == v_want.tobytes()
+        for got, wanted in zip(beta_got, beta_want):
+            assert got.tobytes() == wanted.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -303,10 +295,10 @@ def test_a_scale_is_evaluated_unless_it_and_the_previous_are_on_the_plateau(monk
     params = coupled(v)
     calls = []
 
-    def still(state, params, unit):
-        calls.append(state.h)
+    def still(h, v, params, unit):
+        calls.append(h)
         zero = np.zeros(params.n_channels)
-        return rgflow.BetaEvaluation(z0=zero, z1=zero)
+        return zero, zero
 
     monkeypatch.setattr(rgflow, "beta_second_order", still)
     rgflow.flow_run(params, -12)
@@ -345,15 +337,13 @@ def test_the_kernel_takes_the_form_factor_at_the_true_momenta(monkeypatch, v, of
     monkeypatch.setattr(rgflow, "sunset", capture)
     off_plateau = []
     for h in range(-40, 1):
-        state = rgflow.FlowState.initial(params)
-        state.h = h
         for c, pair in enumerate(tables):
             for table in pair:
                 p0, p1, _ = table
                 seen.clear()
-                rgflow._sunset_kernel(table, state, params, c, grid[2])
+                rgflow._sunset_kernel(table, h, params.v, params, c, grid[2])
                 vhat2 = reference.form_factor(2.0**h * p0, 2.0**h * p1) ** 2
-                want = [-vhat2 * reference.bubble_over_d(p0, p1, state.v[o]) for o in range(n) if o != c]
+                want = [-vhat2 * reference.bubble_over_d(p0, p1, params.v[o]) for o in range(n) if o != c]
                 assert len(seen) == len(want) == n - 1
                 assert all(got.tobytes() == w.tobytes() for got, w in zip(seen, want))
                 if np.any(vhat2 != 1.0):
@@ -391,5 +381,3 @@ def test_flow_three_channels_mixed_velocities():
     traj = rgflow.flow_run(params, -15)
     rep = rgflow.vanishing_beta_report(traj)
     assert np.all(rep["eta"] > 0.0)
-    hs, zs, vs, lams = traj.arrays()
-    assert np.all(lams == lams[0])
